@@ -5,15 +5,16 @@ m_k of degree +1; together these satisfy the A-infinity relations.  This
 module stores such structures as sparse tables, checks the relations and
 the morphism equation, computes cup and (higher) Massey products, and
 transfers the structure to homology through a strong deformation retract
-by summing over rooted planar trees.
+by Kadeishvili's recursion.  The relations, the morphism equation and the
+transfer share two sums: inserting m_j into an outer operation, and
+composing m_r with blocks of a table of multilinear maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product as iproduct
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, canon_degree
@@ -25,7 +26,6 @@ __all__ = [
     "HClass",
     "AInftyStructure",
     "AInftyMorphism",
-    "PlanarTree",
     "MasseyResult",
     "CheckReport",
     "CohomologyRing",
@@ -36,7 +36,6 @@ __all__ = [
     "cup_product",
     "massey_triple",
     "massey_higher",
-    "enumerate_trees",
     "transfer_minimal_model",
 ]
 
@@ -209,36 +208,34 @@ def adjoint_structure(dga: DGA, aug: Augmentation) -> AInftyStructure:
     return structure
 
 
-def check_an_relations(s: AInftyStructure, up_to: int) -> CheckReport:
-    """Verify sum over i+j+k=l of m_{i+1+k}(1 x m_j x 1) = 0 for l <= up_to."""
-    for l in range(1, up_to + 1):
-        total: Dict[Tuple[str, ...], int] = {}
-        for j in range(1, min(s.arity, l) + 1):
-            o = l + 1 - j
-            if o < 1 or o > s.arity:
-                continue
-            outer = s.tables.get(o, {})
-            inner_hits = s.hits(j)
-            if not outer or not inner_hits:
-                continue
-            for i in range(o):
-                for oargs, ovec in outer.items():
-                    for iargs in inner_hits.get(oargs[i], ()):
-                        full = oargs[:i] + iargs + oargs[i + 1 :]
-                        cur = total.get(full, 0) ^ ovec
-                        if cur:
-                            total[full] = cur
-                        else:
-                            total.pop(full, None)
-        if total:
-            key = min(total, key=lambda a: tuple(s.order[x] for x in a))
-            return CheckReport(
-                False,
-                "relation fails at arity %d on (%s)" % (l, ", ".join(key)),
-                l,
-                key,
-            )
-    return CheckReport(True, "relations hold up to arity %d" % up_to)
+def _toggle(total: Dict[Tuple[str, ...], int], args: Tuple[str, ...], vec: int) -> None:
+    cur = total.get(args, 0) ^ vec
+    if cur:
+        total[args] = cur
+    else:
+        total.pop(args, None)
+
+
+def _insertion_sum(
+    outer: Dict[int, Dict[Tuple[str, ...], int]],
+    inner: AInftyStructure,
+    n: int,
+    total: Dict[Tuple[str, ...], int],
+) -> None:
+    """Add sum over i+j+k = n of outer_{i+1+k}(1 x m_j x 1) to ``total``.
+
+    ``outer`` holds the sparse tables of a structure or a morphism by arity;
+    terms accumulate on their n-tuple of inputs.
+    """
+    for j in range(1, min(inner.arity, n) + 1):
+        table = outer.get(n + 1 - j)
+        inner_hits = inner.hits(j)
+        if not table or not inner_hits:
+            continue
+        for i in range(n + 1 - j):
+            for oargs, ovec in table.items():
+                for iargs in inner_hits.get(oargs[i], ()):
+                    _toggle(total, oargs[:i] + iargs + oargs[i + 1 :], ovec)
 
 
 def _compositions(n: int, r: int) -> List[Tuple[int, ...]]:
@@ -252,6 +249,61 @@ def _compositions(n: int, r: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _composition_sum(
+    m: AInftyStructure,
+    f: Dict[int, Dict[Tuple[str, ...], int]],
+    degree_of: Dict[str, int],
+    entry_degree: Callable[[Tuple[str, ...]], int],
+    n: int,
+    min_blocks: int,
+    total: Dict[Tuple[str, ...], int],
+) -> None:
+    """Add sum over r >= min_blocks, c_1+..+c_r = n of m_r(f_{c_1} x .. x f_{c_r}).
+
+    ``f`` holds sparse tables by arity whose vectors live in the basis of
+    ``m``, and ``entry_degree(w)`` is the degree of f_{|w|}(w).  Terms
+    accumulate on the concatenated n-tuple of inputs.  Every application of
+    m_r must land in the degree that the input labels dictate,
+    sum(degree_of) + 1; a mismatch is an internal error.
+    """
+    entries = {
+        c: [(w, entry_degree(w), vec) for w, vec in f.get(c, {}).items()]
+        for c in range(1, n + 1)
+    }
+    for r in range(min_blocks, min(m.arity, n) + 1):
+        for comp in _compositions(n, r):
+            blocks = [entries[c] for c in comp]
+            if not all(blocks):
+                continue
+            for chosen in iproduct(*blocks):
+                args = tuple(x for w, _, _ in chosen for x in w)
+                got, val = m.apply([(d, vec) for _, d, vec in chosen])
+                want = canon_degree(m.modulus, sum(degree_of[x] for x in args) + 1)
+                if got != want:
+                    raise InternalConsistencyError(
+                        "composition sum in mixed degrees: m_%d on (%s) lands in"
+                        " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
+                    )
+                if val:
+                    _toggle(total, args, val)
+
+
+def check_an_relations(s: AInftyStructure, up_to: int) -> CheckReport:
+    """Verify sum over i+j+k=l of m_{i+1+k}(1 x m_j x 1) = 0 for l <= up_to."""
+    for l in range(1, up_to + 1):
+        total: Dict[Tuple[str, ...], int] = {}
+        _insertion_sum(s.tables, s, l, total)
+        if total:
+            key = min(total, key=lambda a: tuple(s.order[x] for x in a))
+            return CheckReport(
+                False,
+                "relation fails at arity %d on (%s)" % (l, ", ".join(key)),
+                l,
+                key,
+            )
+    return CheckReport(True, "relations hold up to arity %d" % up_to)
+
+
 def check_ainfty_morphism(
     f: AInftyMorphism, src: AInftyStructure, dst: AInftyStructure, up_to: int
 ) -> CheckReport:
@@ -261,56 +313,14 @@ def check_ainfty_morphism(
     f_{i+1+k}(1 x m_j x 1) must equal the sum over all splittings
     i_1+..+i_r = n of m_r(f_{i_1} x .. x f_{i_r}).
     """
+
+    def entry_degree(w: Tuple[str, ...]) -> int:
+        return canon_degree(src.modulus, sum(src.degree_of[x] for x in w))
+
     for n in range(1, up_to + 1):
         total: Dict[Tuple[str, ...], int] = {}
-
-        def accumulate(args: Tuple[str, ...], vec: int) -> None:
-            cur = total.get(args, 0) ^ vec
-            if cur:
-                total[args] = cur
-            else:
-                total.pop(args, None)
-
-        for j in range(1, min(src.arity, n) + 1):
-            o = n + 1 - j
-            if o < 1 or o > f.arity:
-                continue
-            outer = f.tables.get(o, {})
-            inner_hits = src.hits(j)
-            if not outer or not inner_hits:
-                continue
-            for i in range(o):
-                for oargs, ovec in outer.items():
-                    for iargs in inner_hits.get(oargs[i], ()):
-                        accumulate(oargs[:i] + iargs + oargs[i + 1 :], ovec)
-
-        for r in range(1, min(dst.arity, n) + 1):
-            for comp in _compositions(n, r):
-                entry_lists = []
-                ok = True
-                for c in comp:
-                    entries = list(f.tables.get(c, {}).items())
-                    if not entries:
-                        ok = False
-                        break
-                    entry_lists.append(entries)
-                if not ok:
-                    continue
-                for chosen in iproduct(*entry_lists):
-                    args = tuple(x for w, _ in chosen for x in w)
-                    pairs = [
-                        (
-                            canon_degree(
-                                src.modulus, sum(src.degree_of[x] for x in w)
-                            ),
-                            vec,
-                        )
-                        for w, vec in chosen
-                    ]
-                    _, val = dst.apply(pairs)
-                    if val:
-                        accumulate(args, val)
-
+        _insertion_sum(f.tables, src, n, total)
+        _composition_sum(dst, f.tables, src.degree_of, entry_degree, n, 1, total)
         if total:
             key = min(total, key=lambda a: tuple(src.order[x] for x in a))
             return CheckReport(
@@ -448,18 +458,15 @@ def massey_higher(
                 variables.append((l, m))
 
     def partitions(l: int, m: int):
-        """Proper partitions of [l,m] into >= 2 consecutive blocks, as cut tuples."""
-        inner = range(l, m)  # a cut after position i splits at i|i+1
+        """Partitions of [l,m] into 2..arity consecutive blocks (first, last)."""
         out = []
-        for mask in range(1, 1 << len(inner)):
-            cuts = [inner[i] for i in bits(mask)]
-            blocks = []
-            start = l
-            for c in cuts:
-                blocks.append((start, c))
-                start = c + 1
-            blocks.append((start, m))
-            if len(blocks) <= s.arity:
+        for r in range(2, min(s.arity, m - l + 1) + 1):
+            for comp in _compositions(m - l + 1, r):
+                blocks = []
+                start = l
+                for c in comp:
+                    blocks.append((start, start + c - 1))
+                    start += c
                 out.append(blocks)
         return out
 
@@ -548,48 +555,6 @@ def massey_higher(
     )
 
 
-@dataclass(frozen=True)
-class PlanarTree:
-    """Rooted planar tree; leaves are inputs, internal vertices are operations."""
-
-    children: Tuple["PlanarTree", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.leaf_count() for c in self.children)
-
-    def arity_sequence(self) -> Tuple[int, ...]:
-        """Child counts in depth-first order (leaves contribute 0)."""
-        out = [len(self.children)]
-        for c in self.children:
-            out.extend(c.arity_sequence())
-        return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _trees(k: int) -> Tuple[PlanarTree, ...]:
-    if k == 1:
-        return (PlanarTree(),)
-    out = []
-    for r in range(2, k + 1):
-        for comp in _compositions(k, r):
-            for subtrees in iproduct(*(_trees(c) for c in comp)):
-                out.append(PlanarTree(tuple(subtrees)))
-    return tuple(out)
-
-
-def enumerate_trees(k: int) -> List[PlanarTree]:
-    """All rooted planar trees with k ordered leaves and no unary/nullary operations."""
-    if k < 2:
-        raise ContractError("trees need at least 2 leaves")
-    return sorted(_trees(k), key=lambda t: t.arity_sequence())
-
-
 def _verify_retract(h: HomologyData) -> None:
     d = h.differential
     for k in d.basis:
@@ -614,29 +579,25 @@ def _verify_retract(h: HomologyData) -> None:
                 raise ContractError("retract fails p(h(x)) = 0 in degree %d" % k)
 
 
-def _tree_value(
-    s: AInftyStructure, h: HomologyData, tree: PlanarTree, leaves
-) -> Tuple[int, int]:
-    if tree.is_leaf:
-        return next(leaves)
-    vals = []
-    for child in tree.children:
-        dv = _tree_value(s, h, child, leaves)
-        if not child.is_leaf:
-            dv = (h.canon(dv[0] - h.shift), h.homotopy(dv[0], dv[1]))
-        vals.append(dv)
-    return s.apply(vals)
-
-
 def transfer_minimal_model(
     h: HomologyData, s: AInftyStructure, up_to: int
 ) -> Tuple[AInftyStructure, AInftyMorphism]:
     """Minimal A-infinity structure on homology, plus the inclusion morphism.
 
-    mu_k projects the tree sum (operations at vertices, homotopies on
-    internal edges, representatives at leaves); i_k applies the homotopy to
-    the same sum, with i_1 the representative inclusion.  mu_1 = 0, and
-    mu_2 is checked against the descended cup product.
+    The homotopy transfer sums over rooted planar trees with k leaves and
+    no unary vertices: representatives i(x) at the leaves, m_r at each
+    vertex, the homotopy h on each internal edge.  Group the trees by the
+    root's arity r and its children's leaf counts k_1+..+k_r = k.  The
+    subtrees below a child range independently over all trees with k_j
+    leaves, so by multilinearity of m_r the group contributes
+    m_r(i_{k_1} x .. x i_{k_r}), where i_1 = i and i_j = h(p_j) is h of the
+    whole tree sum p_j with j leaves.  Hence Kadeishvili's recursion:
+
+        p_k = sum over r >= 2 and k_1+..+k_r = k of m_r(i_{k_1} x .. x i_{k_r}),
+
+    with mu_k = p(p_k) and i_k = h(p_k); mu_1 = 0.  Each p_k reuses the
+    stored i_j tables of lower arity.  mu_2 is checked against the
+    descended cup product.
     """
     if up_to < 2:
         raise ContractError("transfer needs arity at least 2")
@@ -649,6 +610,12 @@ def transfer_minimal_model(
         hbasis[k] = names
         for i, lbl in enumerate(names):
             class_list.append((k, i, lbl))
+    degree_of = {lbl: k for k, _, lbl in class_list}
+
+    def entry_degree(w: Tuple[str, ...]) -> int:
+        """Degree of i_j(w): i is degree 0, h(p_j) lowers m_r's +1 by the shift."""
+        lift = 1 - h.shift if len(w) > 1 else 0
+        return h.canon(sum(degree_of[x] for x in w) + lift)
 
     mu_tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     i_tables: Dict[int, Dict[Tuple[str, ...], int]] = {
@@ -659,21 +626,12 @@ def transfer_minimal_model(
         }
     }
     for k in range(2, up_to + 1):
-        trees = enumerate_trees(k)
+        p_k: Dict[Tuple[str, ...], int] = {}
+        _composition_sum(s, i_tables, degree_of, entry_degree, k, 2, p_k)
         mu_k: Dict[Tuple[str, ...], int] = {}
         i_k: Dict[Tuple[str, ...], int] = {}
-        for chosen in iproduct(class_list, repeat=k):
-            inputs = [(d, h.include(d, 1 << i)) for d, i, _ in chosen]
-            labels = tuple(lbl for _, _, lbl in chosen)
-            outdeg = None
-            total = 0
-            for tree in trees:
-                d_out, vec = _tree_value(s, h, tree, iter(inputs))
-                if outdeg is None:
-                    outdeg = d_out
-                elif outdeg != d_out:
-                    raise InternalConsistencyError("tree values in mixed degrees")
-                total ^= vec
+        for labels, total in p_k.items():
+            outdeg = h.canon(sum(degree_of[x] for x in labels) + 1)
             coords = h.project(outdeg, total)
             if coords:
                 mu_k[labels] = coords

@@ -10,6 +10,7 @@ freedom remains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Dict, FrozenSet, List, Set, Tuple
 
@@ -31,8 +32,12 @@ class Augmentation:
 
     values: Tuple[Tuple[str, int], ...]
 
+    @cached_property
+    def _lookup(self) -> Dict[str, int]:
+        return dict(self.values)
+
     def __call__(self, name: str) -> int:
-        return dict(self.values)[name]
+        return self._lookup[name]
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.values)

@@ -19,10 +19,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .ainfty import (
+    CohomologyRing,
     HClass,
     build_ring,
     check_ainfty_morphism,
     check_an_relations,
+    cup_product,
     massey_higher,
     massey_triple,
     transfer_minimal_model,
@@ -32,7 +34,7 @@ from .augment import Augmentation, enumerate_augmentations
 from .families import FamilyGradingWarning, generate_family
 from .fileio import parse_dga, serialize_dga
 from .fingerprint import compare_mirror
-from .linear import vector_label
+from .linear import duality_search, vector_label
 from .tilde import order_n_cohomology
 
 __all__ = ["main", "build_parser"]
@@ -65,14 +67,19 @@ def _read_text(path: str) -> str:
         raise ContractError("cannot read %s: %s" % (path, exc))
 
 
-def _load(path: str, rows: Optional[Rows] = None) -> DGA:
-    """Parse and validate a DGA file, recording parse warnings as rows."""
+def _parse(path: str, rows: Rows) -> DGA:
+    """Parse a DGA file, recording parse warnings as rows."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dga = parse_dga(_read_text(path))
-    if rows is not None:
-        for i, w in enumerate(caught):
-            rows.append(("warning.%d" % i, str(w.message)))
+    for i, w in enumerate(caught):
+        rows.append(("warning.%d" % i, str(w.message)))
+    return dga
+
+
+def _load(path: str, rows: Optional[Rows] = None) -> DGA:
+    """Parse and validate a DGA file, recording parse warnings as rows."""
+    dga = _parse(path, [] if rows is None else rows)
     assert_valid(dga)
     return dga
 
@@ -98,13 +105,28 @@ def _dims_rows(rows: Rows, prefix: str, dims: Dict[int, int]) -> None:
             rows.append(("%s.%d" % (prefix, degree), str(dims[degree])))
 
 
+def _product_rows(rows: Rows, prefix: str, ring: CohomologyRing) -> None:
+    """Nonzero cup products of basis classes, keyed <prefix>product.X.Y."""
+    h = ring.cochain
+    degrees = [k for k in sorted(h.dims()) if h.dim(k)]
+    for r in degrees:
+        for s in degrees:
+            for i in range(h.dim(r)):
+                for j in range(h.dim(s)):
+                    x, y = HClass(r, 1 << i), HClass(s, 1 << j)
+                    value = cup_product(h, ring.structure, x, y)
+                    if value.coords:
+                        key = "%sproduct.%s.%s" % (
+                            prefix,
+                            h.label(r, x.coords),
+                            h.label(s, y.coords),
+                        )
+                        rows.append((key, _label(h, value.degree, value.coords)))
+
+
 def cmd_validate(args) -> int:
     rows: Rows = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dga = parse_dga(_read_text(args.file))
-    for i, w in enumerate(caught):
-        rows.append(("warning.%d" % i, str(w.message)))
+    dga = _parse(args.file, rows)
     findings = validate_dga(dga)
     rows.append(("generators", str(len(dga.generators))))
     rows.append(("modulus", str(dga.modulus)))
@@ -154,21 +176,7 @@ def cmd_ring(args) -> int:
         rows.append(
             ("basis.%d" % k, " ".join(h.label(k, 1 << i) for i in range(h.dim(k))))
         )
-    from .ainfty import cup_product
-
-    for r in degrees:
-        for s in degrees:
-            for i in range(h.dim(r)):
-                for j in range(h.dim(s)):
-                    x, y = HClass(r, 1 << i), HClass(s, 1 << j)
-                    value = cup_product(h, ring.structure, x, y)
-                    if value.coords:
-                        rows.append(
-                            (
-                                "product.%s.%s" % (h.label(r, x.coords), h.label(s, y.coords)),
-                                _label(h, value.degree, value.coords),
-                            )
-                        )
+    _product_rows(rows, "", ring)
     emit_report(rows, args.format)
     return 0
 
@@ -292,8 +300,6 @@ def cmd_duality(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
     _, aug = _pick_augmentation(dga, args.aug)
-    from .linear import duality_search
-
     ring = build_ring(dga, aug)
     result = duality_search(dga, aug, ring)
     rows.append(("augmentation", aug.describe()))
@@ -388,30 +394,11 @@ def cmd_report(args) -> int:
     rows.append(("augmentations", str(len(augs))))
     if not augs:
         rows.append(("note", NO_AUGMENTATIONS))
-    from .ainfty import cup_product
-    from .linear import duality_search
-
     for i, aug in enumerate(augs):
         rows.append(("aug.%d" % i, aug.describe()))
         ring = build_ring(dga, aug)
-        h = ring.cochain
-        _dims_rows(rows, "aug.%d.cohomology.dim" % i, h.dims())
-        degrees = [k for k in sorted(h.dims()) if h.dim(k)]
-        for r in degrees:
-            for s in degrees:
-                for a in range(h.dim(r)):
-                    for b in range(h.dim(s)):
-                        value = cup_product(
-                            h, ring.structure, HClass(r, 1 << a), HClass(s, 1 << b)
-                        )
-                        if value.coords:
-                            rows.append(
-                                (
-                                    "aug.%d.product.%s.%s"
-                                    % (i, h.label(r, 1 << a), h.label(s, 1 << b)),
-                                    _label(h, value.degree, value.coords),
-                                )
-                            )
+        _dims_rows(rows, "aug.%d.cohomology.dim" % i, ring.cochain.dims())
+        _product_rows(rows, "aug.%d." % i, ring)
         result = duality_search(dga, aug, ring)
         if result.ok:
             rows.append(("aug.%d.duality" % i, "certificate"))

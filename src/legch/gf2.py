@@ -16,7 +16,6 @@ __all__ = [
     "Eliminator",
     "rank",
     "kernel_basis",
-    "image_basis",
     "in_span",
     "solve",
     "invert",
@@ -129,21 +128,6 @@ def kernel_basis(cols: List[int]) -> List[int]:
         created, combo = e.add(c)
         if not created:
             out.append(combo)
-    return out
-
-
-def image_basis(cols: List[int]) -> List[int]:
-    """Independent image vectors together with their domain preimages.
-
-    Returns a list of (image vector, preimage combo) pairs is avoided on
-    purpose: callers that need preimages use Eliminator directly.
-    """
-    e = Eliminator()
-    out = []
-    for c in cols:
-        created, _ = e.add(c)
-        if created:
-            out.append(c)
     return out
 
 

@@ -119,6 +119,13 @@ def _words_by_degree(
     return groups
 
 
+def _word_index(
+    groups: Dict[int, List[Tuple[int, ...]]]
+) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+    """Each word's (degree, position within that degree's basis)."""
+    return {w: (k, i) for k, ws in groups.items() for i, w in enumerate(ws)}
+
+
 def _toggle(out: set, word: Tuple[int, ...]) -> None:
     if word in out:
         out.discard(word)
@@ -189,10 +196,7 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     _check_order(n, max_order)
     letters = _Letters(s)
     groups = _words_by_degree(letters.degree, n, s.modulus)
-    index: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for k, ws in groups.items():
-        for i, w in enumerate(ws):
-            index[w] = (k, i)
+    index = _word_index(groups)
     cols: Dict[int, List[int]] = {}
     for k, ws in groups.items():
         out_degree = canon_degree(s.modulus, k + 1)
@@ -340,20 +344,12 @@ def _perturbed_complex(
         ipmap.append(_expand_vector(letters.by_degree, k, retract.include(k, coords)))
         pmap.append(tuple(cpos[(k, i)] for i in bits(coords)))
 
+    shortening = {j: table for j, table in letters.windows.items() if j >= 2}
+
     def shrink(words: set) -> set:
         out: set = set()
         for w in words:
-            for i in range(len(w)):
-                for j, table in letters.windows.items():
-                    if j < 2 or i + j > len(w):
-                        continue
-                    hits = table.get(w[i : i + j])
-                    if not hits:
-                        continue
-                    head = w[:i]
-                    tail = w[i + j :]
-                    for g in hits:
-                        _toggle(out, head + (g,) + tail)
+            out ^= _cochain_terms(shortening, w)
         return out
 
     def tensor_homotopy(words: set) -> set:
@@ -372,10 +368,7 @@ def _perturbed_complex(
         return out
 
     groups = _words_by_degree(cdeg, n, modulus)
-    index: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for k, ws in groups.items():
-        for i, w in enumerate(ws):
-            index[w] = (k, i)
+    index = _word_index(groups)
     cols: Dict[int, List[int]] = {}
     for k, ws in groups.items():
         target = canon_degree(modulus, k + 1)
@@ -574,11 +567,7 @@ def tilde_of_morphism(
         return frozen
 
     groups = _words_by_degree(sletters.degree, n, f.src.modulus)
-    dst_groups = _words_by_degree(dletters.degree, n, f.dst.modulus)
-    dst_index: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for k, ws in dst_groups.items():
-        for i, w in enumerate(ws):
-            dst_index[w] = (k, i)
+    dst_index = _word_index(_words_by_degree(dletters.degree, n, f.dst.modulus))
     blocks: Dict[int, List[int]] = {}
     for k, ws in groups.items():
         kcols = []

@@ -1,6 +1,8 @@
 """Adjoint A-infinity structures, transfer, cup and Massey products."""
 
 import random
+from functools import reduce
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,6 @@ from legch.ainfty import (
     check_ainfty_morphism,
     check_an_relations,
     cup_product,
-    enumerate_trees,
     massey_higher,
     massey_triple,
     transfer_minimal_model,
@@ -249,16 +250,79 @@ def test_massey_higher_order_three_agrees_with_triple():
     assert triple.contains(higher.value)
 
 
-def test_enumerate_trees_counts_and_order():
-    assert [t.arity_sequence() for t in enumerate_trees(3)] == [
-        (2, 0, 2, 0, 0),
-        (2, 2, 0, 0, 0),
-        (3, 0, 0, 0),
-    ]
-    assert [len(enumerate_trees(k)) for k in (2, 3, 4, 5)] == [1, 3, 11, 45]
-    assert all(t.leaf_count() == 4 for t in enumerate_trees(4))
-    with pytest.raises(ContractError):
-        enumerate_trees(1)
+def _planar_trees(k):
+    """Rooted planar trees with k leaves and no unary vertices.
+
+    A leaf is None; an internal vertex is the tuple of its subtrees.
+    """
+    if k == 1:
+        return [None]
+    out = []
+    for r in range(2, k + 1):
+        for cuts in combinations(range(1, k), r - 1):
+            sizes = [b - a for a, b in zip((0,) + cuts, cuts + (k,))]
+            out.extend(product(*(_planar_trees(c) for c in sizes)))
+    return out
+
+
+def _tree_sum_transfer(h, s, up_to):
+    """Reference transfer: mu_k and i_k tables as explicit planar-tree sums.
+
+    Leaves carry representatives, vertices apply m_r, internal edges apply
+    the homotopy; every tree for one input tuple must land in one degree.
+    """
+    classes = [(k, i, h.label(k, 1 << i)) for k in h.degrees() for i in range(h.dim(k))]
+
+    def value(tree, leaves):
+        if tree is None:
+            return next(leaves)
+        args = []
+        for child in tree:
+            d, vec = value(child, leaves)
+            if child is not None:
+                d, vec = h.canon(d - h.shift), h.homotopy(d, vec)
+            args.append((d, vec))
+        return s.apply(args)
+
+    mu, incl = {}, {}
+    for k in range(2, up_to + 1):
+        trees = _planar_trees(k)
+        mu[k], incl[k] = {}, {}
+        for chosen in product(classes, repeat=k):
+            leaves = [(d, h.include(d, 1 << i)) for d, i, _ in chosen]
+            results = [value(t, iter(leaves)) for t in trees]
+            (degree,) = {d for d, _ in results}
+            total = reduce(lambda acc, r: acc ^ r[1], results, 0)
+            labels = tuple(lbl for _, _, lbl in chosen)
+            if h.project(degree, total):
+                mu[k][labels] = h.project(degree, total)
+            if h.homotopy(degree, total):
+                incl[k][labels] = h.homotopy(degree, total)
+    return mu, incl
+
+
+def _assert_transfer_matches_tree_sum(ring, up_to):
+    h, s = ring.cochain, ring.structure
+    mu, f = transfer_minimal_model(h, s, up_to)
+    want_mu, want_incl = _tree_sum_transfer(h, s, up_to)
+    for k in range(2, up_to + 1):
+        assert mu.tables[k] == want_mu[k], k
+        assert f.tables[k] == want_incl[k], k
+
+
+def test_transfer_matches_the_planar_tree_sum():
+    assert [len(_planar_trees(k)) for k in (2, 3, 4, 5)] == [1, 3, 11, 45]
+    for name, dga in bundled_examples():
+        for aug in enumerate_augmentations(dga):
+            _assert_transfer_matches_tree_sum(build_ring(dga, aug), 4)
+    _assert_transfer_matches_tree_sum(trefoil_ring(), 5)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=25)
+def test_transfer_matches_the_planar_tree_sum_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
+    _assert_transfer_matches_tree_sum(build_ring(dga, aug), 4)
 
 
 def test_transfer_minimal_model_trefoil_frozen_tables():
