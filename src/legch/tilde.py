@@ -13,13 +13,54 @@ Two engines are available: a dense one that materializes the word basis,
 and a perturbation engine for large complexes that contracts the tensor
 powers of the homology retract of (V, m_1) and pushes the strictly
 length-decreasing windows (j >= 2) through the resulting finite series.
+
+The transpose check and the dense engine build their matrices from
+(letter, term) triples instead of expanding word by word.  Index both
+matrices by a column word w and a row word v (Leibniz: w -> v, window:
+v -> w).  Then:
+
+* Triples.  The Leibniz image of w is the sum over positions of
+  w[:i] . d(w[i]) . w[i+1:], long words dropped, so the (w, v) entry is
+  the parity of the triples (h, (g, t), tl) with w = h.g.tl, v = h.t.tl,
+  t a term of the twisted d(g) and |h| + |t| + |tl| <= n.  The window
+  image of v is the sum over windows v[i:i+j] = t of v[:i] . m_j(t) .
+  v[i+j:], so its (w, v) entry is the parity of the same shape of triple
+  with g in m_|t|(t) and |v| <= n.  Both sides are therefore GF(2) sums
+  of triples; twisted differentials have no constant term, so |t| >= 1
+  and every column word has length |h| + 1 + |tl| <= n.
+* Codes.  A word of length L over |V| letters codes as off[L] plus its
+  base-|V| value, off[L] = |V| + ... + |V|^(L-1): a bijection onto
+  [0, M), M the number of words, increasing in the canonical
+  length-major lexicographic order.  An entry codes as col * M + row.
+  For fixed (g, t, |h|, |tl|) the entry codes are base + H * (|V|^(|tl|+1)
+  * M + |V|^(|t|+|tl|)) + Z * (M + 1) over the base-|V| values H of the
+  head and Z of the tail; distinct (H, Z) give distinct codes, so each
+  head (or tail) adds one arithmetic progression without repeats, and
+  toggling it in a set is the GF(2) sum of those triples.
+* Slices.  Every triple behind an entry has that entry's column word, so
+  the entries of the columns whose first letter lies in [lo, hi) are
+  exactly the GF(2) sums of the triples whose column starts there.
+  Comparing slice by slice therefore compares every entry of both full
+  matrices exactly once, and the entry counts add up.  A slice covers as
+  many first letters as keep it within ``_SLICE_WORDS`` column words
+  (at least one letter), so the check holds the two sides' entry sets of
+  one slice at a time and never builds the word basis.
+* Homogeneity.  By additivity of degree, deg(h.t.tl) - deg(h.g.tl) =
+  deg t - deg g, so every output word has degree one below its column
+  word exactly when every contributing pair has deg t = deg g - 1.  Each
+  pair with |t| <= n contributes the uncancelled entry (g, t) itself
+  (h and tl empty: no other triple of that side has the one-letter
+  column g and row t), so checking once per pair is equivalent to
+  checking every output word.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, assert_valid, canon_degree, dga_key, mirror_dga
@@ -58,6 +99,10 @@ __all__ = [
 
 MAX_ORDER = 4
 DENSE_LIMIT = 20000
+# Column words per slice of the transpose check; bounds its peak memory.
+_SLICE_WORDS = 1 << 15
+# Results kept by the in-process order-n cache, least recently used first out.
+_ORDER_CACHE_SIZE = 64
 
 
 def _check_order(n: int, max_order: int) -> None:
@@ -169,6 +214,120 @@ def _expand_vector(by_degree, k: int, vec: int) -> Tuple[int, ...]:
     return tuple(row[i] for i in bits(vec))
 
 
+class _Codes:
+    """Words of length 1..n over ``size`` letters, coded as ints.
+
+    A word of length L codes as ``off[L]`` plus its base-``size`` value, so
+    codes 0..total-1 run through the canonical length-major lexicographic
+    order of all words.
+    """
+
+    def __init__(self, size: int, n: int):
+        self.size = size
+        self.n = n
+        self.off = [0, 0]
+        for length in range(1, n + 1):
+            self.off.append(self.off[-1] + size**length)
+        self.total = self.off[n + 1]
+
+    def decode(self, code: int) -> Tuple[int, ...]:
+        length = bisect_right(self.off, code) - 1
+        value = code - self.off[length]
+        word = []
+        for _ in range(length):
+            value, g = divmod(value, self.size)
+            word.append(g)
+        return tuple(reversed(word))
+
+
+def _check_pair_degree(letters: _Letters, modulus: int, side: str, g: int, t) -> None:
+    """Homogeneity of one (letter, term) pair: deg t = deg g - 1."""
+    deg_t = sum(letters.degree[x] for x in t)
+    if canon_degree(modulus, deg_t) == canon_degree(modulus, letters.degree[g] - 1):
+        return
+    if side == "Leibniz":
+        image, source, want = t, (g,), letters.degree[g] - 1
+    else:
+        image, source, want = (g,), t, deg_t + 1
+    raise InternalConsistencyError(
+        "%s image %s of %s is not homogeneous of degree %d"
+        % (side, letters.word_label(image), letters.word_label(source),
+           canon_degree(modulus, want))
+    )
+
+
+def _twisted_pairs(dga: DGA, aug: Augmentation, letters: _Letters, modulus: int, n: int):
+    """(g, t) for every term t of the twisted differential d(g) with |t| <= n."""
+    twisted = twist(dga, aug)
+    pairs = []
+    for g, lbl in enumerate(letters.labels):
+        for w in twisted.sorted_terms(twisted.d(lbl)):
+            t = tuple(letters.index[x] for x in w)
+            if not t:
+                raise InternalConsistencyError(
+                    "twisted differential of %s has a constant term" % lbl
+                )
+            if len(t) <= n:
+                _check_pair_degree(letters, modulus, "Leibniz", g, t)
+                pairs.append((g, t))
+    return pairs
+
+
+def _window_pairs(letters: _Letters, modulus: int, n: int):
+    """(g, t) for every letter g in m_|t|(t) with |t| <= n."""
+    pairs = []
+    for j, table in letters.windows.items():
+        if j > n:
+            continue
+        for t, hits in table.items():
+            for g in hits:
+                _check_pair_degree(letters, modulus, "window", g, t)
+                pairs.append((g, t))
+    return pairs
+
+
+def _toggle_triples(out: set, pairs, codes: _Codes, lo: int, hi: int) -> None:
+    """Add over GF(2) the entries of every triple whose column starts in [lo, hi).
+
+    A pair (g, t) with a head h and a tail tl, |h| + |t| + |tl| <= n, is
+    the entry of column word h.g.tl and row word h.t.tl, coded as
+    ``col * M + row`` with M = ``codes.total``.  For fixed (g, t, |h|,
+    |tl|) these codes are base + H * head_step + Z * (M + 1) over the head
+    and tail values H and Z, so each head (or each tail, whichever loop is
+    shorter) contributes one arithmetic progression, toggled in C by one
+    set operation.
+    """
+    size, n, off, total = codes.size, codes.n, codes.off, codes.total
+    tail_step = total + 1
+    for g, t in pairs:
+        lt = len(t)
+        value = 0
+        for x in t:
+            value = value * size + x
+        for a in range(n - lt + 1):
+            if a:
+                unit = size ** (a - 1)
+                h0, h1 = lo * unit, hi * unit
+            elif lo <= g < hi:
+                h0, h1 = 0, 1
+            else:
+                continue
+            for b in range(n - lt - a + 1):
+                tails = size**b
+                base = (off[a + 1 + b] + g * tails) * total + off[a + lt + b] + value * tails
+                head_step = size * tails * total + size**lt * tails
+                if h1 - h0 >= tails:
+                    for start in range(base, base + tails * tail_step, tail_step):
+                        out.symmetric_difference_update(
+                            range(start + h0 * head_step, start + h1 * head_step, head_step)
+                        )
+                else:
+                    for start in range(base + h0 * head_step, base + h1 * head_step, head_step):
+                        out.symmetric_difference_update(
+                            range(start, start + tails * tail_step, tail_step)
+                        )
+
+
 @dataclass
 class TildeComplex:
     """Tensor words of length 1..n with the windowed differential (degree +1)."""
@@ -190,29 +349,26 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
 
     Word labels join their letters with "|".  The differential sends a word
     to the sum over all windows of consecutive letters of replacing the
-    window by its operation image; homogeneity and squaring to zero are
-    asserted.
+    window by its operation image; its entries come from the same
+    (letter, term) triples as the window side of the transpose check.
+    Homogeneity and squaring to zero are asserted.
     """
     _check_order(n, max_order)
     letters = _Letters(s)
     groups = _words_by_degree(letters.degree, n, s.modulus)
     index = _word_index(groups)
-    cols: Dict[int, List[int]] = {}
-    for k, ws in groups.items():
-        out_degree = canon_degree(s.modulus, k + 1)
-        kcols = []
-        for w in ws:
-            vec = 0
-            for v in _cochain_terms(letters.windows, w):
-                kv, iv = index[v]
-                if kv != out_degree:
-                    raise InternalConsistencyError(
-                        "window image %s of %s has degree %d, expected %d"
-                        % (letters.word_label(v), letters.word_label(w), kv, out_degree)
-                    )
-                vec ^= 1 << iv
-            kcols.append(vec)
-        cols[k] = kcols
+    size = len(letters.labels)
+    spot = [
+        index[w] for length in range(1, n + 1) for w in iproduct(range(size), repeat=length)
+    ]
+    codes = _Codes(size, n)
+    entries: set = set()
+    _toggle_triples(entries, _window_pairs(letters, s.modulus, n), codes, 0, size)
+    cols = {k: [0] * len(ws) for k, ws in groups.items()}
+    for code in entries:
+        target, source = divmod(code, codes.total)
+        k, i = spot[source]
+        cols[k][i] |= 1 << spot[target][1]
     basis = {k: tuple(letters.word_label(w) for w in ws) for k, ws in groups.items()}
     differential = GradedMatrixMap(s.modulus, 1, basis, cols)
     if not differential.is_square_zero():
@@ -224,6 +380,43 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
         for k, ws in groups.items()
     }
     return TildeComplex(s, n, words, differential)
+
+
+def _transpose_slices(
+    dga: DGA, aug: Augmentation, s: AInftyStructure, n: int
+) -> Iterator[Tuple[_Codes, set]]:
+    """Compare both transpose-check matrices one column slice at a time.
+
+    Yields each slice's codes ``col * M + row`` of nonzero entries once
+    the Leibniz and window sides agree on them; raises on the first slice
+    where they differ.
+    """
+    letters = _Letters(s)
+    leibniz = _twisted_pairs(dga, aug, letters, s.modulus, n)
+    window = _window_pairs(letters, s.modulus, n)
+    codes = _Codes(len(letters.labels), n)
+    step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
+    for lo in range(0, codes.size, step):
+        hi = min(lo + step, codes.size)
+        chain: set = set()
+        _toggle_triples(chain, leibniz, codes, lo, hi)
+        cochain: set = set()
+        _toggle_triples(cochain, window, codes, lo, hi)
+        if chain != cochain:
+            code = min(chain ^ cochain)
+            col, row = divmod(code, codes.total)
+            side = "Leibniz" if code in chain else "window"
+            raise InternalConsistencyError(
+                "order-%d transpose equality fails: only the %s side has the"
+                " entry (%s -> %s)"
+                % (
+                    n,
+                    side,
+                    letters.word_label(codes.decode(col)),
+                    letters.word_label(codes.decode(row)),
+                )
+            )
+        yield codes, chain
 
 
 def check_order_n_transpose(
@@ -238,77 +431,15 @@ def check_order_n_transpose(
     The tensor algebra truncated at word length n carries the Leibniz
     expansion of the twisted differential (degree -1, long outputs
     dropped); its matrix must be, entry for entry, the transpose of the
-    window differential of the adjoint structure.  Returns the number of
+    window differential of the adjoint structure.  Both matrices are built
+    in full from (letter, term) triples and compared one slice of column
+    words at a time (see the module docstring).  Returns the number of
     nonzero entries compared; a discrepancy is an internal error naming
-    the offending entry.
+    the side and the offending entry.
     """
     _check_order(n, max_order)
     s = structure if structure is not None else adjoint_structure(dga, aug)
-    twisted = twist(dga, aug)
-    letters = _Letters(s)
-    repl = [
-        tuple(
-            tuple(letters.index[x] for x in w)
-            for w in twisted.sorted_terms(twisted.d(lbl))
-        )
-        for lbl in letters.labels
-    ]
-    groups = _words_by_degree(letters.degree, n, s.modulus)
-    degrees = sorted(set(groups) | {canon_degree(s.modulus, k + 1) for k in groups})
-    cache: Dict[int, Dict[Tuple[int, ...], int]] = {}
-
-    def positions(k: int) -> Dict[Tuple[int, ...], int]:
-        if k not in cache:
-            cache[k] = {w: i for i, w in enumerate(groups.get(k, ()))}
-        return cache[k]
-
-    entries = 0
-    for m in degrees:
-        low = canon_degree(s.modulus, m - 1)
-        for k in list(cache):
-            if k not in (m, low):
-                del cache[k]
-        rows = positions(low)
-        cols = positions(m)
-        width = max(len(rows), 1)
-        chain_pairs = set()
-        for w in groups.get(m, ()):
-            base = cols[w] * width
-            for v in _chain_terms(repl, w, n):
-                iv = rows.get(v)
-                if iv is None:
-                    raise InternalConsistencyError(
-                        "Leibniz image %s of %s is not homogeneous of degree %d"
-                        % (letters.word_label(v), letters.word_label(w), low)
-                    )
-                chain_pairs.add(base + iv)
-        window_pairs = set()
-        for v in groups.get(low, ()):
-            iv = rows[v]
-            for u in _cochain_terms(letters.windows, v):
-                iu = cols.get(u)
-                if iu is None:
-                    raise InternalConsistencyError(
-                        "window image %s of %s is not homogeneous of degree %d"
-                        % (letters.word_label(u), letters.word_label(v), m)
-                    )
-                window_pairs.add(iu * width + iv)
-        if chain_pairs != window_pairs:
-            code = min(chain_pairs ^ window_pairs)
-            iu, iv = divmod(code, width)
-            side = "Leibniz" if code in chain_pairs else "window"
-            raise InternalConsistencyError(
-                "order-%d transpose equality fails: only the %s side has the"
-                " entry (%s -> %s)"
-                % (
-                    n,
-                    side,
-                    letters.word_label(groups[m][iu]),
-                    letters.word_label(groups[low][iv]),
-                )
-            )
-        entries += len(chain_pairs)
-    return entries
+    return sum(len(chain) for _, chain in _transpose_slices(dga, aug, s, n))
 
 
 def _perturbed_complex(
@@ -430,7 +561,7 @@ class OrderNCohomology:
         return [self.data.label(k, 1 << i) for i in range(self.data.dim(k))]
 
 
-_ORDER_CACHE: Dict[tuple, OrderNCohomology] = {}
+_ORDER_CACHE: "OrderedDict[tuple, OrderNCohomology]" = OrderedDict()
 
 
 def order_n_cohomology(
@@ -457,6 +588,7 @@ def order_n_cohomology(
     key = (dga_key(dga), aug.values, n, engine)
     cached = _ORDER_CACHE.get(key)
     if cached is not None:
+        _ORDER_CACHE.move_to_end(key)
         return cached
     assert_valid(dga)
     s = adjoint_structure(dga, aug)
@@ -474,6 +606,8 @@ def order_n_cohomology(
         data = homology(small, "cochain")
     result = OrderNCohomology(n, engine, data.dims(), data, total, entries)
     _ORDER_CACHE[key] = result
+    if len(_ORDER_CACHE) > _ORDER_CACHE_SIZE:
+        _ORDER_CACHE.popitem(last=False)
     return result
 
 

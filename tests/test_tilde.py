@@ -1,13 +1,30 @@
 """Order-n cohomology: word complexes, transpose check, splitting, reflection."""
 
-import pytest
+import random
+from collections import OrderedDict
 
-from legch import ContractError
-from legch.ainfty import AInftyMorphism, transfer_minimal_model, build_ring
-from legch.augment import enumerate_augmentations
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from legch import ContractError, InternalConsistencyError, tilde
+from legch.ainfty import (
+    AInftyMorphism,
+    AInftyStructure,
+    adjoint_structure,
+    build_ring,
+    transfer_minimal_model,
+)
+from legch.algebra import canon_degree, stabilize
+from legch.augment import enumerate_augmentations, twist
 from legch.families import bundled_examples, cupex, masseyex, trefoil
+from legch.gf2 import bits
 from legch.linear import homology
 from legch.tilde import (
+    _Letters,
+    _chain_terms,
+    _cochain_terms,
+    _transpose_slices,
+    _words_by_degree,
     check_order_n_transpose,
     order_n_cohomology,
     reflection_compare,
@@ -15,6 +32,8 @@ from legch.tilde import (
     tilde_complex,
     tilde_of_morphism,
 )
+
+from helpers import random_augmented_dga
 
 TREFOIL_ORDER_DIMS = {
     1: {0: 2, 1: 1},
@@ -92,6 +111,29 @@ def test_results_are_cached_by_content():
     first = order_n_cohomology(trefoil(), aug, 2)
     second = order_n_cohomology(trefoil(), aug, 2)
     assert first is second
+
+
+def test_order_cache_evicts_the_least_recently_used_result(monkeypatch):
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    bound = tilde._ORDER_CACHE_SIZE
+    jobs = []
+    degree = 1
+    while len(jobs) <= bound:
+        dga = stabilize(trefoil(), degree)
+        jobs += [(dga, aug) for aug in enumerate_augmentations(dga)]
+        degree += 1
+    first = order_n_cohomology(*jobs[0], 1)
+    for dga, aug in jobs[1:bound]:
+        order_n_cohomology(dga, aug, 1)
+    assert order_n_cohomology(*jobs[0], 1) is first  # a hit refreshes the entry
+    keys = list(tilde._ORDER_CACHE)
+    for dga, aug in jobs[bound:]:
+        order_n_cohomology(dga, aug, 1)
+        assert len(tilde._ORDER_CACHE) == bound
+    assert keys[-1][1] == jobs[0][1].values
+    evicted = keys[: len(jobs) - bound]
+    assert all(key not in tilde._ORDER_CACHE for key in evicted)
+    assert keys[-1] in tilde._ORDER_CACHE
 
 
 def test_transpose_check_counts_linear_entries_at_order_one():
@@ -188,3 +230,163 @@ def test_tilde_of_morphism_rejects_incomplete_or_wrong_input():
     broken = AInftyMorphism(3, broken_tables, src=mu, dst=ring.structure)
     with pytest.raises(ContractError):
         tilde_of_morphism(broken, 2)
+
+
+def _word_by_word_entries(dga, aug, s, n):
+    """Oracle: the transpose check's two matrices, word by word per degree.
+
+    Returns the (column word, row word) entries of the Leibniz side and of
+    the window side, expanding every word of length <= n with
+    ``_chain_terms`` and ``_cochain_terms``.
+    """
+    twisted = tilde.twist(dga, aug)
+    letters = tilde._Letters(s)
+    repl = [
+        tuple(tuple(letters.index[x] for x in w) for w in twisted.d(lbl))
+        for lbl in letters.labels
+    ]
+    groups = _words_by_degree(letters.degree, n, s.modulus)
+    chain, window = set(), set()
+    for m, ws in groups.items():
+        low = canon_degree(s.modulus, m - 1)
+        for w in ws:
+            for v in _chain_terms(repl, w, n):
+                if canon_degree(s.modulus, sum(letters.degree[x] for x in v)) != low:
+                    raise InternalConsistencyError("Leibniz image not homogeneous")
+                chain.add((w, v))
+        high = canon_degree(s.modulus, m + 1)
+        for v in ws:
+            for u in _cochain_terms(letters.windows, v):
+                if canon_degree(s.modulus, sum(letters.degree[x] for x in u)) != high:
+                    raise InternalConsistencyError("window image not homogeneous")
+                window.add((u, v))
+    return chain, window
+
+
+def _sliced_entries(dga, aug, s, n):
+    entries = set()
+    for codes, chain in _transpose_slices(dga, aug, s, n):
+        for code in chain:
+            col, row = divmod(code, codes.total)
+            entries.add((codes.decode(col), codes.decode(row)))
+    return entries
+
+
+def _tilde_entries(s, n):
+    """(target word, source word) of every nonzero tilde_complex entry."""
+    built = tilde_complex(s, n, max_order=5)
+    index = _Letters(s).index
+    words = {
+        k: [tuple(index[x] for x in w) for w in ws] for k, ws in built.words.items()
+    }
+    entries = set()
+    for k, cols in built.differential.cols.items():
+        high = built.differential.canon(k + 1)
+        for i, vec in enumerate(cols):
+            for j in bits(vec):
+                entries.add((words[high][j], words[k][i]))
+    return entries
+
+
+def _assert_matches_oracle(dga, aug, n):
+    s = adjoint_structure(dga, aug)
+    chain, window = _word_by_word_entries(dga, aug, s, n)
+    assert chain == window
+    assert _sliced_entries(dga, aug, s, n) == chain
+    assert check_order_n_transpose(dga, aug, n, structure=s, max_order=5) == len(chain)
+    assert _tilde_entries(s, n) == window
+
+
+def test_transpose_check_matches_the_word_by_word_oracle():
+    for name, dga in bundled_examples():
+        top = 2 if name.startswith("masseyex") else 3
+        for aug in enumerate_augmentations(dga):
+            for n in range(1, top + 1):
+                _assert_matches_oracle(dga, aug, n)
+    dga = trefoil()
+    for n in (4, 5):
+        _assert_matches_oracle(dga, enumerate_augmentations(dga)[0], n)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(deadline=None, max_examples=25)
+def test_transpose_check_matches_the_oracle_on_random_dgas(seed, n):
+    dga, aug = random_augmented_dga(random.Random(seed))
+    _assert_matches_oracle(dga, aug, n)
+
+
+def _raises_naming(expected, call):
+    """``call`` raises an internal error whose message names side and words."""
+    with pytest.raises(InternalConsistencyError) as info:
+        call()
+    assert expected in str(info.value), str(info.value)
+
+
+def test_transpose_check_rejects_a_dropped_table_entry():
+    dga = trefoil()
+    aug = enumerate_augmentations(dga)[0]
+    s = adjoint_structure(dga, aug)
+    n = 3
+    for j in sorted(s.tables):
+        if j > n or not s.tables[j]:
+            continue
+        args = min(s.tables[j], key=lambda a: [s.order[x] for x in a])
+        tables = {k: dict(t) for k, t in s.tables.items()}
+        vec = tables[j].pop(args)
+        mutated = AInftyStructure(s.modulus, s.basis, s.arity, tables)
+        lowest = s.names(s.out_degree(args))[(vec & -vec).bit_length() - 1]
+        chain, window = _word_by_word_entries(dga, aug, mutated, n)
+        assert chain != window
+        _raises_naming(
+            "only the Leibniz side has the entry (%s -> %s)" % (lowest, "|".join(args)),
+            lambda: check_order_n_transpose(dga, aug, n, structure=mutated),
+        )
+
+
+def test_transpose_check_rejects_a_spurious_twisted_term(monkeypatch):
+    dga = trefoil()
+    aug = enumerate_augmentations(dga)[0]
+    s = adjoint_structure(dga, aug)
+    real_twist = twist
+
+    def spurious(source, augmentation):
+        twisted = real_twist(source, augmentation)
+        diff = {g: twisted.d(g) for g in twisted.generators}
+        assert ("b2",) not in diff["a1"]
+        diff["a1"] = diff["a1"] | {("b2",)}
+        return twisted.replace_diff(diff)
+
+    monkeypatch.setattr(tilde, "twist", spurious)
+    chain, window = _word_by_word_entries(dga, aug, s, 2)
+    assert chain != window
+    _raises_naming(
+        "only the Leibniz side has the entry (a1 -> b2)",
+        lambda: check_order_n_transpose(dga, aug, 2, structure=s),
+    )
+
+
+def test_transpose_check_rejects_a_table_entry_of_the_wrong_degree(monkeypatch):
+    dga = trefoil()
+    aug = enumerate_augmentations(dga)[0]
+    s = adjoint_structure(dga, aug)
+    shifted = {}
+
+    class Shifted(_Letters):
+        def __init__(self, structure):
+            super().__init__(structure)
+            table = self.windows[2]
+            args = min(table)
+            wrong = next(
+                x for x in range(len(self.labels))
+                if self.degree[x] != self.degree[table[args][0]]
+            )
+            table[args] = (wrong,) + table[args][1:]
+            shifted.update(args=self.word_label(args), wrong=self.labels[wrong])
+
+    monkeypatch.setattr(tilde, "_Letters", Shifted)
+    with pytest.raises(InternalConsistencyError):
+        _word_by_word_entries(dga, aug, s, 2)
+    _raises_naming(
+        "window image %s of %s is not homogeneous" % (shifted["wrong"], shifted["args"]),
+        lambda: check_order_n_transpose(dga, aug, 2, structure=s),
+    )
