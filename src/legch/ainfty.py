@@ -30,10 +30,12 @@ __all__ = [
     "CheckReport",
     "CohomologyRing",
     "adjoint_structure",
+    "basis_classes",
     "build_ring",
     "check_an_relations",
     "check_ainfty_morphism",
     "cup_product",
+    "cup_table",
     "massey_triple",
     "massey_higher",
     "transfer_minimal_model",
@@ -189,15 +191,23 @@ def adjoint_structure(dga: DGA, aug: Augmentation) -> AInftyStructure:
     """Dualize each word-length part of the twisted differential.
 
     m_k(x_1..x_k) is the sum of the generators whose twisted differential
-    contains the word x_1..x_k.  The relations are verified up to the arity
-    bound (the longest word occurring); failure is an internal error.
+    contains the word x_1..x_k.  Every word must have degree |g| - 1, so that
+    m_k has degree +1, and the relations must hold up to the arity bound (the
+    longest word occurring); either failure is an internal error.
     """
     twisted = twist(dga, aug)
     basis, pos = _basis_by_degree(twisted)
     arity = 1
     tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     for g in twisted.generators:
+        want = canon_degree(twisted.modulus, twisted.degree(g) - 1)
         for w in twisted.d(g):
+            got = twisted.word_degree(w)
+            if got != want:
+                raise InternalConsistencyError(
+                    "twisted d %s is not degree-homogeneous: term %s has degree %d,"
+                    " expected %d" % (g, "".join(w), got, want)
+                )
             arity = max(arity, len(w))
             table = tables.setdefault(len(w), {})
             table[w] = table.get(w, 0) ^ (1 << pos[g])
@@ -340,6 +350,19 @@ def cup_product(h: HomologyData, s: AInftyStructure, x: HClass, y: HClass) -> HC
     return HClass(deg, h.class_of(deg, vec))
 
 
+def basis_classes(h: HomologyData, k: int) -> List[HClass]:
+    """The basis classes of degree k, in coordinate order."""
+    k = h.canon(k)
+    return [HClass(k, 1 << i) for i in range(h.dim(k))]
+
+
+def cup_table(
+    h: HomologyData, s: AInftyStructure, xs: Sequence[HClass], ys: Sequence[HClass]
+) -> List[HClass]:
+    """Cup products x * y for every x in xs and y in ys, x-major."""
+    return [cup_product(h, s, x, y) for x in xs for y in ys]
+
+
 @dataclass
 class MasseyResult:
     """Outcome of a Massey product computation.
@@ -373,21 +396,6 @@ class MasseyResult:
         return self.contains(0)
 
 
-def _cup_image_basis(
-    h: HomologyData, s: AInftyStructure, fixed: HClass, fixed_on_left: bool, other_degree: int
-) -> List[int]:
-    """Coordinates of cup products of a fixed class against a whole degree."""
-    out = []
-    other_degree = h.canon(other_degree)
-    for i in range(h.dim(other_degree)):
-        e = HClass(other_degree, 1 << i)
-        pair = (fixed, e) if fixed_on_left else (e, fixed)
-        coords = cup_product(h, s, *pair).coords
-        if coords:
-            out.append(coords)
-    return out
-
-
 def massey_triple(
     h: HomologyData, s: AInftyStructure, x: HClass, y: HClass, z: HClass
 ) -> MasseyResult:
@@ -415,11 +423,15 @@ def massey_triple(
     _, va = s.apply([(h.canon(x.degree), ix), (h.canon(dyz - h.shift), yt)])
     _, vb = s.apply([(h.canon(dxy - h.shift), xt), (h.canon(z.degree), iz)])
     value = h.class_of(d3, v3 ^ va ^ vb)
-    indet = _cup_image_basis(h, s, x, True, d3 - x.degree - 1) + _cup_image_basis(
-        h, s, z, False, d3 - z.degree - 1
+    indet = cup_table(h, s, [x], basis_classes(h, d3 - x.degree - 1)) + cup_table(
+        h, s, basis_classes(h, d3 - z.degree - 1), [z]
     )
     return MasseyResult(
-        "defined", degree=d3, value=value, indeterminacy=span_basis(indet), systems=1
+        "defined",
+        degree=d3,
+        value=value,
+        indeterminacy=span_basis(c.coords for c in indet),
+        systems=1,
     )
 
 
@@ -643,15 +655,14 @@ def transfer_minimal_model(
 
     mu = AInftyStructure(h.modulus, hbasis, up_to, mu_tables)
 
-    for (dx, ix_, lx) in class_list:
-        for (dy, iy_, ly) in class_list:
-            got = mu.entry((lx, ly))
-            want = cup_product(h, s, HClass(dx, 1 << ix_), HClass(dy, 1 << iy_)).coords
-            if got != want:
-                raise InternalConsistencyError(
-                    "transferred mu_2 disagrees with the cup product on (%s, %s)"
-                    % (lx, ly)
-                )
+    classes = [HClass(k, 1 << i) for k, i, _ in class_list]
+    labels = [lbl for _, _, lbl in class_list]
+    cups = cup_table(h, s, classes, classes)
+    for (lx, ly), want in zip(iproduct(labels, labels), cups):
+        if mu.entry((lx, ly)) != want.coords:
+            raise InternalConsistencyError(
+                "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
+            )
 
     return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s)
 
@@ -673,8 +684,8 @@ class CohomologyRing:
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
-    """Linearize, take homology on both sides, and attach the operations."""
-    chain_map, cochain_map = linearized_complexes(dga, aug)
+    """Twist once into the adjoint structure, and take homology of m_1 both ways."""
+    s = adjoint_structure(dga, aug)
+    chain_map, cochain_map = linearized_complexes(s)
     chain_h = homology(chain_map, "chain")
-    cochain_h = homology(cochain_map, "cochain")
-    return CohomologyRing(chain_h, cochain_h, adjoint_structure(dga, aug))
+    return CohomologyRing(chain_h, homology(cochain_map, "cochain"), s)

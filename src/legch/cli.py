@@ -15,16 +15,18 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .ainfty import (
     CohomologyRing,
     HClass,
+    basis_classes,
     build_ring,
     check_ainfty_morphism,
     check_an_relations,
-    cup_product,
+    cup_table,
     massey_higher,
     massey_triple,
     transfer_minimal_model,
@@ -111,17 +113,16 @@ def _product_rows(rows: Rows, prefix: str, ring: CohomologyRing) -> None:
     degrees = [k for k in sorted(h.dims()) if h.dim(k)]
     for r in degrees:
         for s in degrees:
-            for i in range(h.dim(r)):
-                for j in range(h.dim(s)):
-                    x, y = HClass(r, 1 << i), HClass(s, 1 << j)
-                    value = cup_product(h, ring.structure, x, y)
-                    if value.coords:
-                        key = "%sproduct.%s.%s" % (
-                            prefix,
-                            h.label(r, x.coords),
-                            h.label(s, y.coords),
-                        )
-                        rows.append((key, _label(h, value.degree, value.coords)))
+            xs, ys = basis_classes(h, r), basis_classes(h, s)
+            cups = cup_table(h, ring.structure, xs, ys)
+            for (x, y), value in zip(iproduct(xs, ys), cups):
+                if value.coords:
+                    key = "%sproduct.%s.%s" % (
+                        prefix,
+                        h.label(r, x.coords),
+                        h.label(s, y.coords),
+                    )
+                    rows.append((key, _label(h, value.degree, value.coords)))
 
 
 def cmd_validate(args) -> int:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import product as iproduct
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InternalConsistencyError
-from .ainfty import CohomologyRing, HClass, build_ring, cup_product, massey_higher, massey_triple
+from .ainfty import CohomologyRing, HClass, build_ring, cup_table, massey_higher, massey_triple
 from .algebra import DGA, mirror_dga
 from .augment import Augmentation, enumerate_augmentations
 from .gf2 import rank
@@ -78,26 +79,19 @@ def cup_rank_table(
     table: Dict[Tuple[int, int], int] = {}
     for r in degrees:
         for s in degrees:
-            columns = [
-                cup_product(h, ring.structure, HClass(r, xv), HClass(s, yv)).coords
-                for xv in bases[r]
-                for yv in bases[s]
-            ]
-            value = rank(columns)
+            xs = [HClass(r, xv) for xv in bases[r]]
+            ys = [HClass(s, yv) for yv in bases[s]]
+            value = rank(c.coords for c in cup_table(h, ring.structure, xs, ys))
             if value:
                 table[(r, s)] = value
     return table
 
 
-def _nonzero_vectors(dim: int) -> range:
-    return range(1, 1 << dim)
-
-
-def _tuple_space(dims: Sequence[int], limit: int) -> bool:
+def _tuple_space(dims: Sequence[int]) -> bool:
     total = 1
     for d in dims:
         total *= (1 << d) - 1
-        if total > limit:
+        if total > DEFAULT_MAX_TUPLES:
             return False
     return True
 
@@ -106,7 +100,6 @@ def massey_table(
     ring: CohomologyRing,
     massey_order: int = DEFAULT_MASSEY_ORDER,
     max_systems: int = DEFAULT_MAX_SYSTEMS,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]]:
     """Per degree tuple: does any Massey bracket exist, and any nonzero one?
 
@@ -114,7 +107,7 @@ def massey_table(
     degrees, so they do not depend on a basis choice.  "Nonzero" means the
     value coset omits zero; truncated defining-system enumerations are never
     counted as nonzero.  Degree tuples whose class count exceeds
-    ``max_tuples`` are skipped (a function of the dimensions alone).
+    ``DEFAULT_MAX_TUPLES`` are skipped (a function of the dimensions alone).
     """
     h = ring.cochain
     degrees = [k for k in sorted(h.dims()) if h.dim(k)]
@@ -128,10 +121,10 @@ def massey_table(
                     stack.append(prefix + (k,))
                 continue
             dims = [h.dim(k) for k in prefix]
-            if not _tuple_space(dims, max_tuples):
+            if not _tuple_space(dims):
                 continue
             defined = nonzero = False
-            for combo in _vector_tuples(dims):
+            for combo in iproduct(*(range(1, 1 << d) for d in dims)):
                 classes = [HClass(k, v) for k, v in zip(prefix, combo)]
                 if order == 3:
                     result = massey_triple(h, ring.structure, *classes)
@@ -144,15 +137,6 @@ def massey_table(
                         break
             table[(order, prefix)] = (defined, nonzero)
     return table
-
-
-def _vector_tuples(dims: Sequence[int]) -> Iterable[Tuple[int, ...]]:
-    if not dims:
-        yield ()
-        return
-    for head in _nonzero_vectors(dims[0]):
-        for rest in _vector_tuples(dims[1:]):
-            yield (head,) + rest
 
 
 def order_dim_table(
@@ -174,14 +158,13 @@ def profile_for(
     massey_order: int = DEFAULT_MASSEY_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
     max_systems: int = DEFAULT_MAX_SYSTEMS,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
     bases: Optional[Dict[int, List[int]]] = None,
 ) -> AugmentationProfile:
     """All invariants of a single augmentation."""
     ring = build_ring(dga, aug)
     dims = tuple(sorted((k, d) for k, d in ring.cochain.dims().items() if d))
     cups = tuple(sorted(cup_rank_table(ring, bases).items()))
-    massey = tuple(sorted(massey_table(ring, massey_order, max_systems, max_tuples).items()))
+    massey = tuple(sorted(massey_table(ring, massey_order, max_systems).items()))
     orders = tuple(sorted(order_dim_table(dga, aug, order_cap).items()))
     return AugmentationProfile(dims, cups, massey, orders)
 
@@ -191,11 +174,10 @@ def fingerprint_dga(
     massey_order: int = DEFAULT_MASSEY_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
     max_systems: int = DEFAULT_MAX_SYSTEMS,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> Fingerprint:
     """Fingerprints of every augmentation, as a canonically ordered multiset."""
     profiles = [
-        profile_for(dga, aug, massey_order, order_cap, max_systems, max_tuples)
+        profile_for(dga, aug, massey_order, order_cap, max_systems)
         for aug in enumerate_augmentations(dga)
     ]
     return Fingerprint(tuple(sorted(profiles)))
@@ -275,10 +257,9 @@ def compare_mirror(
     massey_order: int = DEFAULT_MASSEY_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
     max_systems: int = DEFAULT_MAX_SYSTEMS,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> MirrorReport:
     """Compare a DGA against its Legendrian mirror by fingerprint."""
-    args = (massey_order, order_cap, max_systems, max_tuples)
+    args = (massey_order, order_cap, max_systems)
     knot = fingerprint_dga(dga, *args)
     mirror = fingerprint_dga(mirror_dga(dga), *args)
     if Counter(knot.profiles) == Counter(mirror.profiles):

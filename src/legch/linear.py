@@ -1,11 +1,12 @@
 """Linearized (co)chain complexes, homology with retract data, duality certificates.
 
-The linearized chain complex of a twisted DGA is spanned by the generators
-with the word-length-one part of the differential (degree -1); the cochain
-complex is its transpose on the dual basis (degree +1, same labels and
-degrees).  ``homology`` performs deterministic Gaussian elimination and
-returns not just dimensions but a full strong deformation retract
-(inclusion i, projection p, homotopy h) onto chosen representatives.
+The linearized cochain complex of an augmented DGA is (V, m_1), the
+arity-one part of the adjoint A-infinity structure (degree +1); the chain
+complex is its transpose on the same labels and degrees (degree -1), the
+word-length-one part of the twisted differential.  ``homology`` performs
+deterministic Gaussian elimination and returns not just dimensions but a
+full strong deformation retract (inclusion i, projection p, homotopy h)
+onto chosen representatives.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .algebra import DGA, canon_degree, component_k
-from .augment import Augmentation, twist
-from .gf2 import Eliminator, apply_cols, invert
+from .algebra import DGA, canon_degree
+from .augment import Augmentation
+from .gf2 import Eliminator, apply_cols, invert, transpose
 
 __all__ = [
     "GradedMatrixMap",
@@ -68,7 +69,8 @@ class GradedMatrixMap:
 
     def columns(self, k: int) -> List[int]:
         k = self.canon(k)
-        return self.cols.get(k, [0] * self.dim(k))
+        cols = self.cols.get(k)
+        return cols if cols is not None else [0] * self.dim(k)
 
     def apply(self, k: int, vec: int) -> int:
         """Image (in degree k + shift) of a degree-k vector."""
@@ -76,62 +78,28 @@ class GradedMatrixMap:
 
     def is_square_zero(self) -> bool:
         for k in self.basis:
-            mid = self.canon(k + self.shift)
-            for col in self.columns(k):
-                if apply_cols(self.columns(mid), col):
-                    return False
+            after = self.columns(k + self.shift)
+            if any(apply_cols(after, col) for col in self.columns(k)):
+                return False
         return True
 
 
-def linearized_complexes(
-    dga: DGA, aug: Augmentation
-) -> Tuple[GradedMatrixMap, GradedMatrixMap]:
-    """Matrix of the twisted differential's linear part, and its transpose.
+def linearized_complexes(s) -> Tuple[GradedMatrixMap, GradedMatrixMap]:
+    """The linearized (chain, cochain) complexes of an adjoint A-infinity structure.
 
-    Returns (chain, cochain): the chain map has degree -1; the cochain map is
-    the adjoint on the dual basis (same labels, same degrees) with degree +1.
+    The cochain map is m_1 of ``s`` (degree +1): the column of a label x is
+    m_1(x), the sum of the generators whose twisted differential has the
+    linear term x.  The chain map (degree -1) is its transpose, degree by
+    degree, on the same labels and degrees: the linear part of the twisted
+    differential itself.
     """
-    twisted = twist(dga, aug)
-    basis: Dict[int, List[str]] = {}
-    pos: Dict[str, Tuple[int, int]] = {}
-    for g in twisted.generators:
-        k = twisted.degree(g)
-        basis.setdefault(k, [])
-        pos[g] = (k, len(basis[k]))
-        basis[k].append(g)
-    frozen = {k: tuple(v) for k, v in basis.items()}
-
-    chain_cols: Dict[int, List[int]] = {}
-    for k, names in frozen.items():
-        lower = canon_degree(twisted.modulus, k - 1)
-        cols = []
-        for g in names:
-            vec = 0
-            for w in component_k(twisted.d(g), 1):
-                kw, iw = pos[w[0]]
-                if kw != lower:
-                    raise InternalConsistencyError(
-                        "linear part of d %s is not degree-homogeneous" % g
-                    )
-                vec ^= 1 << iw
-            cols.append(vec)
-        chain_cols[k] = cols
-
-    cochain_cols: Dict[int, List[int]] = {}
-    for k, names in frozen.items():
-        upper = canon_degree(twisted.modulus, k + 1)
-        targets = frozen.get(upper, ())
-        cols = []
-        for j, g in enumerate(names):
-            vec = 0
-            for i, g2 in enumerate(targets):
-                if (g,) in twisted.d(g2):
-                    vec ^= 1 << i
-            cols.append(vec)
-        cochain_cols[k] = cols
-
-    chain = GradedMatrixMap(twisted.modulus, -1, frozen, chain_cols)
-    cochain = GradedMatrixMap(twisted.modulus, 1, frozen, cochain_cols)
+    cochain_cols = {k: [s.entry((g,)) for g in names] for k, names in s.basis.items()}
+    chain_cols = {
+        k: transpose(cochain_cols.get(canon_degree(s.modulus, k - 1), []), len(names))
+        for k, names in s.basis.items()
+    }
+    chain = GradedMatrixMap(s.modulus, -1, s.basis, chain_cols)
+    cochain = GradedMatrixMap(s.modulus, 1, s.basis, cochain_cols)
     if not chain.is_square_zero() or not cochain.is_square_zero():
         raise InternalConsistencyError("linearized differential does not square to zero")
     return chain, cochain
@@ -362,12 +330,7 @@ def _gram_ok(modulus: int, entries: List[Tuple[int, int]], gram: List[List[int]]
     return True
 
 
-def duality_search(
-    dga: DGA,
-    aug: Augmentation,
-    ring,
-    max_complements: Optional[int] = None,
-):
+def duality_search(dga: DGA, aug: Augmentation, ring):
     """Search for a DualityCertificate; returns a DualityFailure if none exists.
 
     ``ring`` carries the homological data: attributes ``chain`` and
@@ -377,8 +340,8 @@ def duality_search(
 
     All kappa and c candidates with <c, kappa> = 1 are tried in coordinate
     order.  For each, the complement of span(c) is formed with deterministic
-    pivots; when the degree-1 cohomology has dimension at most 6 (or up to
-    ``max_complements``), every graded complement is tried.
+    pivots; when the degree-1 cohomology has dimension at most 6, every
+    graded complement is tried.
     """
     chain_h: HomologyData = ring.chain
     cochain_h: HomologyData = ring.cochain
@@ -396,13 +359,7 @@ def duality_search(
             0,
         )
 
-    total_complements = 1 << (cd - 1)
-    if max_complements is not None:
-        limit = min(total_complements, max(1, max_complements))
-    elif cd <= 6:
-        limit = total_complements
-    else:
-        limit = 1
+    limit = 1 << (cd - 1) if cd <= 6 else 1
 
     degrees = cochain_h.degrees()
     pairs_tried = 0

@@ -68,12 +68,12 @@ from .augment import Augmentation, enumerate_augmentations, twist
 from .ainfty import (
     AInftyMorphism,
     AInftyStructure,
-    HClass,
     _compositions,
     adjoint_structure,
+    basis_classes,
     build_ring,
     check_ainfty_morphism,
-    cup_product,
+    cup_table,
 )
 from .gf2 import Eliminator, apply_cols, bits, rank
 from .linear import GradedMatrixMap, HomologyData, homology, linearized_complexes
@@ -569,13 +569,13 @@ def order_n_cohomology(
     aug: Augmentation,
     n: int,
     engine: str = "auto",
-    dense_limit: int = DENSE_LIMIT,
     max_order: int = MAX_ORDER,
 ) -> OrderNCohomology:
     """Order-n linearized cohomology of an augmented DGA.
 
     Always verifies the transpose equality between the window differential
-    and the truncated Leibniz differential before reducing.  Results are
+    and the truncated Leibniz differential before reducing.  The "auto"
+    engine is dense up to ``DENSE_LIMIT`` words of length <= n.  Results are
     cached in-process per (DGA contents, augmentation, order, engine).
     """
     _check_order(n, max_order)
@@ -584,7 +584,7 @@ def order_n_cohomology(
     size = len(dga.generators)
     total = sum(size**a for a in range(1, n + 1))
     if engine == "auto":
-        engine = "dense" if total <= dense_limit else "perturbation"
+        engine = "dense" if total <= DENSE_LIMIT else "perturbation"
     key = (dga_key(dga), aug.values, n, engine)
     cached = _ORDER_CACHE.get(key)
     if cached is not None:
@@ -597,7 +597,7 @@ def order_n_cohomology(
         built = tilde_complex(s, n, max_order=max_order)
         data = homology(built.differential, "cochain")
     else:
-        _, cochain = linearized_complexes(dga, aug)
+        _, cochain = linearized_complexes(s)
         small = _perturbed_complex(s, homology(cochain, "cochain"), n)
         if not small.is_square_zero():
             raise InternalConsistencyError(
@@ -777,13 +777,10 @@ def splitting_check_n2(dga: DGA, aug: Augmentation) -> SplittingReport:
     ring = build_ring(dga, aug)
     h = ring.cochain
     s = ring.structure
-    classes = [(k, i) for k in h.degrees() for i in range(h.dim(k))]
+    classes = [c for k in h.degrees() for c in basis_classes(h, k)]
     cup_cols: Dict[int, List[int]] = {}
-    for k1, i1 in classes:
-        for k2, i2 in classes:
-            kk = h.canon(k1 + k2)
-            coords = cup_product(h, s, HClass(k1, 1 << i1), HClass(k2, 1 << i2)).coords
-            cup_cols.setdefault(kk, []).append(coords)
+    for value in cup_table(h, s, classes, classes):
+        cup_cols.setdefault(h.canon(value.degree - 1), []).append(value.coords)
     kernel: Dict[int, int] = {}
     image: Dict[int, int] = {}
     for kk, cols in cup_cols.items():
@@ -863,9 +860,7 @@ def _check_reflection_conjugation(
     return count
 
 
-def reflection_compare(
-    dga: DGA, n: int, engine: str = "auto", max_order: int = MAX_ORDER
-) -> ReflectionReport:
+def reflection_compare(dga: DGA, n: int, max_order: int = MAX_ORDER) -> ReflectionReport:
     """Compare order-n dimensions of a DGA and its mirror, per augmentation.
 
     An augmentation of the knot serves the mirror unchanged, because the
@@ -879,8 +874,8 @@ def reflection_compare(
     rows: List[ReflectionRow] = []
     words = 0
     for aug in enumerate_augmentations(dga):
-        left = order_n_cohomology(dga, aug, n, engine=engine, max_order=max_order)
-        right = order_n_cohomology(mirror, aug, n, engine=engine, max_order=max_order)
+        left = order_n_cohomology(dga, aug, n, max_order=max_order)
+        right = order_n_cohomology(mirror, aug, n, max_order=max_order)
         words += _check_reflection_conjugation(dga, mirror, aug, n)
         rows.append(ReflectionRow(aug.describe(), left.dims, right.dims))
     return ReflectionReport(n, rows, words)

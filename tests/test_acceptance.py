@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from legch import fingerprint
 from legch.ainfty import (
     HClass,
     adjoint_structure,
@@ -153,7 +154,7 @@ def test_criterion_4_cup_products_distinguish_cupex_from_its_mirror(capsys, dga_
         assert cup(right, left) == "[t0]"
 
 
-def test_criterion_5_massey_products_distinguish_masseyex_from_its_mirror():
+def test_criterion_5_massey_products_distinguish_masseyex_from_its_mirror(monkeypatch):
     dga = masseyex(1, 4, 9, 20)
     aug = enumerate_augmentations(dga)[0]
     mirror = mirror_dga(dga)
@@ -181,7 +182,8 @@ def test_criterion_5_massey_products_distinguish_masseyex_from_its_mirror():
         args = [next(c for c in mcls.values() if c.degree == k) for k in degrees]
         result = massey_triple(mh, ms, *args)
         assert not (result.defined and not result.is_trivial())
-    table = massey_table(mring, 3, 1 << 20, 400000)
+    monkeypatch.setattr(fingerprint, "DEFAULT_MAX_TUPLES", 400000)
+    table = massey_table(mring, 3, 1 << 20)
     assert table[(3, (-6, -11, 20))] == (True, False)
     assert table[(3, (-4, -6, -11))] == (True, False)
 

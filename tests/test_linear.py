@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError
-from legch.ainfty import build_ring
-from legch.augment import enumerate_augmentations
+from legch import ContractError, InternalConsistencyError
+from legch.ainfty import adjoint_structure, build_ring
+from legch.algebra import DGA, canon_degree, component_k
+from legch.augment import Augmentation, enumerate_augmentations, twist
 from legch.families import bundled_examples, cupex, trefoil
 from legch.gf2 import rank
 from legch.linear import (
@@ -35,7 +36,7 @@ def test_vector_label_joins_basis_names():
 def test_linearized_complexes_directions_and_squares():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
-        chain, cochain = linearized_complexes(dga, aug)
+        chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
         assert chain.shift == -1 and cochain.shift == 1
         assert chain.is_square_zero() and cochain.is_square_zero()
         # transpose relation: <d x, y> = <x, delta y> entry for entry
@@ -47,6 +48,59 @@ def test_linearized_complexes_directions_and_squares():
             for i in range(len(rows)):
                 for j in range(len(chain.basis.get(low, ()))):
                     assert (cols_chain[i] >> j) & 1 == (cols_cochain[j] >> i) & 1
+
+
+def _assert_complexes_are_the_twisted_linear_part(dga, aug):
+    """Chain columns are the linear part of the twisted d, read directly;
+    the cochain is their transpose, entry for entry."""
+    twisted = twist(dga, aug)
+    basis = {}
+    for g in twisted.generators:
+        basis.setdefault(twisted.degree(g), []).append(g)
+    chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
+    assert {k: list(v) for k, v in chain.basis.items()} == basis
+    assert cochain.basis == chain.basis
+    for k, names in basis.items():
+        lower = basis.get(canon_degree(twisted.modulus, k - 1), [])
+        want = [
+            sum(1 << lower.index(w[0]) for w in component_k(twisted.d(g), 1))
+            for g in names
+        ]
+        assert chain.columns(k) == want
+        upper = basis.get(canon_degree(twisted.modulus, k + 1), [])
+        assert all(col >> len(upper) == 0 for col in cochain.columns(k))
+        low = cochain.columns(canon_degree(twisted.modulus, k - 1))
+        for j in range(len(names)):
+            for i in range(len(lower)):
+                assert (want[j] >> i) & 1 == (low[i] >> j) & 1
+
+
+def test_linearized_complexes_match_the_twisted_linear_part():
+    for _, dga in bundled_examples():
+        for aug in enumerate_augmentations(dga):
+            _assert_complexes_are_the_twisted_linear_part(dga, aug)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=40)
+def test_linearized_complexes_match_the_twisted_linear_part_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
+    _assert_complexes_are_the_twisted_linear_part(dga, aug)
+
+
+def test_inhomogeneous_twisted_differential_is_rejected():
+    # d a = b c has degree 0, not |a| - 1 = 1; read as m_2 it would give
+    # m_2(b, c) = e, the only degree-1 generator.
+    dga = DGA(
+        0,
+        ("a", "e", "b", "c"),
+        {"a": 2, "e": 1, "b": 0, "c": 0},
+        {"a": frozenset({("b", "c")})},
+    )
+    zero = Augmentation(tuple((g, 0) for g in dga.generators))
+    for build in (adjoint_structure, build_ring):
+        with pytest.raises(InternalConsistencyError, match="twisted d a is not degree-homogeneous"):
+            build(dga, zero)
 
 
 def test_chain_and_cochain_dims_agree_per_degree():
@@ -86,7 +140,7 @@ def _retract_identities(h):
 def test_homology_is_a_strong_deformation_retract_on_trefoil():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
-        chain, cochain = linearized_complexes(dga, aug)
+        chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
         _retract_identities(homology(chain, "chain"))
         _retract_identities(homology(cochain, "cochain"))
 
@@ -95,7 +149,7 @@ def test_homology_is_a_strong_deformation_retract_on_trefoil():
 @settings(deadline=None, max_examples=40)
 def test_homology_retract_identities_on_random_dgas(seed):
     dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    chain, cochain = linearized_complexes(dga, aug)
+    chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
     _retract_identities(homology(chain, "chain"))
     _retract_identities(homology(cochain, "cochain"))
 
@@ -103,7 +157,7 @@ def test_homology_retract_identities_on_random_dgas(seed):
 def test_class_of_rejects_non_cycles():
     dga = trefoil()
     aug = enumerate_augmentations(dga)[0]
-    chain, _ = linearized_complexes(dga, aug)
+    chain, _ = linearized_complexes(adjoint_structure(dga, aug))
     h = homology(chain, "chain")
     # b1 (a basis vector of degree 0) is a cycle; a1 in degree 1 is not
     assert h.is_cycle(0, 0b1)

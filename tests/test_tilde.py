@@ -86,7 +86,7 @@ def test_engines_agree():
             assert dense.transpose_entries == pert.transpose_entries
 
 
-def test_auto_engine_resolution_and_frozen_counts():
+def test_auto_engine_resolution_and_frozen_counts(monkeypatch):
     cup = cupex(1, 3, 7)
     aug = enumerate_augmentations(cup)[0]
     big = order_n_cohomology(cup, aug, 3)
@@ -101,7 +101,8 @@ def test_auto_engine_resolution_and_frozen_counts():
     assert mid.transpose_entries == 13523
     tre = trefoil()
     aug = enumerate_augmentations(tre)[0]
-    forced = order_n_cohomology(tre, aug, 2, dense_limit=10)
+    monkeypatch.setattr(tilde, "DENSE_LIMIT", 10)
+    forced = order_n_cohomology(tre, aug, 2)
     assert forced.engine == "perturbation"
     assert forced.dims == TREFOIL_ORDER_DIMS[2]
 
