@@ -41,6 +41,9 @@ __all__ = [
     "transfer_minimal_model",
 ]
 
+# Defining systems massey_higher enumerates unless told otherwise.
+DEFAULT_MAX_SYSTEMS = 1 << 20
+
 
 class HClass(NamedTuple):
     """A homology class: degree plus coordinates over the chosen representatives."""
@@ -187,15 +190,14 @@ def _basis_by_degree(dga: DGA) -> Tuple[Dict[int, Tuple[str, ...]], Dict[str, in
     return {k: tuple(v) for k, v in basis.items()}, pos
 
 
-def adjoint_structure(dga: DGA, aug: Augmentation) -> AInftyStructure:
-    """Dualize each word-length part of the twisted differential.
+def adjoint_structure(twisted: DGA) -> AInftyStructure:
+    """Dualize each word-length part of an already twisted differential.
 
     m_k(x_1..x_k) is the sum of the generators whose twisted differential
     contains the word x_1..x_k.  Every word must have degree |g| - 1, so that
     m_k has degree +1, and the relations must hold up to the arity bound (the
     longest word occurring); either failure is an internal error.
     """
-    twisted = twist(dga, aug)
     basis, pos = _basis_by_degree(twisted)
     arity = 1
     tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
@@ -439,7 +441,7 @@ def massey_higher(
     h: HomologyData,
     s: AInftyStructure,
     classes: Sequence[HClass],
-    cap: int = 1 << 20,
+    cap: int = DEFAULT_MAX_SYSTEMS,
 ) -> MasseyResult:
     """Order-n Massey product by exhaustive defining-system enumeration.
 
@@ -669,11 +671,15 @@ def transfer_minimal_model(
 
 @dataclass
 class CohomologyRing:
-    """Homological data bundle: both homologies and the cochain-level products."""
+    """An augmented DGA made linear once: its twist, the adjoint structure
+    and both homologies of m_1, shared by every per-augmentation layer."""
 
+    dga: DGA
+    aug: Augmentation
+    twisted: DGA
+    structure: AInftyStructure
     chain: HomologyData
     cochain: HomologyData
-    structure: AInftyStructure
 
     def cup_vec(self, k: int, xvec: int, l: int, yvec: int) -> int:
         """Cochain-level representative of the product of two cocycles."""
@@ -685,7 +691,9 @@ class CohomologyRing:
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
     """Twist once into the adjoint structure, and take homology of m_1 both ways."""
-    s = adjoint_structure(dga, aug)
+    twisted = twist(dga, aug)
+    s = adjoint_structure(twisted)
     chain_map, cochain_map = linearized_complexes(s)
-    chain_h = homology(chain_map, "chain")
-    return CohomologyRing(chain_h, homology(cochain_map, "cochain"), s)
+    return CohomologyRing(
+        dga, aug, twisted, s, homology(chain_map, "chain"), homology(cochain_map, "cochain")
+    )

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .ainfty import (
+    DEFAULT_MAX_SYSTEMS,
     CohomologyRing,
     HClass,
     basis_classes,
@@ -35,7 +36,7 @@ from .algebra import DGA, assert_valid, mirror_dga, validate_dga
 from .augment import Augmentation, enumerate_augmentations
 from .families import FamilyGradingWarning, generate_family
 from .fileio import parse_dga, serialize_dga
-from .fingerprint import compare_mirror
+from .fingerprint import DEFAULT_MASSEY_ORDER, DEFAULT_ORDER_CAP, compare_mirror
 from .linear import duality_search, vector_label
 from .tilde import order_n_cohomology
 
@@ -65,7 +66,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ContractError("cannot read %s: %s" % (path, exc))
 
 
@@ -86,7 +87,7 @@ def _load(path: str, rows: Optional[Rows] = None) -> DGA:
     return dga
 
 
-def _pick_augmentation(dga: DGA, index: int) -> Tuple[List[Augmentation], Augmentation]:
+def _pick_augmentation(dga: DGA, index: int) -> Augmentation:
     augs = enumerate_augmentations(dga)
     if not augs:
         raise ContractError(NO_AUGMENTATIONS)
@@ -94,7 +95,7 @@ def _pick_augmentation(dga: DGA, index: int) -> Tuple[List[Augmentation], Augmen
         raise ContractError(
             "augmentation index %d out of range; there are %d" % (index, len(augs))
         )
-    return augs, augs[index]
+    return augs[index]
 
 
 def _label(h, degree: int, coords: int) -> str:
@@ -154,7 +155,7 @@ def cmd_augs(args) -> int:
 def cmd_linhom(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
-    _, aug = _pick_augmentation(dga, args.aug)
+    aug = _pick_augmentation(dga, args.aug)
     ring = build_ring(dga, aug)
     rows.append(("augmentation", aug.describe()))
     _dims_rows(rows, "cohomology.dim", ring.cochain.dims())
@@ -168,7 +169,7 @@ def cmd_linhom(args) -> int:
 def cmd_ring(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
-    _, aug = _pick_augmentation(dga, args.aug)
+    aug = _pick_augmentation(dga, args.aug)
     ring = build_ring(dga, aug)
     h = ring.cochain
     rows.append(("augmentation", aug.describe()))
@@ -211,7 +212,7 @@ def _parse_classes(h, spec: str) -> List[HClass]:
 def cmd_massey(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
-    _, aug = _pick_augmentation(dga, args.aug)
+    aug = _pick_augmentation(dga, args.aug)
     ring = build_ring(dga, aug)
     h = ring.cochain
     classes = _parse_classes(h, args.classes)
@@ -246,7 +247,7 @@ def cmd_massey(args) -> int:
 def cmd_minimal(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
-    _, aug = _pick_augmentation(dga, args.aug)
+    aug = _pick_augmentation(dga, args.aug)
     ring = build_ring(dga, aug)
     h = ring.cochain
     mu, incl = transfer_minimal_model(h, ring.structure, args.arity)
@@ -284,8 +285,8 @@ def cmd_minimal(args) -> int:
 def cmd_ordern(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
-    _, aug = _pick_augmentation(dga, args.aug)
-    result = order_n_cohomology(dga, aug, args.n, engine=args.engine)
+    aug = _pick_augmentation(dga, args.aug)
+    result = order_n_cohomology(build_ring(dga, aug), args.n, engine=args.engine)
     rows.append(("augmentation", aug.describe()))
     rows.append(("order", str(result.order)))
     rows.append(("engine", result.engine))
@@ -300,9 +301,9 @@ def cmd_ordern(args) -> int:
 def cmd_duality(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
-    _, aug = _pick_augmentation(dga, args.aug)
+    aug = _pick_augmentation(dga, args.aug)
     ring = build_ring(dga, aug)
-    result = duality_search(dga, aug, ring)
+    result = duality_search(ring)
     rows.append(("augmentation", aug.describe()))
     rows.append(("status", "certificate" if result.ok else "no certificate"))
     if result.ok:
@@ -400,7 +401,7 @@ def cmd_report(args) -> int:
         ring = build_ring(dga, aug)
         _dims_rows(rows, "aug.%d.cohomology.dim" % i, ring.cochain.dims())
         _product_rows(rows, "aug.%d." % i, ring)
-        result = duality_search(dga, aug, ring)
+        result = duality_search(ring)
         if result.ok:
             rows.append(("aug.%d.duality" % i, "certificate"))
         else:
@@ -454,7 +455,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--max-systems",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_MAX_SYSTEMS,
         metavar="COUNT",
         help="cap on enumerated defining systems for orders > 3",
     )
@@ -483,21 +484,21 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--massey-order",
         type=int,
-        default=3,
+        default=DEFAULT_MASSEY_ORDER,
         metavar="N",
-        help="include Massey brackets up to this order (default 3)",
+        help="include Massey brackets up to this order (default %(default)s)",
     )
     p.add_argument(
         "--order-cap",
         type=int,
-        default=2,
+        default=DEFAULT_ORDER_CAP,
         metavar="N",
-        help="include order-n cohomology dims up to this n (default 2)",
+        help="include order-n cohomology dims up to this n (default %(default)s)",
     )
     p.add_argument(
         "--max-systems",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_MAX_SYSTEMS,
         metavar="COUNT",
         help="cap on enumerated defining systems for orders > 3",
     )

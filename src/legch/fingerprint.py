@@ -18,9 +18,17 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InternalConsistencyError
-from .ainfty import CohomologyRing, HClass, build_ring, cup_table, massey_higher, massey_triple
+from .ainfty import (
+    DEFAULT_MAX_SYSTEMS,
+    CohomologyRing,
+    HClass,
+    build_ring,
+    cup_table,
+    massey_higher,
+    massey_triple,
+)
 from .algebra import DGA, mirror_dga
-from .augment import Augmentation, enumerate_augmentations
+from .augment import enumerate_augmentations
 from .gf2 import rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
@@ -37,7 +45,6 @@ __all__ = [
 
 DEFAULT_MASSEY_ORDER = 3
 DEFAULT_ORDER_CAP = 2
-DEFAULT_MAX_SYSTEMS = 1 << 20
 DEFAULT_MAX_TUPLES = 4096
 
 
@@ -140,12 +147,12 @@ def massey_table(
 
 
 def order_dim_table(
-    dga: DGA, aug: Augmentation, order_cap: int = DEFAULT_ORDER_CAP
+    ring: CohomologyRing, order_cap: int = DEFAULT_ORDER_CAP
 ) -> Dict[Tuple[int, int], int]:
     """Order-n cohomology dimensions for 1 <= n <= order_cap."""
     table: Dict[Tuple[int, int], int] = {}
     for n in range(1, order_cap + 1):
-        result = order_n_cohomology(dga, aug, n)
+        result = order_n_cohomology(ring, n)
         for degree, dim in sorted(result.dims.items()):
             if dim:
                 table[(n, degree)] = dim
@@ -153,19 +160,17 @@ def order_dim_table(
 
 
 def profile_for(
-    dga: DGA,
-    aug: Augmentation,
+    ring: CohomologyRing,
     massey_order: int = DEFAULT_MASSEY_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
     max_systems: int = DEFAULT_MAX_SYSTEMS,
     bases: Optional[Dict[int, List[int]]] = None,
 ) -> AugmentationProfile:
     """All invariants of a single augmentation."""
-    ring = build_ring(dga, aug)
     dims = tuple(sorted((k, d) for k, d in ring.cochain.dims().items() if d))
     cups = tuple(sorted(cup_rank_table(ring, bases).items()))
     massey = tuple(sorted(massey_table(ring, massey_order, max_systems).items()))
-    orders = tuple(sorted(order_dim_table(dga, aug, order_cap).items()))
+    orders = tuple(sorted(order_dim_table(ring, order_cap).items()))
     return AugmentationProfile(dims, cups, massey, orders)
 
 
@@ -177,7 +182,7 @@ def fingerprint_dga(
 ) -> Fingerprint:
     """Fingerprints of every augmentation, as a canonically ordered multiset."""
     profiles = [
-        profile_for(dga, aug, massey_order, order_cap, max_systems)
+        profile_for(build_ring(dga, aug), massey_order, order_cap, max_systems)
         for aug in enumerate_augmentations(dga)
     ]
     return Fingerprint(tuple(sorted(profiles)))
@@ -196,11 +201,10 @@ def random_graded_basis(h: HomologyData, rng) -> Dict[int, List[int]]:
     return bases
 
 
-def audit_basis_independence(dga: DGA, aug: Augmentation, rng, **options) -> bool:
+def audit_basis_independence(ring: CohomologyRing, rng, **options) -> bool:
     """Recompute one profile in a random basis and insist nothing moved."""
-    ring = build_ring(dga, aug)
-    baseline = profile_for(dga, aug, **options)
-    shuffled = profile_for(dga, aug, bases=random_graded_basis(ring.cochain, rng), **options)
+    baseline = profile_for(ring, **options)
+    shuffled = profile_for(ring, bases=random_graded_basis(ring.cochain, rng), **options)
     if baseline != shuffled:
         raise InternalConsistencyError(
             "fingerprint changed under a degree-preserving basis change"

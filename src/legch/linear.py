@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .algebra import DGA, canon_degree
-from .augment import Augmentation
+from .algebra import canon_degree
 from .gf2 import Eliminator, apply_cols, invert, transpose
 
 __all__ = [
@@ -330,7 +329,7 @@ def _gram_ok(modulus: int, entries: List[Tuple[int, int]], gram: List[List[int]]
     return True
 
 
-def duality_search(dga: DGA, aug: Augmentation, ring):
+def duality_search(ring):
     """Search for a DualityCertificate; returns a DualityFailure if none exists.
 
     ``ring`` carries the homological data: attributes ``chain`` and
@@ -346,8 +345,6 @@ def duality_search(dga: DGA, aug: Augmentation, ring):
     chain_h: HomologyData = ring.chain
     cochain_h: HomologyData = ring.cochain
     modulus = chain_h.modulus
-    if modulus != dga.modulus or cochain_h.modulus != dga.modulus:
-        raise ContractError("ring data does not match the DGA's grading modulus")
     one = canon_degree(modulus, 1)
     kd = chain_h.dim(one)
     cd = cochain_h.dim(one)

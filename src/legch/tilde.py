@@ -60,23 +60,23 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, assert_valid, canon_degree, dga_key, mirror_dga
-from .augment import Augmentation, enumerate_augmentations, twist
+from .augment import enumerate_augmentations
 from .ainfty import (
     AInftyMorphism,
     AInftyStructure,
+    CohomologyRing,
     _compositions,
-    adjoint_structure,
     basis_classes,
     build_ring,
     check_ainfty_morphism,
     cup_table,
 )
 from .gf2 import Eliminator, apply_cols, bits, rank
-from .linear import GradedMatrixMap, HomologyData, homology, linearized_complexes
+from .linear import GradedMatrixMap, HomologyData, homology
 
 __all__ = [
     "DENSE_LIMIT",
@@ -256,9 +256,8 @@ def _check_pair_degree(letters: _Letters, modulus: int, side: str, g: int, t) ->
     )
 
 
-def _twisted_pairs(dga: DGA, aug: Augmentation, letters: _Letters, modulus: int, n: int):
+def _twisted_pairs(twisted: DGA, letters: _Letters, modulus: int, n: int):
     """(g, t) for every term t of the twisted differential d(g) with |t| <= n."""
-    twisted = twist(dga, aug)
     pairs = []
     for g, lbl in enumerate(letters.labels):
         for w in twisted.sorted_terms(twisted.d(lbl)):
@@ -382,18 +381,17 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     return TildeComplex(s, n, words, differential)
 
 
-def _transpose_slices(
-    dga: DGA, aug: Augmentation, s: AInftyStructure, n: int
-) -> Iterator[Tuple[_Codes, set]]:
+def _transpose_slices(ring: CohomologyRing, n: int) -> Iterator[Tuple[_Codes, set]]:
     """Compare both transpose-check matrices one column slice at a time.
 
     Yields each slice's codes ``col * M + row`` of nonzero entries once
     the Leibniz and window sides agree on them; raises on the first slice
     where they differ.
     """
-    letters = _Letters(s)
-    leibniz = _twisted_pairs(dga, aug, letters, s.modulus, n)
-    window = _window_pairs(letters, s.modulus, n)
+    modulus = ring.structure.modulus
+    letters = _Letters(ring.structure)
+    leibniz = _twisted_pairs(ring.twisted, letters, modulus, n)
+    window = _window_pairs(letters, modulus, n)
     codes = _Codes(len(letters.labels), n)
     step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
     for lo in range(0, codes.size, step):
@@ -419,27 +417,20 @@ def _transpose_slices(
         yield codes, chain
 
 
-def check_order_n_transpose(
-    dga: DGA,
-    aug: Augmentation,
-    n: int,
-    structure: Optional[AInftyStructure] = None,
-    max_order: int = MAX_ORDER,
-) -> int:
+def check_order_n_transpose(ring: CohomologyRing, n: int, max_order: int = MAX_ORDER) -> int:
     """Assert the order-n differential is the Leibniz expansion's transpose.
 
     The tensor algebra truncated at word length n carries the Leibniz
-    expansion of the twisted differential (degree -1, long outputs
-    dropped); its matrix must be, entry for entry, the transpose of the
-    window differential of the adjoint structure.  Both matrices are built
-    in full from (letter, term) triples and compared one slice of column
-    words at a time (see the module docstring).  Returns the number of
-    nonzero entries compared; a discrepancy is an internal error naming
-    the side and the offending entry.
+    expansion of ``ring.twisted`` (degree -1, long outputs dropped), read
+    from d(g) itself and never from the structure's tables; its matrix must
+    be, entry for entry, the transpose of the window differential of
+    ``ring.structure``.  Both matrices are built in full from (letter, term)
+    triples and compared one slice of column words at a time (see the
+    module docstring).  Returns the number of nonzero entries compared; a
+    discrepancy is an internal error naming the side and the offending entry.
     """
     _check_order(n, max_order)
-    s = structure if structure is not None else adjoint_structure(dga, aug)
-    return sum(len(chain) for _, chain in _transpose_slices(dga, aug, s, n))
+    return sum(len(chain) for _, chain in _transpose_slices(ring, n))
 
 
 def _perturbed_complex(
@@ -565,13 +556,12 @@ _ORDER_CACHE: "OrderedDict[tuple, OrderNCohomology]" = OrderedDict()
 
 
 def order_n_cohomology(
-    dga: DGA,
-    aug: Augmentation,
+    ring: CohomologyRing,
     n: int,
     engine: str = "auto",
     max_order: int = MAX_ORDER,
 ) -> OrderNCohomology:
-    """Order-n linearized cohomology of an augmented DGA.
+    """Order-n linearized cohomology of the augmented DGA behind a ring.
 
     Always verifies the transpose equality between the window differential
     and the truncated Leibniz differential before reducing.  The "auto"
@@ -581,24 +571,22 @@ def order_n_cohomology(
     _check_order(n, max_order)
     if engine not in ("auto", "dense", "perturbation"):
         raise ContractError("engine must be 'auto', 'dense' or 'perturbation'")
-    size = len(dga.generators)
+    size = len(ring.dga.generators)
     total = sum(size**a for a in range(1, n + 1))
     if engine == "auto":
         engine = "dense" if total <= DENSE_LIMIT else "perturbation"
-    key = (dga_key(dga), aug.values, n, engine)
+    key = (dga_key(ring.dga), ring.aug.values, n, engine)
     cached = _ORDER_CACHE.get(key)
     if cached is not None:
         _ORDER_CACHE.move_to_end(key)
         return cached
-    assert_valid(dga)
-    s = adjoint_structure(dga, aug)
-    entries = check_order_n_transpose(dga, aug, n, structure=s, max_order=max_order)
+    assert_valid(ring.dga)
+    entries = check_order_n_transpose(ring, n, max_order=max_order)
     if engine == "dense":
-        built = tilde_complex(s, n, max_order=max_order)
+        built = tilde_complex(ring.structure, n, max_order=max_order)
         data = homology(built.differential, "cochain")
     else:
-        _, cochain = linearized_complexes(s)
-        small = _perturbed_complex(s, homology(cochain, "cochain"), n)
+        small = _perturbed_complex(ring.structure, ring.cochain, n)
         if not small.is_square_zero():
             raise InternalConsistencyError(
                 "perturbed order-%d differential does not square to zero" % n
@@ -764,7 +752,7 @@ class SplittingReport:
         return all(row.ok for row in self.rows)
 
 
-def splitting_check_n2(dga: DGA, aug: Augmentation) -> SplittingReport:
+def splitting_check_n2(ring: CohomologyRing) -> SplittingReport:
     """Check the order-2 splitting against the cup product, degree by degree.
 
     Length-1 words form a subcomplex of the order-2 complex with quotient
@@ -773,8 +761,7 @@ def splitting_check_n2(dga: DGA, aug: Augmentation) -> SplittingReport:
     order-2 dimensions must therefore split as recorded in the report's
     convention string.
     """
-    order2 = order_n_cohomology(dga, aug, 2)
-    ring = build_ring(dga, aug)
+    order2 = order_n_cohomology(ring, 2)
     h = ring.cochain
     s = ring.structure
     classes = [c for k in h.degrees() for c in basis_classes(h, k)]
@@ -824,12 +811,8 @@ class ReflectionReport:
         return all(row.ok for row in self.rows)
 
 
-def _check_reflection_conjugation(
-    dga: DGA, mirror: DGA, aug: Augmentation, n: int
-) -> int:
+def _check_reflection_conjugation(twisted: DGA, twisted_mirror: DGA, n: int) -> int:
     """Verify rev(d(w)) = d_mirror(rev(w)) on every word of length <= n."""
-    twisted = twist(dga, aug)
-    twisted_mirror = twist(mirror, aug)
     order = {g: i for i, g in enumerate(twisted.generators)}
 
     def encode(source: DGA) -> List[Tuple[Tuple[int, ...], ...]]:
@@ -874,8 +857,9 @@ def reflection_compare(dga: DGA, n: int, max_order: int = MAX_ORDER) -> Reflecti
     rows: List[ReflectionRow] = []
     words = 0
     for aug in enumerate_augmentations(dga):
-        left = order_n_cohomology(dga, aug, n, max_order=max_order)
-        right = order_n_cohomology(mirror, aug, n, max_order=max_order)
-        words += _check_reflection_conjugation(dga, mirror, aug, n)
+        ring, mirror_ring = build_ring(dga, aug), build_ring(mirror, aug)
+        left = order_n_cohomology(ring, n, max_order=max_order)
+        right = order_n_cohomology(mirror_ring, n, max_order=max_order)
+        words += _check_reflection_conjugation(ring.twisted, mirror_ring.twisted, n)
         rows.append(ReflectionRow(aug.describe(), left.dims, right.dims))
     return ReflectionReport(n, rows, words)

@@ -23,7 +23,7 @@ from legch.ainfty import (
     transfer_minimal_model,
 )
 from legch.algebra import mirror_dga, stabilize
-from legch.augment import enumerate_augmentations, extend_by_zero, transport
+from legch.augment import enumerate_augmentations, extend_by_zero, transport, twist
 from legch.cli import main
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fileio import serialize_dga
@@ -104,7 +104,7 @@ def test_criterion_1_trefoil_augmentations_dimensions_and_products(capsys, dga_f
 def test_criterion_2_trefoil_operation_tables_entry_for_entry():
     dga = trefoil()
     aug = enumerate_augmentations(dga)[0]
-    s = adjoint_structure(dga, aug)
+    s = adjoint_structure(twist(dga, aug))
     assert s.basis == {0: ("b1", "b2", "b3"), 1: ("a1", "a2")}
     assert s.arity == 3
     assert set(s.tables) == {1, 2, 3}  # every operation of arity >= 4 vanishes
@@ -121,10 +121,10 @@ def test_criterion_3_relations_and_morphism_equations():
         assert len(dga.generators) <= 8
         jobs.append((dga, aug))
     for dga, aug in jobs:
-        s = adjoint_structure(dga, aug)
+        ring = build_ring(dga, aug)
+        s = ring.structure
         report = check_an_relations(s, 4)
         assert report.ok, report
-        ring = build_ring(dga, aug)
         mu, f = transfer_minimal_model(ring.cochain, s, 3)
         morphism = check_ainfty_morphism(f, mu, s, 3)
         assert morphism.ok, morphism
@@ -191,14 +191,14 @@ def test_criterion_5_massey_products_distinguish_masseyex_from_its_mirror(monkey
 def test_criterion_6_duality_certificates_and_dimension_relations():
     dga = trefoil()
     for i, aug in enumerate(enumerate_augmentations(dga)):
-        cert = duality_search(dga, aug, build_ring(dga, aug))
+        cert = duality_search(build_ring(dga, aug))
         assert cert.ok
         if i == 0:
             assert cert.gram == [[0, 1], [1, 0]]
 
     cup = cupex(1, 3, 7)
     caug = enumerate_augmentations(cup)[0]
-    cert = duality_search(cup, caug, build_ring(cup, caug))
+    cert = duality_search(build_ring(cup, caug))
     assert cert.ok
     labels = [(k, lbl) for k, _, lbl in cert.complement]
     assert labels == [
@@ -233,24 +233,24 @@ def test_criterion_6_duality_certificates_and_dimension_relations():
 def test_criterion_7_order_n_cohomology_suite():
     for _, dga in bundled_examples():
         for aug in enumerate_augmentations(dga):
+            ring = build_ring(dga, aug)
             # bit-exact transpose agreement at every order up to 3
             for n in (1, 2, 3):
-                result = order_n_cohomology(dga, aug, n)
+                result = order_n_cohomology(ring, n)
                 assert result.transpose_entries > 0
                 if len(dga.generators) <= 5:
-                    entries = check_order_n_transpose(dga, aug, n)
+                    entries = check_order_n_transpose(ring, n)
                     assert entries == result.transpose_entries
 
             # the minimal model computes the same order-n dimensions
-            ring = build_ring(dga, aug)
             mu, _ = transfer_minimal_model(ring.cochain, ring.structure, 3)
             for n in (1, 2, 3):
                 small = tilde_complex(mu, n)
-                want = order_n_cohomology(dga, aug, n)
+                want = order_n_cohomology(ring, n)
                 assert homology(small.differential, "cochain").dims() == want.dims
 
             # order-2 splitting identity per degree
-            report = splitting_check_n2(dga, aug)
+            report = splitting_check_n2(ring)
             assert report.ok, report
 
         # knot and mirror have equal order-n dimensions

@@ -260,6 +260,20 @@ def test_usage_errors_exit_one(capsys, argv, fragment):
     assert fragment in err
 
 
+def test_undecodable_input_file_exits_one_without_a_traceback(tmp_path):
+    path = tmp_path / "bad.dga"
+    path.write_bytes(b"modulus 0\ngen a \xff\xfe 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "legch", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot read")
+    assert "Traceback" not in proc.stderr
+
+
 def test_internal_failures_exit_two(capsys, trefoil_file, monkeypatch):
     import legch.cli as cli
 

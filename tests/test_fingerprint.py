@@ -61,7 +61,7 @@ def test_massey_table_flags_the_ordered_nonzero_brackets():
 
 def test_profile_fields_are_sorted_tuples():
     dga = trefoil()
-    profile = profile_for(dga, enumerate_augmentations(dga)[0])
+    profile = profile_for(build_ring(dga, enumerate_augmentations(dga)[0]))
     assert isinstance(profile, AugmentationProfile)
     assert profile.dims == ((0, 2), (1, 1))
     assert profile.cup_ranks == (((0, 0), 1),)
@@ -135,20 +135,20 @@ def test_audit_basis_independence_on_bundled_examples():
     rng = random.Random(20260818)
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
-        assert audit_basis_independence(dga, aug, rng)
+        assert audit_basis_independence(build_ring(dga, aug), rng)
     cup = cupex(1, 3, 7)
-    assert audit_basis_independence(cup, enumerate_augmentations(cup)[0], rng)
+    assert audit_basis_independence(build_ring(cup, enumerate_augmentations(cup)[0]), rng)
 
 
 def test_profiles_hash_and_compare():
     dga = trefoil()
     augs = enumerate_augmentations(dga)
-    p0 = profile_for(dga, augs[0])
-    p0_again = profile_for(dga, augs[0])
+    p0 = profile_for(build_ring(dga, augs[0]))
+    p0_again = profile_for(build_ring(dga, augs[0]))
     # all five trefoil augmentations carry the same invariants
-    assert all(profile_for(dga, aug) == p0 for aug in augs[1:])
+    assert all(profile_for(build_ring(dga, aug)) == p0 for aug in augs[1:])
     assert p0 == p0_again and hash(p0) == hash(p0_again)
     cup = cupex(1, 3, 7)
-    other = profile_for(cup, enumerate_augmentations(cup)[0])
+    other = profile_for(build_ring(cup, enumerate_augmentations(cup)[0]))
     assert p0 != other
     assert len({p0, p0_again, other}) == 2

@@ -36,7 +36,7 @@ def test_vector_label_joins_basis_names():
 def test_linearized_complexes_directions_and_squares():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
-        chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
+        chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
         assert chain.shift == -1 and cochain.shift == 1
         assert chain.is_square_zero() and cochain.is_square_zero()
         # transpose relation: <d x, y> = <x, delta y> entry for entry
@@ -57,7 +57,7 @@ def _assert_complexes_are_the_twisted_linear_part(dga, aug):
     basis = {}
     for g in twisted.generators:
         basis.setdefault(twisted.degree(g), []).append(g)
-    chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
+    chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
     assert {k: list(v) for k, v in chain.basis.items()} == basis
     assert cochain.basis == chain.basis
     for k, names in basis.items():
@@ -98,9 +98,9 @@ def test_inhomogeneous_twisted_differential_is_rejected():
         {"a": frozenset({("b", "c")})},
     )
     zero = Augmentation(tuple((g, 0) for g in dga.generators))
-    for build in (adjoint_structure, build_ring):
+    for build in (lambda: adjoint_structure(twist(dga, zero)), lambda: build_ring(dga, zero)):
         with pytest.raises(InternalConsistencyError, match="twisted d a is not degree-homogeneous"):
-            build(dga, zero)
+            build()
 
 
 def test_chain_and_cochain_dims_agree_per_degree():
@@ -140,7 +140,7 @@ def _retract_identities(h):
 def test_homology_is_a_strong_deformation_retract_on_trefoil():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
-        chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
+        chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
         _retract_identities(homology(chain, "chain"))
         _retract_identities(homology(cochain, "cochain"))
 
@@ -149,7 +149,7 @@ def test_homology_is_a_strong_deformation_retract_on_trefoil():
 @settings(deadline=None, max_examples=40)
 def test_homology_retract_identities_on_random_dgas(seed):
     dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    chain, cochain = linearized_complexes(adjoint_structure(dga, aug))
+    chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
     _retract_identities(homology(chain, "chain"))
     _retract_identities(homology(cochain, "cochain"))
 
@@ -157,7 +157,7 @@ def test_homology_retract_identities_on_random_dgas(seed):
 def test_class_of_rejects_non_cycles():
     dga = trefoil()
     aug = enumerate_augmentations(dga)[0]
-    chain, _ = linearized_complexes(adjoint_structure(dga, aug))
+    chain, _ = linearized_complexes(adjoint_structure(twist(dga, aug)))
     h = homology(chain, "chain")
     # b1 (a basis vector of degree 0) is a cycle; a1 in degree 1 is not
     assert h.is_cycle(0, 0b1)
@@ -170,7 +170,7 @@ def test_duality_certificate_on_first_trefoil_augmentation():
     dga = trefoil()
     aug = enumerate_augmentations(dga)[0]
     ring = build_ring(dga, aug)
-    cert = duality_search(dga, aug, ring)
+    cert = duality_search(ring)
     assert cert.ok
     assert cert.kappa_label == "[a1+a2]"
     assert cert.c_label == "[a1]"
@@ -185,14 +185,14 @@ def test_duality_certificates_on_all_trefoil_augmentations():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
         ring = build_ring(dga, aug)
-        assert duality_search(dga, aug, ring).ok
+        assert duality_search(ring).ok
 
 
 def test_duality_certificate_on_cup_family():
     dga = cupex(1, 3, 7)
     aug = enumerate_augmentations(dga)[0]
     ring = build_ring(dga, aug)
-    cert = duality_search(dga, aug, ring)
+    cert = duality_search(ring)
     assert cert.ok
     # complement pairs off in (k, -k) blocks with full-rank pairing
     degrees = sorted(deg for deg, _, _ in cert.complement)
@@ -203,7 +203,7 @@ def test_duality_failure_reports_counts():
     dga = DGA_no_degree_one()
     aug = enumerate_augmentations(dga)[0]
     ring = build_ring(dga, aug)
-    result = duality_search(dga, aug, ring)
+    result = duality_search(ring)
     assert not result.ok
     assert "degree 1" in result.reason
 

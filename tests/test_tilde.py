@@ -1,22 +1,24 @@
 """Order-n cohomology: word complexes, transpose check, splitting, reflection."""
 
 import random
+import sys
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, tilde
+from legch import ContractError, InternalConsistencyError, augment, tilde
 from legch.ainfty import (
     AInftyMorphism,
     AInftyStructure,
-    adjoint_structure,
     build_ring,
     transfer_minimal_model,
 )
 from legch.algebra import canon_degree, stabilize
-from legch.augment import enumerate_augmentations, twist
+from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
+from legch.fingerprint import compare_mirror
 from legch.gf2 import bits
 from legch.linear import homology
 from legch.tilde import (
@@ -44,33 +46,33 @@ TREFOIL_ORDER_DIMS = {
 
 def test_order_and_engine_validation():
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
     with pytest.raises(ContractError):
-        order_n_cohomology(dga, aug, 0)
+        order_n_cohomology(ring, 0)
     with pytest.raises(ContractError):
-        order_n_cohomology(dga, aug, 5)
+        order_n_cohomology(ring, 5)
     with pytest.raises(ContractError):
-        order_n_cohomology(dga, aug, 2, engine="fast")
+        order_n_cohomology(ring, 2, engine="fast")
     # the cap is an override, not a hard limit
-    high = order_n_cohomology(dga, aug, 5, max_order=5)
+    high = order_n_cohomology(ring, 5, max_order=5)
     assert high.order == 5 and sum(high.dims.values()) > 0
 
 
 def test_trefoil_order_dims_frozen():
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
     for n, dims in TREFOIL_ORDER_DIMS.items():
-        got = order_n_cohomology(dga, aug, n)
+        got = order_n_cohomology(ring, n)
         assert got.dims == dims, n
         assert got.complex_dim == sum(5**a for a in range(1, n + 1))
-    assert order_n_cohomology(dga, aug, 1).dims == {0: 2, 1: 1}
+    assert order_n_cohomology(ring, 1).dims == {0: 2, 1: 1}
 
 
 def test_order_one_matches_linearized_cohomology():
     for name, dga in bundled_examples():
         for aug in enumerate_augmentations(dga):
             ring = build_ring(dga, aug)
-            got = order_n_cohomology(dga, aug, 1)
+            got = order_n_cohomology(ring, 1)
             assert got.dims == ring.cochain.dims(), name
 
 
@@ -78,8 +80,9 @@ def test_engines_agree():
     jobs = [(trefoil(), 3), (cupex(1, 3, 7), 2), (masseyex(1, 4, 9, 20), 2)]
     for dga, n in jobs:
         for aug in enumerate_augmentations(dga):
-            dense = order_n_cohomology(dga, aug, n, engine="dense")
-            pert = order_n_cohomology(dga, aug, n, engine="perturbation")
+            ring = build_ring(dga, aug)
+            dense = order_n_cohomology(ring, n, engine="dense")
+            pert = order_n_cohomology(ring, n, engine="perturbation")
             assert dense.engine == "dense" and pert.engine == "perturbation"
             assert dense.dims == pert.dims
             assert dense.complex_dim == pert.complex_dim
@@ -88,29 +91,27 @@ def test_engines_agree():
 
 def test_auto_engine_resolution_and_frozen_counts(monkeypatch):
     cup = cupex(1, 3, 7)
-    aug = enumerate_augmentations(cup)[0]
-    big = order_n_cohomology(cup, aug, 3)
+    big = order_n_cohomology(build_ring(cup, enumerate_augmentations(cup)[0]), 3)
     assert big.engine == "perturbation"
     assert big.complex_dim == 44135
     assert big.transpose_entries == 106531
     mas = masseyex(1, 4, 9, 20)
-    aug = enumerate_augmentations(mas)[0]
-    mid = order_n_cohomology(mas, aug, 2)
+    mid = order_n_cohomology(build_ring(mas, enumerate_augmentations(mas)[0]), 2)
     assert mid.engine == "dense"
     assert mid.complex_dim == 7656
     assert mid.transpose_entries == 13523
     tre = trefoil()
-    aug = enumerate_augmentations(tre)[0]
+    ring = build_ring(tre, enumerate_augmentations(tre)[0])
     monkeypatch.setattr(tilde, "DENSE_LIMIT", 10)
-    forced = order_n_cohomology(tre, aug, 2)
+    forced = order_n_cohomology(ring, 2)
     assert forced.engine == "perturbation"
     assert forced.dims == TREFOIL_ORDER_DIMS[2]
 
 
 def test_results_are_cached_by_content():
     aug = enumerate_augmentations(trefoil())[0]
-    first = order_n_cohomology(trefoil(), aug, 2)
-    second = order_n_cohomology(trefoil(), aug, 2)
+    first = order_n_cohomology(build_ring(trefoil(), aug), 2)
+    second = order_n_cohomology(build_ring(trefoil(), aug), 2)
     assert first is second
 
 
@@ -121,17 +122,17 @@ def test_order_cache_evicts_the_least_recently_used_result(monkeypatch):
     degree = 1
     while len(jobs) <= bound:
         dga = stabilize(trefoil(), degree)
-        jobs += [(dga, aug) for aug in enumerate_augmentations(dga)]
+        jobs += [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
         degree += 1
-    first = order_n_cohomology(*jobs[0], 1)
-    for dga, aug in jobs[1:bound]:
-        order_n_cohomology(dga, aug, 1)
-    assert order_n_cohomology(*jobs[0], 1) is first  # a hit refreshes the entry
+    first = order_n_cohomology(jobs[0], 1)
+    for ring in jobs[1:bound]:
+        order_n_cohomology(ring, 1)
+    assert order_n_cohomology(jobs[0], 1) is first  # a hit refreshes the entry
     keys = list(tilde._ORDER_CACHE)
-    for dga, aug in jobs[bound:]:
-        order_n_cohomology(dga, aug, 1)
+    for ring in jobs[bound:]:
+        order_n_cohomology(ring, 1)
         assert len(tilde._ORDER_CACHE) == bound
-    assert keys[-1][1] == jobs[0][1].values
+    assert keys[-1][1] == jobs[0].aug.values
     evicted = keys[: len(jobs) - bound]
     assert all(key not in tilde._ORDER_CACHE for key in evicted)
     assert keys[-1] in tilde._ORDER_CACHE
@@ -139,15 +140,15 @@ def test_order_cache_evicts_the_least_recently_used_result(monkeypatch):
 
 def test_transpose_check_counts_linear_entries_at_order_one():
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
     # twisted d a1 and d a2 each have linear part b1 + b3
-    assert check_order_n_transpose(dga, aug, 1) == 4
+    assert check_order_n_transpose(ring, 1) == 4
 
 
 def test_representatives_label_words():
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
-    got = order_n_cohomology(dga, aug, 2, engine="dense")
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    got = order_n_cohomology(ring, 2, engine="dense")
     reps = got.representatives(2)
     assert len(reps) == 1
     assert all("|" in r or r.startswith("[") for r in reps)
@@ -156,21 +157,45 @@ def test_representatives_label_words():
 def test_splitting_identity_on_trefoil_and_cup_family():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
-        report = splitting_check_n2(dga, aug)
+        report = splitting_check_n2(build_ring(dga, aug))
         assert report.ok
         assert "cup" in report.convention or "mu_2" in report.convention
         for row in report.rows:
             assert row.expected == row.kernel_dim + row.homology_dim - row.image_dim
     cup = cupex(1, 3, 7)
-    assert splitting_check_n2(cup, enumerate_augmentations(cup)[0]).ok
+    assert splitting_check_n2(build_ring(cup, enumerate_augmentations(cup)[0])).ok
 
 
 def test_splitting_rows_frozen_on_first_trefoil_augmentation():
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
-    report = splitting_check_n2(dga, aug)
+    report = splitting_check_n2(build_ring(dga, enumerate_augmentations(dga)[0]))
     table = [(r.degree, r.order2_dim, r.kernel_dim, r.homology_dim, r.image_dim) for r in report.rows]
     assert table == [(0, 5, 3, 2, 0), (1, 4, 4, 1, 1), (2, 1, 1, 0, 0)]
+
+
+def test_only_build_ring_twists(monkeypatch):
+    calls = []
+    real_twist = augment.twist
+
+    def counted(dga, aug):
+        calls.append(aug)
+        return real_twist(dga, aug)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("legch") and getattr(module, "twist", None) is real_twist:
+            monkeypatch.setattr(module, "twist", counted)
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    compare_mirror(trefoil())
+    assert len(calls) == 10  # one build_ring per (augmentation, side)
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    del calls[:]
+    for engine in ("dense", "perturbation"):
+        order_n_cohomology(ring, 3, engine=engine)
+    check_order_n_transpose(ring, 3)
+    splitting_check_n2(ring)
+    assert calls == []
 
 
 def test_reflection_compare_on_trefoil():
@@ -200,7 +225,7 @@ def test_minimal_model_tilde_complex_computes_order_n_dims():
             mu, _ = transfer_minimal_model(ring.cochain, ring.structure, 3)
             for n in range(1, top + 1):
                 small = tilde_complex(mu, n)
-                want = order_n_cohomology(dga, aug, n)
+                want = order_n_cohomology(ring, n)
                 assert homology(small.differential, "cochain").dims() == want.dims
 
 
@@ -233,14 +258,15 @@ def test_tilde_of_morphism_rejects_incomplete_or_wrong_input():
         tilde_of_morphism(broken, 2)
 
 
-def _word_by_word_entries(dga, aug, s, n):
+def _word_by_word_entries(ring, n):
     """Oracle: the transpose check's two matrices, word by word per degree.
 
-    Returns the (column word, row word) entries of the Leibniz side and of
-    the window side, expanding every word of length <= n with
-    ``_chain_terms`` and ``_cochain_terms``.
+    Returns the (column word, row word) entries of the Leibniz side (from
+    ``ring.twisted``) and of the window side (from ``ring.structure``),
+    expanding every word of length <= n with ``_chain_terms`` and
+    ``_cochain_terms``.
     """
-    twisted = tilde.twist(dga, aug)
+    twisted, s = ring.twisted, ring.structure
     letters = tilde._Letters(s)
     repl = [
         tuple(tuple(letters.index[x] for x in w) for w in twisted.d(lbl))
@@ -264,9 +290,9 @@ def _word_by_word_entries(dga, aug, s, n):
     return chain, window
 
 
-def _sliced_entries(dga, aug, s, n):
+def _sliced_entries(ring, n):
     entries = set()
-    for codes, chain in _transpose_slices(dga, aug, s, n):
+    for codes, chain in _transpose_slices(ring, n):
         for code in chain:
             col, row = divmod(code, codes.total)
             entries.add((codes.decode(col), codes.decode(row)))
@@ -290,12 +316,12 @@ def _tilde_entries(s, n):
 
 
 def _assert_matches_oracle(dga, aug, n):
-    s = adjoint_structure(dga, aug)
-    chain, window = _word_by_word_entries(dga, aug, s, n)
+    ring = build_ring(dga, aug)
+    chain, window = _word_by_word_entries(ring, n)
     assert chain == window
-    assert _sliced_entries(dga, aug, s, n) == chain
-    assert check_order_n_transpose(dga, aug, n, structure=s, max_order=5) == len(chain)
-    assert _tilde_entries(s, n) == window
+    assert _sliced_entries(ring, n) == chain
+    assert check_order_n_transpose(ring, n, max_order=5) == len(chain)
+    assert _tilde_entries(ring.structure, n) == window
 
 
 def test_transpose_check_matches_the_word_by_word_oracle():
@@ -325,8 +351,8 @@ def _raises_naming(expected, call):
 
 def test_transpose_check_rejects_a_dropped_table_entry():
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
-    s = adjoint_structure(dga, aug)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    s = ring.structure
     n = 3
     for j in sorted(s.tables):
         if j > n or not s.tables[j]:
@@ -334,42 +360,34 @@ def test_transpose_check_rejects_a_dropped_table_entry():
         args = min(s.tables[j], key=lambda a: [s.order[x] for x in a])
         tables = {k: dict(t) for k, t in s.tables.items()}
         vec = tables[j].pop(args)
-        mutated = AInftyStructure(s.modulus, s.basis, s.arity, tables)
+        mutated = replace(ring, structure=AInftyStructure(s.modulus, s.basis, s.arity, tables))
         lowest = s.names(s.out_degree(args))[(vec & -vec).bit_length() - 1]
-        chain, window = _word_by_word_entries(dga, aug, mutated, n)
+        chain, window = _word_by_word_entries(mutated, n)
         assert chain != window
         _raises_naming(
             "only the Leibniz side has the entry (%s -> %s)" % (lowest, "|".join(args)),
-            lambda: check_order_n_transpose(dga, aug, n, structure=mutated),
+            lambda: check_order_n_transpose(mutated, n),
         )
 
 
-def test_transpose_check_rejects_a_spurious_twisted_term(monkeypatch):
+def test_transpose_check_rejects_a_spurious_twisted_term():
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
-    s = adjoint_structure(dga, aug)
-    real_twist = twist
-
-    def spurious(source, augmentation):
-        twisted = real_twist(source, augmentation)
-        diff = {g: twisted.d(g) for g in twisted.generators}
-        assert ("b2",) not in diff["a1"]
-        diff["a1"] = diff["a1"] | {("b2",)}
-        return twisted.replace_diff(diff)
-
-    monkeypatch.setattr(tilde, "twist", spurious)
-    chain, window = _word_by_word_entries(dga, aug, s, 2)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    diff = {g: ring.twisted.d(g) for g in ring.twisted.generators}
+    assert ("b2",) not in diff["a1"]
+    diff["a1"] = diff["a1"] | {("b2",)}
+    spurious = replace(ring, twisted=ring.twisted.replace_diff(diff))
+    chain, window = _word_by_word_entries(spurious, 2)
     assert chain != window
     _raises_naming(
         "only the Leibniz side has the entry (a1 -> b2)",
-        lambda: check_order_n_transpose(dga, aug, 2, structure=s),
+        lambda: check_order_n_transpose(spurious, 2),
     )
 
 
 def test_transpose_check_rejects_a_table_entry_of_the_wrong_degree(monkeypatch):
     dga = trefoil()
-    aug = enumerate_augmentations(dga)[0]
-    s = adjoint_structure(dga, aug)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
     shifted = {}
 
     class Shifted(_Letters):
@@ -386,8 +404,8 @@ def test_transpose_check_rejects_a_table_entry_of_the_wrong_degree(monkeypatch):
 
     monkeypatch.setattr(tilde, "_Letters", Shifted)
     with pytest.raises(InternalConsistencyError):
-        _word_by_word_entries(dga, aug, s, 2)
+        _word_by_word_entries(ring, 2)
     _raises_naming(
         "window image %s of %s is not homogeneous" % (shifted["wrong"], shifted["args"]),
-        lambda: check_order_n_transpose(dga, aug, 2, structure=s),
+        lambda: check_order_n_transpose(ring, 2),
     )
