@@ -3,7 +3,8 @@
 The word-length-k part of a twisted differential dualizes to an operation
 m_k of degree +1; together these satisfy the A-infinity relations.  This
 module stores such structures as sparse tables, checks the relations and
-the morphism equation, computes cup and (higher) Massey products, and
+the morphism equation, computes cup and (higher) Massey products (cups and
+triple brackets are read off a ``ProductTable`` of basis blocks), and
 transfers the structure to homology through a strong deformation retract
 by Kadeishvili's recursion.  The relations, the morphism equation and the
 transfer share two sums: inserting m_j into an outer operation, and
@@ -13,13 +14,14 @@ composing m_r with blocks of a table of multilinear maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, canon_degree
 from .augment import Augmentation, twist
-from .gf2 import bits, in_span, span_basis
+from .gf2 import apply_cols, bits, in_span, span_basis
 from .linear import HomologyData, homology, linearized_complexes
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "AInftyMorphism",
     "MasseyResult",
     "CheckReport",
+    "ProductTable",
     "CohomologyRing",
     "adjoint_structure",
     "basis_classes",
@@ -344,11 +347,16 @@ def check_ainfty_morphism(
     return CheckReport(True, "morphism equation holds up to arity %d" % up_to)
 
 
-def cup_product(h: HomologyData, s: AInftyStructure, x: HClass, y: HClass) -> HClass:
-    """The class of m_2 on chosen representatives; degree |x| + |y| + 1."""
+def _m2_of_reps(h: HomologyData, s: AInftyStructure, x: HClass, y: HClass) -> Tuple[int, int]:
+    """Degree and chain vector of m_2 on the chosen representatives of x and y."""
     xv = h.include(x.degree, x.coords)
     yv = h.include(y.degree, y.coords)
-    deg, vec = s.apply([(h.canon(x.degree), xv), (h.canon(y.degree), yv)])
+    return s.apply([(h.canon(x.degree), xv), (h.canon(y.degree), yv)])
+
+
+def cup_product(h: HomologyData, s: AInftyStructure, x: HClass, y: HClass) -> HClass:
+    """The class of m_2 on chosen representatives; degree |x| + |y| + 1."""
+    deg, vec = _m2_of_reps(h, s, x, y)
     return HClass(deg, h.class_of(deg, vec))
 
 
@@ -398,41 +406,145 @@ class MasseyResult:
         return self.contains(0)
 
 
+class ProductTable:
+    """Cups and triple Massey brackets of a cohomology ring, read off basis blocks.
+
+    Blocks are filled on first use and kept for the life of the table.  The
+    pair block of degrees (a, b) holds, for every pair of basis classes
+    (x_i, y_j), the chain vector m_2(i x_i, i y_j) and its class
+    (``class_of`` rejects a product that is not closed); the lifts
+    i_2(x_i, y_j) = h(m_2(i x_i, i y_j)) are taken when a triple block first
+    needs them.  The triple block of (a, b, c), built when a bracket in those
+    degrees is first defined, holds the chain vectors of Kadeishvili's
+
+        p_3(x_i, y_j, z_k) = m_3(i x_i, i y_j, i z_k) + m_2(i x_i, i_2(y_j, z_k))
+                             + m_2(i_2(x_i, y_j), i z_k).
+
+    Why reading blocks equals the chain-level formulas class tuple by class
+    tuple.  The paper (arXiv:0901.0490) defines the cup product as the class
+    of m_2 on representatives, and the triple Massey product of x, y, z with
+    x y = y z = 0 through m_2, m_3 and the retract (i, p, h): its value is
+    the class of m_3(ix, iy, iz) + m_2(ix, h m_2(iy, iz)) + m_2(h m_2(ix, iy), iz).
+    The inclusion i and the homotopy h are linear and m_2, m_3 are
+    multilinear, so for x = sum x_i, y = sum y_j, z = sum z_k that chain
+    vector is the XOR of p_3(x_i, y_j, z_k) over the set bits of the three
+    coordinate vectors, and m_2(ix, iy) is the XOR of the pair entries.
+    ``class_of`` is linear on cycles and still runs on every defined
+    bracket's XOR, so ``bracket`` returns what the chain-level formula
+    returns, and ``cup`` what ``cup_product`` returns.  By Kadeishvili's
+    transfer this value is mu_3(x, y, z) of the minimal model, which lies in
+    the bracket with indeterminacy x H + H z (Lu-Palmieri-Wu-Zhang 2009,
+    A-infinity structures on Ext-algebras, Thm 3.1).  Higher brackets stay
+    chain-level in ``massey_higher``: for n >= 4 that theorem gives only the
+    containment of mu_n in the bracket, not the bracket's full value set.
+    """
+
+    def __init__(self, h: HomologyData, s: AInftyStructure):
+        self.h = h
+        self.s = s
+        self._pairs: Dict[Tuple[int, int], Tuple[int, List[List[int]], List[List[int]]]] = {}
+        self._lifts: Dict[Tuple[int, int], List[List[int]]] = {}
+        self._triples: Dict[Tuple[int, int, int], Tuple[int, List[List[List[int]]]]] = {}
+
+    def _pair(self, a: int, b: int) -> Tuple[int, List[List[int]], List[List[int]]]:
+        """(degree, class coordinates, m_2 chain vectors) of the (a, b) pair block."""
+        block = self._pairs.get((a, b))
+        if block is None:
+            h = self.h
+            degree = h.canon(a + b + 1)
+            coords, chains = [], []
+            ys = basis_classes(h, b)
+            for x in basis_classes(h, a):
+                vecs = [_m2_of_reps(h, self.s, x, y)[1] for y in ys]
+                coords.append([h.class_of(degree, vec) for vec in vecs])
+                chains.append(vecs)
+            block = self._pairs[(a, b)] = (degree, coords, chains)
+        return block
+
+    def _lift(self, a: int, b: int) -> List[List[int]]:
+        """i_2 = h(m_2) on the (a, b) basis pairs; only triple blocks need it."""
+        lifts = self._lifts.get((a, b))
+        if lifts is None:
+            degree, _, chains = self._pair(a, b)
+            lifts = [[self.h.homotopy(degree, vec) for vec in row] for row in chains]
+            self._lifts[(a, b)] = lifts
+        return lifts
+
+    def _triple(self, a: int, b: int, c: int) -> Tuple[int, List[List[List[int]]]]:
+        """(degree, p_3 vectors) of the (a, b, c) triple block."""
+        block = self._triples.get((a, b, c))
+        if block is None:
+            h, s = self.h, self.s
+            key = (a, b, c)
+            a, b, c = (h.canon(k) for k in key)
+            ab, bc = h.canon(a + b + 1 - h.shift), h.canon(b + c + 1 - h.shift)
+            lift_xy, lift_yz = self._lift(a, b), self._lift(b, c)
+            xs, ys, zs = ([h.include(k, 1 << i) for i in range(h.dim(k))] for k in (a, b, c))
+            vectors = []
+            for i, ix in enumerate(xs):
+                plane = []
+                for j, iy in enumerate(ys):
+                    row = []
+                    for k, iz in enumerate(zs):
+                        vec = s.apply([(a, ix), (b, iy), (c, iz)])[1]
+                        if lift_yz[j][k]:
+                            vec ^= s.apply([(a, ix), (bc, lift_yz[j][k])])[1]
+                        if lift_xy[i][j]:
+                            vec ^= s.apply([(ab, lift_xy[i][j]), (c, iz)])[1]
+                        row.append(vec)
+                    plane.append(row)
+                vectors.append(plane)
+            block = self._triples[key] = (h.canon(a + b + c + 1), vectors)
+        return block
+
+    def cup(self, x: HClass, y: HClass) -> HClass:
+        """x * y, bilinear in the pair block."""
+        degree, coords, _ = self._pair(x.degree, y.degree)
+        value = 0
+        for i in bits(x.coords):
+            value ^= apply_cols(coords[i], y.coords)
+        return HClass(degree, value)
+
+    def bracket(self, x: HClass, y: HClass, z: HClass) -> Optional[HClass]:
+        """The value class of <x, y, z>, or None when x y or y z is nonzero."""
+        if self.cup(x, y).coords or self.cup(y, z).coords:
+            return None
+        degree, block = self._triple(x.degree, y.degree, z.degree)
+        vec = 0
+        for i in bits(x.coords):
+            plane = block[i]
+            for j in bits(y.coords):
+                vec ^= apply_cols(plane[j], z.coords)
+        return HClass(degree, self.h.class_of(degree, vec))
+
+    def indeterminacy(self, x: HClass, z: HClass, degree: int) -> List[int]:
+        """Basis of x H + H z in the given degree, the indeterminacy of <x, y, z>."""
+        h = self.h
+        cups = [self.cup(x, e) for e in basis_classes(h, degree - x.degree - 1)]
+        cups += [self.cup(e, z) for e in basis_classes(h, degree - z.degree - 1)]
+        return span_basis(c.coords for c in cups)
+
+
 def massey_triple(
     h: HomologyData, s: AInftyStructure, x: HClass, y: HClass, z: HClass
 ) -> MasseyResult:
-    """Triple Massey product with explicit definedness check and indeterminacy."""
-    ix = h.include(x.degree, x.coords)
-    iy = h.include(y.degree, y.coords)
-    iz = h.include(z.degree, z.coords)
-    dxy, vxy = s.apply([(h.canon(x.degree), ix), (h.canon(y.degree), iy)])
-    cxy = h.class_of(dxy, vxy)
-    if cxy:
-        return MasseyResult(
-            "undefined", witness="first pair has nonzero product %s" % h.label(dxy, cxy)
-        )
-    dyz, vyz = s.apply([(h.canon(y.degree), iy), (h.canon(z.degree), iz)])
-    cyz = h.class_of(dyz, vyz)
-    if cyz:
-        return MasseyResult(
-            "undefined", witness="second pair has nonzero product %s" % h.label(dyz, cyz)
-        )
-    xt = h.homotopy(dxy, vxy)  # bounds m_2(x, y)
-    yt = h.homotopy(dyz, vyz)  # bounds m_2(y, z)
-    d3, v3 = s.apply(
-        [(h.canon(x.degree), ix), (h.canon(y.degree), iy), (h.canon(z.degree), iz)]
-    )
-    _, va = s.apply([(h.canon(x.degree), ix), (h.canon(dyz - h.shift), yt)])
-    _, vb = s.apply([(h.canon(dxy - h.shift), xt), (h.canon(z.degree), iz)])
-    value = h.class_of(d3, v3 ^ va ^ vb)
-    indet = cup_table(h, s, [x], basis_classes(h, d3 - x.degree - 1)) + cup_table(
-        h, s, basis_classes(h, d3 - z.degree - 1), [z]
-    )
+    """Triple Massey product with explicit definedness check and indeterminacy,
+    read off a ``ProductTable`` over (h, s)."""
+    table = ProductTable(h, s)
+    for which, (u, v) in (("first", (x, y)), ("second", (y, z))):
+        product = table.cup(u, v)
+        if product.coords:
+            return MasseyResult(
+                "undefined",
+                witness="%s pair has nonzero product %s"
+                % (which, h.label(product.degree, product.coords)),
+            )
+    value = table.bracket(x, y, z)
     return MasseyResult(
         "defined",
-        degree=d3,
-        value=value,
-        indeterminacy=span_basis(c.coords for c in indet),
+        degree=value.degree,
+        value=value.coords,
+        indeterminacy=table.indeterminacy(x, z, value.degree),
         systems=1,
     )
 
@@ -672,7 +784,8 @@ def transfer_minimal_model(
 @dataclass
 class CohomologyRing:
     """An augmented DGA made linear once: its twist, the adjoint structure
-    and both homologies of m_1, shared by every per-augmentation layer."""
+    and both homologies of m_1, shared by every per-augmentation layer, and
+    the cohomology's product table, built on first use."""
 
     dga: DGA
     aug: Augmentation
@@ -680,6 +793,11 @@ class CohomologyRing:
     structure: AInftyStructure
     chain: HomologyData
     cochain: HomologyData
+
+    @cached_property
+    def products(self) -> ProductTable:
+        """The cohomology product table; its blocks fill as readers ask for them."""
+        return ProductTable(self.cochain, self.structure)
 
     def cup_vec(self, k: int, xvec: int, l: int, yvec: int) -> int:
         """Cochain-level representative of the product of two cocycles."""

@@ -19,6 +19,9 @@ Poly = FrozenSet[Word]
 ZERO: Poly = frozenset()
 ONE: Poly = frozenset({()})
 
+# Budget on the terms an elementary isomorphism may expand a differential to.
+MAX_ISO_TERMS = 1 << 16
+
 __all__ = [
     "Word",
     "Poly",
@@ -31,11 +34,13 @@ __all__ = [
     "component_k",
     "DGA",
     "ElementaryIso",
+    "MAX_ISO_TERMS",
     "validate_dga",
     "assert_valid",
     "mirror_dga",
     "stabilize",
     "apply_elementary_iso",
+    "iso_expansion_terms",
     "substitute",
     "leibniz",
     "diff_poly",
@@ -270,9 +275,34 @@ def substitute(p: Poly, images: Dict[str, Poly]) -> Poly:
     return out
 
 
+def iso_expansion_terms(dga: DGA, iso: ElementaryIso) -> int:
+    """Predicted term count of the differential rewritten by ``iso``.
+
+    Substituting q -> q + u multiplies a word's term count by (1 + |u|) per
+    occurrence of q, before anything cancels, so repeated shifts grow
+    exponentially.
+    """
+    width = 1 + len(iso.shift)
+    return sum(
+        width ** sum(1 for letter in w if letter == iso.target)
+        for g in dga.generators
+        for w in dga.d(g)
+    )
+
+
 def apply_elementary_iso(dga: DGA, iso: ElementaryIso) -> DGA:
-    """Pushforward differential phi o d o phi^{-1} (phi is its own inverse)."""
+    """Pushforward differential phi o d o phi^{-1} (phi is its own inverse).
+
+    Raises ContractError, before expanding anything, when the predicted
+    term count exceeds ``MAX_ISO_TERMS``.
+    """
     iso.check(dga)
+    predicted = iso_expansion_terms(dga, iso)
+    if predicted > MAX_ISO_TERMS:
+        raise ContractError(
+            "elementary isomorphism on %s would expand the differential to %d terms,"
+            " over the budget MAX_ISO_TERMS = %d" % (iso.target, predicted, MAX_ISO_TERMS)
+        )
     image = frozenset({(iso.target,)}) ^ iso.shift
     images = {iso.target: image}
     diff = {}

@@ -6,13 +6,14 @@ and rows are emitted in a fixed deterministic order: augmentations by
 enumeration index, degrees ascending, classes by canonical basis.  The
 ``mirror`` and ``family`` commands emit DGA files instead of reports.
 
-Exit codes: 0 success, 1 contract violation (bad input, bad flags),
-2 internal consistency failure.
+Exit codes: 0 success, 1 contract violation (bad input, bad flags) or a
+closed stdout pipe, 2 internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from itertools import product as iproduct
@@ -27,7 +28,6 @@ from .ainfty import (
     build_ring,
     check_ainfty_morphism,
     check_an_relations,
-    cup_table,
     massey_higher,
     massey_triple,
     transfer_minimal_model,
@@ -114,9 +114,8 @@ def _product_rows(rows: Rows, prefix: str, ring: CohomologyRing) -> None:
     degrees = [k for k in sorted(h.dims()) if h.dim(k)]
     for r in degrees:
         for s in degrees:
-            xs, ys = basis_classes(h, r), basis_classes(h, s)
-            cups = cup_table(h, ring.structure, xs, ys)
-            for (x, y), value in zip(iproduct(xs, ys), cups):
+            for x, y in iproduct(basis_classes(h, r), basis_classes(h, s)):
+                value = ring.products.cup(x, y)
                 if value.coords:
                     key = "%sproduct.%s.%s" % (
                         prefix,
@@ -510,7 +509,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away, as `| head` does.  Point stdout at devnull so
+        # the interpreter's final flush cannot raise again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ContractError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

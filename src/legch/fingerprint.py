@@ -23,13 +23,11 @@ from .ainfty import (
     CohomologyRing,
     HClass,
     build_ring,
-    cup_table,
     massey_higher,
-    massey_triple,
 )
 from .algebra import DGA, mirror_dga
 from .augment import enumerate_augmentations
-from .gf2 import rank
+from .gf2 import in_span, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
 
@@ -79,16 +77,16 @@ def cup_rank_table(
     ring: CohomologyRing, bases: Optional[Dict[int, List[int]]] = None
 ) -> Dict[Tuple[int, int], int]:
     """Rank of the cup product per bidegree (nonzero entries only)."""
-    h = ring.cochain
     if bases is None:
-        bases = _standard_bases(h)
+        bases = _standard_bases(ring.cochain)
+    cup = ring.products.cup
     degrees = sorted(bases)
     table: Dict[Tuple[int, int], int] = {}
     for r in degrees:
         for s in degrees:
-            xs = [HClass(r, xv) for xv in bases[r]]
-            ys = [HClass(s, yv) for yv in bases[s]]
-            value = rank(c.coords for c in cup_table(h, ring.structure, xs, ys))
+            value = rank(
+                cup(HClass(r, xv), HClass(s, yv)).coords for xv in bases[r] for yv in bases[s]
+            )
             if value:
                 table[(r, s)] = value
     return table
@@ -101,6 +99,23 @@ def _tuple_space(dims: Sequence[int]) -> bool:
         if total > DEFAULT_MAX_TUPLES:
             return False
     return True
+
+
+def _bracket_flags(
+    ring: CohomologyRing, classes: Sequence[HClass], max_systems: int
+) -> Tuple[bool, bool]:
+    """(defined, nonzero) of one bracket; triples are read off the product table."""
+    if len(classes) == 3:
+        x, y, z = classes
+        value = ring.products.bracket(x, y, z)
+        if value is None:
+            return False, False
+        # A zero value is trivial; only a nonzero one needs its indeterminacy.
+        return True, bool(value.coords) and not in_span(
+            ring.products.indeterminacy(x, z, value.degree), value.coords
+        )
+    result = massey_higher(ring.cochain, ring.structure, classes, cap=max_systems)
+    return result.defined, result.defined and not result.truncated and not result.is_trivial()
 
 
 def massey_table(
@@ -133,15 +148,11 @@ def massey_table(
             defined = nonzero = False
             for combo in iproduct(*(range(1, 1 << d) for d in dims)):
                 classes = [HClass(k, v) for k, v in zip(prefix, combo)]
-                if order == 3:
-                    result = massey_triple(h, ring.structure, *classes)
-                else:
-                    result = massey_higher(h, ring.structure, classes, cap=max_systems)
-                if result.defined:
-                    defined = True
-                    if not result.truncated and not result.is_trivial():
-                        nonzero = True
-                        break
+                is_defined, is_nonzero = _bracket_flags(ring, classes, max_systems)
+                defined = defined or is_defined
+                if is_nonzero:
+                    nonzero = True
+                    break
             table[(order, prefix)] = (defined, nonzero)
     return table
 

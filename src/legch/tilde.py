@@ -73,7 +73,6 @@ from .ainfty import (
     basis_classes,
     build_ring,
     check_ainfty_morphism,
-    cup_table,
 )
 from .gf2 import Eliminator, apply_cols, bits, rank
 from .linear import GradedMatrixMap, HomologyData, homology
@@ -763,10 +762,9 @@ def splitting_check_n2(ring: CohomologyRing) -> SplittingReport:
     """
     order2 = order_n_cohomology(ring, 2)
     h = ring.cochain
-    s = ring.structure
     classes = [c for k in h.degrees() for c in basis_classes(h, k)]
     cup_cols: Dict[int, List[int]] = {}
-    for value in cup_table(h, s, classes, classes):
+    for value in (ring.products.cup(x, y) for x in classes for y in classes):
         cup_cols.setdefault(h.canon(value.degree - 1), []).append(value.coords)
     kernel: Dict[int, int] = {}
     image: Dict[int, int] = {}

@@ -3,21 +3,56 @@
 Random DGAs start from a zero-differential seed and grow by
 stabilizations and elementary isomorphisms, both of which preserve
 validity, so every produced DGA passes the validator by construction
-(and we assert as much here to fail fast if a move is broken).
+(and we assert as much here to fail fast if a move is broken).  The
+chain-level triple Massey product is kept here as the reference that the
+library's product table is compared against.
 """
 
 import random
+from itertools import product
 from typing import List, Optional, Tuple
 
+from legch.ainfty import HClass, MasseyResult, basis_classes, build_ring, cup_table
 from legch.algebra import (
     DGA,
     ElementaryIso,
     apply_elementary_iso,
     assert_valid,
     canon_degree,
+    iso_expansion_terms,
+    mirror_dga,
     stabilize,
 )
 from legch.augment import enumerate_augmentations
+from legch.families import cupex, masseyex, trefoil
+from legch.fileio import parse_dga
+from legch.fingerprint import _tuple_space
+from legch.gf2 import span_basis
+
+
+def trivial_bracket_dga() -> DGA:
+    """A DGA whose bracket <x, y, z> has the nonzero value [v] = x * w.
+
+    s bounds x y and t bounds y z, and d v = s z + x w, so the bracket's
+    value is [v], which lies in its indeterminacy x H + H z because
+    x * w = [v].  No generator has degree 0: the one augmentation is zero.
+    """
+    return parse_dga(
+        """modulus 0
+        gen x 2
+        gen y 3
+        gen z 7
+        gen w 10
+        gen s 5
+        gen t 10
+        gen p 6
+        gen q 11
+        gen v 13
+        d p = s + x y
+        d q = t + y z
+        d v = s z + x w
+        """
+    )
 
 
 def poly(*words: Tuple[str, ...]):
@@ -47,18 +82,11 @@ def random_elementary_iso(rng: random.Random, dga: DGA) -> Optional[ElementaryIs
 def _apply_if_small(dga: DGA, iso: ElementaryIso, budget: int = 300) -> Optional[DGA]:
     """Apply the iso unless the rewritten differential would grow too large.
 
-    Substituting q -> q + u multiplies a word's term count by (1 + |u|) per
-    occurrence of q, so repeated shifts can blow up exponentially; predicting
-    the growth first keeps the sampler fast, and the post-check keeps every
-    accepted DGA small.
+    Predicting the growth first keeps the sampler fast, and the post-check
+    keeps every accepted DGA small.
     """
-    width = 1 + len(iso.shift)
-    predicted = 0
-    for g in dga.generators:
-        for w in dga.d(g):
-            predicted += width ** sum(1 for letter in w if letter == iso.target)
-            if predicted > 12 * budget:
-                return None
+    if iso_expansion_terms(dga, iso) > 12 * budget:
+        return None
     bigger = apply_elementary_iso(dga, iso)
     if sum(len(bigger.d(g)) for g in bigger.generators) > budget:
         return None
@@ -96,3 +124,64 @@ def random_augmented_dga(rng: random.Random, max_gens: int = 8):
 def random_dgas(seed: int, count: int, max_gens: int = 8) -> List[DGA]:
     rng = random.Random(seed)
     return [random_dga(rng, max_gens) for _ in range(count)]
+
+
+def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
+    """Reference triple Massey product, chain-level on the given class tuple.
+
+    m_3(ix, iy, iz) + m_2(ix, h m_2(iy, iz)) + m_2(h m_2(ix, iy), iz) on the
+    representatives of x, y, z themselves, with the indeterminacy
+    x H + H z from chain-level cups; the library reads the same value off
+    its product table by multilinearity.
+    """
+    ix = h.include(x.degree, x.coords)
+    iy = h.include(y.degree, y.coords)
+    iz = h.include(z.degree, z.coords)
+    dxy, vxy = s.apply([(h.canon(x.degree), ix), (h.canon(y.degree), iy)])
+    cxy = h.class_of(dxy, vxy)
+    if cxy:
+        return MasseyResult(
+            "undefined", witness="first pair has nonzero product %s" % h.label(dxy, cxy)
+        )
+    dyz, vyz = s.apply([(h.canon(y.degree), iy), (h.canon(z.degree), iz)])
+    cyz = h.class_of(dyz, vyz)
+    if cyz:
+        return MasseyResult(
+            "undefined", witness="second pair has nonzero product %s" % h.label(dyz, cyz)
+        )
+    xt = h.homotopy(dxy, vxy)  # bounds m_2(x, y)
+    yt = h.homotopy(dyz, vyz)  # bounds m_2(y, z)
+    d3, v3 = s.apply(
+        [(h.canon(x.degree), ix), (h.canon(y.degree), iy), (h.canon(z.degree), iz)]
+    )
+    _, va = s.apply([(h.canon(x.degree), ix), (h.canon(dyz - h.shift), yt)])
+    _, vb = s.apply([(h.canon(dxy - h.shift), xt), (h.canon(z.degree), iz)])
+    value = h.class_of(d3, v3 ^ va ^ vb)
+    indet = cup_table(h, s, [x], basis_classes(h, d3 - x.degree - 1)) + cup_table(
+        h, s, basis_classes(h, d3 - z.degree - 1), [z]
+    )
+    return MasseyResult(
+        "defined",
+        degree=d3,
+        value=value,
+        indeterminacy=span_basis(c.coords for c in indet),
+        systems=1,
+    )
+
+
+def oracle_rings():
+    """Rings of every augmentation of the examples the oracles run on, and of their mirrors."""
+    for dga in (trefoil(), cupex(1, 3, 7), masseyex(1, 4, 9, 20), trivial_bracket_dga()):
+        for side in (dga, mirror_dga(dga)):
+            for aug in enumerate_augmentations(side):
+                yield build_ring(side, aug)
+
+
+def admitted_class_triples(h):
+    """Every triple of nonzero classes in the degree triples massey_table visits."""
+    degrees = [k for k in sorted(h.dims()) if h.dim(k)]
+    for prefix in product(degrees, repeat=3):
+        dims = [h.dim(k) for k in prefix]
+        if _tuple_space(dims):
+            for combo in product(*(range(1, 1 << d) for d in dims)):
+                yield prefix, [HClass(k, v) for k, v in zip(prefix, combo)]

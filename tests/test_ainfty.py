@@ -24,7 +24,13 @@ from legch.ainfty import (
 from legch.algebra import mirror_dga
 from legch.augment import enumerate_augmentations, twist
 from legch.families import bundled_examples, cupex, masseyex, trefoil
-from helpers import random_augmented_dga
+from helpers import (
+    admitted_class_triples,
+    chain_massey_triple,
+    oracle_rings,
+    random_augmented_dga,
+    trivial_bracket_dga,
+)
 
 
 def trefoil_ring():
@@ -210,6 +216,34 @@ def test_mirror_massey_triples_vanish_in_the_same_ordered_degrees():
     # the mirror's nonzero brackets sit at the reversed argument order
     r = massey_triple(h, s, HClass(-11, 1), HClass(-6, 1), HClass(-4, 1))
     assert r.defined and not r.is_trivial()
+
+
+def _assert_triples_match_the_chain_level_oracle(ring):
+    h, s = ring.cochain, ring.structure
+    for _, classes in admitted_class_triples(h):
+        assert massey_triple(h, s, *classes) == chain_massey_triple(h, s, *classes), classes
+
+
+def test_massey_triple_value_can_lie_in_its_indeterminacy():
+    dga = trivial_bracket_dga()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    h, s = ring.cochain, ring.structure
+    r = massey_triple(h, s, HClass(2, 1), HClass(3, 1), HClass(7, 1))
+    assert r.defined and h.label(r.degree, r.value) == "[v]"
+    assert r.indeterminacy == [r.value]
+    assert r.is_trivial()
+
+
+def test_massey_triple_matches_the_chain_level_oracle_on_bundled_examples():
+    for ring in oracle_rings():
+        _assert_triples_match_the_chain_level_oracle(ring)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=25)
+def test_massey_triple_matches_the_chain_level_oracle_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
+    _assert_triples_match_the_chain_level_oracle(build_ring(dga, aug))
 
 
 def test_massey_higher_on_trefoil_fourth_power():

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legch import ContractError
-from legch.algebra import DGA, ElementaryIso, apply_elementary_iso, component_k, stabilize
+from legch.algebra import (
+    DGA,
+    ElementaryIso,
+    apply_elementary_iso,
+    component_k,
+    iso_expansion_terms,
+    stabilize,
+)
 from legch.augment import (
     Augmentation,
     enumerate_augmentations,
@@ -15,7 +22,7 @@ from legch.augment import (
     twist,
 )
 from legch.families import trefoil
-from helpers import poly, random_dga
+from helpers import poly, random_dga, random_elementary_iso
 
 
 def test_trefoil_has_exactly_five_augmentations_in_lex_order():
@@ -131,13 +138,24 @@ def test_random_transport_lands_on_an_augmentation(seed):
     augs = enumerate_augmentations(dga)
     if not augs:
         return
-    from helpers import random_elementary_iso
-
     iso = random_elementary_iso(rng, dga)
     if iso is None:
         return
-    moved = apply_elementary_iso(dga, iso)
+    try:
+        moved = apply_elementary_iso(dga, iso)
+    except ContractError as exc:
+        assert "MAX_ISO_TERMS" in str(exc)
+        return
     moved_values = {a.values for a in enumerate_augmentations(moved)}
     for aug in augs[:4]:
         carried = transport(aug, dga, iso.target, iso.shift)
         assert carried.values in moved_values
+
+
+def test_transport_draw_1563_is_refused_by_the_iso_budget():
+    rng = random.Random(1563)
+    dga = random_dga(rng, max_gens=6)
+    iso = random_elementary_iso(rng, dga)
+    assert iso_expansion_terms(dga, iso) == 9058579
+    with pytest.raises(ContractError, match="MAX_ISO_TERMS = 65536"):
+        apply_elementary_iso(dga, iso)

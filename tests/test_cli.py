@@ -1,12 +1,16 @@
 """End-to-end command-line behaviour: rows, exit codes, determinism."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from legch import InternalConsistencyError
+from legch import ContractError, InternalConsistencyError
 from legch.algebra import mirror_dga
 from legch.cli import main
 from legch.families import cupex, trefoil
@@ -272,6 +276,57 @@ def test_undecodable_input_file_exits_one_without_a_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot read")
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_one_without_a_traceback(tmp_path):
+    # 20000 findings make 1.5 MB of report rows, far more than a pipe buffer,
+    # so the child is still writing rows when the reader closes its end.
+    path = tmp_path / "inhomogeneous.dga"
+    gens = "".join("gen g%d 0\n" % i for i in range(20000))
+    diffs = "".join("d g%d = 1\n" % i for i in range(20000))
+    path.write_text("modulus 0\n" + gens + diffs, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "legch", "validate", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(1) == b"g"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert err == b""
+
+
+_TOKENS = st.sampled_from(
+    ["gen", "d", "=", "+", "0", "1", "-2", "7", "a", "b", "a1", "b_2", "x y", "#", "9" * 40]
+)
+_GRAMMAR_TEXT = st.builds(
+    lambda head, lines: "\n".join([head] + lines),
+    st.sampled_from(["modulus 0", "modulus 3", "modulus -1", "modulus x", ""]),
+    st.lists(st.lists(_TOKENS, max_size=7).map(" ".join), max_size=8),
+)
+
+
+@given(st.one_of(st.text(max_size=200), _GRAMMAR_TEXT))
+@settings(deadline=None, max_examples=300)
+def test_arbitrary_text_raises_only_contract_errors(text):
+    try:
+        parse_dga(text)
+    except ContractError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.dga")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", path])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_internal_failures_exit_two(capsys, trefoil_file, monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from legch.ainfty import build_ring
+from legch.ainfty import HClass, build_ring, cup_table
 from legch.algebra import mirror_dga
 from legch.augment import enumerate_augmentations
 from legch.families import cupex, masseyex, trefoil
@@ -20,6 +20,25 @@ from legch.fingerprint import (
     random_graded_basis,
 )
 from legch.gf2 import rank
+from helpers import (
+    admitted_class_triples,
+    chain_massey_triple,
+    oracle_rings,
+    trivial_bracket_dga,
+)
+
+
+def _oracle_massey_table(ring):
+    """massey_table at order 3, every bracket from the chain-level oracle."""
+    table = {}
+    for prefix, classes in admitted_class_triples(ring.cochain):
+        result = chain_massey_triple(ring.cochain, ring.structure, *classes)
+        defined, nonzero = table.get((3, prefix), (False, False))
+        table[(3, prefix)] = (
+            defined or result.defined,
+            nonzero or (result.defined and not result.is_trivial()),
+        )
+    return table
 
 
 def test_trefoil_cup_rank_table():
@@ -47,6 +66,34 @@ def test_cup_rank_table_is_basis_independent():
         for k, vectors in bases.items():
             assert rank(vectors) == len(vectors) == ring.cochain.dim(k)
         assert cup_rank_table(ring, bases) == cup_rank_table(ring)
+
+
+def test_cup_rank_table_in_random_bases_equals_the_chain_level_rank():
+    rng = random.Random(11)
+    for ring in oracle_rings():
+        h = ring.cochain
+        for _ in range(3):
+            bases = random_graded_basis(h, rng)
+            want = {}
+            for r in sorted(bases):
+                for s in sorted(bases):
+                    xs = [HClass(r, v) for v in bases[r]]
+                    ys = [HClass(s, v) for v in bases[s]]
+                    value = rank(c.coords for c in cup_table(h, ring.structure, xs, ys))
+                    if value:
+                        want[(r, s)] = value
+            assert cup_rank_table(ring, bases) == want
+
+
+def test_massey_table_equals_the_chain_level_oracle_table():
+    for ring in oracle_rings():
+        assert massey_table(ring) == _oracle_massey_table(ring)
+
+
+def test_massey_table_counts_a_value_in_its_indeterminacy_as_zero():
+    dga = trivial_bracket_dga()
+    table = massey_table(build_ring(dga, enumerate_augmentations(dga)[0]))
+    assert table[(3, (2, 3, 7))] == (True, False)
 
 
 def test_massey_table_flags_the_ordered_nonzero_brackets():
