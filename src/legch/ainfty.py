@@ -445,6 +445,8 @@ class ProductTable:
         self._pairs: Dict[Tuple[int, int], Tuple[int, List[List[int]], List[List[int]]]] = {}
         self._lifts: Dict[Tuple[int, int], List[List[int]]] = {}
         self._triples: Dict[Tuple[int, int, int], Tuple[int, List[List[List[int]]]]] = {}
+        # the degrees (a, b, c) of the arity-3 entries; m_3 is zero on every other block
+        self._m3_degrees = frozenset(tuple(map(s.degree_of.get, w)) for w in s.tables.get(3, {}))
 
     def _pair(self, a: int, b: int) -> Tuple[int, List[List[int]], List[List[int]]]:
         """(degree, class coordinates, m_2 chain vectors) of the (a, b) pair block."""
@@ -480,13 +482,14 @@ class ProductTable:
             ab, bc = h.canon(a + b + 1 - h.shift), h.canon(b + c + 1 - h.shift)
             lift_xy, lift_yz = self._lift(a, b), self._lift(b, c)
             xs, ys, zs = ([h.include(k, 1 << i) for i in range(h.dim(k))] for k in (a, b, c))
+            has_m3 = (a, b, c) in self._m3_degrees
             vectors = []
             for i, ix in enumerate(xs):
                 plane = []
                 for j, iy in enumerate(ys):
                     row = []
                     for k, iz in enumerate(zs):
-                        vec = s.apply([(a, ix), (b, iy), (c, iz)])[1]
+                        vec = s.apply([(a, ix), (b, iy), (c, iz)])[1] if has_m3 else 0
                         if lift_yz[j][k]:
                             vec ^= s.apply([(a, ix), (bc, lift_yz[j][k])])[1]
                         if lift_xy[i][j]:

@@ -322,7 +322,8 @@ def cmd_duality(args) -> int:
 
 def cmd_mirror(args) -> int:
     dga = _load(args.file)
-    sys.stdout.write(serialize_dga(mirror_dga(dga)))
+    # line by line: one large write can end short on a closed pipe without raising
+    sys.stdout.writelines(serialize_dga(mirror_dga(dga)).splitlines(keepends=True))
     return 0
 
 

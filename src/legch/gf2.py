@@ -2,8 +2,8 @@
 
 Vectors are Python ints (bit i = coordinate i).  A linear map is a list of
 column vectors: ``cols[j]`` is the image of the j-th domain basis vector.
-Everything reduces with the lowest set bit as pivot, so results are
-deterministic for a fixed basis order.
+Everything except ``rank`` reduces with the lowest set bit as pivot, so
+results are deterministic for a fixed basis order.
 """
 
 from __future__ import annotations
@@ -96,10 +96,16 @@ class Eliminator:
 
 
 def rank(vectors: Iterable[int]) -> int:
-    e = Eliminator()
+    """Rank, by a pivot dict keyed on the highest set bit that tracks no combos."""
+    pivots = {}
     for v in vectors:
-        e.add(v)
-    return e.rank
+        while v:
+            row = pivots.get(v.bit_length())
+            if row is None:
+                pivots[v.bit_length()] = v
+                break
+            v ^= row
+    return len(pivots)
 
 
 def span_basis(vectors: Iterable[int]) -> List[int]:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import canon_degree
-from .gf2 import Eliminator, apply_cols, invert, transpose
+from .gf2 import Eliminator, apply_cols, invert, rank, transpose
 
 __all__ = [
     "GradedMatrixMap",
@@ -74,6 +74,17 @@ class GradedMatrixMap:
     def apply(self, k: int, vec: int) -> int:
         """Image (in degree k + shift) of a degree-k vector."""
         return apply_cols(self.columns(k), vec)
+
+    def homology_dims(self) -> Dict[int, int]:
+        """``homology(...).dims()`` of a square-zero map, from ranks alone:
+        dim H_k = |basis_k| - rank(out of degree k) - rank(into degree k)."""
+        ranks = {k: rank(self.columns(k)) for k in self.basis}
+        dims = {}
+        for k in sorted(self.basis):
+            d = len(self.basis[k]) - ranks[k] - ranks.get(self.canon(k - self.shift), 0)
+            if d:
+                dims[k] = d
+        return dims
 
     def is_square_zero(self) -> bool:
         for k in self.basis:
@@ -321,10 +332,7 @@ def _gram_ok(modulus: int, entries: List[Tuple[int, int]], gram: List[List[int]]
                 if gram[i][j]:
                     v ^= 1 << pos
             vectors.append(v)
-        elim = Eliminator()
-        for v in vectors:
-            elim.add(v)
-        if elim.rank != len(rows):
+        if rank(vectors) != len(rows):
             return False
     return True
 

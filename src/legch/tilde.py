@@ -13,6 +13,9 @@ Two engines are available: a dense one that materializes the word basis,
 and a perturbation engine for large complexes that contracts the tensor
 powers of the homology retract of (V, m_1) and pushes the strictly
 length-decreasing windows (j >= 2) through the resulting finite series.
+Either way the dimensions are dim_k = |basis_k| - rank d_k - rank d_(k-1),
+read off ranks with no word labels; the homology retract of the order-n
+complex, with labelled representatives, is built only on demand.
 
 The transpose check and the dense engine build their matrices from
 (letter, term) triples instead of expanding word by word.  Index both
@@ -58,7 +61,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -74,7 +78,7 @@ from .ainfty import (
     build_ring,
     check_ainfty_morphism,
 )
-from .gf2 import Eliminator, apply_cols, bits, rank
+from .gf2 import apply_cols, bits, rank
 from .linear import GradedMatrixMap, HomologyData, homology
 
 __all__ = [
@@ -141,26 +145,37 @@ class _Letters:
         return "|".join(self.labels[g] for g in word)
 
 
+def _word_codes(
+    degrees: Sequence[int], n: int, modulus: int
+) -> Tuple[Dict[int, List[int]], List[int], List[int]]:
+    """Each degree's word codes (``_Codes``), ascending: the canonical word order.
+    Also, indexed by code, each word's degree and place in its degree's group."""
+    degree: List[int] = []
+    layer = [0]
+    for _ in range(n):
+        layer = [canon_degree(modulus, d + e) for d in layer for e in degrees]
+        degree += layer
+    groups: Dict[int, List[int]] = {}
+    place: List[int] = []
+    for code, k in enumerate(degree):
+        codes = groups.setdefault(k, [])
+        place.append(len(codes))
+        codes.append(code)
+    return groups, degree, place
+
+
+def _spelled(letters: Sequence, n: int) -> List[tuple]:
+    """Every word of length 1..n over ``letters``, indexed by its code."""
+    return [w for a in range(1, n + 1) for w in iproduct(letters, repeat=a)]
+
+
 def _words_by_degree(
     degrees: Sequence[int], n: int, modulus: int
 ) -> Dict[int, List[Tuple[int, ...]]]:
-    """All words of length 1..n over range(len(degrees)), grouped by degree.
-
-    Within each degree, words appear length-major then lexicographically
-    in the letter indices -- the canonical tensor-word order.
-    """
-    groups: Dict[int, List[Tuple[int, ...]]] = {}
-    layer: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
-    indices = range(len(degrees))
-    for _ in range(n):
-        grown = []
-        for word, total in layer:
-            for g in indices:
-                grown.append((word + (g,), total + degrees[g]))
-        for word, total in grown:
-            groups.setdefault(canon_degree(modulus, total), []).append(word)
-        layer = grown
-    return groups
+    """All words of length 1..n over range(len(degrees)), grouped as ``_word_codes``."""
+    groups = _word_codes(degrees, n, modulus)[0]
+    spelled = _spelled(range(len(degrees)), n)
+    return {k: [spelled[c] for c in codes] for k, codes in groups.items()}
 
 
 def _word_index(
@@ -342,6 +357,26 @@ class TildeComplex:
         return sum(len(v) for v in self.words.values())
 
 
+def _window_matrix(s: AInftyStructure, n: int) -> Tuple[_Letters, GradedMatrixMap]:
+    """The order-n window differential on word codes; asserts homogeneity and d d = 0."""
+    letters = _Letters(s)
+    size = len(letters.labels)
+    groups, degree, place = _word_codes(letters.degree, n, s.modulus)
+    codes = _Codes(size, n)
+    entries: set = set()
+    _toggle_triples(entries, _window_pairs(letters, s.modulus, n), codes, 0, size)
+    cols = {k: [0] * len(ws) for k, ws in groups.items()}
+    for code in entries:
+        target, source = divmod(code, codes.total)
+        cols[degree[source]][place[source]] |= 1 << place[target]
+    differential = GradedMatrixMap(s.modulus, 1, groups, cols)
+    if not differential.is_square_zero():
+        raise InternalConsistencyError(
+            "order-%d differential does not square to zero" % n
+        )
+    return letters, differential
+
+
 def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> TildeComplex:
     """Materialize the order-n complex of a structure.
 
@@ -352,32 +387,11 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     Homogeneity and squaring to zero are asserted.
     """
     _check_order(n, max_order)
-    letters = _Letters(s)
-    groups = _words_by_degree(letters.degree, n, s.modulus)
-    index = _word_index(groups)
-    size = len(letters.labels)
-    spot = [
-        index[w] for length in range(1, n + 1) for w in iproduct(range(size), repeat=length)
-    ]
-    codes = _Codes(size, n)
-    entries: set = set()
-    _toggle_triples(entries, _window_pairs(letters, s.modulus, n), codes, 0, size)
-    cols = {k: [0] * len(ws) for k, ws in groups.items()}
-    for code in entries:
-        target, source = divmod(code, codes.total)
-        k, i = spot[source]
-        cols[k][i] |= 1 << spot[target][1]
-    basis = {k: tuple(letters.word_label(w) for w in ws) for k, ws in groups.items()}
-    differential = GradedMatrixMap(s.modulus, 1, basis, cols)
-    if not differential.is_square_zero():
-        raise InternalConsistencyError(
-            "order-%d differential does not square to zero" % n
-        )
-    words = {
-        k: tuple(tuple(letters.labels[g] for g in w) for w in ws)
-        for k, ws in groups.items()
-    }
-    return TildeComplex(s, n, words, differential)
+    letters, window = _window_matrix(s, n)
+    spelled = _spelled(letters.labels, n)
+    words = {k: tuple(spelled[c] for c in cs) for k, cs in window.basis.items()}
+    basis = {k: tuple("|".join(w) for w in ws) for k, ws in words.items()}
+    return TildeComplex(s, n, words, replace(window, basis=basis))
 
 
 def _transpose_slices(ring: CohomologyRing, n: int) -> Iterator[Tuple[_Codes, set]]:
@@ -533,19 +547,28 @@ class OrderNCohomology:
 
     ``engine`` records how the complex was reduced: "dense" builds the full
     word basis (representatives are words of generators), "perturbation"
-    contracts onto words of cohomology classes first.  ``data`` is the
-    homology of whichever complex was built; ``complex_dim`` is the
-    dimension of the order-n word space before any contraction, and
-    ``transpose_entries`` counts matrix entries confirmed equal in the
-    chain/cochain transpose check.
+    contracts onto words of cohomology classes first.  ``data``, the homology
+    of that complex, is rebuilt from the structure on first use and kept;
+    ``complex_dim`` is the dimension of the order-n word space before any
+    contraction, and ``transpose_entries`` counts matrix entries confirmed
+    equal in the chain/cochain transpose check.
     """
 
     order: int
     engine: str
     dims: Dict[int, int]
-    data: HomologyData
     complex_dim: int
     transpose_entries: int
+    structure: AInftyStructure = field(repr=False, compare=False)
+    retract: HomologyData = field(repr=False, compare=False)
+
+    @cached_property
+    def data(self) -> HomologyData:
+        if self.engine == "dense":
+            built = tilde_complex(self.structure, self.order, max_order=self.order).differential
+        else:
+            built = _perturbed_complex(self.structure, self.retract, self.order)
+        return homology(built, "cochain")
 
     def representatives(self, k: int) -> List[str]:
         return [self.data.label(k, 1 << i) for i in range(self.data.dim(k))]
@@ -564,8 +587,10 @@ def order_n_cohomology(
 
     Always verifies the transpose equality between the window differential
     and the truncated Leibniz differential before reducing.  The "auto"
-    engine is dense up to ``DENSE_LIMIT`` words of length <= n.  Results are
-    cached in-process per (DGA contents, augmentation, order, engine).
+    engine is dense up to ``DENSE_LIMIT`` words of length <= n.  Dimensions
+    come from ranks (``GradedMatrixMap.homology_dims``), with no retract and
+    no word labels.  Results are cached in-process per (DGA contents,
+    augmentation, order, engine).
     """
     _check_order(n, max_order)
     if engine not in ("auto", "dense", "perturbation"):
@@ -582,16 +607,16 @@ def order_n_cohomology(
     assert_valid(ring.dga)
     entries = check_order_n_transpose(ring, n, max_order=max_order)
     if engine == "dense":
-        built = tilde_complex(ring.structure, n, max_order=max_order)
-        data = homology(built.differential, "cochain")
+        built = _window_matrix(ring.structure, n)[1]
     else:
-        small = _perturbed_complex(ring.structure, ring.cochain, n)
-        if not small.is_square_zero():
+        built = _perturbed_complex(ring.structure, ring.cochain, n)
+        if not built.is_square_zero():
             raise InternalConsistencyError(
                 "perturbed order-%d differential does not square to zero" % n
             )
-        data = homology(small, "cochain")
-    result = OrderNCohomology(n, engine, data.dims(), data, total, entries)
+    result = OrderNCohomology(
+        n, engine, built.homology_dims(), total, entries, ring.structure, ring.cochain
+    )
     _ORDER_CACHE[key] = result
     if len(_ORDER_CACHE) > _ORDER_CACHE_SIZE:
         _ORDER_CACHE.popitem(last=False)
@@ -616,11 +641,8 @@ class TildeChainMap:
         ht = homology(self.target.differential, "cochain")
         out: Dict[int, Tuple[int, int, int]] = {}
         for k in sorted(set(hs.degrees()) | set(ht.degrees())):
-            elim = Eliminator()
-            for i in range(hs.dim(k)):
-                image = self.apply(k, hs.include(k, 1 << i))
-                elim.add(ht.class_of(k, image))
-            out[k] = (hs.dim(k), ht.dim(k), elim.rank)
+            images = [self.apply(k, hs.include(k, 1 << i)) for i in range(hs.dim(k))]
+            out[k] = (hs.dim(k), ht.dim(k), rank(ht.class_of(k, v) for v in images))
         return out
 
     def is_quasi_iso(self) -> bool:

@@ -301,6 +301,30 @@ def test_closed_stdout_pipe_exits_one_without_a_traceback(tmp_path):
     assert err == b""
 
 
+def test_mirror_on_a_closed_stdout_pipe_exits_one(tmp_path):
+    # 20000 generators, each with a differential, make about 1 MB of mirror
+    # output, far more than a pipe buffer.
+    n = 20000
+    path = tmp_path / "wide.dga"
+    lines = ["modulus 0"]
+    lines += ["gen a%d 1" % i for i in range(n)] + ["gen b%d 0" % i for i in range(n)]
+    lines += ["d a%d = b%d b%d" % (i, i, (i + 1) % n) for i in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "legch", "mirror", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(1) == b"m"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
+
+
 _TOKENS = st.sampled_from(
     ["gen", "d", "=", "+", "0", "1", "-2", "7", "a", "b", "a1", "b_2", "x y", "#", "9" * 40]
 )

@@ -31,6 +31,16 @@ def test_apply_cols_is_matrix_vector_product():
     assert apply_cols(cols, 0) == 0
 
 
+@given(st.integers(1, 12).flatmap(
+    lambda width: st.lists(st.integers(0, (1 << width) - 1), max_size=16)
+))
+def test_rank_equals_the_eliminator_rank(vectors):
+    elim = Eliminator()
+    for v in vectors:
+        elim.add(v)
+    assert rank(vectors) == rank(iter(vectors)) == elim.rank
+
+
 def test_rank_and_span_basics():
     vecs = [0b101, 0b011, 0b110]
     assert rank(vecs) == 2  # third is the sum of the first two

@@ -15,7 +15,7 @@ from legch.ainfty import (
     build_ring,
     transfer_minimal_model,
 )
-from legch.algebra import canon_degree, stabilize
+from legch.algebra import canon_degree, mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fingerprint import compare_mirror
@@ -25,6 +25,7 @@ from legch.tilde import (
     _Letters,
     _chain_terms,
     _cochain_terms,
+    _perturbed_complex,
     _transpose_slices,
     _words_by_degree,
     check_order_n_transpose,
@@ -87,6 +88,40 @@ def test_engines_agree():
             assert dense.dims == pert.dims
             assert dense.complex_dim == pert.complex_dim
             assert dense.transpose_entries == pert.transpose_entries
+
+
+def _assert_rank_dims_are_homology_dims(ring, n, engine):
+    """Dims read off ranks equal those of a full homology() of the engine's complex."""
+    got = order_n_cohomology(ring, n, engine=engine, max_order=n)
+    if engine == "dense":
+        built = tilde_complex(ring.structure, n, max_order=n).differential
+    else:
+        built = _perturbed_complex(ring.structure, ring.cochain, n)
+    assert got.data.differential == built  # the retract, built on first use
+    assert got.dims == got.data.dims(), (n, engine)
+
+
+def test_rank_dims_are_homology_dims_on_the_examples_and_their_mirrors():
+    # Dense at n = 3 is skipped only on masseyex(1,4,9,20): 688,600 words.
+    for dga in (trefoil(), cupex(1, 3, 7), masseyex(1, 4, 9, 20)):
+        for side in (dga, mirror_dga(dga)):
+            size = len(side.generators)
+            for aug in enumerate_augmentations(side):
+                ring = build_ring(side, aug)
+                for n in (1, 2, 3):
+                    _assert_rank_dims_are_homology_dims(ring, n, "perturbation")
+                    if sum(size**a for a in range(1, n + 1)) <= 10**5:
+                        _assert_rank_dims_are_homology_dims(ring, n, "dense")
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=25)
+def test_rank_dims_are_homology_dims_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
+    ring = build_ring(dga, aug)
+    for n in (1, 2, 3):
+        for engine in ("dense", "perturbation"):
+            _assert_rank_dims_are_homology_dims(ring, n, engine)
 
 
 def test_auto_engine_resolution_and_frozen_counts(monkeypatch):
