@@ -6,9 +6,14 @@ module stores such structures as sparse tables, checks the relations and
 the morphism equation, computes cup and (higher) Massey products (cups and
 triple brackets are read off a ``ProductTable`` of basis blocks), and
 transfers the structure to homology through a strong deformation retract
-by Kadeishvili's recursion.  The relations, the morphism equation and the
-transfer share two sums: inserting m_j into an outer operation, and
-composing m_r with blocks of a table of multilinear maps.
+by Kadeishvili's recursion, up to the arity budget ``MAX_ARITY``.  The
+relations, the morphism equation and the transfer share two sums: inserting
+m_j into an outer operation, and composing m_r with blocks of a table of
+multilinear maps.  Both are driven by sparse tables through one inverted
+index (basis label -> table keys whose vector contains it): the insertion
+sum looks up which m_j entries hit each input label of the outer table, and
+the composition sum looks up, per block arity, which table words hit each
+input label of an m_r entry.  Neither builds a tuple whose terms all vanish.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ __all__ = [
 
 # Defining systems massey_higher enumerates unless told otherwise.
 DEFAULT_MAX_SYSTEMS = 1 << 20
+
+# Top arity transfer_minimal_model accepts.  The tables and the time grow
+# 1.6-1.9x per arity; at 16 the transfer plus the inclusion's morphism check
+# takes at most 0.4 s on each bundled example, at 20 up to 1.7 s.
+MAX_ARITY = 16
 
 
 class HClass(NamedTuple):
@@ -151,13 +161,25 @@ class AInftyStructure:
     def hits(self, j: int) -> Dict[str, List[Tuple[str, ...]]]:
         """For each basis label y, the arity-j argument tuples whose image contains y."""
         if j not in self._hits:
-            index: Dict[str, List[Tuple[str, ...]]] = {}
-            for args, vec in self.tables.get(j, {}).items():
-                names = self.names(self.out_degree(args))
-                for i in bits(vec):
-                    index.setdefault(names[i], []).append(args)
-            self._hits[j] = index
+            self._hits[j] = _inverted_index(self, self.tables.get(j, {}), self.out_degree)
         return self._hits[j]
+
+
+def _inverted_index(
+    s: AInftyStructure,
+    table: Dict[Tuple[str, ...], int],
+    degree: Callable[[Tuple[str, ...]], int],
+) -> Dict[str, List[Tuple[str, ...]]]:
+    """For each basis label y of ``s``, the keys of ``table`` whose vector contains y.
+
+    The vector of key w is read in the basis of ``s`` in degree ``degree(w)``.
+    """
+    index: Dict[str, List[Tuple[str, ...]]] = {}
+    for key, vec in table.items():
+        names = s.names(degree(key))
+        for i in bits(vec):
+            index.setdefault(names[i], []).append(key)
+    return index
 
 
 @dataclass
@@ -180,6 +202,26 @@ class AInftyMorphism:
             for args in table:
                 if len(args) != n:
                     raise ContractError("entry %r in arity-%d morphism table" % (args, n))
+        if self.src is not None and self.dst is not None:
+            self.validate_against(self.src, self.dst)
+
+    def validate_against(self, src: AInftyStructure, dst: AInftyStructure) -> None:
+        """Every entry's labels are src basis labels, and its vector lies in the
+        dst basis of degree sum|labels| (each f_n has degree 0)."""
+        for table in self.tables.values():
+            for args, vec in table.items():
+                for lbl in args:
+                    if lbl not in src.degree_of:
+                        raise ContractError(
+                            "morphism entry on (%s) has unknown source label %s"
+                            % (", ".join(map(str, args)), lbl)
+                        )
+                degree = canon_degree(dst.modulus, sum(src.degree_of[x] for x in args))
+                if vec >> len(dst.names(degree)):
+                    raise ContractError(
+                        "morphism entry on (%s) has bits outside the degree-%d target basis"
+                        % (", ".join(args), degree)
+                    )
 
 
 def _basis_by_degree(dga: DGA) -> Tuple[Dict[int, Tuple[str, ...]], Dict[str, int]]:
@@ -277,30 +319,57 @@ def _composition_sum(
 
     ``f`` holds sparse tables by arity whose vectors live in the basis of
     ``m``, and ``entry_degree(w)`` is the degree of f_{|w|}(w).  Terms
-    accumulate on the concatenated n-tuple of inputs.  Every application of
-    m_r must land in the degree that the input labels dictate,
-    sum(degree_of) + 1; a mismatch is an internal error.
+    accumulate on the concatenated n-tuple of inputs.
+
+    The sparse m_r tables drive the sum.  Per block arity c an inverted
+    index maps each basis label y of ``m`` to the words w whose f_c(w),
+    read in degree entry_degree(w), contains y.  For each composition whose
+    blocks are all nonempty and each entry (x_1..x_r) -> v of m_r, v is
+    toggled onto every concatenation w_1..w_r with w_j among the index hits
+    of x_j at c_j.  This is the per-tuple sum: by multilinearity
+    m_r(f(w_1), .., f(w_r)) is the XOR of m_r(y_1, .., y_r) over the labels
+    y_j in f(w_j), and only the nonzero entries of the table add anything.
+    Exchanging the two sums, entry (x_1..x_r) -> v reaches w_1..w_r exactly
+    when every x_j lies in f(w_j), once for each such tuple, which is the
+    index condition.  Tuples on which every term vanishes are never built.
+
+    Degree check.  An entry's vector v lives in degree sum|x_j| + 1 of
+    ``m``, where |x_j| = entry_degree(w_j) because the index read f(w_j)
+    there; the accumulated tuple is read in degree sum(degree_of) + 1.  The
+    two are compared on every contributing term, and a mismatch is an
+    internal error.  Checking only contributing terms weakens nothing: both
+    sides are functions of the words alone, and a tuple on which every term
+    vanishes puts no vector into ``total``, so nothing is read there in a
+    wrong degree.  (In ``check_ainfty_morphism`` entry_degree sums
+    degree_of, so the sides agree on every tuple; in the transfer they
+    differ by 1 - shift per block of length > 1, which is 0 on a cochain
+    retract.)
     """
-    entries = {
-        c: [(w, entry_degree(w), vec) for w, vec in f.get(c, {}).items()]
-        for c in range(1, n + 1)
+    index = {
+        c: _inverted_index(m, f.get(c, {}), entry_degree) for c in range(1, n + 1)
     }
     for r in range(min_blocks, min(m.arity, n) + 1):
+        table = m.tables.get(r)
+        if not table:
+            continue
         for comp in _compositions(n, r):
-            blocks = [entries[c] for c in comp]
+            blocks = [index[c] for c in comp]
             if not all(blocks):
                 continue
-            for chosen in iproduct(*blocks):
-                args = tuple(x for w, _, _ in chosen for x in w)
-                got, val = m.apply([(d, vec) for _, d, vec in chosen])
-                want = canon_degree(m.modulus, sum(degree_of[x] for x in args) + 1)
-                if got != want:
-                    raise InternalConsistencyError(
-                        "composition sum in mixed degrees: m_%d on (%s) lands in"
-                        " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
-                    )
-                if val:
-                    _toggle(total, args, val)
+            for xs, vec in table.items():
+                choices = [block.get(x) for block, x in zip(blocks, xs)]
+                if not all(choices):
+                    continue
+                got = m.out_degree(xs)
+                for words in iproduct(*choices):
+                    args = tuple(x for w in words for x in w)
+                    want = canon_degree(m.modulus, sum(degree_of[x] for x in args) + 1)
+                    if got != want:
+                        raise InternalConsistencyError(
+                            "composition sum in mixed degrees: m_%d on (%s) lands in"
+                            " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
+                        )
+                    _toggle(total, args, vec)
 
 
 def check_an_relations(s: AInftyStructure, up_to: int) -> CheckReport:
@@ -326,8 +395,10 @@ def check_ainfty_morphism(
 
     For every n <= up_to and every input tuple, the sum of
     f_{i+1+k}(1 x m_j x 1) must equal the sum over all splittings
-    i_1+..+i_r = n of m_r(f_{i_1} x .. x f_{i_r}).
+    i_1+..+i_r = n of m_r(f_{i_1} x .. x f_{i_r}).  Tables that do not fit
+    ``src`` and ``dst`` are a ``ContractError``.
     """
+    f.validate_against(src, dst)
 
     def entry_degree(w: Tuple[str, ...]) -> int:
         return canon_degree(src.modulus, sum(src.degree_of[x] for x in w))
@@ -726,10 +797,15 @@ def transfer_minimal_model(
 
     with mu_k = p(p_k) and i_k = h(p_k); mu_1 = 0.  Each p_k reuses the
     stored i_j tables of lower arity.  mu_2 is checked against the
-    descended cup product.
+    descended cup product.  Arities above ``MAX_ARITY`` are refused before
+    any work.
     """
     if up_to < 2:
         raise ContractError("transfer needs arity at least 2")
+    if up_to > MAX_ARITY:
+        raise ContractError(
+            "transfer arity %d exceeds the budget MAX_ARITY = %d" % (up_to, MAX_ARITY)
+        )
     _verify_retract(h)
 
     hbasis: Dict[int, Tuple[str, ...]] = {}

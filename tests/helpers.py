@@ -4,12 +4,13 @@ Random DGAs start from a zero-differential seed and grow by
 stabilizations and elementary isomorphisms, both of which preserve
 validity, so every produced DGA passes the validator by construction
 (and we assert as much here to fail fast if a move is broken).  The
-chain-level triple Massey product is kept here as the reference that the
-library's product table is compared against.
+chain-level triple Massey product and the per-tuple composition sum are
+kept here as the references that the library's product table and its
+table-driven composition sum are compared against.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 from typing import List, Optional, Tuple
 
 from legch.ainfty import HClass, MasseyResult, basis_classes, build_ring, cup_table
@@ -185,3 +186,37 @@ def admitted_class_triples(h):
         if _tuple_space(dims):
             for combo in product(*(range(1, 1 << d) for d in dims)):
                 yield prefix, [HClass(k, v) for k, v in zip(prefix, combo)]
+
+
+def per_tuple_composition_sum(m, f, degree_of, entry_degree, n, min_blocks, total) -> None:
+    """Reference composition sum: m_r applied to every tuple of table entries.
+
+    Adds sum over r >= min_blocks, c_1+..+c_r = n of m_r(f_{c_1} x .. x f_{c_r})
+    to ``total`` by calling ``m.apply`` on every r-tuple of entries of the
+    block tables, zero results included; the library's sum enumerates only
+    the m_r entries that the inputs hit.
+    """
+    entries = {
+        c: [(w, entry_degree(w), vec) for w, vec in f.get(c, {}).items()]
+        for c in range(1, n + 1)
+    }
+    for r in range(min_blocks, min(m.arity, n) + 1):
+        for cuts in combinations(range(1, n), r - 1):
+            comp = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+            blocks = [entries[c] for c in comp]
+            if not all(blocks):
+                continue
+            for chosen in product(*blocks):
+                args = tuple(x for w, _, _ in chosen for x in w)
+                got, val = m.apply([(d, vec) for _, d, vec in chosen])
+                want = canon_degree(m.modulus, sum(degree_of[x] for x in args) + 1)
+                if got != want:
+                    raise AssertionError(
+                        "m_%d on (%s) lands in degree %d, not %d" % (r, ", ".join(args), got, want)
+                    )
+                if val:
+                    cur = total.get(args, 0) ^ val
+                    if cur:
+                        total[args] = cur
+                    else:
+                        total.pop(args, None)

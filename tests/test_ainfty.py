@@ -1,6 +1,7 @@
 """Adjoint A-infinity structures, transfer, cup and Massey products."""
 
 import random
+import re
 from functools import reduce
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from legch import ContractError
 from legch.ainfty import (
+    MAX_ARITY,
     AInftyMorphism,
     AInftyStructure,
     HClass,
@@ -20,6 +22,7 @@ from legch.ainfty import (
     massey_higher,
     massey_triple,
     transfer_minimal_model,
+    _composition_sum,
 )
 from legch.algebra import mirror_dga
 from legch.augment import enumerate_augmentations, twist
@@ -28,6 +31,7 @@ from helpers import (
     admitted_class_triples,
     chain_massey_triple,
     oracle_rings,
+    per_tuple_composition_sum,
     random_augmented_dga,
     trivial_bracket_dga,
 )
@@ -427,6 +431,69 @@ def test_morphism_checker_detects_a_corrupted_inclusion():
     assert not report.ok
     assert report.arity == 2
     assert report.args == ("[b2]", "[b2]")
+
+
+def test_transfer_refuses_arities_above_the_budget():
+    ring = trefoil_ring()
+    with pytest.raises(ContractError, match="MAX_ARITY = %d" % MAX_ARITY):
+        transfer_minimal_model(ring.cochain, ring.structure, MAX_ARITY + 1)
+    mu, _ = transfer_minimal_model(ring.cochain, ring.structure, MAX_ARITY)
+    assert mu.arity == MAX_ARITY
+
+
+def _assert_composition_sums_match_the_oracle(ring, up_to):
+    """Table-driven and per-tuple composition sums agree, dict for dict, on the
+    transfer's p_k (min_blocks 2) and the inclusion's morphism check (min_blocks 1)."""
+    h, s = ring.cochain, ring.structure
+    mu, f = transfer_minimal_model(h, s, up_to)
+
+    def lifted(w):  # degree of i_{|w|}(w), as the transfer reads it
+        return h.canon(sum(mu.degree_of[x] for x in w) + (1 - h.shift if len(w) > 1 else 0))
+
+    def plain(w):  # degree of f_{|w|}(w) for a degree-0 morphism
+        return h.canon(sum(mu.degree_of[x] for x in w))
+
+    for min_blocks, entry_degree in ((2, lifted), (1, plain)):
+        for n in range(min_blocks, up_to + 1):
+            got, want = {}, {}
+            _composition_sum(s, f.tables, mu.degree_of, entry_degree, n, min_blocks, got)
+            per_tuple_composition_sum(s, f.tables, mu.degree_of, entry_degree, n, min_blocks, want)
+            assert got == want, (min_blocks, n)
+
+
+def test_composition_sum_matches_the_per_tuple_oracle_on_bundled_examples():
+    for name, dga in bundled_examples():
+        for aug in enumerate_augmentations(dga):
+            _assert_composition_sums_match_the_oracle(build_ring(dga, aug), 6)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=25)
+def test_composition_sum_matches_the_per_tuple_oracle_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
+    _assert_composition_sums_match_the_oracle(build_ring(dga, aug), 5)
+
+
+def test_morphism_tables_are_checked_against_source_and_target():
+    ring = trefoil_ring()
+    h, s = ring.cochain, ring.structure
+    mu, f = transfer_minimal_model(h, s, 3)
+    for key, vec, detail in (
+        (("[b2]", "[zz]"), 0b001, "on ([b2], [zz]) has unknown source label [zz]"),
+        (("[b2]",), 1 << 40, "on ([b2]) has bits outside the degree-0 target basis"),
+        (("[a1]",), 0b100, "on ([a1]) has bits outside the degree-1 target basis"),
+    ):
+        tables = {n: dict(t) for n, t in f.tables.items()}
+        tables[len(key)][key] = vec
+        with pytest.raises(ContractError, match=re.escape(detail)):
+            AInftyMorphism(3, tables, src=mu, dst=s)
+        # built without src and dst, the checker rejects the same entry
+        with pytest.raises(ContractError, match=re.escape(detail)):
+            check_ainfty_morphism(AInftyMorphism(3, tables), mu, s, 3)
+    # an i_1 vector edited after construction
+    f.tables[1][("[b2]",)] = 1 << 40
+    with pytest.raises(ContractError, match=re.escape("on ([b2]) has bits outside")):
+        check_ainfty_morphism(f, mu, s, 3)
 
 
 def test_morphism_tables_validate_arity():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError
+from legch.ainfty import MAX_ARITY
 from legch.algebra import mirror_dga
 from legch.cli import main
 from legch.families import cupex, trefoil
@@ -178,6 +179,13 @@ def test_minimal_model_rows(capsys, trefoil_file):
         ["relations", "ok up to arity 3"],
         ["inclusion", "ok up to arity 3"],
     ]
+
+
+def test_minimal_refuses_an_arity_above_the_budget(capsys, trefoil_file):
+    code, out, err = run_cli(capsys, "minimal", trefoil_file, "--arity", str(MAX_ARITY + 1))
+    assert code == 1
+    assert out == ""
+    assert "MAX_ARITY = %d" % MAX_ARITY in err
 
 
 def test_ordern_rows(capsys, trefoil_file):
