@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, canon_degree
 from .augment import Augmentation, twist
-from .gf2 import apply_cols, bits, in_span, span_basis
+from .gf2 import apply_block, bits, in_span, span_basis
 from .linear import HomologyData, homology, linearized_complexes
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "AInftyMorphism",
     "MasseyResult",
     "CheckReport",
+    "PairBlock",
     "ProductTable",
     "CohomologyRing",
     "adjoint_structure",
@@ -308,9 +309,8 @@ def _compositions(n: int, r: int) -> List[Tuple[int, ...]]:
 
 def _composition_sum(
     m: AInftyStructure,
-    f: Dict[int, Dict[Tuple[str, ...], int]],
+    index: Dict[int, Dict[str, List[Tuple[str, ...]]]],
     degree_of: Dict[str, int],
-    entry_degree: Callable[[Tuple[str, ...]], int],
     n: int,
     min_blocks: int,
     total: Dict[Tuple[str, ...], int],
@@ -318,12 +318,15 @@ def _composition_sum(
     """Add sum over r >= min_blocks, c_1+..+c_r = n of m_r(f_{c_1} x .. x f_{c_r}).
 
     ``f`` holds sparse tables by arity whose vectors live in the basis of
-    ``m``, and ``entry_degree(w)`` is the degree of f_{|w|}(w).  Terms
+    ``m``, and ``entry_degree(w)`` is the degree of f_{|w|}(w).  The sum
+    reads f only through ``index``: per block arity c,
+    ``index[c] = _inverted_index(m, f_c, entry_degree)`` maps each basis
+    label y of ``m`` to the words w whose f_c(w), read in degree
+    entry_degree(w), contains y.  Callers build each arity's index once per
+    transfer or morphism check, since f_c does not change under it.  Terms
     accumulate on the concatenated n-tuple of inputs.
 
-    The sparse m_r tables drive the sum.  Per block arity c an inverted
-    index maps each basis label y of ``m`` to the words w whose f_c(w),
-    read in degree entry_degree(w), contains y.  For each composition whose
+    The sparse m_r tables drive the sum.  For each composition whose
     blocks are all nonempty and each entry (x_1..x_r) -> v of m_r, v is
     toggled onto every concatenation w_1..w_r with w_j among the index hits
     of x_j at c_j.  This is the per-tuple sum: by multilinearity
@@ -345,15 +348,12 @@ def _composition_sum(
     differ by 1 - shift per block of length > 1, which is 0 on a cochain
     retract.)
     """
-    index = {
-        c: _inverted_index(m, f.get(c, {}), entry_degree) for c in range(1, n + 1)
-    }
     for r in range(min_blocks, min(m.arity, n) + 1):
         table = m.tables.get(r)
         if not table:
             continue
         for comp in _compositions(n, r):
-            blocks = [index[c] for c in comp]
+            blocks = [index.get(c) for c in comp]
             if not all(blocks):
                 continue
             for xs, vec in table.items():
@@ -403,10 +403,11 @@ def check_ainfty_morphism(
     def entry_degree(w: Tuple[str, ...]) -> int:
         return canon_degree(src.modulus, sum(src.degree_of[x] for x in w))
 
+    index = {c: _inverted_index(dst, table, entry_degree) for c, table in f.tables.items()}
     for n in range(1, up_to + 1):
         total: Dict[Tuple[str, ...], int] = {}
         _insertion_sum(f.tables, src, n, total)
-        _composition_sum(dst, f.tables, src.degree_of, entry_degree, n, 1, total)
+        _composition_sum(dst, index, src.degree_of, n, 1, total)
         if total:
             key = min(total, key=lambda a: tuple(src.order[x] for x in a))
             return CheckReport(
@@ -477,16 +478,29 @@ class MasseyResult:
         return self.contains(0)
 
 
+class PairBlock(NamedTuple):
+    """Cup data of a degree pair (a, b) on basis classes x_i, y_j.
+
+    ``chains[i][j]`` is the chain vector m_2(i x_i, i y_j) and ``coords[i][j]``
+    its class, both in ``degree`` = a + b + 1.
+    """
+
+    degree: int
+    coords: List[List[int]]
+    chains: List[List[int]]
+
+
 class ProductTable:
     """Cups and triple Massey brackets of a cohomology ring, read off basis blocks.
 
-    Blocks are filled on first use and kept for the life of the table.  The
-    pair block of degrees (a, b) holds, for every pair of basis classes
-    (x_i, y_j), the chain vector m_2(i x_i, i y_j) and its class
-    (``class_of`` rejects a product that is not closed); the lifts
-    i_2(x_i, y_j) = h(m_2(i x_i, i y_j)) are taken when a triple block first
-    needs them.  The triple block of (a, b, c), built when a bracket in those
-    degrees is first defined, holds the chain vectors of Kadeishvili's
+    Everything is filled on first use and kept for the life of the table,
+    keyed by degree: per degree its canonical form and the inclusion
+    vectors i x_i of the basis classes; per degree pair (a, b) a
+    ``PairBlock`` (``class_of`` runs on every entry, so a product that is
+    not closed is rejected) and the lifts i_2(x_i, y_j) = h(m_2(i x_i, i y_j)),
+    taken when a triple block first needs them (h(0) = 0 is not computed).
+    The triple block of (a, b, c), built when a bracket in those degrees is
+    first defined, holds the chain vectors of Kadeishvili's
 
         p_3(x_i, y_j, z_k) = m_3(i x_i, i y_j, i z_k) + m_2(i x_i, i_2(y_j, z_k))
                              + m_2(i_2(x_i, y_j), i z_k).
@@ -499,97 +513,126 @@ class ProductTable:
     The inclusion i and the homotopy h are linear and m_2, m_3 are
     multilinear, so for x = sum x_i, y = sum y_j, z = sum z_k that chain
     vector is the XOR of p_3(x_i, y_j, z_k) over the set bits of the three
-    coordinate vectors, and m_2(ix, iy) is the XOR of the pair entries.
-    ``class_of`` is linear on cycles and still runs on every defined
-    bracket's XOR, so ``bracket`` returns what the chain-level formula
-    returns, and ``cup`` what ``cup_product`` returns.  By Kadeishvili's
-    transfer this value is mu_3(x, y, z) of the minimal model, which lies in
-    the bracket with indeterminacy x H + H z (Lu-Palmieri-Wu-Zhang 2009,
-    A-infinity structures on Ext-algebras, Thm 3.1).  Higher brackets stay
-    chain-level in ``massey_higher``: for n >= 4 that theorem gives only the
-    containment of mu_n in the bracket, not the bracket's full value set.
+    coordinate vectors (``gf2.apply_block``), and m_2(ix, iy) is the XOR of
+    the pair entries.  ``class_of`` is linear on cycles and still runs on
+    every defined bracket's XOR, so ``bracket`` returns what the chain-level
+    formula returns, and ``cup`` what ``cup_product`` returns.  By
+    Kadeishvili's transfer this value is mu_3(x, y, z) of the minimal model,
+    which lies in the bracket with indeterminacy x H + H z
+    (Lu-Palmieri-Wu-Zhang 2009, A-infinity structures on Ext-algebras,
+    Thm 3.1).  Higher brackets stay chain-level in ``massey_higher``: for
+    n >= 4 that theorem gives only the containment of mu_n in the bracket,
+    not the bracket's full value set.
+
+    Zero blocks.  When the arity-3 table has no entry in degrees (a, b, c)
+    and both lift blocks i_2(x_i, y_j) and i_2(y_j, z_k) are zero, each of
+    the three terms of p_3 vanishes on every basis triple, so the block is
+    stored as the zero marker ``None`` in place of its vectors.  Every
+    bracket in such a block has the zero chain vector as its value; the zero
+    vector is closed and its class is 0, so ``class_of`` on it cannot fail
+    and nothing is skipped by not building the vectors.  On every nonzero
+    block ``class_of`` runs on the XOR of every defined combination.
+
+    The flags pass.  ``flags(a, b, c)`` is (some bracket is defined, some
+    bracket is nonzero modulo its indeterminacy) over every triple of nonzero
+    coordinate vectors, enumerated in ``itertools.product`` order and
+    stopping at the first nonzero one, as bracket-by-bracket reading would.
+    Definedness is read off the pair blocks' class rows (``apply_block``),
+    the triple block is built at the first defined combination, and the
+    indeterminacy is formed only for a nonzero value.  On a zero block every
+    later value is zero, so the pass returns (True, False) there.  Pair
+    blocks, the triple block and the indeterminacy are built at the same
+    combination as by ``bracket``, so any error surfaces on the same input.
     """
 
     def __init__(self, h: HomologyData, s: AInftyStructure):
         self.h = h
         self.s = s
-        self._pairs: Dict[Tuple[int, int], Tuple[int, List[List[int]], List[List[int]]]] = {}
-        self._lifts: Dict[Tuple[int, int], List[List[int]]] = {}
-        self._triples: Dict[Tuple[int, int, int], Tuple[int, List[List[List[int]]]]] = {}
+        self._bases: Dict[int, Tuple[int, List[int]]] = {}
+        self._pairs: Dict[Tuple[int, int], PairBlock] = {}
+        self._lifts: Dict[Tuple[int, int], Optional[List[List[int]]]] = {}
+        self._triples: Dict[Tuple[int, int, int], Tuple[int, Optional[list]]] = {}
         # the degrees (a, b, c) of the arity-3 entries; m_3 is zero on every other block
         self._m3_degrees = frozenset(tuple(map(s.degree_of.get, w)) for w in s.tables.get(3, {}))
 
-    def _pair(self, a: int, b: int) -> Tuple[int, List[List[int]], List[List[int]]]:
-        """(degree, class coordinates, m_2 chain vectors) of the (a, b) pair block."""
+    def _basis(self, k: int) -> Tuple[int, List[int]]:
+        """(canonical degree, inclusion vectors of the basis classes) of degree k."""
+        entry = self._bases.get(k)
+        if entry is None:
+            h = self.h
+            c = h.canon(k)
+            entry = self._bases[k] = (c, [h.include(c, 1 << i) for i in range(h.dim(c))])
+        return entry
+
+    def pair(self, a: int, b: int) -> PairBlock:
+        """The (a, b) pair block."""
         block = self._pairs.get((a, b))
         if block is None:
-            h = self.h
-            degree = h.canon(a + b + 1)
+            h, s = self.h, self.s
+            (ca, xs), (cb, ys) = self._basis(a), self._basis(b)
+            degree = h.canon(ca + cb + 1)
             coords, chains = [], []
-            ys = basis_classes(h, b)
-            for x in basis_classes(h, a):
-                vecs = [_m2_of_reps(h, self.s, x, y)[1] for y in ys]
+            for ix in xs:
+                vecs = [s.apply([(ca, ix), (cb, iy)])[1] for iy in ys]
                 coords.append([h.class_of(degree, vec) for vec in vecs])
                 chains.append(vecs)
-            block = self._pairs[(a, b)] = (degree, coords, chains)
+            block = self._pairs[(a, b)] = PairBlock(degree, coords, chains)
         return block
 
-    def _lift(self, a: int, b: int) -> List[List[int]]:
-        """i_2 = h(m_2) on the (a, b) basis pairs; only triple blocks need it."""
-        lifts = self._lifts.get((a, b))
-        if lifts is None:
-            degree, _, chains = self._pair(a, b)
-            lifts = [[self.h.homotopy(degree, vec) for vec in row] for row in chains]
-            self._lifts[(a, b)] = lifts
-        return lifts
+    def _lift(self, a: int, b: int) -> Optional[List[List[int]]]:
+        """i_2 = h(m_2) on the (a, b) basis pairs, or None when every lift is zero."""
+        if (a, b) not in self._lifts:
+            degree, _, chains = self.pair(a, b)
+            homotopy = self.h.homotopy
+            lifts = [[homotopy(degree, vec) if vec else 0 for vec in row] for row in chains]
+            self._lifts[(a, b)] = lifts if any(map(any, lifts)) else None
+        return self._lifts[(a, b)]
 
-    def _triple(self, a: int, b: int, c: int) -> Tuple[int, List[List[List[int]]]]:
-        """(degree, p_3 vectors) of the (a, b, c) triple block."""
+    def _triple(self, a: int, b: int, c: int) -> Tuple[int, Optional[list]]:
+        """(degree, p_3 vectors) of the (a, b, c) triple block; None for a zero block."""
         block = self._triples.get((a, b, c))
         if block is None:
             h, s = self.h, self.s
-            key = (a, b, c)
-            a, b, c = (h.canon(k) for k in key)
-            ab, bc = h.canon(a + b + 1 - h.shift), h.canon(b + c + 1 - h.shift)
+            (ca, xs), (cb, ys), (cc, zs) = self._basis(a), self._basis(b), self._basis(c)
             lift_xy, lift_yz = self._lift(a, b), self._lift(b, c)
-            xs, ys, zs = ([h.include(k, 1 << i) for i in range(h.dim(k))] for k in (a, b, c))
-            has_m3 = (a, b, c) in self._m3_degrees
-            vectors = []
-            for i, ix in enumerate(xs):
-                plane = []
-                for j, iy in enumerate(ys):
-                    row = []
-                    for k, iz in enumerate(zs):
-                        vec = s.apply([(a, ix), (b, iy), (c, iz)])[1] if has_m3 else 0
-                        if lift_yz[j][k]:
-                            vec ^= s.apply([(a, ix), (bc, lift_yz[j][k])])[1]
-                        if lift_xy[i][j]:
-                            vec ^= s.apply([(ab, lift_xy[i][j]), (c, iz)])[1]
-                        row.append(vec)
-                    plane.append(row)
-                vectors.append(plane)
-            block = self._triples[key] = (h.canon(a + b + c + 1), vectors)
+            has_m3 = (ca, cb, cc) in self._m3_degrees
+            vectors = None
+            if has_m3 or lift_xy or lift_yz:
+                ab = h.canon(ca + cb + 1 - h.shift)
+                bc = h.canon(cb + cc + 1 - h.shift)
+                vectors = []
+                for i, ix in enumerate(xs):
+                    plane = []
+                    for j, iy in enumerate(ys):
+                        row = []
+                        for k, iz in enumerate(zs):
+                            vec = s.apply([(ca, ix), (cb, iy), (cc, iz)])[1] if has_m3 else 0
+                            if lift_yz and lift_yz[j][k]:
+                                vec ^= s.apply([(ca, ix), (bc, lift_yz[j][k])])[1]
+                            if lift_xy and lift_xy[i][j]:
+                                vec ^= s.apply([(ab, lift_xy[i][j]), (cc, iz)])[1]
+                            row.append(vec)
+                        plane.append(row)
+                    vectors.append(plane)
+            block = self._triples[(a, b, c)] = (h.canon(ca + cb + cc + 1), vectors)
         return block
 
     def cup(self, x: HClass, y: HClass) -> HClass:
         """x * y, bilinear in the pair block."""
-        degree, coords, _ = self._pair(x.degree, y.degree)
-        value = 0
-        for i in bits(x.coords):
-            value ^= apply_cols(coords[i], y.coords)
-        return HClass(degree, value)
+        degree, coords, _ = self.pair(x.degree, y.degree)
+        return HClass(degree, apply_block(coords, x.coords, y.coords))
+
+    def _value(self, x: HClass, y: HClass, z: HClass) -> HClass:
+        """The value class of a defined <x, y, z>, trilinear in the triple block."""
+        degree, block = self._triple(x.degree, y.degree, z.degree)
+        vec = apply_block(block, x.coords, y.coords, z.coords) if block else 0
+        return HClass(degree, self.h.class_of(degree, vec))
 
     def bracket(self, x: HClass, y: HClass, z: HClass) -> Optional[HClass]:
         """The value class of <x, y, z>, or None when x y or y z is nonzero."""
         if self.cup(x, y).coords or self.cup(y, z).coords:
             return None
-        degree, block = self._triple(x.degree, y.degree, z.degree)
-        vec = 0
-        for i in bits(x.coords):
-            plane = block[i]
-            for j in bits(y.coords):
-                vec ^= apply_cols(plane[j], z.coords)
-        return HClass(degree, self.h.class_of(degree, vec))
+        return self._value(x, y, z)
 
     def indeterminacy(self, x: HClass, z: HClass, degree: int) -> List[int]:
         """Basis of x H + H z in the given degree, the indeterminacy of <x, y, z>."""
@@ -597,6 +640,34 @@ class ProductTable:
         cups = [self.cup(x, e) for e in basis_classes(h, degree - x.degree - 1)]
         cups += [self.cup(e, z) for e in basis_classes(h, degree - z.degree - 1)]
         return span_basis(c.coords for c in cups)
+
+    def flags(self, a: int, b: int, c: int) -> Tuple[bool, bool]:
+        """(defined, nonzero) over every bracket of nonzero classes in degrees (a, b, c).
+
+        "Nonzero" means the value coset omits zero; see the class docstring.
+        """
+        da, db, dc = (len(self._basis(k)[1]) for k in (a, b, c))
+        xy = self.pair(a, b).coords
+        yz = None
+        defined = False
+        for x, y in iproduct(range(1, 1 << da), range(1, 1 << db)):
+            if apply_block(xy, x, y):
+                continue
+            if yz is None:
+                yz = self.pair(b, c).coords
+            for z in range(1, 1 << dc):
+                if apply_block(yz, y, z):
+                    continue
+                defined = True
+                if self._triple(a, b, c)[1] is None:
+                    return True, False
+                xc, zc = HClass(a, x), HClass(c, z)
+                value = self._value(xc, HClass(b, y), zc)
+                if value.coords and not in_span(
+                    self.indeterminacy(xc, zc, value.degree), value.coords
+                ):
+                    return True, True
+        return defined, False
 
 
 def massey_triple(
@@ -830,9 +901,10 @@ def transfer_minimal_model(
             if h.include(k, 1 << i)
         }
     }
+    index = {1: _inverted_index(s, i_tables[1], entry_degree)}
     for k in range(2, up_to + 1):
         p_k: Dict[Tuple[str, ...], int] = {}
-        _composition_sum(s, i_tables, degree_of, entry_degree, k, 2, p_k)
+        _composition_sum(s, index, degree_of, k, 2, p_k)
         mu_k: Dict[Tuple[str, ...], int] = {}
         i_k: Dict[Tuple[str, ...], int] = {}
         for labels, total in p_k.items():
@@ -845,6 +917,7 @@ def transfer_minimal_model(
                 i_k[labels] = tail
         mu_tables[k] = mu_k
         i_tables[k] = i_k
+        index[k] = _inverted_index(s, i_k, entry_degree)
 
     mu = AInftyStructure(h.modulus, hbasis, up_to, mu_tables)
 
@@ -877,13 +950,6 @@ class CohomologyRing:
     def products(self) -> ProductTable:
         """The cohomology product table; its blocks fill as readers ask for them."""
         return ProductTable(self.cochain, self.structure)
-
-    def cup_vec(self, k: int, xvec: int, l: int, yvec: int) -> int:
-        """Cochain-level representative of the product of two cocycles."""
-        _, vec = self.structure.apply(
-            [(self.cochain.canon(k), xvec), (self.cochain.canon(l), yvec)]
-        )
-        return vec
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:

@@ -13,6 +13,7 @@ closed stdout pipe, 2 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -410,7 +411,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing reads it
+    and never changes it."""
     parser = _Parser(
         prog="legch",
         description="Legendrian contact homology: augmentations, linearized "

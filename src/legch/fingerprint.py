@@ -8,6 +8,12 @@ bracket, and order-n cohomology dimensions.  Ranks and booleans only —
 never coordinates, so the data is independent of every basis choice.
 A differing fingerprint certifies that no isomorphism exists; equal
 fingerprints are inconclusive.
+
+Cup ranks and triple brackets are read off the ring's ``ProductTable``:
+each bidegree's rank off the class rows of its pair block, and each degree
+triple's (defined, nonzero) from one flags pass over its pair and triple
+blocks.  Brackets of order 4 and up enumerate defining systems class tuple
+by class tuple (``massey_higher``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .ainfty import (
 )
 from .algebra import DGA, mirror_dga
 from .augment import enumerate_augmentations
-from .gf2 import in_span, rank
+from .gf2 import apply_block, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
 
@@ -76,17 +82,16 @@ def _standard_bases(h: HomologyData) -> Dict[int, List[int]]:
 def cup_rank_table(
     ring: CohomologyRing, bases: Optional[Dict[int, List[int]]] = None
 ) -> Dict[Tuple[int, int], int]:
-    """Rank of the cup product per bidegree (nonzero entries only)."""
+    """Rank of the cup product per bidegree (nonzero entries only), read off
+    the pair blocks' class rows."""
     if bases is None:
         bases = _standard_bases(ring.cochain)
-    cup = ring.products.cup
     degrees = sorted(bases)
     table: Dict[Tuple[int, int], int] = {}
     for r in degrees:
         for s in degrees:
-            value = rank(
-                cup(HClass(r, xv), HClass(s, yv)).coords for xv in bases[r] for yv in bases[s]
-            )
+            coords = ring.products.pair(r, s).coords
+            value = rank(apply_block(coords, xv, yv) for xv in bases[r] for yv in bases[s])
             if value:
                 table[(r, s)] = value
     return table
@@ -101,23 +106,6 @@ def _tuple_space(dims: Sequence[int]) -> bool:
     return True
 
 
-def _bracket_flags(
-    ring: CohomologyRing, classes: Sequence[HClass], max_systems: int
-) -> Tuple[bool, bool]:
-    """(defined, nonzero) of one bracket; triples are read off the product table."""
-    if len(classes) == 3:
-        x, y, z = classes
-        value = ring.products.bracket(x, y, z)
-        if value is None:
-            return False, False
-        # A zero value is trivial; only a nonzero one needs its indeterminacy.
-        return True, bool(value.coords) and not in_span(
-            ring.products.indeterminacy(x, z, value.degree), value.coords
-        )
-    result = massey_higher(ring.cochain, ring.structure, classes, cap=max_systems)
-    return result.defined, result.defined and not result.truncated and not result.is_trivial()
-
-
 def massey_table(
     ring: CohomologyRing,
     massey_order: int = DEFAULT_MASSEY_ORDER,
@@ -130,9 +118,12 @@ def massey_table(
     value coset omits zero; truncated defining-system enumerations are never
     counted as nonzero.  Degree tuples whose class count exceeds
     ``DEFAULT_MAX_TUPLES`` are skipped (a function of the dimensions alone).
+    Triples take one flags pass of the product table per degree triple;
+    higher orders enumerate defining systems class tuple by class tuple.
     """
     h = ring.cochain
-    degrees = [k for k in sorted(h.dims()) if h.dim(k)]
+    dim_of = h.dims()
+    degrees = sorted(dim_of)
     table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
     for order in range(3, massey_order + 1):
         stack: List[Tuple[int, ...]] = [()]
@@ -142,15 +133,18 @@ def massey_table(
                 for k in reversed(degrees):
                     stack.append(prefix + (k,))
                 continue
-            dims = [h.dim(k) for k in prefix]
+            dims = [dim_of[k] for k in prefix]
             if not _tuple_space(dims):
+                continue
+            if order == 3:
+                table[(order, prefix)] = ring.products.flags(*prefix)
                 continue
             defined = nonzero = False
             for combo in iproduct(*(range(1, 1 << d) for d in dims)):
                 classes = [HClass(k, v) for k, v in zip(prefix, combo)]
-                is_defined, is_nonzero = _bracket_flags(ring, classes, max_systems)
-                defined = defined or is_defined
-                if is_nonzero:
+                result = massey_higher(h, ring.structure, classes, cap=max_systems)
+                defined = defined or result.defined
+                if result.defined and not result.truncated and not result.is_trivial():
                     nonzero = True
                     break
             table[(order, prefix)] = (defined, nonzero)

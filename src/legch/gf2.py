@@ -13,6 +13,7 @@ from typing import Iterable, List, Optional, Tuple
 __all__ = [
     "bits",
     "apply_cols",
+    "apply_block",
     "Eliminator",
     "rank",
     "kernel_basis",
@@ -40,6 +41,21 @@ def apply_cols(cols: List[int], vec: int) -> int:
         low = vec & -vec
         out ^= cols[low.bit_length() - 1]
         vec ^= low
+    return out
+
+
+def apply_block(block, first: int, *rest: int) -> int:
+    """Multilinear extension of a table of vectors on basis tuples.
+
+    ``block[i][j]..[k]`` is the image of the tuple of i-th, j-th, .., k-th
+    basis vectors; the result is the XOR of those images over the set bits
+    of one mask per tuple position.  With one mask this is ``apply_cols``.
+    """
+    if not rest:
+        return apply_cols(block, first)
+    out = 0
+    for i in bits(first):
+        out ^= apply_block(block[i], *rest)
     return out
 
 

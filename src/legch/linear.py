@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import canon_degree
-from .gf2 import Eliminator, apply_cols, invert, rank, transpose
+from .gf2 import Eliminator, apply_block, apply_cols, invert, rank, transpose
 
 __all__ = [
     "GradedMatrixMap",
@@ -341,9 +341,13 @@ def duality_search(ring):
     """Search for a DualityCertificate; returns a DualityFailure if none exists.
 
     ``ring`` carries the homological data: attributes ``chain`` and
-    ``cochain`` (HomologyData of the two linearized complexes) and a method
-    ``cup_vec(k, xvec, l, yvec)`` returning a cochain-level representative
-    of the cup product of the classes of two cocycles.
+    ``cochain`` (HomologyData of the two linearized complexes) and
+    ``products``, whose ``pair(k, l).chains[i][j]`` is the cochain vector
+    m_2(i e_i, i e_j) on the representatives of the basis classes of degrees
+    k and l.  A Gram entry <[x] cup [y], kappa> pairs kappa with m_2 on the
+    representatives of x and y; m_2 is bilinear and the inclusion i is
+    linear, so that vector is the XOR of the pair block's chain vectors over
+    the coordinate bits of x and y (``apply_block``), exactly.
 
     All kappa and c candidates with <c, kappa> = 1 are tried in coordinate
     order.  For each, the complement of span(c) is formed with deterministic
@@ -394,15 +398,14 @@ def duality_search(ring):
                     else:
                         for i in range(cochain_h.dim(k)):
                             entries.append((k, 1 << i))
-                vecs = [cochain_h.include(k, coords) for k, coords in entries]
                 gram = []
-                for i, (ki, _) in enumerate(entries):
+                for ki, ci in entries:
                     row = []
-                    for j, (kj, _) in enumerate(entries):
+                    for kj, cj in entries:
                         if canon_degree(modulus, ki + kj + 1) != one:
                             row.append(0)
                         else:
-                            prod = ring.cup_vec(ki, vecs[i], kj, vecs[j])
+                            prod = apply_block(ring.products.pair(ki, kj).chains, ci, cj)
                             row.append(pair_bit(prod, kappa_vec))
                     gram.append(row)
                 if _gram_ok(modulus, entries, gram):

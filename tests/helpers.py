@@ -13,7 +13,14 @@ import random
 from itertools import combinations, product
 from typing import List, Optional, Tuple
 
-from legch.ainfty import HClass, MasseyResult, basis_classes, build_ring, cup_table
+from legch.ainfty import (
+    HClass,
+    MasseyResult,
+    basis_classes,
+    build_ring,
+    cup_product,
+    cup_table,
+)
 from legch.algebra import (
     DGA,
     ElementaryIso,
@@ -127,37 +134,43 @@ def random_dgas(seed: int, count: int, max_gens: int = 8) -> List[DGA]:
     return [random_dga(rng, max_gens) for _ in range(count)]
 
 
-def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
-    """Reference triple Massey product, chain-level on the given class tuple.
+def chain_p3(h, s, x: HClass, y: HClass, z: HClass) -> Tuple[int, int]:
+    """Degree and chain vector of m_3(ix, iy, iz) + m_2(ix, h m_2(iy, iz)) + m_2(h m_2(ix, iy), iz).
 
-    m_3(ix, iy, iz) + m_2(ix, h m_2(iy, iz)) + m_2(h m_2(ix, iy), iz) on the
-    representatives of x, y, z themselves, with the indeterminacy
-    x H + H z from chain-level cups; the library reads the same value off
-    its product table by multilinearity.
+    Computed on the representatives of x, y, z themselves; the library's
+    triple blocks hold this vector on basis classes.
     """
     ix = h.include(x.degree, x.coords)
     iy = h.include(y.degree, y.coords)
     iz = h.include(z.degree, z.coords)
     dxy, vxy = s.apply([(h.canon(x.degree), ix), (h.canon(y.degree), iy)])
-    cxy = h.class_of(dxy, vxy)
-    if cxy:
-        return MasseyResult(
-            "undefined", witness="first pair has nonzero product %s" % h.label(dxy, cxy)
-        )
     dyz, vyz = s.apply([(h.canon(y.degree), iy), (h.canon(z.degree), iz)])
-    cyz = h.class_of(dyz, vyz)
-    if cyz:
-        return MasseyResult(
-            "undefined", witness="second pair has nonzero product %s" % h.label(dyz, cyz)
-        )
-    xt = h.homotopy(dxy, vxy)  # bounds m_2(x, y)
-    yt = h.homotopy(dyz, vyz)  # bounds m_2(y, z)
+    xt = h.homotopy(dxy, vxy)  # bounds m_2(x, y) when that product is exact
+    yt = h.homotopy(dyz, vyz)  # bounds m_2(y, z) when that product is exact
     d3, v3 = s.apply(
         [(h.canon(x.degree), ix), (h.canon(y.degree), iy), (h.canon(z.degree), iz)]
     )
     _, va = s.apply([(h.canon(x.degree), ix), (h.canon(dyz - h.shift), yt)])
     _, vb = s.apply([(h.canon(dxy - h.shift), xt), (h.canon(z.degree), iz)])
-    value = h.class_of(d3, v3 ^ va ^ vb)
+    return d3, v3 ^ va ^ vb
+
+
+def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
+    """Reference triple Massey product, chain-level on the given class tuple.
+
+    The class of ``chain_p3`` on the representatives of x, y, z, with the
+    indeterminacy x H + H z from chain-level cups; the library reads the
+    same value off its product table by multilinearity.
+    """
+    for which, (u, v) in (("first", (x, y)), ("second", (y, z))):
+        cup = cup_product(h, s, u, v)
+        if cup.coords:
+            return MasseyResult(
+                "undefined",
+                witness="%s pair has nonzero product %s" % (which, h.label(cup.degree, cup.coords)),
+            )
+    d3, vec = chain_p3(h, s, x, y, z)
+    value = h.class_of(d3, vec)
     indet = cup_table(h, s, [x], basis_classes(h, d3 - x.degree - 1)) + cup_table(
         h, s, basis_classes(h, d3 - z.degree - 1), [z]
     )

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from legch import ContractError, InternalConsistencyError
 from legch.ainfty import MAX_ARITY
 from legch.algebra import mirror_dga
-from legch.cli import main
+from legch.cli import build_parser, main
 from legch.families import cupex, trefoil
 from legch.fileio import bundled_text, parse_dga, serialize_dga
 
@@ -417,6 +417,28 @@ def test_repeated_runs_are_byte_identical(capsys, trefoil_file):
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_one_parser_per_process_leaves_each_call_as_a_fresh_run(capsys, monkeypatch, trefoil_file):
+    # A usage error and --help leave the parser early; the call after them
+    # must still print what a fresh process prints.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser() is build_parser()
+    for argv in (
+        ("linhom", trefoil_file),
+        ("ordern", "--n", "x", trefoil_file),
+        ("--help",),
+        ("ring", "--format", "structured", trefoil_file),
+    ):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "legch", *argv], capture_output=True, text=True, timeout=120
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_subprocess_runs_agree_across_hash_seeds(trefoil_file):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from legch.ainfty import HClass, build_ring, cup_table
 from legch.algebra import mirror_dga
@@ -24,6 +25,7 @@ from helpers import (
     admitted_class_triples,
     chain_massey_triple,
     oracle_rings,
+    random_augmented_dga,
     trivial_bracket_dga,
 )
 
@@ -88,6 +90,17 @@ def test_cup_rank_table_in_random_bases_equals_the_chain_level_rank():
 def test_massey_table_equals_the_chain_level_oracle_table():
     for ring in oracle_rings():
         assert massey_table(ring) == _oracle_massey_table(ring)
+
+
+@given(st.integers(0, 10**6))
+@example(288)
+@example(603)
+@example(2023)
+@settings(deadline=None, max_examples=15)
+def test_massey_table_equals_the_chain_level_oracle_table_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=10)
+    ring = build_ring(dga, aug)
+    assert massey_table(ring) == _oracle_massey_table(ring)
 
 
 def test_massey_table_counts_a_value_in_its_indeterminacy_as_zero():
