@@ -154,10 +154,15 @@ def massey_table(
 def order_dim_table(
     ring: CohomologyRing, order_cap: int = DEFAULT_ORDER_CAP
 ) -> Dict[Tuple[int, int], int]:
-    """Order-n cohomology dimensions for 1 <= n <= order_cap."""
+    """Order-n cohomology dimensions for 1 <= n <= order_cap.
+
+    Dimensions do not depend on the engine, so this always takes the
+    perturbation engine; the window d d = 0 it skips follows from the checks
+    it keeps (``assert_valid``, the pair check, the perturbed d d = 0).
+    """
     table: Dict[Tuple[int, int], int] = {}
     for n in range(1, order_cap + 1):
-        result = order_n_cohomology(ring, n)
+        result = order_n_cohomology(ring, n, engine="perturbation")
         for degree, dim in sorted(result.dims.items()):
             if dim:
                 table[(n, degree)] = dim

@@ -27,7 +27,11 @@ __all__ = [
     "homology",
     "duality_search",
     "pair_bit",
+    "MAX_DUALITY_PAIRS",
 ]
+
+# Budget on the (kappa, c) candidates of ``duality_search``, checked first.
+MAX_DUALITY_PAIRS = 1 << 20
 
 
 def pair_bit(x: int, y: int) -> int:
@@ -352,7 +356,9 @@ def duality_search(ring):
     All kappa and c candidates with <c, kappa> = 1 are tried in coordinate
     order.  For each, the complement of span(c) is formed with deterministic
     pivots; when the degree-1 cohomology has dimension at most 6, every
-    graded complement is tried.
+    graded complement is tried.  More than ``MAX_DUALITY_PAIRS``
+    candidates, (2^kd - 1)(2^cd - 1) for the degree-1 dimensions kd and cd,
+    is a ``ContractError`` before any work.
     """
     chain_h: HomologyData = ring.chain
     cochain_h: HomologyData = ring.cochain
@@ -360,6 +366,12 @@ def duality_search(ring):
     one = canon_degree(modulus, 1)
     kd = chain_h.dim(one)
     cd = cochain_h.dim(one)
+    candidates = ((1 << kd) - 1) * ((1 << cd) - 1)
+    if candidates > MAX_DUALITY_PAIRS:
+        raise ContractError(
+            "duality search over %d (kappa, c) candidates exceeds the budget %d"
+            % (candidates, MAX_DUALITY_PAIRS)
+        )
     if kd == 0 or cd == 0:
         return DualityFailure(
             "no candidates: dim of chain homology in degree 1 is %d, cochain %d"

@@ -40,21 +40,33 @@ v -> w).  Then:
   head and Z of the tail; distinct (H, Z) give distinct codes, so each
   head (or tail) adds one arithmetic progression without repeats, and
   toggling it in a set is the GF(2) sum of those triples.
+* Pairs.  Write F(P) for the GF(2) sum of the triples of a set P of
+  pairs (g, t), |t| <= n: F is linear in P (symmetric difference), the
+  Leibniz matrix is F(P_Leibniz) and the window matrix F(P_window).  F is
+  injective: a triple with a one-letter column word g has h and tl empty,
+  so the (g, t) entry of F(Q) is 1 exactly when (g, t) is in Q.  So the
+  matrices are equal exactly when the pair sets are, and on a mismatch
+  the smallest differing pair in code order (letter, term length, term)
+  is the smallest differing entry of the full matrices (one-letter
+  columns code first).  Reversal
+  conjugation maps the triple h.g.tl -> h.t.tl to rev tl.g.rev h ->
+  rev tl.rev t.rev h, so rev d rev = F(rev P) with rev P = {(g, rev t)},
+  and rev d rev = d_mirror holds on every word of length <= n exactly when
+  it holds on the one-letter words.  Neither argument uses |t| >= 1.
 * Slices.  Every triple behind an entry has that entry's column word, so
   the entries of the columns whose first letter lies in [lo, hi) are
-  exactly the GF(2) sums of the triples whose column starts there.
-  Comparing slice by slice therefore compares every entry of both full
-  matrices exactly once, and the entry counts add up.  A slice covers as
-  many first letters as keep it within ``_SLICE_WORDS`` column words
-  (at least one letter), so the check holds the two sides' entry sets of
-  one slice at a time and never builds the word basis.
+  exactly the GF(2) sums of the triples whose column starts there, and
+  the nonzero entries of the window matrix are counted slice by slice
+  from P_window alone (equal pair sets give equal counts).  A slice
+  covers as many first letters as keep it within ``_SLICE_WORDS`` column
+  words (at least one letter), so the count holds the entry set of one
+  slice at a time and never builds the word basis.
 * Homogeneity.  By additivity of degree, deg(h.t.tl) - deg(h.g.tl) =
   deg t - deg g, so every output word has degree one below its column
   word exactly when every contributing pair has deg t = deg g - 1.  Each
   pair with |t| <= n contributes the uncancelled entry (g, t) itself
-  (h and tl empty: no other triple of that side has the one-letter
-  column g and row t), so checking once per pair is equivalent to
-  checking every output word.
+  (see Pairs), so checking once per pair is equivalent to checking every
+  output word.
 """
 
 from __future__ import annotations
@@ -64,7 +76,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, assert_valid, canon_degree, dga_key, mirror_dga
@@ -190,19 +202,6 @@ def _toggle(out: set, word: Tuple[int, ...]) -> None:
         out.discard(word)
     else:
         out.add(word)
-
-
-def _chain_terms(repl: Sequence[Tuple[Tuple[int, ...], ...]], word, n: int) -> set:
-    """Leibniz expansion of a word, with outputs longer than n dropped."""
-    out: set = set()
-    for i, g in enumerate(word):
-        head = word[:i]
-        tail = word[i + 1 :]
-        budget = n - len(word) + 1
-        for term in repl[g]:
-            if len(term) <= budget:
-                _toggle(out, head + term + tail)
-    return out
 
 
 def _cochain_terms(windows, word) -> set:
@@ -357,14 +356,16 @@ class TildeComplex:
         return sum(len(v) for v in self.words.values())
 
 
-def _window_matrix(s: AInftyStructure, n: int) -> Tuple[_Letters, GradedMatrixMap]:
-    """The order-n window differential on word codes; asserts homogeneity and d d = 0."""
-    letters = _Letters(s)
+def _window_matrix(
+    s: AInftyStructure, letters: _Letters, pairs, n: int
+) -> Tuple[GradedMatrixMap, int]:
+    """The order-n window differential on word codes, built from its (letter,
+    term) pairs, and its number of nonzero entries; asserts d d = 0."""
     size = len(letters.labels)
     groups, degree, place = _word_codes(letters.degree, n, s.modulus)
     codes = _Codes(size, n)
     entries: set = set()
-    _toggle_triples(entries, _window_pairs(letters, s.modulus, n), codes, 0, size)
+    _toggle_triples(entries, pairs, codes, 0, size)
     cols = {k: [0] * len(ws) for k, ws in groups.items()}
     for code in entries:
         target, source = divmod(code, codes.total)
@@ -374,7 +375,7 @@ def _window_matrix(s: AInftyStructure, n: int) -> Tuple[_Letters, GradedMatrixMa
         raise InternalConsistencyError(
             "order-%d differential does not square to zero" % n
         )
-    return letters, differential
+    return differential, len(entries)
 
 
 def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> TildeComplex:
@@ -387,67 +388,79 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     Homogeneity and squaring to zero are asserted.
     """
     _check_order(n, max_order)
-    letters, window = _window_matrix(s, n)
+    letters = _Letters(s)
+    window = _window_matrix(s, letters, _window_pairs(letters, s.modulus, n), n)[0]
     spelled = _spelled(letters.labels, n)
     words = {k: tuple(spelled[c] for c in cs) for k, cs in window.basis.items()}
     basis = {k: tuple("|".join(w) for w in ws) for k, ws in words.items()}
     return TildeComplex(s, n, words, replace(window, basis=basis))
 
 
-def _transpose_slices(ring: CohomologyRing, n: int) -> Iterator[Tuple[_Codes, set]]:
-    """Compare both transpose-check matrices one column slice at a time.
+def _matching_pairs(ring: CohomologyRing, letters: _Letters, n: int):
+    """The window side's (letter, term) pairs, once they equal the Leibniz side's.
 
-    Yields each slice's codes ``col * M + row`` of nonzero entries once
-    the Leibniz and window sides agree on them; raises on the first slice
-    where they differ.
+    Equal pair sets are equal matrices (Pairs, in the module docstring);
+    otherwise the smallest differing pair in code order is reported.
     """
     modulus = ring.structure.modulus
-    letters = _Letters(ring.structure)
-    leibniz = _twisted_pairs(ring.twisted, letters, modulus, n)
+    leibniz = set(_twisted_pairs(ring.twisted, letters, modulus, n))
     window = _window_pairs(letters, modulus, n)
+    differ = leibniz.symmetric_difference(window)
+    if differ:
+        g, t = min(differ, key=lambda pair: (pair[0], len(pair[1]), pair[1]))
+        raise InternalConsistencyError(
+            "order-%d transpose equality fails: only the %s side has the"
+            " entry (%s -> %s)"
+            % (
+                n,
+                "Leibniz" if (g, t) in leibniz else "window",
+                letters.labels[g],
+                letters.word_label(t),
+            )
+        )
+    return window
+
+
+def _transpose_slices(
+    ring: CohomologyRing, n: int, letters: Optional[_Letters] = None
+) -> Iterator[Tuple[_Codes, set]]:
+    """Check the pair sets, then yield the window matrix one column slice at a time.
+
+    Each slice comes with the codes ``col * M + row`` of its nonzero entries.
+    """
+    if letters is None:
+        letters = _Letters(ring.structure)
+    window = _matching_pairs(ring, letters, n)
     codes = _Codes(len(letters.labels), n)
     step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
     for lo in range(0, codes.size, step):
-        hi = min(lo + step, codes.size)
-        chain: set = set()
-        _toggle_triples(chain, leibniz, codes, lo, hi)
-        cochain: set = set()
-        _toggle_triples(cochain, window, codes, lo, hi)
-        if chain != cochain:
-            code = min(chain ^ cochain)
-            col, row = divmod(code, codes.total)
-            side = "Leibniz" if code in chain else "window"
-            raise InternalConsistencyError(
-                "order-%d transpose equality fails: only the %s side has the"
-                " entry (%s -> %s)"
-                % (
-                    n,
-                    side,
-                    letters.word_label(codes.decode(col)),
-                    letters.word_label(codes.decode(row)),
-                )
-            )
-        yield codes, chain
+        entries: set = set()
+        _toggle_triples(entries, window, codes, lo, min(lo + step, codes.size))
+        yield codes, entries
 
 
-def check_order_n_transpose(ring: CohomologyRing, n: int, max_order: int = MAX_ORDER) -> int:
+def check_order_n_transpose(
+    ring: CohomologyRing, n: int, max_order: int = MAX_ORDER, letters: Optional[_Letters] = None
+) -> int:
     """Assert the order-n differential is the Leibniz expansion's transpose.
 
     The tensor algebra truncated at word length n carries the Leibniz
     expansion of ``ring.twisted`` (degree -1, long outputs dropped), read
     from d(g) itself and never from the structure's tables; its matrix must
     be, entry for entry, the transpose of the window differential of
-    ``ring.structure``.  Both matrices are built in full from (letter, term)
-    triples and compared one slice of column words at a time (see the
-    module docstring).  Returns the number of nonzero entries compared; a
-    discrepancy is an internal error naming the side and the offending entry.
+    ``ring.structure``.  The two matrices are equal exactly when their
+    (letter, term) pair sets are (Pairs, in the module docstring), so the
+    pair sets are compared; a discrepancy is an internal error naming the
+    side and the smallest offending entry.  Returns the number of nonzero
+    entries of the window matrix, counted one slice of column words at a
+    time.  ``letters`` is the structure's ``_Letters``, if already built.
     """
     _check_order(n, max_order)
-    return sum(len(chain) for _, chain in _transpose_slices(ring, n))
+    return sum(len(entries) for _, entries in _transpose_slices(ring, n, letters))
 
 
 def _perturbed_complex(
-    s: AInftyStructure, retract: HomologyData, n: int
+    s: AInftyStructure, retract: HomologyData, n: int, letters: Optional[_Letters] = None
 ) -> GradedMatrixMap:
     """Differential induced on length <= n words of cohomology classes.
 
@@ -456,9 +469,11 @@ def _perturbed_complex(
     windows perturb the zero differential, and the series terminates
     because every application shortens the word.  Columns are computed
     independently: include the word, push through the series, project.
+    ``letters`` is the structure's ``_Letters``, if already built.
     """
     modulus = s.modulus
-    letters = _Letters(s)
+    if letters is None:
+        letters = _Letters(s)
     classes = [(k, i) for k in retract.degrees() for i in range(retract.dim(k))]
     cdeg = [k for k, _ in classes]
     clabels = [retract.label(k, 1 << i) for k, i in classes]
@@ -550,8 +565,8 @@ class OrderNCohomology:
     contracts onto words of cohomology classes first.  ``data``, the homology
     of that complex, is rebuilt from the structure on first use and kept;
     ``complex_dim`` is the dimension of the order-n word space before any
-    contraction, and ``transpose_entries`` counts matrix entries confirmed
-    equal in the chain/cochain transpose check.
+    contraction, and ``transpose_entries`` counts the nonzero entries of the
+    window matrix, which the transpose check proved equal to the Leibniz one.
     """
 
     order: int
@@ -586,11 +601,15 @@ def order_n_cohomology(
     """Order-n linearized cohomology of the augmented DGA behind a ring.
 
     Always verifies the transpose equality between the window differential
-    and the truncated Leibniz differential before reducing.  The "auto"
-    engine is dense up to ``DENSE_LIMIT`` words of length <= n.  Dimensions
-    come from ranks (``GradedMatrixMap.homology_dims``), with no retract and
-    no word labels.  Results are cached in-process per (DGA contents,
-    augmentation, order, engine).
+    and the truncated Leibniz differential before reducing, by comparing
+    their (letter, term) pair sets.  The dense engine counts the nonzero
+    entries of the window matrix it builds; the perturbation engine counts
+    them through ``check_order_n_transpose``, and asserts that its perturbed
+    differential squares to zero.  The "auto" engine is dense up to
+    ``DENSE_LIMIT`` words of length <= n.  Dimensions come from ranks
+    (``GradedMatrixMap.homology_dims``), with no retract and no word labels.
+    Results are cached in-process per (DGA contents, augmentation, order,
+    engine).
     """
     _check_order(n, max_order)
     if engine not in ("auto", "dense", "perturbation"):
@@ -605,11 +624,13 @@ def order_n_cohomology(
         _ORDER_CACHE.move_to_end(key)
         return cached
     assert_valid(ring.dga)
-    entries = check_order_n_transpose(ring, n, max_order=max_order)
+    letters = _Letters(ring.structure)
     if engine == "dense":
-        built = _window_matrix(ring.structure, n)[1]
+        pairs = _matching_pairs(ring, letters, n)
+        built, entries = _window_matrix(ring.structure, letters, pairs, n)
     else:
-        built = _perturbed_complex(ring.structure, ring.cochain, n)
+        entries = check_order_n_transpose(ring, n, max_order, letters)
+        built = _perturbed_complex(ring.structure, ring.cochain, n, letters)
         if not built.is_square_zero():
             raise InternalConsistencyError(
                 "perturbed order-%d differential does not square to zero" % n
@@ -832,35 +853,20 @@ class ReflectionReport:
 
 
 def _check_reflection_conjugation(twisted: DGA, twisted_mirror: DGA, n: int) -> int:
-    """Verify rev(d(w)) = d_mirror(rev(w)) on every word of length <= n."""
-    order = {g: i for i, g in enumerate(twisted.generators)}
+    """Verify rev(d(w)) = d_mirror(rev(w)) on every word of length <= n.
 
-    def encode(source: DGA) -> List[Tuple[Tuple[int, ...], ...]]:
-        return [
-            tuple(
-                tuple(order[x] for x in w)
-                for w in source.sorted_terms(source.d(g))
-            )
-            for g in source.generators
-        ]
-
-    repl = encode(twisted)
-    repl_mirror = encode(twisted_mirror)
-    labels = twisted.generators
-    count = 0
-    layer: List[Tuple[int, ...]] = [()]
-    for _ in range(n):
-        layer = [w + (g,) for w in layer for g in range(len(labels))]
-        for w in layer:
-            left = {v[::-1] for v in _chain_terms(repl, w, n)}
-            right = _chain_terms(repl_mirror, w[::-1], n)
-            if left != right:
-                raise InternalConsistencyError(
-                    "reflection conjugation fails on %s"
-                    % "|".join(labels[g] for g in w)
-                )
-            count += 1
-    return count
+    Both truncated Leibniz differentials are F of their (letter, term) pairs
+    and reversal conjugation sends F(P) to F(rev P), with F injective (Pairs,
+    in the module docstring), so the identity holds on every word exactly
+    when it holds on the one-letter words: d_mirror(g) = rev d(g) up to
+    terms of length n.  Returns the number of words it covers.
+    """
+    for g in twisted.generators:
+        left = {w[::-1] for w in twisted.d(g) if len(w) <= n}
+        if left != {w for w in twisted_mirror.d(g) if len(w) <= n}:
+            raise InternalConsistencyError("reflection conjugation fails on %s" % g)
+    size = len(twisted.generators)
+    return sum(size**length for length in range(1, n + 1))
 
 
 def reflection_compare(dga: DGA, n: int, max_order: int = MAX_ORDER) -> ReflectionReport:
@@ -870,7 +876,7 @@ def reflection_compare(dga: DGA, n: int, max_order: int = MAX_ORDER) -> Reflecti
     value of a reversed word is the same product of values.  Besides
     computing both sides, the word-reversal conjugation identity between
     the two truncated Leibniz differentials is checked on every word of
-    length <= n for every augmentation.
+    length <= n for every augmentation, through the one-letter words.
     """
     _check_order(n, max_order)
     mirror = mirror_dga(dga)

@@ -4,9 +4,10 @@ Random DGAs start from a zero-differential seed and grow by
 stabilizations and elementary isomorphisms, both of which preserve
 validity, so every produced DGA passes the validator by construction
 (and we assert as much here to fail fast if a move is broken).  The
-chain-level triple Massey product and the per-tuple composition sum are
-kept here as the references that the library's product table and its
-table-driven composition sum are compared against.
+chain-level triple Massey product, the per-tuple composition sum and the
+word-by-word Leibniz expansion are kept here as the references that the
+library's product table, its table-driven composition sum and its pair
+checks are compared against.
 """
 
 import random
@@ -65,6 +66,30 @@ def trivial_bracket_dga() -> DGA:
 
 def poly(*words: Tuple[str, ...]):
     return frozenset(tuple(w) for w in words)
+
+
+def _toggle(out: set, word) -> None:
+    if word in out:
+        out.discard(word)
+    else:
+        out.add(word)
+
+
+def _chain_terms(repl, word, n: int) -> set:
+    """Leibniz expansion of a word, with outputs longer than n dropped.
+
+    ``repl[g]`` lists the terms of d(g) as words of letter indices; the
+    word-by-word reference for the transpose and reflection checks.
+    """
+    out: set = set()
+    for i, g in enumerate(word):
+        head = word[:i]
+        tail = word[i + 1 :]
+        budget = n - len(word) + 1
+        for term in repl[g]:
+            if len(term) <= budget:
+                _toggle(out, head + term + tail)
+    return out
 
 
 def random_elementary_iso(rng: random.Random, dga: DGA) -> Optional[ElementaryIso]:

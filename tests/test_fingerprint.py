@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from legch.ainfty import HClass, build_ring, cup_table
 from legch.algebra import mirror_dga
 from legch.augment import enumerate_augmentations
-from legch.families import cupex, masseyex, trefoil
+from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fingerprint import (
     AugmentationProfile,
     Fingerprint,
@@ -17,10 +17,12 @@ from legch.fingerprint import (
     cup_rank_table,
     fingerprint_dga,
     massey_table,
+    order_dim_table,
     profile_for,
     random_graded_basis,
 )
 from legch.gf2 import rank
+from legch.tilde import order_n_cohomology
 from helpers import (
     admitted_class_triples,
     chain_massey_triple,
@@ -212,3 +214,17 @@ def test_profiles_hash_and_compare():
     other = profile_for(build_ring(cup, enumerate_augmentations(cup)[0]))
     assert p0 != other
     assert len({p0, p0_again, other}) == 2
+
+
+def test_order_dim_table_is_the_dense_engine_s_nonzero_dims():
+    for _, dga in bundled_examples():
+        for side in (dga, mirror_dga(dga)):
+            for aug in enumerate_augmentations(side):
+                ring = build_ring(side, aug)
+                dense = {
+                    (n, k): d
+                    for n in (1, 2)
+                    for k, d in order_n_cohomology(ring, n, engine="dense").dims.items()
+                    if d
+                }
+                assert order_dim_table(ring, 2) == dense

@@ -11,7 +11,10 @@ from legch.algebra import DGA, canon_degree, component_k
 from legch.augment import Augmentation, enumerate_augmentations, twist
 from legch.families import bundled_examples, cupex, trefoil
 from legch.gf2 import rank
+from legch.cli import main
+from legch.fileio import serialize_dga
 from legch.linear import (
+    MAX_DUALITY_PAIRS,
     GradedMatrixMap,
     duality_search,
     homology,
@@ -206,6 +209,21 @@ def test_duality_failure_reports_counts():
     result = duality_search(ring)
     assert not result.ok
     assert "degree 1" in result.reason
+
+
+def test_duality_search_over_budget_fails_fast(tmp_path, capsys):
+    # eleven closed degree-1 generators: (2^11 - 1)^2 candidate (kappa, c) pairs
+    gens = tuple("x%d" % i for i in range(11))
+    dga = DGA(0, gens, {g: 1 for g in gens}, {g: frozenset() for g in gens})
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    assert ring.chain.dim(1) == ring.cochain.dim(1) == 11
+    assert (2**11 - 1) ** 2 > MAX_DUALITY_PAIRS
+    with pytest.raises(ContractError, match="exceeds the budget"):
+        duality_search(ring)
+    path = tmp_path / "wide.dga"
+    path.write_text(serialize_dga(dga), encoding="utf-8")
+    assert main(["duality", str(path)]) == 1
+    assert "exceeds the budget %d" % MAX_DUALITY_PAIRS in capsys.readouterr().err
 
 
 def DGA_no_degree_one():

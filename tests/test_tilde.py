@@ -23,7 +23,6 @@ from legch.gf2 import bits
 from legch.linear import homology
 from legch.tilde import (
     _Letters,
-    _chain_terms,
     _cochain_terms,
     _perturbed_complex,
     _transpose_slices,
@@ -36,7 +35,7 @@ from legch.tilde import (
     tilde_of_morphism,
 )
 
-from helpers import random_augmented_dga
+from helpers import _chain_terms, random_augmented_dga
 
 TREFOIL_ORDER_DIMS = {
     1: {0: 2, 1: 1},
@@ -444,3 +443,80 @@ def test_transpose_check_rejects_a_table_entry_of_the_wrong_degree(monkeypatch):
         "window image %s of %s is not homogeneous" % (shifted["wrong"], shifted["args"]),
         lambda: check_order_n_transpose(ring, 2),
     )
+
+
+def test_transpose_check_rejects_a_dropped_entry_in_a_later_slice():
+    dga = cupex(1, 3, 7)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    s = ring.structure
+    n = 3
+    letters = _Letters(s)
+    codes = tilde._Codes(len(letters.labels), n)
+    step = max(1, tilde._SLICE_WORDS // (codes.off[n] + 1))
+    assert step < len(letters.labels)  # the window count takes several slices
+    args, hits = next(
+        (args, hits)
+        for j in sorted(letters.windows) if j <= n
+        for args, hits in sorted(letters.windows[j].items())
+        if hits and min(hits) >= step
+    )
+    labels = tuple(letters.labels[x] for x in args)
+    tables = {k: dict(t) for k, t in s.tables.items()}
+    del tables[len(args)][labels]
+    mutated = replace(ring, structure=AInftyStructure(s.modulus, s.basis, s.arity, tables))
+    _raises_naming(
+        "only the Leibniz side has the entry (%s -> %s)"
+        % (letters.labels[min(hits)], "|".join(labels)),
+        lambda: check_order_n_transpose(mutated, n),
+    )
+
+
+def _word_by_word_reflection(twisted, twisted_mirror, n):
+    """Oracle: rev(d(w)) = d_mirror(rev(w)) on every word of length <= n,
+    expanded word by word with ``_chain_terms``; returns the words checked."""
+    index = {g: i for i, g in enumerate(twisted.generators)}
+
+    def encode(source):
+        return [tuple(tuple(index[x] for x in w) for w in source.d(g)) for g in source.generators]
+
+    repl, repl_mirror = encode(twisted), encode(twisted_mirror)
+    count = 0
+    layer = [()]
+    for _ in range(n):
+        layer = [w + (g,) for w in layer for g in range(len(index))]
+        for w in layer:
+            left = {v[::-1] for v in _chain_terms(repl, w, n)}
+            if left != _chain_terms(repl_mirror, w[::-1], n):
+                raise InternalConsistencyError(
+                    "reflection conjugation fails on %s"
+                    % "|".join(twisted.generators[g] for g in w)
+                )
+            count += 1
+    return count
+
+
+def test_reflection_check_matches_the_word_by_word_oracle():
+    for name, dga in bundled_examples():
+        top = 2 if name.startswith("masseyex") else 3
+        mirror = mirror_dga(dga)
+        for aug in enumerate_augmentations(dga):
+            knot, other = build_ring(dga, aug).twisted, build_ring(mirror, aug).twisted
+            for n in range(1, top + 1):
+                want = _word_by_word_reflection(knot, other, n)
+                assert tilde._check_reflection_conjugation(knot, other, n) == want
+                assert want == sum(len(dga.generators) ** a for a in range(1, n + 1))
+
+
+def test_reflection_check_rejects_a_spurious_mirror_term():
+    dga = trefoil()
+    aug = enumerate_augmentations(dga)[0]
+    knot, other = build_ring(dga, aug).twisted, build_ring(mirror_dga(dga), aug).twisted
+    diff = {g: other.d(g) for g in other.generators}
+    assert ("b2", "b1") not in diff["a2"]
+    diff["a2"] = diff["a2"] | {("b2", "b1")}
+    spurious = other.replace_diff(diff)
+    for n in (2, 3):
+        for check in (tilde._check_reflection_conjugation, _word_by_word_reflection):
+            _raises_naming(
+                "reflection conjugation fails on a2", lambda: check(knot, spurious, n)
+            )
