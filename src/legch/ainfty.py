@@ -937,7 +937,7 @@ def transfer_minimal_model(
 class CohomologyRing:
     """An augmented DGA made linear once: its twist, the adjoint structure
     and both homologies of m_1, shared by every per-augmentation layer, and
-    the cohomology's product table, built on first use."""
+    the cohomology's product table and minimal model, built on first use."""
 
     dga: DGA
     aug: Augmentation
@@ -945,11 +945,33 @@ class CohomologyRing:
     structure: AInftyStructure
     chain: HomologyData
     cochain: HomologyData
+    _minimal: Optional[Tuple[AInftyStructure, AInftyMorphism]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def products(self) -> ProductTable:
         """The cohomology product table; its blocks fill as readers ask for them."""
         return ProductTable(self.cochain, self.structure)
+
+    def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
+        """``transfer_minimal_model(self.cochain, self.structure, arity)``, cached.
+
+        Only the highest arity transferred so far is kept, so the cache holds
+        at most one transfer of arity <= ``MAX_ARITY``.  The recursion builds
+        arity k from lower arities alone, so a lower arity is the kept tables
+        cut at ``arity``.
+        """
+        if self._minimal is None or not 2 <= arity <= self._minimal[0].arity:
+            self._minimal = transfer_minimal_model(self.cochain, self.structure, arity)
+        mu, incl = self._minimal
+        if mu.arity == arity:
+            return mu, incl
+        low = AInftyStructure(
+            mu.modulus, mu.basis, arity, {k: t for k, t in mu.tables.items() if k <= arity}
+        )
+        cut = {k: t for k, t in incl.tables.items() if k <= arity}
+        return low, AInftyMorphism(arity, cut, src=low, dst=incl.dst)
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:

@@ -9,7 +9,7 @@ differential.  Modulus 0 means plain integer gradings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import ContractError
 
@@ -266,13 +266,13 @@ def stabilize(dga: DGA, degree: int, names: Optional[Tuple[str, str]] = None) ->
 
 def substitute(p: Poly, images: Dict[str, Poly]) -> Poly:
     """Apply the algebra map sending each listed letter to its image poly."""
-    out: FrozenSet[Word] = frozenset()
+    out: Set[Word] = set()
     for w in p:
         acc = ONE
         for g in w:
             acc = pmul(acc, images.get(g, frozenset({(g,)})))
-        out = out ^ acc
-    return out
+        out.symmetric_difference_update(acc)
+    return frozenset(out)
 
 
 def iso_expansion_terms(dga: DGA, iso: ElementaryIso) -> int:

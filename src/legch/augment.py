@@ -18,12 +18,17 @@ from . import ContractError, InternalConsistencyError
 from .algebra import DGA, Poly, substitute
 
 __all__ = [
+    "MAX_FREE_GENERATORS",
     "Augmentation",
     "enumerate_augmentations",
     "twist",
     "transport",
     "extend_by_zero",
 ]
+
+# Degree-0 generators left free after propagation that the brute force
+# accepts: it tries all 2^k assignments of the k free generators.
+MAX_FREE_GENERATORS = 20
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,10 @@ def enumerate_augmentations(dga: DGA) -> List[Augmentation]:
         eqs = [eq for eq in eqs if eq]
 
     free = [g for g in zero_gens if g not in assigned]
-    if len(free) > 20:
+    if len(free) > MAX_FREE_GENERATORS:
         raise ContractError(
-            "too many undetermined degree-0 generators (%d) to enumerate" % len(free)
+            "too many undetermined degree-0 generators (%d) to enumerate; the budget"
+            " MAX_FREE_GENERATORS is %d" % (len(free), MAX_FREE_GENERATORS)
         )
 
     solutions = []

@@ -31,7 +31,6 @@ from .ainfty import (
     check_an_relations,
     massey_higher,
     massey_triple,
-    transfer_minimal_model,
 )
 from .algebra import DGA, assert_valid, mirror_dga, validate_dga
 from .augment import Augmentation, enumerate_augmentations
@@ -249,8 +248,7 @@ def cmd_minimal(args) -> int:
     dga = _load(args.file, rows)
     aug = _pick_augmentation(dga, args.aug)
     ring = build_ring(dga, aug)
-    h = ring.cochain
-    mu, incl = transfer_minimal_model(h, ring.structure, args.arity)
+    mu, incl = ring.minimal(args.arity)
     relations = check_an_relations(mu, args.arity)
     if not relations.ok:
         raise InternalConsistencyError(

@@ -9,18 +9,18 @@ with long words dropped; the two matrices must be transposes of each
 other, and ``order_n_cohomology`` asserts that entry for entry on every
 run before reducing.
 
-Two engines are available: a dense one that materializes the word basis,
-and a perturbation engine for large complexes that contracts the tensor
-powers of the homology retract of (V, m_1) and pushes the strictly
-length-decreasing windows (j >= 2) through the resulting finite series.
-Either way the dimensions are dim_k = |basis_k| - rank d_k - rank d_(k-1),
-read off ranks with no word labels; the homology retract of the order-n
-complex, with labelled representatives, is built only on demand.
+Two engines are available, and both are one construction, the window
+matrix, applied to two structures: the dense engine builds it on the adjoint
+structure itself, over words of generators; the perturbation engine
+builds it on the ring's transferred minimal model, over words of
+cohomology classes (Perturbation, below).  Either way the dimensions are
+dim_k = |basis_k| - rank d_k - rank d_(k-1), read off ranks with no word
+labels; the homology retract of the order-n complex, with labelled
+representatives, is built only on demand.
 
-The transpose check and the dense engine build their matrices from
-(letter, term) triples instead of expanding word by word.  Index both
-matrices by a column word w and a row word v (Leibniz: w -> v, window:
-v -> w).  Then:
+The transpose check and the window matrix are built from (letter, term)
+triples instead of expanding word by word.  Index both matrices by a
+column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
 
 * Triples.  The Leibniz image of w is the sum over positions of
   w[:i] . d(w[i]) . w[i+1:], long words dropped, so the (w, v) entry is
@@ -53,30 +53,57 @@ v -> w).  Then:
   rev tl.rev t.rev h, so rev d rev = F(rev P) with rev P = {(g, rev t)},
   and rev d rev = d_mirror holds on every word of length <= n exactly when
   it holds on the one-letter words.  Neither argument uses |t| >= 1.
-* Slices.  Every triple behind an entry has that entry's column word, so
-  the entries of the columns whose first letter lies in [lo, hi) are
-  exactly the GF(2) sums of the triples whose column starts there, and
-  the nonzero entries of the window matrix are counted slice by slice
-  from P_window alone (equal pair sets give equal counts).  A slice
-  covers as many first letters as keep it within ``_SLICE_WORDS`` column
-  words (at least one letter), so the count holds the entry set of one
-  slice at a time and never builds the word basis.
+* Count.  The nonzero entries of F(P) are counted from P alone.  Let
+  W(k) = sum_{m=0..k} (m + 1) |V|^m, the (head, tail) pairs with
+  |h| + |tl| <= k.  An entry carrying c triples is nonzero when c is odd,
+  and [c odd] = sum_{k>=1} (-2)^(k-1) C(c, k) (expand (1 - 2)^c), so the
+  count sums (-2)^(k-1) over the k-sets of triples on a common entry.
+  k = 1 gives sum_P W(n - |t|).  Triples on one entry share its row
+  length, so |t| = L for all of them.  Two at column positions i < j are
+  (h, (g, t), u.g'.tl') and (h.g.u, (g', t'), tl') with t.u.g' = g.u.t'
+  for the middle word u: a core, with column cc = g.u.g' and row
+  rc = t.u.g', the entry being (h.cc.tl, h.rc.tl) for any h, tl with
+  |h| + |rc| + |tl| <= n.  A k-set, k >= 2, is its outermost two triples
+  (a core, a head and a tail) plus any subset of the other positions of
+  cc carrying a triple of (cc, rc); with s such positions in all, the
+  subsets add -2 (1 - 2)^(s - 2) = -2 (-1)^s.  Hence
+      count = sum_P W(n - |t|) - 2 sum_cores (-1)^s W(n - |rc|).
+  Cores: t.u.g' = g.u.t' forces t[0] = g.  For L >= 2, X = t.u.g' has
+  X[1 + i] = X[L + i] for i < |u|, so X[1:] has period L - 1: u and t'
+  less its last letter g' are rotations of t[1:] fixed by |u|, and only
+  (g', t') is looked up in P.  For L = 1 the pairs are (g, (g)) and
+  (g', (g')), which need deg g = deg g - 1, a modulus-1 grading; then
+  cc = rc = g.u.g' with u free and s the number of letters of cc in
+  S = {g : (g, (g)) in P}.  With sigma = |S|, the u of length m add
+  sigma^2 (|V| - 2 sigma)^m, so these cores give
+  -2 sigma^2 sum_{m=0..n-2} (|V| - 2 sigma)^m W(n - m - 2).
 * Homogeneity.  By additivity of degree, deg(h.t.tl) - deg(h.g.tl) =
   deg t - deg g, so every output word has degree one below its column
   word exactly when every contributing pair has deg t = deg g - 1.  Each
   pair with |t| <= n contributes the uncancelled entry (g, t) itself
   (see Pairs), so checking once per pair is equivalent to checking every
   output word.
+* Perturbation.  Let (i, p, h) be the homology retract of (V, m_1).  The
+  tensor trick contracts the order-n complex of (V, m_1) onto words of
+  classes with the homotopy sum_r (i p)^(x r) x h x 1 (heads i p, the
+  middle h, an identity tail).  The windows with j >= 2 shorten words, so
+  the perturbation lemma's series terminates, and the perturbed
+  differential is the bar differential of the structure transferred
+  along (i, p, h), truncated at length n (Kadeishvili 1980;
+  Huebschmann-Kadeishvili 1991; Markl 2006, Transferring A-infinity
+  structures).  So the perturbation engine is the window matrix of
+  ``ring.minimal(max(n, 2))``; its d d = 0, asserted there, is the
+  minimal model's A-infinity relations on words of length <= n, and every
+  transfer verifies its retract and its mu_2 against the cup product.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, assert_valid, canon_degree, dga_key, mirror_dga
@@ -114,9 +141,8 @@ __all__ = [
 
 MAX_ORDER = 4
 DENSE_LIMIT = 20000
-# Column words per slice of the transpose check; bounds its peak memory.
-_SLICE_WORDS = 1 << 15
-# Results kept by the in-process order-n cache, least recently used first out.
+# Entries kept by the in-process order-n cache and by the memo of validated
+# DGA contents, least recently used first out.
 _ORDER_CACHE_SIZE = 64
 
 
@@ -140,10 +166,6 @@ class _Letters:
         self.by_degree: Dict[int, Tuple[int, ...]] = {
             k: tuple(self.index[x] for x in names) for k, names in s.basis.items()
         }
-        self.position: List[int] = [0] * len(self.labels)
-        for names in s.basis.values():
-            for i, x in enumerate(names):
-                self.position[self.index[x]] = i
         self.windows: Dict[int, Dict[Tuple[int, ...], Tuple[int, ...]]] = {}
         for j in sorted(s.tables):
             table: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
@@ -190,41 +212,11 @@ def _words_by_degree(
     return {k: [spelled[c] for c in codes] for k, codes in groups.items()}
 
 
-def _word_index(
-    groups: Dict[int, List[Tuple[int, ...]]]
-) -> Dict[Tuple[int, ...], Tuple[int, int]]:
-    """Each word's (degree, position within that degree's basis)."""
-    return {w: (k, i) for k, ws in groups.items() for i, w in enumerate(ws)}
-
-
 def _toggle(out: set, word: Tuple[int, ...]) -> None:
     if word in out:
         out.discard(word)
     else:
         out.add(word)
-
-
-def _cochain_terms(windows, word) -> set:
-    """All window contractions: replace word[i:i+j] by its operation image."""
-    out: set = set()
-    for i in range(len(word)):
-        for j, table in windows.items():
-            if i + j > len(word):
-                continue
-            hits = table.get(word[i : i + j])
-            if not hits:
-                continue
-            head = word[:i]
-            tail = word[i + j :]
-            for g in hits:
-                _toggle(out, head + (g,) + tail)
-    return out
-
-
-def _expand_vector(by_degree, k: int, vec: int) -> Tuple[int, ...]:
-    """Bitmask over the degree-k basis as a tuple of global letter indices."""
-    row = by_degree.get(k, ())
-    return tuple(row[i] for i in bits(vec))
 
 
 class _Codes:
@@ -242,15 +234,6 @@ class _Codes:
         for length in range(1, n + 1):
             self.off.append(self.off[-1] + size**length)
         self.total = self.off[n + 1]
-
-    def decode(self, code: int) -> Tuple[int, ...]:
-        length = bisect_right(self.off, code) - 1
-        value = code - self.off[length]
-        word = []
-        for _ in range(length):
-            value, g = divmod(value, self.size)
-            word.append(g)
-        return tuple(reversed(word))
 
 
 def _check_pair_degree(letters: _Letters, modulus: int, side: str, g: int, t) -> None:
@@ -340,6 +323,51 @@ def _toggle_triples(out: set, pairs, codes: _Codes, lo: int, hi: int) -> None:
                         )
 
 
+def _entry_count(pairs, size: int, n: int) -> int:
+    """Nonzero entries of F(pairs) over ``size`` letters at order n (Count).
+
+    The triples count sum_P W(n - |t|); each core (g, t, u, g', t') takes
+    away 2 (-1)^s W(n - |rc|), and the cores of one-letter terms (g, (g))
+    are summed in closed form.
+    """
+    weights, acc = [], 0
+    for m in range(n + 1):
+        acc += (m + 1) * size**m
+        weights.append(acc)
+    pairset = set(pairs)
+    ends: Dict[Tuple[int, ...], List[int]] = {}  # t' less g' -> letters g' ending t'
+    for g, t in pairset:
+        if t[-1] == g:
+            ends.setdefault(t[:-1], []).append(g)
+    count = sum(weights[n - len(t)] for _, t in pairset)
+    sigma = 0
+    for g, t in pairset:
+        length = len(t)
+        if t[0] != g:
+            continue
+        if length == 1:
+            sigma += 1
+            continue
+        rest = t[1:]
+        for m in range(n - length):
+            middle = tuple(rest[i % (length - 1)] for i in range(m))
+            prefix = tuple(rest[(m + i) % (length - 1)] for i in range(length - 1))
+            for last in ends.get(prefix, ()):
+                cc = (g,) + middle + (last,)
+                rc = t + middle + (last,)
+                s = sum(
+                    1
+                    for p in range(len(cc))
+                    if cc[:p] == rc[:p]
+                    and cc[p + 1 :] == rc[p + length :]
+                    and (cc[p], rc[p : p + length]) in pairset
+                )
+                count -= 2 * (-1) ** s * weights[n - len(rc)]
+    free = size - 2 * sigma
+    count -= 2 * sigma * sigma * sum(free**m * weights[n - m - 2] for m in range(n - 1))
+    return count
+
+
 @dataclass
 class TildeComplex:
     """Tensor words of length 1..n with the windowed differential (degree +1)."""
@@ -357,17 +385,22 @@ class TildeComplex:
 
 
 def _window_matrix(
-    s: AInftyStructure, letters: _Letters, pairs, n: int
-) -> Tuple[GradedMatrixMap, int]:
+    s: AInftyStructure, letters: _Letters, n: int, entries: Optional[int] = None
+) -> GradedMatrixMap:
     """The order-n window differential on word codes, built from its (letter,
-    term) pairs, and its number of nonzero entries; asserts d d = 0."""
+    term) pairs; asserts d d = 0 and, when given, the number of nonzero entries."""
     size = len(letters.labels)
     groups, degree, place = _word_codes(letters.degree, n, s.modulus)
     codes = _Codes(size, n)
-    entries: set = set()
-    _toggle_triples(entries, pairs, codes, 0, size)
+    built: set = set()
+    _toggle_triples(built, _window_pairs(letters, s.modulus, n), codes, 0, size)
+    if entries is not None and len(built) != entries:
+        raise InternalConsistencyError(
+            "order-%d window matrix has %d nonzero entries, its pairs count %d"
+            % (n, len(built), entries)
+        )
     cols = {k: [0] * len(ws) for k, ws in groups.items()}
-    for code in entries:
+    for code in built:
         target, source = divmod(code, codes.total)
         cols[degree[source]][place[source]] |= 1 << place[target]
     differential = GradedMatrixMap(s.modulus, 1, groups, cols)
@@ -375,7 +408,7 @@ def _window_matrix(
         raise InternalConsistencyError(
             "order-%d differential does not square to zero" % n
         )
-    return differential, len(entries)
+    return differential
 
 
 def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> TildeComplex:
@@ -389,7 +422,7 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     """
     _check_order(n, max_order)
     letters = _Letters(s)
-    window = _window_matrix(s, letters, _window_pairs(letters, s.modulus, n), n)[0]
+    window = _window_matrix(s, letters, n)
     spelled = _spelled(letters.labels, n)
     words = {k: tuple(spelled[c] for c in cs) for k, cs in window.basis.items()}
     basis = {k: tuple("|".join(w) for w in ws) for k, ws in words.items()}
@@ -421,24 +454,6 @@ def _matching_pairs(ring: CohomologyRing, letters: _Letters, n: int):
     return window
 
 
-def _transpose_slices(
-    ring: CohomologyRing, n: int, letters: Optional[_Letters] = None
-) -> Iterator[Tuple[_Codes, set]]:
-    """Check the pair sets, then yield the window matrix one column slice at a time.
-
-    Each slice comes with the codes ``col * M + row`` of its nonzero entries.
-    """
-    if letters is None:
-        letters = _Letters(ring.structure)
-    window = _matching_pairs(ring, letters, n)
-    codes = _Codes(len(letters.labels), n)
-    step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
-    for lo in range(0, codes.size, step):
-        entries: set = set()
-        _toggle_triples(entries, window, codes, lo, min(lo + step, codes.size))
-        yield codes, entries
-
-
 def check_order_n_transpose(
     ring: CohomologyRing, n: int, max_order: int = MAX_ORDER, letters: Optional[_Letters] = None
 ) -> int:
@@ -452,120 +467,27 @@ def check_order_n_transpose(
     (letter, term) pair sets are (Pairs, in the module docstring), so the
     pair sets are compared; a discrepancy is an internal error naming the
     side and the smallest offending entry.  Returns the number of nonzero
-    entries of the window matrix, counted one slice of column words at a
-    time.  ``letters`` is the structure's ``_Letters``, if already built.
+    entries of the window matrix, in closed form from the pairs (Count):
+    the work is over pairs and letters, never over words.  ``letters`` is
+    the structure's ``_Letters``, if already built.
     """
     _check_order(n, max_order)
-    return sum(len(entries) for _, entries in _transpose_slices(ring, n, letters))
-
-
-def _perturbed_complex(
-    s: AInftyStructure, retract: HomologyData, n: int, letters: Optional[_Letters] = None
-) -> GradedMatrixMap:
-    """Differential induced on length <= n words of cohomology classes.
-
-    Tensor powers of (i, p, h) contract the order-n complex of (V, m_1)
-    onto words in the cohomology of m_1; the strictly length-decreasing
-    windows perturb the zero differential, and the series terminates
-    because every application shortens the word.  Columns are computed
-    independently: include the word, push through the series, project.
-    ``letters`` is the structure's ``_Letters``, if already built.
-    """
-    modulus = s.modulus
     if letters is None:
-        letters = _Letters(s)
-    classes = [(k, i) for k in retract.degrees() for i in range(retract.dim(k))]
-    cdeg = [k for k, _ in classes]
-    clabels = [retract.label(k, 1 << i) for k, i in classes]
-    cpos = {c: t for t, c in enumerate(classes)}
-    reps = [
-        _expand_vector(letters.by_degree, k, retract.include(k, 1 << i))
-        for k, i in classes
-    ]
-    hmap: List[Tuple[int, ...]] = []
-    ipmap: List[Tuple[int, ...]] = []
-    pmap: List[Tuple[int, ...]] = []
-    for g in range(len(letters.labels)):
-        k = letters.degree[g]
-        unit = 1 << letters.position[g]
-        below = canon_degree(modulus, k - 1)
-        hmap.append(_expand_vector(letters.by_degree, below, retract.homotopy(k, unit)))
-        coords = retract.project(k, unit)
-        ipmap.append(_expand_vector(letters.by_degree, k, retract.include(k, coords)))
-        pmap.append(tuple(cpos[(k, i)] for i in bits(coords)))
-
-    shortening = {j: table for j, table in letters.windows.items() if j >= 2}
-
-    def shrink(words: set) -> set:
-        out: set = set()
-        for w in words:
-            out ^= _cochain_terms(shortening, w)
-        return out
-
-    def tensor_homotopy(words: set) -> set:
-        out: set = set()
-        for w in words:
-            for r in range(len(w)):
-                middle = hmap[w[r]]
-                if not middle:
-                    continue
-                heads = [ipmap[x] for x in w[:r]]
-                if any(not hx for hx in heads):
-                    continue
-                tail = w[r + 1 :]
-                for combo in iproduct(*heads, middle):
-                    _toggle(out, combo + tail)
-        return out
-
-    groups = _words_by_degree(cdeg, n, modulus)
-    index = _word_index(groups)
-    cols: Dict[int, List[int]] = {}
-    for k, ws in groups.items():
-        target = canon_degree(modulus, k + 1)
-        kcols = []
-        for u in ws:
-            choices = [reps[c] for c in u]
-            if any(not ch for ch in choices):
-                kcols.append(0)
-                continue
-            current = {combo for combo in iproduct(*choices)}
-            acc: set = set()
-            current = shrink(current)
-            while current:
-                acc ^= current
-                current = shrink(tensor_homotopy(current))
-            vec = 0
-            for w in acc:
-                parts = [pmap[x] for x in w]
-                if any(not pc for pc in parts):
-                    continue
-                for cw in iproduct(*parts):
-                    spot = index.get(cw)
-                    if spot is None or spot[0] != target:
-                        raise InternalConsistencyError(
-                            "projected word %r leaves the degree-%d basis"
-                            % (cw, target)
-                        )
-                    vec ^= 1 << spot[1]
-            kcols.append(vec)
-        cols[k] = kcols
-    basis = {
-        k: tuple("|".join(clabels[c] for c in w) for w in ws)
-        for k, ws in groups.items()
-    }
-    return GradedMatrixMap(modulus, 1, basis, cols)
+        letters = _Letters(ring.structure)
+    return _entry_count(_matching_pairs(ring, letters, n), len(letters.labels), n)
 
 
 @dataclass
 class OrderNCohomology:
     """Graded dimensions and representatives of order-n cohomology.
 
-    ``engine`` records how the complex was reduced: "dense" builds the full
-    word basis (representatives are words of generators), "perturbation"
-    contracts onto words of cohomology classes first.  ``data``, the homology
-    of that complex, is rebuilt from the structure on first use and kept;
-    ``complex_dim`` is the dimension of the order-n word space before any
-    contraction, and ``transpose_entries`` counts the nonzero entries of the
+    ``engine`` records which structure's window complex was reduced:
+    "dense" the adjoint structure (representatives are words of
+    generators), "perturbation" the transferred minimal model (words of
+    cohomology classes); ``structure`` is that structure.  ``data``, the
+    homology of its complex, is rebuilt on first use and kept;
+    ``complex_dim`` is the dimension of the order-n word space of the
+    generators, and ``transpose_entries`` counts the nonzero entries of the
     window matrix, which the transpose check proved equal to the Leibniz one.
     """
 
@@ -575,21 +497,24 @@ class OrderNCohomology:
     complex_dim: int
     transpose_entries: int
     structure: AInftyStructure = field(repr=False, compare=False)
-    retract: HomologyData = field(repr=False, compare=False)
 
     @cached_property
     def data(self) -> HomologyData:
-        if self.engine == "dense":
-            built = tilde_complex(self.structure, self.order, max_order=self.order).differential
-        else:
-            built = _perturbed_complex(self.structure, self.retract, self.order)
-        return homology(built, "cochain")
+        complex_ = tilde_complex(self.structure, self.order, max_order=self.order)
+        return homology(complex_.differential, "cochain")
 
     def representatives(self, k: int) -> List[str]:
         return [self.data.label(k, 1 << i) for i in range(self.data.dim(k))]
 
 
 _ORDER_CACHE: "OrderedDict[tuple, OrderNCohomology]" = OrderedDict()
+_VALIDATED: "OrderedDict[tuple, bool]" = OrderedDict()
+
+
+def _remember(cache: OrderedDict, key, value) -> None:
+    cache[key] = value
+    if len(cache) > _ORDER_CACHE_SIZE:
+        cache.popitem(last=False)
 
 
 def order_n_cohomology(
@@ -602,14 +527,17 @@ def order_n_cohomology(
 
     Always verifies the transpose equality between the window differential
     and the truncated Leibniz differential before reducing, by comparing
-    their (letter, term) pair sets.  The dense engine counts the nonzero
-    entries of the window matrix it builds; the perturbation engine counts
-    them through ``check_order_n_transpose``, and asserts that its perturbed
-    differential squares to zero.  The "auto" engine is dense up to
-    ``DENSE_LIMIT`` words of length <= n.  Dimensions come from ranks
-    (``GradedMatrixMap.homology_dims``), with no retract and no word labels.
-    Results are cached in-process per (DGA contents, augmentation, order,
-    engine).
+    their (letter, term) pair sets in ``check_order_n_transpose``, which
+    also counts the window matrix's nonzero entries from the pairs.  The
+    dense engine builds that matrix on ``ring.structure``, asserting its
+    d d = 0 and that its entries number the count; the perturbation engine
+    builds the window matrix of the minimal model ``ring.minimal(max(n,
+    2))`` (Perturbation, in the module docstring), asserting its d d = 0.
+    The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
+    Dimensions come from ranks (``GradedMatrixMap.homology_dims``), with no
+    retract and no word labels.  Each DGA's contents are validated once
+    per process (a bounded memo), and results are cached in-process per
+    (DGA contents, augmentation, order, engine).
     """
     _check_order(n, max_order)
     if engine not in ("auto", "dense", "perturbation"):
@@ -618,29 +546,27 @@ def order_n_cohomology(
     total = sum(size**a for a in range(1, n + 1))
     if engine == "auto":
         engine = "dense" if total <= DENSE_LIMIT else "perturbation"
-    key = (dga_key(ring.dga), ring.aug.values, n, engine)
+    content = dga_key(ring.dga)
+    key = (content, ring.aug.values, n, engine)
     cached = _ORDER_CACHE.get(key)
     if cached is not None:
         _ORDER_CACHE.move_to_end(key)
         return cached
-    assert_valid(ring.dga)
-    letters = _Letters(ring.structure)
-    if engine == "dense":
-        pairs = _matching_pairs(ring, letters, n)
-        built, entries = _window_matrix(ring.structure, letters, pairs, n)
+    if content in _VALIDATED:
+        _VALIDATED.move_to_end(content)
     else:
-        entries = check_order_n_transpose(ring, n, max_order, letters)
-        built = _perturbed_complex(ring.structure, ring.cochain, n, letters)
-        if not built.is_square_zero():
-            raise InternalConsistencyError(
-                "perturbed order-%d differential does not square to zero" % n
-            )
-    result = OrderNCohomology(
-        n, engine, built.homology_dims(), total, entries, ring.structure, ring.cochain
-    )
-    _ORDER_CACHE[key] = result
-    if len(_ORDER_CACHE) > _ORDER_CACHE_SIZE:
-        _ORDER_CACHE.popitem(last=False)
+        assert_valid(ring.dga)
+        _remember(_VALIDATED, content, True)
+    letters = _Letters(ring.structure)
+    entries = check_order_n_transpose(ring, n, max_order, letters)
+    if engine == "dense":
+        structure = ring.structure
+        built = _window_matrix(structure, letters, n, entries)
+    else:
+        structure = ring.minimal(max(n, 2))[0]
+        built = _window_matrix(structure, _Letters(structure), n)
+    result = OrderNCohomology(n, engine, built.homology_dims(), total, entries, structure)
+    _remember(_ORDER_CACHE, key, result)
     return result
 
 
@@ -678,8 +604,8 @@ def tilde_of_morphism(
     The block from length-a words to length-r words sums f_{i_1} x ... x
     f_{i_r} over all compositions i_1 + ... + i_r = a.  The morphism
     equation is re-checked up to arity n first (failure rejects the
-    input), and commutation with the two differentials is asserted word
-    by word.
+    input), and F d_src = d_dst F is asserted on the window matrices, one
+    source word (column) at a time.
     """
     _check_order(n, max_order)
     if f.src is None or f.dst is None:
@@ -700,16 +626,11 @@ def tilde_of_morphism(
         enc: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for args, vec in f.tables[a].items():
             k = canon_degree(f.src.modulus, sum(f.src.degree_of[x] for x in args))
-            key = tuple(sletters.index[x] for x in args)
-            enc[key] = _expand_vector(dletters.by_degree, k, vec)
+            row = dletters.by_degree.get(k, ())
+            enc[tuple(sletters.index[x] for x in args)] = tuple(row[i] for i in bits(vec))
         ftab[a] = enc
 
-    image_of: Dict[Tuple[int, ...], frozenset] = {}
-
-    def image(word: Tuple[int, ...]) -> frozenset:
-        hit = image_of.get(word)
-        if hit is not None:
-            return hit
+    def image(word: Tuple[int, ...]) -> set:
         out: set = set()
         for r in range(1, len(word) + 1):
             for comp in _compositions(len(word), r):
@@ -726,12 +647,11 @@ def tilde_of_morphism(
                     continue
                 for combo in iproduct(*lists):
                     _toggle(out, combo)
-        frozen = frozenset(out)
-        image_of[word] = frozen
-        return frozen
+        return out
 
     groups = _words_by_degree(sletters.degree, n, f.src.modulus)
-    dst_index = _word_index(_words_by_degree(dletters.degree, n, f.dst.modulus))
+    dst_words = _words_by_degree(dletters.degree, n, f.dst.modulus).items()
+    dst_index = {w: (k, i) for k, ws in dst_words for i, w in enumerate(ws)}
     blocks: Dict[int, List[int]] = {}
     for k, ws in groups.items():
         kcols = []
@@ -747,15 +667,11 @@ def tilde_of_morphism(
                 vec ^= 1 << spot[1]
             kcols.append(vec)
         blocks[k] = kcols
-    for ws in groups.values():
-        for w in ws:
-            left: set = set()
-            for v in _cochain_terms(sletters.windows, w):
-                left ^= image(v)
-            right: set = set()
-            for v in image(w):
-                right ^= _cochain_terms(dletters.windows, v)
-            if left != right:
+    d_src, d_dst = source.differential, target.differential
+    for k, ws in groups.items():
+        after = blocks.get(d_src.canon(k + 1), [])
+        for w, down, across in zip(ws, d_src.columns(k), blocks[k]):
+            if apply_cols(after, down) != d_dst.apply(k, across):
                 raise InternalConsistencyError(
                     "induced map fails to commute with the differentials on %s"
                     % sletters.word_label(w)

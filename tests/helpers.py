@@ -4,13 +4,16 @@ Random DGAs start from a zero-differential seed and grow by
 stabilizations and elementary isomorphisms, both of which preserve
 validity, so every produced DGA passes the validator by construction
 (and we assert as much here to fail fast if a move is broken).  The
-chain-level triple Massey product, the per-tuple composition sum and the
-word-by-word Leibniz expansion are kept here as the references that the
-library's product table, its table-driven composition sum and its pair
-checks are compared against.
+chain-level triple Massey product, the per-tuple composition sum, the
+word-by-word Leibniz and window expansions, the sliced count of the
+window matrix and the word-by-word perturbation series are kept here as
+the references that the library's product table, its table-driven
+composition sum, its pair checks, its closed-form entry count and its
+minimal-model order-n engine are compared against.
 """
 
 import random
+from bisect import bisect_right
 from itertools import combinations, product
 from typing import List, Optional, Tuple
 
@@ -36,7 +39,9 @@ from legch.augment import enumerate_augmentations
 from legch.families import cupex, masseyex, trefoil
 from legch.fileio import parse_dga
 from legch.fingerprint import _tuple_space
-from legch.gf2 import span_basis
+from legch.gf2 import bits, span_basis
+from legch.linear import GradedMatrixMap
+from legch.tilde import _Codes, _Letters, _matching_pairs, _toggle_triples, _words_by_degree
 
 
 def trivial_bracket_dga() -> DGA:
@@ -90,6 +95,164 @@ def _chain_terms(repl, word, n: int) -> set:
             if len(term) <= budget:
                 _toggle(out, head + term + tail)
     return out
+
+
+def _cochain_terms(windows, word) -> set:
+    """All window contractions: replace word[i:i+j] by its operation image.
+
+    ``windows[j]`` maps a j-letter window to the letters of its image (as
+    ``tilde._Letters.windows``); the word-by-word reference for the window
+    matrix.
+    """
+    out: set = set()
+    for i in range(len(word)):
+        for j, table in windows.items():
+            if i + j > len(word):
+                continue
+            hits = table.get(word[i : i + j])
+            if not hits:
+                continue
+            head = word[:i]
+            tail = word[i + j :]
+            for g in hits:
+                _toggle(out, head + (g,) + tail)
+    return out
+
+
+# Column words per slice of the sliced count; bounds its peak memory.
+_SLICE_WORDS = 1 << 15
+
+
+def _transpose_slices(ring, n: int):
+    """Check the pair sets, then yield the window matrix one column slice at a time.
+
+    Each slice comes with the codes ``col * M + row`` of its nonzero
+    entries; a slice covers as many first letters as keep it within
+    ``_SLICE_WORDS`` column words (at least one letter).  Every triple
+    behind an entry has that entry's column word, so the slices partition
+    the entries: the reference count the closed form is compared against.
+    """
+    letters = _Letters(ring.structure)
+    window = _matching_pairs(ring, letters, n)
+    codes = _Codes(len(letters.labels), n)
+    step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
+    for lo in range(0, codes.size, step):
+        entries: set = set()
+        _toggle_triples(entries, window, codes, lo, min(lo + step, codes.size))
+        yield codes, entries
+
+
+def sliced_count(ring, n: int) -> int:
+    """Nonzero entries of the window matrix, counted slice by slice."""
+    return sum(len(entries) for _, entries in _transpose_slices(ring, n))
+
+
+def decode(codes, code: int) -> Tuple[int, ...]:
+    """The word of letter indices behind a ``tilde._Codes`` code."""
+    length = bisect_right(codes.off, code) - 1
+    value = code - codes.off[length]
+    word = []
+    for _ in range(length):
+        value, g = divmod(value, codes.size)
+        word.append(g)
+    return tuple(reversed(word))
+
+
+def _perturbed_complex(s, retract, n: int) -> GradedMatrixMap:
+    """Differential induced on length <= n words of cohomology classes.
+
+    Tensor powers of (i, p, h) contract the order-n complex of (V, m_1)
+    onto words in the cohomology of m_1; the strictly length-decreasing
+    windows perturb the zero differential, and the series terminates
+    because every application shortens the word.  Columns are computed
+    independently: include the word, push through the series, project.
+    The library's perturbation engine is the window matrix of the
+    transferred minimal model; this series is its reference.
+    """
+    modulus = s.modulus
+    letters = _Letters(s)
+
+    def expand(k: int, vec: int) -> Tuple[int, ...]:
+        row = letters.by_degree.get(k, ())
+        return tuple(row[i] for i in bits(vec))
+
+    position = {}
+    for names in s.basis.values():
+        for i, x in enumerate(names):
+            position[letters.index[x]] = i
+    classes = [(k, i) for k in retract.degrees() for i in range(retract.dim(k))]
+    cdeg = [k for k, _ in classes]
+    clabels = [retract.label(k, 1 << i) for k, i in classes]
+    cpos = {c: t for t, c in enumerate(classes)}
+    reps = [expand(k, retract.include(k, 1 << i)) for k, i in classes]
+    hmap: List[Tuple[int, ...]] = []
+    ipmap: List[Tuple[int, ...]] = []
+    pmap: List[Tuple[int, ...]] = []
+    for g in range(len(letters.labels)):
+        k = letters.degree[g]
+        unit = 1 << position[g]
+        hmap.append(expand(canon_degree(modulus, k - 1), retract.homotopy(k, unit)))
+        coords = retract.project(k, unit)
+        ipmap.append(expand(k, retract.include(k, coords)))
+        pmap.append(tuple(cpos[(k, i)] for i in bits(coords)))
+
+    shortening = {j: table for j, table in letters.windows.items() if j >= 2}
+
+    def shrink(words: set) -> set:
+        out: set = set()
+        for w in words:
+            out ^= _cochain_terms(shortening, w)
+        return out
+
+    def tensor_homotopy(words: set) -> set:
+        out: set = set()
+        for w in words:
+            for r in range(len(w)):
+                middle = hmap[w[r]]
+                if not middle:
+                    continue
+                heads = [ipmap[x] for x in w[:r]]
+                if any(not hx for hx in heads):
+                    continue
+                tail = w[r + 1 :]
+                for combo in product(*heads, middle):
+                    _toggle(out, combo + tail)
+        return out
+
+    groups = _words_by_degree(cdeg, n, modulus)
+    index = {w: (k, i) for k, ws in groups.items() for i, w in enumerate(ws)}
+    cols = {}
+    for k, ws in groups.items():
+        target = canon_degree(modulus, k + 1)
+        kcols = []
+        for u in ws:
+            choices = [reps[c] for c in u]
+            if any(not ch for ch in choices):
+                kcols.append(0)
+                continue
+            acc: set = set()
+            current = shrink(set(product(*choices)))
+            while current:
+                acc ^= current
+                current = shrink(tensor_homotopy(current))
+            vec = 0
+            for w in acc:
+                parts = [pmap[x] for x in w]
+                if any(not pc for pc in parts):
+                    continue
+                for cw in product(*parts):
+                    spot = index.get(cw)
+                    if spot is None or spot[0] != target:
+                        raise AssertionError(
+                            "projected word %r leaves the degree-%d basis" % (cw, target)
+                        )
+                    vec ^= 1 << spot[1]
+            kcols.append(vec)
+        cols[k] = kcols
+    basis = {
+        k: tuple("|".join(clabels[c] for c in w) for w in ws) for k, ws in groups.items()
+    }
+    return GradedMatrixMap(modulus, 1, basis, cols)
 
 
 def random_elementary_iso(rng: random.Random, dga: DGA) -> Optional[ElementaryIso]:

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch import ContractError
+from legch import ContractError, ainfty
 from legch.ainfty import (
     MAX_ARITY,
     AInftyMorphism,
@@ -464,6 +464,29 @@ def test_morphism_checker_detects_a_corrupted_inclusion():
     assert not report.ok
     assert report.arity == 2
     assert report.args == ("[b2]", "[b2]")
+
+
+def test_ring_keeps_one_transfer_and_cuts_lower_arities_from_it(monkeypatch):
+    ring = trefoil_ring()
+    calls = []
+    real = transfer_minimal_model
+
+    def counted(h, s, up_to):
+        calls.append(up_to)
+        return real(h, s, up_to)
+
+    monkeypatch.setattr(ainfty, "transfer_minimal_model", counted)
+    for arity in (3, 5, 2, 4, 5):
+        mu, incl = ring.minimal(arity)
+        want_mu, want_incl = real(ring.cochain, ring.structure, arity)
+        assert mu == want_mu and mu.arity == arity
+        assert incl.tables == want_incl.tables and incl.arity == arity
+    assert calls == [3, 5]  # lower arities are cut from the kept transfer
+    assert ring.minimal(5)[0] is ring.minimal(5)[0]
+    with pytest.raises(ContractError):
+        ring.minimal(1)
+    with pytest.raises(ContractError, match="MAX_ARITY"):
+        ring.minimal(MAX_ARITY + 1)
 
 
 def test_transfer_refuses_arities_above_the_budget():

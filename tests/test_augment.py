@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError
+from legch import ContractError, augment
 from legch.algebra import (
     DGA,
     ElementaryIso,
@@ -15,6 +15,7 @@ from legch.algebra import (
     stabilize,
 )
 from legch.augment import (
+    MAX_FREE_GENERATORS,
     Augmentation,
     enumerate_augmentations,
     extend_by_zero,
@@ -64,6 +65,26 @@ def test_zero_differential_enumerates_all_degree_zero_assignments():
     augs = enumerate_augmentations(dga)
     assert len(augs) == 4
     assert [(a("x"), a("y")) for a in augs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _free_zero_dga(count):
+    return DGA(0, tuple("x%d" % i for i in range(count)), {"x%d" % i: 0 for i in range(count)}, {})
+
+
+def test_brute_force_admits_exactly_the_named_budget(monkeypatch):
+    tried = []
+
+    def no_assignments(values, repeat):
+        tried.append(repeat)
+        return iter(())
+
+    # The cap is checked before the 2^k loop, so the loop is stubbed out.
+    monkeypatch.setattr(augment, "product", no_assignments)
+    assert enumerate_augmentations(_free_zero_dga(MAX_FREE_GENERATORS)) == []
+    assert tried == [MAX_FREE_GENERATORS]
+    with pytest.raises(ContractError, match="MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS):
+        enumerate_augmentations(_free_zero_dga(MAX_FREE_GENERATORS + 1))
+    assert tried == [MAX_FREE_GENERATORS]
 
 
 def test_augmentation_value_lookup_and_describe():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError
 from legch.ainfty import MAX_ARITY
+from legch.augment import MAX_FREE_GENERATORS
 from legch.algebra import mirror_dga
 from legch.cli import build_parser, main
 from legch.families import cupex, trefoil
@@ -186,6 +187,18 @@ def test_minimal_refuses_an_arity_above_the_budget(capsys, trefoil_file):
     assert code == 1
     assert out == ""
     assert "MAX_ARITY = %d" % MAX_ARITY in err
+
+
+def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):
+    path = tmp_path / "wide.dga"
+    count = MAX_FREE_GENERATORS + 1
+    path.write_text(
+        "modulus 0\n" + "".join("gen x%d 0\n" % i for i in range(count)), encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "augs", str(path))
+    assert code == 1
+    assert out == ""
+    assert "(%d)" % count in err and "MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS in err
 
 
 def test_ordern_rows(capsys, trefoil_file):

@@ -6,7 +6,7 @@ from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError, augment, tilde
 from legch.ainfty import (
@@ -15,7 +15,7 @@ from legch.ainfty import (
     build_ring,
     transfer_minimal_model,
 )
-from legch.algebra import canon_degree, mirror_dga, stabilize
+from legch.algebra import DGA, canon_degree, mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fingerprint import compare_mirror
@@ -23,9 +23,6 @@ from legch.gf2 import bits
 from legch.linear import homology
 from legch.tilde import (
     _Letters,
-    _cochain_terms,
-    _perturbed_complex,
-    _transpose_slices,
     _words_by_degree,
     check_order_n_transpose,
     order_n_cohomology,
@@ -35,7 +32,17 @@ from legch.tilde import (
     tilde_of_morphism,
 )
 
-from helpers import _chain_terms, random_augmented_dga
+import helpers
+from helpers import (
+    _chain_terms,
+    _cochain_terms,
+    _perturbed_complex,
+    _transpose_slices,
+    decode,
+    random_augmented_dga,
+    random_dga,
+    sliced_count,
+)
 
 TREFOIL_ORDER_DIMS = {
     1: {0: 2, 1: 1},
@@ -329,7 +336,7 @@ def _sliced_entries(ring, n):
     for codes, chain in _transpose_slices(ring, n):
         for code in chain:
             col, row = divmod(code, codes.total)
-            entries.add((codes.decode(col), codes.decode(row)))
+            entries.add((decode(codes, col), decode(codes, row)))
     return entries
 
 
@@ -374,6 +381,144 @@ def test_transpose_check_matches_the_word_by_word_oracle():
 def test_transpose_check_matches_the_oracle_on_random_dgas(seed, n):
     dga, aug = random_augmented_dga(random.Random(seed))
     _assert_matches_oracle(dga, aug, n)
+
+
+def _uncancelled_count(ring, n):
+    """The count if no two triples met on an entry: sum over pairs of W(n - |t|)."""
+    letters = _Letters(ring.structure)
+    size = len(letters.labels)
+    pairs = tilde._window_pairs(letters, ring.structure.modulus, n)
+    return sum(
+        (m + 1) * size**m for _, t in pairs for m in range(n - len(t) + 1)
+    )
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4))
+@settings(deadline=None, max_examples=40)
+@example(12, 3)
+@example(37, 3)
+@example(83, 3)
+@example(12, 4)  # from n = 4 on, a core can carry a third triple: s = 3
+@example(37, 4)
+def test_entry_count_matches_the_sliced_oracle_on_random_dgas(seed, n):
+    dga, aug = random_augmented_dga(random.Random(seed))
+    ring = build_ring(dga, aug)
+    assert check_order_n_transpose(ring, n) == sliced_count(ring, n)
+
+
+def test_entry_count_cancels_on_the_pinned_random_seeds():
+    # Seeds whose window matrix has two triples on one entry at n = 3.
+    for seed in (12, 37, 83):
+        dga, aug = random_augmented_dga(random.Random(seed))
+        ring = build_ring(dga, aug)
+        count = check_order_n_transpose(ring, 3)
+        assert count == sliced_count(ring, 3)
+        assert count < _uncancelled_count(ring, 3), seed
+    dga, aug = random_augmented_dga(random.Random(37))
+    ring = build_ring(dga, aug)
+    assert (check_order_n_transpose(ring, 3), _uncancelled_count(ring, 3)) == (60, 68)
+
+
+def _diagonal_dga():
+    """d g = d x = g + x, d y = 0, all in degree 0: pairs (g, (g)) need modulus 1."""
+    return DGA(
+        1,
+        ("g", "x", "y"),
+        {"g": 0, "x": 0, "y": 0},
+        {"g": frozenset({("g",), ("x",)}), "x": frozenset({("g",), ("x",)})},
+    )
+
+
+def test_entry_count_on_a_modulus_one_dga_with_diagonal_cores():
+    dga = _diagonal_dga()
+    for aug in enumerate_augmentations(dga):
+        ring = build_ring(dga, aug)
+        for n, want in ((1, 4), (2, 20), (3, 88), (4, 344)):
+            assert check_order_n_transpose(ring, n) == want == sliced_count(ring, n)
+            dense = order_n_cohomology(ring, n, engine="dense")
+            pert = order_n_cohomology(ring, n, engine="perturbation")
+            assert dense.transpose_entries == pert.transpose_entries == want
+            assert dense.dims == pert.dims == {0: n}
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=30)
+@example(4)  # cores with an odd number s of triples
+@example(6691)
+def test_entry_count_matches_the_sliced_oracle_on_modulus_one_dgas(seed):
+    rng = random.Random(seed)
+    dga = random_dga(rng, 6, moduli=(1,))
+    # build_ring checks the relations up to the longest word, which takes
+    # tens of seconds on some words of length 15 and more.
+    assume(max((len(w) for g in dga.generators for w in dga.d(g)), default=0) <= 8)
+    augs = enumerate_augmentations(dga)
+    assume(augs)
+    ring = build_ring(dga, augs[rng.randrange(len(augs))])
+    for n in (1, 2, 3, 4):
+        assert check_order_n_transpose(ring, n) == sliced_count(ring, n)
+
+
+def test_dense_engine_rejects_a_window_matrix_off_the_count(monkeypatch):
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    real = tilde._entry_count
+    monkeypatch.setattr(tilde, "_entry_count", lambda *args: real(*args) + 1)
+    _raises_naming(
+        "order-2 window matrix has 46 nonzero entries, its pairs count 47",
+        lambda: order_n_cohomology(ring, 2, engine="dense"),
+    )
+
+
+def _assert_minimal_window_is_the_perturbed_complex(ring, n):
+    """The perturbation engine's matrix equals the word-by-word series, labels included."""
+    mu = ring.minimal(max(n, 2))[0]
+    assert tilde_complex(mu, n).differential == _perturbed_complex(ring.structure, ring.cochain, n)
+
+
+def test_minimal_model_window_matrix_is_the_perturbed_complex():
+    for name, dga in bundled_examples():
+        for side in (dga, mirror_dga(dga)):
+            for aug in enumerate_augmentations(side):
+                ring = build_ring(side, aug)
+                for n in (1, 2, 3):
+                    _assert_minimal_window_is_the_perturbed_complex(ring, n)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=25)
+def test_minimal_model_window_matrix_is_the_perturbed_complex_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed))
+    ring = build_ring(dga, aug)
+    for n in (1, 2, 3):
+        _assert_minimal_window_is_the_perturbed_complex(ring, n)
+
+
+def test_each_dga_is_validated_once_and_an_invalid_one_still_fails(monkeypatch):
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    monkeypatch.setattr(tilde, "_VALIDATED", OrderedDict())
+    calls = []
+    real = tilde.assert_valid
+
+    def counted(dga):
+        calls.append(dga)
+        return real(dga)
+
+    monkeypatch.setattr(tilde, "assert_valid", counted)
+    dga = trefoil()
+    for aug in enumerate_augmentations(dga):
+        ring = build_ring(dga, aug)
+        for n in (1, 2):
+            order_n_cohomology(ring, n)
+    assert len(calls) == 1
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    diff = {g: dga.d(g) for g in dga.generators}
+    diff["a1"] = diff["a1"] | {("a2",)}  # degree 1 in d a1: not homogeneous
+    invalid = replace(ring, dga=dga.replace_diff(diff))
+    for _ in range(2):  # a failure is not remembered as valid
+        with pytest.raises(ContractError):
+            order_n_cohomology(invalid, 2)
+    assert len(calls) == 3
 
 
 def _raises_naming(expected, call):
@@ -452,7 +597,7 @@ def test_transpose_check_rejects_a_dropped_entry_in_a_later_slice():
     n = 3
     letters = _Letters(s)
     codes = tilde._Codes(len(letters.labels), n)
-    step = max(1, tilde._SLICE_WORDS // (codes.off[n] + 1))
+    step = max(1, helpers._SLICE_WORDS // (codes.off[n] + 1))
     assert step < len(letters.labels)  # the window count takes several slices
     args, hits = next(
         (args, hits)
