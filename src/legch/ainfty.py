@@ -18,6 +18,7 @@ input label of an m_r entry.  Neither builds a tuple whose terms all vanish.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
@@ -44,7 +45,6 @@ __all__ = [
     "check_an_relations",
     "check_ainfty_morphism",
     "cup_product",
-    "cup_table",
     "massey_triple",
     "massey_higher",
     "transfer_minimal_model",
@@ -57,6 +57,12 @@ DEFAULT_MAX_SYSTEMS = 1 << 20
 # 1.6-1.9x per arity; at 16 the transfer plus the inclusion's morphism check
 # takes at most 0.4 s on each bundled example, at 20 up to 1.7 s.
 MAX_ARITY = 16
+
+# Insertion terms check_an_relations may toggle, counted before it starts.
+# A term takes about 1.15 us (2,008,036 terms in 2.33 s, python 3.11 on a
+# 2-vCPU VM), so an accepted check stays near 2.3 s; the test suite's
+# largest count is 356,106.
+MAX_RELATION_TERMS = 2_000_000
 
 
 class HClass(NamedTuple):
@@ -191,6 +197,8 @@ class AInftyMorphism:
     tables: Dict[int, Dict[Tuple[str, ...], int]]
     src: Optional["AInftyStructure"] = None
     dst: Optional["AInftyStructure"] = None
+    # the chain table p_3 of a transfer's inclusion (see transfer_minimal_model)
+    p3: Dict[Tuple[str, ...], int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.tables = {
@@ -372,8 +380,35 @@ def _composition_sum(
                     _toggle(total, args, vec)
 
 
+def _relation_terms(s: AInftyStructure, up_to: int) -> int:
+    """The number of terms ``_insertion_sum`` toggles for the relations l <= up_to:
+    one per m_j entry hitting each label of each outer key of arity l + 1 - j."""
+    occurrences = {r: Counter(x for args in table for x in args) for r, table in s.tables.items()}
+    total = 0
+    for l in range(1, up_to + 1):
+        for j in range(1, min(s.arity, l) + 1):
+            hits = s.hits(j)
+            for x, times in occurrences.get(l + 1 - j, {}).items():
+                total += times * len(hits.get(x, ()))
+    return total
+
+
 def check_an_relations(s: AInftyStructure, up_to: int) -> CheckReport:
-    """Verify sum over i+j+k=l of m_{i+1+k}(1 x m_j x 1) = 0 for l <= up_to."""
+    """Verify sum over i+j+k=l of m_{i+1+k}(1 x m_j x 1) = 0 for l <= up_to.
+
+    More than ``MAX_RELATION_TERMS`` terms are refused before any is toggled;
+    they are counted only past the bound sum r |m_r| |m_{l+1-r}| (an m_j
+    entry hits each label of an arity-r key at most once).
+    """
+    size = {k: len(t) for k, t in s.tables.items()}
+    pairs = [(r, l + 1 - r) for l in range(1, up_to + 1) for r in range(1, l + 1)]
+    if sum(r * size.get(r, 0) * size.get(j, 0) for r, j in pairs) > MAX_RELATION_TERMS:
+        terms = _relation_terms(s, up_to)
+        if terms > MAX_RELATION_TERMS:
+            raise ContractError(
+                "the A-infinity relations up to arity %d take %d terms, over the budget"
+                " MAX_RELATION_TERMS = %d" % (up_to, terms, MAX_RELATION_TERMS)
+            )
     for l in range(1, up_to + 1):
         total: Dict[Tuple[str, ...], int] = {}
         _insertion_sum(s.tables, s, l, total)
@@ -419,16 +454,10 @@ def check_ainfty_morphism(
     return CheckReport(True, "morphism equation holds up to arity %d" % up_to)
 
 
-def _m2_of_reps(h: HomologyData, s: AInftyStructure, x: HClass, y: HClass) -> Tuple[int, int]:
-    """Degree and chain vector of m_2 on the chosen representatives of x and y."""
-    xv = h.include(x.degree, x.coords)
-    yv = h.include(y.degree, y.coords)
-    return s.apply([(h.canon(x.degree), xv), (h.canon(y.degree), yv)])
-
-
 def cup_product(h: HomologyData, s: AInftyStructure, x: HClass, y: HClass) -> HClass:
     """The class of m_2 on chosen representatives; degree |x| + |y| + 1."""
-    deg, vec = _m2_of_reps(h, s, x, y)
+    xv, yv = h.include(x.degree, x.coords), h.include(y.degree, y.coords)
+    deg, vec = s.apply([(h.canon(x.degree), xv), (h.canon(y.degree), yv)])
     return HClass(deg, h.class_of(deg, vec))
 
 
@@ -436,13 +465,6 @@ def basis_classes(h: HomologyData, k: int) -> List[HClass]:
     """The basis classes of degree k, in coordinate order."""
     k = h.canon(k)
     return [HClass(k, 1 << i) for i in range(h.dim(k))]
-
-
-def cup_table(
-    h: HomologyData, s: AInftyStructure, xs: Sequence[HClass], ys: Sequence[HClass]
-) -> List[HClass]:
-    """Cup products x * y for every x in xs and y in ys, x-major."""
-    return [cup_product(h, s, x, y) for x in xs for y in ys]
 
 
 @dataclass
@@ -494,16 +516,15 @@ class ProductTable:
     """Cups and triple Massey brackets of a cohomology ring, read off basis blocks.
 
     Everything is filled on first use and kept for the life of the table,
-    keyed by degree: per degree its canonical form and the inclusion
-    vectors i x_i of the basis classes; per degree pair (a, b) a
-    ``PairBlock`` (``class_of`` runs on every entry, so a product that is
-    not closed is rejected) and the lifts i_2(x_i, y_j) = h(m_2(i x_i, i y_j)),
-    taken when a triple block first needs them (h(0) = 0 is not computed).
-    The triple block of (a, b, c), built when a bracket in those degrees is
-    first defined, holds the chain vectors of Kadeishvili's
+    keyed by degree: per degree its canonical form and the inclusion vectors
+    i x_i of the basis classes; per degree pair (a, b) a ``PairBlock``
+    (``class_of`` runs on every entry, so a product that is not closed is
+    rejected); the ring's one transfer ``minimal``, which checks its mu_2
+    against those pair blocks; and the triple blocks, the transfer's chain
+    table p_3 grouped by degree triple:
 
         p_3(x_i, y_j, z_k) = m_3(i x_i, i y_j, i z_k) + m_2(i x_i, i_2(y_j, z_k))
-                             + m_2(i_2(x_i, y_j), i z_k).
+                             + m_2(i_2(x_i, y_j), i z_k),   i_2 = h m_2.
 
     Why reading blocks equals the chain-level formulas class tuple by class
     tuple.  The paper (arXiv:0901.0490) defines the cup product as the class
@@ -513,36 +534,35 @@ class ProductTable:
     The inclusion i and the homotopy h are linear and m_2, m_3 are
     multilinear, so for x = sum x_i, y = sum y_j, z = sum z_k that chain
     vector is the XOR of p_3(x_i, y_j, z_k) over the set bits of the three
-    coordinate vectors (``gf2.apply_block``), and m_2(ix, iy) is the XOR of
-    the pair entries.  ``class_of`` is linear on cycles and still runs on
-    every defined bracket's XOR, so ``bracket`` returns what the chain-level
-    formula returns, and ``cup`` what ``cup_product`` returns.  By
-    Kadeishvili's transfer this value is mu_3(x, y, z) of the minimal model,
-    which lies in the bracket with indeterminacy x H + H z
+    coordinate vectors, and m_2(ix, iy) is the XOR of the pair entries
+    (``gf2.apply_block``).  ``class_of`` is linear on cycles and still runs
+    on every defined bracket's XOR, so ``value`` returns what the
+    chain-level formula returns, and ``cup`` what ``cup_product`` returns.
+    By Kadeishvili's transfer this value is mu_3(x, y, z) of the minimal
+    model, which lies in the bracket with indeterminacy x H + H z
     (Lu-Palmieri-Wu-Zhang 2009, A-infinity structures on Ext-algebras,
     Thm 3.1).  Higher brackets stay chain-level in ``massey_higher``: for
     n >= 4 that theorem gives only the containment of mu_n in the bracket,
     not the bracket's full value set.
 
-    Zero blocks.  When the arity-3 table has no entry in degrees (a, b, c)
-    and both lift blocks i_2(x_i, y_j) and i_2(y_j, z_k) are zero, each of
-    the three terms of p_3 vanishes on every basis triple, so the block is
-    stored as the zero marker ``None`` in place of its vectors.  Every
-    bracket in such a block has the zero chain vector as its value; the zero
-    vector is closed and its class is 0, so ``class_of`` on it cannot fail
-    and nothing is skipped by not building the vectors.  On every nonzero
-    block ``class_of`` runs on the XOR of every defined combination.
+    Support.  A triple block holds only the nonzero p_3 vectors, keyed by
+    basis-index triple, and a degree triple without a p_3 entry has no
+    block.  On such a triple every bracket's value chain is 0, and 0 is
+    closed with class 0, so ``class_of`` on it cannot fail and ``flags``
+    returns (True, False) at the first defined combination.  If moreover
+    mu_2 has no entry in degrees (a, b) or (b, c), both pair blocks are zero
+    (the transfer checks mu_2 against them), so every triple of nonzero
+    classes is defined and (a, b, c) is (True, False) without a flags pass:
+    ``fingerprint.massey_table`` calls ``flags`` only on the support of mu_2
+    and p_3.  On every nonzero block ``class_of`` runs on the XOR of every
+    defined combination.
 
     The flags pass.  ``flags(a, b, c)`` is (some bracket is defined, some
     bracket is nonzero modulo its indeterminacy) over every triple of nonzero
     coordinate vectors, enumerated in ``itertools.product`` order and
     stopping at the first nonzero one, as bracket-by-bracket reading would.
     Definedness is read off the pair blocks' class rows (``apply_block``),
-    the triple block is built at the first defined combination, and the
-    indeterminacy is formed only for a nonzero value.  On a zero block every
-    later value is zero, so the pass returns (True, False) there.  Pair
-    blocks, the triple block and the indeterminacy are built at the same
-    combination as by ``bracket``, so any error surfaces on the same input.
+    and the indeterminacy is formed only for a nonzero value.
     """
 
     def __init__(self, h: HomologyData, s: AInftyStructure):
@@ -550,10 +570,7 @@ class ProductTable:
         self.s = s
         self._bases: Dict[int, Tuple[int, List[int]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
-        self._lifts: Dict[Tuple[int, int], Optional[List[List[int]]]] = {}
-        self._triples: Dict[Tuple[int, int, int], Tuple[int, Optional[list]]] = {}
-        # the degrees (a, b, c) of the arity-3 entries; m_3 is zero on every other block
-        self._m3_degrees = frozenset(tuple(map(s.degree_of.get, w)) for w in s.tables.get(3, {}))
+        self._minimal: Optional[Tuple[AInftyStructure, AInftyMorphism]] = None
 
     def _basis(self, k: int) -> Tuple[int, List[int]]:
         """(canonical degree, inclusion vectors of the basis classes) of degree k."""
@@ -579,60 +596,51 @@ class ProductTable:
             block = self._pairs[(a, b)] = PairBlock(degree, coords, chains)
         return block
 
-    def _lift(self, a: int, b: int) -> Optional[List[List[int]]]:
-        """i_2 = h(m_2) on the (a, b) basis pairs, or None when every lift is zero."""
-        if (a, b) not in self._lifts:
-            degree, _, chains = self.pair(a, b)
-            homotopy = self.h.homotopy
-            lifts = [[homotopy(degree, vec) if vec else 0 for vec in row] for row in chains]
-            self._lifts[(a, b)] = lifts if any(map(any, lifts)) else None
-        return self._lifts[(a, b)]
+    def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
+        """``transfer_minimal_model(self.h, self.s, arity, self)``, cached.
 
-    def _triple(self, a: int, b: int, c: int) -> Tuple[int, Optional[list]]:
-        """(degree, p_3 vectors) of the (a, b, c) triple block; None for a zero block."""
-        block = self._triples.get((a, b, c))
-        if block is None:
-            h, s = self.h, self.s
-            (ca, xs), (cb, ys), (cc, zs) = self._basis(a), self._basis(b), self._basis(c)
-            lift_xy, lift_yz = self._lift(a, b), self._lift(b, c)
-            has_m3 = (ca, cb, cc) in self._m3_degrees
-            vectors = None
-            if has_m3 or lift_xy or lift_yz:
-                ab = h.canon(ca + cb + 1 - h.shift)
-                bc = h.canon(cb + cc + 1 - h.shift)
-                vectors = []
-                for i, ix in enumerate(xs):
-                    plane = []
-                    for j, iy in enumerate(ys):
-                        row = []
-                        for k, iz in enumerate(zs):
-                            vec = s.apply([(ca, ix), (cb, iy), (cc, iz)])[1] if has_m3 else 0
-                            if lift_yz and lift_yz[j][k]:
-                                vec ^= s.apply([(ca, ix), (bc, lift_yz[j][k])])[1]
-                            if lift_xy and lift_xy[i][j]:
-                                vec ^= s.apply([(ab, lift_xy[i][j]), (cc, iz)])[1]
-                            row.append(vec)
-                        plane.append(row)
-                    vectors.append(plane)
-            block = self._triples[(a, b, c)] = (h.canon(ca + cb + cc + 1), vectors)
-        return block
+        Only the highest arity transferred so far is kept, so the cache holds
+        at most one transfer of arity <= ``MAX_ARITY``.  The recursion builds
+        arity k from lower arities alone, so a lower arity is the kept tables
+        cut at ``arity``.
+        """
+        if self._minimal is None or not 2 <= arity <= self._minimal[0].arity:
+            self._minimal = transfer_minimal_model(self.h, self.s, arity, self)
+        mu, incl = self._minimal
+        if mu.arity == arity:
+            return mu, incl
+        low = AInftyStructure(
+            mu.modulus, mu.basis, arity, {k: t for k, t in mu.tables.items() if k <= arity}
+        )
+        cut = {k: t for k, t in incl.tables.items() if k <= arity}
+        return low, AInftyMorphism(arity, cut, src=low, dst=incl.dst, p3=incl.p3)
+
+    @cached_property
+    def triples(self) -> Dict[Tuple[int, int, int], Dict[Tuple[int, int, int], int]]:
+        """Nonzero p_3 vectors of ``minimal(3)`` by degree triple, then basis-index triple."""
+        mu, incl = self.minimal(3)
+        where = {lbl: (k, i) for k, names in mu.basis.items() for i, lbl in enumerate(names)}
+        blocks: Dict[Tuple[int, int, int], Dict[Tuple[int, int, int], int]] = {}
+        for labels, vec in incl.p3.items():
+            (a, i), (b, j), (c, k) = map(where.__getitem__, labels)
+            blocks.setdefault((a, b, c), {})[(i, j, k)] = vec
+        return blocks
 
     def cup(self, x: HClass, y: HClass) -> HClass:
         """x * y, bilinear in the pair block."""
         degree, coords, _ = self.pair(x.degree, y.degree)
         return HClass(degree, apply_block(coords, x.coords, y.coords))
 
-    def _value(self, x: HClass, y: HClass, z: HClass) -> HClass:
-        """The value class of a defined <x, y, z>, trilinear in the triple block."""
-        degree, block = self._triple(x.degree, y.degree, z.degree)
-        vec = apply_block(block, x.coords, y.coords, z.coords) if block else 0
-        return HClass(degree, self.h.class_of(degree, vec))
-
-    def bracket(self, x: HClass, y: HClass, z: HClass) -> Optional[HClass]:
-        """The value class of <x, y, z>, or None when x y or y z is nonzero."""
-        if self.cup(x, y).coords or self.cup(y, z).coords:
-            return None
-        return self._value(x, y, z)
+    def value(self, x: HClass, y: HClass, z: HClass) -> HClass:
+        """The value class of <x, y, z> (x y = y z = 0), trilinear in the triple block."""
+        h = self.h
+        ca, cb, cc = h.canon(x.degree), h.canon(y.degree), h.canon(z.degree)
+        degree = h.canon(ca + cb + cc + 1)
+        vec = 0
+        for (i, j, k), v in self.triples.get((ca, cb, cc), {}).items():
+            if x.coords >> i & y.coords >> j & z.coords >> k & 1:
+                vec ^= v
+        return HClass(degree, h.class_of(degree, vec))
 
     def indeterminacy(self, x: HClass, z: HClass, degree: int) -> List[int]:
         """Basis of x H + H z in the given degree, the indeterminacy of <x, y, z>."""
@@ -659,10 +667,10 @@ class ProductTable:
                 if apply_block(yz, y, z):
                     continue
                 defined = True
-                if self._triple(a, b, c)[1] is None:
+                if tuple(map(self.h.canon, (a, b, c))) not in self.triples:
                     return True, False
                 xc, zc = HClass(a, x), HClass(c, z)
-                value = self._value(xc, HClass(b, y), zc)
+                value = self.value(xc, HClass(b, y), zc)
                 if value.coords and not in_span(
                     self.indeterminacy(xc, zc, value.degree), value.coords
                 ):
@@ -684,7 +692,7 @@ def massey_triple(
                 witness="%s pair has nonzero product %s"
                 % (which, h.label(product.degree, product.coords)),
             )
-    value = table.bracket(x, y, z)
+    value = table.value(x, y, z)
     return MasseyResult(
         "defined",
         degree=value.degree,
@@ -851,7 +859,7 @@ def _verify_retract(h: HomologyData) -> None:
 
 
 def transfer_minimal_model(
-    h: HomologyData, s: AInftyStructure, up_to: int
+    h: HomologyData, s: AInftyStructure, up_to: int, products: Optional[ProductTable] = None
 ) -> Tuple[AInftyStructure, AInftyMorphism]:
     """Minimal A-infinity structure on homology, plus the inclusion morphism.
 
@@ -867,9 +875,11 @@ def transfer_minimal_model(
         p_k = sum over r >= 2 and k_1+..+k_r = k of m_r(i_{k_1} x .. x i_{k_r}),
 
     with mu_k = p(p_k) and i_k = h(p_k); mu_1 = 0.  Each p_k reuses the
-    stored i_j tables of lower arity.  mu_2 is checked against the
-    descended cup product.  Arities above ``MAX_ARITY`` are refused before
-    any work.
+    stored i_j tables of lower arity.  p_3 is kept before projection, as
+    the inclusion's ``p3``, for the triple blocks of ``ProductTable``.  mu_2
+    is checked against the cup product: the class rows of the pair blocks
+    of ``products``, a ``ProductTable`` over h and s (built here if none is
+    given).  Arities above ``MAX_ARITY`` are refused before any work.
     """
     if up_to < 2:
         raise ContractError("transfer needs arity at least 2")
@@ -902,6 +912,7 @@ def transfer_minimal_model(
         }
     }
     index = {1: _inverted_index(s, i_tables[1], entry_degree)}
+    p3: Dict[Tuple[str, ...], int] = {}
     for k in range(2, up_to + 1):
         p_k: Dict[Tuple[str, ...], int] = {}
         _composition_sum(s, index, degree_of, k, 2, p_k)
@@ -918,26 +929,28 @@ def transfer_minimal_model(
         mu_tables[k] = mu_k
         i_tables[k] = i_k
         index[k] = _inverted_index(s, i_k, entry_degree)
+        if k == 3:
+            p3 = p_k
 
     mu = AInftyStructure(h.modulus, hbasis, up_to, mu_tables)
 
-    classes = [HClass(k, 1 << i) for k, i, _ in class_list]
-    labels = [lbl for _, _, lbl in class_list]
-    cups = cup_table(h, s, classes, classes)
-    for (lx, ly), want in zip(iproduct(labels, labels), cups):
-        if mu.entry((lx, ly)) != want.coords:
+    if products is None:
+        products = ProductTable(h, s)
+    for (a, i, lx), (b, j, ly) in iproduct(class_list, class_list):
+        if mu.entry((lx, ly)) != products.pair(a, b).coords[i][j]:
             raise InternalConsistencyError(
                 "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
             )
 
-    return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s)
+    return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s, p3=p3)
 
 
 @dataclass
 class CohomologyRing:
     """An augmented DGA made linear once: its twist, the adjoint structure
     and both homologies of m_1, shared by every per-augmentation layer, and
-    the cohomology's product table and minimal model, built on first use."""
+    the cohomology's product table, which holds the minimal model, built on
+    first use."""
 
     dga: DGA
     aug: Augmentation
@@ -945,9 +958,6 @@ class CohomologyRing:
     structure: AInftyStructure
     chain: HomologyData
     cochain: HomologyData
-    _minimal: Optional[Tuple[AInftyStructure, AInftyMorphism]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def products(self) -> ProductTable:
@@ -955,23 +965,8 @@ class CohomologyRing:
         return ProductTable(self.cochain, self.structure)
 
     def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
-        """``transfer_minimal_model(self.cochain, self.structure, arity)``, cached.
-
-        Only the highest arity transferred so far is kept, so the cache holds
-        at most one transfer of arity <= ``MAX_ARITY``.  The recursion builds
-        arity k from lower arities alone, so a lower arity is the kept tables
-        cut at ``arity``.
-        """
-        if self._minimal is None or not 2 <= arity <= self._minimal[0].arity:
-            self._minimal = transfer_minimal_model(self.cochain, self.structure, arity)
-        mu, incl = self._minimal
-        if mu.arity == arity:
-            return mu, incl
-        low = AInftyStructure(
-            mu.modulus, mu.basis, arity, {k: t for k, t in mu.tables.items() if k <= arity}
-        )
-        cut = {k: t for k, t in incl.tables.items() if k <= arity}
-        return low, AInftyMorphism(arity, cut, src=low, dst=incl.dst)
+        """The minimal model to the given arity, from the product table's cached transfer."""
+        return self.products.minimal(arity)
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:

@@ -11,9 +11,10 @@ fingerprints are inconclusive.
 
 Cup ranks and triple brackets are read off the ring's ``ProductTable``:
 each bidegree's rank off the class rows of its pair block, and each degree
-triple's (defined, nonzero) from one flags pass over its pair and triple
-blocks.  Brackets of order 4 and up enumerate defining systems class tuple
-by class tuple (``massey_higher``).
+triple's (defined, nonzero) from one flags pass over its pair blocks and
+its block of the ring's transferred p_3, run only where mu_2 or p_3 has an
+entry (every other triple is (True, False)).  Brackets of order 4 and up
+enumerate defining systems class tuple by class tuple (``massey_higher``).
 """
 
 from __future__ import annotations
@@ -118,26 +119,29 @@ def massey_table(
     value coset omits zero; truncated defining-system enumerations are never
     counted as nonzero.  Degree tuples whose class count exceeds
     ``DEFAULT_MAX_TUPLES`` are skipped (a function of the dimensions alone).
-    Triples take one flags pass of the product table per degree triple;
-    higher orders enumerate defining systems class tuple by class tuple.
+
+    A degree triple (a, b, c) takes a flags pass of the product table only
+    where mu_2 of the ring's transfer has an entry in degrees (a, b) or
+    (b, c), or its p_3 one in (a, b, c); every other triple is (True, False)
+    (see "Support" in ``ProductTable``).  Higher orders enumerate defining
+    systems class tuple by class tuple.
     """
     h = ring.cochain
     dim_of = h.dims()
     degrees = sorted(dim_of)
     table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
     for order in range(3, massey_order + 1):
-        stack: List[Tuple[int, ...]] = [()]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) < order:
-                for k in reversed(degrees):
-                    stack.append(prefix + (k,))
-                continue
+        if order == 3:
+            mu = ring.minimal(3)[0]
+            cups = {tuple(map(mu.degree_of.get, w)) for w in mu.tables[2]}
+        for prefix in iproduct(degrees, repeat=order):
             dims = [dim_of[k] for k in prefix]
             if not _tuple_space(dims):
                 continue
             if order == 3:
-                table[(order, prefix)] = ring.products.flags(*prefix)
+                a, b, c = prefix
+                support = (a, b) in cups or (b, c) in cups or prefix in ring.products.triples
+                table[(order, prefix)] = ring.products.flags(a, b, c) if support else (True, False)
                 continue
             defined = nonzero = False
             for combo in iproduct(*(range(1, 1 << d) for d in dims)):

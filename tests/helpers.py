@@ -4,12 +4,14 @@ Random DGAs start from a zero-differential seed and grow by
 stabilizations and elementary isomorphisms, both of which preserve
 validity, so every produced DGA passes the validator by construction
 (and we assert as much here to fail fast if a move is broken).  The
-chain-level triple Massey product, the per-tuple composition sum, the
+chain-level triple Massey product, the block-by-block triple builder, the
+visit-every-triple Massey table, the per-tuple composition sum, the
 word-by-word Leibniz and window expansions, the sliced count of the
 window matrix and the word-by-word perturbation series are kept here as
-the references that the library's product table, its table-driven
-composition sum, its pair checks, its closed-form entry count and its
-minimal-model order-n engine are compared against.
+the references that the library's product table, its transferred p_3
+blocks, its support-only Massey table, its table-driven composition sum,
+its pair checks, its closed-form entry count and its minimal-model
+order-n engine are compared against.
 """
 
 import random
@@ -17,13 +19,13 @@ from bisect import bisect_right
 from itertools import combinations, product
 from typing import List, Optional, Tuple
 
+from legch import ContractError
 from legch.ainfty import (
     HClass,
     MasseyResult,
     basis_classes,
     build_ring,
     cup_product,
-    cup_table,
 )
 from legch.algebra import (
     DGA,
@@ -309,12 +311,23 @@ def random_dga(rng: random.Random, max_gens: int = 8, moduli=(0, 0, 0, 2, 3, 4, 
 
 
 def random_augmented_dga(rng: random.Random, max_gens: int = 8):
-    """A random DGA together with one of its augmentations."""
+    """A random DGA together with one of its augmentations, whose ring builds.
+
+    A draw whose relation check would exceed ``MAX_RELATION_TERMS`` (long
+    twisted words: 23 and 29 of seeds 0-19999 at max_gens 6 and 8, 3 of
+    seeds 0-1999 at max_gens 10) is refused by ``build_ring`` and drawn
+    again.
+    """
     while True:
         dga = random_dga(rng, max_gens)
         augs = enumerate_augmentations(dga)
         if augs:
-            return dga, augs[rng.randrange(len(augs))]
+            aug = augs[rng.randrange(len(augs))]
+            try:
+                build_ring(dga, aug)
+            except ContractError:
+                continue
+            return dga, aug
 
 
 def random_dgas(seed: int, count: int, max_gens: int = 8) -> List[DGA]:
@@ -343,6 +356,11 @@ def chain_p3(h, s, x: HClass, y: HClass, z: HClass) -> Tuple[int, int]:
     return d3, v3 ^ va ^ vb
 
 
+def cup_table(h, s, xs, ys):
+    """Chain-level cup products x * y for every x in xs and y in ys, x-major."""
+    return [cup_product(h, s, x, y) for x in xs for y in ys]
+
+
 def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
     """Reference triple Massey product, chain-level on the given class tuple.
 
@@ -369,6 +387,47 @@ def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
         indeterminacy=span_basis(c.coords for c in indet),
         systems=1,
     )
+
+
+def block_triples(h, s):
+    """Reference triple blocks of ``ProductTable.triples``, built block by block.
+
+    Per degree pair the lifts i_2 = h(m_2) of the basis pairs, then per
+    degree triple Kadeishvili's p_3 = m_3(i, i, i) + m_2(i, i_2) + m_2(i_2, i)
+    on every basis triple from m_2, m_3 and h; the nonzero vectors, keyed by
+    degree triple and then basis-index triple.  The library reads the same
+    vectors off the p_3 table of the ring's transfer.
+    """
+    degrees = h.degrees()
+    incl = {k: [h.include(k, 1 << i) for i in range(h.dim(k))] for k in degrees}
+    lifts = {}
+    for a, b in product(degrees, repeat=2):
+        degree = h.canon(a + b + 1)
+        lifts[(a, b)] = [
+            [h.homotopy(degree, s.apply([(a, x), (b, y)])[1]) for y in incl[b]] for x in incl[a]
+        ]
+    blocks = {}
+    for a, b, c in product(degrees, repeat=3):
+        ab = h.canon(a + b + 1 - h.shift)
+        bc = h.canon(b + c + 1 - h.shift)
+        for (i, x), (j, y), (k, z) in product(*(enumerate(incl[d]) for d in (a, b, c))):
+            vec = s.apply([(a, x), (b, y), (c, z)])[1]
+            vec ^= s.apply([(a, x), (bc, lifts[(b, c)][j][k])])[1]
+            vec ^= s.apply([(ab, lifts[(a, b)][i][j]), (c, z)])[1]
+            if vec:
+                blocks.setdefault((a, b, c), {})[(i, j, k)] = vec
+    return blocks
+
+
+def every_triple_massey_table(ring):
+    """Reference order-3 ``massey_table``: one flags pass on every admitted degree
+    triple, where the library runs one only on the support of mu_2 and p_3."""
+    h = ring.cochain
+    table = {}
+    for prefix in product(sorted(h.dims()), repeat=3):
+        if _tuple_space([h.dim(k) for k in prefix]):
+            table[(3, prefix)] = ring.products.flags(*prefix)
+    return table
 
 
 def oracle_rings():

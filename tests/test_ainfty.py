@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch import ContractError, ainfty
+from legch import ContractError, InternalConsistencyError, ainfty
 from legch.ainfty import (
     MAX_ARITY,
     AInftyMorphism,
@@ -25,12 +25,15 @@ from legch.ainfty import (
     transfer_minimal_model,
     _composition_sum,
     _inverted_index,
+    _relation_terms,
 )
 from legch.algebra import mirror_dga
 from legch.augment import enumerate_augmentations, twist
 from legch.families import bundled_examples, cupex, masseyex, trefoil
+from legch.linear import homology, linearized_complexes
 from helpers import (
     admitted_class_triples,
+    block_triples,
     chain_massey_triple,
     chain_p3,
     oracle_rings,
@@ -110,6 +113,51 @@ def test_relations_hold_on_bundled_examples():
             s = adjoint_structure(twist(dga, aug))
             report = check_an_relations(s, min(s.arity + 1, 4))
             assert report.ok, (name, report.detail)
+
+
+def _relation_check_toggles(s, up_to):
+    """check_an_relations(s, up_to) and the number of _toggle calls it made."""
+    count = [0]
+    real = ainfty._toggle
+
+    def counted(*args):
+        count[0] += 1
+        real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ainfty, "_toggle", counted)
+        report = check_an_relations(s, up_to)
+    return report, count[0]
+
+
+def test_relation_terms_count_the_toggles_on_bundled_examples():
+    for ring in oracle_rings():
+        s = ring.structure
+        report, toggles = _relation_check_toggles(s, s.arity + 1)
+        assert report.ok and _relation_terms(s, s.arity + 1) == toggles
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=15)
+def test_relation_terms_count_the_toggles_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
+    s = build_ring(dga, aug).structure
+    report, toggles = _relation_check_toggles(s, s.arity)
+    assert report.ok and _relation_terms(s, s.arity) == toggles
+
+
+def test_relation_check_refuses_structures_over_the_budget(monkeypatch):
+    dga = masseyex(1, 4, 9, 20)
+    s = build_ring(dga, enumerate_augmentations(dga)[0]).structure
+    terms = _relation_terms(s, s.arity)
+    assert 0 < terms <= ainfty.MAX_RELATION_TERMS
+    monkeypatch.setattr(ainfty, "MAX_RELATION_TERMS", terms)
+    report, toggles = _relation_check_toggles(s, s.arity)
+    assert report.ok and toggles == terms
+    monkeypatch.setattr(ainfty, "MAX_RELATION_TERMS", terms - 1)
+    monkeypatch.setattr(ainfty, "_toggle", None)  # refused before any term is toggled
+    with pytest.raises(ContractError, match="take %d terms, over the budget" % terms):
+        check_an_relations(s, s.arity)
 
 
 def test_trefoil_cup_products():
@@ -254,14 +302,18 @@ def test_massey_triple_matches_the_chain_level_oracle_on_random_dgas(seed):
 
 
 def _assert_triple_blocks_match_the_chain_level_formula(ring):
-    """Every triple block's p_3 vectors, the zero marker read as all zeros,
-    equal the chain-level formula on every basis triple."""
+    """Every triple block's p_3 vectors, a missing entry read as zero, equal
+    the chain-level formula on every basis triple, and the blocks equal the
+    block-by-block builder's, both for the ring's table and for a standalone
+    one, which runs its own transfer."""
     h, s = ring.cochain, ring.structure
-    table = ProductTable(h, s)
+    want_blocks = block_triples(h, s)
+    assert ring.products.triples == ProductTable(h, s).triples == want_blocks
     for a, b, c in product(h.degrees(), repeat=3):
-        degree, block = table._triple(a, b, c)
+        block = ring.products.triples.get((a, b, c), {})
+        degree = h.canon(a + b + c + 1)
         for i, j, k in product(range(h.dim(a)), range(h.dim(b)), range(h.dim(c))):
-            got = block[i][j][k] if block is not None else 0
+            got = block.get((i, j, k), 0)
             want = chain_p3(h, s, HClass(a, 1 << i), HClass(b, 1 << j), HClass(c, 1 << k))
             assert (degree, got) == want, (a, b, c, i, j, k)
 
@@ -447,6 +499,40 @@ def test_transferred_mu3_lands_in_the_massey_coset():
                         assert r.contains(got)
 
 
+def test_transfer_mu2_check_catches_a_flipped_p2_entry(monkeypatch):
+    ring = trefoil_ring()
+    real = ainfty._composition_sum
+
+    def flipped(m, index, degree_of, n, min_blocks, total):
+        real(m, index, degree_of, n, min_blocks, total)
+        if (n, min_blocks) == (2, 2):
+            key = ("[b2]", "[b1+b3]")
+            ainfty._toggle(total, key, total[key])
+
+    monkeypatch.setattr(ainfty, "_composition_sum", flipped)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=re.escape("transferred mu_2 disagrees with the cup product on ([b2], [b1+b3])"),
+    ):
+        transfer_minimal_model(ring.cochain, ring.structure, 3)
+
+
+def test_a_product_that_is_not_closed_is_rejected():
+    """m_2(x, x) = a with m_1(a) = b: the product of the cocycle x with itself
+    is not closed."""
+    s = AInftyStructure(
+        0, {0: ("x",), 1: ("a",), 2: ("b",)}, 2, {1: {("a",): 1}, 2: {("x", "x"): 1}}
+    )
+    h = homology(linearized_complexes(s)[1], "cochain")
+    x = HClass(0, 1)
+    with pytest.raises(ContractError, match="not closed"):
+        transfer_minimal_model(h, s, 3)
+    with pytest.raises(ContractError, match="not closed"):
+        ProductTable(h, s).cup(x, x)
+    with pytest.raises(ContractError, match="not closed"):
+        massey_triple(h, s, x, x, x)
+
+
 def test_transfer_rejects_arity_below_two():
     ring = trefoil_ring()
     with pytest.raises(ContractError):
@@ -471,9 +557,9 @@ def test_ring_keeps_one_transfer_and_cuts_lower_arities_from_it(monkeypatch):
     calls = []
     real = transfer_minimal_model
 
-    def counted(h, s, up_to):
+    def counted(h, s, up_to, products=None):
         calls.append(up_to)
-        return real(h, s, up_to)
+        return real(h, s, up_to, products)
 
     monkeypatch.setattr(ainfty, "transfer_minimal_model", counted)
     for arity in (3, 5, 2, 4, 5):

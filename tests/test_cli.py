@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError
-from legch.ainfty import MAX_ARITY
+from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
 from legch.augment import MAX_FREE_GENERATORS
 from legch.algebra import mirror_dga
 from legch.cli import build_parser, main
 from legch.families import cupex, trefoil
 from legch.fileio import bundled_text, parse_dga, serialize_dga
+from helpers import random_dga
 
 
 @pytest.fixture
@@ -199,6 +201,20 @@ def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "(%d)" % count in err and "MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS in err
+
+
+def test_linhom_refuses_relation_checks_over_the_budget(capsys, tmp_path):
+    """Augmentation 5 of this draw takes 21546201 relation terms, augmentation 0
+    takes 33817; the budget lies between them."""
+    path = tmp_path / "long_words.dga"
+    path.write_text(serialize_dga(random_dga(random.Random(1), 6, moduli=(1,))), encoding="utf-8")
+    code, out, err = run_cli(capsys, "linhom", str(path), "--aug", "5")
+    assert code == 1
+    assert out == ""
+    assert "take 21546201 terms" in err
+    assert "MAX_RELATION_TERMS = %d" % MAX_RELATION_TERMS in err
+    code, out, _ = run_cli(capsys, "linhom", str(path), "--aug", "0")
+    assert code == 0 and out
 
 
 def test_ordern_rows(capsys, trefoil_file):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch.ainfty import HClass, build_ring, cup_table
+from legch.ainfty import HClass, build_ring
 from legch.algebra import mirror_dga
 from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
@@ -26,6 +26,8 @@ from legch.tilde import order_n_cohomology
 from helpers import (
     admitted_class_triples,
     chain_massey_triple,
+    cup_table,
+    every_triple_massey_table,
     oracle_rings,
     random_augmented_dga,
     trivial_bracket_dga,
@@ -103,6 +105,24 @@ def test_massey_table_equals_the_chain_level_oracle_table_on_random_dgas(seed):
     dga, aug = random_augmented_dga(random.Random(seed), max_gens=10)
     ring = build_ring(dga, aug)
     assert massey_table(ring) == _oracle_massey_table(ring)
+
+
+def test_massey_table_on_the_support_equals_the_every_triple_table():
+    for ring in oracle_rings():
+        assert massey_table(ring) == every_triple_massey_table(ring)
+
+
+# Seeds 288, 603 and 2023 have triples whose p_3 is nonzero only through the
+# lift i_2(y, z).
+@given(st.integers(0, 10**6))
+@example(288)
+@example(603)
+@example(2023)
+@settings(deadline=None, max_examples=15)
+def test_massey_table_on_the_support_equals_the_every_triple_table_on_random_dgas(seed):
+    dga, aug = random_augmented_dga(random.Random(seed), max_gens=10)
+    ring = build_ring(dga, aug)
+    assert massey_table(ring) == every_triple_massey_table(ring)
 
 
 def test_massey_table_counts_a_value_in_its_indeterminacy_as_zero():
