@@ -133,43 +133,32 @@ def enumerate_augmentations(dga: DGA) -> List[Augmentation]:
             " MAX_FREE_GENERATORS is %d" % (len(free), MAX_FREE_GENERATORS)
         )
 
-    solutions = []
-    for bits in product((0, 1), repeat=len(free)):
-        trial = dict(assigned)
-        trial.update(zip(free, bits))
-        ok = True
-        for eq in eqs:
-            total = 0
-            for m in eq:
-                if all(trial[v] for v in m):
-                    total ^= 1
-            if total:
-                ok = False
-                break
-        if ok:
-            solutions.append(trial)
-
+    # One trial assignment, updated in place; each solution becomes an
+    # Augmentation at once, its (generator, value) pairs shared by all.
+    # product runs through the free values in lexicographic order, and the
+    # forced values are fixed, so the output is already in the documented order.
+    trial = dict.fromkeys(dga.generators, 0)
+    trial.update(assigned)
+    pairs = {g: ((g, 0), (g, 1)) for g in dga.generators}
     out = []
-    for trial in solutions:
-        values = tuple(
-            (g, trial.get(g, 0) if dga.degree(g) == 0 else 0) for g in dga.generators
-        )
-        aug = Augmentation(values)
-        _verify(dga, aug)
-        out.append(aug)
-    out.sort(key=lambda a: tuple(a(g) for g in zero_gens))
+    for bits in product((0, 1), repeat=len(free)):
+        trial.update(zip(free, bits))
+        if any(sum(all(trial[v] for v in m) for m in eq) & 1 for eq in eqs):
+            continue
+        _verify(dga, trial)
+        out.append(Augmentation(tuple(pairs[g][trial[g]] for g in dga.generators)))
     return out
 
 
-def _verify(dga: DGA, aug: Augmentation) -> None:
+def _verify(dga: DGA, values: Dict[str, int]) -> None:
     for g in dga.generators:
-        if aug(g) and dga.degree(g) != 0:
+        if values[g] and dga.degree(g) != 0:
             raise InternalConsistencyError(
                 "augmentation is nonzero on %s of degree %d" % (g, dga.degree(g))
             )
         total = 0
         for w in dga.d(g):
-            if all(aug(x) == 1 for x in w):
+            if all(values[x] == 1 for x in w):
                 total ^= 1
         if total:
             raise InternalConsistencyError("augmentation fails to kill d %s" % g)

@@ -162,9 +162,10 @@ def order_dim_table(
 
     Dimensions do not depend on the engine, so this always takes the
     perturbation engine, the window complex of the ring's minimal model.
-    The adjoint structure's window d d = 0 it skips follows from the checks
-    it keeps: ``assert_valid``, the pair check, the transfer's retract and
-    mu_2 checks, and the minimal model's window d d = 0.
+    The adjoint structure's window d d = 0 it skips, its A-infinity
+    relations up to arity n, follows from the checks it keeps:
+    ``assert_valid``, the pair check, the transfer's retract and mu_2
+    checks, and the minimal model's relations up to arity n.
     """
     table: Dict[Tuple[int, int], int] = {}
     for n in range(1, order_cap + 1):

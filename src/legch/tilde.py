@@ -13,10 +13,11 @@ Two engines are available, and both are one construction, the window
 matrix, applied to two structures: the dense engine builds it on the adjoint
 structure itself, over words of generators; the perturbation engine
 builds it on the ring's transferred minimal model, over words of
-cohomology classes (Perturbation, below).  Either way the dimensions are
-dim_k = |basis_k| - rank d_k - rank d_(k-1), read off ranks with no word
-labels; the homology retract of the order-n complex, with labelled
-representatives, is built only on demand.
+cohomology classes (Perturbation, below).  Either way its d d = 0 is read
+from that structure's A-infinity relations up to arity n (Square zero),
+and the dimensions are dim_k = |basis_k| - rank d_k - rank d_(k-1), read
+off ranks with no word labels; the homology retract of the order-n
+complex, with labelled representatives, is built only on demand.
 
 The transpose check and the window matrix are built from (letter, term)
 triples instead of expanding word by word.  Index both matrices by a
@@ -35,11 +36,13 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   base-|V| value, off[L] = |V| + ... + |V|^(L-1): a bijection onto
   [0, M), M the number of words, increasing in the canonical
   length-major lexicographic order.  An entry codes as col * M + row.
-  For fixed (g, t, |h|, |tl|) the entry codes are base + H * (|V|^(|tl|+1)
-  * M + |V|^(|t|+|tl|)) + Z * (M + 1) over the base-|V| values H of the
-  head and Z of the tail; distinct (H, Z) give distinct codes, so each
-  head (or tail) adds one arithmetic progression without repeats, and
-  toggling it in a set is the GF(2) sum of those triples.
+  For fixed (g, t, |h|, |tl|) the row word codes as r0 + H |V|^(|t|+|tl|)
+  + Z and the column word as c0 + H |V|^(|tl|+1) + Z over the base-|V|
+  values H of the head and Z of the tail: a fixed head runs both through
+  contiguous ranges of tails, a fixed tail both through progressions of
+  heads, and distinct (H, Z) give distinct words.  So each head (or tail)
+  XORs one slice of column-word bits into one slice of row-word columns,
+  the GF(2) sum of those triples.
 * Pairs.  Write F(P) for the GF(2) sum of the triples of a set P of
   pairs (g, t), |t| <= n: F is linear in P (symmetric difference), the
   Leibniz matrix is F(P_Leibniz) and the window matrix F(P_window).  F is
@@ -92,9 +95,22 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   along (i, p, h), truncated at length n (Kadeishvili 1980;
   Huebschmann-Kadeishvili 1991; Markl 2006, Transferring A-infinity
   structures).  So the perturbation engine is the window matrix of
-  ``ring.minimal(max(n, 2))``; its d d = 0, asserted there, is the
-  minimal model's A-infinity relations on words of length <= n, and every
-  transfer verifies its retract and its mu_2 against the cup product.
+  ``ring.minimal(max(n, 2))``; its d d = 0 is the minimal model's
+  A-infinity relations up to arity n (Square zero), and every transfer
+  verifies its retract and its mu_2 against the cup product.
+* Square zero.  The window differential only shortens words, so nothing
+  is truncated.  A term of d d(w) applies a window W1 of w, then a window
+  of the result.  If that second window misses W1's output letter, it is
+  a window W2 of w disjoint from W1, and applying W2 first gives the same
+  word: these terms cancel in pairs over GF(2).  Every output is one
+  letter, so each other term is h.m(x, m(W1), y).tl with W = x.W1.y a
+  window of w = h.W.tl.  Hence d d(w) is the sum over windows W of w of
+  h.R(W).tl, R the arity-|W| relation sum m(1 x m x 1).  Only W = w gives
+  a one-letter word, so the one-letter part of d d(w) is R(w), and d d =
+  0 on words of length <= n exactly when R_l = 0 for every l <= n.
+  ``_window_matrix``, behind both engines, ``tilde_complex`` and
+  ``tilde_of_morphism``, decides that on the tables with
+  ``check_an_relations(s, n)``, also above the arity ``build_ring`` checks.
 """
 
 from __future__ import annotations
@@ -102,7 +118,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import groupby, product as iproduct
+from operator import xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
@@ -116,6 +133,7 @@ from .ainfty import (
     basis_classes,
     build_ring,
     check_ainfty_morphism,
+    check_an_relations,
 )
 from .gf2 import apply_cols, bits, rank
 from .linear import GradedMatrixMap, HomologyData, homology
@@ -181,21 +199,27 @@ class _Letters:
 
 def _word_codes(
     degrees: Sequence[int], n: int, modulus: int
-) -> Tuple[Dict[int, List[int]], List[int], List[int]]:
-    """Each degree's word codes (``_Codes``), ascending: the canonical word order.
-    Also, indexed by code, each word's degree and place in its degree's group."""
+) -> Tuple[Dict[int, List[int]], List[int]]:
+    """Each degree's word codes (``_Codes``), ascending: the canonical word order,
+    degrees in order of their first word.  Also, indexed by code, the word's
+    bit 1 << (its place in its degree's group)."""
     degree: List[int] = []
     layer = [0]
     for _ in range(n):
-        layer = [canon_degree(modulus, d + e) for d in layer for e in degrees]
+        layer = [d + e for d in layer for e in degrees]
         degree += layer
-    groups: Dict[int, List[int]] = {}
-    place: List[int] = []
-    for code, k in enumerate(degree):
-        codes = groups.setdefault(k, [])
-        place.append(len(codes))
-        codes.append(code)
-    return groups, degree, place
+    if modulus:
+        degree = [d % modulus for d in degree]  # canon_degree
+    # A stable sort keeps each degree's codes ascending.
+    order = sorted(range(len(degree)), key=degree.__getitem__)
+    runs = [list(codes) for _, codes in groupby(order, key=degree.__getitem__)]
+    groups = {degree[codes[0]]: codes for codes in sorted(runs)}
+    unit = [1 << i for i in range(max(map(len, runs), default=0))]
+    bit = [0] * len(degree)
+    for codes in runs:
+        for code, u in zip(codes, unit):
+            bit[code] = u
+    return groups, bit
 
 
 def _spelled(letters: Sequence, n: int) -> List[tuple]:
@@ -210,13 +234,6 @@ def _words_by_degree(
     groups = _word_codes(degrees, n, modulus)[0]
     spelled = _spelled(range(len(degrees)), n)
     return {k: [spelled[c] for c in codes] for k, codes in groups.items()}
-
-
-def _toggle(out: set, word: Tuple[int, ...]) -> None:
-    if word in out:
-        out.discard(word)
-    else:
-        out.add(word)
 
 
 class _Codes:
@@ -281,46 +298,37 @@ def _window_pairs(letters: _Letters, modulus: int, n: int):
     return pairs
 
 
-def _toggle_triples(out: set, pairs, codes: _Codes, lo: int, hi: int) -> None:
-    """Add over GF(2) the entries of every triple whose column starts in [lo, hi).
+def _xor_triples(flat: List[int], bit: List[int], pairs, codes: _Codes) -> None:
+    """Add over GF(2) the entry of every triple into the row words' columns.
 
     A pair (g, t) with a head h and a tail tl, |h| + |t| + |tl| <= n, is
-    the entry of column word h.g.tl and row word h.t.tl, coded as
-    ``col * M + row`` with M = ``codes.total``.  For fixed (g, t, |h|,
-    |tl|) these codes are base + H * head_step + Z * (M + 1) over the head
-    and tail values H and Z, so each head (or each tail, whichever loop is
-    shorter) contributes one arithmetic progression, toggled in C by one
-    set operation.
+    the entry of column word h.g.tl in the image of row word h.t.tl:
+    ``bit`` of the column's code is XORed into ``flat`` at the row's code.
+    For fixed (g, t, |h|, |tl|) both codes step by one per tail and by a
+    fixed stride per head (Codes), so each head (or each tail, whichever
+    loop is shorter) is one slice XOR.
     """
-    size, n, off, total = codes.size, codes.n, codes.off, codes.total
-    tail_step = total + 1
+    size, n, off = codes.size, codes.n, codes.off
     for g, t in pairs:
         lt = len(t)
         value = 0
         for x in t:
             value = value * size + x
         for a in range(n - lt + 1):
-            if a:
-                unit = size ** (a - 1)
-                h0, h1 = lo * unit, hi * unit
-            elif lo <= g < hi:
-                h0, h1 = 0, 1
-            else:
-                continue
+            heads = size**a
             for b in range(n - lt - a + 1):
                 tails = size**b
-                base = (off[a + 1 + b] + g * tails) * total + off[a + lt + b] + value * tails
-                head_step = size * tails * total + size**lt * tails
-                if h1 - h0 >= tails:
-                    for start in range(base, base + tails * tail_step, tail_step):
-                        out.symmetric_difference_update(
-                            range(start + h0 * head_step, start + h1 * head_step, head_step)
-                        )
-                else:
-                    for start in range(base + h0 * head_step, base + h1 * head_step, head_step):
-                        out.symmetric_difference_update(
-                            range(start, start + tails * tail_step, tail_step)
-                        )
+                row, col = off[a + lt + b] + value * tails, off[a + 1 + b] + g * tails
+                rstride, cstride = size**lt * tails, size * tails
+                if heads >= tails:  # one slice per tail, strided over the heads
+                    starts = [(row + z, col + z) for z in range(tails)]
+                    count, rstep, cstep = heads, rstride, cstride
+                else:  # one contiguous slice of tails per head
+                    starts = [(row + h * rstride, col + h * cstride) for h in range(heads)]
+                    count, rstep, cstep = tails, 1, 1
+                for r, c in starts:
+                    rows = slice(r, r + count * rstep, rstep)
+                    flat[rows] = map(xor, flat[rows], bit[c : c + count * cstep : cstep])
 
 
 def _entry_count(pairs, size: int, n: int) -> int:
@@ -388,27 +396,26 @@ def _window_matrix(
     s: AInftyStructure, letters: _Letters, n: int, entries: Optional[int] = None
 ) -> GradedMatrixMap:
     """The order-n window differential on word codes, built from its (letter,
-    term) pairs; asserts d d = 0 and, when given, the number of nonzero entries."""
-    size = len(letters.labels)
-    groups, degree, place = _word_codes(letters.degree, n, s.modulus)
-    codes = _Codes(size, n)
-    built: set = set()
-    _toggle_triples(built, _window_pairs(letters, s.modulus, n), codes, 0, size)
-    if entries is not None and len(built) != entries:
+    term) pairs.  Asserts d d = 0 through the A-infinity relations of ``s`` up
+    to arity n (Square zero, in the module docstring) and, when given, the
+    number of nonzero entries."""
+    report = check_an_relations(s, n)
+    if not report.ok:
         raise InternalConsistencyError(
-            "order-%d window matrix has %d nonzero entries, its pairs count %d"
-            % (n, len(built), entries)
+            "order-%d differential does not square to zero: %s" % (n, report.detail)
         )
-    cols = {k: [0] * len(ws) for k, ws in groups.items()}
-    for code in built:
-        target, source = divmod(code, codes.total)
-        cols[degree[source]][place[source]] |= 1 << place[target]
-    differential = GradedMatrixMap(s.modulus, 1, groups, cols)
-    if not differential.is_square_zero():
-        raise InternalConsistencyError(
-            "order-%d differential does not square to zero" % n
-        )
-    return differential
+    groups, bit = _word_codes(letters.degree, n, s.modulus)
+    flat = [0] * len(bit)  # by row word code: its column, over the target degree's places
+    _xor_triples(flat, bit, _window_pairs(letters, s.modulus, n), _Codes(len(letters.labels), n))
+    if entries is not None:
+        found = sum(map(int.bit_count, flat))
+        if found != entries:
+            raise InternalConsistencyError(
+                "order-%d window matrix has %d nonzero entries, its pairs count %d"
+                % (n, found, entries)
+            )
+    cols = {k: list(map(flat.__getitem__, codes)) for k, codes in groups.items()}
+    return GradedMatrixMap(s.modulus, 1, groups, cols)
 
 
 def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> TildeComplex:
@@ -418,7 +425,8 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     to the sum over all windows of consecutive letters of replacing the
     window by its operation image; its entries come from the same
     (letter, term) triples as the window side of the transpose check.
-    Homogeneity and squaring to zero are asserted.
+    Homogeneity and squaring to zero (through the relations up to arity
+    n) are asserted.
     """
     _check_order(n, max_order)
     letters = _Letters(s)
@@ -529,10 +537,12 @@ def order_n_cohomology(
     and the truncated Leibniz differential before reducing, by comparing
     their (letter, term) pair sets in ``check_order_n_transpose``, which
     also counts the window matrix's nonzero entries from the pairs.  The
-    dense engine builds that matrix on ``ring.structure``, asserting its
-    d d = 0 and that its entries number the count; the perturbation engine
-    builds the window matrix of the minimal model ``ring.minimal(max(n,
-    2))`` (Perturbation, in the module docstring), asserting its d d = 0.
+    dense engine builds that matrix on ``ring.structure``, asserting that
+    its entries number the count; the perturbation engine builds the window
+    matrix of the minimal model ``ring.minimal(max(n, 2))`` (Perturbation,
+    in the module docstring).  Either asserts d d = 0 through its
+    structure's A-infinity relations up to arity n (Square zero), above
+    the arity ``build_ring`` checks when n exceeds it.
     The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
     Dimensions come from ranks (``GradedMatrixMap.homology_dims``), with no
     retract and no word labels.  Each DGA's contents are validated once
@@ -645,8 +655,7 @@ def tilde_of_morphism(
                     start += c
                 if lists is None:
                     continue
-                for combo in iproduct(*lists):
-                    _toggle(out, combo)
+                out.symmetric_difference_update(iproduct(*lists))
         return out
 
     groups = _words_by_degree(sletters.degree, n, f.src.modulus)

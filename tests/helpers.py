@@ -6,21 +6,24 @@ validity, so every produced DGA passes the validator by construction
 (and we assert as much here to fail fast if a move is broken).  The
 chain-level triple Massey product, the block-by-block triple builder, the
 visit-every-triple Massey table, the per-tuple composition sum, the
-word-by-word Leibniz and window expansions, the sliced count of the
-window matrix and the word-by-word perturbation series are kept here as
-the references that the library's product table, its transferred p_3
-blocks, its support-only Massey table, its table-driven composition sum,
-its pair checks, its closed-form entry count and its minimal-model
-order-n engine are compared against.
+word-by-word Leibniz and window expansions, the word-by-word window
+matrix with its d d = 0, the sliced count of the window matrix and the
+word-by-word perturbation series are kept here as the references that the
+library's product table, its transferred p_3 blocks, its support-only
+Massey table, its table-driven composition sum, its pair checks, its
+window matrix and relation-based d d = 0, its closed-form entry count and
+its minimal-model order-n engine are compared against.
 """
 
 import random
 from bisect import bisect_right
+from dataclasses import replace
 from itertools import combinations, product
 from typing import List, Optional, Tuple
 
 from legch import ContractError
 from legch.ainfty import (
+    AInftyStructure,
     HClass,
     MasseyResult,
     basis_classes,
@@ -43,7 +46,7 @@ from legch.fileio import parse_dga
 from legch.fingerprint import _tuple_space
 from legch.gf2 import bits, span_basis
 from legch.linear import GradedMatrixMap
-from legch.tilde import _Codes, _Letters, _matching_pairs, _toggle_triples, _words_by_degree
+from legch.tilde import _Codes, _Letters, _matching_pairs, _words_by_degree
 
 
 def trivial_bracket_dga() -> DGA:
@@ -119,6 +122,51 @@ def _cochain_terms(windows, word) -> set:
             for g in hits:
                 _toggle(out, head + (g,) + tail)
     return out
+
+
+def _toggle_triples(out: set, pairs, codes: _Codes, lo: int, hi: int) -> None:
+    """Add over GF(2) the entries of every triple whose column starts in [lo, hi).
+
+    How the sliced count adds triples, as entry codes in a set; the library XORs
+    the same triples straight into the window matrix's columns.
+
+    A pair (g, t) with a head h and a tail tl, |h| + |t| + |tl| <= n, is
+    the entry of column word h.g.tl and row word h.t.tl, coded as
+    ``col * M + row`` with M = ``codes.total``.  For fixed (g, t, |h|,
+    |tl|) these codes are base + H * head_step + Z * (M + 1) over the head
+    and tail values H and Z, so each head (or each tail, whichever loop is
+    shorter) contributes one arithmetic progression, toggled in C by one
+    set operation.
+    """
+    size, n, off, total = codes.size, codes.n, codes.off, codes.total
+    tail_step = total + 1
+    for g, t in pairs:
+        lt = len(t)
+        value = 0
+        for x in t:
+            value = value * size + x
+        for a in range(n - lt + 1):
+            if a:
+                unit = size ** (a - 1)
+                h0, h1 = lo * unit, hi * unit
+            elif lo <= g < hi:
+                h0, h1 = 0, 1
+            else:
+                continue
+            for b in range(n - lt - a + 1):
+                tails = size**b
+                base = (off[a + 1 + b] + g * tails) * total + off[a + lt + b] + value * tails
+                head_step = size * tails * total + size**lt * tails
+                if h1 - h0 >= tails:
+                    for start in range(base, base + tails * tail_step, tail_step):
+                        out.symmetric_difference_update(
+                            range(start + h0 * head_step, start + h1 * head_step, head_step)
+                        )
+                else:
+                    for start in range(base + h0 * head_step, base + h1 * head_step, head_step):
+                        out.symmetric_difference_update(
+                            range(start, start + tails * tail_step, tail_step)
+                        )
 
 
 # Column words per slice of the sliced count; bounds its peak memory.
@@ -311,12 +359,12 @@ def random_dga(rng: random.Random, max_gens: int = 8, moduli=(0, 0, 0, 2, 3, 4, 
 
 
 def random_augmented_dga(rng: random.Random, max_gens: int = 8):
-    """A random DGA together with one of its augmentations, whose ring builds.
+    """A random DGA, one of its augmentations and their ring: (dga, aug, ring).
 
     A draw whose relation check would exceed ``MAX_RELATION_TERMS`` (long
     twisted words: 23 and 29 of seeds 0-19999 at max_gens 6 and 8, 3 of
     seeds 0-1999 at max_gens 10) is refused by ``build_ring`` and drawn
-    again.
+    again.  The ring that passed is returned, so no draw is built twice.
     """
     while True:
         dga = random_dga(rng, max_gens)
@@ -324,10 +372,66 @@ def random_augmented_dga(rng: random.Random, max_gens: int = 8):
         if augs:
             aug = augs[rng.randrange(len(augs))]
             try:
-                build_ring(dga, aug)
+                return dga, aug, build_ring(dga, aug)
             except ContractError:
                 continue
-            return dga, aug
+
+
+def flip_table_bit(ring, rng: random.Random):
+    """``ring`` with one bit of an arity-2 or arity-3 table flipped, or None.
+
+    The bit adds or removes a generator g in m_j(args), either on an entry
+    the structure has or on random letters; the twisted d(g) gains or loses
+    the word args alike, so the transpose check's pair sets stay equal and
+    only the A-infinity relations can tell.  m_1, and with it both
+    homologies, is untouched.  None when the letters drawn have no output
+    degree in the basis.
+    """
+    s = ring.structure
+    labels = sorted(s.order, key=s.order.get)
+    entries = sorted(args for j in (2, 3) for args in s.tables.get(j, {}))
+    if entries and rng.random() < 0.5:
+        args = rng.choice(entries)
+    else:
+        args = tuple(rng.choice(labels) for _ in range(rng.randint(2, 3)))
+    out = s.basis.get(s.out_degree(args), ())
+    if not out:
+        return None
+    g = rng.randrange(len(out))
+    tables = {j: dict(t) for j, t in s.tables.items()}
+    table = tables.setdefault(len(args), {})
+    table[args] = table.get(args, 0) ^ (1 << g)
+    structure = AInftyStructure(s.modulus, s.basis, max(s.arity, len(args)), tables)
+    twisted = ring.twisted
+    diff = {h: twisted.d(h) for h in twisted.generators}
+    diff[out[g]] = diff[out[g]] ^ {args}
+    return replace(ring, twisted=twisted.replace_diff(diff), structure=structure)
+
+
+def word_window_matrix(s, n: int) -> GradedMatrixMap:
+    """The order-n window differential of ``s``, built word by word.
+
+    Every word of length 1..n over the basis letters (in the structure's
+    order), length-major and lexicographic, grouped by degree in that
+    order; labels join the letters with "|", and each column is the
+    ``_cochain_terms`` image of its word.  The reference that
+    ``tilde_complex`` is compared against, basis order included, and whose
+    ``is_square_zero`` is the window d d = 0 that the library reads off the
+    A-infinity relations.
+    """
+    letters = _Letters(s)
+    groups = {}
+    for length in range(1, n + 1):
+        for w in product(range(len(letters.labels)), repeat=length):
+            k = canon_degree(s.modulus, sum(letters.degree[x] for x in w))
+            groups.setdefault(k, []).append(w)
+    place = {w: i for ws in groups.values() for i, w in enumerate(ws)}
+    cols = {
+        k: [sum(1 << place[v] for v in _cochain_terms(letters.windows, w)) for w in ws]
+        for k, ws in groups.items()
+    }
+    basis = {k: tuple(letters.word_label(w) for w in ws) for k, ws in groups.items()}
+    return GradedMatrixMap(s.modulus, 1, basis, cols)
 
 
 def random_dgas(seed: int, count: int, max_gens: int = 8) -> List[DGA]:

@@ -114,14 +114,13 @@ def test_criterion_2_trefoil_operation_tables_entry_for_entry():
 
 
 def test_criterion_3_relations_and_morphism_equations():
-    jobs = [(dga, enumerate_augmentations(dga)[0]) for _, dga in bundled_examples()]
+    jobs = [build_ring(dga, enumerate_augmentations(dga)[0]) for _, dga in bundled_examples()]
     rng = random.Random(20260818)
     for _ in range(25):
-        dga, aug = random_augmented_dga(rng, max_gens=8)
+        dga, aug, ring = random_augmented_dga(rng, max_gens=8)
         assert len(dga.generators) <= 8
-        jobs.append((dga, aug))
-    for dga, aug in jobs:
-        ring = build_ring(dga, aug)
+        jobs.append(ring)
+    for ring in jobs:
         s = ring.structure
         report = check_an_relations(s, 4)
         assert report.ok, report

@@ -140,8 +140,7 @@ def test_relation_terms_count_the_toggles_on_bundled_examples():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=15)
 def test_relation_terms_count_the_toggles_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    s = build_ring(dga, aug).structure
+    s = random_augmented_dga(random.Random(seed), max_gens=6)[2].structure
     report, toggles = _relation_check_toggles(s, s.arity)
     assert report.ok and _relation_terms(s, s.arity) == toggles
 
@@ -297,8 +296,8 @@ def test_massey_triple_matches_the_chain_level_oracle_on_bundled_examples():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=25)
 def test_massey_triple_matches_the_chain_level_oracle_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    _assert_triples_match_the_chain_level_oracle(build_ring(dga, aug))
+    ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
+    _assert_triples_match_the_chain_level_oracle(ring)
 
 
 def _assert_triple_blocks_match_the_chain_level_formula(ring):
@@ -331,8 +330,8 @@ def test_triple_blocks_match_the_chain_level_formula_on_bundled_examples():
 @example(2023)
 @settings(deadline=None, max_examples=15)
 def test_triple_blocks_match_the_chain_level_formula_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=10)
-    _assert_triple_blocks_match_the_chain_level_formula(build_ring(dga, aug))
+    ring = random_augmented_dga(random.Random(seed), max_gens=10)[2]
+    _assert_triple_blocks_match_the_chain_level_formula(ring)
 
 
 def test_massey_higher_on_trefoil_fourth_power():
@@ -444,8 +443,8 @@ def test_transfer_matches_the_planar_tree_sum():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=25)
 def test_transfer_matches_the_planar_tree_sum_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    _assert_transfer_matches_tree_sum(build_ring(dga, aug), 4)
+    ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
+    _assert_transfer_matches_tree_sum(ring, 4)
 
 
 def test_transfer_minimal_model_trefoil_frozen_tables():
@@ -617,8 +616,8 @@ def test_composition_sum_matches_the_per_tuple_oracle_on_bundled_examples():
 @example(273)
 @settings(deadline=None, max_examples=25)
 def test_composition_sum_matches_the_per_tuple_oracle_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    _assert_composition_sums_match_the_oracle(build_ring(dga, aug), 5)
+    ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
+    _assert_composition_sums_match_the_oracle(ring, 5)
 
 
 def test_composition_sum_toggles_every_index_hit_at_the_top_arity():
@@ -669,8 +668,7 @@ def test_morphism_tables_validate_arity():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=25)
 def test_adjoint_relations_and_transfer_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    ring = build_ring(dga, aug)
+    ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
     h, s = ring.cochain, ring.structure
     assert check_an_relations(s, min(s.arity + 1, 4)).ok
     mu, f = transfer_minimal_model(h, s, 3)

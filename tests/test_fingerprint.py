@@ -102,8 +102,7 @@ def test_massey_table_equals_the_chain_level_oracle_table():
 @example(2023)
 @settings(deadline=None, max_examples=15)
 def test_massey_table_equals_the_chain_level_oracle_table_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=10)
-    ring = build_ring(dga, aug)
+    ring = random_augmented_dga(random.Random(seed), max_gens=10)[2]
     assert massey_table(ring) == _oracle_massey_table(ring)
 
 
@@ -120,8 +119,7 @@ def test_massey_table_on_the_support_equals_the_every_triple_table():
 @example(2023)
 @settings(deadline=None, max_examples=15)
 def test_massey_table_on_the_support_equals_the_every_triple_table_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=10)
-    ring = build_ring(dga, aug)
+    ring = random_augmented_dga(random.Random(seed), max_gens=10)[2]
     assert massey_table(ring) == every_triple_massey_table(ring)
 
 

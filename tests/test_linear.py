@@ -53,14 +53,14 @@ def test_linearized_complexes_directions_and_squares():
                     assert (cols_chain[i] >> j) & 1 == (cols_cochain[j] >> i) & 1
 
 
-def _assert_complexes_are_the_twisted_linear_part(dga, aug):
+def _assert_complexes_are_the_twisted_linear_part(ring):
     """Chain columns are the linear part of the twisted d, read directly;
     the cochain is their transpose, entry for entry."""
-    twisted = twist(dga, aug)
+    twisted = ring.twisted
     basis = {}
     for g in twisted.generators:
         basis.setdefault(twisted.degree(g), []).append(g)
-    chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
+    chain, cochain = linearized_complexes(ring.structure)
     assert {k: list(v) for k, v in chain.basis.items()} == basis
     assert cochain.basis == chain.basis
     for k, names in basis.items():
@@ -81,14 +81,14 @@ def _assert_complexes_are_the_twisted_linear_part(dga, aug):
 def test_linearized_complexes_match_the_twisted_linear_part():
     for _, dga in bundled_examples():
         for aug in enumerate_augmentations(dga):
-            _assert_complexes_are_the_twisted_linear_part(dga, aug)
+            _assert_complexes_are_the_twisted_linear_part(build_ring(dga, aug))
 
 
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=40)
 def test_linearized_complexes_match_the_twisted_linear_part_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    _assert_complexes_are_the_twisted_linear_part(dga, aug)
+    ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
+    _assert_complexes_are_the_twisted_linear_part(ring)
 
 
 def test_inhomogeneous_twisted_differential_is_rejected():
@@ -151,10 +151,9 @@ def test_homology_is_a_strong_deformation_retract_on_trefoil():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=40)
 def test_homology_retract_identities_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
-    _retract_identities(homology(chain, "chain"))
-    _retract_identities(homology(cochain, "cochain"))
+    ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
+    _retract_identities(ring.chain)
+    _retract_identities(ring.cochain)
 
 
 def test_class_of_rejects_non_cycles():

@@ -10,14 +10,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError, augment, tilde
 from legch.ainfty import (
+    MAX_RELATION_TERMS,
     AInftyMorphism,
     AInftyStructure,
+    _relation_terms,
     build_ring,
     transfer_minimal_model,
 )
 from legch.algebra import DGA, canon_degree, mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
+from legch.fileio import parse_dga
 from legch.fingerprint import compare_mirror
 from legch.gf2 import bits
 from legch.linear import homology
@@ -39,9 +42,11 @@ from helpers import (
     _perturbed_complex,
     _transpose_slices,
     decode,
+    flip_table_bit,
     random_augmented_dga,
     random_dga,
     sliced_count,
+    word_window_matrix,
 )
 
 TREFOIL_ORDER_DIMS = {
@@ -123,8 +128,7 @@ def test_rank_dims_are_homology_dims_on_the_examples_and_their_mirrors():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=25)
 def test_rank_dims_are_homology_dims_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed), max_gens=6)
-    ring = build_ring(dga, aug)
+    ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
     for n in (1, 2, 3):
         for engine in ("dense", "perturbation"):
             _assert_rank_dims_are_homology_dims(ring, n, engine)
@@ -356,8 +360,7 @@ def _tilde_entries(s, n):
     return entries
 
 
-def _assert_matches_oracle(dga, aug, n):
-    ring = build_ring(dga, aug)
+def _assert_matches_oracle(ring, n):
     chain, window = _word_by_word_entries(ring, n)
     assert chain == window
     assert _sliced_entries(ring, n) == chain
@@ -370,17 +373,16 @@ def test_transpose_check_matches_the_word_by_word_oracle():
         top = 2 if name.startswith("masseyex") else 3
         for aug in enumerate_augmentations(dga):
             for n in range(1, top + 1):
-                _assert_matches_oracle(dga, aug, n)
+                _assert_matches_oracle(build_ring(dga, aug), n)
     dga = trefoil()
     for n in (4, 5):
-        _assert_matches_oracle(dga, enumerate_augmentations(dga)[0], n)
+        _assert_matches_oracle(build_ring(dga, enumerate_augmentations(dga)[0]), n)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3))
 @settings(deadline=None, max_examples=25)
 def test_transpose_check_matches_the_oracle_on_random_dgas(seed, n):
-    dga, aug = random_augmented_dga(random.Random(seed))
-    _assert_matches_oracle(dga, aug, n)
+    _assert_matches_oracle(random_augmented_dga(random.Random(seed))[2], n)
 
 
 def _uncancelled_count(ring, n):
@@ -401,21 +403,18 @@ def _uncancelled_count(ring, n):
 @example(12, 4)  # from n = 4 on, a core can carry a third triple: s = 3
 @example(37, 4)
 def test_entry_count_matches_the_sliced_oracle_on_random_dgas(seed, n):
-    dga, aug = random_augmented_dga(random.Random(seed))
-    ring = build_ring(dga, aug)
+    ring = random_augmented_dga(random.Random(seed))[2]
     assert check_order_n_transpose(ring, n) == sliced_count(ring, n)
 
 
 def test_entry_count_cancels_on_the_pinned_random_seeds():
     # Seeds whose window matrix has two triples on one entry at n = 3.
     for seed in (12, 37, 83):
-        dga, aug = random_augmented_dga(random.Random(seed))
-        ring = build_ring(dga, aug)
+        ring = random_augmented_dga(random.Random(seed))[2]
         count = check_order_n_transpose(ring, 3)
         assert count == sliced_count(ring, 3)
         assert count < _uncancelled_count(ring, 3), seed
-    dga, aug = random_augmented_dga(random.Random(37))
-    ring = build_ring(dga, aug)
+    ring = random_augmented_dga(random.Random(37))[2]
     assert (check_order_n_transpose(ring, 3), _uncancelled_count(ring, 3)) == (60, 68)
 
 
@@ -470,6 +469,84 @@ def test_dense_engine_rejects_a_window_matrix_off_the_count(monkeypatch):
     )
 
 
+def test_dense_window_matrix_is_the_word_by_word_matrix_on_the_examples_and_their_mirrors():
+    for name, dga in bundled_examples():
+        top = 2 if name.startswith("masseyex") else 3
+        for side in (dga, mirror_dga(dga)):
+            for aug in enumerate_augmentations(side):
+                s = build_ring(side, aug).structure
+                for n in range(1, top + 1):
+                    oracle = word_window_matrix(s, n)
+                    assert oracle.is_square_zero()
+                    assert tilde_complex(s, n).differential == oracle, (name, n)
+
+
+def _assert_raises_exactly_when_not_square_zero(ring, n, engine, structure):
+    """order_n_cohomology raises on ``engine`` exactly when the word-by-word
+    window matrix of ``structure``, the one that engine reduces, has d d != 0."""
+    if word_window_matrix(structure, n).is_square_zero():
+        order_n_cohomology(ring, n, engine=engine)
+    else:
+        _raises_naming(
+            "order-%d differential does not square to zero: relation fails at arity" % n,
+            lambda: order_n_cohomology(ring, n, engine=engine),
+        )
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(deadline=None, max_examples=25)
+@example(2, 3)  # fails at arity 3 only
+@example(8, 2)  # fails at arity 2
+def test_order_n_raises_exactly_when_a_mutated_window_matrix_does_not_square_to_zero(seed, n):
+    rng = random.Random(seed)
+    mutated = flip_table_bit(random_augmented_dga(rng, max_gens=6)[2], rng)
+    assume(mutated is not None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+        _assert_raises_exactly_when_not_square_zero(mutated, n, "dense", mutated.structure)
+        try:
+            mu = mutated.minimal(max(n, 2))[0]
+        except (ContractError, InternalConsistencyError):
+            # The transfer of a structure off its relations may fail outright.
+            with pytest.raises((ContractError, InternalConsistencyError)):
+                order_n_cohomology(mutated, n, engine="perturbation")
+        else:
+            _assert_raises_exactly_when_not_square_zero(mutated, n, "perturbation", mu)
+
+
+def test_a_relation_failing_only_above_build_rings_arity_is_caught_at_that_order(monkeypatch):
+    good = parse_dga("modulus 0\ngen a 1\ngen b 1\ngen c 1\ngen u 3\ngen g 5\nd u = a b\n")
+    # One flipped m_2 bit: m_2(u, c) = g.  The differential is quadratic and
+    # m_1 = 0, so the relations build_ring checks (arities 1 and 2) hold, but
+    # associativity fails: m_2(m_2(a, b), c) = g, m_2(a, m_2(b, c)) = 0.
+    bad = good.replace_diff({**good.diff, "g": frozenset({("u", "c")})})
+    aug = enumerate_augmentations(good)[0]
+    ring = replace(build_ring(bad, aug), dga=good)
+    assert ring.structure.arity == 2
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    for engine in ("dense", "perturbation"):
+        order_n_cohomology(ring, 2, engine=engine)
+        _raises_naming(
+            "order-3 differential does not square to zero: relation fails at arity 3",
+            lambda: order_n_cohomology(ring, 3, engine=engine),
+        )
+    _raises_naming(
+        "relation fails at arity 3 on (a, b, c)",
+        lambda: order_n_cohomology(ring, 3, engine="dense"),
+    )
+    assert not word_window_matrix(ring.structure, 3).is_square_zero()
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_dense_side_relation_checks_stay_far_below_the_budget():
+    # The ordern dense-side bases at n = 3 and trefoil+2s0 dense at n = 4.
+    jobs = [(stabilize(cupex(1, 1, 2), 1), 3), (stabilize(stabilize(trefoil(), 0), 0), 4)]
+    for dga, n in jobs:
+        ring = build_ring(dga, enumerate_augmentations(dga)[0])
+        assert _relation_terms(ring.structure, n) * 10**4 < MAX_RELATION_TERMS
+        assert order_n_cohomology(ring, n, max_order=n).engine == "dense"
+
+
 def _assert_minimal_window_is_the_perturbed_complex(ring, n):
     """The perturbation engine's matrix equals the word-by-word series, labels included."""
     mu = ring.minimal(max(n, 2))[0]
@@ -488,8 +565,7 @@ def test_minimal_model_window_matrix_is_the_perturbed_complex():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=25)
 def test_minimal_model_window_matrix_is_the_perturbed_complex_on_random_dgas(seed):
-    dga, aug = random_augmented_dga(random.Random(seed))
-    ring = build_ring(dga, aug)
+    ring = random_augmented_dga(random.Random(seed))[2]
     for n in (1, 2, 3):
         _assert_minimal_window_is_the_perturbed_complex(ring, n)
 
