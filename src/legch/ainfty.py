@@ -22,10 +22,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .algebra import DGA, canon_degree
+from .algebra import DGA, canon_degree, dga_key
 from .augment import Augmentation, twist
 from .gf2 import apply_block, bits, in_span, span_basis
 from .linear import HomologyData, homology, linearized_complexes
@@ -570,7 +570,7 @@ class ProductTable:
         self.s = s
         self._bases: Dict[int, Tuple[int, List[int]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
-        self._minimal: Optional[Tuple[AInftyStructure, AInftyMorphism]] = None
+        self._cuts: Dict[int, Tuple[AInftyStructure, AInftyMorphism]] = {}  # by arity
 
     def _basis(self, k: int) -> Tuple[int, List[int]]:
         """(canonical degree, inclusion vectors of the basis classes) of degree k."""
@@ -602,18 +602,18 @@ class ProductTable:
         Only the highest arity transferred so far is kept, so the cache holds
         at most one transfer of arity <= ``MAX_ARITY``.  The recursion builds
         arity k from lower arities alone, so a lower arity is the kept tables
-        cut at ``arity``.
+        cut at ``arity``; each cut is kept until the transfer is rebuilt.
         """
-        if self._minimal is None or not 2 <= arity <= self._minimal[0].arity:
-            self._minimal = transfer_minimal_model(self.h, self.s, arity, self)
-        mu, incl = self._minimal
-        if mu.arity == arity:
-            return mu, incl
-        low = AInftyStructure(
-            mu.modulus, mu.basis, arity, {k: t for k, t in mu.tables.items() if k <= arity}
-        )
-        cut = {k: t for k, t in incl.tables.items() if k <= arity}
-        return low, AInftyMorphism(arity, cut, src=low, dst=incl.dst, p3=incl.p3)
+        if not 2 <= arity <= max(self._cuts, default=0):
+            self._cuts = {arity: transfer_minimal_model(self.h, self.s, arity, self)}
+        if arity not in self._cuts:
+            mu, incl = self._cuts[max(self._cuts)]
+            low = AInftyStructure(
+                mu.modulus, mu.basis, arity, {k: t for k, t in mu.tables.items() if k <= arity}
+            )
+            cut = {k: t for k, t in incl.tables.items() if k <= arity}
+            self._cuts[arity] = low, AInftyMorphism(arity, cut, src=low, dst=incl.dst, p3=incl.p3)
+        return self._cuts[arity]
 
     @cached_property
     def triples(self) -> Dict[Tuple[int, int, int], Dict[Tuple[int, int, int], int]]:
@@ -958,6 +958,14 @@ class CohomologyRing:
     structure: AInftyStructure
     chain: HomologyData
     cochain: HomologyData
+    # (letter, term) pairs of ``structure``, set once ``tilde.check_order_n_transpose``
+    # finds them equal to those of ``twisted``; a ``replace`` copy checks anew.
+    pairs: Optional[FrozenSet[tuple]] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def content(self) -> tuple:
+        """``dga_key`` of the DGA, computed once."""
+        return dga_key(self.dga)
 
     @cached_property
     def products(self) -> ProductTable:

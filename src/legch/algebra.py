@@ -8,6 +8,7 @@ differential.  Modulus 0 means plain integer gradings.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -218,19 +219,36 @@ def validate_dga(dga: DGA) -> List[str]:
     return problems
 
 
-def assert_valid(dga: DGA) -> None:
+# Contents (``dga_key``) that passed ``validate_dga``, least recently used first out.
+# A command reads a DGA and at most its mirror; each entry keeps a DGA's terms alive.
+_VALIDATED: "OrderedDict[tuple, bool]" = OrderedDict()
+_VALIDATED_SIZE = 4
+
+
+def assert_valid(dga: DGA, key: Optional[tuple] = None) -> None:
+    """Raise ``ContractError`` listing the problems of an invalid DGA.  A content
+    (``dga_key``, passed as ``key`` if already computed) that passed is not
+    validated again; failures are not remembered."""
+    key = dga_key(dga) if key is None else key
+    if key in _VALIDATED:
+        _VALIDATED.move_to_end(key)
+        return
     problems = validate_dga(dga)
     if problems:
         raise ContractError("invalid DGA: " + "; ".join(problems))
+    _VALIDATED[key] = True
+    if len(_VALIDATED) > _VALIDATED_SIZE:
+        _VALIDATED.popitem(last=False)
 
 
 def dga_key(dga: DGA) -> tuple:
-    """Hashable content fingerprint (for caching derived computations)."""
+    """Hashable content fingerprint (for caching derived computations); each
+    differential stays a frozenset, whose hash Python caches, so nothing is sorted."""
     return (
         dga.modulus,
         dga.generators,
         tuple(dga.degrees[g] for g in dga.generators),
-        tuple(tuple(dga.sorted_terms(dga.d(g))) for g in dga.generators),
+        tuple(frozenset(dga.d(g)) for g in dga.generators),
     )
 
 

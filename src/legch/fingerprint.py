@@ -164,8 +164,10 @@ def order_dim_table(
     perturbation engine, the window complex of the ring's minimal model.
     The adjoint structure's window d d = 0 it skips, its A-infinity
     relations up to arity n, follows from the checks it keeps:
-    ``assert_valid``, the pair check, the transfer's retract and mu_2
-    checks, and the minimal model's relations up to arity n.
+    ``assert_valid`` (once per content), the pair check (one comparison per
+    ring, at every term length, serves every n), the transfer's retract and
+    mu_2 checks (one transfer per ring, its cuts kept), and the minimal
+    model's relations up to arity n.
     """
     table: Dict[Tuple[int, int], int] = {}
     for n in range(1, order_cap + 1):

@@ -48,14 +48,18 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   Leibniz matrix is F(P_Leibniz) and the window matrix F(P_window).  F is
   injective: a triple with a one-letter column word g has h and tl empty,
   so the (g, t) entry of F(Q) is 1 exactly when (g, t) is in Q.  So the
-  matrices are equal exactly when the pair sets are, and on a mismatch
-  the smallest differing pair in code order (letter, term length, term)
-  is the smallest differing entry of the full matrices (one-letter
-  columns code first).  Reversal
-  conjugation maps the triple h.g.tl -> h.t.tl to rev tl.g.rev h ->
-  rev tl.rev t.rev h, so rev d rev = F(rev P) with rev P = {(g, rev t)},
-  and rev d rev = d_mirror holds on every word of length <= n exactly when
-  it holds on the one-letter words.  Neither argument uses |t| >= 1.
+  matrices are equal exactly when the pair sets are.  These are the pairs
+  with |t| <= n of the full sets (every term of d(g), every table entry),
+  so equal full sets give equal matrices at every order:
+  ``check_order_n_transpose`` compares the full sets once per ring, which
+  also rejects a one-sided pair longer than n, and names the smallest
+  differing pair in code order (letter, term length, term); one-letter
+  columns code first, so with |t| <= n it is the smallest differing entry
+  of the matrices.  Reversal conjugation maps the triple h.g.tl -> h.t.tl
+  to rev tl.g.rev h -> rev tl.rev t.rev h, so rev d rev = F(rev P) with
+  rev P = {(g, rev t)}, and rev d rev = d_mirror holds on every word of
+  length <= n exactly when it holds on the one-letter words.  Neither
+  argument uses |t| >= 1.
 * Count.  The nonzero entries of F(P) are counted from P alone.  Let
   W(k) = sum_{m=0..k} (m + 1) |V|^m, the (head, tail) pairs with
   |h| + |tl| <= k.  An entry carrying c triples is nonzero when c is odd,
@@ -118,12 +122,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import groupby, product as iproduct
+from itertools import accumulate, groupby, product as iproduct
 from operator import xor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .algebra import DGA, assert_valid, canon_degree, dga_key, mirror_dga
+from .algebra import DGA, assert_valid, canon_degree, mirror_dga
 from .augment import enumerate_augmentations
 from .ainfty import (
     AInftyMorphism,
@@ -159,8 +163,7 @@ __all__ = [
 
 MAX_ORDER = 4
 DENSE_LIMIT = 20000
-# Entries kept by the in-process order-n cache and by the memo of validated
-# DGA contents, least recently used first out.
+# Entries kept by the in-process order-n cache, least recently used first out.
 _ORDER_CACHE_SIZE = 64
 
 
@@ -175,7 +178,7 @@ def _check_order(n: int, max_order: int) -> None:
 
 
 class _Letters:
-    """Integer re-encoding of a structure's basis letters and sparse tables."""
+    """Integer re-encoding of a structure's basis letters."""
 
     def __init__(self, s: AInftyStructure):
         self.labels: List[str] = sorted(s.order, key=s.order.get)
@@ -184,14 +187,6 @@ class _Letters:
         self.by_degree: Dict[int, Tuple[int, ...]] = {
             k: tuple(self.index[x] for x in names) for k, names in s.basis.items()
         }
-        self.windows: Dict[int, Dict[Tuple[int, ...], Tuple[int, ...]]] = {}
-        for j in sorted(s.tables):
-            table: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-            for args, vec in s.tables[j].items():
-                out = self.by_degree[s.out_degree(args)]
-                key = tuple(self.index[x] for x in args)
-                table[key] = tuple(out[i] for i in bits(vec))
-            self.windows[j] = table
 
     def word_label(self, word: Tuple[int, ...]) -> str:
         return "|".join(self.labels[g] for g in word)
@@ -253,49 +248,46 @@ class _Codes:
         self.total = self.off[n + 1]
 
 
-def _check_pair_degree(letters: _Letters, modulus: int, side: str, g: int, t) -> None:
-    """Homogeneity of one (letter, term) pair: deg t = deg g - 1."""
-    deg_t = sum(letters.degree[x] for x in t)
-    if canon_degree(modulus, deg_t) == canon_degree(modulus, letters.degree[g] - 1):
-        return
-    if side == "Leibniz":
-        image, source, want = t, (g,), letters.degree[g] - 1
-    else:
-        image, source, want = (g,), t, deg_t + 1
-    raise InternalConsistencyError(
-        "%s image %s of %s is not homogeneous of degree %d"
-        % (side, letters.word_label(image), letters.word_label(source),
-           canon_degree(modulus, want))
+Pair = Tuple[str, Tuple[str, ...]]
+
+
+def _code_order(s: AInftyStructure):
+    """Sort key of (letter, term) pairs: letter, term length, term, in ``s.order``."""
+    return lambda pair: (s.order[pair[0]], len(pair[1]), [s.order[x] for x in pair[1]])
+
+
+def _check_homogeneous(s: AInftyStructure, side: str, pairs) -> None:
+    """Homogeneity of every pair: deg t = deg g - 1; names the first failure in code order."""
+    degree_of, modulus = s.degree_of, s.modulus
+
+    def up(t):  # the degree of m_|t|(t)
+        return canon_degree(modulus, sum(map(degree_of.__getitem__, t)) + 1)
+    bad = [(g, t) for g, t in pairs if up(t) != degree_of[g]]
+    if bad:
+        g, t = min(bad, key=_code_order(s))
+        image, source, want = (t, (g,), degree_of[g] - 1) if side == "Leibniz" else ((g,), t, up(t))
+        raise InternalConsistencyError(
+            "%s image %s of %s is not homogeneous of degree %d"
+            % (side, "|".join(image), "|".join(source), canon_degree(modulus, want))
+        )
+
+
+def _twisted_pairs(twisted: DGA, s: AInftyStructure) -> set:
+    """(g, t) for every term t of the twisted differential d(g), at every length."""
+    for g in s.order:
+        if () in twisted.d(g):
+            raise InternalConsistencyError("twisted differential of %s has a constant term" % g)
+    pairs = {(g, t) for g in s.order for t in twisted.d(g)}
+    _check_homogeneous(s, "Leibniz", pairs)
+    return pairs
+
+
+def _window_pairs(s: AInftyStructure) -> FrozenSet[Pair]:
+    """(g, t) for every letter g in m_|t|(t), at every arity."""
+    return frozenset(
+        (s.names(s.out_degree(t))[i], t)
+        for table in s.tables.values() for t, vec in table.items() for i in bits(vec)
     )
-
-
-def _twisted_pairs(twisted: DGA, letters: _Letters, modulus: int, n: int):
-    """(g, t) for every term t of the twisted differential d(g) with |t| <= n."""
-    pairs = []
-    for g, lbl in enumerate(letters.labels):
-        for w in twisted.sorted_terms(twisted.d(lbl)):
-            t = tuple(letters.index[x] for x in w)
-            if not t:
-                raise InternalConsistencyError(
-                    "twisted differential of %s has a constant term" % lbl
-                )
-            if len(t) <= n:
-                _check_pair_degree(letters, modulus, "Leibniz", g, t)
-                pairs.append((g, t))
-    return pairs
-
-
-def _window_pairs(letters: _Letters, modulus: int, n: int):
-    """(g, t) for every letter g in m_|t|(t) with |t| <= n."""
-    pairs = []
-    for j, table in letters.windows.items():
-        if j > n:
-            continue
-        for t, hits in table.items():
-            for g in hits:
-                _check_pair_degree(letters, modulus, "window", g, t)
-                pairs.append((g, t))
-    return pairs
 
 
 def _xor_triples(flat: List[int], bit: List[int], pairs, codes: _Codes) -> None:
@@ -331,25 +323,22 @@ def _xor_triples(flat: List[int], bit: List[int], pairs, codes: _Codes) -> None:
                     flat[rows] = map(xor, flat[rows], bit[c : c + count * cstep : cstep])
 
 
-def _entry_count(pairs, size: int, n: int) -> int:
-    """Nonzero entries of F(pairs) over ``size`` letters at order n (Count).
+def _entry_count(pairs: FrozenSet[Pair], size: int, n: int) -> int:
+    """Nonzero entries of F(P) over ``size`` letters at order n (Count), P the
+    pairs in ``pairs`` with |t| <= n.
 
     The triples count sum_P W(n - |t|); each core (g, t, u, g', t') takes
     away 2 (-1)^s W(n - |rc|), and the cores of one-letter terms (g, (g))
-    are summed in closed form.
+    are summed in closed form.  Only equality and slicing of letters is used.
     """
-    weights, acc = [], 0
-    for m in range(n + 1):
-        acc += (m + 1) * size**m
-        weights.append(acc)
-    pairset = set(pairs)
-    ends: Dict[Tuple[int, ...], List[int]] = {}  # t' less g' -> letters g' ending t'
-    for g, t in pairset:
-        if t[-1] == g:
+    weights = list(accumulate((m + 1) * size**m for m in range(n + 1)))
+    ends: Dict[Tuple[str, ...], List[str]] = {}  # t' less g' -> letters g' ending t'
+    for g, t in pairs:
+        if t[-1] == g and len(t) < n:
             ends.setdefault(t[:-1], []).append(g)
-    count = sum(weights[n - len(t)] for _, t in pairset)
+    count = sum(weights[n - len(t)] for _, t in pairs if len(t) <= n)
     sigma = 0
-    for g, t in pairset:
+    for g, t in pairs:
         length = len(t)
         if t[0] != g:
             continue
@@ -368,7 +357,7 @@ def _entry_count(pairs, size: int, n: int) -> int:
                     for p in range(len(cc))
                     if cc[:p] == rc[:p]
                     and cc[p + 1 :] == rc[p + length :]
-                    and (cc[p], rc[p : p + length]) in pairset
+                    and (cc[p], rc[p : p + length]) in pairs
                 )
                 count -= 2 * (-1) ** s * weights[n - len(rc)]
     free = size - 2 * sigma
@@ -396,17 +385,21 @@ def _window_matrix(
     s: AInftyStructure, letters: _Letters, n: int, entries: Optional[int] = None
 ) -> GradedMatrixMap:
     """The order-n window differential on word codes, built from its (letter,
-    term) pairs.  Asserts d d = 0 through the A-infinity relations of ``s`` up
-    to arity n (Square zero, in the module docstring) and, when given, the
-    number of nonzero entries."""
+    term) pairs, checked homogeneous.  Asserts d d = 0 through the A-infinity
+    relations of ``s`` up to arity n (Square zero, in the module docstring)
+    and, when given, the number of nonzero entries."""
     report = check_an_relations(s, n)
     if not report.ok:
         raise InternalConsistencyError(
             "order-%d differential does not square to zero: %s" % (n, report.detail)
         )
+    pairs = _window_pairs(s)
+    _check_homogeneous(s, "window", pairs)
+    code = letters.index.__getitem__
+    coded = [(code(g), tuple(map(code, t))) for g, t in pairs if len(t) <= n]
     groups, bit = _word_codes(letters.degree, n, s.modulus)
     flat = [0] * len(bit)  # by row word code: its column, over the target degree's places
-    _xor_triples(flat, bit, _window_pairs(letters, s.modulus, n), _Codes(len(letters.labels), n))
+    _xor_triples(flat, bit, coded, _Codes(len(letters.labels), n))
     if entries is not None:
         found = sum(map(int.bit_count, flat))
         if found != entries:
@@ -437,52 +430,43 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     return TildeComplex(s, n, words, replace(window, basis=basis))
 
 
-def _matching_pairs(ring: CohomologyRing, letters: _Letters, n: int):
-    """The window side's (letter, term) pairs, once they equal the Leibniz side's.
-
-    Equal pair sets are equal matrices (Pairs, in the module docstring);
-    otherwise the smallest differing pair in code order is reported.
-    """
-    modulus = ring.structure.modulus
-    leibniz = set(_twisted_pairs(ring.twisted, letters, modulus, n))
-    window = _window_pairs(letters, modulus, n)
-    differ = leibniz.symmetric_difference(window)
-    if differ:
-        g, t = min(differ, key=lambda pair: (pair[0], len(pair[1]), pair[1]))
-        raise InternalConsistencyError(
-            "order-%d transpose equality fails: only the %s side has the"
-            " entry (%s -> %s)"
-            % (
-                n,
-                "Leibniz" if (g, t) in leibniz else "window",
-                letters.labels[g],
-                letters.word_label(t),
+def _ring_pairs(ring: CohomologyRing, n: int) -> FrozenSet[Pair]:
+    """The window side's (letter, term) pairs, once they equal the Leibniz side's at
+    every term length: compared once per ring and kept as ``ring.pairs`` (``n``
+    only names the order in a failure, which reports the smallest differing pair)."""
+    if ring.pairs is None:
+        s = ring.structure
+        leibniz = _twisted_pairs(ring.twisted, s)
+        window = _window_pairs(s)
+        _check_homogeneous(s, "window", window - leibniz)  # the rest passed as Leibniz pairs
+        differ = leibniz ^ window
+        if differ:
+            g, t = min(differ, key=_code_order(s))
+            raise InternalConsistencyError(
+                "order-%d transpose equality fails: only the %s side has the entry (%s -> %s)"
+                % (n, "Leibniz" if (g, t) in leibniz else "window", g, "|".join(t))
             )
-        )
-    return window
+        ring.pairs = window
+    return ring.pairs
 
 
-def check_order_n_transpose(
-    ring: CohomologyRing, n: int, max_order: int = MAX_ORDER, letters: Optional[_Letters] = None
-) -> int:
+def check_order_n_transpose(ring: CohomologyRing, n: int, max_order: int = MAX_ORDER) -> int:
     """Assert the order-n differential is the Leibniz expansion's transpose.
 
     The tensor algebra truncated at word length n carries the Leibniz
     expansion of ``ring.twisted`` (degree -1, long outputs dropped), read
     from d(g) itself and never from the structure's tables; its matrix must
     be, entry for entry, the transpose of the window differential of
-    ``ring.structure``.  The two matrices are equal exactly when their
-    (letter, term) pair sets are (Pairs, in the module docstring), so the
-    pair sets are compared; a discrepancy is an internal error naming the
-    side and the smallest offending entry.  Returns the number of nonzero
-    entries of the window matrix, in closed form from the pairs (Count):
-    the work is over pairs and letters, never over words.  ``letters`` is
-    the structure's ``_Letters``, if already built.
+    ``ring.structure``.  They are equal exactly when their (letter, term)
+    pair sets are, and the full pair sets, compared once per ring, cover
+    every order (Pairs, in the module docstring); a discrepancy is an
+    internal error naming the side and the smallest offending pair.
+    Returns the number of nonzero entries of the window matrix, in closed
+    form from the pairs (Count): the work is over pairs and letters, never
+    over words.
     """
     _check_order(n, max_order)
-    if letters is None:
-        letters = _Letters(ring.structure)
-    return _entry_count(_matching_pairs(ring, letters, n), len(letters.labels), n)
+    return _entry_count(_ring_pairs(ring, n), len(ring.structure.order), n)
 
 
 @dataclass
@@ -516,13 +500,6 @@ class OrderNCohomology:
 
 
 _ORDER_CACHE: "OrderedDict[tuple, OrderNCohomology]" = OrderedDict()
-_VALIDATED: "OrderedDict[tuple, bool]" = OrderedDict()
-
-
-def _remember(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    if len(cache) > _ORDER_CACHE_SIZE:
-        cache.popitem(last=False)
 
 
 def order_n_cohomology(
@@ -534,20 +511,22 @@ def order_n_cohomology(
     """Order-n linearized cohomology of the augmented DGA behind a ring.
 
     Always verifies the transpose equality between the window differential
-    and the truncated Leibniz differential before reducing, by comparing
-    their (letter, term) pair sets in ``check_order_n_transpose``, which
-    also counts the window matrix's nonzero entries from the pairs.  The
-    dense engine builds that matrix on ``ring.structure``, asserting that
-    its entries number the count; the perturbation engine builds the window
-    matrix of the minimal model ``ring.minimal(max(n, 2))`` (Perturbation,
-    in the module docstring).  Either asserts d d = 0 through its
-    structure's A-infinity relations up to arity n (Square zero), above
-    the arity ``build_ring`` checks when n exceeds it.
+    and the truncated Leibniz differential before reducing, through
+    ``check_order_n_transpose``: one pair comparison per ring covers every
+    order, and the window matrix's nonzero entries are counted from the
+    pairs on every build (a lazy count kept pairs and letters alive in
+    cached results, for more peak memory than the count costs).  The dense
+    engine builds that matrix on ``ring.structure`` and asserts the count;
+    the perturbation engine builds the window matrix of the minimal model
+    ``ring.minimal(max(n, 2))`` (Perturbation, in the module docstring).
+    Either asserts d d = 0 through its structure's A-infinity relations up
+    to arity n (Square zero), also above the arity ``build_ring`` checks.
     The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
     Dimensions come from ranks (``GradedMatrixMap.homology_dims``), with no
-    retract and no word labels.  Each DGA's contents are validated once
-    per process (a bounded memo), and results are cached in-process per
-    (DGA contents, augmentation, order, engine).
+    retract and no word labels.  Each DGA's contents are validated once per
+    process (``assert_valid``'s bounded memo, shared with loading), and
+    results are cached in-process per (DGA contents, augmentation, order,
+    engine).
     """
     _check_order(n, max_order)
     if engine not in ("auto", "dense", "perturbation"):
@@ -556,27 +535,20 @@ def order_n_cohomology(
     total = sum(size**a for a in range(1, n + 1))
     if engine == "auto":
         engine = "dense" if total <= DENSE_LIMIT else "perturbation"
-    content = dga_key(ring.dga)
-    key = (content, ring.aug.values, n, engine)
+    key = (ring.content, ring.aug.values, n, engine)
     cached = _ORDER_CACHE.get(key)
     if cached is not None:
         _ORDER_CACHE.move_to_end(key)
         return cached
-    if content in _VALIDATED:
-        _VALIDATED.move_to_end(content)
-    else:
-        assert_valid(ring.dga)
-        _remember(_VALIDATED, content, True)
-    letters = _Letters(ring.structure)
-    entries = check_order_n_transpose(ring, n, max_order, letters)
-    if engine == "dense":
-        structure = ring.structure
-        built = _window_matrix(structure, letters, n, entries)
-    else:
-        structure = ring.minimal(max(n, 2))[0]
-        built = _window_matrix(structure, _Letters(structure), n)
+    assert_valid(ring.dga, ring.content)
+    entries = check_order_n_transpose(ring, n, max_order)
+    dense = engine == "dense"
+    structure = ring.structure if dense else ring.minimal(max(n, 2))[0]
+    built = _window_matrix(structure, _Letters(structure), n, entries if dense else None)
     result = OrderNCohomology(n, engine, built.homology_dims(), total, entries, structure)
-    _remember(_ORDER_CACHE, key, result)
+    _ORDER_CACHE[key] = result
+    if len(_ORDER_CACHE) > _ORDER_CACHE_SIZE:
+        _ORDER_CACHE.popitem(last=False)
     return result
 
 

@@ -46,7 +46,7 @@ from legch.fileio import parse_dga
 from legch.fingerprint import _tuple_space
 from legch.gf2 import bits, span_basis
 from legch.linear import GradedMatrixMap
-from legch.tilde import _Codes, _Letters, _matching_pairs, _words_by_degree
+from legch.tilde import _Codes, _Letters, _ring_pairs, _words_by_degree
 
 
 def trivial_bracket_dga() -> DGA:
@@ -102,12 +102,24 @@ def _chain_terms(repl, word, n: int) -> set:
     return out
 
 
+def letter_windows(s, letters) -> dict:
+    """Per arity j, each j-letter window of ``s`` to the letters of its image,
+    in ``letters``' indices, read straight off the tables."""
+    windows = {}
+    for j in sorted(s.tables):
+        table = {}
+        for args, vec in s.tables[j].items():
+            out = letters.by_degree[s.out_degree(args)]
+            table[tuple(letters.index[x] for x in args)] = tuple(out[i] for i in bits(vec))
+        windows[j] = table
+    return windows
+
+
 def _cochain_terms(windows, word) -> set:
     """All window contractions: replace word[i:i+j] by its operation image.
 
     ``windows[j]`` maps a j-letter window to the letters of its image (as
-    ``tilde._Letters.windows``); the word-by-word reference for the window
-    matrix.
+    ``letter_windows``); the word-by-word reference for the window matrix.
     """
     out: set = set()
     for i in range(len(word)):
@@ -183,7 +195,8 @@ def _transpose_slices(ring, n: int):
     the entries: the reference count the closed form is compared against.
     """
     letters = _Letters(ring.structure)
-    window = _matching_pairs(ring, letters, n)
+    code = letters.index.__getitem__
+    window = [(code(g), tuple(map(code, t))) for g, t in _ring_pairs(ring, n) if len(t) <= n]
     codes = _Codes(len(letters.labels), n)
     step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
     for lo in range(0, codes.size, step):
@@ -246,7 +259,7 @@ def _perturbed_complex(s, retract, n: int) -> GradedMatrixMap:
         ipmap.append(expand(k, retract.include(k, coords)))
         pmap.append(tuple(cpos[(k, i)] for i in bits(coords)))
 
-    shortening = {j: table for j, table in letters.windows.items() if j >= 2}
+    shortening = {j: table for j, table in letter_windows(s, letters).items() if j >= 2}
 
     def shrink(words: set) -> set:
         out: set = set()
@@ -420,6 +433,7 @@ def word_window_matrix(s, n: int) -> GradedMatrixMap:
     A-infinity relations.
     """
     letters = _Letters(s)
+    windows = letter_windows(s, letters)
     groups = {}
     for length in range(1, n + 1):
         for w in product(range(len(letters.labels)), repeat=length):
@@ -427,7 +441,7 @@ def word_window_matrix(s, n: int) -> GradedMatrixMap:
             groups.setdefault(k, []).append(w)
     place = {w: i for ws in groups.values() for i, w in enumerate(ws)}
     cols = {
-        k: [sum(1 << place[v] for v in _cochain_terms(letters.windows, w)) for w in ws]
+        k: [sum(1 << place[v] for v in _cochain_terms(windows, w)) for w in ws]
         for k, ws in groups.items()
     }
     basis = {k: tuple(letters.word_label(w) for w in ws) for k, ws in groups.items()}

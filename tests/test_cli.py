@@ -7,16 +7,17 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError
+from legch import ContractError, InternalConsistencyError, algebra, tilde
 from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
 from legch.augment import MAX_FREE_GENERATORS
 from legch.algebra import mirror_dga
 from legch.cli import build_parser, main
-from legch.families import cupex, trefoil
+from legch.families import cupex, masseyex, trefoil
 from legch.fileio import bundled_text, parse_dga, serialize_dga
 from helpers import random_dga
 
@@ -400,6 +401,21 @@ def test_internal_failures_exit_two(capsys, trefoil_file, monkeypatch):
     code, _, err = run_cli(capsys, "linhom", trefoil_file)
     assert code == 2
     assert err.strip() == "internal consistency failure: synthetic failure"
+
+
+def test_compare_mirror_validates_the_knot_and_its_mirror_once_each(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "m.dga"
+    path.write_text(serialize_dga(masseyex(1, 4, 9, 20)), encoding="utf-8")
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    monkeypatch.setattr(algebra, "_VALIDATED", OrderedDict())
+    calls = []
+    real = algebra.validate_dga
+    monkeypatch.setattr(algebra, "validate_dga", lambda dga: calls.append(dga) or real(dga))
+    code, out, _ = run_cli(capsys, "compare-mirror", str(path))
+    assert code == 0 and "verdict: DISTINGUISHED" in out
+    # The knot at load (its order-n builds share that memo), the mirror once.
+    assert [c.generators == calls[0].generators for c in calls] == [True, True]
+    assert algebra.dga_key(calls[1]) != algebra.dga_key(calls[0])
 
 
 def test_compare_mirror_rows(capsys, trefoil_file):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, augment, tilde
+from legch import ContractError, InternalConsistencyError, algebra, augment, tilde
 from legch.ainfty import (
     MAX_RELATION_TERMS,
     AInftyMorphism,
@@ -43,6 +43,7 @@ from helpers import (
     _transpose_slices,
     decode,
     flip_table_bit,
+    letter_windows,
     random_augmented_dga,
     random_dga,
     sliced_count,
@@ -313,6 +314,7 @@ def _word_by_word_entries(ring, n):
     """
     twisted, s = ring.twisted, ring.structure
     letters = tilde._Letters(s)
+    windows = letter_windows(s, letters)
     repl = [
         tuple(tuple(letters.index[x] for x in w) for w in twisted.d(lbl))
         for lbl in letters.labels
@@ -328,7 +330,7 @@ def _word_by_word_entries(ring, n):
                 chain.add((w, v))
         high = canon_degree(s.modulus, m + 1)
         for v in ws:
-            for u in _cochain_terms(letters.windows, v):
+            for u in _cochain_terms(windows, v):
                 if canon_degree(s.modulus, sum(letters.degree[x] for x in u)) != high:
                     raise InternalConsistencyError("window image not homogeneous")
                 window.add((u, v))
@@ -387,11 +389,10 @@ def test_transpose_check_matches_the_oracle_on_random_dgas(seed, n):
 
 def _uncancelled_count(ring, n):
     """The count if no two triples met on an entry: sum over pairs of W(n - |t|)."""
-    letters = _Letters(ring.structure)
-    size = len(letters.labels)
-    pairs = tilde._window_pairs(letters, ring.structure.modulus, n)
+    size = len(ring.structure.order)
+    pairs = tilde._window_pairs(ring.structure)
     return sum(
-        (m + 1) * size**m for _, t in pairs for m in range(n - len(t) + 1)
+        (m + 1) * size**m for _, t in pairs if len(t) <= n for m in range(n - len(t) + 1)
     )
 
 
@@ -572,15 +573,15 @@ def test_minimal_model_window_matrix_is_the_perturbed_complex_on_random_dgas(see
 
 def test_each_dga_is_validated_once_and_an_invalid_one_still_fails(monkeypatch):
     monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
-    monkeypatch.setattr(tilde, "_VALIDATED", OrderedDict())
+    monkeypatch.setattr(algebra, "_VALIDATED", OrderedDict())
     calls = []
-    real = tilde.assert_valid
+    real = algebra.validate_dga
 
     def counted(dga):
         calls.append(dga)
         return real(dga)
 
-    monkeypatch.setattr(tilde, "assert_valid", counted)
+    monkeypatch.setattr(algebra, "validate_dga", counted)
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
         ring = build_ring(dga, aug)
@@ -595,6 +596,68 @@ def test_each_dga_is_validated_once_and_an_invalid_one_still_fails(monkeypatch):
         with pytest.raises(ContractError):
             order_n_cohomology(invalid, 2)
     assert len(calls) == 3
+
+
+def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(monkeypatch):
+    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
+    compared, letters = [], []
+    real_pairs, real_letters = tilde._twisted_pairs, tilde._Letters
+    monkeypatch.setattr(
+        tilde, "_twisted_pairs", lambda *args: compared.append(args) or real_pairs(*args)
+    )
+    monkeypatch.setattr(tilde, "_Letters", lambda s: letters.append(s) or real_letters(s))
+    dga = trefoil()
+    rings = [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
+    for ring in rings:
+        for n in (1, 2, 3, 4):
+            for engine in ("dense", "perturbation"):
+                order_n_cohomology(ring, n, engine=engine)
+            check_order_n_transpose(ring, n)
+    assert len(compared) == len(rings)
+    assert len(letters) == len(rings) * 4 * 2  # one per window matrix built
+    assert all(s is rings[0].structure for s in letters[:8:2])  # dense, then the minimal model
+
+
+def test_minimal_model_cuts_are_kept_until_the_transfer_is_rebuilt():
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    top = ring.minimal(3)
+    low = ring.minimal(2)
+    assert low[0].arity == 2 and ring.minimal(2)[0] is low[0] and ring.minimal(2)[1] is low[1]
+    assert ring.minimal(3)[0] is top[0]
+    ring.minimal(4)  # a higher arity rebuilds the transfer and drops the cuts
+    assert ring.minimal(2)[0] is not low[0]
+    assert ring.minimal(2)[0].tables == low[0].tables
+
+
+def test_transpose_check_rejects_a_one_sided_pair_longer_than_the_order():
+    # The pair sets are compared at every term length, so an arity-3 entry
+    # missing from the window side fails at orders 1 and 2 as well, where the
+    # order-n matrices alone (|t| <= n) would still agree.
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    s = ring.structure
+    args = min(s.tables[3], key=lambda a: [s.order[x] for x in a])
+    vec = s.tables[3][args]
+    tables = {k: dict(t) for k, t in s.tables.items()}
+    del tables[3][args]
+    lowest = s.names(s.out_degree(args))[(vec & -vec).bit_length() - 1]
+    for n in (1, 2, 3):
+        mutated = replace(ring, structure=AInftyStructure(s.modulus, s.basis, s.arity, tables))
+        chain, window = _word_by_word_entries(mutated, n)
+        assert (chain == window) == (n < 3)
+        _raises_naming(
+            "order-%d transpose equality fails: only the Leibniz side has the entry (%s -> %s)"
+            % (n, lowest, "|".join(args)),
+            lambda: check_order_n_transpose(mutated, n),
+        )
+    diff = {g: ring.twisted.d(g) for g in ring.twisted.generators}
+    diff["a1"] = diff["a1"] | {("b2", "b2", "b2")}
+    spurious = replace(ring, twisted=ring.twisted.replace_diff(diff))
+    _raises_naming(
+        "order-1 transpose equality fails: only the Leibniz side has the entry (a1 -> b2|b2|b2)",
+        lambda: check_order_n_transpose(spurious, 1),
+    )
 
 
 def _raises_naming(expected, call):
@@ -643,25 +706,18 @@ def test_transpose_check_rejects_a_spurious_twisted_term():
 def test_transpose_check_rejects_a_table_entry_of_the_wrong_degree(monkeypatch):
     dga = trefoil()
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
-    shifted = {}
-
-    class Shifted(_Letters):
-        def __init__(self, structure):
-            super().__init__(structure)
-            table = self.windows[2]
-            args = min(table)
-            wrong = next(
-                x for x in range(len(self.labels))
-                if self.degree[x] != self.degree[table[args][0]]
-            )
-            table[args] = (wrong,) + table[args][1:]
-            shifted.update(args=self.word_label(args), wrong=self.labels[wrong])
-
-    monkeypatch.setattr(tilde, "_Letters", Shifted)
+    s = ring.structure
+    args = min(s.tables[2], key=lambda a: [s.order[x] for x in a])
+    right = s.out_degree(args)
+    wrong = next(k for k in s.basis if k != right and len(s.names(k)) >= len(s.names(right)))
+    real = s.out_degree
+    # Read the image vector of m_2(args) in the basis of another degree.
+    monkeypatch.setattr(s, "out_degree", lambda a: wrong if a == args else real(a))
+    first = s.names(wrong)[(s.tables[2][args] & -s.tables[2][args]).bit_length() - 1]
     with pytest.raises(InternalConsistencyError):
         _word_by_word_entries(ring, 2)
     _raises_naming(
-        "window image %s of %s is not homogeneous" % (shifted["wrong"], shifted["args"]),
+        "window image %s of %s is not homogeneous" % (first, "|".join(args)),
         lambda: check_order_n_transpose(ring, 2),
     )
 
@@ -672,13 +728,14 @@ def test_transpose_check_rejects_a_dropped_entry_in_a_later_slice():
     s = ring.structure
     n = 3
     letters = _Letters(s)
+    windows = letter_windows(s, letters)
     codes = tilde._Codes(len(letters.labels), n)
     step = max(1, helpers._SLICE_WORDS // (codes.off[n] + 1))
     assert step < len(letters.labels)  # the window count takes several slices
     args, hits = next(
         (args, hits)
-        for j in sorted(letters.windows) if j <= n
-        for args, hits in sorted(letters.windows[j].items())
+        for j in sorted(windows) if j <= n
+        for args, hits in sorted(windows[j].items())
         if hits and min(hits) >= step
     )
     labels = tuple(letters.labels[x] for x in args)
