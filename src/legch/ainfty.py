@@ -25,7 +25,7 @@ from itertools import product as iproduct
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .algebra import DGA, canon_degree, dga_key
+from .algebra import DGA, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import apply_block, bits, in_span, span_basis
 from .linear import HomologyData, homology, linearized_complexes
@@ -959,13 +959,9 @@ class CohomologyRing:
     chain: HomologyData
     cochain: HomologyData
     # (letter, term) pairs of ``structure``, set once ``tilde.check_order_n_transpose``
-    # finds them equal to those of ``twisted``; a ``replace`` copy checks anew.
+    # finds them homogeneous and equal to those of ``twisted``; the dense order-n
+    # engine builds its window matrix from them.  A ``replace`` copy checks anew.
     pairs: Optional[FrozenSet[tuple]] = field(default=None, init=False, repr=False, compare=False)
-
-    @cached_property
-    def content(self) -> tuple:
-        """``dga_key`` of the DGA, computed once."""
-        return dga_key(self.dga)
 
     @cached_property
     def products(self) -> ProductTable:

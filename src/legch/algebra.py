@@ -225,11 +225,10 @@ _VALIDATED: "OrderedDict[tuple, bool]" = OrderedDict()
 _VALIDATED_SIZE = 4
 
 
-def assert_valid(dga: DGA, key: Optional[tuple] = None) -> None:
+def assert_valid(dga: DGA) -> None:
     """Raise ``ContractError`` listing the problems of an invalid DGA.  A content
-    (``dga_key``, passed as ``key`` if already computed) that passed is not
-    validated again; failures are not remembered."""
-    key = dga_key(dga) if key is None else key
+    (``dga_key``) that passed is not validated again; failures are not remembered."""
+    key = dga_key(dga)
     if key in _VALIDATED:
         _VALIDATED.move_to_end(key)
         return
@@ -242,7 +241,7 @@ def assert_valid(dga: DGA, key: Optional[tuple] = None) -> None:
 
 
 def dga_key(dga: DGA) -> tuple:
-    """Hashable content fingerprint (for caching derived computations); each
+    """Hashable content fingerprint (the key of the validation memo); each
     differential stays a frozenset, whose hash Python caches, so nothing is sorted."""
     return (
         dga.modulus,

@@ -246,16 +246,6 @@ class MirrorReport:
         return self.verdict == "DISTINGUISHED"
 
 
-def _field_multiset(fp: Fingerprint, field: str) -> Dict:
-    tables = [dict(getattr(p, field)) for p in fp.profiles]
-    keys = sorted({k for t in tables for k in t})
-    return {k: sorted(t.get(k, _missing(field)) for t in tables) for k in keys}
-
-
-def _missing(field: str):
-    return (False, False) if field == "massey" else 0
-
-
 def _first_difference(left: Fingerprint, right: Fingerprint) -> str:
     if len(left.profiles) != len(right.profiles):
         return "augmentation count %d vs %d" % (len(left.profiles), len(right.profiles))
@@ -266,10 +256,13 @@ def _first_difference(left: Fingerprint, right: Fingerprint) -> str:
         "order_dims": "order-n cohomology dim at (n, degree) %s: %s vs %s",
     }
     for field in ("dims", "cup_ranks", "massey", "order_dims"):
-        lt, rt = _field_multiset(left, field), _field_multiset(right, field)
-        for key in sorted(set(lt) | set(rt)):
-            miss = [_missing(field)] * len(left.profiles)
-            lv, rv = lt.get(key, miss), rt.get(key, miss)
+        missing = (False, False) if field == "massey" else 0
+        lt = [dict(getattr(p, field)) for p in left.profiles]
+        rt = [dict(getattr(p, field)) for p in right.profiles]
+        # Each key's values, sorted across augmentations, only up to the first that differs.
+        for key in sorted({k for t in lt + rt for k in t}):
+            lv = sorted(t.get(key, missing) for t in lt)
+            rv = sorted(t.get(key, missing) for t in rt)
             if lv != rv:
                 return messages[field] % (key, lv, rv)
     return "profiles differ only under joint per-augmentation pairing"

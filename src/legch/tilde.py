@@ -119,7 +119,6 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby, product as iproduct
@@ -163,18 +162,13 @@ __all__ = [
 
 MAX_ORDER = 4
 DENSE_LIMIT = 20000
-# Entries kept by the in-process order-n cache, least recently used first out.
-_ORDER_CACHE_SIZE = 64
 
 
-def _check_order(n: int, max_order: int) -> None:
+def _check_order(n: int) -> None:
     if n < 1:
         raise ContractError("order must be at least 1")
-    if n > max_order:
-        raise ContractError(
-            "order %d exceeds the cap %d; pass a larger max_order to override"
-            % (n, max_order)
-        )
+    if n > MAX_ORDER:
+        raise ContractError("order %d exceeds the budget MAX_ORDER = %d" % (n, MAX_ORDER))
 
 
 class _Letters:
@@ -382,19 +376,18 @@ class TildeComplex:
 
 
 def _window_matrix(
-    s: AInftyStructure, letters: _Letters, n: int, entries: Optional[int] = None
+    s: AInftyStructure, letters: _Letters, pairs, n: int, entries: Optional[int] = None
 ) -> GradedMatrixMap:
-    """The order-n window differential on word codes, built from its (letter,
-    term) pairs, checked homogeneous.  Asserts d d = 0 through the A-infinity
-    relations of ``s`` up to arity n (Square zero, in the module docstring)
-    and, when given, the number of nonzero entries."""
+    """The order-n window differential on word codes, built from the (letter,
+    term) pairs of ``s``, which the caller has checked homogeneous.  Asserts
+    d d = 0 through the A-infinity relations of ``s`` up to arity n (Square
+    zero, in the module docstring) and, when given, the number of nonzero
+    entries."""
     report = check_an_relations(s, n)
     if not report.ok:
         raise InternalConsistencyError(
             "order-%d differential does not square to zero: %s" % (n, report.detail)
         )
-    pairs = _window_pairs(s)
-    _check_homogeneous(s, "window", pairs)
     code = letters.index.__getitem__
     coded = [(code(g), tuple(map(code, t))) for g, t in pairs if len(t) <= n]
     groups, bit = _word_codes(letters.degree, n, s.modulus)
@@ -411,7 +404,7 @@ def _window_matrix(
     return GradedMatrixMap(s.modulus, 1, groups, cols)
 
 
-def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> TildeComplex:
+def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
     """Materialize the order-n complex of a structure.
 
     Word labels join their letters with "|".  The differential sends a word
@@ -421,9 +414,11 @@ def tilde_complex(s: AInftyStructure, n: int, max_order: int = MAX_ORDER) -> Til
     Homogeneity and squaring to zero (through the relations up to arity
     n) are asserted.
     """
-    _check_order(n, max_order)
+    _check_order(n)
     letters = _Letters(s)
-    window = _window_matrix(s, letters, n)
+    pairs = _window_pairs(s)
+    _check_homogeneous(s, "window", pairs)
+    window = _window_matrix(s, letters, pairs, n)
     spelled = _spelled(letters.labels, n)
     words = {k: tuple(spelled[c] for c in cs) for k, cs in window.basis.items()}
     basis = {k: tuple("|".join(w) for w in ws) for k, ws in words.items()}
@@ -450,7 +445,7 @@ def _ring_pairs(ring: CohomologyRing, n: int) -> FrozenSet[Pair]:
     return ring.pairs
 
 
-def check_order_n_transpose(ring: CohomologyRing, n: int, max_order: int = MAX_ORDER) -> int:
+def check_order_n_transpose(ring: CohomologyRing, n: int) -> int:
     """Assert the order-n differential is the Leibniz expansion's transpose.
 
     The tensor algebra truncated at word length n carries the Leibniz
@@ -460,12 +455,14 @@ def check_order_n_transpose(ring: CohomologyRing, n: int, max_order: int = MAX_O
     ``ring.structure``.  They are equal exactly when their (letter, term)
     pair sets are, and the full pair sets, compared once per ring, cover
     every order (Pairs, in the module docstring); a discrepancy is an
-    internal error naming the side and the smallest offending pair.
+    internal error naming the side and the smallest offending pair.  The
+    checked set is kept as ``ring.pairs``, which the dense engine builds
+    its window matrix from.  Orders above ``MAX_ORDER`` are refused.
     Returns the number of nonzero entries of the window matrix, in closed
     form from the pairs (Count): the work is over pairs and letters, never
     over words.
     """
-    _check_order(n, max_order)
+    _check_order(n)
     return _entry_count(_ring_pairs(ring, n), len(ring.structure.order), n)
 
 
@@ -477,7 +474,8 @@ class OrderNCohomology:
     "dense" the adjoint structure (representatives are words of
     generators), "perturbation" the transferred minimal model (words of
     cohomology classes); ``structure`` is that structure.  ``data``, the
-    homology of its complex, is rebuilt on first use and kept;
+    homology of its complex, is rebuilt on first use through
+    ``tilde_complex``, which reads and checks the structure's pairs itself;
     ``complex_dim`` is the dimension of the order-n word space of the
     generators, and ``transpose_entries`` counts the nonzero entries of the
     window matrix, which the transpose check proved equal to the Leibniz one.
@@ -492,64 +490,50 @@ class OrderNCohomology:
 
     @cached_property
     def data(self) -> HomologyData:
-        complex_ = tilde_complex(self.structure, self.order, max_order=self.order)
+        complex_ = tilde_complex(self.structure, self.order)
         return homology(complex_.differential, "cochain")
 
     def representatives(self, k: int) -> List[str]:
         return [self.data.label(k, 1 << i) for i in range(self.data.dim(k))]
 
 
-_ORDER_CACHE: "OrderedDict[tuple, OrderNCohomology]" = OrderedDict()
-
-
-def order_n_cohomology(
-    ring: CohomologyRing,
-    n: int,
-    engine: str = "auto",
-    max_order: int = MAX_ORDER,
-) -> OrderNCohomology:
+def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> OrderNCohomology:
     """Order-n linearized cohomology of the augmented DGA behind a ring.
 
     Always verifies the transpose equality between the window differential
     and the truncated Leibniz differential before reducing, through
     ``check_order_n_transpose``: one pair comparison per ring covers every
     order, and the window matrix's nonzero entries are counted from the
-    pairs on every build (a lazy count kept pairs and letters alive in
-    cached results, for more peak memory than the count costs).  The dense
-    engine builds that matrix on ``ring.structure`` and asserts the count;
-    the perturbation engine builds the window matrix of the minimal model
-    ``ring.minimal(max(n, 2))`` (Perturbation, in the module docstring).
+    pairs on every call.  The dense engine builds that matrix on
+    ``ring.structure`` from the checked ``ring.pairs`` and asserts the
+    count; the perturbation engine reads and checks the pairs of the
+    minimal model ``ring.minimal(max(n, 2))`` and builds its window matrix
+    (Perturbation, in the module docstring).
     Either asserts d d = 0 through its structure's A-infinity relations up
     to arity n (Square zero), also above the arity ``build_ring`` checks.
     The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
     Dimensions come from ranks (``GradedMatrixMap.homology_dims``), with no
     retract and no word labels.  Each DGA's contents are validated once per
-    process (``assert_valid``'s bounded memo, shared with loading), and
-    results are cached in-process per (DGA contents, augmentation, order,
-    engine).
+    process (``assert_valid``'s bounded memo, shared with loading).  Orders
+    above the budget ``MAX_ORDER`` raise ``ContractError``.
     """
-    _check_order(n, max_order)
+    _check_order(n)
     if engine not in ("auto", "dense", "perturbation"):
         raise ContractError("engine must be 'auto', 'dense' or 'perturbation'")
     size = len(ring.dga.generators)
     total = sum(size**a for a in range(1, n + 1))
     if engine == "auto":
         engine = "dense" if total <= DENSE_LIMIT else "perturbation"
-    key = (ring.content, ring.aug.values, n, engine)
-    cached = _ORDER_CACHE.get(key)
-    if cached is not None:
-        _ORDER_CACHE.move_to_end(key)
-        return cached
-    assert_valid(ring.dga, ring.content)
-    entries = check_order_n_transpose(ring, n, max_order)
-    dense = engine == "dense"
-    structure = ring.structure if dense else ring.minimal(max(n, 2))[0]
-    built = _window_matrix(structure, _Letters(structure), n, entries if dense else None)
-    result = OrderNCohomology(n, engine, built.homology_dims(), total, entries, structure)
-    _ORDER_CACHE[key] = result
-    if len(_ORDER_CACHE) > _ORDER_CACHE_SIZE:
-        _ORDER_CACHE.popitem(last=False)
-    return result
+    assert_valid(ring.dga)
+    entries = check_order_n_transpose(ring, n)
+    if engine == "dense":
+        structure, pairs, count = ring.structure, ring.pairs, entries
+    else:
+        structure, count = ring.minimal(max(n, 2))[0], None
+        pairs = _window_pairs(structure)
+        _check_homogeneous(structure, "window", pairs)
+    built = _window_matrix(structure, _Letters(structure), pairs, n, count)
+    return OrderNCohomology(n, engine, built.homology_dims(), total, entries, structure)
 
 
 @dataclass
@@ -578,9 +562,7 @@ class TildeChainMap:
         return all(a == b == r for a, b, r in self.induced_ranks().values())
 
 
-def tilde_of_morphism(
-    f: AInftyMorphism, n: int, max_order: int = MAX_ORDER
-) -> TildeChainMap:
+def tilde_of_morphism(f: AInftyMorphism, n: int) -> TildeChainMap:
     """Chain map on order-n complexes induced by an A-infinity morphism.
 
     The block from length-a words to length-r words sums f_{i_1} x ... x
@@ -589,7 +571,7 @@ def tilde_of_morphism(
     input), and F d_src = d_dst F is asserted on the window matrices, one
     source word (column) at a time.
     """
-    _check_order(n, max_order)
+    _check_order(n)
     if f.src is None or f.dst is None:
         raise ContractError("morphism does not carry source and target structures")
     if f.src.modulus != f.dst.modulus:
@@ -597,8 +579,8 @@ def tilde_of_morphism(
     report = check_ainfty_morphism(f, f.src, f.dst, n)
     if not report.ok:
         raise ContractError(report.detail)
-    source = tilde_complex(f.src, n, max_order=max_order)
-    target = tilde_complex(f.dst, n, max_order=max_order)
+    source = tilde_complex(f.src, n)
+    target = tilde_complex(f.dst, n)
     sletters = _Letters(f.src)
     dletters = _Letters(f.dst)
     ftab: Dict[int, Dict[Tuple[int, ...], Tuple[int, ...]]] = {}
@@ -766,7 +748,7 @@ def _check_reflection_conjugation(twisted: DGA, twisted_mirror: DGA, n: int) -> 
     return sum(size**length for length in range(1, n + 1))
 
 
-def reflection_compare(dga: DGA, n: int, max_order: int = MAX_ORDER) -> ReflectionReport:
+def reflection_compare(dga: DGA, n: int) -> ReflectionReport:
     """Compare order-n dimensions of a DGA and its mirror, per augmentation.
 
     An augmentation of the knot serves the mirror unchanged, because the
@@ -775,14 +757,14 @@ def reflection_compare(dga: DGA, n: int, max_order: int = MAX_ORDER) -> Reflecti
     the two truncated Leibniz differentials is checked on every word of
     length <= n for every augmentation, through the one-letter words.
     """
-    _check_order(n, max_order)
+    _check_order(n)
     mirror = mirror_dga(dga)
     rows: List[ReflectionRow] = []
     words = 0
     for aug in enumerate_augmentations(dga):
         ring, mirror_ring = build_ring(dga, aug), build_ring(mirror, aug)
-        left = order_n_cohomology(ring, n, max_order=max_order)
-        right = order_n_cohomology(mirror_ring, n, max_order=max_order)
+        left = order_n_cohomology(ring, n)
+        right = order_n_cohomology(mirror_ring, n)
         words += _check_reflection_conjugation(ring.twisted, mirror_ring.twisted, n)
         rows.append(ReflectionRow(aug.describe(), left.dims, right.dims))
     return ReflectionReport(n, rows, words)

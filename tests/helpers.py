@@ -7,12 +7,12 @@ validity, so every produced DGA passes the validator by construction
 chain-level triple Massey product, the block-by-block triple builder, the
 visit-every-triple Massey table, the per-tuple composition sum, the
 word-by-word Leibniz and window expansions, the word-by-word window
-matrix with its d d = 0, the sliced count of the window matrix and the
-word-by-word perturbation series are kept here as the references that the
+matrix with its d d = 0, the sliced count of the window matrix, the
+word-by-word perturbation series and the whole-field multiset witness are kept here as the references that the
 library's product table, its transferred p_3 blocks, its support-only
 Massey table, its table-driven composition sum, its pair checks, its
-window matrix and relation-based d d = 0, its closed-form entry count and
-its minimal-model order-n engine are compared against.
+window matrix and relation-based d d = 0, its closed-form entry count, its
+minimal-model order-n engine and its mirror witness are compared against.
 """
 
 import random
@@ -546,6 +546,39 @@ def every_triple_massey_table(ring):
         if _tuple_space([h.dim(k) for k in prefix]):
             table[(3, prefix)] = ring.products.flags(*prefix)
     return table
+
+
+def _field_multiset(fp, field: str) -> dict:
+    tables = [dict(getattr(p, field)) for p in fp.profiles]
+    keys = sorted({k for t in tables for k in t})
+    return {k: sorted(t.get(k, _missing(field)) for t in tables) for k in keys}
+
+
+def _missing(field: str):
+    return (False, False) if field == "massey" else 0
+
+
+def multiset_first_difference(left, right) -> str:
+    """Reference witness of ``compare_mirror``: every key's sorted multiset of
+    values, for both fingerprints, built for a whole field before any key is
+    compared, where the library sorts one key's values at a time and stops
+    at the first that differs."""
+    if len(left.profiles) != len(right.profiles):
+        return "augmentation count %d vs %d" % (len(left.profiles), len(right.profiles))
+    messages = {
+        "dims": "dim of cohomology in degree %s across augmentations: %s vs %s",
+        "cup_ranks": "rank of the cup product in bidegree %s across augmentations: %s vs %s",
+        "massey": "Massey bracket summary (defined, nonzero) in degree tuple %s: %s vs %s",
+        "order_dims": "order-n cohomology dim at (n, degree) %s: %s vs %s",
+    }
+    for field in ("dims", "cup_ranks", "massey", "order_dims"):
+        lt, rt = _field_multiset(left, field), _field_multiset(right, field)
+        for key in sorted(set(lt) | set(rt)):
+            miss = [_missing(field)] * len(left.profiles)
+            lv, rv = lt.get(key, miss), rt.get(key, miss)
+            if lv != rv:
+                return messages[field] % (key, lv, rv)
+    return "profiles differ only under joint per-augmentation pairing"
 
 
 def oracle_rings():

@@ -12,7 +12,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, algebra, tilde
+from legch import ContractError, InternalConsistencyError, algebra
 from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
 from legch.augment import MAX_FREE_GENERATORS
 from legch.algebra import mirror_dga
@@ -190,6 +190,15 @@ def test_minimal_refuses_an_arity_above_the_budget(capsys, trefoil_file):
     assert code == 1
     assert out == ""
     assert "MAX_ARITY = %d" % MAX_ARITY in err
+
+
+def test_orders_above_the_budget_are_refused_with_its_name(capsys, tmp_path):
+    path = tmp_path / "c.dga"
+    path.write_text(serialize_dga(cupex(1, 3, 7)), encoding="utf-8")
+    for argv in (("ordern", "--n", "5"), ("compare-mirror", "--order-cap", "5")):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (1, ""), argv
+        assert err == "error: order 5 exceeds the budget MAX_ORDER = 4\n", argv
 
 
 def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):
@@ -406,7 +415,6 @@ def test_internal_failures_exit_two(capsys, trefoil_file, monkeypatch):
 def test_compare_mirror_validates_the_knot_and_its_mirror_once_each(capsys, tmp_path, monkeypatch):
     path = tmp_path / "m.dga"
     path.write_text(serialize_dga(masseyex(1, 4, 9, 20)), encoding="utf-8")
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
     monkeypatch.setattr(algebra, "_VALIDATED", OrderedDict())
     calls = []
     real = algebra.validate_dga

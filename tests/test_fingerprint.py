@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from legch.ainfty import HClass, build_ring
-from legch.algebra import mirror_dga
+from legch.algebra import mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fingerprint import (
     AugmentationProfile,
     Fingerprint,
+    _first_difference,
     audit_basis_independence,
     compare_mirror,
     cup_rank_table,
@@ -28,6 +29,7 @@ from helpers import (
     chain_massey_triple,
     cup_table,
     every_triple_massey_table,
+    multiset_first_difference,
     oracle_rings,
     random_augmented_dga,
     trivial_bracket_dga,
@@ -246,3 +248,65 @@ def test_order_dim_table_is_the_dense_engine_s_nonzero_dims():
                     if d
                 }
                 assert order_dim_table(ring, 2) == dense
+
+
+def _assert_witness_matches_the_multiset_oracle(left, right):
+    """Both directions agree with the oracle; returns the left-to-right witness."""
+    assert _first_difference(right, left) == multiset_first_difference(right, left)
+    witness = _first_difference(left, right)
+    assert witness == multiset_first_difference(left, right)
+    return witness
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_mirror_witness_matches_the_multiset_oracle_on_the_mirror_bases():
+    bases = [
+        cupex(1, 3, 7),
+        cupex(2, 5, 9),
+        stabilize(trefoil(), 0),
+        masseyex(1, 2, 3, 4),
+        masseyex(2, 3, 5, 9),
+        masseyex(1, 3, 6, 12),
+        masseyex(2, 3, 5, 8),
+        masseyex(1, 4, 9, 20),
+    ]
+    for dga in bases:
+        _assert_witness_matches_the_multiset_oracle(
+            fingerprint_dga(dga), fingerprint_dga(mirror_dga(dga))
+        )
+
+
+def _profile(dims=(), cups=(), massey=(), orders=()):
+    return AugmentationProfile(tuple(dims), tuple(cups), tuple(massey), tuple(orders))
+
+
+def test_mirror_witness_matches_the_multiset_oracle_on_hand_built_fingerprints():
+    a = _profile(dims=[(0, 1)], massey=[((3, (0, 0, 0)), (False, False))], orders=[((1, 0), 1)])
+    b = _profile(dims=[(0, 1)], orders=[((1, 0), 2)])
+    c = _profile(dims=[(0, 1), (1, 2)])
+    d = _profile(dims=[(0, 1)], massey=[((3, (0, 0, 0)), (True, False))])
+    e = _profile(dims=[(0, 2)], cups=[((0, 0), 1)])
+    f = _profile(dims=[(0, 2)])
+    cases = [
+        # (False, False) is the massey default: a key missing on one side equals it
+        ((a,), (b,), "order-n cohomology dim at (n, degree) (1, 0): [1] vs [2]"),
+        ((a,), (c,), "dim of cohomology in degree 1 across augmentations: [0] vs [2]"),
+        (
+            (a,),
+            (d,),
+            "Massey bracket summary (defined, nonzero) in degree tuple (3, (0, 0, 0)):"
+            " [(False, False)] vs [(True, False)]",
+        ),
+        ((a, b), (a,), "augmentation count 2 vs 1"),
+        ((a, c), (b, c), "order-n cohomology dim at (n, degree) (1, 0): [0, 1] vs [0, 2]"),
+        (
+            (_profile(dims=[(0, 1)], cups=[((0, 0), 1)]), f),
+            (_profile(dims=[(0, 1)]), e),
+            "profiles differ only under joint per-augmentation pairing",
+        ),
+    ]
+    for left, right, want in cases:
+        got = _assert_witness_matches_the_multiset_oracle(
+            Fingerprint(tuple(sorted(left))), Fingerprint(tuple(sorted(right)))
+        )
+        assert got == want

@@ -57,7 +57,7 @@ TREFOIL_ORDER_DIMS = {
 }
 
 
-def test_order_and_engine_validation():
+def test_order_and_engine_validation(monkeypatch):
     dga = trefoil()
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
     with pytest.raises(ContractError):
@@ -66,8 +66,9 @@ def test_order_and_engine_validation():
         order_n_cohomology(ring, 5)
     with pytest.raises(ContractError):
         order_n_cohomology(ring, 2, engine="fast")
-    # the cap is an override, not a hard limit
-    high = order_n_cohomology(ring, 5, max_order=5)
+    # the cap is the module's budget, read on every call
+    monkeypatch.setattr(tilde, "MAX_ORDER", 5)
+    high = order_n_cohomology(ring, 5)
     assert high.order == 5 and sum(high.dims.values()) > 0
 
 
@@ -104,9 +105,9 @@ def test_engines_agree():
 
 def _assert_rank_dims_are_homology_dims(ring, n, engine):
     """Dims read off ranks equal those of a full homology() of the engine's complex."""
-    got = order_n_cohomology(ring, n, engine=engine, max_order=n)
+    got = order_n_cohomology(ring, n, engine=engine)
     if engine == "dense":
-        built = tilde_complex(ring.structure, n, max_order=n).differential
+        built = tilde_complex(ring.structure, n).differential
     else:
         built = _perturbed_complex(ring.structure, ring.cochain, n)
     assert got.data.differential == built  # the retract, built on first use
@@ -152,36 +153,6 @@ def test_auto_engine_resolution_and_frozen_counts(monkeypatch):
     forced = order_n_cohomology(ring, 2)
     assert forced.engine == "perturbation"
     assert forced.dims == TREFOIL_ORDER_DIMS[2]
-
-
-def test_results_are_cached_by_content():
-    aug = enumerate_augmentations(trefoil())[0]
-    first = order_n_cohomology(build_ring(trefoil(), aug), 2)
-    second = order_n_cohomology(build_ring(trefoil(), aug), 2)
-    assert first is second
-
-
-def test_order_cache_evicts_the_least_recently_used_result(monkeypatch):
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
-    bound = tilde._ORDER_CACHE_SIZE
-    jobs = []
-    degree = 1
-    while len(jobs) <= bound:
-        dga = stabilize(trefoil(), degree)
-        jobs += [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
-        degree += 1
-    first = order_n_cohomology(jobs[0], 1)
-    for ring in jobs[1:bound]:
-        order_n_cohomology(ring, 1)
-    assert order_n_cohomology(jobs[0], 1) is first  # a hit refreshes the entry
-    keys = list(tilde._ORDER_CACHE)
-    for ring in jobs[bound:]:
-        order_n_cohomology(ring, 1)
-        assert len(tilde._ORDER_CACHE) == bound
-    assert keys[-1][1] == jobs[0].aug.values
-    evicted = keys[: len(jobs) - bound]
-    assert all(key not in tilde._ORDER_CACHE for key in evicted)
-    assert keys[-1] in tilde._ORDER_CACHE
 
 
 def test_transpose_check_counts_linear_entries_at_order_one():
@@ -230,12 +201,10 @@ def test_only_build_ring_twists(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("legch") and getattr(module, "twist", None) is real_twist:
             monkeypatch.setattr(module, "twist", counted)
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
     compare_mirror(trefoil())
     assert len(calls) == 10  # one build_ring per (augmentation, side)
     dga = trefoil()
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
     del calls[:]
     for engine in ("dense", "perturbation"):
         order_n_cohomology(ring, 3, engine=engine)
@@ -348,7 +317,7 @@ def _sliced_entries(ring, n):
 
 def _tilde_entries(s, n):
     """(target word, source word) of every nonzero tilde_complex entry."""
-    built = tilde_complex(s, n, max_order=5)
+    built = tilde_complex(s, n)
     index = _Letters(s).index
     words = {
         k: [tuple(index[x] for x in w) for w in ws] for k, ws in built.words.items()
@@ -366,17 +335,18 @@ def _assert_matches_oracle(ring, n):
     chain, window = _word_by_word_entries(ring, n)
     assert chain == window
     assert _sliced_entries(ring, n) == chain
-    assert check_order_n_transpose(ring, n, max_order=5) == len(chain)
+    assert check_order_n_transpose(ring, n) == len(chain)
     assert _tilde_entries(ring.structure, n) == window
 
 
-def test_transpose_check_matches_the_word_by_word_oracle():
+def test_transpose_check_matches_the_word_by_word_oracle(monkeypatch):
     for name, dga in bundled_examples():
         top = 2 if name.startswith("masseyex") else 3
         for aug in enumerate_augmentations(dga):
             for n in range(1, top + 1):
                 _assert_matches_oracle(build_ring(dga, aug), n)
     dga = trefoil()
+    monkeypatch.setattr(tilde, "MAX_ORDER", 5)
     for n in (4, 5):
         _assert_matches_oracle(build_ring(dga, enumerate_augmentations(dga)[0]), n)
 
@@ -461,7 +431,6 @@ def test_entry_count_matches_the_sliced_oracle_on_modulus_one_dgas(seed):
 def test_dense_engine_rejects_a_window_matrix_off_the_count(monkeypatch):
     dga = trefoil()
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
     real = tilde._entry_count
     monkeypatch.setattr(tilde, "_entry_count", lambda *args: real(*args) + 1)
     _raises_naming(
@@ -503,7 +472,6 @@ def test_order_n_raises_exactly_when_a_mutated_window_matrix_does_not_square_to_
     mutated = flip_table_bit(random_augmented_dga(rng, max_gens=6)[2], rng)
     assume(mutated is not None)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
         _assert_raises_exactly_when_not_square_zero(mutated, n, "dense", mutated.structure)
         try:
             mu = mutated.minimal(max(n, 2))[0]
@@ -524,7 +492,6 @@ def test_a_relation_failing_only_above_build_rings_arity_is_caught_at_that_order
     aug = enumerate_augmentations(good)[0]
     ring = replace(build_ring(bad, aug), dga=good)
     assert ring.structure.arity == 2
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
     for engine in ("dense", "perturbation"):
         order_n_cohomology(ring, 2, engine=engine)
         _raises_naming(
@@ -545,7 +512,7 @@ def test_dense_side_relation_checks_stay_far_below_the_budget():
     for dga, n in jobs:
         ring = build_ring(dga, enumerate_augmentations(dga)[0])
         assert _relation_terms(ring.structure, n) * 10**4 < MAX_RELATION_TERMS
-        assert order_n_cohomology(ring, n, max_order=n).engine == "dense"
+        assert order_n_cohomology(ring, n).engine == "dense"
 
 
 def _assert_minimal_window_is_the_perturbed_complex(ring, n):
@@ -572,7 +539,6 @@ def test_minimal_model_window_matrix_is_the_perturbed_complex_on_random_dgas(see
 
 
 def test_each_dga_is_validated_once_and_an_invalid_one_still_fails(monkeypatch):
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
     monkeypatch.setattr(algebra, "_VALIDATED", OrderedDict())
     calls = []
     real = algebra.validate_dga
@@ -599,7 +565,6 @@ def test_each_dga_is_validated_once_and_an_invalid_one_still_fails(monkeypatch):
 
 
 def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(monkeypatch):
-    monkeypatch.setattr(tilde, "_ORDER_CACHE", OrderedDict())
     compared, letters = [], []
     real_pairs, real_letters = tilde._twisted_pairs, tilde._Letters
     monkeypatch.setattr(
@@ -616,6 +581,23 @@ def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(mo
     assert len(compared) == len(rings)
     assert len(letters) == len(rings) * 4 * 2  # one per window matrix built
     assert all(s is rings[0].structure for s in letters[:8:2])  # dense, then the minimal model
+
+
+def test_dense_engine_builds_on_the_pairs_the_ring_compared(monkeypatch):
+    callers = []
+    real = tilde._window_pairs
+
+    def spy(s):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(s)
+
+    monkeypatch.setattr(tilde, "_window_pairs", spy)
+    dga = trefoil()
+    rings = [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
+    for ring in rings:
+        for n in (1, 2, 3, 4):
+            order_n_cohomology(ring, n, engine="dense")
+    assert callers == ["_ring_pairs"] * len(rings)
 
 
 def test_minimal_model_cuts_are_kept_until_the_transfer_is_rebuilt():
