@@ -28,7 +28,7 @@ from . import ContractError, InternalConsistencyError
 from .algebra import DGA, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import apply_block, bits, in_span, span_basis
-from .linear import HomologyData, homology, linearized_complexes
+from .linear import HomologyData, _retract, linearized_complexes
 
 __all__ = [
     "HClass",
@@ -974,10 +974,11 @@ class CohomologyRing:
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
-    """Twist once into the adjoint structure, and take homology of m_1 both ways."""
+    """Twist once into the adjoint structure, and take homology of m_1 both ways.
+
+    ``adjoint_structure`` checks m_1 m_1 = 0 as relation l = 1, so both maps
+    go to ``linear._retract`` unsquared (the proof is in its docstring)."""
     twisted = twist(dga, aug)
     s = adjoint_structure(twisted)
     chain_map, cochain_map = linearized_complexes(s)
-    return CohomologyRing(
-        dga, aug, twisted, s, homology(chain_map, "chain"), homology(cochain_map, "cochain")
-    )
+    return CohomologyRing(dga, aug, twisted, s, _retract(chain_map), _retract(cochain_map))

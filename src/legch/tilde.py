@@ -115,6 +115,8 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   ``_window_matrix``, behind both engines, ``tilde_complex`` and
   ``tilde_of_morphism``, decides that on the tables with
   ``check_an_relations(s, n)``, also above the arity ``build_ring`` checks.
+  That is the only d d = 0 check on a window matrix: ``linear._retract``
+  reduces it without squaring it again.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ from .ainfty import (
     check_an_relations,
 )
 from .gf2 import apply_cols, bits, rank
-from .linear import GradedMatrixMap, HomologyData, homology
+from .linear import GradedMatrixMap, HomologyData, _retract
 
 __all__ = [
     "DENSE_LIMIT",
@@ -475,7 +477,9 @@ class OrderNCohomology:
     generators), "perturbation" the transferred minimal model (words of
     cohomology classes); ``structure`` is that structure.  ``data``, the
     homology of its complex, is rebuilt on first use through
-    ``tilde_complex``, which reads and checks the structure's pairs itself;
+    ``tilde_complex``, which reads and checks the structure's pairs itself
+    and asserts d d = 0 through the relations (Square zero), and is reduced
+    by ``linear._retract`` without squaring the matrix again;
     ``complex_dim`` is the dimension of the order-n word space of the
     generators, and ``transpose_entries`` counts the nonzero entries of the
     window matrix, which the transpose check proved equal to the Leibniz one.
@@ -490,8 +494,7 @@ class OrderNCohomology:
 
     @cached_property
     def data(self) -> HomologyData:
-        complex_ = tilde_complex(self.structure, self.order)
-        return homology(complex_.differential, "cochain")
+        return _retract(tilde_complex(self.structure, self.order).differential)
 
     def representatives(self, k: int) -> List[str]:
         return [self.data.label(k, 1 << i) for i in range(self.data.dim(k))]
@@ -549,9 +552,13 @@ class TildeChainMap:
         return apply_cols(self.blocks.get(k, []), vec)
 
     def induced_ranks(self) -> Dict[int, Tuple[int, int, int]]:
-        """Per degree: (source homology dim, target homology dim, map rank)."""
-        hs = homology(self.source.differential, "cochain")
-        ht = homology(self.target.differential, "cochain")
+        """Per degree: (source homology dim, target homology dim, map rank).
+
+        Both complexes come from ``tilde_complex``, whose ``_window_matrix``
+        proved d d = 0 through the relations (Square zero), so they are
+        reduced by ``linear._retract`` without squaring them again."""
+        hs = _retract(self.source.differential)
+        ht = _retract(self.target.differential)
         out: Dict[int, Tuple[int, int, int]] = {}
         for k in sorted(set(hs.degrees()) | set(ht.degrees())):
             images = [self.apply(k, hs.include(k, 1 << i)) for i in range(hs.dim(k))]

@@ -106,6 +106,20 @@ def test_inhomogeneous_twisted_differential_is_rejected():
             build()
 
 
+def test_a_nonzero_square_of_m1_fails_the_relation_check_in_build_ring():
+    # d a = b, d b = c: d d a = c, so m_1 m_1 (c) = a.  The linearized maps are
+    # no longer squared on their own; relation l = 1 is what rejects them.
+    dga = DGA(
+        0,
+        ("a", "b", "c"),
+        {"a": 2, "b": 1, "c": 0},
+        {"a": frozenset({("b",)}), "b": frozenset({("c",)})},
+    )
+    zero = Augmentation(tuple((g, 0) for g in dga.generators))
+    with pytest.raises(InternalConsistencyError, match=r"relation fails at arity 1 on \(c\)"):
+        build_ring(dga, zero)
+
+
 def test_chain_and_cochain_dims_agree_per_degree():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
@@ -119,6 +133,9 @@ def test_homology_rejects_wrong_direction_or_shift():
         homology(m, "sideways")
     with pytest.raises(ContractError):
         homology(m, "chain")  # chain needs shift -1
+    line = GradedMatrixMap(0, 1, {0: ("x",), 1: ("y",), 2: ("z",)}, {0: [1], 1: [1]})
+    with pytest.raises(ContractError, match="map does not square to zero; homology is undefined"):
+        homology(line, "cochain")  # d d x = z
 
 
 def _retract_identities(h):

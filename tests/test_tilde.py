@@ -23,7 +23,7 @@ from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fileio import parse_dga
 from legch.fingerprint import compare_mirror
 from legch.gf2 import bits
-from legch.linear import homology
+from legch.linear import GradedMatrixMap, homology
 from legch.tilde import (
     _Letters,
     _words_by_degree,
@@ -598,6 +598,30 @@ def test_dense_engine_builds_on_the_pairs_the_ring_compared(monkeypatch):
         for n in (1, 2, 3, 4):
             order_n_cohomology(ring, n, engine="dense")
     assert callers == ["_ring_pairs"] * len(rings)
+
+
+def test_library_complexes_are_reduced_without_squaring_them_again(monkeypatch):
+    # build_ring's two maps and every window matrix carry their d d = 0 proof
+    # in the A-infinity relations; only the public ``homology`` squares.
+    calls = []
+    real = GradedMatrixMap.is_square_zero
+    monkeypatch.setattr(GradedMatrixMap, "is_square_zero", lambda m: calls.append(m) or real(m))
+    dga = trefoil()
+    rings = [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
+    for ring in rings:
+        for n in (1, 2):
+            for engine in ("dense", "perturbation"):
+                result = order_n_cohomology(ring, n, engine=engine)
+                for k in result.dims:
+                    assert len(result.representatives(k)) == result.dims[k]
+            ranks = tilde_of_morphism(ring.minimal(2)[1], n).induced_ranks()
+            assert all(a == b == r for a, b, r in ranks.values())
+    assert calls == []
+    for ring in rings:
+        for h, direction in ((ring.chain, "chain"), (ring.cochain, "cochain")):
+            before = len(calls)
+            assert homology(h.differential, direction).dims() == h.dims()
+            assert len(calls) == before + 1
 
 
 def test_minimal_model_cuts_are_kept_until_the_transfer_is_rebuilt():
