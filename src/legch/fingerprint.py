@@ -15,11 +15,17 @@ triple's (defined, nonzero) from one flags pass over its pair blocks and
 its block of the ring's transferred p_3, run only where mu_2 or p_3 has an
 entry (every other triple is (True, False)).  Brackets of order 4 and up
 enumerate defining systems class tuple by class tuple (``massey_higher``).
+
+``compare_mirror`` fingerprints only the knot.  The mirror's A-infinity
+structure is the opposite one, m_k^op(x_1..x_k) = m_k(x_k..x_1), so its
+fingerprint is ``_opposite`` of the knot's: cup keys swapped, Massey
+tuples reversed, dims and order-n dims kept (the proof is in the
+``compare_mirror`` docstring).  The mirror is still validated, and each
+augmentation verified on its differential.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,8 +38,8 @@ from .ainfty import (
     build_ring,
     massey_higher,
 )
-from .algebra import DGA, mirror_dga
-from .augment import enumerate_augmentations
+from .algebra import DGA, assert_valid, mirror_dga
+from .augment import Augmentation, _verify, enumerate_augmentations
 from .gf2 import apply_block, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
@@ -200,11 +206,36 @@ def fingerprint_dga(
     max_systems: int = DEFAULT_MAX_SYSTEMS,
 ) -> Fingerprint:
     """Fingerprints of every augmentation, as a canonically ordered multiset."""
+    return _fingerprint(dga, enumerate_augmentations(dga), massey_order, order_cap, max_systems)
+
+
+def _fingerprint(
+    dga: DGA, augs: Sequence[Augmentation], massey_order: int, order_cap: int, max_systems: int
+) -> Fingerprint:
     profiles = [
-        profile_for(build_ring(dga, aug), massey_order, order_cap, max_systems)
-        for aug in enumerate_augmentations(dga)
+        profile_for(build_ring(dga, aug), massey_order, order_cap, max_systems) for aug in augs
     ]
     return Fingerprint(tuple(sorted(profiles)))
+
+
+def _opposite(fp: Fingerprint) -> Fingerprint:
+    """The fingerprint of the opposite A-infinity structure,
+    m_k^op(x_1..x_k) = m_k(x_k..x_1): each cup key (r, s) becomes (s, r),
+    each Massey degree tuple is reversed, dims and order-n dims stay, and
+    every field and then the profiles are sorted again."""
+    return Fingerprint(
+        tuple(
+            sorted(
+                AugmentationProfile(
+                    p.dims,
+                    tuple(sorted(((s, r), v) for (r, s), v in p.cup_ranks)),
+                    tuple(sorted(((o, t[::-1]), v) for (o, t), v in p.massey)),
+                    p.order_dims,
+                )
+                for p in fp.profiles
+            )
+        )
+    )
 
 
 def random_graded_basis(h: HomologyData, rng) -> Dict[int, List[int]]:
@@ -274,11 +305,53 @@ def compare_mirror(
     order_cap: int = DEFAULT_ORDER_CAP,
     max_systems: int = DEFAULT_MAX_SYSTEMS,
 ) -> MirrorReport:
-    """Compare a DGA against its Legendrian mirror by fingerprint."""
-    args = (massey_order, order_cap, max_systems)
-    knot = fingerprint_dga(dga, *args)
-    mirror = fingerprint_dga(mirror_dga(dga), *args)
-    if Counter(knot.profiles) == Counter(mirror.profiles):
+    """Compare a DGA against its Legendrian mirror by fingerprint.
+
+    Only the knot is fingerprinted; the mirror's fingerprint is
+    ``_opposite`` of the knot's.  ``mirror_dga`` reverses every word, and
+    each mirror-side step acts on the reversal of knot-side data already
+    checked, so it passes exactly when its knot-side twin does and yields
+    the opposite value (over GF(2) there are no signs):
+
+    - Augmentations.  A reversed word has the same product of values, and
+      mirroring is an involution, so both sides have the same
+      augmentations.  Kept: the mirror is validated once (``assert_valid``)
+      and each of the knot's augmentations is verified on its d.
+    - Linear parts, homology and the retract (h, i, p).  Twisting commutes
+      with reversal and a one-letter word is its own reversal, so the
+      linearized complexes, their homology and the retract are identical.
+    - Adjoint structure.  m_k reads the k-letter words, so the mirror's is
+      m^op, m_k^op(x_1..x_k) = m_k(x_k..x_1), and its A-infinity relations
+      are the knot's read in reverse.
+    - Transfer.  With the same (h, i, p) the tree sum mirrors tree by tree
+      (each planar tree reflected), so the mirror's minimal model is mu^op
+      and its p_3 is p_3 reversed.
+    - Cup ranks.  {m_2^op(x, y)} spans {m_2(y, x)}, so the rank at (r, s)
+      is the knot's at (s, r).
+    - Massey flags.  b[l, m] -> b[o + 1 - m, o + 1 - l] maps the defining
+      systems of <x_1..x_o> under m^op onto those of <x_o..x_1> under m,
+      value for value, so (defined, nonzero), triple and order >= 4, is the
+      knot's at the reversed tuple.  The order-3 support (mu_2 in (a, b) or
+      (b, c), p_3 in (a, b, c)) and ``_tuple_space`` (a product over the
+      tuple) reverse with it.  Where ``max_systems`` caps a walk of order
+      >= 4, the point it stops at depends on the walk order, which reversal
+      changes: the mirror then reads the knot's capped walk, one walk of its
+      own systems, and a capped walk never counts as nonzero on either side.
+    - Order-n dims.  Word reversal is an isomorphism of the window
+      complexes (``reflection_compare`` checks rev d rev = d_mirror), so the
+      dims are equal.
+
+    Budgets count the same terms on both sides, and the knot runs first, so
+    an error raised on either side was raised on the knot.
+    """
+    augs = enumerate_augmentations(dga)
+    knot = _fingerprint(dga, augs, massey_order, order_cap, max_systems)
+    mirror_side = mirror_dga(dga)
+    assert_valid(mirror_side)
+    for aug in augs:
+        _verify(mirror_side, aug.as_dict())
+    mirror = _opposite(knot)
+    if knot == mirror:
         return MirrorReport(
             "INDISTINGUISHABLE-BY-THESE-INVARIANTS",
             None,

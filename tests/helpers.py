@@ -8,21 +8,25 @@ chain-level triple Massey product, the block-by-block triple builder, the
 visit-every-triple Massey table, the per-tuple composition sum, the
 word-by-word Leibniz and window expansions, the word-by-word window
 matrix with its d d = 0, the sliced count of the window matrix, the
-word-by-word perturbation series and the whole-field multiset witness are kept here as the references that the
+word-by-word perturbation series, the whole-field multiset witness and
+the two-sided mirror comparison are kept here as the references that the
 library's product table, its transferred p_3 blocks, its support-only
 Massey table, its table-driven composition sum, its pair checks, its
 window matrix and relation-based d d = 0, its closed-form entry count, its
-minimal-model order-n engine and its mirror witness are compared against.
+minimal-model order-n engine, its mirror witness and its one-sided mirror
+comparison are compared against.
 """
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 from typing import List, Optional, Tuple
 
 from legch import ContractError
 from legch.ainfty import (
+    DEFAULT_MAX_SYSTEMS,
     AInftyStructure,
     HClass,
     MasseyResult,
@@ -43,7 +47,14 @@ from legch.algebra import (
 from legch.augment import enumerate_augmentations
 from legch.families import cupex, masseyex, trefoil
 from legch.fileio import parse_dga
-from legch.fingerprint import _tuple_space
+from legch.fingerprint import (
+    DEFAULT_MASSEY_ORDER,
+    DEFAULT_ORDER_CAP,
+    MirrorReport,
+    _first_difference,
+    _tuple_space,
+    fingerprint_dga,
+)
 from legch.gf2 import bits, span_basis
 from legch.linear import GradedMatrixMap
 from legch.tilde import _Codes, _Letters, _ring_pairs, _words_by_degree
@@ -579,6 +590,36 @@ def multiset_first_difference(left, right) -> str:
             if lv != rv:
                 return messages[field] % (key, lv, rv)
     return "profiles differ only under joint per-augmentation pairing"
+
+
+def two_sided_compare_mirror(
+    dga: DGA,
+    massey_order: int = DEFAULT_MASSEY_ORDER,
+    order_cap: int = DEFAULT_ORDER_CAP,
+    max_systems: int = DEFAULT_MAX_SYSTEMS,
+) -> MirrorReport:
+    """Reference ``compare_mirror``: fingerprints the knot and, from scratch,
+    its mirror (every ring, transfer, product table and order-n complex
+    built a second time), where the library derives the mirror's
+    fingerprint as the opposite of the knot's."""
+    args = (massey_order, order_cap, max_systems)
+    knot = fingerprint_dga(dga, *args)
+    mirror = fingerprint_dga(mirror_dga(dga), *args)
+    if Counter(knot.profiles) == Counter(mirror.profiles):
+        return MirrorReport(
+            "INDISTINGUISHABLE-BY-THESE-INVARIANTS",
+            None,
+            "equal fingerprints do not certify an isomorphism; the comparison is inconclusive",
+            knot,
+            mirror,
+        )
+    return MirrorReport(
+        "DISTINGUISHED",
+        _first_difference(knot, mirror),
+        "the named invariant is preserved by every degree-preserving isomorphism",
+        knot,
+        mirror,
+    )
 
 
 def oracle_rings():

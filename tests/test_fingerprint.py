@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from legch import ContractError
 from legch.ainfty import HClass, build_ring
 from legch.algebra import mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
@@ -13,6 +14,7 @@ from legch.fingerprint import (
     AugmentationProfile,
     Fingerprint,
     _first_difference,
+    _opposite,
     audit_basis_independence,
     compare_mirror,
     cup_rank_table,
@@ -32,7 +34,10 @@ from helpers import (
     multiset_first_difference,
     oracle_rings,
     random_augmented_dga,
+    random_dga,
+    random_dgas,
     trivial_bracket_dga,
+    two_sided_compare_mirror,
 )
 
 
@@ -258,9 +263,9 @@ def _assert_witness_matches_the_multiset_oracle(left, right):
     return witness
 
 
-@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
-def test_mirror_witness_matches_the_multiset_oracle_on_the_mirror_bases():
-    bases = [
+def _mirror_bases():
+    """The bases of the benchmark's ``mirror`` workload."""
+    return [
         cupex(1, 3, 7),
         cupex(2, 5, 9),
         stabilize(trefoil(), 0),
@@ -270,7 +275,11 @@ def test_mirror_witness_matches_the_multiset_oracle_on_the_mirror_bases():
         masseyex(2, 3, 5, 8),
         masseyex(1, 4, 9, 20),
     ]
-    for dga in bases:
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_mirror_witness_matches_the_multiset_oracle_on_the_mirror_bases():
+    for dga in _mirror_bases():
         _assert_witness_matches_the_multiset_oracle(
             fingerprint_dga(dga), fingerprint_dga(mirror_dga(dga))
         )
@@ -310,3 +319,90 @@ def test_mirror_witness_matches_the_multiset_oracle_on_hand_built_fingerprints()
             Fingerprint(tuple(sorted(left))), Fingerprint(tuple(sorted(right)))
         )
         assert got == want
+
+
+def _report_or_error(compare, dga, **options):
+    try:
+        return compare(dga, **options)
+    except ContractError as exc:
+        return "ContractError: %s" % exc
+
+
+def _assert_one_side_matches_two_sides(dga, **options):
+    """The whole report, verdict, witness, note and both fingerprints, agrees
+    with the two-sided oracle's; a budget refusal must be the same one."""
+    report = _report_or_error(compare_mirror, dga, **options)
+    assert report == _report_or_error(two_sided_compare_mirror, dga, **options)
+    return report
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_compare_mirror_equals_the_two_sided_oracle_on_the_examples_and_mirror_bases():
+    verdicts = []
+    for dga in [dga for _, dga in bundled_examples()] + _mirror_bases():
+        for side in (dga, mirror_dga(dga)):
+            verdicts.append(_assert_one_side_matches_two_sides(side).distinguished)
+    assert verdicts.count(True) == 18 and verdicts.count(False) == 4
+
+
+def test_compare_mirror_equals_the_two_sided_oracle_on_random_dgas():
+    for dga in random_dgas(20261018, 30):
+        _assert_one_side_matches_two_sides(dga)
+
+
+# Of the draws random_dga(Random(seed), 4), seeds 1000-1019, these are
+# left out for time, not for a mismatch: 1003 ran past 4 minutes, 1013 and
+# 1018 take 5 s and 13 s for both paths, and 1017 takes 1.7 s.  Their cost
+# is the order-4 defining systems, which DEFAULT_MAX_SYSTEMS bounds per
+# class tuple, not for the command as a whole.
+SLOW_AT_MASSEY_ORDER_4 = {1003, 1013, 1017, 1018}
+
+
+def test_compare_mirror_equals_the_two_sided_oracle_at_massey_order_4():
+    for seed in range(1000, 1020):
+        if seed not in SLOW_AT_MASSEY_ORDER_4:
+            dga = random_dga(random.Random(seed), 4)
+            _assert_one_side_matches_two_sides(dga, massey_order=4)
+
+
+def test_opposite_swaps_cup_keys_and_reverses_massey_tuples():
+    profile = _profile(
+        dims=[(0, 1), (1, 2)],
+        cups=[((0, 1), 1), ((1, 0), 2), ((1, 1), 1)],
+        massey=[
+            ((3, (0, 1, 1)), (True, True)),
+            ((3, (1, 1, 0)), (True, False)),
+            ((4, (0, 0, 1, 1)), (False, False)),
+        ],
+        orders=[((1, 0), 1), ((2, 1), 3)],
+    )
+    assert _opposite(Fingerprint((profile,))) == Fingerprint(
+        (
+            _profile(
+                dims=[(0, 1), (1, 2)],
+                cups=[((0, 1), 2), ((1, 0), 1), ((1, 1), 1)],
+                massey=[
+                    ((3, (0, 1, 1)), (True, False)),
+                    ((3, (1, 1, 0)), (True, True)),
+                    ((4, (1, 1, 0, 0)), (False, False)),
+                ],
+                orders=[((1, 0), 1), ((2, 1), 3)],
+            ),
+        )
+    )
+
+
+def test_opposite_sorts_the_profiles_again_and_is_an_involution():
+    low = _profile(dims=[(0, 1)], cups=[((0, 2), 1)])
+    high = _profile(dims=[(0, 1)], cups=[((1, 0), 1)])
+    fp = Fingerprint((low, high))
+    flipped = _opposite(fp)
+    # (0, 2) < (1, 0) but (2, 0) > (0, 1): the opposite of low now sorts last
+    assert flipped == Fingerprint(
+        (_profile(dims=[(0, 1)], cups=[((0, 1), 1)]), _profile(dims=[(0, 1)], cups=[((2, 0), 1)]))
+    )
+    assert list(flipped.profiles) == sorted(flipped.profiles)
+    assert _opposite(flipped) == fp
+    for dga in (cupex(1, 3, 7), masseyex(1, 4, 9, 20)):
+        knot = fingerprint_dga(dga)
+        assert _opposite(_opposite(knot)) == knot != _opposite(knot)
