@@ -950,10 +950,10 @@ class CohomologyRing:
     """An augmented DGA made linear once: its twist, the adjoint structure
     and both homologies of m_1, shared by every per-augmentation layer, and
     the cohomology's product table, which holds the minimal model, built on
-    first use."""
+    first use.  It holds no augmentation: the ring depends on one only
+    through the twist, so the members of a ``twist_groups`` group share it."""
 
     dga: DGA
-    aug: Augmentation
     twisted: DGA
     structure: AInftyStructure
     chain: HomologyData
@@ -981,4 +981,4 @@ def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
     twisted = twist(dga, aug)
     s = adjoint_structure(twisted)
     chain_map, cochain_map = linearized_complexes(s)
-    return CohomologyRing(dga, aug, twisted, s, _retract(chain_map), _retract(cochain_map))
+    return CohomologyRing(dga, twisted, s, _retract(chain_map), _retract(cochain_map))

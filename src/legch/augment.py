@@ -4,7 +4,9 @@ An augmentation is a unital GF(2) algebra map to the ground field that is
 graded (supported on degree-0 generators) and kills every differential.
 Enumeration reduces each equation d(q) = 0 to a boolean polynomial in the
 degree-0 generators, propagates forced values, and brute-forces whatever
-freedom remains.
+freedom remains.  ``twist_groups`` groups augmentations that give equal
+twisted differentials, and ``per_twist`` runs a per-augmentation
+computation once per group.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple, TypeVar
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, Poly, substitute
@@ -22,6 +24,8 @@ __all__ = [
     "Augmentation",
     "enumerate_augmentations",
     "twist",
+    "twist_groups",
+    "per_twist",
     "transport",
     "extend_by_zero",
 ]
@@ -29,6 +33,8 @@ __all__ = [
 # Degree-0 generators left free after propagation that the brute force
 # accepts: it tries all 2^k assignments of the k free generators.
 MAX_FREE_GENERATORS = 20
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -164,12 +170,9 @@ def _verify(dga: DGA, values: Dict[str, int]) -> None:
             raise InternalConsistencyError("augmentation fails to kill d %s" % g)
 
 
-def twist(dga: DGA, aug: Augmentation) -> DGA:
-    """Conjugate the differential by the augmentation: substitute q -> q + eps(q).
-
-    The result has the same generators and gradings and no constant terms in
-    any differential.
-    """
+def _checked_values(dga: DGA, aug: Augmentation) -> Dict[str, int]:
+    """The augmentation's values, once they cover every generator, are bits,
+    and are nonzero only in degree 0."""
     values = aug.as_dict()
     for g in dga.generators:
         if g not in values:
@@ -181,6 +184,16 @@ def twist(dga: DGA, aug: Augmentation) -> DGA:
                 "augmentation is supported on %s, which has degree %d != 0"
                 % (g, dga.degree(g))
             )
+    return values
+
+
+def twist(dga: DGA, aug: Augmentation) -> DGA:
+    """Conjugate the differential by the augmentation: substitute q -> q + eps(q).
+
+    The result has the same generators and gradings and no constant terms in
+    any differential.
+    """
+    values = _checked_values(dga, aug)
     images = {
         g: frozenset({(g,), ()}) for g in dga.generators if values[g]
     }
@@ -191,6 +204,54 @@ def twist(dga: DGA, aug: Augmentation) -> DGA:
                 "twisted differential of %s retains a constant term" % g
             )
     return dga.replace_diff(diff)
+
+
+def twist_groups(dga: DGA, augs: Sequence[Augmentation]) -> List[List[int]]:
+    """Indices of ``augs`` grouped by their values on the letters that occur
+    in some word of the differential, groups ordered by their first member.
+
+    Two augmentations in one group give equal twisted DGAs: ``twist``
+    builds an image only for a letter of value 1, and ``substitute`` looks
+    an image up only for a letter of a word, so a letter that occurs in no
+    word changes nothing.  Apart from the twist, ``build_ring`` reads only
+    the DGA, so the members' rings are equal, and the relations, retract,
+    mu_2/pair, transpose and window checks run on the group's ring are the
+    checks each member would have run.  The mirror has the same letters in
+    its words, so the groups serve it too.
+
+    Every augmentation passes ``twist``'s contract checks here, in order.
+
+    A degree-0 stabilization adds a letter e1 that occurs in no word, so it
+    doubles the augmentations and adds no group.
+    """
+    occurring = {x for g in dga.generators for w in dga.d(g) for x in w}
+    letters = [g for g in dga.generators if g in occurring]
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for i, aug in enumerate(augs):
+        values = _checked_values(dga, aug)
+        groups.setdefault(tuple(values[g] for g in letters), []).append(i)
+    return list(groups.values())
+
+
+def per_twist(
+    dga: DGA, augs: Sequence[Augmentation], compute: Callable[[Augmentation], T]
+) -> List[T]:
+    """``compute`` once per ``twist_groups`` group, on its first member, and
+    its result listed for every member, in the order of ``augs``.
+
+    ``compute`` should read the augmentation only through its ring or twist,
+    and keep no ring in its result, so that one ring is alive at a time.
+    Every augmentation passes the contract checks before any ``compute``
+    (``twist_groups``); then groups run in order of their first member, so
+    the first to fail holds the first augmentation whose ``compute`` would
+    fail, and fails as it would.
+    """
+    results: list = [None] * len(augs)
+    for group in twist_groups(dga, augs):
+        value = compute(augs[group[0]])
+        for i in group:
+            results[i] = value
+    return results
 
 
 def extend_by_zero(aug: Augmentation, dga: DGA) -> Augmentation:

@@ -33,7 +33,7 @@ from .ainfty import (
     massey_triple,
 )
 from .algebra import DGA, assert_valid, mirror_dga, validate_dga
-from .augment import Augmentation, enumerate_augmentations
+from .augment import Augmentation, enumerate_augmentations, per_twist
 from .families import FamilyGradingWarning, generate_family
 from .fileio import parse_dga, serialize_dga
 from .fingerprint import DEFAULT_MASSEY_ORDER, DEFAULT_ORDER_CAP, compare_mirror
@@ -386,6 +386,19 @@ def cmd_compare_mirror(args) -> int:
     return 0
 
 
+def _ring_report_rows(ring: CohomologyRing) -> Rows:
+    """``report``'s rows of one ring, keyed without the aug.N. prefix."""
+    rows: Rows = []
+    _dims_rows(rows, "cohomology.dim", ring.cochain.dims())
+    _product_rows(rows, "", ring)
+    result = duality_search(ring)
+    if result.ok:
+        rows.append(("duality", "certificate"))
+    else:
+        rows.append(("duality", "no certificate: %s" % result.reason))
+    return rows
+
+
 def cmd_report(args) -> int:
     rows: Rows = []
     dga = _load(args.file, rows)
@@ -395,16 +408,12 @@ def cmd_report(args) -> int:
     rows.append(("augmentations", str(len(augs))))
     if not augs:
         rows.append(("note", NO_AUGMENTATIONS))
+    # The rows below aug.N read only the ring, so augmentations with one
+    # twist share them.
+    bodies = per_twist(dga, augs, lambda aug: _ring_report_rows(build_ring(dga, aug)))
     for i, aug in enumerate(augs):
         rows.append(("aug.%d" % i, aug.describe()))
-        ring = build_ring(dga, aug)
-        _dims_rows(rows, "aug.%d.cohomology.dim" % i, ring.cochain.dims())
-        _product_rows(rows, "aug.%d." % i, ring)
-        result = duality_search(ring)
-        if result.ok:
-            rows.append(("aug.%d.duality" % i, "certificate"))
-        else:
-            rows.append(("aug.%d.duality" % i, "no certificate: %s" % result.reason))
+        rows.extend(("aug.%d.%s" % (i, key), value) for key, value in bodies[i])
     emit_report(rows, args.format)
     return 0
 

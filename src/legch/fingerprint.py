@@ -7,7 +7,9 @@ degree tuple carries a defined (and nonzero modulo indeterminacy) Massey
 bracket, and order-n cohomology dimensions.  Ranks and booleans only —
 never coordinates, so the data is independent of every basis choice.
 A differing fingerprint certifies that no isomorphism exists; equal
-fingerprints are inconclusive.
+fingerprints are inconclusive.  Augmentations with equal twists
+(``augment.twist_groups``) share one ring and its profile, which counts
+once per augmentation.
 
 Cup ranks and triple brackets are read off the ring's ``ProductTable``:
 each bidegree's rank off the class rows of its pair block, and each degree
@@ -39,7 +41,7 @@ from .ainfty import (
     massey_higher,
 )
 from .algebra import DGA, assert_valid, mirror_dga
-from .augment import Augmentation, _verify, enumerate_augmentations
+from .augment import Augmentation, _verify, enumerate_augmentations, per_twist
 from .gf2 import apply_block, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
@@ -212,9 +214,10 @@ def fingerprint_dga(
 def _fingerprint(
     dga: DGA, augs: Sequence[Augmentation], massey_order: int, order_cap: int, max_systems: int
 ) -> Fingerprint:
-    profiles = [
-        profile_for(build_ring(dga, aug), massey_order, order_cap, max_systems) for aug in augs
-    ]
+    """One ring and profile per distinct twist (``per_twist``); the profile
+    counts once per augmentation."""
+    options = (massey_order, order_cap, max_systems)
+    profiles = per_twist(dga, augs, lambda aug: profile_for(build_ring(dga, aug), *options))
     return Fingerprint(tuple(sorted(profiles)))
 
 

@@ -129,7 +129,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, assert_valid, canon_degree, mirror_dga
-from .augment import enumerate_augmentations
+from .augment import enumerate_augmentations, per_twist
 from .ainfty import (
     AInftyMorphism,
     AInftyStructure,
@@ -763,15 +763,24 @@ def reflection_compare(dga: DGA, n: int) -> ReflectionReport:
     computing both sides, the word-reversal conjugation identity between
     the two truncated Leibniz differentials is checked on every word of
     length <= n for every augmentation, through the one-letter words.
+
+    Augmentations with one twist share a knot ring, a mirror ring and one
+    conjugation check (``per_twist``), and ``conjugation_words`` counts the
+    check's words once per augmentation.
     """
     _check_order(n)
     mirror = mirror_dga(dga)
-    rows: List[ReflectionRow] = []
-    words = 0
-    for aug in enumerate_augmentations(dga):
+
+    def both_sides(aug):
         ring, mirror_ring = build_ring(dga, aug), build_ring(mirror, aug)
         left = order_n_cohomology(ring, n)
         right = order_n_cohomology(mirror_ring, n)
-        words += _check_reflection_conjugation(ring.twisted, mirror_ring.twisted, n)
-        rows.append(ReflectionRow(aug.describe(), left.dims, right.dims))
-    return ReflectionReport(n, rows, words)
+        words = _check_reflection_conjugation(ring.twisted, mirror_ring.twisted, n)
+        return left.dims, right.dims, words
+
+    augs = enumerate_augmentations(dga)
+    sides = per_twist(dga, augs, both_sides)
+    rows = [
+        ReflectionRow(aug.describe(), left, right) for aug, (left, right, _) in zip(augs, sides)
+    ]
+    return ReflectionReport(n, rows, sum(words for _, _, words in sides))

@@ -1,30 +1,33 @@
 """Shared test utilities: seeded random DGAs built from safe moves.
 
-Random DGAs start from a zero-differential seed and grow by
-stabilizations and elementary isomorphisms, both of which preserve
-validity, so every produced DGA passes the validator by construction
-(and we assert as much here to fail fast if a move is broken).  The
-chain-level triple Massey product, the block-by-block triple builder, the
+Random DGAs start from a zero-differential seed, or from a cupex or
+masseyex base, and grow by stabilizations and elementary isomorphisms,
+both of which preserve validity, so every produced DGA passes the
+validator by construction (and we assert as much here to fail fast if a
+move is broken).  The chain-level triple Massey product, the block-by-block triple builder, the
 visit-every-triple Massey table, the per-tuple composition sum, the
 word-by-word Leibniz and window expansions, the word-by-word window
 matrix with its d d = 0, the sliced count of the window matrix, the
 word-by-word perturbation series, the whole-field multiset witness and
-the two-sided mirror comparison are kept here as the references that the
-library's product table, its transferred p_3 blocks, its support-only
-Massey table, its table-driven composition sum, its pair checks, its
-window matrix and relation-based d d = 0, its closed-form entry count, its
-minimal-model order-n engine, its mirror witness and its one-sided mirror
-comparison are compared against.
+the two-sided mirror comparison and the per-augmentation ``report`` and
+fingerprint loops are kept here as the references that the library's
+product table, its transferred p_3 blocks, its support-only Massey table,
+its table-driven composition sum, its pair checks, its window matrix and
+relation-based d d = 0, its closed-form entry count, its minimal-model
+order-n engine, its mirror witness, its one-sided mirror comparison and
+its one ring per distinct twist are compared against.
 """
 
 import random
 from bisect import bisect_right
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import combinations, product
 from typing import List, Optional, Tuple
+from unittest.mock import patch
 
-from legch import ContractError
+from legch import ContractError, cli, fingerprint
 from legch.ainfty import (
     DEFAULT_MAX_SYSTEMS,
     AInftyStructure,
@@ -50,13 +53,15 @@ from legch.fileio import parse_dga
 from legch.fingerprint import (
     DEFAULT_MASSEY_ORDER,
     DEFAULT_ORDER_CAP,
+    Fingerprint,
     MirrorReport,
     _first_difference,
     _tuple_space,
     fingerprint_dga,
+    profile_for,
 )
 from legch.gf2 import bits, span_basis
-from legch.linear import GradedMatrixMap
+from legch.linear import GradedMatrixMap, duality_search
 from legch.tilde import _Codes, _Letters, _ring_pairs, _words_by_degree
 
 
@@ -464,6 +469,28 @@ def random_dgas(seed: int, count: int, max_gens: int = 8) -> List[DGA]:
     return [random_dga(rng, max_gens) for _ in range(count)]
 
 
+def random_disguised_base(rng: random.Random) -> DGA:
+    """A cupex or masseyex base in disguise: up to two stabilizations, in
+    degree 0 half the time, then up to four elementary isomorphisms.
+
+    A ``random_dga`` draw grows from a zero differential by moves that
+    commute with mirroring, so it is isomorphic to its mirror.  These bases
+    carry a cup or Massey product that is not commutative, and the
+    disguise preserves it, so most draws are told from their mirrors; a
+    degree-0 stabilization doubles the augmentations and shares their rings.
+    """
+    k, l, m = sorted(rng.sample(range(1, 6), 3))
+    dga = cupex(k, l, m) if rng.random() < 0.5 else masseyex(1, k, l, m)
+    for _ in range(rng.randint(0, 2)):
+        dga = stabilize(dga, rng.choice((0, 0, -1, 1)))
+    for _ in range(rng.randint(1, 4)):
+        iso = random_elementary_iso(rng, dga)
+        if iso is not None:
+            dga = _apply_if_small(dga, iso, budget=600) or dga
+    assert_valid(dga)
+    return dga
+
+
 def chain_p3(h, s, x: HClass, y: HClass, z: HClass) -> Tuple[int, int]:
     """Degree and chain vector of m_3(ix, iy, iz) + m_2(ix, h m_2(iy, iz)) + m_2(h m_2(ix, iy), iz).
 
@@ -672,3 +699,55 @@ def per_tuple_composition_sum(m, f, degree_of, entry_degree, n, min_blocks, tota
                         total[args] = cur
                     else:
                         total.pop(args, None)
+
+
+def per_augmentation_fingerprint(
+    dga: DGA, augs, massey_order: int, order_cap: int, max_systems: int
+) -> Fingerprint:
+    """Reference ``fingerprint._fingerprint``: a ring and a profile for every
+    augmentation, where the library builds one per ``twist_groups`` group."""
+    profiles = [
+        profile_for(build_ring(dga, aug), massey_order, order_cap, max_systems) for aug in augs
+    ]
+    return Fingerprint(tuple(sorted(profiles)))
+
+
+def per_augmentation_report(args) -> int:
+    """Reference ``cli.cmd_report``: a ring and its rows for every
+    augmentation, where the library builds one per ``twist_groups`` group."""
+    rows = []
+    dga = cli._load(args.file, rows)
+    rows.append(("generators", str(len(dga.generators))))
+    rows.append(("modulus", str(dga.modulus)))
+    augs = enumerate_augmentations(dga)
+    rows.append(("augmentations", str(len(augs))))
+    if not augs:
+        rows.append(("note", cli.NO_AUGMENTATIONS))
+    for i, aug in enumerate(augs):
+        rows.append(("aug.%d" % i, aug.describe()))
+        ring = build_ring(dga, aug)
+        cli._dims_rows(rows, "aug.%d.cohomology.dim" % i, ring.cochain.dims())
+        cli._product_rows(rows, "aug.%d." % i, ring)
+        result = duality_search(ring)
+        if result.ok:
+            rows.append(("aug.%d.duality" % i, "certificate"))
+        else:
+            rows.append(("aug.%d.duality" % i, "no certificate: %s" % result.reason))
+    cli.emit_report(rows, args.format)
+    return 0
+
+
+@contextmanager
+def one_ring_per_augmentation():
+    """``legch report`` and ``compare-mirror`` on the reference loops above.
+
+    The parser binds each command's function once per process, so it is
+    built again inside the block and again after it."""
+    with patch.object(fingerprint, "_fingerprint", per_augmentation_fingerprint), patch.object(
+        cli, "cmd_report", per_augmentation_report
+    ):
+        cli.build_parser.cache_clear()
+        try:
+            yield
+        finally:
+            cli.build_parser.cache_clear()

@@ -19,11 +19,13 @@ from legch.augment import (
     Augmentation,
     enumerate_augmentations,
     extend_by_zero,
+    per_twist,
     transport,
     twist,
+    twist_groups,
 )
 from legch.families import trefoil
-from helpers import poly, random_dga, random_elementary_iso
+from helpers import poly, random_dga, random_dgas, random_elementary_iso
 
 
 def test_trefoil_has_exactly_five_augmentations_in_lex_order():
@@ -115,6 +117,61 @@ def test_twist_of_first_trefoil_augmentation_matches_hand_expansion():
     twisted = twist(dga, aug)
     assert twisted.d("a1") == poly(("b1",), ("b3",), ("b1", "b2"), ("b1", "b2", "b3"))
     assert twisted.d("a2") == poly(("b1",), ("b3",), ("b2", "b1"), ("b3", "b2", "b1"))
+
+
+def test_twist_groups_split_trefoil_and_merge_degree_zero_stabilizations():
+    dga = trefoil()
+    assert twist_groups(dga, enumerate_augmentations(dga)) == [[0], [1], [2], [3], [4]]
+    once = stabilize(dga, 0)  # e1 occurs in no word, so its value changes no twist
+    augs = enumerate_augmentations(once)
+    assert twist_groups(once, augs) == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+    for i, j in twist_groups(once, augs):
+        assert twist(once, augs[i]) == twist(once, augs[j])
+        assert augs[i].as_dict() != augs[j].as_dict()
+    names = tuple("b%d" % i for i in range(4))
+    free = DGA(0, names, dict.fromkeys(names, 0), {})
+    assert twist_groups(free, enumerate_augmentations(free)) == [list(range(16))]
+    assert twist_groups(dga, []) == []
+
+
+def test_twist_groups_are_ordered_by_first_member_and_share_one_twist():
+    """Trefoil's augmentations each differ from the others on one letter at
+    least, so a key that left a letter out would merge two of them."""
+    dga = trefoil()
+    augs = enumerate_augmentations(dga)
+    order = [augs[3], augs[0], augs[3], augs[1], augs[0]]
+    assert twist_groups(dga, order) == [[0, 2], [1, 4], [3]]
+    for draw in random_dgas(20261018, 30):
+        augs = enumerate_augmentations(draw)
+        for group in twist_groups(draw, augs):
+            first = twist(draw, augs[group[0]])
+            assert all(twist(draw, augs[i]) == first for i in group)
+
+
+def test_per_twist_computes_once_per_group_and_lists_every_member():
+    once = stabilize(trefoil(), 0)
+    augs = enumerate_augmentations(once)
+    seen = []
+    results = per_twist(once, augs, lambda aug: seen.append(aug) or len(seen))
+    assert seen == [augs[i] for i in (0, 2, 4, 6, 8)]
+    assert results == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+@pytest.mark.parametrize(
+    "values, fragment",
+    [
+        ({"b1": 1, "b2": 0, "a1": 0, "a2": 0}, "does not cover generator b3"),
+        ({"b1": 2, "b2": 0, "b3": 0, "a1": 0, "a2": 0}, "value on b1 is not a bit"),
+        ({"b1": 0, "b2": 0, "b3": 1, "a1": 1, "a2": 0}, "supported on a1, which has degree 1"),
+    ],
+)
+def test_twist_and_twist_groups_check_every_augmentation_alike(values, fragment):
+    dga = trefoil()
+    bad = Augmentation(tuple(values.items()))
+    with pytest.raises(ContractError, match=fragment):
+        twist(dga, bad)
+    with pytest.raises(ContractError, match=fragment):
+        twist_groups(dga, enumerate_augmentations(dga) + [bad])
 
 
 def test_extend_by_zero_covers_new_generators():

@@ -12,14 +12,14 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, algebra
+from legch import ContractError, InternalConsistencyError, ainfty, algebra
 from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
 from legch.augment import MAX_FREE_GENERATORS
-from legch.algebra import mirror_dga
+from legch.algebra import DGA, mirror_dga, stabilize
 from legch.cli import build_parser, main
 from legch.families import cupex, masseyex, trefoil
 from legch.fileio import bundled_text, parse_dga, serialize_dga
-from helpers import random_dga
+from helpers import one_ring_per_augmentation, random_dga, random_dgas
 
 
 @pytest.fixture
@@ -450,6 +450,61 @@ def test_report_covers_every_augmentation(capsys, trefoil_file):
     for i in range(5):
         assert lines["aug.%d.duality" % i] == "certificate"
         assert lines["aug.%d.cohomology.dim.0" % i] == "2"
+
+
+def _stabilized(dga, count):
+    for _ in range(count):
+        dga = stabilize(dga, 0)
+    return dga
+
+
+def _twist_group_inputs():
+    """Inputs whose augmentations share rings or do not: the bundled bases
+    with 0-3 degree-0 stabilizations, k free degree-0 generators with d = 0
+    (2^k augmentations, one twist) and seeded draws."""
+    for base in (trefoil(), cupex(1, 3, 7), masseyex(1, 4, 9, 20)):
+        for count in range(4):
+            yield _stabilized(base, count)
+    for k in range(9):
+        names = tuple("b%d" % i for i in range(k))
+        yield DGA(0, names, dict.fromkeys(names, 0), {})
+    yield from random_dgas(20261018, 30)
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_report_and_compare_mirror_equal_one_ring_per_augmentation(capsys, tmp_path):
+    path = tmp_path / "in.dga"
+    for dga in _twist_group_inputs():
+        path.write_text(serialize_dga(dga), encoding="utf-8")
+        for command in ("report", "compare-mirror"):
+            got = run_cli(capsys, command, str(path))
+            with one_ring_per_augmentation():
+                want = run_cli(capsys, command, str(path))
+            assert got == want, (command, dga)
+            assert got[0] == 0
+
+
+@pytest.mark.parametrize("command", ["report", "compare-mirror"])
+def test_the_first_failing_augmentation_names_the_error_as_with_one_ring_each(
+    capsys, tmp_path, monkeypatch, command
+):
+    """A twist that fails on every augmentation with b2 -> 1: trefoil with
+    two degree-0 stabilizations puts the first such augmentation, 4 of 20,
+    first in its group, so the error names it."""
+    path = tmp_path / "in.dga"
+    path.write_text(serialize_dga(_stabilized(trefoil(), 2)), encoding="utf-8")
+    real_twist = ainfty.twist
+
+    def failing(dga, aug):
+        if aug("b2"):
+            raise InternalConsistencyError("twist fails on %s" % aug.describe())
+        return real_twist(dga, aug)
+
+    monkeypatch.setattr(ainfty, "twist", failing)
+    got = run_cli(capsys, command, str(path))
+    with one_ring_per_augmentation():
+        assert run_cli(capsys, command, str(path)) == got
+    assert got == (2, "", "internal consistency failure: twist fails on b2 -> 1, b3 -> 1\n")
 
 
 def test_structured_format_changes_only_the_separator(capsys, trefoil_file):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from legch import ContractError
 from legch.ainfty import HClass, build_ring
 from legch.algebra import mirror_dga, stabilize
-from legch.augment import enumerate_augmentations
+from legch.augment import enumerate_augmentations, twist_groups
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fingerprint import (
     AugmentationProfile,
@@ -36,6 +36,7 @@ from helpers import (
     random_augmented_dga,
     random_dga,
     random_dgas,
+    random_disguised_base,
     trivial_bracket_dga,
     two_sided_compare_mirror,
 )
@@ -348,6 +349,40 @@ def test_compare_mirror_equals_the_two_sided_oracle_on_the_examples_and_mirror_b
 def test_compare_mirror_equals_the_two_sided_oracle_on_random_dgas():
     for dga in random_dgas(20261018, 30):
         _assert_one_side_matches_two_sides(dga)
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_a_shared_ring_keeps_the_mirror_witness():
+    """One degree-0 stabilization: two augmentations, one twist, one ring,
+    and its profile counted twice on each side of the witness."""
+    witnesses = []
+    for base in (cupex(1, 3, 7), masseyex(1, 4, 9, 20)):
+        dga = stabilize(base, 0)
+        assert twist_groups(dga, enumerate_augmentations(dga)) == [[0, 1]]
+        report = _assert_one_side_matches_two_sides(dga)
+        assert report.distinguished
+        assert report.knot.profiles[0] == report.knot.profiles[1]
+        witnesses.append(report.witness)
+    assert witnesses == [
+        "rank of the cup product in bidegree (-5, -3) across augmentations: [0, 0] vs [1, 1]",
+        "Massey bracket summary (defined, nonzero) in degree tuple (3, (-11, -6, -4)):"
+        " [(True, False), (True, False)] vs [(True, True), (True, True)]",
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_compare_mirror_equals_the_two_sided_oracle_on_disguised_bases():
+    """Unlike ``random_dgas`` draws, these reach the witness: 11 of 20 are
+    distinguished, 3 of them with augmentations that share a ring."""
+    rng = random.Random(20261018)
+    distinguished = shared = 0
+    for _ in range(20):
+        dga = random_disguised_base(rng)
+        if _assert_one_side_matches_two_sides(dga).distinguished:
+            distinguished += 1
+            augs = enumerate_augmentations(dga)
+            shared += len(twist_groups(dga, augs)) < len(augs)
+    assert (distinguished, shared) == (11, 3)
 
 
 # Of the draws random_dga(Random(seed), 4), seeds 1000-1019, these are

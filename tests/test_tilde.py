@@ -19,8 +19,9 @@ from legch.ainfty import (
 )
 from legch.algebra import DGA, canon_degree, mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
+from legch.cli import main
 from legch.families import bundled_examples, cupex, masseyex, trefoil
-from legch.fileio import parse_dga
+from legch.fileio import parse_dga, serialize_dga
 from legch.fingerprint import compare_mirror
 from legch.gf2 import bits
 from legch.linear import GradedMatrixMap, homology
@@ -190,7 +191,8 @@ def test_splitting_rows_frozen_on_first_trefoil_augmentation():
     assert table == [(0, 5, 3, 2, 0), (1, 4, 4, 1, 1), (2, 1, 1, 0, 0)]
 
 
-def test_only_build_ring_twists(monkeypatch):
+def _count_twists(monkeypatch):
+    """The augmentations that ``twist`` is called with, in every legch module."""
     calls = []
     real_twist = augment.twist
 
@@ -201,6 +203,11 @@ def test_only_build_ring_twists(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("legch") and getattr(module, "twist", None) is real_twist:
             monkeypatch.setattr(module, "twist", counted)
+    return calls
+
+
+def test_only_build_ring_twists(monkeypatch):
+    calls = _count_twists(monkeypatch)
     compare_mirror(trefoil())
     assert len(calls) == 5  # one build_ring per augmentation: the mirror's fingerprint is derived
     dga = trefoil()
@@ -211,6 +218,26 @@ def test_only_build_ring_twists(monkeypatch):
     check_order_n_transpose(ring, 3)
     splitting_check_n2(ring)
     assert calls == []
+
+
+def test_augmentations_with_one_twist_share_their_ring(monkeypatch, tmp_path, capsys):
+    """A degree-0 stabilization doubles the augmentations and no twist:
+    each command twists once per distinct twist (twice for the two sides
+    of ``reflection_compare``), and still reports every augmentation."""
+    calls = _count_twists(monkeypatch)
+    once = stabilize(trefoil(), 0)
+    assert len(compare_mirror(once).knot.profiles) == 10
+    assert len(calls) == 5
+    del calls[:]
+    report = reflection_compare(once, 2)
+    assert len(calls) == 10
+    assert len(report.rows) == 10 and report.conjugation_words == 10 * (7 + 49)
+    path = tmp_path / "t3.dga"
+    path.write_text(serialize_dga(stabilize(stabilize(once, 0), 0)), encoding="utf-8")
+    del calls[:]
+    assert main(["report", str(path)]) == 0
+    assert "augmentations: 40\n" in capsys.readouterr().out
+    assert len(calls) == 5
 
 
 def test_reflection_compare_on_trefoil():
