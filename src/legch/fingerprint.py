@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import InternalConsistencyError
+from . import ContractError, InternalConsistencyError
 from .ainfty import (
     DEFAULT_MAX_SYSTEMS,
     CohomologyRing,
@@ -208,7 +208,19 @@ def fingerprint_dga(
     max_systems: int = DEFAULT_MAX_SYSTEMS,
 ) -> Fingerprint:
     """Fingerprints of every augmentation, as a canonically ordered multiset."""
+    _check_options(massey_order, order_cap, max_systems)
     return _fingerprint(dga, enumerate_augmentations(dga), massey_order, order_cap, max_systems)
+
+
+def _check_options(massey_order: int, order_cap: int, max_systems: int) -> None:
+    """Refuse a nonpositive system cap and a negative order, before any
+    augmentation is enumerated."""
+    if max_systems < 1:
+        raise ContractError("system cap must be positive")
+    if massey_order < 0:
+        raise ContractError("Massey order must be nonnegative")
+    if order_cap < 0:
+        raise ContractError("order cap must be nonnegative")
 
 
 def _fingerprint(
@@ -347,6 +359,7 @@ def compare_mirror(
     Budgets count the same terms on both sides, and the knot runs first, so
     an error raised on either side was raised on the knot.
     """
+    _check_options(massey_order, order_cap, max_systems)
     augs = enumerate_augmentations(dga)
     knot = _fingerprint(dga, augs, massey_order, order_cap, max_systems)
     mirror_side = mirror_dga(dga)

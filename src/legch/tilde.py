@@ -35,7 +35,9 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
 * Codes.  A word of length L over |V| letters codes as off[L] plus its
   base-|V| value, off[L] = |V| + ... + |V|^(L-1): a bijection onto
   [0, M), M the number of words, increasing in the canonical
-  length-major lexicographic order.  An entry codes as col * M + row.
+  length-major lexicographic order; ``_Words`` is that word space, the
+  only one built, with its degree groups and spelled words.  An entry
+  codes as col * M + row.
   For fixed (g, t, |h|, |tl|) the row word codes as r0 + H |V|^(|t|+|tl|)
   + Z and the column word as c0 + H |V|^(|tl|+1) + Z over the base-|V|
   values H of the head and Z of the tail: a fixed head runs both through
@@ -112,8 +114,8 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   h.R(W).tl, R the arity-|W| relation sum m(1 x m x 1).  Only W = w gives
   a one-letter word, so the one-letter part of d d(w) is R(w), and d d =
   0 on words of length <= n exactly when R_l = 0 for every l <= n.
-  ``_window_matrix``, behind both engines, ``tilde_complex`` and
-  ``tilde_of_morphism``, decides that on the tables with
+  ``_window_matrix``, behind both engines and ``tilde_complex`` (so also
+  ``tilde_of_morphism``), decides that on the tables with
   ``check_an_relations(s, n)``, also above the arity ``build_ring`` checks.
   That is the only d d = 0 check on a window matrix: ``linear._retract``
   reduces it without squaring it again.
@@ -125,7 +127,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby, product as iproduct
 from operator import xor
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, assert_valid, canon_degree, mirror_dga
@@ -173,75 +175,53 @@ def _check_order(n: int) -> None:
         raise ContractError("order %d exceeds the budget MAX_ORDER = %d" % (n, MAX_ORDER))
 
 
-class _Letters:
-    """Integer re-encoding of a structure's basis letters."""
-
-    def __init__(self, s: AInftyStructure):
-        self.labels: List[str] = sorted(s.order, key=s.order.get)
-        self.index: Dict[str, int] = {lbl: i for i, lbl in enumerate(self.labels)}
-        self.degree: List[int] = [s.degree_of[lbl] for lbl in self.labels]
-        self.by_degree: Dict[int, Tuple[int, ...]] = {
-            k: tuple(self.index[x] for x in names) for k, names in s.basis.items()
-        }
-
-    def word_label(self, word: Tuple[int, ...]) -> str:
-        return "|".join(self.labels[g] for g in word)
+def _word_count(size: int, n: int) -> int:
+    """The number of words of length 1..n over ``size`` letters."""
+    return sum(size**length for length in range(1, n + 1))
 
 
-def _word_codes(
-    degrees: Sequence[int], n: int, modulus: int
-) -> Tuple[Dict[int, List[int]], List[int]]:
-    """Each degree's word codes (``_Codes``), ascending: the canonical word order,
-    degrees in order of their first word.  Also, indexed by code, the word's
-    bit 1 << (its place in its degree's group)."""
-    degree: List[int] = []
-    layer = [0]
-    for _ in range(n):
-        layer = [d + e for d in layer for e in degrees]
-        degree += layer
-    if modulus:
-        degree = [d % modulus for d in degree]  # canon_degree
-    # A stable sort keeps each degree's codes ascending.
-    order = sorted(range(len(degree)), key=degree.__getitem__)
-    runs = [list(codes) for _, codes in groupby(order, key=degree.__getitem__)]
-    groups = {degree[codes[0]]: codes for codes in sorted(runs)}
-    unit = [1 << i for i in range(max(map(len, runs), default=0))]
-    bit = [0] * len(degree)
-    for codes in runs:
-        for code, u in zip(codes, unit):
-            bit[code] = u
-    return groups, bit
-
-
-def _spelled(letters: Sequence, n: int) -> List[tuple]:
-    """Every word of length 1..n over ``letters``, indexed by its code."""
-    return [w for a in range(1, n + 1) for w in iproduct(letters, repeat=a)]
-
-
-def _words_by_degree(
-    degrees: Sequence[int], n: int, modulus: int
-) -> Dict[int, List[Tuple[int, ...]]]:
-    """All words of length 1..n over range(len(degrees)), grouped as ``_word_codes``."""
-    groups = _word_codes(degrees, n, modulus)[0]
-    spelled = _spelled(range(len(degrees)), n)
-    return {k: [spelled[c] for c in codes] for k, codes in groups.items()}
-
-
-class _Codes:
-    """Words of length 1..n over ``size`` letters, coded as ints.
+class _Words:
+    """The order-n word space of a structure: every word of length 1..n over
+    its basis letters, in ``s.order``, coded as ints (Codes, in the module
+    docstring).
 
     A word of length L codes as ``off[L]`` plus its base-``size`` value, so
     codes 0..total-1 run through the canonical length-major lexicographic
-    order of all words.
+    order.  ``groups`` holds each degree's codes, ascending, degrees in
+    order of their first word; ``bit``, indexed by code, is the word's bit
+    1 << (its place in its degree's group).  Words are spelled in letter
+    labels only by ``spelled``.
     """
 
-    def __init__(self, size: int, n: int):
-        self.size = size
+    def __init__(self, s: AInftyStructure, n: int):
         self.n = n
-        self.off = [0, 0]
-        for length in range(1, n + 1):
-            self.off.append(self.off[-1] + size**length)
-        self.total = self.off[n + 1]
+        self.labels: List[str] = sorted(s.order, key=s.order.get)
+        self.index: Dict[str, int] = {lbl: i for i, lbl in enumerate(self.labels)}
+        self.size = len(self.labels)
+        self.off = [0] + [_word_count(self.size, length) for length in range(n + 1)]
+        self.total = self.off[-1]
+        letter_degrees = [s.degree_of[lbl] for lbl in self.labels]
+        degree: List[int] = []
+        layer = [0]
+        for _ in range(n):
+            layer = [d + e for d in layer for e in letter_degrees]
+            degree += layer
+        if s.modulus:
+            degree = [d % s.modulus for d in degree]  # canon_degree
+        # A stable sort keeps each degree's codes ascending.
+        order = sorted(range(len(degree)), key=degree.__getitem__)
+        runs = [list(codes) for _, codes in groupby(order, key=degree.__getitem__)]
+        self.groups: Dict[int, List[int]] = {degree[codes[0]]: codes for codes in sorted(runs)}
+        unit = [1 << i for i in range(max(map(len, runs), default=0))]
+        self.bit: List[int] = [0] * self.total
+        for codes in runs:
+            for code, u in zip(codes, unit):
+                self.bit[code] = u
+
+    def spelled(self) -> Dict[int, Tuple[Tuple[str, ...], ...]]:
+        """Each degree's words as tuples of letter labels, in code order."""
+        spelled = [w for a in range(1, self.n + 1) for w in iproduct(self.labels, repeat=a)]
+        return {k: tuple(spelled[c] for c in codes) for k, codes in self.groups.items()}
 
 
 Pair = Tuple[str, Tuple[str, ...]]
@@ -286,17 +266,17 @@ def _window_pairs(s: AInftyStructure) -> FrozenSet[Pair]:
     )
 
 
-def _xor_triples(flat: List[int], bit: List[int], pairs, codes: _Codes) -> None:
+def _xor_triples(flat: List[int], pairs, words: _Words) -> None:
     """Add over GF(2) the entry of every triple into the row words' columns.
 
     A pair (g, t) with a head h and a tail tl, |h| + |t| + |tl| <= n, is
     the entry of column word h.g.tl in the image of row word h.t.tl:
-    ``bit`` of the column's code is XORed into ``flat`` at the row's code.
+    ``words.bit`` of the column's code is XORed into ``flat`` at the row's code.
     For fixed (g, t, |h|, |tl|) both codes step by one per tail and by a
     fixed stride per head (Codes), so each head (or each tail, whichever
     loop is shorter) is one slice XOR.
     """
-    size, n, off = codes.size, codes.n, codes.off
+    size, n, off, bit = words.size, words.n, words.off, words.bit
     for g, t in pairs:
         lt = len(t)
         value = 0
@@ -378,23 +358,23 @@ class TildeComplex:
 
 
 def _window_matrix(
-    s: AInftyStructure, letters: _Letters, pairs, n: int, entries: Optional[int] = None
+    s: AInftyStructure, words: _Words, pairs, entries: Optional[int] = None
 ) -> GradedMatrixMap:
-    """The order-n window differential on word codes, built from the (letter,
-    term) pairs of ``s``, which the caller has checked homogeneous.  Asserts
-    d d = 0 through the A-infinity relations of ``s`` up to arity n (Square
-    zero, in the module docstring) and, when given, the number of nonzero
-    entries."""
+    """The order-n window differential on the codes of ``words``, the word
+    space of ``s``, built from the (letter, term) pairs of ``s``, which the
+    caller has checked homogeneous.  Asserts d d = 0 through the A-infinity
+    relations of ``s`` up to arity n (Square zero, in the module docstring)
+    and, when given, the number of nonzero entries."""
+    n = words.n
     report = check_an_relations(s, n)
     if not report.ok:
         raise InternalConsistencyError(
             "order-%d differential does not square to zero: %s" % (n, report.detail)
         )
-    code = letters.index.__getitem__
+    code = words.index.__getitem__
     coded = [(code(g), tuple(map(code, t))) for g, t in pairs if len(t) <= n]
-    groups, bit = _word_codes(letters.degree, n, s.modulus)
-    flat = [0] * len(bit)  # by row word code: its column, over the target degree's places
-    _xor_triples(flat, bit, coded, _Codes(len(letters.labels), n))
+    flat = [0] * words.total  # by row word code: its column, over the target degree's places
+    _xor_triples(flat, coded, words)
     if entries is not None:
         found = sum(map(int.bit_count, flat))
         if found != entries:
@@ -402,8 +382,8 @@ def _window_matrix(
                 "order-%d window matrix has %d nonzero entries, its pairs count %d"
                 % (n, found, entries)
             )
-    cols = {k: list(map(flat.__getitem__, codes)) for k, codes in groups.items()}
-    return GradedMatrixMap(s.modulus, 1, groups, cols)
+    cols = {k: list(map(flat.__getitem__, codes)) for k, codes in words.groups.items()}
+    return GradedMatrixMap(s.modulus, 1, words.groups, cols)
 
 
 def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
@@ -417,12 +397,11 @@ def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
     n) are asserted.
     """
     _check_order(n)
-    letters = _Letters(s)
     pairs = _window_pairs(s)
     _check_homogeneous(s, "window", pairs)
-    window = _window_matrix(s, letters, pairs, n)
-    spelled = _spelled(letters.labels, n)
-    words = {k: tuple(spelled[c] for c in cs) for k, cs in window.basis.items()}
+    space = _Words(s, n)
+    window = _window_matrix(s, space, pairs)
+    words = space.spelled()
     basis = {k: tuple("|".join(w) for w in ws) for k, ws in words.items()}
     return TildeComplex(s, n, words, replace(window, basis=basis))
 
@@ -523,8 +502,7 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     _check_order(n)
     if engine not in ("auto", "dense", "perturbation"):
         raise ContractError("engine must be 'auto', 'dense' or 'perturbation'")
-    size = len(ring.dga.generators)
-    total = sum(size**a for a in range(1, n + 1))
+    total = _word_count(len(ring.dga.generators), n)
     if engine == "auto":
         engine = "dense" if total <= DENSE_LIMIT else "perturbation"
     assert_valid(ring.dga)
@@ -535,7 +513,7 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
         structure, count = ring.minimal(max(n, 2))[0], None
         pairs = _window_pairs(structure)
         _check_homogeneous(structure, "window", pairs)
-    built = _window_matrix(structure, _Letters(structure), pairs, n, count)
+    built = _window_matrix(structure, _Words(structure, n), pairs, count)
     return OrderNCohomology(n, engine, built.homology_dims(), total, entries, structure)
 
 
@@ -588,42 +566,28 @@ def tilde_of_morphism(f: AInftyMorphism, n: int) -> TildeChainMap:
         raise ContractError(report.detail)
     source = tilde_complex(f.src, n)
     target = tilde_complex(f.dst, n)
-    sletters = _Letters(f.src)
-    dletters = _Letters(f.dst)
-    ftab: Dict[int, Dict[Tuple[int, ...], Tuple[int, ...]]] = {}
-    for a in sorted(f.tables):
-        if a > n:
-            continue
-        enc: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for args, vec in f.tables[a].items():
-            k = canon_degree(f.src.modulus, sum(f.src.degree_of[x] for x in args))
-            row = dletters.by_degree.get(k, ())
-            enc[tuple(sletters.index[x] for x in args)] = tuple(row[i] for i in bits(vec))
-        ftab[a] = enc
 
-    def image(word: Tuple[int, ...]) -> set:
+    def image(word: Tuple[str, ...]) -> set:
         out: set = set()
         for r in range(1, len(word) + 1):
             for comp in _compositions(len(word), r):
                 lists = []
                 start = 0
                 for c in comp:
-                    hits = ftab.get(c, {}).get(word[start : start + c])
-                    if not hits:
-                        lists = None
+                    args = word[start : start + c]
+                    vec = f.tables.get(c, {}).get(args)
+                    if not vec:
                         break
-                    lists.append(hits)
+                    names = f.dst.names(sum(map(f.src.degree_of.__getitem__, args)))
+                    lists.append([names[i] for i in bits(vec)])
                     start += c
-                if lists is None:
-                    continue
-                out.symmetric_difference_update(iproduct(*lists))
+                else:
+                    out.symmetric_difference_update(iproduct(*lists))
         return out
 
-    groups = _words_by_degree(sletters.degree, n, f.src.modulus)
-    dst_words = _words_by_degree(dletters.degree, n, f.dst.modulus).items()
-    dst_index = {w: (k, i) for k, ws in dst_words for i, w in enumerate(ws)}
+    dst_index = {w: (k, i) for k, ws in target.words.items() for i, w in enumerate(ws)}
     blocks: Dict[int, List[int]] = {}
-    for k, ws in groups.items():
+    for k, ws in source.words.items():
         kcols = []
         for w in ws:
             vec = 0
@@ -631,20 +595,18 @@ def tilde_of_morphism(f: AInftyMorphism, n: int) -> TildeChainMap:
                 spot = dst_index.get(v)
                 if spot is None or spot[0] != k:
                     raise InternalConsistencyError(
-                        "image of the degree-%d word %s leaves that degree"
-                        % (k, sletters.word_label(w))
+                        "image of the degree-%d word %s leaves that degree" % (k, "|".join(w))
                     )
                 vec ^= 1 << spot[1]
             kcols.append(vec)
         blocks[k] = kcols
     d_src, d_dst = source.differential, target.differential
-    for k, ws in groups.items():
+    for k, ws in source.words.items():
         after = blocks.get(d_src.canon(k + 1), [])
         for w, down, across in zip(ws, d_src.columns(k), blocks[k]):
             if apply_cols(after, down) != d_dst.apply(k, across):
                 raise InternalConsistencyError(
-                    "induced map fails to commute with the differentials on %s"
-                    % sletters.word_label(w)
+                    "induced map fails to commute with the differentials on %s" % "|".join(w)
                 )
     return TildeChainMap(source, target, blocks)
 
@@ -751,8 +713,7 @@ def _check_reflection_conjugation(twisted: DGA, twisted_mirror: DGA, n: int) -> 
         left = {w[::-1] for w in twisted.d(g) if len(w) <= n}
         if left != {w for w in twisted_mirror.d(g) if len(w) <= n}:
             raise InternalConsistencyError("reflection conjugation fails on %s" % g)
-    size = len(twisted.generators)
-    return sum(size**length for length in range(1, n + 1))
+    return _word_count(len(twisted.generators), n)
 
 
 def reflection_compare(dga: DGA, n: int) -> ReflectionReport:

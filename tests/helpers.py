@@ -62,7 +62,7 @@ from legch.fingerprint import (
 )
 from legch.gf2 import bits, span_basis
 from legch.linear import GradedMatrixMap, duality_search
-from legch.tilde import _Codes, _Letters, _ring_pairs, _words_by_degree
+from legch.tilde import _ring_pairs
 
 
 def trivial_bracket_dga() -> DGA:
@@ -118,6 +118,45 @@ def _chain_terms(repl, word, n: int) -> set:
     return out
 
 
+class Letters:
+    """A structure's basis letters as integers, in ``s.order``: the letter
+    coding of the word-by-word references, kept apart from the library's."""
+
+    def __init__(self, s):
+        self.labels = sorted(s.order, key=s.order.get)
+        self.index = {lbl: i for i, lbl in enumerate(self.labels)}
+        self.degree = [s.degree_of[lbl] for lbl in self.labels]
+        self.by_degree = {
+            k: tuple(self.index[x] for x in names) for k, names in s.basis.items()
+        }
+
+    def word_label(self, word) -> str:
+        return "|".join(self.labels[g] for g in word)
+
+
+class Codes:
+    """Codes of the words of length 1..n over ``size`` letters, as the
+    module docstring of ``legch.tilde`` defines them: a word of length L
+    codes as ``off[L]`` plus its base-``size`` value, below ``total``."""
+
+    def __init__(self, size: int, n: int):
+        self.size, self.n = size, n
+        self.off = [0, 0]
+        for length in range(1, n + 1):
+            self.off.append(self.off[-1] + size**length)
+        self.total = self.off[n + 1]
+
+
+def words_by_degree(degrees, n: int, modulus: int) -> dict:
+    """Every word of length 1..n over range(len(degrees)), length-major and
+    lexicographic, grouped by degree in the order of each degree's first word."""
+    groups = {}
+    for length in range(1, n + 1):
+        for w in product(range(len(degrees)), repeat=length):
+            groups.setdefault(canon_degree(modulus, sum(degrees[x] for x in w)), []).append(w)
+    return groups
+
+
 def letter_windows(s, letters) -> dict:
     """Per arity j, each j-letter window of ``s`` to the letters of its image,
     in ``letters``' indices, read straight off the tables."""
@@ -152,7 +191,7 @@ def _cochain_terms(windows, word) -> set:
     return out
 
 
-def _toggle_triples(out: set, pairs, codes: _Codes, lo: int, hi: int) -> None:
+def _toggle_triples(out: set, pairs, codes: Codes, lo: int, hi: int) -> None:
     """Add over GF(2) the entries of every triple whose column starts in [lo, hi).
 
     How the sliced count adds triples, as entry codes in a set; the library XORs
@@ -210,10 +249,10 @@ def _transpose_slices(ring, n: int):
     behind an entry has that entry's column word, so the slices partition
     the entries: the reference count the closed form is compared against.
     """
-    letters = _Letters(ring.structure)
+    letters = Letters(ring.structure)
     code = letters.index.__getitem__
     window = [(code(g), tuple(map(code, t))) for g, t in _ring_pairs(ring, n) if len(t) <= n]
-    codes = _Codes(len(letters.labels), n)
+    codes = Codes(len(letters.labels), n)
     step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
     for lo in range(0, codes.size, step):
         entries: set = set()
@@ -227,7 +266,7 @@ def sliced_count(ring, n: int) -> int:
 
 
 def decode(codes, code: int) -> Tuple[int, ...]:
-    """The word of letter indices behind a ``tilde._Codes`` code."""
+    """The word of letter indices behind a ``Codes`` code."""
     length = bisect_right(codes.off, code) - 1
     value = code - codes.off[length]
     word = []
@@ -249,7 +288,7 @@ def _perturbed_complex(s, retract, n: int) -> GradedMatrixMap:
     transferred minimal model; this series is its reference.
     """
     modulus = s.modulus
-    letters = _Letters(s)
+    letters = Letters(s)
 
     def expand(k: int, vec: int) -> Tuple[int, ...]:
         row = letters.by_degree.get(k, ())
@@ -298,7 +337,7 @@ def _perturbed_complex(s, retract, n: int) -> GradedMatrixMap:
                     _toggle(out, combo + tail)
         return out
 
-    groups = _words_by_degree(cdeg, n, modulus)
+    groups = words_by_degree(cdeg, n, modulus)
     index = {w: (k, i) for k, ws in groups.items() for i, w in enumerate(ws)}
     cols = {}
     for k, ws in groups.items():
@@ -448,13 +487,9 @@ def word_window_matrix(s, n: int) -> GradedMatrixMap:
     ``is_square_zero`` is the window d d = 0 that the library reads off the
     A-infinity relations.
     """
-    letters = _Letters(s)
+    letters = Letters(s)
     windows = letter_windows(s, letters)
-    groups = {}
-    for length in range(1, n + 1):
-        for w in product(range(len(letters.labels)), repeat=length):
-            k = canon_degree(s.modulus, sum(letters.degree[x] for x in w))
-            groups.setdefault(k, []).append(w)
+    groups = words_by_degree(letters.degree, n, s.modulus)
     place = {w: i for ws in groups.values() for i, w in enumerate(ws)}
     cols = {
         k: [sum(1 << place[v] for v in _cochain_terms(windows, w)) for w in ws]

@@ -12,7 +12,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, ainfty, algebra
+from legch import ContractError, InternalConsistencyError, ainfty, algebra, fingerprint
 from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
 from legch.augment import MAX_FREE_GENERATORS
 from legch.algebra import DGA, mirror_dga, stabilize
@@ -199,6 +199,27 @@ def test_orders_above_the_budget_are_refused_with_its_name(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv, str(path))
         assert (code, out) == (1, ""), argv
         assert err == "error: order 5 exceeds the budget MAX_ORDER = 4\n", argv
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--max-systems", "0", "system cap must be positive"),
+        ("--massey-order", "-3", "Massey order must be nonnegative"),
+        ("--order-cap", "-1", "order cap must be nonnegative"),
+    ],
+)
+def test_compare_mirror_refuses_a_bad_cap_before_enumerating(
+    capsys, trefoil_file, monkeypatch, option, value, message
+):
+    def refuse(dga):
+        raise AssertionError("augmentations enumerated")
+
+    monkeypatch.setattr(fingerprint, "enumerate_augmentations", refuse)
+    code, out, err = run_cli(capsys, "compare-mirror", option, value, trefoil_file)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+    with pytest.raises(ContractError, match=message):
+        fingerprint.fingerprint_dga(trefoil(), **{option[2:].replace("-", "_"): int(value)})
 
 
 def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):

@@ -13,6 +13,7 @@ from legch.ainfty import (
     MAX_RELATION_TERMS,
     AInftyMorphism,
     AInftyStructure,
+    CheckReport,
     _relation_terms,
     build_ring,
     transfer_minimal_model,
@@ -26,8 +27,6 @@ from legch.fingerprint import compare_mirror
 from legch.gf2 import bits
 from legch.linear import GradedMatrixMap, homology
 from legch.tilde import (
-    _Letters,
-    _words_by_degree,
     check_order_n_transpose,
     order_n_cohomology,
     reflection_compare,
@@ -38,6 +37,8 @@ from legch.tilde import (
 
 import helpers
 from helpers import (
+    Codes,
+    Letters,
     _chain_terms,
     _cochain_terms,
     _perturbed_complex,
@@ -49,6 +50,7 @@ from helpers import (
     random_dga,
     sliced_count,
     word_window_matrix,
+    words_by_degree,
 )
 
 TREFOIL_ORDER_DIMS = {
@@ -300,6 +302,26 @@ def test_tilde_of_morphism_rejects_incomplete_or_wrong_input():
         tilde_of_morphism(broken, 2)
 
 
+@pytest.mark.parametrize(
+    "letter,n,word",
+    [("[b2]", 1, "[b2]"), ("[b2]", 2, "[b2]"), ("[a1]", 2, "[b2]|[b1+b3]")],
+)
+def test_tilde_of_morphism_rejects_a_map_that_does_not_commute(monkeypatch, letter, n, word):
+    # One flipped bit of f_1 breaks the chain map; with the morphism check
+    # reporting ok, the block check on the window matrices names the first
+    # source word where F d_src and d_dst F differ.
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    f = ring.minimal(2)[1]
+    tables = {a: dict(t) for a, t in f.tables.items()}
+    tables[1][(letter,)] ^= 1
+    broken = AInftyMorphism(f.arity, tables, src=f.src, dst=f.dst)
+    monkeypatch.setattr(tilde, "check_ainfty_morphism", lambda *args: CheckReport(True, ""))
+    with pytest.raises(InternalConsistencyError) as info:
+        tilde_of_morphism(broken, n)
+    assert str(info.value) == "induced map fails to commute with the differentials on " + word
+
+
 def _word_by_word_entries(ring, n):
     """Oracle: the transpose check's two matrices, word by word per degree.
 
@@ -309,13 +331,13 @@ def _word_by_word_entries(ring, n):
     ``_cochain_terms``.
     """
     twisted, s = ring.twisted, ring.structure
-    letters = tilde._Letters(s)
+    letters = Letters(s)
     windows = letter_windows(s, letters)
     repl = [
         tuple(tuple(letters.index[x] for x in w) for w in twisted.d(lbl))
         for lbl in letters.labels
     ]
-    groups = _words_by_degree(letters.degree, n, s.modulus)
+    groups = words_by_degree(letters.degree, n, s.modulus)
     chain, window = set(), set()
     for m, ws in groups.items():
         low = canon_degree(s.modulus, m - 1)
@@ -345,7 +367,7 @@ def _sliced_entries(ring, n):
 def _tilde_entries(s, n):
     """(target word, source word) of every nonzero tilde_complex entry."""
     built = tilde_complex(s, n)
-    index = _Letters(s).index
+    index = Letters(s).index
     words = {
         k: [tuple(index[x] for x in w) for w in ws] for k, ws in built.words.items()
     }
@@ -593,11 +615,12 @@ def test_each_dga_is_validated_once_and_an_invalid_one_still_fails(monkeypatch):
 
 def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(monkeypatch):
     compared, letters = [], []
-    real_pairs, real_letters = tilde._twisted_pairs, tilde._Letters
+    real_pairs, real_words = tilde._twisted_pairs, tilde._Words
     monkeypatch.setattr(
         tilde, "_twisted_pairs", lambda *args: compared.append(args) or real_pairs(*args)
     )
-    monkeypatch.setattr(tilde, "_Letters", lambda s: letters.append(s) or real_letters(s))
+    # each word space codes the letters of its structure
+    monkeypatch.setattr(tilde, "_Words", lambda s, n: letters.append(s) or real_words(s, n))
     dga = trefoil()
     rings = [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
     for ring in rings:
@@ -760,9 +783,9 @@ def test_transpose_check_rejects_a_dropped_entry_in_a_later_slice():
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
     s = ring.structure
     n = 3
-    letters = _Letters(s)
+    letters = Letters(s)
     windows = letter_windows(s, letters)
-    codes = tilde._Codes(len(letters.labels), n)
+    codes = Codes(len(letters.labels), n)
     step = max(1, helpers._SLICE_WORDS // (codes.off[n] + 1))
     assert step < len(letters.labels)  # the window count takes several slices
     args, hits = next(
