@@ -6,6 +6,14 @@ and rows are emitted in a fixed deterministic order: augmentations by
 enumeration index, degrees ascending, classes by canonical basis.  The
 ``mirror`` and ``family`` commands emit DGA files instead of reports.
 
+Each report command is a function from parsed arguments to its rows;
+``build_parser`` binds it to ``emit_report``, the one renderer, and puts
+the per-augmentation preamble (``_on_ring``) before the six commands that
+read one ring.  A command does all its fallible work before it returns,
+handing the per-augmentation rows of ``augs``, ``report`` and
+``compare-mirror`` over as a generator, so stdout stays empty on every
+error and those rows are never held in one list.
+
 Exit codes: 0 success, 1 contract violation (bad input, bad flags) or a
 closed stdout pipe, 2 internal consistency failure.
 """
@@ -17,8 +25,9 @@ import functools
 import os
 import sys
 import warnings
+from itertools import chain
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .ainfty import (
@@ -36,7 +45,12 @@ from .algebra import DGA, assert_valid, mirror_dga, validate_dga
 from .augment import Augmentation, enumerate_augmentations, per_twist
 from .families import FamilyGradingWarning, generate_family
 from .fileio import parse_dga, serialize_dga
-from .fingerprint import DEFAULT_MASSEY_ORDER, DEFAULT_ORDER_CAP, compare_mirror
+from .fingerprint import (
+    DEFAULT_MASSEY_ORDER,
+    DEFAULT_ORDER_CAP,
+    AugmentationProfile,
+    compare_mirror,
+)
 from .linear import duality_search, vector_label
 from .tilde import order_n_cohomology
 
@@ -44,7 +58,8 @@ __all__ = ["main", "build_parser"]
 
 NO_AUGMENTATIONS = "no augmentations; linearization unavailable"
 
-Rows = List[Tuple[str, str]]
+Row = Tuple[str, str]
+Rows = List[Row]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,12 +69,11 @@ class _Parser(argparse.ArgumentParser):
         raise ContractError(message)
 
 
-def emit_report(rows: Rows, fmt: str, out=None) -> None:
-    """Render key/value rows; both formats are deterministic and stable."""
-    out = out or sys.stdout
+def emit_report(rows: Iterable[Row], fmt: str) -> None:
+    """Render key/value rows on stdout, line by line; both formats are
+    deterministic and stable."""
     sep = " = " if fmt == "structured" else ": "
-    for key, value in rows:
-        out.write("%s%s%s\n" % (key, sep, value))
+    sys.stdout.writelines("%s%s%s\n" % (key, sep, value) for key, value in rows)
 
 
 def _read_text(path: str) -> str:
@@ -70,116 +84,108 @@ def _read_text(path: str) -> str:
         raise ContractError("cannot read %s: %s" % (path, exc))
 
 
-def _parse(path: str, rows: Rows) -> DGA:
-    """Parse a DGA file, recording parse warnings as rows."""
+def _parse(path: str) -> Tuple[DGA, Rows]:
+    """Parse a DGA file; its parse warnings become the first rows."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dga = parse_dga(_read_text(path))
-    for i, w in enumerate(caught):
-        rows.append(("warning.%d" % i, str(w.message)))
-    return dga
+    return dga, [("warning.%d" % i, str(w.message)) for i, w in enumerate(caught)]
 
 
-def _load(path: str, rows: Optional[Rows] = None) -> DGA:
-    """Parse and validate a DGA file, recording parse warnings as rows."""
-    dga = _parse(path, [] if rows is None else rows)
+def _load(path: str) -> Tuple[DGA, Rows]:
+    """Parse and validate a DGA file; its parse warnings become the first rows."""
+    dga, rows = _parse(path)
     assert_valid(dga)
-    return dga
+    return dga, rows
 
 
-def _pick_augmentation(dga: DGA, index: int) -> Augmentation:
+def _enumerate(dga: DGA, rows: Rows) -> List[Augmentation]:
+    """Every augmentation, with the ``augmentations`` count (and the note when
+    there is none) appended to ``rows``."""
     augs = enumerate_augmentations(dga)
+    rows.append(("augmentations", str(len(augs))))
     if not augs:
-        raise ContractError(NO_AUGMENTATIONS)
-    if index < 0 or index >= len(augs):
-        raise ContractError(
-            "augmentation index %d out of range; there are %d" % (index, len(augs))
-        )
-    return augs[index]
+        rows.append(("note", NO_AUGMENTATIONS))
+    return augs
+
+
+def _on_ring(command):
+    """The preamble of the per-augmentation commands: load and validate, pick
+    ``--aug``, build its ring, then the ``augmentation`` row and the rows of
+    ``command(ring, args)``."""
+
+    def run(args) -> Rows:
+        dga, rows = _load(args.file)
+        augs = enumerate_augmentations(dga)
+        if not augs:
+            raise ContractError(NO_AUGMENTATIONS)
+        if args.aug < 0 or args.aug >= len(augs):
+            raise ContractError(
+                "augmentation index %d out of range; there are %d" % (args.aug, len(augs))
+            )
+        aug = augs[args.aug]
+        ring = build_ring(dga, aug)
+        return rows + [("augmentation", aug.describe())] + command(ring, args)
+
+    return run
 
 
 def _label(h, degree: int, coords: int) -> str:
     return h.label(degree, coords) if coords else "0"
 
 
-def _dims_rows(rows: Rows, prefix: str, dims: Dict[int, int]) -> None:
-    for degree in sorted(dims):
-        if dims[degree]:
-            rows.append(("%s.%d" % (prefix, degree), str(dims[degree])))
+def _degrees(h) -> List[int]:
+    return [k for k in sorted(h.dims()) if h.dim(k)]
 
 
-def _product_rows(rows: Rows, prefix: str, ring: CohomologyRing) -> None:
-    """Nonzero cup products of basis classes, keyed <prefix>product.X.Y."""
+def _dims_rows(prefix: str, dims: Dict[int, int]) -> Rows:
+    return [("%s.%d" % (prefix, k), str(dims[k])) for k in sorted(dims) if dims[k]]
+
+
+def _product_rows(ring: CohomologyRing) -> Rows:
+    """Nonzero cup products of basis classes, keyed product.X.Y."""
     h = ring.cochain
-    degrees = [k for k in sorted(h.dims()) if h.dim(k)]
-    for r in degrees:
-        for s in degrees:
-            for x, y in iproduct(basis_classes(h, r), basis_classes(h, s)):
-                value = ring.products.cup(x, y)
-                if value.coords:
-                    key = "%sproduct.%s.%s" % (
-                        prefix,
-                        h.label(r, x.coords),
-                        h.label(s, y.coords),
-                    )
-                    rows.append((key, _label(h, value.degree, value.coords)))
+    degrees = _degrees(h)
+    return [
+        ("product.%s.%s" % (h.label(r, x.coords), h.label(s, y.coords)), _label(h, v.degree, v.coords))
+        for r in degrees
+        for s in degrees
+        for x, y in iproduct(basis_classes(h, r), basis_classes(h, s))
+        if (v := ring.products.cup(x, y)).coords
+    ]
 
 
-def cmd_validate(args) -> int:
-    rows: Rows = []
-    dga = _parse(args.file, rows)
+def cmd_validate(args) -> Rows:
+    dga, rows = _parse(args.file)
     findings = validate_dga(dga)
     rows.append(("generators", str(len(dga.generators))))
     rows.append(("modulus", str(dga.modulus)))
     rows.append(("valid", "yes" if not findings else "no"))
-    for i, finding in enumerate(findings):
-        rows.append(("finding.%d" % i, finding))
-    emit_report(rows, args.format)
-    return 0
+    return rows + [("finding.%d" % i, finding) for i, finding in enumerate(findings)]
 
 
-def cmd_augs(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
-    augs = enumerate_augmentations(dga)
-    rows.append(("augmentations", str(len(augs))))
-    if not augs:
-        rows.append(("note", NO_AUGMENTATIONS))
-    for i, aug in enumerate(augs):
-        rows.append(("augmentation.%d" % i, aug.describe()))
-    emit_report(rows, args.format)
-    return 0
+def cmd_augs(args) -> Iterable[Row]:
+    dga, rows = _load(args.file)
+    augs = _enumerate(dga, rows)
+    return chain(rows, (("augmentation.%d" % i, aug.describe()) for i, aug in enumerate(augs)))
 
 
-def cmd_linhom(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
-    aug = _pick_augmentation(dga, args.aug)
-    ring = build_ring(dga, aug)
-    rows.append(("augmentation", aug.describe()))
-    _dims_rows(rows, "cohomology.dim", ring.cochain.dims())
-    rows.append(("cohomology.total", str(ring.cochain.total_dim())))
-    _dims_rows(rows, "homology.dim", ring.chain.dims())
-    rows.append(("homology.total", str(ring.chain.total_dim())))
-    emit_report(rows, args.format)
-    return 0
+def cmd_linhom(ring: CohomologyRing, args) -> Rows:
+    return [
+        *_dims_rows("cohomology.dim", ring.cochain.dims()),
+        ("cohomology.total", str(ring.cochain.total_dim())),
+        *_dims_rows("homology.dim", ring.chain.dims()),
+        ("homology.total", str(ring.chain.total_dim())),
+    ]
 
 
-def cmd_ring(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
-    aug = _pick_augmentation(dga, args.aug)
-    ring = build_ring(dga, aug)
+def cmd_ring(ring: CohomologyRing, args) -> Rows:
     h = ring.cochain
-    rows.append(("augmentation", aug.describe()))
-    degrees = [k for k in sorted(h.dims()) if h.dim(k)]
-    for k in degrees:
-        rows.append(
-            ("basis.%d" % k, " ".join(h.label(k, 1 << i) for i in range(h.dim(k))))
-        )
-    _product_rows(rows, "", ring)
-    emit_report(rows, args.format)
-    return 0
+    basis = [
+        ("basis.%d" % k, " ".join(h.label(k, 1 << i) for i in range(h.dim(k))))
+        for k in _degrees(h)
+    ]
+    return basis + _product_rows(ring)
 
 
 def _parse_classes(h, spec: str) -> List[HClass]:
@@ -208,46 +214,37 @@ def _parse_classes(h, spec: str) -> List[HClass]:
     return classes
 
 
-def cmd_massey(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
-    aug = _pick_augmentation(dga, args.aug)
-    ring = build_ring(dga, aug)
+def cmd_massey(ring: CohomologyRing, args) -> Rows:
     h = ring.cochain
     classes = _parse_classes(h, args.classes)
     if len(classes) < 3:
         raise ContractError("Massey products need at least 3 classes")
-    rows.append(("augmentation", aug.describe()))
-    rows.append(
-        ("classes", ", ".join(_label(h, c.degree, c.coords) for c in classes))
-    )
+    if args.max_systems < 1:
+        raise ContractError("system cap must be positive")
     if len(classes) == 3:
         result = massey_triple(h, ring.structure, *classes)
     else:
         result = massey_higher(h, ring.structure, classes, cap=args.max_systems)
-    rows.append(("status", result.status))
-    if result.defined:
-        rows.append(("degree", str(result.degree)))
-        rows.append(("value", _label(h, result.degree, result.value)))
-        rows.append(("indeterminacy.dim", str(len(result.indeterminacy))))
-        for i, vec in enumerate(result.indeterminacy):
-            rows.append(("indeterminacy.%d" % i, _label(h, result.degree, vec)))
-        rows.append(("trivial", "yes" if result.is_trivial() else "no"))
-        if result.value_set is not None:
-            rows.append(("values", str(len(result.value_set))))
-        rows.append(("systems", str(result.systems)))
-        rows.append(("truncated", "yes" if result.truncated else "no"))
-    else:
-        rows.append(("witness", result.witness or ""))
-    emit_report(rows, args.format)
-    return 0
+    rows = [
+        ("classes", ", ".join(_label(h, c.degree, c.coords) for c in classes)),
+        ("status", result.status),
+    ]
+    if not result.defined:
+        return rows + [("witness", result.witness or "")]
+    rows.append(("degree", str(result.degree)))
+    rows.append(("value", _label(h, result.degree, result.value)))
+    rows.append(("indeterminacy.dim", str(len(result.indeterminacy))))
+    for i, vec in enumerate(result.indeterminacy):
+        rows.append(("indeterminacy.%d" % i, _label(h, result.degree, vec)))
+    rows.append(("trivial", "yes" if result.is_trivial() else "no"))
+    if result.value_set is not None:
+        rows.append(("values", str(len(result.value_set))))
+    rows.append(("systems", str(result.systems)))
+    rows.append(("truncated", "yes" if result.truncated else "no"))
+    return rows
 
 
-def cmd_minimal(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
-    aug = _pick_augmentation(dga, args.aug)
-    ring = build_ring(dga, aug)
+def cmd_minimal(ring: CohomologyRing, args) -> Rows:
     mu, incl = ring.minimal(args.arity)
     relations = check_an_relations(mu, args.arity)
     if not relations.ok:
@@ -259,74 +256,52 @@ def cmd_minimal(args) -> int:
         raise InternalConsistencyError(
             "inclusion fails the morphism equation: %s" % inclusion.detail
         )
-    rows.append(("augmentation", aug.describe()))
-    rows.append(("arity", str(args.arity)))
-    for k in sorted(mu.basis):
-        if mu.basis[k]:
-            rows.append(("basis.%d" % k, " ".join(mu.basis[k])))
+    rows = [("arity", str(args.arity))]
+    rows += [("basis.%d" % k, " ".join(mu.basis[k])) for k in sorted(mu.basis) if mu.basis[k]]
     for k in range(1, args.arity + 1):
         table = mu.tables.get(k, {})
         for key in sorted(table, key=lambda t: tuple(mu.order[n] for n in t)):
-            outdeg = mu.out_degree(key)
-            rows.append(
-                (
-                    "m%d(%s)" % (k, ",".join(key)),
-                    vector_label(mu.names(outdeg), table[key]),
-                )
-            )
+            label = vector_label(mu.names(mu.out_degree(key)), table[key])
+            rows.append(("m%d(%s)" % (k, ",".join(key)), label))
     rows.append(("relations", "ok up to arity %d" % args.arity))
     rows.append(("inclusion", "ok up to arity %d" % args.arity))
-    emit_report(rows, args.format)
-    return 0
+    return rows
 
 
-def cmd_ordern(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
-    aug = _pick_augmentation(dga, args.aug)
-    result = order_n_cohomology(build_ring(dga, aug), args.n, engine=args.engine)
-    rows.append(("augmentation", aug.describe()))
-    rows.append(("order", str(result.order)))
-    rows.append(("engine", result.engine))
-    rows.append(("complex.dim", str(result.complex_dim)))
-    rows.append(("transpose.entries", str(result.transpose_entries)))
-    _dims_rows(rows, "dim", result.dims)
-    rows.append(("total", str(sum(result.dims.values()))))
-    emit_report(rows, args.format)
-    return 0
+def cmd_ordern(ring: CohomologyRing, args) -> Rows:
+    result = order_n_cohomology(ring, args.n, engine=args.engine)
+    return [
+        ("order", str(result.order)),
+        ("engine", result.engine),
+        ("complex.dim", str(result.complex_dim)),
+        ("transpose.entries", str(result.transpose_entries)),
+        *_dims_rows("dim", result.dims),
+        ("total", str(sum(result.dims.values()))),
+    ]
 
 
-def cmd_duality(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
-    aug = _pick_augmentation(dga, args.aug)
-    ring = build_ring(dga, aug)
+def cmd_duality(ring: CohomologyRing, args) -> Rows:
     result = duality_search(ring)
-    rows.append(("augmentation", aug.describe()))
-    rows.append(("status", "certificate" if result.ok else "no certificate"))
-    if result.ok:
-        rows.append(("kappa", result.kappa_label))
-        rows.append(("c", result.c_label))
-        for i, (degree, _, label) in enumerate(result.complement):
-            rows.append(("complement.%d" % i, "degree %d class %s" % (degree, label)))
-        for i, row in enumerate(result.gram):
-            rows.append(("gram.%d" % i, " ".join(str(b) for b in row)))
-    else:
-        rows.append(("reason", result.reason))
-        rows.append(("pairs.tried", str(result.pairs_tried)))
-        rows.append(("complements.tried", str(result.complements_tried)))
-    emit_report(rows, args.format)
-    return 0
+    if not result.ok:
+        return [
+            ("status", "no certificate"),
+            ("reason", result.reason),
+            ("pairs.tried", str(result.pairs_tried)),
+            ("complements.tried", str(result.complements_tried)),
+        ]
+    rows = [("status", "certificate"), ("kappa", result.kappa_label), ("c", result.c_label)]
+    for i, (degree, _, label) in enumerate(result.complement):
+        rows.append(("complement.%d" % i, "degree %d class %s" % (degree, label)))
+    return rows + [("gram.%d" % i, " ".join(map(str, row))) for i, row in enumerate(result.gram)]
 
 
-def cmd_mirror(args) -> int:
-    dga = _load(args.file)
+def cmd_mirror(args) -> None:
+    dga, _ = _load(args.file)
     # line by line: one large write can end short on a closed pipe without raising
     sys.stdout.writelines(serialize_dga(mirror_dga(dga)).splitlines(keepends=True))
-    return 0
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> None:
     params = []
     if args.params:
         for chunk in args.params.split(","):
@@ -341,12 +316,29 @@ def cmd_family(args) -> int:
         if issubclass(w.category, FamilyGradingWarning):
             sys.stdout.write("# warning: %s\n" % w.message)
     sys.stdout.write(serialize_dga(dga))
-    return 0
 
 
-def cmd_compare_mirror(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
+def _profile_rows(prefix: str, profile: AugmentationProfile) -> Iterable[Row]:
+    """One augmentation's ``compare-mirror`` rows, keyed under ``prefix``."""
+    yield prefix + "dims", " ".join("%d:%d" % pair for pair in profile.dims) or "none"
+    for (r, s), rank_value in profile.cup_ranks:
+        yield "%scup_rank.%d.%d" % (prefix, r, s), str(rank_value)
+    nonzero = [key for key, flags in profile.massey if flags[1]]
+    yield prefix + "massey.nonzero", str(len(nonzero))
+    for j, (order, degs) in enumerate(nonzero):
+        yield (
+            "%smassey.nonzero.%d" % (prefix, j),
+            "order %d degrees (%s)" % (order, ", ".join(map(str, degs))),
+        )
+    by_n: Dict[int, List[str]] = {}
+    for (n, degree), dim in profile.order_dims:
+        by_n.setdefault(n, []).append("%d:%d" % (degree, dim))
+    for n in sorted(by_n):
+        yield "%sorder%d.dims" % (prefix, n), " ".join(by_n[n])
+
+
+def cmd_compare_mirror(args) -> Iterable[Row]:
+    dga, rows = _load(args.file)
     report = compare_mirror(
         dga,
         massey_order=args.massey_order,
@@ -358,64 +350,39 @@ def cmd_compare_mirror(args) -> int:
         rows.append(("witness", report.witness))
     rows.append(("note", report.note))
     rows.append(("augmentations", str(len(report.knot.profiles))))
-    for side, fp in (("knot", report.knot), ("mirror", report.mirror)):
-        for i, profile in enumerate(fp.profiles):
-            rows.append(
-                (
-                    "%s.%d.dims" % (side, i),
-                    " ".join("%d:%d" % pair for pair in profile.dims) or "none",
-                )
-            )
-            for (r, s), rank_value in profile.cup_ranks:
-                rows.append(("%s.%d.cup_rank.%d.%d" % (side, i, r, s), str(rank_value)))
-            nonzero = [key for key, flags in profile.massey if flags[1]]
-            rows.append(("%s.%d.massey.nonzero" % (side, i), str(len(nonzero))))
-            for j, (order, degs) in enumerate(nonzero):
-                rows.append(
-                    (
-                        "%s.%d.massey.nonzero.%d" % (side, i, j),
-                        "order %d degrees (%s)" % (order, ", ".join(map(str, degs))),
-                    )
-                )
-            by_n: Dict[int, List[str]] = {}
-            for (n, degree), dim in profile.order_dims:
-                by_n.setdefault(n, []).append("%d:%d" % (degree, dim))
-            for n in sorted(by_n):
-                rows.append(("%s.%d.order%d.dims" % (side, i, n), " ".join(by_n[n])))
-    emit_report(rows, args.format)
-    return 0
+    sides = (("knot", report.knot), ("mirror", report.mirror))
+    return chain(
+        rows,
+        chain.from_iterable(
+            _profile_rows("%s.%d." % (side, i), profile)
+            for side, fp in sides
+            for i, profile in enumerate(fp.profiles)
+        ),
+    )
 
 
 def _ring_report_rows(ring: CohomologyRing) -> Rows:
     """``report``'s rows of one ring, keyed without the aug.N. prefix."""
-    rows: Rows = []
-    _dims_rows(rows, "cohomology.dim", ring.cochain.dims())
-    _product_rows(rows, "", ring)
+    rows = _dims_rows("cohomology.dim", ring.cochain.dims()) + _product_rows(ring)
     result = duality_search(ring)
-    if result.ok:
-        rows.append(("duality", "certificate"))
-    else:
-        rows.append(("duality", "no certificate: %s" % result.reason))
-    return rows
+    return rows + [("duality", "certificate" if result.ok else "no certificate: %s" % result.reason)]
 
 
-def cmd_report(args) -> int:
-    rows: Rows = []
-    dga = _load(args.file, rows)
+def cmd_report(args) -> Iterable[Row]:
+    dga, rows = _load(args.file)
     rows.append(("generators", str(len(dga.generators))))
     rows.append(("modulus", str(dga.modulus)))
-    augs = enumerate_augmentations(dga)
-    rows.append(("augmentations", str(len(augs))))
-    if not augs:
-        rows.append(("note", NO_AUGMENTATIONS))
+    augs = _enumerate(dga, rows)
     # The rows below aug.N read only the ring, so augmentations with one
     # twist share them.
     bodies = per_twist(dga, augs, lambda aug: _ring_report_rows(build_ring(dga, aug)))
-    for i, aug in enumerate(augs):
-        rows.append(("aug.%d" % i, aug.describe()))
-        rows.extend(("aug.%d.%s" % (i, key), value) for key, value in bodies[i])
-    emit_report(rows, args.format)
-    return 0
+
+    def per_augmentation(i: int, aug: Augmentation) -> Iterable[Row]:
+        yield "aug.%d" % i, aug.describe()
+        for key, value in bodies[i]:
+            yield "aug.%d.%s" % (i, key), value
+
+    return chain(rows, chain.from_iterable(map(per_augmentation, range(len(augs)), augs)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -436,9 +403,11 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, func, help_text, with_file=True, with_common=True, with_aug=False):
-        parents = [common] if with_common else []
-        p = sub.add_parser(name, parents=parents, help=help_text)
+    def add(name, func, help_text, with_file=True, report=True, with_aug=False):
+        """A subcommand running ``func``; a report command's rows are
+        rendered with its ``--format``, and ``with_aug`` puts the
+        per-augmentation preamble (``_on_ring``) before it."""
+        p = sub.add_parser(name, parents=[common] if report else [], help=help_text)
         if with_file:
             p.add_argument("file", metavar="FILE", help="DGA description file")
         if with_aug:
@@ -449,26 +418,20 @@ def build_parser() -> _Parser:
                 metavar="IDX",
                 help="augmentation index from `augs` (default 0)",
             )
-        p.set_defaults(func=func)
+            func = _on_ring(func)
+        p.set_defaults(func=(lambda args: emit_report(func(args), args.format)) if report else func)
         return p
 
     add("validate", cmd_validate, "check the differential laws and report findings")
     add("augs", cmd_augs, "enumerate augmentations")
     add("linhom", cmd_linhom, "linearized (co)homology dimensions", with_aug=True)
     add("ring", cmd_ring, "cohomology basis and all nonzero cup products", with_aug=True)
-    p = add("massey", cmd_massey, "Massey product of 3 or more classes", with_aug=True)
-    p.add_argument(
+    massey = add("massey", cmd_massey, "Massey product of 3 or more classes", with_aug=True)
+    massey.add_argument(
         "--classes",
         required=True,
         metavar="SPEC",
         help="comma-separated DEGREE:MASK class list, e.g. '0:1,0:3,1:1'",
-    )
-    p.add_argument(
-        "--max-systems",
-        type=int,
-        default=DEFAULT_MAX_SYSTEMS,
-        metavar="COUNT",
-        help="cap on enumerated defining systems for orders > 3",
     )
     p = add("minimal", cmd_minimal, "minimal A-infinity model on cohomology", with_aug=True)
     p.add_argument("--arity", type=int, default=3, metavar="N", help="top arity (default 3)")
@@ -481,9 +444,9 @@ def build_parser() -> _Parser:
         help="complex construction strategy (default auto)",
     )
     add("duality", cmd_duality, "duality pairing certificate", with_aug=True)
-    add("mirror", cmd_mirror, "emit the mirrored DGA file", with_common=False)
+    add("mirror", cmd_mirror, "emit the mirrored DGA file", report=False)
     p = add("family", cmd_family, "emit a bundled family as a DGA file",
-            with_file=False, with_common=False)
+            with_file=False, report=False)
     p.add_argument("name", metavar="NAME", help="trefoil, cupex, or masseyex")
     p.add_argument(
         "--params",
@@ -506,13 +469,14 @@ def build_parser() -> _Parser:
         metavar="N",
         help="include order-n cohomology dims up to this n (default %(default)s)",
     )
-    p.add_argument(
-        "--max-systems",
-        type=int,
-        default=DEFAULT_MAX_SYSTEMS,
-        metavar="COUNT",
-        help="cap on enumerated defining systems for orders > 3",
-    )
+    for capped in (massey, p):
+        capped.add_argument(
+            "--max-systems",
+            type=int,
+            default=DEFAULT_MAX_SYSTEMS,
+            metavar="COUNT",
+            help="cap on enumerated defining systems for orders > 3",
+        )
     add("report", cmd_report, "full per-augmentation summary")
     return parser
 
@@ -521,9 +485,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe is seen here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # The reader went away, as `| head` does.  Point stdout at devnull so
         # the interpreter's final flush cannot raise again, and exit quietly.

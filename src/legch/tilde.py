@@ -123,6 +123,7 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby, product as iproduct
@@ -148,6 +149,7 @@ from .linear import GradedMatrixMap, HomologyData, _retract
 __all__ = [
     "DENSE_LIMIT",
     "MAX_ORDER",
+    "MAX_WINDOW_BITS",
     "SPLITTING_CONVENTION",
     "OrderNCohomology",
     "ReflectionReport",
@@ -166,6 +168,9 @@ __all__ = [
 
 MAX_ORDER = 4
 DENSE_LIMIT = 20000
+# A window matrix holds about one bit per (row word, column word) pair of a
+# degree block: Σ_k |block_k|² bits over the word space's degree blocks.
+MAX_WINDOW_BITS = 1 << 31
 
 
 def _check_order(n: int) -> None:
@@ -180,6 +185,21 @@ def _word_count(size: int, n: int) -> int:
     return sum(size**length for length in range(1, n + 1))
 
 
+def _window_bits(s: AInftyStructure, n: int) -> int:
+    """Σ_k |block_k|² over the degree blocks of the order-n words, with no word
+    built: each degree's word count is the letters' degree histogram
+    convolved with itself, summed over lengths 1..n."""
+    letters = Counter(canon_degree(s.modulus, s.degree_of[lbl]) for lbl in s.order)
+    layer, blocks = Counter({0: 1}), Counter()
+    for _ in range(n):
+        step = Counter()
+        for (d, count), (e, times) in iproduct(layer.items(), letters.items()):
+            step[canon_degree(s.modulus, d + e)] += count * times
+        blocks.update(step)
+        layer = step
+    return sum(size * size for size in blocks.values())
+
+
 class _Words:
     """The order-n word space of a structure: every word of length 1..n over
     its basis letters, in ``s.order``, coded as ints (Codes, in the module
@@ -190,10 +210,17 @@ class _Words:
     order.  ``groups`` holds each degree's codes, ascending, degrees in
     order of their first word; ``bit``, indexed by code, is the word's bit
     1 << (its place in its degree's group).  Words are spelled in letter
-    labels only by ``spelled``.
+    labels only by ``spelled``.  A space whose ``_window_bits`` exceed the
+    budget ``MAX_WINDOW_BITS`` is refused before any word is built.
     """
 
     def __init__(self, s: AInftyStructure, n: int):
+        bits = _window_bits(s, n)
+        if bits > MAX_WINDOW_BITS:
+            raise ContractError(
+                "order-%d words over %d letters take %d window bits, over the budget "
+                "MAX_WINDOW_BITS = %d" % (n, len(s.order), bits, MAX_WINDOW_BITS)
+            )
         self.n = n
         self.labels: List[str] = sorted(s.order, key=s.order.get)
         self.index: Dict[str, int] = {lbl: i for i, lbl in enumerate(self.labels)}

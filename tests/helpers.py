@@ -747,11 +747,10 @@ def per_augmentation_fingerprint(
     return Fingerprint(tuple(sorted(profiles)))
 
 
-def per_augmentation_report(args) -> int:
+def per_augmentation_report(args) -> List[Tuple[str, str]]:
     """Reference ``cli.cmd_report``: a ring and its rows for every
     augmentation, where the library builds one per ``twist_groups`` group."""
-    rows = []
-    dga = cli._load(args.file, rows)
+    dga, rows = cli._load(args.file)
     rows.append(("generators", str(len(dga.generators))))
     rows.append(("modulus", str(dga.modulus)))
     augs = enumerate_augmentations(dga)
@@ -761,15 +760,14 @@ def per_augmentation_report(args) -> int:
     for i, aug in enumerate(augs):
         rows.append(("aug.%d" % i, aug.describe()))
         ring = build_ring(dga, aug)
-        cli._dims_rows(rows, "aug.%d.cohomology.dim" % i, ring.cochain.dims())
-        cli._product_rows(rows, "aug.%d." % i, ring)
+        rows.extend(cli._dims_rows("aug.%d.cohomology.dim" % i, ring.cochain.dims()))
+        rows.extend(("aug.%d.%s" % (i, key), value) for key, value in cli._product_rows(ring))
         result = duality_search(ring)
         if result.ok:
             rows.append(("aug.%d.duality" % i, "certificate"))
         else:
             rows.append(("aug.%d.duality" % i, "no certificate: %s" % result.reason))
-    cli.emit_report(rows, args.format)
-    return 0
+    return rows
 
 
 @contextmanager

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError, ainfty, algebra, fingerprint
 from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
-from legch.augment import MAX_FREE_GENERATORS
+from legch.augment import MAX_FREE_GENERATORS, enumerate_augmentations
 from legch.algebra import DGA, mirror_dga, stabilize
 from legch.cli import build_parser, main
 from legch.families import cupex, masseyex, trefoil
@@ -220,6 +221,15 @@ def test_compare_mirror_refuses_a_bad_cap_before_enumerating(
     assert (code, out, err) == (1, "", "error: %s\n" % message)
     with pytest.raises(ContractError, match=message):
         fingerprint.fingerprint_dga(trefoil(), **{option[2:].replace("-", "_"): int(value)})
+
+
+@pytest.mark.parametrize("classes", ["0:1,0:1,0:1", "0:1,0:1,0:1,0:1"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_massey_refuses_a_nonpositive_cap_for_any_class_count(capsys, trefoil_file, classes, cap):
+    code, out, err = run_cli(
+        capsys, "massey", trefoil_file, "--classes", classes, "--max-systems", cap
+    )
+    assert (code, out, err) == (1, "", "error: system cap must be positive\n")
 
 
 def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):
@@ -526,6 +536,33 @@ def test_the_first_failing_augmentation_names_the_error_as_with_one_ring_each(
     with one_ring_per_augmentation():
         assert run_cli(capsys, command, str(path)) == got
     assert got == (2, "", "internal consistency failure: twist fails on b2 -> 1, b3 -> 1\n")
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["report", "compare-mirror"])
+def test_per_augmentation_rows_are_streamed(tmp_path, command):
+    """On 12 free degree-0 generators (4096 augmentations, one twist) the
+    command holds little more than the enumeration: its rows are written
+    as they are made, not gathered first."""
+    names = tuple("b%d" % i for i in range(12))
+    dga = DGA(0, names, dict.fromkeys(names, 0), {})
+    path = tmp_path / "free12.dga"
+    path.write_text(serialize_dga(dga), encoding="utf-8")
+    build_parser()
+    enumeration = _traced_peak(lambda: enumerate_augmentations(dga))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        codes = []
+        peak = _traced_peak(lambda: codes.append(main([command, str(path)])))
+    assert codes == [0]
+    assert peak <= 2 * enumeration, (peak, enumeration)
 
 
 def test_structured_format_changes_only_the_separator(capsys, trefoil_file):

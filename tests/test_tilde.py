@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from legch.fingerprint import compare_mirror
 from legch.gf2 import bits
 from legch.linear import GradedMatrixMap, homology
 from legch.tilde import (
+    MAX_WINDOW_BITS,
     check_order_n_transpose,
     order_n_cohomology,
     reflection_compare,
@@ -854,3 +856,51 @@ def test_reflection_check_rejects_a_spurious_mirror_term():
             _raises_naming(
                 "reflection conjugation fails on a2", lambda: check(knot, spurious, n)
             )
+
+
+def _free_degree_one(count: int) -> DGA:
+    names = tuple("a%d" % i for i in range(count))
+    return DGA(0, names, dict.fromkeys(names, 1), {})
+
+
+@pytest.mark.parametrize(
+    "dga,argv,bits",
+    [
+        (cupex(1, 3, 7), ("--n", "4", "--engine", "dense"), 211313670160),
+        (masseyex(1, 4, 9, 20), ("--n", "3", "--engine", "dense"), 69126969925),
+        (_free_degree_one(60), ("--n", "3"), 46668963600),
+    ],
+)
+def test_window_builds_over_the_budget_fail_fast_with_its_name(capsys, tmp_path, dga, argv, bits):
+    path = tmp_path / "big.dga"
+    path.write_text(serialize_dga(dga), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["ordern", *argv, str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "take %d window bits" % bits in captured.err
+    assert "MAX_WINDOW_BITS = %d" % MAX_WINDOW_BITS in captured.err
+    assert elapsed < 1.0
+
+
+def test_the_window_budget_admits_30_letters_and_refuses_40_at_order_3():
+    """7.3e8 bits at 30 degree-1 letters, 4.1e9 at 40; counted before any word exists."""
+    bits = []
+    for count in (30, 40):
+        dga = _free_degree_one(count)
+        bits.append(tilde._window_bits(build_ring(dga, enumerate_augmentations(dga)[0]).structure, 3))
+    assert bits[0] <= MAX_WINDOW_BITS < bits[1] == 4098561600
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_bits_count_the_blocks_of_the_built_word_space(n):
+    dgas = [trefoil(), stabilize(trefoil(), 0), cupex(1, 1, 2), masseyex(1, 1, 1, 1)]
+    dgas += list(helpers.random_dgas(20261019, 6))
+    for dga in dgas:
+        for aug in enumerate_augmentations(dga)[:2]:
+            ring = build_ring(dga, aug)
+            for s in (ring.structure, ring.minimal(max(n, 2))[0]):
+                groups = tilde._Words(s, n).groups.values()
+                assert tilde._window_bits(s, n) == sum(len(codes) ** 2 for codes in groups)
