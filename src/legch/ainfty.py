@@ -951,7 +951,8 @@ class CohomologyRing:
     and both homologies of m_1, shared by every per-augmentation layer, and
     the cohomology's product table, which holds the minimal model, built on
     first use.  It holds no augmentation: the ring depends on one only
-    through the twist, so the members of a ``twist_groups`` group share it."""
+    through the twist, so the members of one solution share it
+    (``augment.per_twist``)."""
 
     dga: DGA
     twisted: DGA

@@ -2,19 +2,60 @@
 
 An augmentation is a unital GF(2) algebra map to the ground field that is
 graded (supported on degree-0 generators) and kills every differential.
+
+Augmentations factor through the letters that occur.  Call a degree-0
+generator *inert* when it occurs in no word of any differential (a
+degree-0 stabilization adds one), and let I be the set of them.
 Enumeration reduces each equation d(q) = 0 to a boolean polynomial in the
-degree-0 generators, propagates forced values, and brute-forces whatever
-freedom remains.  ``twist_groups`` groups augmentations that give equal
-twisted differentials, and ``per_twist`` runs a per-augmentation
-computation once per group.
+degree-0 generators, propagates forced values, and brute-forces only the
+undetermined degree-0 letters that occur.  Its solutions, as value tuples
+on the occurring degree-0 letters, form the set S, and the augmentations
+are S x {0,1}^I.  ``enumerate_augmentations`` returns them as a sequence
+(``Augmentations``) that makes each one only when it is read.
+
+Why one check per element of S checks all of S x {0,1}^I.  ``_verify``
+makes two checks on a value assignment: no generator of nonzero degree has
+value 1, and each d(g) has an even number of words whose letters all have
+value 1.  An inert letter has degree 0, so the first check passes whatever
+its value; it occurs in no word, so the second never reads it.  Both
+checks therefore give one answer on all 2^|I| members of {s} x {0,1}^I,
+and ``_verify`` on s with the inert letters at 0 is the check of each of
+them.  The equations mention no inert letter either, so they admit exactly
+the members of S x {0,1}^I.  A member is s and its inert values over
+``dga.generators``, 0 elsewhere, so it covers every generator with bits
+that are nonzero only in degree 0: ``_checked_values`` passes on it by
+construction, and still runs on every augmentation handed to ``twist``.
+
+One twist per element of S.  ``twist`` builds an image only for a letter
+of value 1, and ``substitute`` looks an image up only for a letter of a
+word, so an inert letter changes nothing: the members of {s} x {0,1}^I
+have one twisted DGA.  Apart from the twist, ``build_ring`` reads only the
+DGA, so their rings are equal, and the relation, retract, mu_2/pair,
+transpose and window checks run on one ring are the checks each member
+would have run.  The mirror has the same letters in its words, so S and I
+serve it too.  ``per_twist`` runs a per-augmentation computation once per
+element of S.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple, TypeVar
+from itertools import chain, groupby, product
+from operator import index as as_index, itemgetter
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, Poly, substitute
@@ -22,16 +63,16 @@ from .algebra import DGA, Poly, substitute
 __all__ = [
     "MAX_FREE_GENERATORS",
     "Augmentation",
+    "Augmentations",
     "enumerate_augmentations",
     "twist",
-    "twist_groups",
     "per_twist",
     "transport",
     "extend_by_zero",
 ]
 
-# Degree-0 generators left free after propagation that the brute force
-# accepts: it tries all 2^k assignments of the k free generators.
+# Degree-0 generators left undetermined after propagation, inert ones
+# included, that enumeration accepts.
 MAX_FREE_GENERATORS = 20
 
 T = TypeVar("T")
@@ -58,6 +99,123 @@ class Augmentation:
         if not ones:
             return "all generators -> 0"
         return ", ".join("%s -> 1" % g for g in ones)
+
+
+class Augmentations(Sequence[Augmentation]):
+    """The augmentations of a DGA, S x {0,1}^I (module docstring), as a
+    read-only sequence in the order of ``enumerate_augmentations``.
+
+    ``solutions`` is S: value tuples on ``letters``, the degree-0 generators
+    that occur in some word, in declaration order, sorted.  ``inert`` is I.
+    Reading walks the degree-0 generators in declaration order.  An inert
+    letter branches freely.  An occurring letter splits the current range
+    of S into the solutions with value 0 and then those with value 1: the
+    range is sorted and agrees on every letter before this one.  Indexing
+    follows one path of that walk, narrowing the range by bisection, where
+    a branch holds (its range of S) * 2^(inert letters after it) members.
+    No list of the members is kept.
+    """
+
+    def __init__(self, dga: DGA, letters: Sequence[str], solutions: List[Tuple[int, ...]]):
+        self.letters = tuple(letters)
+        self.solutions = solutions
+        column = {g: j for j, g in enumerate(self.letters)}
+        zero = [g for g in dga.generators if dga.degree(g) == 0]
+        self.inert = tuple(g for g in zero if g not in column)
+        # Per degree-0 generator: its column of S (None if inert) and the
+        # number of inert generators after it.
+        self._levels: List[Tuple[Optional[int], int]] = []
+        later = len(self.inert)
+        for g in zero:
+            if g not in column:
+                later -= 1
+            self._levels.append((column.get(g), later))
+        # Maximal runs of the walk: (inert, start, end) over the columns of
+        # S, or over the inert letters in order.
+        self._runs: List[Tuple[bool, int, int]] = []
+        done = {False: 0, True: 0}
+        for inert, run in groupby(zero, lambda g: g not in column):
+            start = done[inert]
+            done[inert] += len(list(run))
+            self._runs.append((inert, start, done[inert]))
+        position = {g: p for p, g in enumerate(dga.generators)}
+        self._positions = [position[g] for g in chain(self.letters, self.inert)]
+        self._zeros = tuple((g, 0) for g in dga.generators)
+        self._ones = tuple((g, 1) for g in dga.generators)
+
+    def __len__(self) -> int:
+        return len(self.solutions) << len(self.inert)
+
+    def _make(self, s: int, bits: Tuple[int, ...]) -> Augmentation:
+        """The member of solution ``s`` with inert values ``bits``."""
+        values = list(self._zeros)
+        for p, v in zip(self._positions, chain(self.solutions[s], bits)):
+            if v:
+                values[p] = self._ones[p]
+        return Augmentation(tuple(values))
+
+    def _walk(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        """(solution index, inert values) of every member, in order."""
+        solutions, runs = self.solutions, self._runs
+
+        def walk(r: int, lo: int, hi: int, bits: Tuple[int, ...]):
+            if r == len(runs):
+                yield lo, bits
+                return
+            inert, a, b = runs[r]
+            if inert:
+                for more in product((0, 1), repeat=b - a):
+                    yield from walk(r + 1, lo, hi, bits + more)
+                return
+            while lo < hi:
+                key = solutions[lo][a:b]
+                end = lo + 1
+                while end < hi and solutions[end][a:b] == key:
+                    end += 1
+                yield from walk(r + 1, lo, end, bits)
+                lo = end
+
+        if solutions:
+            yield from walk(0, 0, len(solutions), ())
+
+    def __iter__(self) -> Iterator[Augmentation]:
+        return (self._make(s, bits) for s, bits in self._walk())
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(*key.indices(len(self)))]
+        size = len(self)
+        i = as_index(key)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("augmentation index out of range")
+        lo, hi, bits = 0, len(self.solutions), []
+        for column, later in self._levels:
+            if column is None:
+                split = (hi - lo) << later
+                bits.append(int(i >= split))
+                i -= split * bits[-1]
+                continue
+            mid = bisect_left(self.solutions, 1, lo, hi, key=itemgetter(column))
+            split = (mid - lo) << later
+            if i < split:
+                hi = mid
+            else:
+                i -= split
+                lo = mid
+        return self._make(lo, tuple(bits))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Augmentations, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def firsts(self) -> Iterator[Augmentation]:
+        """The first member of each solution, its inert letters at 0, in the
+        order of S, which is the order of the members they come first in."""
+        zeros = (0,) * len(self.inert)
+        return (self._make(s, zeros) for s in range(len(self.solutions)))
 
 
 def _equation(dga: DGA, poly: Poly) -> Set[FrozenSet[str]]:
@@ -91,15 +249,22 @@ def _substitute_value(eqs: List[Set[FrozenSet[str]]], var: str, value: int) -> N
                     eq.add(rest)
 
 
-def enumerate_augmentations(dga: DGA) -> List[Augmentation]:
+def enumerate_augmentations(dga: DGA) -> Augmentations:
     """All augmentations, ordered lexicographically over the degree-0 generators.
 
     The order reads each candidate as the tuple of its values on the
-    degree-0 generators in declaration order, with 0 before 1.
+    degree-0 generators in declaration order, with 0 before 1.  Only the
+    undetermined letters that occur are brute-forced, each solution
+    verified once; the result is S x {0,1}^I as an ``Augmentations``
+    sequence (module docstring).  ``MAX_FREE_GENERATORS`` bounds every
+    undetermined degree-0 generator, inert ones included.
     """
     zero_gens = [g for g in dga.generators if dga.degree(g) == 0]
+    occurring = {x for g in dga.generators for w in dga.d(g) for x in w}
+    letters = [g for g in zero_gens if g in occurring]
     eqs = [_equation(dga, dga.d(g)) for g in dga.generators]
     eqs = [eq for eq in eqs if eq]
+    none = Augmentations(dga, letters, [])
 
     assigned: Dict[str, int] = {}
     # Propagate consequences that admit a single solution.
@@ -110,7 +275,7 @@ def enumerate_augmentations(dga: DGA) -> List[Augmentation]:
             if not eq:
                 continue
             if frozenset() in eq and len(eq) == 1:
-                return []  # 1 = 0: no augmentation at all
+                return none  # 1 = 0: no augmentation at all
             forced: List[Tuple[str, int]] = []
             if len(eq) == 1:
                 (m,) = tuple(eq)
@@ -125,7 +290,7 @@ def enumerate_augmentations(dga: DGA) -> List[Augmentation]:
                     forced.extend((v, 1) for v in other)
             for var, value in forced:
                 if assigned.get(var, value) != value:
-                    return []
+                    return none
                 if var not in assigned:
                     assigned[var] = value
                     _substitute_value(eqs, var, value)
@@ -139,21 +304,20 @@ def enumerate_augmentations(dga: DGA) -> List[Augmentation]:
             " MAX_FREE_GENERATORS is %d" % (len(free), MAX_FREE_GENERATORS)
         )
 
-    # One trial assignment, updated in place; each solution becomes an
-    # Augmentation at once, its (generator, value) pairs shared by all.
-    # product runs through the free values in lexicographic order, and the
-    # forced values are fixed, so the output is already in the documented order.
+    # One trial assignment, updated in place, with the inert letters at 0.
+    # product runs through the unknown values in lexicographic order and the
+    # forced values are fixed, so the solutions come out sorted.
+    unknown = [g for g in letters if g not in assigned]
     trial = dict.fromkeys(dga.generators, 0)
     trial.update(assigned)
-    pairs = {g: ((g, 0), (g, 1)) for g in dga.generators}
-    out = []
-    for bits in product((0, 1), repeat=len(free)):
-        trial.update(zip(free, bits))
+    solutions = []
+    for bits in product((0, 1), repeat=len(unknown)):
+        trial.update(zip(unknown, bits))
         if any(sum(all(trial[v] for v in m) for m in eq) & 1 for eq in eqs):
             continue
         _verify(dga, trial)
-        out.append(Augmentation(tuple(pairs[g][trial[g]] for g in dga.generators)))
-    return out
+        solutions.append(tuple(trial[g] for g in letters))
+    return Augmentations(dga, letters, solutions)
 
 
 def _verify(dga: DGA, values: Dict[str, int]) -> None:
@@ -206,52 +370,19 @@ def twist(dga: DGA, aug: Augmentation) -> DGA:
     return dga.replace_diff(diff)
 
 
-def twist_groups(dga: DGA, augs: Sequence[Augmentation]) -> List[List[int]]:
-    """Indices of ``augs`` grouped by their values on the letters that occur
-    in some word of the differential, groups ordered by their first member.
-
-    Two augmentations in one group give equal twisted DGAs: ``twist``
-    builds an image only for a letter of value 1, and ``substitute`` looks
-    an image up only for a letter of a word, so a letter that occurs in no
-    word changes nothing.  Apart from the twist, ``build_ring`` reads only
-    the DGA, so the members' rings are equal, and the relations, retract,
-    mu_2/pair, transpose and window checks run on the group's ring are the
-    checks each member would have run.  The mirror has the same letters in
-    its words, so the groups serve it too.
-
-    Every augmentation passes ``twist``'s contract checks here, in order.
-
-    A degree-0 stabilization adds a letter e1 that occurs in no word, so it
-    doubles the augmentations and adds no group.
-    """
-    occurring = {x for g in dga.generators for w in dga.d(g) for x in w}
-    letters = [g for g in dga.generators if g in occurring]
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for i, aug in enumerate(augs):
-        values = _checked_values(dga, aug)
-        groups.setdefault(tuple(values[g] for g in letters), []).append(i)
-    return list(groups.values())
-
-
-def per_twist(
-    dga: DGA, augs: Sequence[Augmentation], compute: Callable[[Augmentation], T]
-) -> List[T]:
-    """``compute`` once per ``twist_groups`` group, on its first member, and
-    its result listed for every member, in the order of ``augs``.
+def per_twist(augs: Augmentations, compute: Callable[[Augmentation], T]) -> List[T]:
+    """``compute`` once per element of S, on its first member (``firsts``),
+    and its result listed for every member, in the order of ``augs``.
 
     ``compute`` should read the augmentation only through its ring or twist,
     and keep no ring in its result, so that one ring is alive at a time.
-    Every augmentation passes the contract checks before any ``compute``
-    (``twist_groups``); then groups run in order of their first member, so
-    the first to fail holds the first augmentation whose ``compute`` would
-    fail, and fails as it would.
+    The members of one solution share their twist (module docstring), and
+    the solutions run in order of their first member, so the first to fail
+    holds the first augmentation whose ``compute`` would fail, and fails as
+    it would.
     """
-    results: list = [None] * len(augs)
-    for group in twist_groups(dga, augs):
-        value = compute(augs[group[0]])
-        for i in group:
-            results[i] = value
-    return results
+    results = [compute(aug) for aug in augs.firsts()]
+    return [results[s] for s, _ in augs._walk()]
 
 
 def extend_by_zero(aug: Augmentation, dga: DGA) -> Augmentation:

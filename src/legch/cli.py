@@ -42,7 +42,7 @@ from .ainfty import (
     massey_triple,
 )
 from .algebra import DGA, assert_valid, mirror_dga, validate_dga
-from .augment import Augmentation, enumerate_augmentations, per_twist
+from .augment import Augmentation, Augmentations, enumerate_augmentations, per_twist
 from .families import FamilyGradingWarning, generate_family
 from .fileio import parse_dga, serialize_dga
 from .fingerprint import (
@@ -99,7 +99,7 @@ def _load(path: str) -> Tuple[DGA, Rows]:
     return dga, rows
 
 
-def _enumerate(dga: DGA, rows: Rows) -> List[Augmentation]:
+def _enumerate(dga: DGA, rows: Rows) -> Augmentations:
     """Every augmentation, with the ``augmentations`` count (and the note when
     there is none) appended to ``rows``."""
     augs = enumerate_augmentations(dga)
@@ -375,7 +375,7 @@ def cmd_report(args) -> Iterable[Row]:
     augs = _enumerate(dga, rows)
     # The rows below aug.N read only the ring, so augmentations with one
     # twist share them.
-    bodies = per_twist(dga, augs, lambda aug: _ring_report_rows(build_ring(dga, aug)))
+    bodies = per_twist(augs, lambda aug: _ring_report_rows(build_ring(dga, aug)))
 
     def per_augmentation(i: int, aug: Augmentation) -> Iterable[Row]:
         yield "aug.%d" % i, aug.describe()

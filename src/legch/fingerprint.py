@@ -7,9 +7,9 @@ degree tuple carries a defined (and nonzero modulo indeterminacy) Massey
 bracket, and order-n cohomology dimensions.  Ranks and booleans only —
 never coordinates, so the data is independent of every basis choice.
 A differing fingerprint certifies that no isomorphism exists; equal
-fingerprints are inconclusive.  Augmentations with equal twists
-(``augment.twist_groups``) share one ring and its profile, which counts
-once per augmentation.
+fingerprints are inconclusive.  The members of one solution of
+``augment.enumerate_augmentations`` share their twist, so they share one
+ring and its profile, which counts once per member.
 
 Cup ranks and triple brackets are read off the ring's ``ProductTable``:
 each bidegree's rank off the class rows of its pair block, and each degree
@@ -23,13 +23,15 @@ structure is the opposite one, m_k^op(x_1..x_k) = m_k(x_k..x_1), so its
 fingerprint is ``_opposite`` of the knot's: cup keys swapped, Massey
 tuples reversed, dims and order-n dims kept (the proof is in the
 ``compare_mirror`` docstring).  The mirror is still validated, and each
-augmentation verified on its differential.
+solution verified on its differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
@@ -41,7 +43,7 @@ from .ainfty import (
     massey_higher,
 )
 from .algebra import DGA, assert_valid, mirror_dga
-from .augment import Augmentation, _verify, enumerate_augmentations, per_twist
+from .augment import Augmentations, _verify, enumerate_augmentations
 from .gf2 import apply_block, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
@@ -224,33 +226,41 @@ def _check_options(massey_order: int, order_cap: int, max_systems: int) -> None:
 
 
 def _fingerprint(
-    dga: DGA, augs: Sequence[Augmentation], massey_order: int, order_cap: int, max_systems: int
+    dga: DGA, augs: Augmentations, massey_order: int, order_cap: int, max_systems: int
 ) -> Fingerprint:
-    """One ring and profile per distinct twist (``per_twist``); the profile
-    counts once per augmentation."""
+    """One ring and profile per solution, on its first member, in the order
+    of ``augment.per_twist``; the profile counts once per member, 2^|I|
+    times."""
     options = (massey_order, order_cap, max_systems)
-    profiles = per_twist(dga, augs, lambda aug: profile_for(build_ring(dga, aug), *options))
-    return Fingerprint(tuple(sorted(profiles)))
+    profiles = [profile_for(build_ring(dga, aug), *options) for aug in augs.firsts()]
+    members = 1 << len(augs.inert)
+    return Fingerprint(tuple(chain.from_iterable(repeat(p, members) for p in sorted(profiles))))
 
 
 def _opposite(fp: Fingerprint) -> Fingerprint:
     """The fingerprint of the opposite A-infinity structure,
     m_k^op(x_1..x_k) = m_k(x_k..x_1): each cup key (r, s) becomes (s, r),
     each Massey degree tuple is reversed, dims and order-n dims stay, and
-    every field and then the profiles are sorted again."""
-    return Fingerprint(
-        tuple(
-            sorted(
+    every field and then the profiles are sorted again.  Equal profiles sit
+    together in a sorted fingerprint, so each distinct one is reversed once
+    and repeated; reversal is injective, so the distinct results sort
+    without ties."""
+    runs = sorted(
+        (
+            (
                 AugmentationProfile(
                     p.dims,
                     tuple(sorted(((s, r), v) for (r, s), v in p.cup_ranks)),
                     tuple(sorted(((o, t[::-1]), v) for (o, t), v in p.massey)),
                     p.order_dims,
-                )
-                for p in fp.profiles
+                ),
+                len(list(members)),
             )
-        )
+            for p, members in groupby(fp.profiles)
+        ),
+        key=itemgetter(0),
     )
+    return Fingerprint(tuple(chain.from_iterable(repeat(p, n) for p, n in runs)))
 
 
 def random_graded_basis(h: HomologyData, rng) -> Dict[int, List[int]]:
@@ -331,7 +341,9 @@ def compare_mirror(
     - Augmentations.  A reversed word has the same product of values, and
       mirroring is an involution, so both sides have the same
       augmentations.  Kept: the mirror is validated once (``assert_valid``)
-      and each of the knot's augmentations is verified on its d.
+      and each solution's first member is verified on its d, which checks
+      every member (``augment`` docstring: the mirror's words have the
+      knot's letters, so its inert letters are the knot's).
     - Linear parts, homology and the retract (h, i, p).  Twisting commutes
       with reversal and a one-letter word is its own reversal, so the
       linearized complexes, their homology and the retract are identical.
@@ -364,7 +376,7 @@ def compare_mirror(
     knot = _fingerprint(dga, augs, massey_order, order_cap, max_systems)
     mirror_side = mirror_dga(dga)
     assert_valid(mirror_side)
-    for aug in augs:
+    for aug in augs.firsts():
         _verify(mirror_side, aug.as_dict())
     mirror = _opposite(knot)
     if knot == mirror:

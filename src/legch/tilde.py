@@ -767,7 +767,7 @@ def reflection_compare(dga: DGA, n: int) -> ReflectionReport:
         return left.dims, right.dims, words
 
     augs = enumerate_augmentations(dga)
-    sides = per_twist(dga, augs, both_sides)
+    sides = per_twist(augs, both_sides)
     rows = [
         ReflectionRow(aug.describe(), left, right) for aug, (left, right, _) in zip(augs, sides)
     ]

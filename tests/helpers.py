@@ -9,13 +9,15 @@ visit-every-triple Massey table, the per-tuple composition sum, the
 word-by-word Leibniz and window expansions, the word-by-word window
 matrix with its d d = 0, the sliced count of the window matrix, the
 word-by-word perturbation series, the whole-field multiset witness and
-the two-sided mirror comparison and the per-augmentation ``report`` and
-fingerprint loops are kept here as the references that the library's
+the two-sided mirror comparison, the per-augmentation ``report`` and
+fingerprint loops, and the brute force over every degree-0 letter with its
+grouping by twist are kept here as the references that the library's
 product table, its transferred p_3 blocks, its support-only Massey table,
 its table-driven composition sum, its pair checks, its window matrix and
 relation-based d d = 0, its closed-form entry count, its minimal-model
-order-n engine, its mirror witness, its one-sided mirror comparison and
-its one ring per distinct twist are compared against.
+order-n engine, its mirror witness, its one-sided mirror comparison, its
+one ring per distinct twist and its S x {0,1}^I enumeration are compared
+against.
 """
 
 import random
@@ -26,6 +28,8 @@ from dataclasses import replace
 from itertools import combinations, product
 from typing import List, Optional, Tuple
 from unittest.mock import patch
+
+import pytest
 
 from legch import ContractError, cli, fingerprint
 from legch.ainfty import (
@@ -47,7 +51,15 @@ from legch.algebra import (
     mirror_dga,
     stabilize,
 )
-from legch.augment import enumerate_augmentations
+from legch.augment import (
+    MAX_FREE_GENERATORS,
+    Augmentation,
+    _checked_values,
+    _equation,
+    _substitute_value,
+    _verify,
+    enumerate_augmentations,
+)
 from legch.families import cupex, masseyex, trefoil
 from legch.fileio import parse_dga
 from legch.fingerprint import (
@@ -504,6 +516,20 @@ def random_dgas(seed: int, count: int, max_gens: int = 8) -> List[DGA]:
     return [random_dga(rng, max_gens) for _ in range(count)]
 
 
+def mirror_bases() -> List[DGA]:
+    """The bases of the benchmark's ``mirror`` workload."""
+    return [
+        cupex(1, 3, 7),
+        cupex(2, 5, 9),
+        stabilize(trefoil(), 0),
+        masseyex(1, 2, 3, 4),
+        masseyex(2, 3, 5, 9),
+        masseyex(1, 3, 6, 12),
+        masseyex(2, 3, 5, 8),
+        masseyex(1, 4, 9, 20),
+    ]
+
+
 def random_disguised_base(rng: random.Random) -> DGA:
     """A cupex or masseyex base in disguise: up to two stabilizations, in
     degree 0 half the time, then up to four elementary isomorphisms.
@@ -736,11 +762,86 @@ def per_tuple_composition_sum(m, f, degree_of, entry_degree, n, min_blocks, tota
                         total.pop(args, None)
 
 
+def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
+    """Reference ``enumerate_augmentations``: propagation, then a brute force
+    over every undetermined degree-0 letter, inert ones included, with one
+    ``_verify`` per solution, collected in a list."""
+    zero_gens = [g for g in dga.generators if dga.degree(g) == 0]
+    eqs = [eq for eq in (_equation(dga, dga.d(g)) for g in dga.generators) if eq]
+    assigned = {}
+    changed = True
+    while changed:
+        changed = False
+        for eq in eqs:
+            if not eq:
+                continue
+            if frozenset() in eq and len(eq) == 1:
+                return []
+            forced = []
+            if len(eq) == 1:
+                (m,) = tuple(eq)
+                if len(m) == 1:
+                    forced.append((next(iter(m)), 0))
+            elif len(eq) == 2 and frozenset() in eq:
+                other = next(m for m in eq if m)
+                forced.extend((v, 1) for v in other)
+            for var, value in forced:
+                if assigned.get(var, value) != value:
+                    return []
+                if var not in assigned:
+                    assigned[var] = value
+                    _substitute_value(eqs, var, value)
+                    changed = True
+        eqs = [eq for eq in eqs if eq]
+    free = [g for g in zero_gens if g not in assigned]
+    if len(free) > MAX_FREE_GENERATORS:
+        raise ContractError("MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS)
+    trial = dict.fromkeys(dga.generators, 0)
+    trial.update(assigned)
+    out = []
+    for bits in product((0, 1), repeat=len(free)):
+        trial.update(zip(free, bits))
+        if any(sum(all(trial[v] for v in m) for m in eq) & 1 for eq in eqs):
+            continue
+        _verify(dga, trial)
+        out.append(Augmentation(tuple((g, trial[g]) for g in dga.generators)))
+    return out
+
+
+def assert_matches_brute_force(dga: DGA) -> None:
+    """``enumerate_augmentations`` equals the brute force element by element:
+    length, iteration, every index, every negative index, and IndexError
+    one past either end."""
+    want = brute_force_augmentations(dga)
+    got = enumerate_augmentations(dga)
+    assert len(got) == len(want)
+    assert list(got) == want
+    for i, aug in enumerate(want):
+        assert got[i] == aug and got[i - len(want)] == aug, i
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[i]
+
+
+def twist_groups(dga: DGA, augs) -> List[List[int]]:
+    """Reference grouping for ``per_twist``: indices of ``augs`` grouped by
+    their values on the letters that occur in some word of the differential,
+    groups ordered by their first member, every augmentation passing
+    ``twist``'s contract checks in order."""
+    occurring = {x for g in dga.generators for w in dga.d(g) for x in w}
+    letters = [g for g in dga.generators if g in occurring]
+    groups = {}
+    for i, aug in enumerate(augs):
+        values = _checked_values(dga, aug)
+        groups.setdefault(tuple(values[g] for g in letters), []).append(i)
+    return list(groups.values())
+
+
 def per_augmentation_fingerprint(
     dga: DGA, augs, massey_order: int, order_cap: int, max_systems: int
 ) -> Fingerprint:
     """Reference ``fingerprint._fingerprint``: a ring and a profile for every
-    augmentation, where the library builds one per ``twist_groups`` group."""
+    augmentation, where the library builds one per solution."""
     profiles = [
         profile_for(build_ring(dga, aug), massey_order, order_cap, max_systems) for aug in augs
     ]
@@ -749,7 +850,7 @@ def per_augmentation_fingerprint(
 
 def per_augmentation_report(args) -> List[Tuple[str, str]]:
     """Reference ``cli.cmd_report``: a ring and its rows for every
-    augmentation, where the library builds one per ``twist_groups`` group."""
+    augmentation, where the library builds one per solution."""
     dga, rows = cli._load(args.file)
     rows.append(("generators", str(len(dga.generators))))
     rows.append(("modulus", str(dga.modulus)))

@@ -22,10 +22,17 @@ from legch.augment import (
     per_twist,
     transport,
     twist,
+)
+from legch.families import bundled_examples, trefoil
+from helpers import (
+    assert_matches_brute_force,
+    mirror_bases,
+    poly,
+    random_dga,
+    random_dgas,
+    random_elementary_iso,
     twist_groups,
 )
-from legch.families import trefoil
-from helpers import poly, random_dga, random_dgas, random_elementary_iso
 
 
 def test_trefoil_has_exactly_five_augmentations_in_lex_order():
@@ -73,7 +80,18 @@ def _free_zero_dga(count):
     return DGA(0, tuple("x%d" % i for i in range(count)), {"x%d" % i: 0 for i in range(count)}, {})
 
 
+def _letters_dga(occurring, inert):
+    """Degree-0 letters x0.. that occur in d a = x0 + x1 + .., which forces
+    none of them once there are two, then inert degree-0 letters e0.."""
+    names = tuple("x%d" % i for i in range(occurring)) + tuple("e%d" % i for i in range(inert))
+    degrees = dict.fromkeys(names, 0)
+    degrees["a"] = 1
+    return DGA(0, names + ("a",), degrees, {"a": poly(*[(x,) for x in names[:occurring]])})
+
+
 def test_brute_force_admits_exactly_the_named_budget(monkeypatch):
+    """The budget counts every undetermined degree-0 letter; the brute force
+    runs over the occurring ones only."""
     tried = []
 
     def no_assignments(values, repeat):
@@ -82,11 +100,89 @@ def test_brute_force_admits_exactly_the_named_budget(monkeypatch):
 
     # The cap is checked before the 2^k loop, so the loop is stubbed out.
     monkeypatch.setattr(augment, "product", no_assignments)
-    assert enumerate_augmentations(_free_zero_dga(MAX_FREE_GENERATORS)) == []
-    assert tried == [MAX_FREE_GENERATORS]
-    with pytest.raises(ContractError, match="MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS):
-        enumerate_augmentations(_free_zero_dga(MAX_FREE_GENERATORS + 1))
-    assert tried == [MAX_FREE_GENERATORS]
+    budget = "MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS
+    for occurring in (MAX_FREE_GENERATORS, 10, 2, 0):
+        inert = MAX_FREE_GENERATORS - occurring
+        assert enumerate_augmentations(_letters_dga(occurring, inert)) == []
+        assert tried[-1] == occurring
+        with pytest.raises(ContractError, match=budget):
+            enumerate_augmentations(_letters_dga(occurring, inert + 1))
+        if occurring:
+            with pytest.raises(ContractError, match=budget):
+                enumerate_augmentations(_letters_dga(occurring + 1, inert))
+    assert tried == [MAX_FREE_GENERATORS, 10, 2, 0]
+    monkeypatch.undo()
+    # 20 inert letters: 2^20 augmentations from one solution, read on demand.
+    augs = enumerate_augmentations(_free_zero_dga(MAX_FREE_GENERATORS))
+    assert len(augs) == 1 << MAX_FREE_GENERATORS and len(augs.solutions) == 1
+    assert augs[-1].describe() == ", ".join("x%d -> 1" % i for i in range(MAX_FREE_GENERATORS))
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_enumeration_equals_the_brute_force_on_stabilized_examples():
+    for base in [dga for _, dga in bundled_examples()] + mirror_bases():
+        dga = base
+        for _ in range(4):
+            assert_matches_brute_force(dga)
+            dga = stabilize(dga, 0)
+
+
+def test_enumeration_equals_the_brute_force_on_free_generators_and_random_dgas():
+    for k in range(13):
+        assert_matches_brute_force(_free_zero_dga(k))
+    for dga in random_dgas(20261018, 30):
+        assert_matches_brute_force(dga)
+
+
+def test_enumeration_interleaves_inert_letters_between_occurring_and_forced_ones():
+    """e0..e3 are inert; y is forced to 1 and w to 0; x + z = 1 and u x = 0
+    leave three solutions, so 3 * 2^4 augmentations."""
+    names = ("e0", "x", "e1", "y", "u", "e2", "z", "w", "e3", "a", "b", "c", "f")
+    degrees = dict.fromkeys(names, 0)
+    degrees.update(a=1, b=1, c=1, f=1)
+    diff = {
+        "a": poly((), ("x",), ("z",)),
+        "b": poly(("w",)),
+        "c": poly((), ("y",)),
+        "f": poly(("u", "x")),
+    }
+    dga = DGA(0, names, degrees, diff)
+    augs = enumerate_augmentations(dga)
+    assert augs.letters == ("x", "y", "u", "z", "w") and augs.inert == ("e0", "e1", "e2", "e3")
+    assert augs.solutions == [(0, 1, 0, 1, 0), (0, 1, 1, 1, 0), (1, 1, 0, 0, 0)]
+    assert len(augs) == 48
+    assert_matches_brute_force(dga)
+    # The same DGA declared in reverse, and with e0 moved to the end.
+    for order in (names[::-1], names[1:] + names[:1]):
+        assert_matches_brute_force(DGA(0, order, degrees, diff))
+
+
+def test_a_letter_beside_a_nonzero_degree_letter_is_free_but_splits_twists():
+    """x occurs only in d q = x p with |p| = 1, so no equation mentions it,
+    yet it changes the twist; e occurs nowhere."""
+    dga = DGA(0, ("x", "e", "p", "q"), {"x": 0, "e": 0, "p": 1, "q": 2}, {"q": poly(("x", "p"))})
+    augs = enumerate_augmentations(dga)
+    assert (augs.letters, augs.solutions, augs.inert) == (("x",), [(0,), (1,)], ("e",))
+    assert_matches_brute_force(dga)
+    assert twist_groups(dga, augs) == [[0, 1], [2, 3]]
+    assert twist(dga, augs[0]) != twist(dga, augs[2])
+    assert per_twist(augs, lambda aug: aug("x")) == [0, 0, 1, 1]
+
+
+def test_unaugmentable_dga_with_inert_letters_has_no_augmentation():
+    """Refused by propagation (d a = 1) or only by the brute force
+    (x + z = 1 and x + z = 0): 0 augmentations either way, not 2^|I|."""
+    inert = {"e0": 0, "e1": 0, "e2": 0}
+    rigid = DGA(0, ("e0", "a", "e1", "e2"), dict(inert, a=1), {"a": poly(())})
+    names = ("e0", "x", "e1", "z", "e2", "a", "b")
+    diff = {"a": poly((), ("x",), ("z",)), "b": poly(("x",), ("z",))}
+    both = DGA(0, names, dict(inert, x=0, z=0, a=1, b=1), diff)
+    for dga in (rigid, both):
+        augs = enumerate_augmentations(dga)
+        assert len(augs) == 0 and list(augs) == [] and augs == []
+        with pytest.raises(IndexError):
+            augs[0]
+        assert_matches_brute_force(dga)
 
 
 def test_augmentation_value_lookup_and_describe():
@@ -148,13 +244,23 @@ def test_twist_groups_are_ordered_by_first_member_and_share_one_twist():
             assert all(twist(draw, augs[i]) == first for i in group)
 
 
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
 def test_per_twist_computes_once_per_group_and_lists_every_member():
     once = stabilize(trefoil(), 0)
     augs = enumerate_augmentations(once)
     seen = []
-    results = per_twist(once, augs, lambda aug: seen.append(aug) or len(seen))
+    results = per_twist(augs, lambda aug: seen.append(aug) or len(seen))
     assert seen == [augs[i] for i in (0, 2, 4, 6, 8)]
     assert results == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    for dga in [stabilize(stabilize(base, 0), 0) for base in mirror_bases()] + random_dgas(20261018, 30):
+        augs = enumerate_augmentations(dga)
+        seen = []
+        results = per_twist(augs, lambda aug: seen.append(aug) or len(seen))
+        groups = twist_groups(dga, augs)
+        assert seen == [augs[group[0]] for group in groups]
+        assert results == [
+            number for i in range(len(augs)) for number, group in enumerate(groups, 1) if i in group
+        ]
 
 
 @pytest.mark.parametrize(
@@ -171,7 +277,7 @@ def test_twist_and_twist_groups_check_every_augmentation_alike(values, fragment)
     with pytest.raises(ContractError, match=fragment):
         twist(dga, bad)
     with pytest.raises(ContractError, match=fragment):
-        twist_groups(dga, enumerate_augmentations(dga) + [bad])
+        twist_groups(dga, [*enumerate_augmentations(dga), bad])
 
 
 def test_extend_by_zero_covers_new_generators():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError, ainfty, algebra, fingerprint
 from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
-from legch.augment import MAX_FREE_GENERATORS, enumerate_augmentations
+from legch.augment import MAX_FREE_GENERATORS
 from legch.algebra import DGA, mirror_dga, stabilize
 from legch.cli import build_parser, main
 from legch.families import cupex, masseyex, trefoil
@@ -549,20 +549,20 @@ def _traced_peak(run) -> int:
 
 @pytest.mark.parametrize("command", ["report", "compare-mirror"])
 def test_per_augmentation_rows_are_streamed(tmp_path, command):
-    """On 12 free degree-0 generators (4096 augmentations, one twist) the
-    command holds little more than the enumeration: its rows are written
-    as they are made, not gathered first."""
-    names = tuple("b%d" % i for i in range(12))
-    dga = DGA(0, names, dict.fromkeys(names, 0), {})
-    path = tmp_path / "free12.dga"
-    path.write_text(serialize_dga(dga), encoding="utf-8")
+    """From 4 to 12 free degree-0 generators (16 to 4096 augmentations, one
+    twist) the command's peak grows by under 40 bytes per augmentation: its
+    rows are written as they are made, not gathered first, and its
+    augmentations are made as they are read, not listed."""
     build_parser()
-    enumeration = _traced_peak(lambda: enumerate_augmentations(dga))
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        codes = []
-        peak = _traced_peak(lambda: codes.append(main([command, str(path)])))
-    assert codes == [0]
-    assert peak <= 2 * enumeration, (peak, enumeration)
+    codes, peaks = [], []
+    for k in (4, 12):
+        names = tuple("b%d" % i for i in range(k))
+        path = tmp_path / ("free%d.dga" % k)
+        path.write_text(serialize_dga(DGA(0, names, dict.fromkeys(names, 0), {})), encoding="utf-8")
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            peaks.append(_traced_peak(lambda: codes.append(main([command, str(path)]))))
+    assert codes == [0, 0]
+    assert peaks[1] <= peaks[0] + 40 * (4096 - 16), peaks
 
 
 def test_structured_format_changes_only_the_separator(capsys, trefoil_file):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from legch import ContractError
 from legch.ainfty import HClass, build_ring
 from legch.algebra import mirror_dga, stabilize
-from legch.augment import enumerate_augmentations, twist_groups
+from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fingerprint import (
     AugmentationProfile,
@@ -31,6 +31,7 @@ from helpers import (
     chain_massey_triple,
     cup_table,
     every_triple_massey_table,
+    mirror_bases,
     multiset_first_difference,
     oracle_rings,
     random_augmented_dga,
@@ -38,6 +39,7 @@ from helpers import (
     random_dgas,
     random_disguised_base,
     trivial_bracket_dga,
+    twist_groups,
     two_sided_compare_mirror,
 )
 
@@ -264,23 +266,9 @@ def _assert_witness_matches_the_multiset_oracle(left, right):
     return witness
 
 
-def _mirror_bases():
-    """The bases of the benchmark's ``mirror`` workload."""
-    return [
-        cupex(1, 3, 7),
-        cupex(2, 5, 9),
-        stabilize(trefoil(), 0),
-        masseyex(1, 2, 3, 4),
-        masseyex(2, 3, 5, 9),
-        masseyex(1, 3, 6, 12),
-        masseyex(2, 3, 5, 8),
-        masseyex(1, 4, 9, 20),
-    ]
-
-
 @pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
 def test_mirror_witness_matches_the_multiset_oracle_on_the_mirror_bases():
-    for dga in _mirror_bases():
+    for dga in mirror_bases():
         _assert_witness_matches_the_multiset_oracle(
             fingerprint_dga(dga), fingerprint_dga(mirror_dga(dga))
         )
@@ -340,7 +328,7 @@ def _assert_one_side_matches_two_sides(dga, **options):
 @pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
 def test_compare_mirror_equals_the_two_sided_oracle_on_the_examples_and_mirror_bases():
     verdicts = []
-    for dga in [dga for _, dga in bundled_examples()] + _mirror_bases():
+    for dga in [dga for _, dga in bundled_examples()] + mirror_bases():
         for side in (dga, mirror_dga(dga)):
             verdicts.append(_assert_one_side_matches_two_sides(side).distinguished)
     assert verdicts.count(True) == 18 and verdicts.count(False) == 4
@@ -441,3 +429,15 @@ def test_opposite_sorts_the_profiles_again_and_is_an_involution():
     for dga in (cupex(1, 3, 7), masseyex(1, 4, 9, 20)):
         knot = fingerprint_dga(dga)
         assert _opposite(_opposite(knot)) == knot != _opposite(knot)
+
+
+def test_opposite_reverses_each_distinct_profile_once():
+    """Repeated profiles keep their multiplicity, sorted again, and share one
+    reversed profile per distinct profile."""
+    low = _profile(dims=[(0, 1)], cups=[((0, 2), 1)])
+    high = _profile(dims=[(0, 1)], cups=[((1, 0), 1)])
+    flipped = _opposite(Fingerprint((low, low, high, high, high)))
+    opposite_low, opposite_high = (_opposite(Fingerprint((p,))).profiles[0] for p in (low, high))
+    assert flipped == Fingerprint((opposite_high,) * 3 + (opposite_low,) * 2)
+    assert len({id(p) for p in flipped.profiles}) == 2
+    assert _opposite(flipped) == Fingerprint((low, low, high, high, high))
