@@ -4,7 +4,8 @@ The word-length-k part of a twisted differential dualizes to an operation
 m_k of degree +1; together these satisfy the A-infinity relations.  This
 module stores such structures as sparse tables, checks the relations and
 the morphism equation, computes cup and (higher) Massey products (cups and
-triple brackets are read off a ``ProductTable`` of basis blocks), and
+triple brackets are read off a ``ProductTable`` of basis blocks, higher
+brackets walk the minimal model under ``MAX_MASSEY_SYSTEMS``), and
 transfers the structure to homology through a strong deformation retract
 by Kadeishvili's recursion, up to the arity budget ``MAX_ARITY``.  The
 relations, the morphism equation and the transfer share two sums: inserting
@@ -22,13 +23,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import apply_block, bits, in_span, span_basis
-from .linear import HomologyData, _retract, linearized_complexes
+from .linear import HomologyData, _retract, linearized_complexes, vector_label
 
 __all__ = [
     "HClass",
@@ -44,14 +45,18 @@ __all__ = [
     "build_ring",
     "check_an_relations",
     "check_ainfty_morphism",
+    "check_massey_budget",
     "cup_product",
     "massey_triple",
     "massey_higher",
     "transfer_minimal_model",
 ]
 
-# Defining systems massey_higher enumerates unless told otherwise.
-DEFAULT_MAX_SYSTEMS = 1 << 20
+# Defining systems the massey_higher walks on one ring may reach, counted
+# before any walk (check_massey_budget).  Each trefoil ring counts 101,449
+# at Massey order 4 (0.19-0.26 s of massey_table, python 3.11 on 2 vCPUs)
+# and 70,125,710 up to order 5.
+MAX_MASSEY_SYSTEMS = 1 << 20
 
 # Top arity transfer_minimal_model accepts.  The tables and the time grow
 # 1.6-1.9x per arity; at 16 the transfer plus the inclusion's morphism check
@@ -473,8 +478,8 @@ class MasseyResult:
 
     When defined: a representative class (degree, value), the indeterminacy
     subspace basis, and for higher orders the full set of values over the
-    enumerated defining systems.  When undefined: a witness description of
-    the obstruction.
+    defining systems, ``systems`` of them.  When undefined: a witness
+    description of the obstruction.
     """
 
     status: str  # "defined" | "undefined"
@@ -483,7 +488,6 @@ class MasseyResult:
     indeterminacy: List[int] = field(default_factory=list)
     value_set: Optional[List[int]] = None
     witness: Optional[str] = None
-    truncated: bool = False
     systems: int = 0
 
     @property
@@ -541,9 +545,10 @@ class ProductTable:
     By Kadeishvili's transfer this value is mu_3(x, y, z) of the minimal
     model, which lies in the bracket with indeterminacy x H + H z
     (Lu-Palmieri-Wu-Zhang 2009, A-infinity structures on Ext-algebras,
-    Thm 3.1).  Higher brackets stay chain-level in ``massey_higher``: for
-    n >= 4 that theorem gives only the containment of mu_n in the bracket,
-    not the bracket's full value set.
+    Thm 3.1).  Higher brackets walk the minimal model in ``massey_higher``,
+    whose docstring proves that every A-infinity quasi-isomorphism keeps
+    whole value sets, where that theorem gives only the containment of
+    mu_n for n >= 4.
 
     Support.  A triple block holds only the nonzero p_3 vectors, keyed by
     basis-index triple, and a degree triple without a p_3 entry has no
@@ -702,135 +707,150 @@ def massey_triple(
     )
 
 
-def massey_higher(
-    h: HomologyData,
-    s: AInftyStructure,
-    classes: Sequence[HClass],
-    cap: int = DEFAULT_MAX_SYSTEMS,
-) -> MasseyResult:
-    """Order-n Massey product by exhaustive defining-system enumeration.
+def check_massey_budget(h: HomologyData, tuples: Iterable[Tuple[Sequence[int], int]]) -> None:
+    """Refuse ``massey_higher`` walks of more than ``MAX_MASSEY_SYSTEMS``
+    defining systems in all, before any runs.
 
-    Builds families b[l,m] with b[m,m] representing the m-th input class and
-    d(b[l,m]) equal to the sum over proper consecutive partitions of [l,m]
-    of m_k applied to the blocks.  The bracket value applies the same sum to
-    [1,n].  All GF(2) choices (representative shifts by boundaries, solution
-    shifts by cocycles) are enumerated, up to ``cap`` complete systems.
+    ``tuples`` pairs a degree tuple with the number of class tuples to be
+    walked in it.  A walk in degrees (k_1..k_n) has at most
+    2^(sum of dim H in degree k_l + .. + k_m) complete systems, the sum over
+    its off-diagonal variables b[l, m], l < m, (l, m) != (1, n); the bound
+    reads only the dimensions of H.
+    """
+    total = 0
+    for degrees, count in tuples:
+        n = len(degrees)
+        free = sum(
+            h.dim(sum(degrees[l : m + 1]))
+            for l in range(n)
+            for m in range(l + 1, n)
+            if m - l < n - 1
+        )
+        total += count << free
+        if total > MAX_MASSEY_SYSTEMS:
+            raise ContractError(
+                "the Massey brackets take at least %d defining systems, over the budget"
+                " MAX_MASSEY_SYSTEMS = %d" % (total, MAX_MASSEY_SYSTEMS)
+            )
+
+
+def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResult:
+    """Order-n Massey product on a minimal model, by walking every defining system.
+
+    A defining system for classes x_1..x_n is a family b[l, m],
+    1 <= l <= m <= n and (l, m) != (1, n), with b[m, m] representing x_m
+    and m_1(b[l, m]) the sum over partitions of [l, m] into r >= 2
+    consecutive blocks of m_r on the blocks' entries; its value is the
+    class of the same sum over [1, n].  On ``mu`` (``CohomologyRing.minimal``,
+    m_1 = 0) b[m, m] is the class itself, a variable b[l, m] is a dead
+    branch where that sum is nonzero and otherwise ranges over all of H in
+    its degree, and the value is the sum over [1, n].  Every system is
+    walked; ``check_massey_budget`` bounds their number in advance.
+
+    Why the walk on mu gives the chain-level value set.  Let N be the
+    strictly upper-triangular (n+1) x (n+1) matrices over GF(2), with
+    elementary matrices E_{a,b}, and put X = sum b[l, m] (x) E_{l-1,m} in
+    A (x) N, with m_r(a_1 (x) E_1, .., a_r (x) E_r) = m_r(a_1..a_r) (x) E_1..E_r.
+    A product E_{l_1-1,m_1} .. E_{l_r-1,m_r} is E_{l_1-1,m_r} when the
+    blocks are consecutive and 0 otherwise, so in MC(X) = sum_r m_r(X^(x)r)
+    the coefficient of E_{l-1,m} is m_1(b[l, m]) plus the partition sum of
+    [l, m].  The defining systems are therefore the X whose MC(X) lives
+    only in the corner E_{0,n}, with b[m, m] in x_m, and that corner is
+    the value chain.  An A-infinity morphism f: A -> B gives
+    F(X) = sum_k f_k(X^(x)k) (N is nilpotent, so the sum is finite), and
+    the morphism equation, applied to every X^(x)k and summed, reads
+    MC_B(F(X)) = sum f_{i+1+k}(X^(x)i (x) MC_A(X) (x) X^(x)k).  E_{0,n}
+    times any element of N is 0 on either side, so only i = k = 0
+    survives: MC_B(F(X)) = f_1(c) (x) E_{0,n} for the value chain c.
+    Dropping the corner c' (x) E_{0,n} of F(X) changes no product of two or
+    more factors and MC by m_1(c') (x) E_{0,n}, and leaves the diagonal
+    f_1(b[m, m]), a representative of f_1* x_m.  So F(X) less its corner
+    is a defining system for f_1* x_1..f_1* x_n with value f_1* [c]: any
+    A-infinity morphism maps the value set V(x) into V(f_1* x) through f_1*.
+    The inclusion i: mu -> A of the transfer is an A-infinity
+    quasi-isomorphism, and over a field it has an A-infinity
+    quasi-inverse g: A -> mu with g_1* = (i_1*)^-1 (Markl 2006,
+    Transferring A-infinity structures; Lefevre-Hasegawa 2003, Sur les
+    A-infini categories, Thm 1.3.1.3).  By f = i, i_1* V_mu(x) lies in
+    V_A(i_1* x); by f = g, g_1* V_A(i_1* x) lies in V_mu(g_1* i_1* x) =
+    V_mu(x), so V_A(i_1* x) = i_1* g_1* V_A(i_1* x) lies in i_1* V_mu(x).
+    The two value sets are equal, and so is definedness; i_1 includes
+    the representatives, so i_1* keeps coordinates, and the chain-level
+    walk's projected values are these coordinate vectors.  That walk's
+    closedness checks of each constraint and of the value are vacuous at
+    m_1 = 0; ``CohomologyRing.checked_minimal`` checks mu's A-infinity
+    relations up to n instead.
+
+    ``mu.arity`` below n and a nonzero m_1 are refused.
     """
     n = len(classes)
     if n < 3:
         raise ContractError("higher Massey products need at least 3 classes")
-    if cap < 1:
-        raise ContractError("system cap must be positive")
+    if mu.arity < n:
+        raise ContractError(
+            "an order-%d bracket needs a minimal model of arity %d, not %d" % (n, n, mu.arity)
+        )
+    if mu.tables.get(1):
+        raise ContractError("a Massey walk needs a minimal model, with m_1 = 0")
 
     deg: Dict[Tuple[int, int], int] = {}
+    state: Dict[Tuple[int, int], int] = {}
     for l in range(1, n + 1):
-        run = 0
         for m in range(l, n + 1):
-            run += classes[m - 1].degree
-            deg[(l, m)] = h.canon(run)
+            deg[(l, m)] = canon_degree(mu.modulus, sum(c.degree for c in classes[l - 1 : m]))
+        state[(l, l)] = classes[l - 1].coords
+    variables = [(l, l + width) for width in range(1, n - 1) for l in range(1, n + 1 - width)]
 
-    variables: List[Tuple[int, int]] = []
-    for width in range(n - 1):
-        for l in range(1, n + 1 - width):
-            m = l + width
-            if (l, m) != (1, n):
-                variables.append((l, m))
-
-    def partitions(l: int, m: int):
-        """Partitions of [l,m] into 2..arity consecutive blocks (first, last)."""
+    def partitions(l: int, m: int) -> List[List[Tuple[int, int]]]:
+        """Partitions of [l,m] into 2..n consecutive blocks (first, last)."""
         out = []
-        for r in range(2, min(s.arity, m - l + 1) + 1):
+        for r in range(2, m - l + 2):
             for comp in _compositions(m - l + 1, r):
-                blocks = []
-                start = l
-                for c in comp:
-                    blocks.append((start, start + c - 1))
-                    start += c
-                out.append(blocks)
+                starts = [l + sum(comp[:i]) for i in range(r)]
+                out.append([(a, a + c - 1) for a, c in zip(starts, comp)])
         return out
 
-    parts_cache = {(l, m): partitions(l, m) for (l, m) in variables + [(1, n)]}
-
-    state: Dict[Tuple[int, int], int] = {}
-    values: set = set()
-    counters = {"systems": 0, "visited": 0}
-    obstruction: List[str] = []
-    value_degree = h.canon(sum(c.degree for c in classes) + 1)
+    parts = {(l, m): partitions(l, m) for (l, m) in variables + [(1, n)]}
+    values = set()
+    systems = 0
+    witness = "no defining system found"
 
     def block_sum(l: int, m: int) -> int:
         total = 0
-        for blocks in parts_cache[(l, m)]:
+        for blocks in parts[(l, m)]:
             pairs = [(deg[b], state[b]) for b in blocks]
-            if any(v == 0 for _, v in pairs):
-                continue
-            _, vec = s.apply(pairs)
-            total ^= vec
+            if all(v for _, v in pairs):
+                total ^= mu.apply(pairs)[1]
         return total
 
-    def freedom(l: int, m: int) -> Tuple[int, List[int]]:
-        """Base point and shift basis for variable (l, m), or obstruction (None)."""
-        k = deg[(l, m)]
-        if l == m:
-            base = h.include(k, classes[l - 1].coords)
-            return base, list(h.boundaries.get(k, []))
-        target = block_sum(l, m)  # lives in degree k + 1
-        tdeg = h.canon(k + 1)
-        if not h.is_cycle(tdeg, target):
-            raise InternalConsistencyError(
-                "defining-system constraint at (%d, %d) is not closed" % (l, m)
-            )
-        obs = h.project(tdeg, target)
-        if obs:
-            obstruction.append(
-                "sub-bracket obstruction %s at (%d, %d)" % (h.label(tdeg, obs), l, m)
-            )
-            return -1, []
-        return h.homotopy(tdeg, target), list(h.cycles.get(k, []))
-
-    def walk(idx: int) -> bool:
-        """DFS over variable choices; returns False to abort (cap exhausted)."""
-        counters["visited"] += 1
-        if counters["visited"] > 4 * cap:
-            return False
+    def walk(idx: int) -> None:
+        nonlocal systems, witness
         if idx == len(variables):
-            value = block_sum(1, n)
-            if not h.is_cycle(value_degree, value):
-                raise InternalConsistencyError("Massey bracket value is not closed")
-            values.add(h.project(value_degree, value))
-            counters["systems"] += 1
-            return counters["systems"] < cap
+            values.add(block_sum(1, n))
+            systems += 1
+            return
         l, m = variables[idx]
-        base, shifts = freedom(l, m)
-        if base == -1:
-            return True  # dead branch, keep searching elsewhere
-        for mask in range(1 << len(shifts)):
-            vec = base
-            for i in bits(mask):
-                vec ^= shifts[i]
+        obs = block_sum(l, m)
+        if obs:
+            label = vector_label(mu.names(deg[(l, m)] + 1), obs)
+            witness = "sub-bracket obstruction %s at (%d, %d)" % (label, l, m)
+            return
+        for vec in range(1 << len(mu.names(deg[(l, m)]))):
             state[(l, m)] = vec
-            keep_going = walk(idx + 1)
-            del state[(l, m)]
-            if not keep_going:
-                return False
-        return True
+            walk(idx + 1)
 
-    completed = walk(0)
-    truncated = not completed
-
+    walk(0)
     if not values:
-        witness = obstruction[-1] if obstruction else "no defining system found"
-        return MasseyResult("undefined", witness=witness, truncated=truncated)
+        return MasseyResult("undefined", witness=witness)
     ordered = sorted(values)
     rep = ordered[0]
-    indet = span_basis([v ^ rep for v in ordered if v != rep])
     return MasseyResult(
         "defined",
-        degree=value_degree,
+        degree=canon_degree(mu.modulus, sum(c.degree for c in classes) + 1),
         value=rep,
-        indeterminacy=indet,
+        indeterminacy=span_basis([v ^ rep for v in ordered[1:]]),
         value_set=ordered,
-        truncated=truncated,
-        systems=counters["systems"],
+        systems=systems,
     )
 
 
@@ -972,6 +992,16 @@ class CohomologyRing:
     def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
         """The minimal model to the given arity, from the product table's cached transfer."""
         return self.products.minimal(arity)
+
+    def checked_minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
+        """``minimal(arity)``, with mu's A-infinity relations checked up to ``arity``."""
+        mu, incl = self.minimal(arity)
+        report = check_an_relations(mu, arity)
+        if not report.ok:
+            raise InternalConsistencyError(
+                "transferred structure fails a relation: %s" % report.detail
+            )
+        return mu, incl
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:

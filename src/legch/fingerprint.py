@@ -16,7 +16,9 @@ each bidegree's rank off the class rows of its pair block, and each degree
 triple's (defined, nonzero) from one flags pass over its pair blocks and
 its block of the ring's transferred p_3, run only where mu_2 or p_3 has an
 entry (every other triple is (True, False)).  Brackets of order 4 and up
-enumerate defining systems class tuple by class tuple (``massey_higher``).
+walk the defining systems of the ring's minimal model class tuple by class
+tuple (``massey_higher``, which proves the value sets are the chain-level
+ones), all of a ring's walks bounded in advance by ``MAX_MASSEY_SYSTEMS``.
 
 ``compare_mirror`` fingerprints only the knot.  The mirror's A-infinity
 structure is the opposite one, m_k^op(x_1..x_k) = m_k(x_k..x_1), so its
@@ -35,13 +37,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .ainfty import (
-    DEFAULT_MAX_SYSTEMS,
-    CohomologyRing,
-    HClass,
-    build_ring,
-    massey_higher,
-)
+from .ainfty import CohomologyRing, HClass, build_ring, check_massey_budget, massey_higher
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify, enumerate_augmentations
 from .gf2 import apply_block, rank
@@ -108,46 +104,63 @@ def cup_rank_table(
     return table
 
 
-def _tuple_space(dims: Sequence[int]) -> bool:
+def _class_tuples(dims: Sequence[int]) -> int:
+    """The number of tuples of nonzero classes in degrees of these dimensions."""
     total = 1
     for d in dims:
         total *= (1 << d) - 1
-        if total > DEFAULT_MAX_TUPLES:
-            return False
-    return True
+    return total
+
+
+def _tuple_space(dims: Sequence[int]) -> bool:
+    return _class_tuples(dims) <= DEFAULT_MAX_TUPLES
 
 
 def massey_table(
-    ring: CohomologyRing,
-    massey_order: int = DEFAULT_MASSEY_ORDER,
-    max_systems: int = DEFAULT_MAX_SYSTEMS,
+    ring: CohomologyRing, massey_order: int = DEFAULT_MASSEY_ORDER
 ) -> Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]]:
     """Per degree tuple: does any Massey bracket exist, and any nonzero one?
 
     Both booleans quantify over all tuples of nonzero classes in the given
     degrees, so they do not depend on a basis choice.  "Nonzero" means the
-    value coset omits zero; truncated defining-system enumerations are never
-    counted as nonzero.  Degree tuples whose class count exceeds
+    value coset omits zero.  Degree tuples whose class count exceeds
     ``DEFAULT_MAX_TUPLES`` are skipped (a function of the dimensions alone).
 
     A degree triple (a, b, c) takes a flags pass of the product table only
     where mu_2 of the ring's transfer has an entry in degrees (a, b) or
     (b, c), or its p_3 one in (a, b, c); every other triple is (True, False)
-    (see "Support" in ``ProductTable``).  Higher orders enumerate defining
-    systems class tuple by class tuple.
+    (see "Support" in ``ProductTable``).  Higher orders walk the minimal
+    model class tuple by class tuple (``massey_higher``); before the ring's
+    first walk, ``check_massey_budget`` bounds the walks of every order and
+    admitted class tuple together.  The ring is transferred once, at
+    ``massey_order``, and that transfer's cuts serve the lower orders and
+    the order-n dims up to it.
     """
     h = ring.cochain
     dim_of = h.dims()
     degrees = sorted(dim_of)
+
+    def admitted(order: int):
+        for prefix in iproduct(degrees, repeat=order):
+            dims = [dim_of[k] for k in prefix]
+            if _tuple_space(dims):
+                yield prefix, dims
+
+    if massey_order >= 4:
+        orders = range(4, massey_order + 1)
+        check_massey_budget(
+            h, ((p, _class_tuples(dims)) for o in orders for p, dims in admitted(o))
+        )
+    if massey_order >= 3:
+        ring.minimal(massey_order)
     table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
     for order in range(3, massey_order + 1):
         if order == 3:
             mu = ring.minimal(3)[0]
             cups = {tuple(map(mu.degree_of.get, w)) for w in mu.tables[2]}
-        for prefix in iproduct(degrees, repeat=order):
-            dims = [dim_of[k] for k in prefix]
-            if not _tuple_space(dims):
-                continue
+        else:
+            mu = ring.checked_minimal(order)[0]
+        for prefix, dims in admitted(order):
             if order == 3:
                 a, b, c = prefix
                 support = (a, b) in cups or (b, c) in cups or prefix in ring.products.triples
@@ -155,10 +168,9 @@ def massey_table(
                 continue
             defined = nonzero = False
             for combo in iproduct(*(range(1, 1 << d) for d in dims)):
-                classes = [HClass(k, v) for k, v in zip(prefix, combo)]
-                result = massey_higher(h, ring.structure, classes, cap=max_systems)
+                result = massey_higher(mu, [HClass(k, v) for k, v in zip(prefix, combo)])
                 defined = defined or result.defined
-                if result.defined and not result.truncated and not result.is_trivial():
+                if result.defined and not result.is_trivial():
                     nonzero = True
                     break
             table[(order, prefix)] = (defined, nonzero)
@@ -192,46 +204,37 @@ def profile_for(
     ring: CohomologyRing,
     massey_order: int = DEFAULT_MASSEY_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
-    max_systems: int = DEFAULT_MAX_SYSTEMS,
     bases: Optional[Dict[int, List[int]]] = None,
 ) -> AugmentationProfile:
     """All invariants of a single augmentation."""
     dims = tuple(sorted((k, d) for k, d in ring.cochain.dims().items() if d))
     cups = tuple(sorted(cup_rank_table(ring, bases).items()))
-    massey = tuple(sorted(massey_table(ring, massey_order, max_systems).items()))
+    massey = tuple(sorted(massey_table(ring, massey_order).items()))
     orders = tuple(sorted(order_dim_table(ring, order_cap).items()))
     return AugmentationProfile(dims, cups, massey, orders)
 
 
 def fingerprint_dga(
-    dga: DGA,
-    massey_order: int = DEFAULT_MASSEY_ORDER,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    max_systems: int = DEFAULT_MAX_SYSTEMS,
+    dga: DGA, massey_order: int = DEFAULT_MASSEY_ORDER, order_cap: int = DEFAULT_ORDER_CAP
 ) -> Fingerprint:
     """Fingerprints of every augmentation, as a canonically ordered multiset."""
-    _check_options(massey_order, order_cap, max_systems)
-    return _fingerprint(dga, enumerate_augmentations(dga), massey_order, order_cap, max_systems)
+    _check_options(massey_order, order_cap)
+    return _fingerprint(dga, enumerate_augmentations(dga), massey_order, order_cap)
 
 
-def _check_options(massey_order: int, order_cap: int, max_systems: int) -> None:
-    """Refuse a nonpositive system cap and a negative order, before any
-    augmentation is enumerated."""
-    if max_systems < 1:
-        raise ContractError("system cap must be positive")
+def _check_options(massey_order: int, order_cap: int) -> None:
+    """Refuse a negative order before any augmentation is enumerated."""
     if massey_order < 0:
         raise ContractError("Massey order must be nonnegative")
     if order_cap < 0:
         raise ContractError("order cap must be nonnegative")
 
 
-def _fingerprint(
-    dga: DGA, augs: Augmentations, massey_order: int, order_cap: int, max_systems: int
-) -> Fingerprint:
+def _fingerprint(dga: DGA, augs: Augmentations, massey_order: int, order_cap: int) -> Fingerprint:
     """One ring and profile per solution, on its first member, in the order
     of ``augment.per_twist``; the profile counts once per member, 2^|I|
     times."""
-    options = (massey_order, order_cap, max_systems)
+    options = (massey_order, order_cap)
     profiles = [profile_for(build_ring(dga, aug), *options) for aug in augs.firsts()]
     members = 1 << len(augs.inert)
     return Fingerprint(tuple(chain.from_iterable(repeat(p, members) for p in sorted(profiles))))
@@ -325,10 +328,7 @@ def _first_difference(left: Fingerprint, right: Fingerprint) -> str:
 
 
 def compare_mirror(
-    dga: DGA,
-    massey_order: int = DEFAULT_MASSEY_ORDER,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    max_systems: int = DEFAULT_MAX_SYSTEMS,
+    dga: DGA, massey_order: int = DEFAULT_MASSEY_ORDER, order_cap: int = DEFAULT_ORDER_CAP
 ) -> MirrorReport:
     """Compare a DGA against its Legendrian mirror by fingerprint.
 
@@ -360,10 +360,9 @@ def compare_mirror(
       value for value, so (defined, nonzero), triple and order >= 4, is the
       knot's at the reversed tuple.  The order-3 support (mu_2 in (a, b) or
       (b, c), p_3 in (a, b, c)) and ``_tuple_space`` (a product over the
-      tuple) reverse with it.  Where ``max_systems`` caps a walk of order
-      >= 4, the point it stops at depends on the walk order, which reversal
-      changes: the mirror then reads the knot's capped walk, one walk of its
-      own systems, and a capped walk never counts as nonzero on either side.
+      tuple) reverse with it.  A walk of order >= 4 reaches every defining
+      system of mu^op, and ``check_massey_budget`` sums over a tuple's
+      sub-intervals, which reversal permutes.
     - Order-n dims.  Word reversal is an isomorphism of the window
       complexes (``reflection_compare`` checks rev d rev = d_mirror), so the
       dims are equal.
@@ -371,9 +370,9 @@ def compare_mirror(
     Budgets count the same terms on both sides, and the knot runs first, so
     an error raised on either side was raised on the knot.
     """
-    _check_options(massey_order, order_cap, max_systems)
+    _check_options(massey_order, order_cap)
     augs = enumerate_augmentations(dga)
-    knot = _fingerprint(dga, augs, massey_order, order_cap, max_systems)
+    knot = _fingerprint(dga, augs, massey_order, order_cap)
     mirror_side = mirror_dga(dga)
     assert_valid(mirror_side)
     for aug in augs.firsts():

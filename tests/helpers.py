@@ -4,41 +4,42 @@ Random DGAs start from a zero-differential seed, or from a cupex or
 masseyex base, and grow by stabilizations and elementary isomorphisms,
 both of which preserve validity, so every produced DGA passes the
 validator by construction (and we assert as much here to fail fast if a
-move is broken).  The chain-level triple Massey product, the block-by-block triple builder, the
-visit-every-triple Massey table, the per-tuple composition sum, the
-word-by-word Leibniz and window expansions, the word-by-word window
-matrix with its d d = 0, the sliced count of the window matrix, the
-word-by-word perturbation series, the whole-field multiset witness and
-the two-sided mirror comparison, the per-augmentation ``report`` and
-fingerprint loops, and the brute force over every degree-0 letter with its
-grouping by twist are kept here as the references that the library's
-product table, its transferred p_3 blocks, its support-only Massey table,
-its table-driven composition sum, its pair checks, its window matrix and
-relation-based d d = 0, its closed-form entry count, its minimal-model
-order-n engine, its mirror witness, its one-sided mirror comparison, its
-one ring per distinct twist and its S x {0,1}^I enumeration are compared
-against.
+move is broken).  The chain-level triple Massey product, the chain-level
+walk of higher Massey defining systems, the block-by-block triple
+builder, the visit-every-triple Massey table, the per-tuple composition
+sum, the word-by-word Leibniz and window expansions, the word-by-word
+window matrix with its d d = 0, the sliced count of the window matrix,
+the word-by-word perturbation series, the whole-field multiset witness
+and the two-sided mirror comparison, the per-augmentation ``report`` and
+fingerprint loops, and the brute force over every degree-0 letter with
+its grouping by twist are kept here as the references that the library's
+product table, its minimal-model Massey walk, its transferred p_3
+blocks, its support-only Massey table, its table-driven composition sum,
+its pair checks, its window matrix and relation-based d d = 0, its
+closed-form entry count, its minimal-model order-n engine, its mirror
+witness, its one-sided mirror comparison, its one ring per distinct
+twist and its S x {0,1}^I enumeration are compared against.
 """
 
 import random
 from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from unittest.mock import patch
 
 import pytest
 
-from legch import ContractError, cli, fingerprint
+from legch import ContractError, InternalConsistencyError, cli, fingerprint
 from legch.ainfty import (
-    DEFAULT_MAX_SYSTEMS,
     AInftyStructure,
     HClass,
     MasseyResult,
     basis_classes,
     build_ring,
+    _compositions,
     cup_product,
 )
 from legch.algebra import (
@@ -100,6 +101,41 @@ def trivial_bracket_dga() -> DGA:
         d v = s z + x w
         """
     )
+
+
+def order_four_bracket_dga() -> DGA:
+    """A DGA with a nonzero order-4 bracket <[a], [b], [c], [e]>.
+
+    Every generator but q is a cycle and d q = a b c e, so every product and
+    triple bracket of the classes vanishes, and [q] is dual to the word
+    a b c e: the order-4 bracket in degrees (1, 2, 3, 4) is nonzero, while
+    the reversed tuple's is zero.
+    """
+    return parse_dga(
+        """modulus 0
+        gen a 1
+        gen b 2
+        gen c 3
+        gen e 4
+        gen q 11
+        d q = a b c e
+        """
+    )
+
+
+def disguised_order_four_bracket_dgas() -> List[DGA]:
+    """``order_four_bracket_dga`` under three disguises: an elementary
+    isomorphism; a stabilization whose pair the isomorphisms then mix into
+    c, b and d q; two stabilizations with q and a shifted by their letters."""
+    base = order_four_bracket_dga()
+
+    def iso(dga, target, *words):
+        return apply_elementary_iso(dga, ElementaryIso(target, frozenset(words)))
+
+    mixed = iso(iso(stabilize(base, 3), "c", ("e1",)), "b", ("e2",), ("a", "a"))
+    shifted = stabilize(stabilize(base, 11), 2)
+    shifted = iso(iso(shifted, "q", ("e1",), ("c", "e", "e")), "a", ("e2_1",))
+    return [iso(base, "e", ("a", "c")), mixed, shifted]
 
 
 def poly(*words: Tuple[str, ...]):
@@ -606,6 +642,150 @@ def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
     )
 
 
+# Complete chain-level systems ``chain_massey_higher`` walks unless told otherwise.
+CHAIN_MAX_SYSTEMS = 1 << 20
+
+
+@dataclass
+class ChainMasseyResult(MasseyResult):
+    """A ``MasseyResult`` that also says whether the walk stopped at its cap."""
+
+    truncated: bool = False
+
+
+def chain_massey_higher(
+    h,
+    s: AInftyStructure,
+    classes: Sequence[HClass],
+    cap: int = CHAIN_MAX_SYSTEMS,
+) -> ChainMasseyResult:
+    """Reference ``massey_higher``: order-n Massey product by exhaustive
+    chain-level defining-system enumeration.
+
+    Builds families b[l,m] with b[m,m] representing the m-th input class and
+    d(b[l,m]) equal to the sum over proper consecutive partitions of [l,m]
+    of m_k applied to the blocks.  The bracket value applies the same sum to
+    [1,n].  All GF(2) choices (representative shifts by boundaries, solution
+    shifts by cocycles) are enumerated, up to ``cap`` complete systems.
+    """
+    n = len(classes)
+    if n < 3:
+        raise ContractError("higher Massey products need at least 3 classes")
+    if cap < 1:
+        raise ContractError("system cap must be positive")
+
+    deg: Dict[Tuple[int, int], int] = {}
+    for l in range(1, n + 1):
+        run = 0
+        for m in range(l, n + 1):
+            run += classes[m - 1].degree
+            deg[(l, m)] = h.canon(run)
+
+    variables: List[Tuple[int, int]] = []
+    for width in range(n - 1):
+        for l in range(1, n + 1 - width):
+            m = l + width
+            if (l, m) != (1, n):
+                variables.append((l, m))
+
+    def partitions(l: int, m: int):
+        """Partitions of [l,m] into 2..arity consecutive blocks (first, last)."""
+        out = []
+        for r in range(2, min(s.arity, m - l + 1) + 1):
+            for comp in _compositions(m - l + 1, r):
+                blocks = []
+                start = l
+                for c in comp:
+                    blocks.append((start, start + c - 1))
+                    start += c
+                out.append(blocks)
+        return out
+
+    parts_cache = {(l, m): partitions(l, m) for (l, m) in variables + [(1, n)]}
+
+    state: Dict[Tuple[int, int], int] = {}
+    values: set = set()
+    counters = {"systems": 0, "visited": 0}
+    obstruction: List[str] = []
+    value_degree = h.canon(sum(c.degree for c in classes) + 1)
+
+    def block_sum(l: int, m: int) -> int:
+        total = 0
+        for blocks in parts_cache[(l, m)]:
+            pairs = [(deg[b], state[b]) for b in blocks]
+            if any(v == 0 for _, v in pairs):
+                continue
+            _, vec = s.apply(pairs)
+            total ^= vec
+        return total
+
+    def freedom(l: int, m: int) -> Tuple[int, List[int]]:
+        """Base point and shift basis for variable (l, m), or obstruction (None)."""
+        k = deg[(l, m)]
+        if l == m:
+            base = h.include(k, classes[l - 1].coords)
+            return base, list(h.boundaries.get(k, []))
+        target = block_sum(l, m)  # lives in degree k + 1
+        tdeg = h.canon(k + 1)
+        if not h.is_cycle(tdeg, target):
+            raise InternalConsistencyError(
+                "defining-system constraint at (%d, %d) is not closed" % (l, m)
+            )
+        obs = h.project(tdeg, target)
+        if obs:
+            obstruction.append(
+                "sub-bracket obstruction %s at (%d, %d)" % (h.label(tdeg, obs), l, m)
+            )
+            return -1, []
+        return h.homotopy(tdeg, target), list(h.cycles.get(k, []))
+
+    def walk(idx: int) -> bool:
+        """DFS over variable choices; returns False to abort (cap exhausted)."""
+        counters["visited"] += 1
+        if counters["visited"] > 4 * cap:
+            return False
+        if idx == len(variables):
+            value = block_sum(1, n)
+            if not h.is_cycle(value_degree, value):
+                raise InternalConsistencyError("Massey bracket value is not closed")
+            values.add(h.project(value_degree, value))
+            counters["systems"] += 1
+            return counters["systems"] < cap
+        l, m = variables[idx]
+        base, shifts = freedom(l, m)
+        if base == -1:
+            return True  # dead branch, keep searching elsewhere
+        for mask in range(1 << len(shifts)):
+            vec = base
+            for i in bits(mask):
+                vec ^= shifts[i]
+            state[(l, m)] = vec
+            keep_going = walk(idx + 1)
+            del state[(l, m)]
+            if not keep_going:
+                return False
+        return True
+
+    completed = walk(0)
+    truncated = not completed
+
+    if not values:
+        witness = obstruction[-1] if obstruction else "no defining system found"
+        return ChainMasseyResult("undefined", witness=witness, truncated=truncated)
+    ordered = sorted(values)
+    rep = ordered[0]
+    indet = span_basis([v ^ rep for v in ordered if v != rep])
+    return ChainMasseyResult(
+        "defined",
+        degree=value_degree,
+        value=rep,
+        indeterminacy=indet,
+        value_set=ordered,
+        truncated=truncated,
+        systems=counters["systems"],
+    )
+
+
 def block_triples(h, s):
     """Reference triple blocks of ``ProductTable.triples``, built block by block.
 
@@ -684,13 +864,12 @@ def two_sided_compare_mirror(
     dga: DGA,
     massey_order: int = DEFAULT_MASSEY_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
-    max_systems: int = DEFAULT_MAX_SYSTEMS,
 ) -> MirrorReport:
     """Reference ``compare_mirror``: fingerprints the knot and, from scratch,
     its mirror (every ring, transfer, product table and order-n complex
     built a second time), where the library derives the mirror's
     fingerprint as the opposite of the knot's."""
-    args = (massey_order, order_cap, max_systems)
+    args = (massey_order, order_cap)
     knot = fingerprint_dga(dga, *args)
     mirror = fingerprint_dga(mirror_dga(dga), *args)
     if Counter(knot.profiles) == Counter(mirror.profiles):
@@ -838,13 +1017,11 @@ def twist_groups(dga: DGA, augs) -> List[List[int]]:
 
 
 def per_augmentation_fingerprint(
-    dga: DGA, augs, massey_order: int, order_cap: int, max_systems: int
+    dga: DGA, augs, massey_order: int, order_cap: int
 ) -> Fingerprint:
     """Reference ``fingerprint._fingerprint``: a ring and a profile for every
     augmentation, where the library builds one per solution."""
-    profiles = [
-        profile_for(build_ring(dga, aug), massey_order, order_cap, max_systems) for aug in augs
-    ]
+    profiles = [profile_for(build_ring(dga, aug), massey_order, order_cap) for aug in augs]
     return Fingerprint(tuple(sorted(profiles)))
 
 

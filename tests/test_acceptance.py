@@ -182,7 +182,7 @@ def test_criterion_5_massey_products_distinguish_masseyex_from_its_mirror(monkey
         result = massey_triple(mh, ms, *args)
         assert not (result.defined and not result.is_trivial())
     monkeypatch.setattr(fingerprint, "DEFAULT_MAX_TUPLES", 400000)
-    table = massey_table(mring, 3, 1 << 20)
+    table = massey_table(mring, 3)
     assert table[(3, (-6, -11, 20))] == (True, False)
     assert table[(3, (-4, -6, -11))] == (True, False)
 

@@ -8,9 +8,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, ainfty
+from legch import ContractError, InternalConsistencyError, ainfty, fingerprint
 from legch.ainfty import (
     MAX_ARITY,
+    MAX_MASSEY_SYSTEMS,
     AInftyMorphism,
     AInftyStructure,
     HClass,
@@ -19,6 +20,7 @@ from legch.ainfty import (
     build_ring,
     check_ainfty_morphism,
     check_an_relations,
+    check_massey_budget,
     cup_product,
     massey_higher,
     massey_triple,
@@ -34,11 +36,15 @@ from legch.linear import homology, linearized_complexes
 from helpers import (
     admitted_class_triples,
     block_triples,
+    chain_massey_higher,
     chain_massey_triple,
     chain_p3,
+    disguised_order_four_bracket_dgas,
     oracle_rings,
+    order_four_bracket_dga,
     per_tuple_composition_sum,
     random_augmented_dga,
+    random_dga,
     trivial_bracket_dga,
 )
 
@@ -335,30 +341,49 @@ def test_triple_blocks_match_the_chain_level_formula_on_random_dgas(seed):
 
 
 def test_massey_higher_on_trefoil_fourth_power():
+    """The chain-level oracle and the minimal model each walk 256 complete
+    systems, the minimal model out of at most 4^5, and both find the value
+    set {0, [a1]}."""
     ring = trefoil_ring()
     h, s = ring.cochain, ring.structure
     b = HClass(0, 1)
-    r = massey_higher(h, s, [b, b, b, b])
+    oracle = chain_massey_higher(h, s, [b, b, b, b])
+    assert oracle.defined and not oracle.truncated
+    assert oracle.systems == 256
+    r = massey_higher(ring.checked_minimal(4)[0], [b, b, b, b])
     assert r.defined
-    assert (r.degree, r.value) == (1, 0)
-    assert r.value_set == [0, 1]
-    assert r.indeterminacy == [1]
+    assert (r.degree, r.value) == (oracle.degree, oracle.value) == (1, 0)
+    assert r.value_set == oracle.value_set == [0, 1]
+    assert r.indeterminacy == oracle.indeterminacy == [1]
     assert r.systems == 256
-    assert not r.truncated
     assert r.is_trivial()
 
 
-def test_massey_higher_cap_and_argument_validation():
+def test_massey_higher_budget_and_argument_validation(monkeypatch):
     ring = trefoil_ring()
-    h, s = ring.cochain, ring.structure
+    mu = ring.checked_minimal(4)[0]
     b = HClass(0, 1)
-    with pytest.raises(ContractError):
-        massey_higher(h, s, [b, b])
-    with pytest.raises(ContractError):
-        massey_higher(h, s, [b, b, b], cap=0)
-    r = massey_higher(h, s, [b, b, b, b], cap=1)
-    assert r.truncated
-    assert not r.defined
+    with pytest.raises(ContractError, match="at least 3 classes"):
+        massey_higher(mu, [b, b])
+    with pytest.raises(ContractError, match="of arity 5, not 4"):
+        massey_higher(mu, [b] * 5)
+    with pytest.raises(ContractError, match="m_1 = 0"):
+        massey_higher(ring.structure, [b, b, b])
+    # four degree-0 classes: five off-diagonal variables in H^0 of dim 2, so
+    # 2^10 systems each; three degree-1 classes: two variables in H^2 = 0
+    check_massey_budget(ring.cochain, [((0, 0, 0, 0), 1 << 10)])
+    with pytest.raises(ContractError, match="MAX_MASSEY_SYSTEMS = %d$" % MAX_MASSEY_SYSTEMS):
+        check_massey_budget(ring.cochain, [((0, 0, 0, 0), 1 << 10), ((1, 1, 1), 1)])
+
+    def refuse(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(fingerprint, "massey_higher", refuse)
+    with pytest.raises(
+        ContractError,
+        match="take at least \\d+ defining systems, over the budget MAX_MASSEY_SYSTEMS",
+    ):
+        fingerprint.massey_table(trefoil_ring(), 5)
 
 
 def test_massey_higher_order_three_agrees_with_triple():
@@ -366,10 +391,63 @@ def test_massey_higher_order_three_agrees_with_triple():
     h, s = ring.cochain, ring.structure
     b = HClass(0, 1)
     triple = massey_triple(h, s, b, b, b)
-    higher = massey_higher(h, s, [b, b, b])
+    higher = massey_higher(ring.checked_minimal(3)[0], [b, b, b])
     assert higher.defined and triple.defined
     assert higher.contains(triple.value)
     assert triple.contains(higher.value)
+
+
+def _assert_walk_matches_the_chain_oracle(ring, order, cap):
+    """Bracket by bracket over every tuple of nonzero classes: where the
+    chain-level oracle walks all its systems, the same definedness, value
+    set and indeterminacy; where it stops at ``cap``, its values lie in the
+    minimal walk's.  Returns (compared, stopped, nontrivial)."""
+    h = ring.cochain
+    mu = ring.checked_minimal(order)[0]
+    compared = stopped = nontrivial = 0
+    for prefix in product(h.degrees(), repeat=order):
+        for combo in product(*(range(1, 1 << h.dim(k)) for k in prefix)):
+            classes = [HClass(k, v) for k, v in zip(prefix, combo)]
+            want = chain_massey_higher(h, ring.structure, classes, cap=cap)
+            got = massey_higher(mu, classes)
+            if want.truncated:
+                stopped += 1
+                assert set(want.value_set or ()) <= set(got.value_set or ()), classes
+                continue
+            compared += 1
+            assert want.defined == got.defined, classes
+            if got.defined:
+                assert (got.degree, got.value_set) == (want.degree, want.value_set), classes
+                assert got.indeterminacy == want.indeterminacy, classes
+                nontrivial += not got.is_trivial()
+    return compared, stopped, nontrivial
+
+
+def test_massey_higher_matches_the_chain_oracle_on_trefoil_at_order_4():
+    assert _assert_walk_matches_the_chain_oracle(trefoil_ring(), 4, 1 << 8) == (202, 54, 0)
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_massey_higher_matches_the_chain_oracle_on_cupex_at_order_3():
+    dga = cupex(1, 1, 2)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    assert _assert_walk_matches_the_chain_oracle(ring, 3, 1 << 4) == (298, 702, 0)
+
+
+def test_massey_higher_matches_the_chain_oracle_on_random_dgas_at_order_4():
+    for seed in (1000, 1002, 1005):
+        dga = random_dga(random.Random(seed), 4)
+        ring = build_ring(dga, enumerate_augmentations(dga)[0])
+        compared, stopped, _ = _assert_walk_matches_the_chain_oracle(ring, 4, 1 << 12)
+        assert compared and not stopped
+
+
+def test_massey_higher_matches_the_chain_oracle_on_a_nonzero_order_4_bracket():
+    """625 tuples of nonzero classes in degrees 1, 2, 3, 4, 11 on the
+    hand-built DGA and two of its disguises; one bracket is nonzero."""
+    for dga in [order_four_bracket_dga()] + disguised_order_four_bracket_dgas()[:2]:
+        ring = build_ring(dga, enumerate_augmentations(dga)[0])
+        assert _assert_walk_matches_the_chain_oracle(ring, 4, 1 << 14) == (625, 0, 1)
 
 
 def _planar_trees(k):

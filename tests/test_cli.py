@@ -13,14 +13,14 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, ainfty, algebra, fingerprint
-from legch.ainfty import MAX_ARITY, MAX_RELATION_TERMS
+from legch import ContractError, InternalConsistencyError, ainfty, algebra, cli, fingerprint
+from legch.ainfty import MAX_ARITY, MAX_MASSEY_SYSTEMS, MAX_RELATION_TERMS
 from legch.augment import MAX_FREE_GENERATORS
 from legch.algebra import DGA, mirror_dga, stabilize
 from legch.cli import build_parser, main
 from legch.families import cupex, masseyex, trefoil
 from legch.fileio import bundled_text, parse_dga, serialize_dga
-from helpers import one_ring_per_augmentation, random_dga, random_dgas
+from helpers import one_ring_per_augmentation, order_four_bracket_dga, random_dga, random_dgas
 
 
 @pytest.fixture
@@ -205,7 +205,6 @@ def test_orders_above_the_budget_are_refused_with_its_name(capsys, tmp_path):
 @pytest.mark.parametrize(
     "option,value,message",
     [
-        ("--max-systems", "0", "system cap must be positive"),
         ("--massey-order", "-3", "Massey order must be nonnegative"),
         ("--order-cap", "-1", "order cap must be nonnegative"),
     ],
@@ -226,10 +225,66 @@ def test_compare_mirror_refuses_a_bad_cap_before_enumerating(
 @pytest.mark.parametrize("classes", ["0:1,0:1,0:1", "0:1,0:1,0:1,0:1"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_massey_refuses_a_nonpositive_cap_for_any_class_count(capsys, trefoil_file, classes, cap):
+    """There is no system cap any more: ``--max-systems`` is a usage error."""
     code, out, err = run_cli(
         capsys, "massey", trefoil_file, "--classes", classes, "--max-systems", cap
     )
-    assert (code, out, err) == (1, "", "error: system cap must be positive\n")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --max-systems %s\n" % cap
+
+
+@pytest.mark.parametrize("command", ["massey --classes 0:1,0:1,0:1,0:1", "compare-mirror"])
+def test_max_systems_is_a_usage_error(capsys, trefoil_file, command):
+    code, out, err = run_cli(capsys, *command.split(), trefoil_file, "--max-systems", "64")
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --max-systems 64\n")
+
+
+def test_massey_walks_over_the_budget_are_refused_before_any_walk(capsys, trefoil_file, monkeypatch):
+    """Trefoil's rings take 70,125,710 systems at orders 4 and 5, and six
+    degree-0 classes 4^14 in one walk; the budget is counted first."""
+
+    def refuse(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(fingerprint, "massey_higher", refuse)
+    monkeypatch.setattr(cli, "massey_higher", refuse)
+    for argv in (
+        ("compare-mirror", "--massey-order", "5"),
+        ("massey", "--classes", ",".join(["0:1"] * 6)),
+    ):
+        code, out, err = run_cli(capsys, *argv, trefoil_file)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: the Massey brackets take at least "), argv
+        assert err.endswith(" over the budget MAX_MASSEY_SYSTEMS = %d\n" % MAX_MASSEY_SYSTEMS)
+
+
+def test_compare_mirror_on_trefoil_at_massey_order_4_is_pinned(capsys, trefoil_file):
+    """Every byte of the order-4 report, as the chain-level walk printed it."""
+    code, out, _ = run_cli(capsys, "compare-mirror", "--massey-order", "4", trefoil_file)
+    assert code == 0
+    pinned = os.path.join(os.path.dirname(__file__), "data", "trefoil_compare_mirror_order4.txt")
+    with open(pinned, encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+def test_compare_mirror_needs_order_4_to_tell_the_order_four_bracket_dga(capsys, tmp_path):
+    """The paper's application at order 4: brackets of order 3 and below
+    miss the difference, the order-4 bracket in degrees (1, 2, 3, 4) finds it."""
+    path = tmp_path / "abce.dga"
+    path.write_text(serialize_dga(order_four_bracket_dga()), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "compare-mirror", "--massey-order", "3", str(path))
+    assert code == 0
+    assert rows_of(out)[0] == ["verdict", "INDISTINGUISHABLE-BY-THESE-INVARIANTS"]
+    code, out, _ = run_cli(capsys, "compare-mirror", "--massey-order", "4", str(path))
+    assert code == 0
+    assert rows_of(out)[:2] == [
+        ["verdict", "DISTINGUISHED"],
+        [
+            "witness",
+            "Massey bracket summary (defined, nonzero) in degree tuple (4, (1, 2, 3, 4)):"
+            " [(True, True)] vs [(True, False)]",
+        ],
+    ]
 
 
 def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):
