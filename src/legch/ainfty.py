@@ -116,6 +116,7 @@ class AInftyStructure:
             for lbl in self.basis[k]:
                 self.order[lbl] = len(self.order)
         cleaned: Dict[int, Dict[Tuple[str, ...], int]] = {}
+        degree = self.degree_of.__getitem__
         for k, table in self.tables.items():
             if k < 1 or k > self.arity:
                 raise ContractError("table arity %d outside 1..%d" % (k, self.arity))
@@ -123,12 +124,13 @@ class AInftyStructure:
             for args, vec in table.items():
                 if len(args) != k:
                     raise ContractError("entry %r in arity-%d table" % (args, k))
-                for lbl in args:
-                    if lbl not in self.degree_of:
-                        raise ContractError("unknown basis label %s" % lbl)
+                try:
+                    out = canon_degree(self.modulus, sum(map(degree, args)) + 1)
+                except KeyError:
+                    unknown = next(lbl for lbl in args if lbl not in self.degree_of)
+                    raise ContractError("unknown basis label %s" % unknown) from None
                 if vec:
-                    width = len(self.names(self.out_degree(args)))
-                    if vec >> width:
+                    if vec >> len(self.basis.get(out, ())):
                         raise ContractError(
                             "entry on (%s) has bits outside the degree-(sum+1) basis"
                             % ", ".join(args)
@@ -258,12 +260,13 @@ def adjoint_structure(twisted: DGA) -> AInftyStructure:
     longest word occurring); either failure is an internal error.
     """
     basis, pos = _basis_by_degree(twisted)
+    modulus, degrees = twisted.modulus, twisted.degrees
     arity = 1
     tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     for g in twisted.generators:
-        want = canon_degree(twisted.modulus, twisted.degree(g) - 1)
+        want = canon_degree(modulus, degrees[g] - 1)
         for w in twisted.d(g):
-            got = twisted.word_degree(w)
+            got = canon_degree(modulus, sum(map(degrees.__getitem__, w)))
             if got != want:
                 raise InternalConsistencyError(
                     "twisted d %s is not degree-homogeneous: term %s has degree %d,"
@@ -303,10 +306,14 @@ def _insertion_sum(
         inner_hits = inner.hits(j)
         if not table or not inner_hits:
             continue
-        for i in range(n + 1 - j):
-            for oargs, ovec in table.items():
-                for iargs in inner_hits.get(oargs[i], ()):
-                    _toggle(total, oargs[:i] + iargs + oargs[i + 1 :], ovec)
+        for oargs, ovec in table.items():
+            for i, x in enumerate(oargs):
+                hits = inner_hits.get(x)
+                if not hits:
+                    continue
+                before, after = oargs[:i], oargs[i + 1 :]
+                for iargs in hits:
+                    _toggle(total, before + iargs + after, ovec)
 
 
 def _compositions(n: int, r: int) -> List[Tuple[int, ...]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import ContractError
 
@@ -282,12 +282,31 @@ def stabilize(dga: DGA, degree: int, names: Optional[Tuple[str, str]] = None) ->
 
 
 def substitute(p: Poly, images: Dict[str, Poly]) -> Poly:
-    """Apply the algebra map sending each listed letter to its image poly."""
+    """Apply the algebra map sending each listed letter to its image poly.
+
+    A word with no listed letter is its own image.  Any other word is
+    multiplied out letter by letter: an unlisted letter is appended to each
+    partial product, which keeps them distinct, and a listed letter's image
+    multiplies them with ``pmul``, which cancels equal terms at once, so a
+    repeated letter never multiplies terms that have cancelled (b^k under
+    b -> b + 1 holds at most k + 1 terms, not 2^k).
+    """
     out: Set[Word] = set()
     for w in p:
-        acc = ONE
+        if images.keys().isdisjoint(w):
+            if w in out:
+                out.discard(w)
+            else:
+                out.add(w)
+            continue
+        acc: AbstractSet[Word] = ONE
         for g in w:
-            acc = pmul(acc, images.get(g, frozenset({(g,)})))
+            image = images.get(g)
+            if image is None:
+                letter = (g,)
+                acc = {t + letter for t in acc}
+            else:
+                acc = pmul(acc, image)
         out.symmetric_difference_update(acc)
     return frozenset(out)
 

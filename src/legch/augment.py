@@ -7,24 +7,58 @@ Augmentations factor through the letters that occur.  Call a degree-0
 generator *inert* when it occurs in no word of any differential (a
 degree-0 stabilization adds one), and let I be the set of them.
 Enumeration reduces each equation d(q) = 0 to a boolean polynomial in the
-degree-0 generators, propagates forced values, and brute-forces only the
+degree-0 generators, propagates forced values, and searches only the
 undetermined degree-0 letters that occur.  Its solutions, as value tuples
 on the occurring degree-0 letters, form the set S, and the augmentations
 are S x {0,1}^I.  ``enumerate_augmentations`` returns them as a sequence
 (``Augmentations``) that makes each one only when it is read.
 
-Why one check per element of S checks all of S x {0,1}^I.  ``_verify``
-makes two checks on a value assignment: no generator of nonzero degree has
-value 1, and each d(g) has an even number of words whose letters all have
-value 1.  An inert letter has degree 0, so the first check passes whatever
-its value; it occurs in no word, so the second never reads it.  Both
-checks therefore give one answer on all 2^|I| members of {s} x {0,1}^I,
-and ``_verify`` on s with the inert letters at 0 is the check of each of
-them.  The equations mention no inert letter either, so they admit exactly
-the members of S x {0,1}^I.  A member is s and its inert values over
-``dga.generators``, 0 elsewhere, so it covers every generator with bits
-that are nonzero only in degree 0: ``_checked_values`` passes on it by
-construction, and still runs on every augmentation handed to ``twist``.
+Bit-sliced search.  ``_search`` tests all 2^u assignments of the u
+unknown letters at once, one bit per trial.  Trial t gives unknown letter
+i the value of bit u-1-i of t, so its values, read in the order of the
+unknown letters, are the binary digits of t, most significant first.
+``product((0, 1), repeat=u)`` yields those tuples in lexicographic order,
+which is the order of their binary values, so ascending t is ``product``
+order; the forced values are fixed, so the solutions come out sorted.
+Letter i's column has bit t set exactly when bit u-1-i of t is 1: in each
+block of 2^(u-i) consecutive trials, the upper 2^(u-1-i), which is the
+period the doubling repeats.  Bit t of the AND of a monomial's columns is
+1 when all its letters are 1 on trial t (the empty monomial is 1 on every
+trial), bit t of the XOR of an equation's monomials is the equation's
+value on t, and bit t of ``full & ~OR(equations)`` is 1 when every
+equation is 0 on t, the test the per-trial loop made.  ``_rows`` reads
+the solutions off ``product`` over each letter's choices (a forced letter
+has one), which runs through the trials in ascending t, keeping the
+members at the set bits, in time linear in 2^u.
+
+The check of S.  Per solution, the check is: no generator of nonzero
+degree has value 1, and each d(g) has an even number of words whose
+letters all have value 1, generator by generator in declaration order,
+with the degree of g tested before d(g).  ``_verify_solutions`` reads it for
+all of S at once.  Letter g's mask has bit s set when g is 1 in solution
+s, and every generator outside the solution's letters has mask 0, the
+value 0.  Bit s of a mask on a letter of nonzero degree is the first
+test on s.  A word's letters all have value 1 on s exactly when bit s of
+the AND of their masks is 1, and the empty word, whose letters all do, is
+every solution, so bit s of the XOR over d(g) is the parity the second
+test reads.  So bit s of g's failure mask is set exactly when the check
+of s fails at g.  The first solution in S order whose check fails is the
+lowest bit over all generators, and within it the check stops at the
+first generator in declaration order with that bit set, on its degree
+test if that bit of its degree mask is set: the solution and the
+message that the check of one solution at a time raises first.
+
+Why one check per element of S checks all of S x {0,1}^I.  The check of
+a value assignment passes on a generator of degree 0 whatever its value,
+and reads a letter's value only in words that contain it.  An inert
+letter has degree 0 and occurs in no word, so the check gives one answer
+on all 2^|I| members of {s} x {0,1}^I, and the check of s with the inert
+letters at 0 is the check of each of them.  The equations mention no
+inert letter either, so they admit exactly the members of S x {0,1}^I.
+A member is s and its inert values over ``dga.generators``, 0 elsewhere,
+so it covers every generator with bits that are nonzero only in degree 0:
+``_checked_values`` passes on it by construction, and still runs on
+every augmentation handed to ``twist``.
 
 One twist per element of S.  ``twist`` builds an image only for a letter
 of value 1, and ``substitute`` looks an image up only for a letter of a
@@ -42,7 +76,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, product
+from itertools import chain, compress, groupby, product
 from operator import index as as_index, itemgetter
 from typing import (
     Callable,
@@ -254,17 +288,17 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
 
     The order reads each candidate as the tuple of its values on the
     degree-0 generators in declaration order, with 0 before 1.  Only the
-    undetermined letters that occur are brute-forced, each solution
-    verified once; the result is S x {0,1}^I as an ``Augmentations``
-    sequence (module docstring).  ``MAX_FREE_GENERATORS`` bounds every
-    undetermined degree-0 generator, inert ones included.
+    undetermined letters that occur are searched, all trials at once
+    (``_search``), and S is verified by one batched check
+    (``_verify_solutions``); the result is S x {0,1}^I as an
+    ``Augmentations`` sequence (module docstring).  ``MAX_FREE_GENERATORS``
+    bounds every undetermined degree-0 generator, inert ones included.
     """
     zero_gens = [g for g in dga.generators if dga.degree(g) == 0]
     occurring = {x for g in dga.generators for w in dga.d(g) for x in w}
     letters = [g for g in zero_gens if g in occurring]
     eqs = [_equation(dga, dga.d(g)) for g in dga.generators]
     eqs = [eq for eq in eqs if eq]
-    none = Augmentations(dga, letters, [])
 
     assigned: Dict[str, int] = {}
     # Propagate consequences that admit a single solution.
@@ -275,7 +309,7 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
             if not eq:
                 continue
             if frozenset() in eq and len(eq) == 1:
-                return none  # 1 = 0: no augmentation at all
+                return Augmentations(dga, letters, [])  # 1 = 0: no augmentation at all
             forced: List[Tuple[str, int]] = []
             if len(eq) == 1:
                 (m,) = tuple(eq)
@@ -290,7 +324,7 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
                     forced.extend((v, 1) for v in other)
             for var, value in forced:
                 if assigned.get(var, value) != value:
-                    return none
+                    return Augmentations(dga, letters, [])
                 if var not in assigned:
                     assigned[var] = value
                     _substitute_value(eqs, var, value)
@@ -304,34 +338,100 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
             " MAX_FREE_GENERATORS is %d" % (len(free), MAX_FREE_GENERATORS)
         )
 
-    # One trial assignment, updated in place, with the inert letters at 0.
-    # product runs through the unknown values in lexicographic order and the
-    # forced values are fixed, so the solutions come out sorted.
     unknown = [g for g in letters if g not in assigned]
-    trial = dict.fromkeys(dga.generators, 0)
-    trial.update(assigned)
-    solutions = []
-    for bits in product((0, 1), repeat=len(unknown)):
-        trial.update(zip(unknown, bits))
-        if any(sum(all(trial[v] for v in m) for m in eq) & 1 for eq in eqs):
-            continue
-        _verify(dga, trial)
-        solutions.append(tuple(trial[g] for g in letters))
+    solutions = _rows(_search(eqs, unknown), letters, assigned)
+    _verify_solutions(dga, letters, solutions)
     return Augmentations(dga, letters, solutions)
 
 
-def _verify(dga: DGA, values: Dict[str, int]) -> None:
+def _search(eqs: List[Set[FrozenSet[str]]], unknown: Sequence[str]) -> int:
+    """The trials that solve every equation, as a bitmask over 2^u trials.
+
+    Trial t gives unknown letter i the value of bit u-1-i of t, so trials
+    ascend in ``product`` order.  Letter i's column is the mask of trials in
+    which it is 1, a monomial is the AND of its letters' columns (all trials
+    when empty), an equation the XOR of its monomials, and a trial solves
+    the system when no equation is 1 on it (module docstring).
+    """
+    size = 1 << len(unknown)
+    full = (1 << size) - 1
+    column = {}
+    for i, g in enumerate(unknown):
+        half = size >> (i + 1)
+        # One period, half trials at 0 then half at 1, repeated by doubling.
+        col, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            col |= col << period
+            period *= 2
+        column[g] = col
+    bad = 0
+    for eq in eqs:
+        value = 0
+        for monomial in eq:
+            term = full
+            for g in monomial:
+                term &= column[g]
+            value ^= term
+        bad |= value
+    return full & ~bad
+
+
+def _rows(ok: int, letters: Sequence[str], assigned: Dict[str, int]) -> List[Tuple[int, ...]]:
+    """The solutions of the trials in ``ok``, ascending, as value tuples on
+    ``letters``.
+
+    ``product`` over each letter's choices, its assigned value or 0 then 1,
+    runs through the trials in ascending order (``_search``), so the rows
+    are its members at the set bits of ``ok``, whose binary digits, read
+    lowest first, select them in time linear in 2^u.
+    """
+    choices = [(assigned[g],) if g in assigned else (0, 1) for g in letters]
+    return list(compress(product(*choices), map("1".__eq__, bin(ok)[:1:-1])))
+
+
+def _verify_solutions(
+    dga: DGA, letters: Sequence[str], solutions: Sequence[Tuple[int, ...]]
+) -> None:
+    """Raise ``InternalConsistencyError`` if some solution is not an
+    augmentation of ``dga``, with the message of the first failing
+    generator of the first such solution in the order of ``solutions``.
+
+    A solution gives each of ``letters`` its value and every other generator
+    0.  Letter g's mask has bit s set when g is 1 in solution s.  Per
+    generator in declaration order, a nonzero mask of nonzero degree fails
+    those solutions, and so does the XOR over d(g)'s words of the AND of
+    their letters' masks, where the empty word is every solution.  This is
+    the per-solution check, read for all solutions at once (module
+    docstring), and the degree failure of a generator is named before its
+    differential's, as that check names them.
+    """
+    if not solutions:
+        return
+    every = (1 << len(solutions)) - 1
+    masks = dict.fromkeys(dga.generators, 0)
+    for g, column in zip(letters, zip(*solutions)):
+        masks[g] = int("".join(map("01".__getitem__, reversed(column))), 2)
+    first: Optional[Tuple[int, str]] = None
     for g in dga.generators:
-        if values[g] and dga.degree(g) != 0:
-            raise InternalConsistencyError(
-                "augmentation is nonzero on %s of degree %d" % (g, dga.degree(g))
-            )
-        total = 0
+        nonzero = masks[g] if dga.degree(g) != 0 else 0
+        fails = 0
         for w in dga.d(g):
-            if all(values[x] == 1 for x in w):
-                total ^= 1
-        if total:
-            raise InternalConsistencyError("augmentation fails to kill d %s" % g)
+            term = every
+            for x in w:
+                term &= masks[x]
+            fails ^= term
+        fails |= nonzero
+        if not fails:
+            continue
+        s = (fails & -fails).bit_length() - 1
+        if first is None or s < first[0]:
+            if nonzero >> s & 1:
+                message = "augmentation is nonzero on %s of degree %d" % (g, dga.degree(g))
+            else:
+                message = "augmentation fails to kill d %s" % g
+            first = (s, message)
+    if first is not None:
+        raise InternalConsistencyError(first[1])
 
 
 def _checked_values(dga: DGA, aug: Augmentation) -> Dict[str, int]:

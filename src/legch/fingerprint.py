@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import ContractError, InternalConsistencyError
 from .ainfty import CohomologyRing, HClass, build_ring, check_massey_budget, massey_higher
 from .algebra import DGA, assert_valid, mirror_dga
-from .augment import Augmentations, _verify, enumerate_augmentations
+from .augment import Augmentations, _verify_solutions, enumerate_augmentations
 from .gf2 import apply_block, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
@@ -341,9 +341,10 @@ def compare_mirror(
     - Augmentations.  A reversed word has the same product of values, and
       mirroring is an involution, so both sides have the same
       augmentations.  Kept: the mirror is validated once (``assert_valid``)
-      and each solution's first member is verified on its d, which checks
-      every member (``augment`` docstring: the mirror's words have the
-      knot's letters, so its inert letters are the knot's).
+      and every solution is verified on its d by one batched check
+      (``augment._verify_solutions``), which checks every member
+      (``augment`` docstring: the mirror's words have the knot's letters,
+      so its inert letters are the knot's).
     - Linear parts, homology and the retract (h, i, p).  Twisting commutes
       with reversal and a one-letter word is its own reversal, so the
       linearized complexes, their homology and the retract are identical.
@@ -375,8 +376,7 @@ def compare_mirror(
     knot = _fingerprint(dga, augs, massey_order, order_cap)
     mirror_side = mirror_dga(dga)
     assert_valid(mirror_side)
-    for aug in augs.firsts():
-        _verify(mirror_side, aug.as_dict())
+    _verify_solutions(mirror_side, augs.letters, augs.solutions)
     mirror = _opposite(knot)
     if knot == mirror:
         return MirrorReport(

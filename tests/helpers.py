@@ -11,14 +11,16 @@ sum, the word-by-word Leibniz and window expansions, the word-by-word
 window matrix with its d d = 0, the sliced count of the window matrix,
 the word-by-word perturbation series, the whole-field multiset witness
 and the two-sided mirror comparison, the per-augmentation ``report`` and
-fingerprint loops, and the brute force over every degree-0 letter with
-its grouping by twist are kept here as the references that the library's
-product table, its minimal-model Massey walk, its transferred p_3
-blocks, its support-only Massey table, its table-driven composition sum,
-its pair checks, its window matrix and relation-based d d = 0, its
-closed-form entry count, its minimal-model order-n engine, its mirror
-witness, its one-sided mirror comparison, its one ring per distinct
-twist and its S x {0,1}^I enumeration are compared against.
+fingerprint loops, the brute force over every degree-0 letter with its
+grouping by twist and its check of one solution at a time, and the
+letter-by-letter ``pmul`` substitution are kept here as the references
+that the library's product table, its minimal-model Massey walk, its
+transferred p_3 blocks, its support-only Massey table, its table-driven
+composition sum, its pair checks, its window matrix and relation-based
+d d = 0, its closed-form entry count, its minimal-model order-n engine,
+its mirror witness, its one-sided mirror comparison, its one ring per
+distinct twist, its S x {0,1}^I enumeration with its batched check of S,
+and its word-at-once substitution are compared against.
 """
 
 import random
@@ -44,12 +46,15 @@ from legch.ainfty import (
 )
 from legch.algebra import (
     DGA,
+    ONE,
     ElementaryIso,
+    Poly,
     apply_elementary_iso,
     assert_valid,
     canon_degree,
     iso_expansion_terms,
     mirror_dga,
+    pmul,
     stabilize,
 )
 from legch.augment import (
@@ -58,7 +63,6 @@ from legch.augment import (
     _checked_values,
     _equation,
     _substitute_value,
-    _verify,
     enumerate_augmentations,
 )
 from legch.families import cupex, masseyex, trefoil
@@ -939,6 +943,48 @@ def per_tuple_composition_sum(m, f, degree_of, entry_degree, n, min_blocks, tota
                         total[args] = cur
                     else:
                         total.pop(args, None)
+
+
+def _verify(dga: DGA, values: Dict[str, int]) -> None:
+    """Reference ``augment._verify_solutions``: the check of one value
+    assignment, generator by generator in declaration order."""
+    for g in dga.generators:
+        if values[g] and dga.degree(g) != 0:
+            raise InternalConsistencyError(
+                "augmentation is nonzero on %s of degree %d" % (g, dga.degree(g))
+            )
+        total = 0
+        for w in dga.d(g):
+            if all(values[x] == 1 for x in w):
+                total ^= 1
+        if total:
+            raise InternalConsistencyError("augmentation fails to kill d %s" % g)
+
+
+def first_failure_one_by_one(dga: DGA, letters, solutions) -> Optional[Tuple[int, str]]:
+    """Reference ``augment._verify_solutions``: the index of the first
+    solution, in order, that ``_verify`` refuses (every generator outside
+    ``letters`` at 0) and the message it raises; None when it refuses none."""
+    for s, solution in enumerate(solutions):
+        values = dict.fromkeys(dga.generators, 0)
+        values.update(zip(letters, solution))
+        try:
+            _verify(dga, values)
+        except InternalConsistencyError as exc:
+            return s, str(exc)
+    return None
+
+
+def substitute_by_pmul(p: Poly, images: Dict[str, Poly]) -> Poly:
+    """Reference ``algebra.substitute``: each word's image as a chain of
+    ``pmul`` products, one per letter, reduced after every letter."""
+    out = set()
+    for w in p:
+        acc = ONE
+        for g in w:
+            acc = pmul(acc, images.get(g, frozenset({(g,)})))
+        out.symmetric_difference_update(acc)
+    return frozenset(out)
 
 
 def brute_force_augmentations(dga: DGA) -> List[Augmentation]:

@@ -1,6 +1,8 @@
 """Tensor algebra, differentials, validation, and the safe moves."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from legch import ContractError
 from legch.algebra import (
     DGA,
+    MAX_ISO_TERMS,
     ONE,
     ZERO,
     ElementaryIso,
@@ -17,6 +20,7 @@ from legch.algebra import (
     component_k,
     dga_key,
     diff_poly,
+    iso_expansion_terms,
     leibniz,
     mirror_dga,
     padd,
@@ -26,7 +30,17 @@ from legch.algebra import (
     substitute,
     validate_dga,
 )
-from helpers import poly, random_dga
+from legch.augment import enumerate_augmentations
+from legch.cli import main
+from legch.families import bundled_examples
+from helpers import (
+    mirror_bases,
+    poly,
+    random_dga,
+    random_dgas,
+    random_elementary_iso,
+    substitute_by_pmul,
+)
 
 
 def test_canon_degree_zero_modulus_is_identity():
@@ -169,6 +183,59 @@ def test_substitute_replaces_letters_multiplicatively():
     p = poly(("a", "a"))
     image = {"a": poly(("a",), ("b",))}
     assert substitute(p, image) == poly(("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_substitute_equals_the_pmul_chain_on_twists_and_isomorphisms():
+    """Every solution's twist of the bases and of random DGAs, and random
+    elementary isomorphisms, against the letter-by-letter ``pmul`` chain."""
+    draws = random_dgas(20261018, 30)
+    cases = []
+    for dga in [d for _, d in bundled_examples()] + mirror_bases() + draws:
+        for aug in enumerate_augmentations(dga).firsts():
+            images = {g: frozenset({(g,), ()}) for g in dga.generators if aug(g)}
+            cases += [(dga.d(g), images) for g in dga.generators]
+    rng = random.Random(20261019)
+    for dga in draws:
+        iso = random_elementary_iso(rng, dga)
+        if iso is None or iso_expansion_terms(dga, iso) > MAX_ISO_TERMS:
+            continue
+        images = {iso.target: frozenset({(iso.target,)}) ^ iso.shift}
+        cases += [(dga.d(g), images) for g in dga.generators]
+        cases.append((dga.d(iso.target) ^ diff_poly(dga, iso.shift), images))
+    assert sum(1 for p, images in cases if p and images) > 100
+    for p, images in cases:
+        assert substitute(p, images) == substitute_by_pmul(p, images)
+    # a repeated letter whose image repeats terms: b b -> (b + 1)(b + 1)
+    twice = poly(("b", "b"), ("c", "b"))
+    images = {"b": poly(("b",), ())}
+    assert substitute(twice, images) == substitute_by_pmul(twice, images)
+    assert substitute(twice, images) == poly(("b", "b"), ("c", "b"), ("c",), ())
+
+
+def test_substitute_cancels_a_repeated_letter_before_it_multiplies(capsys, tmp_path):
+    """b^k under the twist b -> b + 1 is the sum of b^j over the odd
+    binomials C(k, j), and cancelling after every letter keeps at most
+    k + 1 terms.  Expanding all 2^k products first builds 65,536 words at
+    k = 16, which the memory bound catches before the twist at k = 24,
+    2^24 words that way, is tried end to end."""
+    images = {"b": poly(("b",), ())}
+    word = poly(("b",) * 16)
+    tracemalloc.start()
+    try:
+        got = substitute(word, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == substitute_by_pmul(word, images) == poly(("b",) * 16, ())
+    assert peak < 1 << 18
+    path = tmp_path / "b24.dga"
+    path.write_text("modulus 0\ngen b 0\ngen a 1\nd a = %s + 1\n" % " ".join(["b"] * 24))
+    start = time.perf_counter()
+    assert main(["linhom", str(path)]) == 0
+    assert time.perf_counter() - start < 5
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "augmentation: b -> 1" and "cohomology.total: 2" in rows
 
 
 def test_elementary_iso_checks_degree_and_target():

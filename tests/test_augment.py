@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legch import ContractError, augment
+from legch import ContractError, InternalConsistencyError, augment
 from legch.algebra import (
     DGA,
     ElementaryIso,
@@ -26,6 +26,7 @@ from legch.augment import (
 from legch.families import bundled_examples, trefoil
 from helpers import (
     assert_matches_brute_force,
+    first_failure_one_by_one,
     mirror_bases,
     poly,
     random_dga,
@@ -94,12 +95,13 @@ def test_brute_force_admits_exactly_the_named_budget(monkeypatch):
     runs over the occurring ones only."""
     tried = []
 
-    def no_assignments(values, repeat):
-        tried.append(repeat)
-        return iter(())
+    def no_trials(eqs, unknown):
+        tried.append(len(unknown))
+        return 0
 
-    # The cap is checked before the 2^k loop, so the loop is stubbed out.
-    monkeypatch.setattr(augment, "product", no_assignments)
+    # The cap is checked before the search over 2^k trials, so the search
+    # is stubbed out: it admits no trial.
+    monkeypatch.setattr(augment, "_search", no_trials)
     budget = "MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS
     for occurring in (MAX_FREE_GENERATORS, 10, 2, 0):
         inert = MAX_FREE_GENERATORS - occurring
@@ -127,11 +129,78 @@ def test_enumeration_equals_the_brute_force_on_stabilized_examples():
             dga = stabilize(dga, 0)
 
 
+def _path_dga(k):
+    """Degree-0 letters b0..b(k-1) on a path: d a_i = b_i b_(i+1)."""
+    bs = tuple("b%d" % i for i in range(k))
+    aes = tuple("a%d" % i for i in range(k - 1))
+    degrees = dict(dict.fromkeys(bs, 0), **dict.fromkeys(aes, 1))
+    diff = {a: poly((bs[i], bs[i + 1])) for i, a in enumerate(aes)}
+    return DGA(0, aes + bs, degrees, diff)
+
+
 def test_enumeration_equals_the_brute_force_on_free_generators_and_random_dgas():
     for k in range(13):
         assert_matches_brute_force(_free_zero_dga(k))
+    # No two neighbours at 1: the Fibonacci numbers F(k+2).
+    fibonacci = [0, 1]
+    for k in range(13):
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        assert_matches_brute_force(_path_dga(k))
+        assert len(enumerate_augmentations(_path_dga(k))) == fibonacci[k + 2]
+    # b b + b vanishes on both values of b (x^2 = x): no equation, b free.
+    repeated = DGA(0, ("b", "a"), {"b": 0, "a": 1}, {"a": poly(("b", "b"), ("b",))})
+    assert_matches_brute_force(repeated)
+    assert enumerate_augmentations(repeated).solutions == [(0,), (1,)]
     for dga in random_dgas(20261018, 30):
         assert_matches_brute_force(dga)
+
+
+def _flipped(solutions, s, j):
+    row = list(solutions[s])
+    row[j] ^= 1
+    return solutions[:s] + [tuple(row)] + solutions[s + 1 :]
+
+
+def _batched_failure(dga, letters, solutions):
+    """The message ``_verify_solutions`` raises, None when it passes."""
+    try:
+        augment._verify_solutions(dga, letters, solutions)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def test_batched_check_names_the_first_failure_of_the_one_by_one_check():
+    """Corrupt one value of the first, a middle or the last solution; both
+    checks name the same solution and message, and pass the uncorrupted
+    list.  The batched check names the solution by passing every solution
+    before it and failing once it is added.  Over every generator a value
+    on a nonzero degree is corrupted too; trefoil's d a1 = 1 + .. has a
+    constant term."""
+    draws = [d for d in random_dgas(20261018, 30) if len(enumerate_augmentations(d).solutions) >= 3]
+    for dga in [trefoil()] + draws[:2]:
+        augs = enumerate_augmentations(dga)
+        cases = [
+            (augs.letters, augs.solutions),
+            (dga.generators, [tuple(v for _, v in aug.values) for aug in augs]),
+        ]
+        for letters, solutions in cases:
+            assert _batched_failure(dga, letters, solutions) is None
+            assert first_failure_one_by_one(dga, letters, solutions) is None
+            failures = 0
+            for s in sorted({0, len(solutions) // 2, len(solutions) - 1}):
+                for j in range(len(letters)):
+                    bad = _flipped(solutions, s, j)
+                    want = first_failure_one_by_one(dga, letters, bad)
+                    if want is None:
+                        assert _batched_failure(dga, letters, bad) is None, (s, letters[j])
+                        continue
+                    failures += 1
+                    first, message = want
+                    assert _batched_failure(dga, letters, bad[:first]) is None, (s, letters[j])
+                    assert _batched_failure(dga, letters, bad[: first + 1]) == message
+                    assert _batched_failure(dga, letters, bad) == message, (s, letters[j])
+            assert failures
 
 
 def test_enumeration_interleaves_inert_letters_between_occurring_and_forced_ones():
