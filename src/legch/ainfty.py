@@ -26,7 +26,7 @@ from itertools import product as iproduct
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .algebra import DGA, canon_degree
+from .algebra import DGA, assert_valid, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import apply_block, bits, in_span, span_basis
 from .linear import HomologyData, _retract, linearized_complexes, vector_label
@@ -257,8 +257,21 @@ def adjoint_structure(twisted: DGA) -> AInftyStructure:
     m_k(x_1..x_k) is the sum of the generators whose twisted differential
     contains the word x_1..x_k.  Every word must have degree |g| - 1, so that
     m_k has degree +1, and the relations must hold up to the arity bound (the
-    longest word occurring); either failure is an internal error.
+    longest word occurring); either failure is an internal error.  A twisted
+    DGA from a caller carries no proof of the relations, so they are checked
+    here; ``build_ring`` dualizes its own twist unchecked (proof in its
+    docstring).
     """
+    structure = _dualize(twisted)
+    report = check_an_relations(structure, structure.arity)
+    if not report.ok:
+        raise InternalConsistencyError(report.detail)
+    return structure
+
+
+def _dualize(twisted: DGA) -> AInftyStructure:
+    """The tables of ``adjoint_structure``, with each word's degree checked
+    and the relations not."""
     basis, pos = _basis_by_degree(twisted)
     modulus, degrees = twisted.modulus, twisted.degrees
     arity = 1
@@ -275,11 +288,7 @@ def adjoint_structure(twisted: DGA) -> AInftyStructure:
             arity = max(arity, len(w))
             table = tables.setdefault(len(w), {})
             table[w] = table.get(w, 0) ^ (1 << pos[g])
-    structure = AInftyStructure(twisted.modulus, basis, arity, tables)
-    report = check_an_relations(structure, arity)
-    if not report.ok:
-        raise InternalConsistencyError(report.detail)
-    return structure
+    return AInftyStructure(twisted.modulus, basis, arity, tables)
 
 
 def _toggle(total: Dict[Tuple[str, ...], int], args: Tuple[str, ...], vec: int) -> None:
@@ -405,13 +414,10 @@ def _relation_terms(s: AInftyStructure, up_to: int) -> int:
     return total
 
 
-def check_an_relations(s: AInftyStructure, up_to: int) -> CheckReport:
-    """Verify sum over i+j+k=l of m_{i+1+k}(1 x m_j x 1) = 0 for l <= up_to.
-
-    More than ``MAX_RELATION_TERMS`` terms are refused before any is toggled;
-    they are counted only past the bound sum r |m_r| |m_{l+1-r}| (an m_j
-    entry hits each label of an arity-r key at most once).
-    """
+def _check_relation_budget(s: AInftyStructure, up_to: int) -> None:
+    """Refuse a relation check up to ``up_to`` of more than ``MAX_RELATION_TERMS``
+    terms.  They are counted only past the bound sum r |m_r| |m_{l+1-r}| (an
+    m_j entry hits each label of an arity-r key at most once)."""
     size = {k: len(t) for k, t in s.tables.items()}
     pairs = [(r, l + 1 - r) for l in range(1, up_to + 1) for r in range(1, l + 1)]
     if sum(r * size.get(r, 0) * size.get(j, 0) for r, j in pairs) > MAX_RELATION_TERMS:
@@ -421,6 +427,15 @@ def check_an_relations(s: AInftyStructure, up_to: int) -> CheckReport:
                 "the A-infinity relations up to arity %d take %d terms, over the budget"
                 " MAX_RELATION_TERMS = %d" % (up_to, terms, MAX_RELATION_TERMS)
             )
+
+
+def check_an_relations(s: AInftyStructure, up_to: int) -> CheckReport:
+    """Verify sum over i+j+k=l of m_{i+1+k}(1 x m_j x 1) = 0 for l <= up_to.
+
+    More than ``MAX_RELATION_TERMS`` terms are refused before any is toggled
+    (``_check_relation_budget``).
+    """
+    _check_relation_budget(s, up_to)
     for l in range(1, up_to + 1):
         total: Dict[Tuple[str, ...], int] = {}
         _insertion_sum(s.tables, s, l, total)
@@ -531,8 +546,9 @@ class ProductTable:
     i x_i of the basis classes; per degree pair (a, b) a ``PairBlock``
     (``class_of`` runs on every entry, so a product that is not closed is
     rejected); the ring's one transfer ``minimal``, which checks its mu_2
-    against those pair blocks; and the triple blocks, the transfer's chain
-    table p_3 grouped by degree triple:
+    against those pair blocks and verifies a retract h from a caller; and
+    the triple blocks, the transfer's chain table p_3 grouped by degree
+    triple:
 
         p_3(x_i, y_j, z_k) = m_3(i x_i, i y_j, i z_k) + m_2(i x_i, i_2(y_j, z_k))
                              + m_2(i_2(x_i, y_j), i z_k),   i_2 = h m_2.
@@ -580,6 +596,9 @@ class ProductTable:
     def __init__(self, h: HomologyData, s: AInftyStructure):
         self.h = h
         self.s = s
+        # Set by ``CohomologyRing.products``: h is the ring's own retract,
+        # which ``linear._retract`` builds as one, so no transfer verifies it.
+        self.retract_proved = False
         self._bases: Dict[int, Tuple[int, List[int]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
         self._cuts: Dict[int, Tuple[AInftyStructure, AInftyMorphism]] = {}  # by arity
@@ -689,29 +708,33 @@ class ProductTable:
                     return True, True
         return defined, False
 
+    def massey(self, x: HClass, y: HClass, z: HClass) -> MasseyResult:
+        """<x, y, z>: undefined with a witness unless x y = y z = 0, else its
+        value class and the indeterminacy x H + H z."""
+        for which, (u, v) in (("first", (x, y)), ("second", (y, z))):
+            product = self.cup(u, v)
+            if product.coords:
+                return MasseyResult(
+                    "undefined",
+                    witness="%s pair has nonzero product %s"
+                    % (which, self.h.label(product.degree, product.coords)),
+                )
+        value = self.value(x, y, z)
+        return MasseyResult(
+            "defined",
+            degree=value.degree,
+            value=value.coords,
+            indeterminacy=self.indeterminacy(x, z, value.degree),
+            systems=1,
+        )
+
 
 def massey_triple(
     h: HomologyData, s: AInftyStructure, x: HClass, y: HClass, z: HClass
 ) -> MasseyResult:
     """Triple Massey product with explicit definedness check and indeterminacy,
-    read off a ``ProductTable`` over (h, s)."""
-    table = ProductTable(h, s)
-    for which, (u, v) in (("first", (x, y)), ("second", (y, z))):
-        product = table.cup(u, v)
-        if product.coords:
-            return MasseyResult(
-                "undefined",
-                witness="%s pair has nonzero product %s"
-                % (which, h.label(product.degree, product.coords)),
-            )
-    value = table.value(x, y, z)
-    return MasseyResult(
-        "defined",
-        degree=value.degree,
-        value=value.coords,
-        indeterminacy=table.indeterminacy(x, z, value.degree),
-        systems=1,
-    )
+    read off a new ``ProductTable`` over (h, s), whose transfer verifies h."""
+    return ProductTable(h, s).massey(x, y, z)
 
 
 def check_massey_budget(h: HomologyData, tuples: Iterable[Tuple[Sequence[int], int]]) -> None:
@@ -906,7 +929,10 @@ def transfer_minimal_model(
     the inclusion's ``p3``, for the triple blocks of ``ProductTable``.  mu_2
     is checked against the cup product: the class rows of the pair blocks
     of ``products``, a ``ProductTable`` over h and s (built here if none is
-    given).  Arities above ``MAX_ARITY`` are refused before any work.
+    given).  Arities above ``MAX_ARITY`` are refused before any work.  The
+    five retract identities are verified on h (``_verify_retract``) unless
+    ``products`` is the ring's own table over h (``CohomologyRing.products``),
+    whose retract ``linear._retract`` builds as one (proof there).
     """
     if up_to < 2:
         raise ContractError("transfer needs arity at least 2")
@@ -914,7 +940,10 @@ def transfer_minimal_model(
         raise ContractError(
             "transfer arity %d exceeds the budget MAX_ARITY = %d" % (up_to, MAX_ARITY)
         )
-    _verify_retract(h)
+    if products is None:
+        products = ProductTable(h, s)
+    if not (products.retract_proved and products.h is h):
+        _verify_retract(h)
 
     hbasis: Dict[int, Tuple[str, ...]] = {}
     class_list: List[Tuple[int, int, str]] = []  # (degree, index, label)
@@ -961,8 +990,6 @@ def transfer_minimal_model(
 
     mu = AInftyStructure(h.modulus, hbasis, up_to, mu_tables)
 
-    if products is None:
-        products = ProductTable(h, s)
     for (a, i, lx), (b, j, ly) in iproduct(class_list, class_list):
         if mu.entry((lx, ly)) != products.pair(a, b).coords[i][j]:
             raise InternalConsistencyError(
@@ -979,7 +1006,12 @@ class CohomologyRing:
     the cohomology's product table, which holds the minimal model, built on
     first use.  It holds no augmentation: the ring depends on one only
     through the twist, so the members of one solution share it
-    (``augment.per_twist``)."""
+    (``augment.per_twist``).  A ring from ``build_ring`` is proved, not
+    checked: its structure satisfies the A-infinity relations at every arity
+    (``build_ring``) and both homologies are strong deformation retracts
+    (``linear._retract``).  A ring assembled by hand carries no such proof;
+    the checks that stay (the window relations, the pair check, the
+    transfer's mu_2 and ``checked_minimal``) run on it as on any other."""
 
     dga: DGA
     twisted: DGA
@@ -993,8 +1025,11 @@ class CohomologyRing:
 
     @cached_property
     def products(self) -> ProductTable:
-        """The cohomology product table; its blocks fill as readers ask for them."""
-        return ProductTable(self.cochain, self.structure)
+        """The cohomology product table; its blocks fill as readers ask for them.
+        Its retract is the ring's own, so its transfer skips ``_verify_retract``."""
+        table = ProductTable(self.cochain, self.structure)
+        table.retract_proved = True
+        return table
 
     def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
         """The minimal model to the given arity, from the product table's cached transfer."""
@@ -1014,9 +1049,41 @@ class CohomologyRing:
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
     """Twist once into the adjoint structure, and take homology of m_1 both ways.
 
-    ``adjoint_structure`` checks m_1 m_1 = 0 as relation l = 1, so both maps
-    go to ``linear._retract`` unsquared (the proof is in its docstring)."""
+    ``dga`` is validated first (``assert_valid``, a memo hit for a DGA that
+    was loaded), so an invalid DGA is a ``ContractError`` before anything is
+    twisted.  The twist is then dualized with no relation check, because
+    the relations hold at every arity.  Over GF(2):
+
+    * phi(g) = g + eps(g) extends to an algebra map with phi phi = id, and
+      ``twist`` computes d^eps = phi d phi^-1: it substitutes q -> q + eps(q)
+      into each d(g), and phi(d(phi^-1 g)) = phi(d g) since d(1) = 0.  So
+      (d^eps)^2 = phi d^2 phi^-1.
+    * d^2 is a derivation in characteristic 2 (the cross terms of d(d(xy))
+      come in equal pairs), so ``validate_dga``'s d(d g) = 0 on every
+      generator gives d^2 = 0 on every word, and (d^eps)^2 = 0.
+    * ``twist`` refuses a constant term, so every word of d^eps(g) has
+      length >= 1 and is a key of some m_k.
+    * d^eps is a derivation, so the coefficient of x_1..x_l in
+      (d^eps)^2(g) counts the words w = y.u.z of d^eps(g), u a generator,
+      and words t of d^eps(u) with y.t.z = x_1..x_l.  Such a pair is one
+      term of the arity-l relation sum m_(i+1+k)(1 x m_j x 1) at
+      (x_1..x_l), read at g: t in m_j, w in m_(i+1+k), with i = |y|,
+      j = |t| and k = |z|.  Every term of that sum is one such pair, and
+      since |t| >= 1 every pair is such a term, so the two counts agree,
+      and both are 0.
+
+    So the relations hold at every arity, also above the arity that
+    ``adjoint_structure`` checks, and m_1 m_1 = 0 is the case l = 1, which
+    ``linear._retract`` needs of both maps (its docstring).  ``_dualize``
+    still checks each word's degree, and ``twist`` the constant terms.  The
+    budget of the check stays: a structure whose relations up to its arity
+    would take more than ``MAX_RELATION_TERMS`` terms is refused, so the
+    rings admitted are the ones the check admitted, and their size bounds
+    the window checks and composition sums that later layers run on them.
+    """
+    assert_valid(dga)
     twisted = twist(dga, aug)
-    s = adjoint_structure(twisted)
+    s = _dualize(twisted)
+    _check_relation_budget(s, s.arity)
     chain_map, cochain_map = linearized_complexes(s)
     return CohomologyRing(dga, twisted, s, _retract(chain_map), _retract(cochain_map))

@@ -64,11 +64,12 @@ One twist per element of S.  ``twist`` builds an image only for a letter
 of value 1, and ``substitute`` looks an image up only for a letter of a
 word, so an inert letter changes nothing: the members of {s} x {0,1}^I
 have one twisted DGA.  Apart from the twist, ``build_ring`` reads only the
-DGA, so their rings are equal, and the relation, retract, mu_2/pair,
-transpose and window checks run on one ring are the checks each member
-would have run.  The mirror has the same letters in its words, so S and I
-serve it too.  ``per_twist`` runs a per-augmentation computation once per
-element of S.
+DGA, so their rings are equal.  The relations and the retracts hold on one
+ring by proof (``build_ring``, ``linear._retract``) exactly when they hold
+on each member's, and the mu_2/pair, transpose and window checks run on
+one ring are the checks each member would have run.  The mirror has the
+same letters in its words, so S and I serve it too.  ``per_twist`` runs a
+per-augmentation computation once per element of S.
 """
 
 from __future__ import annotations

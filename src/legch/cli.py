@@ -38,7 +38,6 @@ from .ainfty import (
     check_ainfty_morphism,
     check_massey_budget,
     massey_higher,
-    massey_triple,
 )
 from .algebra import DGA, assert_valid, mirror_dga, validate_dga
 from .augment import Augmentation, Augmentations, enumerate_augmentations, per_twist
@@ -219,7 +218,7 @@ def cmd_massey(ring: CohomologyRing, args) -> Rows:
     if len(classes) < 3:
         raise ContractError("Massey products need at least 3 classes")
     if len(classes) == 3:
-        result = massey_triple(h, ring.structure, *classes)
+        result = ring.products.massey(*classes)
     else:
         check_massey_budget(h, [([c.degree for c in classes], 1)])
         result = massey_higher(ring.checked_minimal(len(classes))[0], classes)

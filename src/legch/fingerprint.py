@@ -185,11 +185,13 @@ def order_dim_table(
     Dimensions do not depend on the engine, so this always takes the
     perturbation engine, the window complex of the ring's minimal model.
     The adjoint structure's window d d = 0 it skips, its A-infinity
-    relations up to arity n, follows from the checks it keeps:
-    ``assert_valid`` (once per content), the pair check (one comparison per
-    ring, at every term length, serves every n), the transfer's retract and
-    mu_2 checks (one transfer per ring, its cuts kept), and the minimal
-    model's relations up to arity n.
+    relations up to arity n, holds at every arity on a ring from
+    ``build_ring``, which proves it from ``assert_valid`` (once per
+    content).  The checks it keeps: the pair check (one comparison per
+    ring, at every term length, serves every n), the transfer's mu_2 check
+    (one transfer per ring, its cuts kept, on the ring's own retract, which
+    ``linear._retract`` proves), and the minimal model's relations up to
+    arity n.
     """
     table: Dict[Tuple[int, int], int] = {}
     for n in range(1, order_cap + 1):

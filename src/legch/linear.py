@@ -108,8 +108,9 @@ def linearized_complexes(s) -> Tuple[GradedMatrixMap, GradedMatrixMap]:
     m_1(x), the sum of the generators whose twisted differential has the
     linear term x.  The chain map (degree -1) is its transpose, degree by
     degree, on the same labels and degrees: the linear part of the twisted
-    differential itself.  Neither is squared here: for a structure that
-    ``adjoint_structure`` checked, both square to zero (see ``_retract``).
+    differential itself.  Neither is squared here: for a structure from
+    ``build_ring`` or ``adjoint_structure``, both square to zero (see
+    ``_retract``).
     """
     cochain_cols = {k: [s.entry((g,)) for g in names] for k, names in s.basis.items()}
     chain_cols = {
@@ -246,9 +247,10 @@ def _retract(m: GradedMatrixMap) -> HomologyData:
     directly:
 
     * The cochain map of ``linearized_complexes(s)`` is m_1 of ``s``, its
-      column for g read straight off ``s.entry((g,))``.  Relation l = 1 of
-      ``check_an_relations``, which ``adjoint_structure`` runs, is
-      m_1 m_1 = 0 on that map (``build_ring``).
+      column for g read straight off ``s.entry((g,))``, and m_1 m_1 = 0 is
+      relation l = 1.  ``build_ring`` proves the relations of its structure
+      from d d = 0 on the validated DGA (its docstring); the public
+      ``adjoint_structure`` checks them.
     * The chain map is its transpose, degree by degree, so each chain
       composite d_(k-1) d_k is the transpose of the cochain composite
       d_(k-1) d_(k-2), and (B A)^T = A^T B^T = 0 (``build_ring``).
@@ -257,6 +259,31 @@ def _retract(m: GradedMatrixMap) -> HomologyData:
       of the ``legch.tilde`` docstring shows that this is d d = 0 on words
       of length <= n (``OrderNCohomology.data``,
       ``TildeChainMap.induced_ranks``).
+
+    Why the result is a strong deformation retract, so that no caller
+    verifies the ring's own (``ainfty.transfer_minimal_model``).  In degree
+    k, elimination of the columns of d_k yields a basis ``dead`` of its
+    kernel Z_k, and pivot pairs (residue, combo) with d(combo) = residue:
+    the combos W_k (``wvecs``) and their images, which span the boundaries
+    in degree k + shift, aligned.  Write B_k for the aligned images of
+    W_(k - shift) (``bnd``), so d(W_(k - shift)[j]) = B_k[j], and R_k for the
+    representatives, the ``dead`` vectors that extend B_k to a basis of
+    Z_k + B_k.  Then |R_k| + |B_k| = dim(Z_k + B_k) and |W_k| = n - dim Z_k,
+    so the decomposition R_k + B_k + W_k has n vectors exactly when
+    B_k lies in Z_k, which is m m = 0 into degree k; the size check raises
+    otherwise.  With B_k in Z_k, R_k + B_k is a basis of Z_k, and no nonzero
+    sum of W_k is a cycle (its image is a nonzero sum of independent
+    residues), so R_k + B_k + W_k is a basis of degree k (``invert`` raises
+    if not).  In its coordinates (r, b, c), p v = r, i e_a = R_k[a] and
+    h v = sum b_j W_(k - shift)[j] (``_hvecs``).  So p i = id and h i = 0
+    (R_k[a] has coordinates (e_a, 0, 0)); h h = 0 and p h = 0 (h v is a sum
+    of W_(k - shift), coordinates (0, 0, c) in its degree).  d h + h d =
+    id + i p on each basis vector: on R_k[a] both sides are 0, as
+    d R_k[a] = 0, h R_k[a] = 0 and i p R_k[a] = R_k[a]; on B_k[j] the left
+    is d W_(k - shift)[j] = B_k[j] (d B_k[j] = 0, as B_k lies in Z_k) and
+    p B_k[j] = 0; on W_k[l] it is h(d W_k[l]) = h(B_(k + shift)[l]) = W_k[l]
+    (h W_k[l] = 0) and p W_k[l] = 0.  Both sides are linear, so the
+    identity holds on all of degree k.
     """
     kernel: Dict[int, List[int]] = {}
     wvecs: Dict[int, List[int]] = {}  # complement of the kernel in degree k

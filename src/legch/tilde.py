@@ -102,8 +102,9 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   Huebschmann-Kadeishvili 1991; Markl 2006, Transferring A-infinity
   structures).  So the perturbation engine is the window matrix of
   ``ring.minimal(max(n, 2))``; its d d = 0 is the minimal model's
-  A-infinity relations up to arity n (Square zero), and every transfer
-  verifies its retract and its mu_2 against the cup product.
+  A-infinity relations up to arity n (Square zero).  The transfer checks
+  its mu_2 against the cup product; (i, p, h) is the ring's own retract,
+  a strong deformation retract by construction (``linear._retract``).
 * Square zero.  The window differential only shortens words, so nothing
   is truncated.  A term of d d(w) applies a window W1 of w, then a window
   of the result.  If that second window misses W1's output letter, it is
@@ -116,9 +117,11 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   0 on words of length <= n exactly when R_l = 0 for every l <= n.
   ``_window_matrix``, behind both engines and ``tilde_complex`` (so also
   ``tilde_of_morphism``), decides that on the tables with
-  ``check_an_relations(s, n)``, also above the arity ``build_ring`` checks.
-  That is the only d d = 0 check on a window matrix: ``linear._retract``
-  reduces it without squaring it again.
+  ``check_an_relations(s, n)``.  The adjoint structure of a ring from
+  ``build_ring`` satisfies the relations at every arity (proof there);
+  the check stays for every structure handed in, the minimal model and a
+  ring assembled by hand among them.  That is the only d d = 0 check on a
+  window matrix: ``linear._retract`` reduces it without squaring it again.
 """
 
 from __future__ import annotations
@@ -519,7 +522,7 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     minimal model ``ring.minimal(max(n, 2))`` and builds its window matrix
     (Perturbation, in the module docstring).
     Either asserts d d = 0 through its structure's A-infinity relations up
-    to arity n (Square zero), also above the arity ``build_ring`` checks.
+    to arity n (Square zero).
     The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
     Dimensions come from ranks (``GradedMatrixMap.homology_dims``), with no
     retract and no word labels.  Each DGA's contents are validated once per

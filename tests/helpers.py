@@ -10,7 +10,8 @@ builder, the visit-every-triple Massey table, the per-tuple composition
 sum, the word-by-word Leibniz and window expansions, the word-by-word
 window matrix with its d d = 0, the sliced count of the window matrix,
 the word-by-word perturbation series, the whole-field multiset witness
-and the two-sided mirror comparison, the per-augmentation ``report`` and
+and the two-sided mirror comparison, the five retract identities on
+every basis vector, the per-augmentation ``report`` and
 fingerprint loops, the brute force over every degree-0 letter with its
 grouping by twist and its check of one solution at a time, and the
 letter-by-letter ``pmul`` substitution are kept here as the references
@@ -18,7 +19,8 @@ that the library's product table, its minimal-model Massey walk, its
 transferred p_3 blocks, its support-only Massey table, its table-driven
 composition sum, its pair checks, its window matrix and relation-based
 d d = 0, its closed-form entry count, its minimal-model order-n engine,
-its mirror witness, its one-sided mirror comparison, its one ring per
+its mirror witness, its one-sided mirror comparison, its proof that
+its own retracts are strong deformation retracts, its one ring per
 distinct twist, its S x {0,1}^I enumeration with its batched check of S,
 and its word-at-once substitution are compared against.
 """
@@ -65,7 +67,7 @@ from legch.augment import (
     _substitute_value,
     enumerate_augmentations,
 )
-from legch.families import cupex, masseyex, trefoil
+from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fileio import parse_dga
 from legch.fingerprint import (
     DEFAULT_MASSEY_ORDER,
@@ -517,14 +519,20 @@ def flip_table_bit(ring, rng: random.Random):
     out = s.basis.get(s.out_degree(args), ())
     if not out:
         return None
-    g = rng.randrange(len(out))
+    return toggle_entry(ring, args, out[rng.randrange(len(out))])
+
+
+def toggle_entry(ring, args: Tuple[str, ...], g: str):
+    """``ring`` with generator g added to or removed from m_|args|(args), in
+    the structure and, as the word args of d(g), in the twist alike."""
+    s = ring.structure
     tables = {j: dict(t) for j, t in s.tables.items()}
     table = tables.setdefault(len(args), {})
-    table[args] = table.get(args, 0) ^ (1 << g)
+    table[args] = table.get(args, 0) ^ (1 << s.names(s.degree_of[g]).index(g))
     structure = AInftyStructure(s.modulus, s.basis, max(s.arity, len(args)), tables)
     twisted = ring.twisted
     diff = {h: twisted.d(h) for h in twisted.generators}
-    diff[out[g]] = diff[out[g]] ^ {args}
+    diff[g] = diff[g] ^ {args}
     return replace(ring, twisted=twisted.replace_diff(diff), structure=structure)
 
 
@@ -899,6 +907,36 @@ def oracle_rings():
         for side in (dga, mirror_dga(dga)):
             for aug in enumerate_augmentations(side):
                 yield build_ring(side, aug)
+
+
+def proved_rings():
+    """Rings of every solution of the bundled examples, both sides, and of the
+    suite's random draws: the rings whose relations and retracts
+    ``build_ring`` and ``linear._retract`` prove instead of checking."""
+    bundled = [dga for _, dga in bundled_examples()]
+    for dga in [side for d in bundled for side in (d, mirror_dga(d))] + random_dgas(20261018, 30):
+        for aug in enumerate_augmentations(dga).firsts():
+            yield build_ring(dga, aug)
+
+
+def assert_retract_identities(h) -> None:
+    """The strong deformation retract laws on every basis vector: closed
+    representatives, p i = id, h i = 0, d h + h d = id + i p, h h = 0, p h = 0."""
+    m = h.differential
+    for k in m.basis:
+        for a in range(h.dim(k)):
+            v = h.include(k, 1 << a)
+            assert m.apply(k, v) == 0, ("representative not closed", k, a)
+            assert h.project(k, v) == 1 << a, ("p i != id", k, a)
+            assert h.homotopy(k, v) == 0, ("h i != 0", k, a)
+        back, up = h.canon(k - m.shift), h.canon(k + m.shift)
+        for j in range(m.dim(k)):
+            v = 1 << j
+            hv = h.homotopy(k, v)
+            lhs = m.apply(back, hv) ^ h.homotopy(up, m.apply(k, v))
+            assert lhs == v ^ h.include(k, h.project(k, v)), ("d h + h d != id + i p", k, j)
+            assert h.homotopy(back, hv) == 0, ("h h != 0", k, j)
+            assert h.project(back, hv) == 0, ("p h != 0", k, j)
 
 
 def admitted_class_triples(h):

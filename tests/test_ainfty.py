@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
 
@@ -17,6 +18,7 @@ from legch.ainfty import (
     HClass,
     ProductTable,
     adjoint_structure,
+    basis_classes,
     build_ring,
     check_ainfty_morphism,
     check_an_relations,
@@ -29,8 +31,10 @@ from legch.ainfty import (
     _inverted_index,
     _relation_terms,
 )
-from legch.algebra import mirror_dga
-from legch.augment import enumerate_augmentations, twist
+from legch.algebra import DGA, mirror_dga
+from legch.augment import Augmentation, enumerate_augmentations, twist
+from legch.cli import main
+from legch.fileio import serialize_dga
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.linear import homology, linearized_complexes
 from helpers import (
@@ -43,6 +47,7 @@ from helpers import (
     oracle_rings,
     order_four_bracket_dga,
     per_tuple_composition_sum,
+    proved_rings,
     random_augmented_dga,
     random_dga,
     trivial_bracket_dga,
@@ -119,6 +124,27 @@ def test_relations_hold_on_bundled_examples():
             s = adjoint_structure(twist(dga, aug))
             report = check_an_relations(s, min(s.arity + 1, 4))
             assert report.ok, (name, report.detail)
+
+
+def test_the_relations_build_ring_proves_hold_at_every_arity():
+    # The oracle of build_ring's proof: no relation check runs on its rings.
+    # Above arity 2a - 1 every term pairs two operations of arity > a, so
+    # checking up to 2a - 1 checks every arity.
+    for ring in proved_rings():
+        s = ring.structure
+        report = check_an_relations(s, 2 * s.arity - 1)
+        assert report.ok, report.detail
+
+
+def test_build_ring_refuses_a_value_assignment_that_is_not_an_augmentation():
+    # d a = b with b -> 1 does not kill d a; its twist b + 1 keeps the unit.
+    dga = DGA(0, ("a", "b"), {"a": 1, "b": 0}, {"a": frozenset({("b",)})})
+    values = Augmentation((("a", 0), ("b", 1)))
+    for build in (lambda: twist(dga, values), lambda: build_ring(dga, values)):
+        with pytest.raises(
+            InternalConsistencyError, match="twisted differential of a retains a constant term"
+        ):
+            build()
 
 
 def _relation_check_toggles(s, up_to):
@@ -608,6 +634,54 @@ def test_a_product_that_is_not_closed_is_rejected():
         ProductTable(h, s).cup(x, x)
     with pytest.raises(ContractError, match="not closed"):
         massey_triple(h, s, x, x, x)
+
+
+def _with_flipped_homotopy(h):
+    """A copy of the retract h with one bit of the first homotopy vector flipped."""
+    k = min(k for k, vecs in h._hvecs.items() if vecs)
+    hvecs = {**h._hvecs, k: [h._hvecs[k][0] ^ 1] + h._hvecs[k][1:]}
+    return replace(h, _hvecs=hvecs, _inv={})
+
+
+def _defined_triple(table):
+    """The first triple of basis classes whose two products vanish."""
+    classes = [c for k in table.h.degrees() for c in basis_classes(table.h, k)]
+    for x, y, z in product(classes, repeat=3):
+        if not table.cup(x, y).coords and not table.cup(y, z).coords:
+            return x, y, z
+
+
+def test_public_entry_points_verify_a_retract_from_a_caller():
+    ring = trefoil_ring()
+    s, bad = ring.structure, _with_flipped_homotopy(ring.cochain)
+    triple = _defined_triple(ring.products)
+    with pytest.raises(ContractError, match="retract fails"):
+        transfer_minimal_model(bad, s, 3)
+    with pytest.raises(ContractError, match="retract fails"):
+        massey_triple(bad, s, *triple)
+    with pytest.raises(ContractError, match="retract fails"):
+        ProductTable(bad, s).minimal(3)
+    with pytest.raises(ContractError, match="retract fails"):
+        transfer_minimal_model(bad, s, 3, ring.products)  # the table is over another h
+
+
+def test_the_rings_own_retract_is_not_verified_again(monkeypatch, tmp_path, capsys):
+    def refuse(h):
+        raise AssertionError("the ring's own retract was verified")
+
+    monkeypatch.setattr(ainfty, "_verify_retract", refuse)
+    ring = trefoil_ring()
+    ring.checked_minimal(4)
+    assert ring.products.massey(*_defined_triple(ring.products)).defined
+    path = tmp_path / "m.dga"
+    path.write_text(serialize_dga(masseyex(1, 4, 9, 20)), encoding="utf-8")
+    for argv in (
+        ["massey", "--classes=-6:1,-11:1,20:1", str(path)],
+        ["minimal", "--arity", "4", str(path)],
+        ["compare-mirror", str(path)],
+    ):
+        assert main(argv) == 0, argv
+    assert "value: [a2]" in capsys.readouterr().out
 
 
 def test_transfer_rejects_arity_below_two():

@@ -22,7 +22,7 @@ from legch.linear import (
     pair_bit,
     vector_label,
 )
-from helpers import random_augmented_dga
+from helpers import assert_retract_identities, proved_rings, random_augmented_dga
 
 
 def test_pair_bit_counts_common_bits_mod_2():
@@ -101,14 +101,17 @@ def test_inhomogeneous_twisted_differential_is_rejected():
         {"a": frozenset({("b", "c")})},
     )
     zero = Augmentation(tuple((g, 0) for g in dga.generators))
-    for build in (lambda: adjoint_structure(twist(dga, zero)), lambda: build_ring(dga, zero)):
-        with pytest.raises(InternalConsistencyError, match="twisted d a is not degree-homogeneous"):
-            build()
+    with pytest.raises(InternalConsistencyError, match="twisted d a is not degree-homogeneous"):
+        adjoint_structure(twist(dga, zero))
+    # build_ring validates the DGA before it twists anything
+    with pytest.raises(ContractError, match="invalid DGA: d a is not homogeneous"):
+        build_ring(dga, zero)
 
 
 def test_a_nonzero_square_of_m1_fails_the_relation_check_in_build_ring():
-    # d a = b, d b = c: d d a = c, so m_1 m_1 (c) = a.  The linearized maps are
-    # no longer squared on their own; relation l = 1 is what rejects them.
+    # d a = b, d b = c: d d a = c, so m_1 m_1 (c) = a.  build_ring refuses the
+    # DGA itself, whose d d = 0 its proof of the relations rests on; the
+    # public adjoint_structure, handed the twist, rejects it by relation l = 1.
     dga = DGA(
         0,
         ("a", "b", "c"),
@@ -116,8 +119,10 @@ def test_a_nonzero_square_of_m1_fails_the_relation_check_in_build_ring():
         {"a": frozenset({("b",)}), "b": frozenset({("c",)})},
     )
     zero = Augmentation(tuple((g, 0) for g in dga.generators))
-    with pytest.raises(InternalConsistencyError, match=r"relation fails at arity 1 on \(c\)"):
+    with pytest.raises(ContractError, match=r"invalid DGA: d\(d a\) != 0"):
         build_ring(dga, zero)
+    with pytest.raises(InternalConsistencyError, match=r"relation fails at arity 1 on \(c\)"):
+        adjoint_structure(twist(dga, zero))
 
 
 def test_chain_and_cochain_dims_agree_per_degree():
@@ -138,39 +143,27 @@ def test_homology_rejects_wrong_direction_or_shift():
         homology(line, "cochain")  # d d x = z
 
 
-def _retract_identities(h):
-    """include/project/homotopy satisfy the strong deformation retract laws."""
-    m = h.differential
-    for k in m.degrees() or list(m.basis):
-        dim_total = m.dim(k)
-        for i in range(h.dim(k)):
-            v = h.include(k, 1 << i)
-            # included representatives are cycles projecting to themselves
-            assert m.apply(k, v) == 0
-            assert h.project(k, v) == 1 << i
-        for probe in range(min(dim_total, 6)):
-            vec = 1 << probe
-            # p respects classes: p(v + d h v + h d v) == p v
-            dh = m.apply(h.canon(k - m.shift), h.homotopy(k, vec))
-            hd = h.homotopy(h.canon(k + m.shift), m.apply(k, vec))
-            recon = vec ^ dh ^ hd
-            assert h.include(k, h.project(k, vec)) == recon
-
-
 def test_homology_is_a_strong_deformation_retract_on_trefoil():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
         chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
-        _retract_identities(homology(chain, "chain"))
-        _retract_identities(homology(cochain, "cochain"))
+        assert_retract_identities(homology(chain, "chain"))
+        assert_retract_identities(homology(cochain, "cochain"))
 
 
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=40)
 def test_homology_retract_identities_on_random_dgas(seed):
     ring = random_augmented_dga(random.Random(seed), max_gens=6)[2]
-    _retract_identities(ring.chain)
-    _retract_identities(ring.cochain)
+    assert_retract_identities(ring.chain)
+    assert_retract_identities(ring.cochain)
+
+
+def test_the_retracts_build_ring_proves_satisfy_every_identity_on_every_basis_vector():
+    # the oracle of the proof in linear._retract, which no transfer re-checks
+    for ring in proved_rings():
+        assert_retract_identities(ring.chain)
+        assert_retract_identities(ring.cochain)
 
 
 def test_class_of_rejects_non_cycles():

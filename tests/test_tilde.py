@@ -17,6 +17,7 @@ from legch.ainfty import (
     CheckReport,
     _relation_terms,
     build_ring,
+    check_an_relations,
     transfer_minimal_model,
 )
 from legch.algebra import DGA, canon_degree, mirror_dga, stabilize
@@ -51,6 +52,7 @@ from helpers import (
     random_augmented_dga,
     random_dga,
     sliced_count,
+    toggle_entry,
     word_window_matrix,
     words_by_degree,
 )
@@ -536,13 +538,15 @@ def test_order_n_raises_exactly_when_a_mutated_window_matrix_does_not_square_to_
 
 def test_a_relation_failing_only_above_build_rings_arity_is_caught_at_that_order(monkeypatch):
     good = parse_dga("modulus 0\ngen a 1\ngen b 1\ngen c 1\ngen u 3\ngen g 5\nd u = a b\n")
-    # One flipped m_2 bit: m_2(u, c) = g.  The differential is quadratic and
-    # m_1 = 0, so the relations build_ring checks (arities 1 and 2) hold, but
-    # associativity fails: m_2(m_2(a, b), c) = g, m_2(a, m_2(b, c)) = 0.
-    bad = good.replace_diff({**good.diff, "g": frozenset({("u", "c")})})
+    # One flipped m_2 bit: m_2(u, c) = g, in the good ring's structure and
+    # twist (d g = u c, with d d g = a b c != 0, so build_ring would refuse
+    # that DGA).  The differential is quadratic and m_1 = 0, so the relations
+    # of arities 1 and 2 hold, but associativity fails:
+    # m_2(m_2(a, b), c) = g, m_2(a, m_2(b, c)) = 0.
     aug = enumerate_augmentations(good)[0]
-    ring = replace(build_ring(bad, aug), dga=good)
+    ring = toggle_entry(build_ring(good, aug), ("u", "c"), "g")
     assert ring.structure.arity == 2
+    assert check_an_relations(ring.structure, 2).ok
     for engine in ("dense", "perturbation"):
         order_n_cohomology(ring, 2, engine=engine)
         _raises_naming(
