@@ -1005,7 +1005,7 @@ class CohomologyRing:
     and both homologies of m_1, shared by every per-augmentation layer, and
     the cohomology's product table, which holds the minimal model, built on
     first use.  It holds no augmentation: the ring depends on one only
-    through the twist, so the members of one solution share it
+    through the twist, so the members of one twist share it
     (``augment.per_twist``).  A ring from ``build_ring`` is proved, not
     checked: its structure satisfies the A-infinity relations at every arity
     (``build_ring``) and both homologies are strong deformation retracts

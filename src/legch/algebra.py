@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import ContractError
@@ -42,6 +43,7 @@ __all__ = [
     "stabilize",
     "apply_elementary_iso",
     "iso_expansion_terms",
+    "substitution_terms",
     "substitute",
     "leibniz",
     "diff_poly",
@@ -311,19 +313,35 @@ def substitute(p: Poly, images: Dict[str, Poly]) -> Poly:
     return frozenset(out)
 
 
-def iso_expansion_terms(dga: DGA, iso: ElementaryIso) -> int:
-    """Predicted term count of the differential rewritten by ``iso``.
-
-    Substituting q -> q + u multiplies a word's term count by (1 + |u|) per
-    occurrence of q, before anything cancels, so repeated shifts grow
+def substitution_terms(polys: Iterable[Poly], images: Dict[str, Poly]) -> int:
+    """Bound on the words ``substitute`` builds from ``polys`` before anything
+    cancels: the sum over their words of the product over maximal runs g^m
+    of a substituted letter of the distinct words the image's m-th power can
+    hold.  With p the nonempty words of the image, that is p^m, or
+    1 + p + .. + p^m when the image holds the empty word (b^m under the
+    twist b -> b + 1 gives m + 1), so repeated substitutions grow
     exponentially.
     """
-    width = 1 + len(iso.shift)
-    return sum(
-        width ** sum(1 for letter in w if letter == iso.target)
-        for g in dga.generators
-        for w in dga.d(g)
-    )
+    total = 0
+    for p in polys:
+        for w in p:
+            terms = 1
+            if not images.keys().isdisjoint(w):
+                for g, run in groupby(w):
+                    image = images.get(g)
+                    if image is not None:
+                        m = sum(1 for _ in run)
+                        width = len(image) - (() in image)
+                        terms *= sum(width**j for j in range(m + 1)) if () in image else width**m
+            total += terms
+    return total
+
+
+def iso_expansion_terms(dga: DGA, iso: ElementaryIso) -> int:
+    """Predicted term count of the differential rewritten by ``iso``: q -> q + u
+    multiplies a word's count by (1 + |u|) per occurrence of q."""
+    image = frozenset({(iso.target,)}) ^ iso.shift
+    return substitution_terms(dga.diff.values(), {iso.target: image})
 
 
 def apply_elementary_iso(dga: DGA, iso: ElementaryIso) -> DGA:
@@ -339,8 +357,7 @@ def apply_elementary_iso(dga: DGA, iso: ElementaryIso) -> DGA:
             "elementary isomorphism on %s would expand the differential to %d terms,"
             " over the budget MAX_ISO_TERMS = %d" % (iso.target, predicted, MAX_ISO_TERMS)
         )
-    image = frozenset({(iso.target,)}) ^ iso.shift
-    images = {iso.target: image}
+    images = {iso.target: frozenset({(iso.target,)}) ^ iso.shift}
     diff = {}
     for g in dga.generators:
         if g == iso.target:

@@ -3,82 +3,65 @@
 An augmentation is a unital GF(2) algebra map to the ground field that is
 graded (supported on degree-0 generators) and kills every differential.
 
-Augmentations factor through the letters that occur.  Call a degree-0
-generator *inert* when it occurs in no word of any differential (a
-degree-0 stabilization adds one), and let I be the set of them.
 Enumeration reduces each equation d(q) = 0 to a boolean polynomial in the
-degree-0 generators, propagates forced values, and searches only the
-undetermined degree-0 letters that occur.  Its solutions, as value tuples
-on the occurring degree-0 letters, form the set S, and the augmentations
-are S x {0,1}^I.  ``enumerate_augmentations`` returns them as a sequence
-(``Augmentations``) that makes each one only when it is read.
+degree-0 generators, propagates forced values, and tests every assignment
+of the f undetermined degree-0 generators, the *free letters*, at once
+(``_search``).  The solutions stay one bitmask over the 2^f trials, and
+``Augmentations`` makes each augmentation only when it is read.
 
-Bit-sliced search.  ``_search`` tests all 2^u assignments of the u
-unknown letters at once, one bit per trial.  Trial t gives unknown letter
-i the value of bit u-1-i of t, so its values, read in the order of the
-unknown letters, are the binary digits of t, most significant first.
-``product((0, 1), repeat=u)`` yields those tuples in lexicographic order,
-which is the order of their binary values, so ascending t is ``product``
-order; the forced values are fixed, so the solutions come out sorted.
-Letter i's column has bit t set exactly when bit u-1-i of t is 1: in each
-block of 2^(u-i) consecutive trials, the upper 2^(u-1-i), which is the
-period the doubling repeats.  Bit t of the AND of a monomial's columns is
-1 when all its letters are 1 on trial t (the empty monomial is 1 on every
-trial), bit t of the XOR of an equation's monomials is the equation's
-value on t, and bit t of ``full & ~OR(equations)`` is 1 when every
-equation is 0 on t, the test the per-trial loop made.  ``_rows`` reads
-the solutions off ``product`` over each letter's choices (a forced letter
-has one), which runs through the trials in ascending t, keeping the
-members at the set bits, in time linear in 2^u.
+Bit-sliced search.  Trial t gives free letter i the value of bit f-1-i of
+t, so its values, read in declaration order, are the binary digits of t,
+most significant first.  ``product((0, 1), repeat=f)`` yields those tuples
+in lexicographic order, which is the order of their binary values, so
+ascending t is lexicographic order; the forced values are fixed, so the
+members come out sorted.  Letter i's column has bit t set exactly when bit
+f-1-i of t is 1: in each block of 2^(f-i) consecutive trials, the upper
+2^(f-1-i), which is the period the doubling repeats.  Bit t of the AND of a
+monomial's columns is 1 when all its letters are 1 on trial t (the empty
+monomial is 1 on every trial), bit t of the XOR of an equation's monomials
+is the equation's value on t, and bit t of ``full & ~OR(equations)`` is 1
+when every equation is 0 on t.
 
-The check of S.  Per solution, the check is: no generator of nonzero
-degree has value 1, and each d(g) has an even number of words whose
-letters all have value 1, generator by generator in declaration order,
-with the degree of g tested before d(g).  ``_verify_solutions`` reads it for
-all of S at once.  Letter g's mask has bit s set when g is 1 in solution
-s, and every generator outside the solution's letters has mask 0, the
-value 0.  Bit s of a mask on a letter of nonzero degree is the first
-test on s.  A word's letters all have value 1 on s exactly when bit s of
-the AND of their masks is 1, and the empty word, whose letters all do, is
-every solution, so bit s of the XOR over d(g) is the parity the second
-test reads.  So bit s of g's failure mask is set exactly when the check
-of s fails at g.  The first solution in S order whose check fails is the
-lowest bit over all generators, and within it the check stops at the
-first generator in declaration order with that bit set, on its degree
-test if that bit of its degree mask is set: the solution and the
-message that the check of one solution at a time raises first.
+The check of the members.  Per member, the check is: no generator of
+nonzero degree has value 1, and each d(g) has an even number of words whose
+letters all have value 1, generator by generator in declaration order, with
+the degree of g tested before d(g).  ``_verify_solutions`` reads it for
+every member at once.  A generator's mask has bit t set when it is 1 on
+member t: a free letter's column ANDed with the solution mask, the solution
+mask itself for a letter forced to 1, and 0 for every other generator.  Bit
+t of a mask on a letter of nonzero degree is the first test on t.  A
+word's letters all have value 1 on t exactly when bit t of the AND of their
+masks is 1, and the empty word, whose letters all do, is every member, so
+bit t of the XOR over d(g) is the parity the second test reads.  So bit t
+of g's failure mask is set exactly when the check of t fails at g.  The
+first member whose check fails is the lowest bit over all generators, and
+within it the check stops at the first generator in declaration order with
+that bit set, on its degree test if that bit of its degree mask is set: the
+member and the message that the check of one member at a time raises
+first.
 
-Why one check per element of S checks all of S x {0,1}^I.  The check of
-a value assignment passes on a generator of degree 0 whatever its value,
-and reads a letter's value only in words that contain it.  An inert
-letter has degree 0 and occurs in no word, so the check gives one answer
-on all 2^|I| members of {s} x {0,1}^I, and the check of s with the inert
-letters at 0 is the check of each of them.  The equations mention no
-inert letter either, so they admit exactly the members of S x {0,1}^I.
-A member is s and its inert values over ``dga.generators``, 0 elsewhere,
-so it covers every generator with bits that are nonzero only in degree 0:
-``_checked_values`` passes on it by construction, and still runs on
-every augmentation handed to ``twist``.
-
-One twist per element of S.  ``twist`` builds an image only for a letter
-of value 1, and ``substitute`` looks an image up only for a letter of a
-word, so an inert letter changes nothing: the members of {s} x {0,1}^I
-have one twisted DGA.  Apart from the twist, ``build_ring`` reads only the
-DGA, so their rings are equal.  The relations and the retracts hold on one
-ring by proof (``build_ring``, ``linear._retract``) exactly when they hold
-on each member's, and the mu_2/pair, transpose and window checks run on
-one ring are the checks each member would have run.  The mirror has the
-same letters in its words, so S and I serve it too.  ``per_twist`` runs a
-per-augmentation computation once per element of S.
+One twist per inert class.  Call a degree-0 generator *inert* when it
+occurs in no word of any differential (a degree-0 stabilization adds one).
+No equation mentions it, so it is free and flipping it maps members to
+members.  ``twist`` builds an image only for a letter of value 1, and
+``substitute`` looks an image up only for a letter of a word, so an inert
+letter changes nothing: members that differ only on inert letters have one
+twisted DGA.  Apart from the twist, ``build_ring`` reads only the DGA, so
+their rings are equal.  The relations and the retracts hold on one ring by
+proof (``build_ring``, ``linear._retract``) exactly when they hold on each
+member's, and the mu_2/pair, transpose and window checks run on one ring
+are the checks each member would have run.  The mirror has the same
+letters in its words, so its inert letters are the knot's.  ``per_twist``
+keys a member by its trial with the inert bits cleared, which is a member
+too and the first of its class.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, groupby, product
-from operator import index as as_index, itemgetter
+from itertools import compress, count
+from operator import index as as_index
 from typing import (
     Callable,
     Dict,
@@ -93,10 +76,11 @@ from typing import (
 )
 
 from . import ContractError, InternalConsistencyError
-from .algebra import DGA, Poly, substitute
+from .algebra import DGA, Poly, substitute, substitution_terms
 
 __all__ = [
     "MAX_FREE_GENERATORS",
+    "MAX_TWIST_TERMS",
     "Augmentation",
     "Augmentations",
     "enumerate_augmentations",
@@ -107,8 +91,14 @@ __all__ = [
 ]
 
 # Degree-0 generators left undetermined after propagation, inert ones
-# included, that enumeration accepts.
+# included, that enumeration accepts: the search tests 2^20 trials at most.
 MAX_FREE_GENERATORS = 20
+
+# Words the twist may build before anything cancels (``substitution_terms``).
+# The Tier-1 suite's largest twist predicts 1,863,373 and takes 0.27 s; the
+# worst admitted, 2,097,151 predicted words none of which cancel, takes
+# 4.4 s at a 383 MB peak (python 3.11.7, 2 vCPUs).
+MAX_TWIST_TERMS = 1 << 21
 
 T = TypeVar("T")
 
@@ -137,84 +127,41 @@ class Augmentation:
 
 
 class Augmentations(Sequence[Augmentation]):
-    """The augmentations of a DGA, S x {0,1}^I (module docstring), as a
-    read-only sequence in the order of ``enumerate_augmentations``.
+    """The augmentations of a DGA as a read-only sequence: the set bits of
+    ``ok``, ascending, each a trial over ``free`` (module docstring).
 
-    ``solutions`` is S: value tuples on ``letters``, the degree-0 generators
-    that occur in some word, in declaration order, sorted.  ``inert`` is I.
-    Reading walks the degree-0 generators in declaration order.  An inert
-    letter branches freely.  An occurring letter splits the current range
-    of S into the solutions with value 0 and then those with value 1: the
-    range is sorted and agrees on every letter before this one.  Indexing
-    follows one path of that walk, narrowing the range by bisection, where
-    a branch holds (its range of S) * 2^(inert letters after it) members.
-    No list of the members is kept.
+    A member gives the letters of ``assigned`` their values, free letter i
+    bit f-1-i of its trial, and every other generator 0.  ``inert`` is the
+    mask of trial bits that belong to inert letters.
     """
 
-    def __init__(self, dga: DGA, letters: Sequence[str], solutions: List[Tuple[int, ...]]):
-        self.letters = tuple(letters)
-        self.solutions = solutions
-        column = {g: j for j, g in enumerate(self.letters)}
-        zero = [g for g in dga.generators if dga.degree(g) == 0]
-        self.inert = tuple(g for g in zero if g not in column)
-        # Per degree-0 generator: its column of S (None if inert) and the
-        # number of inert generators after it.
-        self._levels: List[Tuple[Optional[int], int]] = []
-        later = len(self.inert)
-        for g in zero:
-            if g not in column:
-                later -= 1
-            self._levels.append((column.get(g), later))
-        # Maximal runs of the walk: (inert, start, end) over the columns of
-        # S, or over the inert letters in order.
-        self._runs: List[Tuple[bool, int, int]] = []
-        done = {False: 0, True: 0}
-        for inert, run in groupby(zero, lambda g: g not in column):
-            start = done[inert]
-            done[inert] += len(list(run))
-            self._runs.append((inert, start, done[inert]))
-        position = {g: p for p, g in enumerate(dga.generators)}
-        self._positions = [position[g] for g in chain(self.letters, self.inert)]
-        self._zeros = tuple((g, 0) for g in dga.generators)
-        self._ones = tuple((g, 1) for g in dga.generators)
+    def __init__(self, dga: DGA, free: Sequence[str], assigned: Dict[str, int], ok: int):
+        self.free = tuple(free)
+        self.ok = ok
+        self._base = tuple((g, assigned.get(g, 0)) for g in dga.generators)
+        top = len(self.free) - 1
+        # Per free letter: its trial bit, its position and its value-1 entry.
+        self._bits = [(1 << (top - i), dga.index[g], (g, 1)) for i, g in enumerate(self.free)]
+        occurring = {x for g in dga.generators for w in dga.d(g) for x in w}
+        self.inert = sum(bit for bit, p, _ in self._bits if dga.generators[p] not in occurring)
 
     def __len__(self) -> int:
-        return len(self.solutions) << len(self.inert)
+        return self.ok.bit_count()
 
-    def _make(self, s: int, bits: Tuple[int, ...]) -> Augmentation:
-        """The member of solution ``s`` with inert values ``bits``."""
-        values = list(self._zeros)
-        for p, v in zip(self._positions, chain(self.solutions[s], bits)):
-            if v:
-                values[p] = self._ones[p]
+    def _make(self, t: int) -> Augmentation:
+        """The member of trial ``t``."""
+        values = list(self._base)
+        for bit, p, one in self._bits:
+            if t & bit:
+                values[p] = one
         return Augmentation(tuple(values))
 
-    def _walk(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-        """(solution index, inert values) of every member, in order."""
-        solutions, runs = self.solutions, self._runs
-
-        def walk(r: int, lo: int, hi: int, bits: Tuple[int, ...]):
-            if r == len(runs):
-                yield lo, bits
-                return
-            inert, a, b = runs[r]
-            if inert:
-                for more in product((0, 1), repeat=b - a):
-                    yield from walk(r + 1, lo, hi, bits + more)
-                return
-            while lo < hi:
-                key = solutions[lo][a:b]
-                end = lo + 1
-                while end < hi and solutions[end][a:b] == key:
-                    end += 1
-                yield from walk(r + 1, lo, end, bits)
-                lo = end
-
-        if solutions:
-            yield from walk(0, 0, len(solutions), ())
+    def _trials(self) -> Iterator[int]:
+        """The set bits of ``ok``, ascending: its binary digits read lowest first."""
+        return compress(count(), map("1".__eq__, bin(self.ok)[:1:-1]))
 
     def __iter__(self) -> Iterator[Augmentation]:
-        return (self._make(s, bits) for s, bits in self._walk())
+        return map(self._make, self._trials())
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -225,32 +172,25 @@ class Augmentations(Sequence[Augmentation]):
             i += size
         if not 0 <= i < size:
             raise IndexError("augmentation index out of range")
-        lo, hi, bits = 0, len(self.solutions), []
-        for column, later in self._levels:
-            if column is None:
-                split = (hi - lo) << later
-                bits.append(int(i >= split))
-                i -= split * bits[-1]
-                continue
-            mid = bisect_left(self.solutions, 1, lo, hi, key=itemgetter(column))
-            split = (mid - lo) << later
-            if i < split:
-                hi = mid
+        # Halve the trial range [t, t + width), shifted down to bit 0 in
+        # ``window``, towards the half that holds member i.
+        window, width, t = self.ok, 1 << len(self.free), 0
+        while width > 1:
+            width >>= 1
+            low = window & ((1 << width) - 1)
+            below = low.bit_count()
+            if i < below:
+                window = low
             else:
-                i -= split
-                lo = mid
-        return self._make(lo, tuple(bits))
+                i -= below
+                window >>= width
+                t += width
+        return self._make(t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Augmentations, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def firsts(self) -> Iterator[Augmentation]:
-        """The first member of each solution, its inert letters at 0, in the
-        order of S, which is the order of the members they come first in."""
-        zeros = (0,) * len(self.inert)
-        return (self._make(s, zeros) for s in range(len(self.solutions)))
 
 
 def _equation(dga: DGA, poly: Poly) -> Set[FrozenSet[str]]:
@@ -288,16 +228,12 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
     """All augmentations, ordered lexicographically over the degree-0 generators.
 
     The order reads each candidate as the tuple of its values on the
-    degree-0 generators in declaration order, with 0 before 1.  Only the
-    undetermined letters that occur are searched, all trials at once
-    (``_search``), and S is verified by one batched check
-    (``_verify_solutions``); the result is S x {0,1}^I as an
-    ``Augmentations`` sequence (module docstring).  ``MAX_FREE_GENERATORS``
-    bounds every undetermined degree-0 generator, inert ones included.
+    degree-0 generators in declaration order, with 0 before 1.  Every free
+    letter is searched, all trials at once (``_search``), and the members
+    are verified by one batched check (``_verify_solutions``).
+    ``MAX_FREE_GENERATORS`` bounds the free letters, so the trials searched.
     """
     zero_gens = [g for g in dga.generators if dga.degree(g) == 0]
-    occurring = {x for g in dga.generators for w in dga.d(g) for x in w}
-    letters = [g for g in zero_gens if g in occurring]
     eqs = [_equation(dga, dga.d(g)) for g in dga.generators]
     eqs = [eq for eq in eqs if eq]
 
@@ -310,7 +246,7 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
             if not eq:
                 continue
             if frozenset() in eq and len(eq) == 1:
-                return Augmentations(dga, letters, [])  # 1 = 0: no augmentation at all
+                return Augmentations(dga, (), {}, 0)  # 1 = 0: no augmentation at all
             forced: List[Tuple[str, int]] = []
             if len(eq) == 1:
                 (m,) = tuple(eq)
@@ -325,7 +261,7 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
                     forced.extend((v, 1) for v in other)
             for var, value in forced:
                 if assigned.get(var, value) != value:
-                    return Augmentations(dga, letters, [])
+                    return Augmentations(dga, (), {}, 0)
                 if var not in assigned:
                     assigned[var] = value
                     _substitute_value(eqs, var, value)
@@ -338,33 +274,35 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
             "too many undetermined degree-0 generators (%d) to enumerate; the budget"
             " MAX_FREE_GENERATORS is %d" % (len(free), MAX_FREE_GENERATORS)
         )
-
-    unknown = [g for g in letters if g not in assigned]
-    solutions = _rows(_search(eqs, unknown), letters, assigned)
-    _verify_solutions(dga, letters, solutions)
-    return Augmentations(dga, letters, solutions)
+    augs = Augmentations(dga, free, assigned, _search(eqs, free))
+    _verify_solutions(dga, augs)
+    return augs
 
 
-def _search(eqs: List[Set[FrozenSet[str]]], unknown: Sequence[str]) -> int:
-    """The trials that solve every equation, as a bitmask over 2^u trials.
-
-    Trial t gives unknown letter i the value of bit u-1-i of t, so trials
-    ascend in ``product`` order.  Letter i's column is the mask of trials in
-    which it is 1, a monomial is the AND of its letters' columns (all trials
-    when empty), an equation the XOR of its monomials, and a trial solves
-    the system when no equation is 1 on it (module docstring).
-    """
-    size = 1 << len(unknown)
-    full = (1 << size) - 1
-    column = {}
-    for i, g in enumerate(unknown):
+def _columns(f: int) -> List[int]:
+    """Letter i's column over the 2^f trials: the trials in which it is 1."""
+    size = 1 << f
+    columns = []
+    for i in range(f):
         half = size >> (i + 1)
         # One period, half trials at 0 then half at 1, repeated by doubling.
         col, period = ((1 << half) - 1) << half, 2 * half
         while period < size:
             col |= col << period
             period *= 2
-        column[g] = col
+        columns.append(col)
+    return columns
+
+
+def _search(eqs: List[Set[FrozenSet[str]]], free: Sequence[str]) -> int:
+    """The trials that solve every equation, as a bitmask over 2^f trials.
+
+    A monomial is the AND of its letters' columns (all trials when empty),
+    an equation the XOR of its monomials, and a trial solves the system
+    when no equation is 1 on it (module docstring).
+    """
+    full = (1 << (1 << len(free))) - 1
+    column = dict(zip(free, _columns(len(free))))
     bad = 0
     for eq in eqs:
         value = 0
@@ -377,41 +315,24 @@ def _search(eqs: List[Set[FrozenSet[str]]], unknown: Sequence[str]) -> int:
     return full & ~bad
 
 
-def _rows(ok: int, letters: Sequence[str], assigned: Dict[str, int]) -> List[Tuple[int, ...]]:
-    """The solutions of the trials in ``ok``, ascending, as value tuples on
-    ``letters``.
+def _verify_solutions(dga: DGA, augs: Augmentations) -> None:
+    """Raise ``InternalConsistencyError`` if some member of ``augs`` is not
+    an augmentation of ``dga``, with the message of the first failing
+    generator of the first such member.
 
-    ``product`` over each letter's choices, its assigned value or 0 then 1,
-    runs through the trials in ascending order (``_search``), so the rows
-    are its members at the set bits of ``ok``, whose binary digits, read
-    lowest first, select them in time linear in 2^u.
-    """
-    choices = [(assigned[g],) if g in assigned else (0, 1) for g in letters]
-    return list(compress(product(*choices), map("1".__eq__, bin(ok)[:1:-1])))
-
-
-def _verify_solutions(
-    dga: DGA, letters: Sequence[str], solutions: Sequence[Tuple[int, ...]]
-) -> None:
-    """Raise ``InternalConsistencyError`` if some solution is not an
-    augmentation of ``dga``, with the message of the first failing
-    generator of the first such solution in the order of ``solutions``.
-
-    A solution gives each of ``letters`` its value and every other generator
-    0.  Letter g's mask has bit s set when g is 1 in solution s.  Per
-    generator in declaration order, a nonzero mask of nonzero degree fails
-    those solutions, and so does the XOR over d(g)'s words of the AND of
-    their letters' masks, where the empty word is every solution.  This is
-    the per-solution check, read for all solutions at once (module
-    docstring), and the degree failure of a generator is named before its
+    Per generator in declaration order, a nonzero mask of nonzero degree
+    fails those members, and so does the XOR over d(g)'s words of the AND
+    of their letters' masks, where the empty word is every member.  This is
+    the per-member check, read for every member at once (module docstring),
+    and the degree failure of a generator is named before its
     differential's, as that check names them.
     """
-    if not solutions:
+    every = augs.ok
+    if not every:
         return
-    every = (1 << len(solutions)) - 1
-    masks = dict.fromkeys(dga.generators, 0)
-    for g, column in zip(letters, zip(*solutions)):
-        masks[g] = int("".join(map("01".__getitem__, reversed(column))), 2)
+    masks = {g: every if v else 0 for g, v in augs._base}
+    for g, column in zip(augs.free, _columns(len(augs.free))):
+        masks[g] = column & every
     first: Optional[Tuple[int, str]] = None
     for g in dga.generators:
         nonzero = masks[g] if dga.degree(g) != 0 else 0
@@ -424,13 +345,13 @@ def _verify_solutions(
         fails |= nonzero
         if not fails:
             continue
-        s = (fails & -fails).bit_length() - 1
-        if first is None or s < first[0]:
-            if nonzero >> s & 1:
+        t = (fails & -fails).bit_length() - 1
+        if first is None or t < first[0]:
+            if nonzero >> t & 1:
                 message = "augmentation is nonzero on %s of degree %d" % (g, dga.degree(g))
             else:
                 message = "augmentation fails to kill d %s" % g
-            first = (s, message)
+            first = (t, message)
     if first is not None:
         raise InternalConsistencyError(first[1])
 
@@ -456,12 +377,19 @@ def twist(dga: DGA, aug: Augmentation) -> DGA:
     """Conjugate the differential by the augmentation: substitute q -> q + eps(q).
 
     The result has the same generators and gradings and no constant terms in
-    any differential.
+    any differential.  A twist predicted to build more than
+    ``MAX_TWIST_TERMS`` words is refused before any is built.
     """
     values = _checked_values(dga, aug)
     images = {
         g: frozenset({(g,), ()}) for g in dga.generators if values[g]
     }
+    predicted = substitution_terms(dga.diff.values(), images)
+    if predicted > MAX_TWIST_TERMS:
+        raise ContractError(
+            "twisting by %s would build %d terms, over the budget MAX_TWIST_TERMS = %d"
+            % (aug.describe(), predicted, MAX_TWIST_TERMS)
+        )
     diff = {g: substitute(dga.d(g), images) for g in dga.generators}
     for g, p in diff.items():
         if () in p:
@@ -472,18 +400,24 @@ def twist(dga: DGA, aug: Augmentation) -> DGA:
 
 
 def per_twist(augs: Augmentations, compute: Callable[[Augmentation], T]) -> List[T]:
-    """``compute`` once per element of S, on its first member (``firsts``),
-    and its result listed for every member, in the order of ``augs``.
+    """``compute`` once per twist, on its first member, and its result listed
+    for every member, in the order of ``augs``.
 
     ``compute`` should read the augmentation only through its ring or twist,
     and keep no ring in its result, so that one ring is alive at a time.
-    The members of one solution share their twist (module docstring), and
-    the solutions run in order of their first member, so the first to fail
-    holds the first augmentation whose ``compute`` would fail, and fails as
-    it would.
+    Members whose trials agree off the inert bits share their twist (module
+    docstring), and each class is computed at its first member, so the
+    first to fail is the first augmentation whose ``compute`` would fail,
+    and fails as it would.
     """
-    results = [compute(aug) for aug in augs.firsts()]
-    return [results[s] for s, _ in augs._walk()]
+    results: Dict[int, T] = {}
+    out = []
+    for t in augs._trials():
+        key = t & ~augs.inert
+        if key not in results:
+            results[key] = compute(augs._make(t))
+        out.append(results[key])
+    return out
 
 
 def extend_by_zero(aug: Augmentation, dga: DGA) -> Augmentation:

@@ -7,9 +7,9 @@ degree tuple carries a defined (and nonzero modulo indeterminacy) Massey
 bracket, and order-n cohomology dimensions.  Ranks and booleans only —
 never coordinates, so the data is independent of every basis choice.
 A differing fingerprint certifies that no isomorphism exists; equal
-fingerprints are inconclusive.  The members of one solution of
-``augment.enumerate_augmentations`` share their twist, so they share one
-ring and its profile, which counts once per member.
+fingerprints are inconclusive.  Augmentations that differ only on inert
+letters share their twist (``augment.per_twist``), so they share one ring
+and its profile, which counts once per member.
 
 Cup ranks and triple brackets are read off the ring's ``ProductTable``:
 each bidegree's rank off the class rows of its pair block, and each degree
@@ -25,7 +25,7 @@ structure is the opposite one, m_k^op(x_1..x_k) = m_k(x_k..x_1), so its
 fingerprint is ``_opposite`` of the knot's: cup keys swapped, Massey
 tuples reversed, dims and order-n dims kept (the proof is in the
 ``compare_mirror`` docstring).  The mirror is still validated, and each
-solution verified on its differential.
+augmentation verified on its differential.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import ContractError, InternalConsistencyError
 from .ainfty import CohomologyRing, HClass, build_ring, check_massey_budget, massey_higher
 from .algebra import DGA, assert_valid, mirror_dga
-from .augment import Augmentations, _verify_solutions, enumerate_augmentations
+from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
 from .gf2 import apply_block, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
@@ -233,13 +233,11 @@ def _check_options(massey_order: int, order_cap: int) -> None:
 
 
 def _fingerprint(dga: DGA, augs: Augmentations, massey_order: int, order_cap: int) -> Fingerprint:
-    """One ring and profile per solution, on its first member, in the order
-    of ``augment.per_twist``; the profile counts once per member, 2^|I|
-    times."""
+    """One ring and profile per twist (``augment.per_twist``), and the profile
+    counted once per member."""
     options = (massey_order, order_cap)
-    profiles = [profile_for(build_ring(dga, aug), *options) for aug in augs.firsts()]
-    members = 1 << len(augs.inert)
-    return Fingerprint(tuple(chain.from_iterable(repeat(p, members) for p in sorted(profiles))))
+    profiles = per_twist(augs, lambda aug: profile_for(build_ring(dga, aug), *options))
+    return Fingerprint(tuple(sorted(profiles)))
 
 
 def _opposite(fp: Fingerprint) -> Fingerprint:
@@ -343,10 +341,8 @@ def compare_mirror(
     - Augmentations.  A reversed word has the same product of values, and
       mirroring is an involution, so both sides have the same
       augmentations.  Kept: the mirror is validated once (``assert_valid``)
-      and every solution is verified on its d by one batched check
-      (``augment._verify_solutions``), which checks every member
-      (``augment`` docstring: the mirror's words have the knot's letters,
-      so its inert letters are the knot's).
+      and every member is verified on its d by one batched check
+      (``augment._verify_solutions``).
     - Linear parts, homology and the retract (h, i, p).  Twisting commutes
       with reversal and a one-letter word is its own reversal, so the
       linearized complexes, their homology and the retract are identical.
@@ -378,7 +374,7 @@ def compare_mirror(
     knot = _fingerprint(dga, augs, massey_order, order_cap)
     mirror_side = mirror_dga(dga)
     assert_valid(mirror_side)
-    _verify_solutions(mirror_side, augs.letters, augs.solutions)
+    _verify_solutions(mirror_side, augs)
     mirror = _opposite(knot)
     if knot == mirror:
         return MirrorReport(

@@ -13,7 +13,7 @@ the word-by-word perturbation series, the whole-field multiset witness
 and the two-sided mirror comparison, the five retract identities on
 every basis vector, the per-augmentation ``report`` and
 fingerprint loops, the brute force over every degree-0 letter with its
-grouping by twist and its check of one solution at a time, and the
+grouping by twist and its check of one member at a time, and the
 letter-by-letter ``pmul`` substitution are kept here as the references
 that the library's product table, its minimal-model Massey walk, its
 transferred p_3 blocks, its support-only Massey table, its table-driven
@@ -21,7 +21,7 @@ composition sum, its pair checks, its window matrix and relation-based
 d d = 0, its closed-form entry count, its minimal-model order-n engine,
 its mirror witness, its one-sided mirror comparison, its proof that
 its own retracts are strong deformation retracts, its one ring per
-distinct twist, its S x {0,1}^I enumeration with its batched check of S,
+distinct twist, its one trial mask with its batched check of every member,
 and its word-at-once substitution are compared against.
 """
 
@@ -66,6 +66,7 @@ from legch.augment import (
     _equation,
     _substitute_value,
     enumerate_augmentations,
+    per_twist,
 )
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fileio import parse_dga
@@ -909,13 +910,20 @@ def oracle_rings():
                 yield build_ring(side, aug)
 
 
+def twist_firsts(dga: DGA) -> List[Augmentation]:
+    """The first augmentation of each twist, the ones ``per_twist`` computes on."""
+    firsts: List[Augmentation] = []
+    per_twist(enumerate_augmentations(dga), firsts.append)
+    return firsts
+
+
 def proved_rings():
-    """Rings of every solution of the bundled examples, both sides, and of the
+    """Rings of every twist of the bundled examples, both sides, and of the
     suite's random draws: the rings whose relations and retracts
     ``build_ring`` and ``linear._retract`` prove instead of checking."""
     bundled = [dga for _, dga in bundled_examples()]
     for dga in [side for d in bundled for side in (d, mirror_dga(d))] + random_dgas(20261018, 30):
-        for aug in enumerate_augmentations(dga).firsts():
+        for aug in twist_firsts(dga):
             yield build_ring(dga, aug)
 
 
@@ -999,17 +1007,15 @@ def _verify(dga: DGA, values: Dict[str, int]) -> None:
             raise InternalConsistencyError("augmentation fails to kill d %s" % g)
 
 
-def first_failure_one_by_one(dga: DGA, letters, solutions) -> Optional[Tuple[int, str]]:
+def first_failure_one_by_one(dga: DGA, augs) -> Optional[Tuple[int, str]]:
     """Reference ``augment._verify_solutions``: the index of the first
-    solution, in order, that ``_verify`` refuses (every generator outside
-    ``letters`` at 0) and the message it raises; None when it refuses none."""
-    for s, solution in enumerate(solutions):
-        values = dict.fromkeys(dga.generators, 0)
-        values.update(zip(letters, solution))
+    member of ``augs``, in order, that ``_verify`` refuses and the message
+    it raises; None when it refuses none."""
+    for i, aug in enumerate(augs):
         try:
-            _verify(dga, values)
+            _verify(dga, aug.as_dict())
         except InternalConsistencyError as exc:
-            return s, str(exc)
+            return i, str(exc)
     return None
 
 
@@ -1028,7 +1034,7 @@ def substitute_by_pmul(p: Poly, images: Dict[str, Poly]) -> Poly:
 def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
     """Reference ``enumerate_augmentations``: propagation, then a brute force
     over every undetermined degree-0 letter, inert ones included, with one
-    ``_verify`` per solution, collected in a list."""
+    ``_verify`` per member, collected in a list."""
     zero_gens = [g for g in dga.generators if dga.degree(g) == 0]
     eqs = [eq for eq in (_equation(dga, dga.d(g)) for g in dga.generators) if eq]
     assigned = {}
@@ -1104,14 +1110,14 @@ def per_augmentation_fingerprint(
     dga: DGA, augs, massey_order: int, order_cap: int
 ) -> Fingerprint:
     """Reference ``fingerprint._fingerprint``: a ring and a profile for every
-    augmentation, where the library builds one per solution."""
+    augmentation, where the library builds one per twist."""
     profiles = [profile_for(build_ring(dga, aug), massey_order, order_cap) for aug in augs]
     return Fingerprint(tuple(sorted(profiles)))
 
 
 def per_augmentation_report(args) -> List[Tuple[str, str]]:
     """Reference ``cli.cmd_report``: a ring and its rows for every
-    augmentation, where the library builds one per solution."""
+    augmentation, where the library builds one per twist."""
     dga, rows = cli._load(args.file)
     rows.append(("generators", str(len(dga.generators))))
     rows.append(("modulus", str(dga.modulus)))

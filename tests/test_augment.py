@@ -1,6 +1,8 @@
 """Augmentation enumeration, twisting, and transport."""
 
+import copy
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,14 +18,18 @@ from legch.algebra import (
 )
 from legch.augment import (
     MAX_FREE_GENERATORS,
+    MAX_TWIST_TERMS,
     Augmentation,
+    Augmentations,
     enumerate_augmentations,
     extend_by_zero,
     per_twist,
     transport,
     twist,
 )
+from legch.cli import main
 from legch.families import bundled_examples, trefoil
+from legch.fileio import serialize_dga
 from helpers import (
     assert_matches_brute_force,
     first_failure_one_by_one,
@@ -91,33 +97,65 @@ def _letters_dga(occurring, inert):
 
 
 def test_brute_force_admits_exactly_the_named_budget(monkeypatch):
-    """The budget counts every undetermined degree-0 letter; the brute force
-    runs over the occurring ones only."""
+    """The budget counts every undetermined degree-0 letter, and the search
+    runs over exactly those, occurring and inert alike."""
     tried = []
 
-    def no_trials(eqs, unknown):
-        tried.append(len(unknown))
+    def no_trials(eqs, free):
+        tried.append(len(free))
         return 0
 
-    # The cap is checked before the search over 2^k trials, so the search
+    # The cap is checked before the search over 2^f trials, so the search
     # is stubbed out: it admits no trial.
     monkeypatch.setattr(augment, "_search", no_trials)
     budget = "MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS
     for occurring in (MAX_FREE_GENERATORS, 10, 2, 0):
         inert = MAX_FREE_GENERATORS - occurring
         assert enumerate_augmentations(_letters_dga(occurring, inert)) == []
-        assert tried[-1] == occurring
+        assert tried[-1] == occurring + inert
         with pytest.raises(ContractError, match=budget):
             enumerate_augmentations(_letters_dga(occurring, inert + 1))
         if occurring:
             with pytest.raises(ContractError, match=budget):
                 enumerate_augmentations(_letters_dga(occurring + 1, inert))
-    assert tried == [MAX_FREE_GENERATORS, 10, 2, 0]
+    assert tried == [MAX_FREE_GENERATORS] * 4
     monkeypatch.undo()
-    # 20 inert letters: 2^20 augmentations from one solution, read on demand.
+    # 20 inert letters: 2^20 augmentations with one twist, read on demand.
     augs = enumerate_augmentations(_free_zero_dga(MAX_FREE_GENERATORS))
-    assert len(augs) == 1 << MAX_FREE_GENERATORS and len(augs.solutions) == 1
+    assert len(augs) == 1 << MAX_FREE_GENERATORS
+    firsts = []
+    assert len(per_twist(augs, firsts.append)) == len(augs) and firsts == [augs[0]]
     assert augs[-1].describe() == ", ".join("x%d -> 1" % i for i in range(MAX_FREE_GENERATORS))
+
+
+def test_the_widest_admitted_system_is_held_as_one_mask():
+    """x_0 + .. + x_19 = 0 admits the 2^19 assignments of even parity, kept
+    as one mask over the 2^20 trials.  The enumeration's traced peak is
+    5.5 MB; with the solutions listed as value tuples it was 147 MB."""
+    dga = _letters_dga(MAX_FREE_GENERATORS, 0)
+    tracemalloc.start()
+    try:
+        augs = enumerate_augmentations(dga)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert len(augs) == 1 << 19
+    names = ["x%d" % i for i in range(MAX_FREE_GENERATORS)]
+
+    def even(i):
+        """The values of the i-th assignment of even parity, ascending: of 2j
+        and 2j + 1 the one whose parity is j's."""
+        t = 2 * i + (bin(i).count("1") & 1)
+        return [t >> (len(names) - 1 - k) & 1 for k in range(len(names))]
+
+    middle = len(augs) // 2
+    for i in (0, middle, len(augs) - 1):
+        assert [augs[i](x) for x in names] == even(i)
+    assert [augs[-1](x) for x in names] == even(len(augs) - 1) == [1] * 20
+    window = range(middle - 2, middle + 3)
+    values = [[aug(x) for x in names] for aug in augs[middle - 2 : middle + 3]]
+    assert values == list(map(even, window))
 
 
 @pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
@@ -150,62 +188,73 @@ def test_enumeration_equals_the_brute_force_on_free_generators_and_random_dgas()
     # b b + b vanishes on both values of b (x^2 = x): no equation, b free.
     repeated = DGA(0, ("b", "a"), {"b": 0, "a": 1}, {"a": poly(("b", "b"), ("b",))})
     assert_matches_brute_force(repeated)
-    assert enumerate_augmentations(repeated).solutions == [(0,), (1,)]
+    augs = enumerate_augmentations(repeated)
+    assert [aug("b") for aug in augs] == [0, 1] and twist_groups(repeated, augs) == [[0], [1]]
     for dga in random_dgas(20261018, 30):
         assert_matches_brute_force(dga)
 
 
-def _flipped(solutions, s, j):
-    row = list(solutions[s])
-    row[j] ^= 1
-    return solutions[:s] + [tuple(row)] + solutions[s + 1 :]
+def _with_ok(augs, ok):
+    """``augs`` with its solution mask replaced by ``ok``."""
+    changed = copy.copy(augs)
+    changed.ok = ok
+    return changed
 
 
-def _batched_failure(dga, letters, solutions):
+def _trials(augs):
+    """The trials of ``augs``' members, ascending."""
+    return [t for t in range(1 << len(augs.free)) if augs.ok >> t & 1]
+
+
+def _batched_failure(dga, augs):
     """The message ``_verify_solutions`` raises, None when it passes."""
     try:
-        augment._verify_solutions(dga, letters, solutions)
+        augment._verify_solutions(dga, augs)
     except InternalConsistencyError as exc:
         return str(exc)
     return None
 
 
 def test_batched_check_names_the_first_failure_of_the_one_by_one_check():
-    """Corrupt one value of the first, a middle or the last solution; both
-    checks name the same solution and message, and pass the uncorrupted
-    list.  The batched check names the solution by passing every solution
-    before it and failing once it is added.  Over every generator a value
-    on a nonzero degree is corrupted too; trefoil's d a1 = 1 + .. has a
-    constant term."""
-    draws = [d for d in random_dgas(20261018, 30) if len(enumerate_augmentations(d).solutions) >= 3]
+    """Move the first, a middle or the last member of the solution mask to
+    each trial one letter away; both checks name the same member and
+    message, and pass the uncorrupted mask.  The batched check names the
+    member by passing every member before it and failing once it is added.
+    The members as trials over every generator corrupt forced values and
+    values on a nonzero degree too (the last draw's free letters admit every
+    trial); trefoil's d a1 = 1 + .. has a constant term."""
+    draws = random_dgas(20261018, 30)
+    draws = [d for d in draws if len(twist_groups(d, enumerate_augmentations(d))) >= 3]
     for dga in [trefoil()] + draws[:2]:
         augs = enumerate_augmentations(dga)
-        cases = [
-            (augs.letters, augs.solutions),
-            (dga.generators, [tuple(v for _, v in aug.values) for aug in augs]),
-        ]
-        for letters, solutions in cases:
-            assert _batched_failure(dga, letters, solutions) is None
-            assert first_failure_one_by_one(dga, letters, solutions) is None
-            failures = 0
-            for s in sorted({0, len(solutions) // 2, len(solutions) - 1}):
-                for j in range(len(letters)):
-                    bad = _flipped(solutions, s, j)
-                    want = first_failure_one_by_one(dga, letters, bad)
+        trials = {int("".join(str(v) for _, v in aug.values), 2) for aug in augs}
+        everywhere = Augmentations(dga, dga.generators, {}, sum(1 << t for t in trials))
+        assert list(everywhere) == list(augs)
+        failures = 0
+        for case in (augs, everywhere):
+            assert _batched_failure(dga, case) is None
+            assert first_failure_one_by_one(dga, case) is None
+            members, f = _trials(case), len(case.free)
+            for t in sorted({members[0], members[len(members) // 2], members[-1]}):
+                for i in range(f):
+                    bad = _with_ok(case, case.ok & ~(1 << t) | 1 << (t ^ 1 << (f - 1 - i)))
+                    want = first_failure_one_by_one(dga, bad)
                     if want is None:
-                        assert _batched_failure(dga, letters, bad) is None, (s, letters[j])
+                        assert _batched_failure(dga, bad) is None, (t, case.free[i])
                         continue
                     failures += 1
                     first, message = want
-                    assert _batched_failure(dga, letters, bad[:first]) is None, (s, letters[j])
-                    assert _batched_failure(dga, letters, bad[: first + 1]) == message
-                    assert _batched_failure(dga, letters, bad) == message, (s, letters[j])
-            assert failures
+                    cut = _trials(bad)[first]
+                    before, through = bad.ok & ((1 << cut) - 1), bad.ok & ((2 << cut) - 1)
+                    assert _batched_failure(dga, _with_ok(bad, before)) is None
+                    assert _batched_failure(dga, _with_ok(bad, through)) == message
+                    assert _batched_failure(dga, bad) == message, (t, case.free[i])
+        assert failures
 
 
 def test_enumeration_interleaves_inert_letters_between_occurring_and_forced_ones():
     """e0..e3 are inert; y is forced to 1 and w to 0; x + z = 1 and u x = 0
-    leave three solutions, so 3 * 2^4 augmentations."""
+    leave three twists, each on 2^4 augmentations."""
     names = ("e0", "x", "e1", "y", "u", "e2", "z", "w", "e3", "a", "b", "c", "f")
     degrees = dict.fromkeys(names, 0)
     degrees.update(a=1, b=1, c=1, f=1)
@@ -217,9 +266,18 @@ def test_enumeration_interleaves_inert_letters_between_occurring_and_forced_ones
     }
     dga = DGA(0, names, degrees, diff)
     augs = enumerate_augmentations(dga)
-    assert augs.letters == ("x", "y", "u", "z", "w") and augs.inert == ("e0", "e1", "e2", "e3")
-    assert augs.solutions == [(0, 1, 0, 1, 0), (0, 1, 1, 1, 0), (1, 1, 0, 0, 0)]
-    assert len(augs) == 48
+    assert augs.free == ("e0", "x", "e1", "u", "e2", "z", "e3")
+    groups = twist_groups(dga, augs)
+    firsts = [augs[group[0]] for group in groups]
+    assert [tuple(aug(g) for g in "xyuzw") for aug in firsts] == [
+        (0, 1, 0, 1, 0),
+        (0, 1, 1, 1, 0),
+        (1, 1, 0, 0, 0),
+    ]
+    assert all(aug(e) == 0 for aug in firsts for e in ("e0", "e1", "e2", "e3"))
+    assert [len(group) for group in groups] == [16, 16, 16] and len(augs) == 48
+    group_of = {i: k for k, group in enumerate(groups) for i in group}
+    assert per_twist(augs, lambda aug: aug) == [firsts[group_of[i]] for i in range(48)]
     assert_matches_brute_force(dga)
     # The same DGA declared in reverse, and with e0 moved to the end.
     for order in (names[::-1], names[1:] + names[:1]):
@@ -231,7 +289,13 @@ def test_a_letter_beside_a_nonzero_degree_letter_is_free_but_splits_twists():
     yet it changes the twist; e occurs nowhere."""
     dga = DGA(0, ("x", "e", "p", "q"), {"x": 0, "e": 0, "p": 1, "q": 2}, {"q": poly(("x", "p"))})
     augs = enumerate_augmentations(dga)
-    assert (augs.letters, augs.solutions, augs.inert) == (("x",), [(0,), (1,)], ("e",))
+    assert augs.free == ("x", "e")
+    assert [aug.describe() for aug in augs] == [
+        "all generators -> 0",
+        "e -> 1",
+        "x -> 1",
+        "x -> 1, e -> 1",
+    ]
     assert_matches_brute_force(dga)
     assert twist_groups(dga, augs) == [[0, 1], [2, 3]]
     assert twist(dga, augs[0]) != twist(dga, augs[2])
@@ -282,6 +346,44 @@ def test_twist_of_first_trefoil_augmentation_matches_hand_expansion():
     twisted = twist(dga, aug)
     assert twisted.d("a1") == poly(("b1",), ("b3",), ("b1", "b2"), ("b1", "b2", "b3"))
     assert twisted.d("a2") == poly(("b1",), ("b3",), ("b2", "b1"), ("b3", "b2", "b1"))
+
+
+def _forced_product(k):
+    """d a = 1 + b0 b1 .. bk and d c_i = b_i + 1: every b_i is forced to 1,
+    so the one augmentation twists b0 .. bk into 2^(k+1) words."""
+    bs = tuple("b%d" % i for i in range(k + 1))
+    cs = tuple("c%d" % i for i in range(k + 1))
+    degrees = dict(dict.fromkeys(bs, 0), a=1, **dict.fromkeys(cs, 1))
+    diff = {"a": poly((), bs), **{c: poly((b,), ()) for b, c in zip(bs, cs)}}
+    return DGA(0, bs + ("a",) + cs, degrees, diff)
+
+
+def test_twist_refuses_over_the_budget_before_it_substitutes(monkeypatch, capsys, tmp_path):
+    """The twist of ``_forced_product(k)`` is predicted at 2^(k+1) words for
+    b0 .. bk, 1 for the unit and 2 + 1 for each d c_i, and keeps the
+    2^(k+1) - 1 nonempty subwords and each b_i.  The prediction is admitted
+    at the budget and refused one below it, with no substitution made."""
+
+    def no_substitution(p, images):
+        raise AssertionError("substituted over the budget")
+
+    for k in range(1, 8):
+        dga = _forced_product(k)
+        (aug,) = enumerate_augmentations(dga)
+        predicted = 2 ** (k + 1) + 1 + 3 * (k + 1)
+        monkeypatch.setattr(augment, "MAX_TWIST_TERMS", predicted)
+        twisted = twist(dga, aug)
+        assert sum(len(twisted.d(g)) for g in dga.generators) == 2 ** (k + 1) - 1 + k + 1
+        monkeypatch.setattr(augment, "MAX_TWIST_TERMS", predicted - 1)
+        monkeypatch.setattr(augment, "substitute", no_substitution)
+        with pytest.raises(ContractError, match="MAX_TWIST_TERMS = %d$" % (predicted - 1)):
+            twist(dga, aug)
+        monkeypatch.undo()
+    path = tmp_path / "forced24.dga"
+    path.write_text(serialize_dga(_forced_product(24)), encoding="utf-8")
+    assert main(["linhom", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("over the budget MAX_TWIST_TERMS = %d\n" % MAX_TWIST_TERMS)
 
 
 def test_twist_groups_split_trefoil_and_merge_degree_zero_stabilizations():
