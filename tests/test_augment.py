@@ -217,30 +217,39 @@ def _batched_failure(dga, augs):
 
 def test_batched_check_names_the_first_failure_of_the_one_by_one_check():
     """Move the first, a middle or the last member of the solution mask to
-    each trial one letter away; both checks name the same member and
-    message, and pass the uncorrupted mask.  The batched check names the
-    member by passing every member before it and failing once it is added.
-    The members as trials over every generator corrupt forced values and
-    values on a nonzero degree too (the last draw's free letters admit every
-    trial); trefoil's d a1 = 1 + .. has a constant term."""
-    draws = random_dgas(20261018, 30)
-    draws = [d for d in draws if len(twist_groups(d, enumerate_augmentations(d))) >= 3]
+    each trial one letter away and to the lowest trial outside the mask;
+    both checks name the same member and message, and pass the uncorrupted
+    mask.  The batched check names the member by passing every member before
+    it and failing once it is added.  Each case must have a corruption that
+    both refuse, the move outside the mask at least, so the draws are those
+    with a trial that is no augmentation.  The members as trials over every
+    generator corrupt forced values and values on a nonzero degree too;
+    trefoil's d a1 = 1 + .. has a constant term."""
+
+    def refusing(dga):
+        augs = enumerate_augmentations(dga)
+        full = (1 << (1 << len(augs.free))) - 1
+        return len(twist_groups(dga, augs)) >= 3 and augs.ok != full
+
+    draws = [d for d in random_dgas(20261018, 30) if refusing(d)]
     for dga in [trefoil()] + draws[:2]:
         augs = enumerate_augmentations(dga)
         trials = {int("".join(str(v) for _, v in aug.values), 2) for aug in augs}
         everywhere = Augmentations(dga, dga.generators, {}, sum(1 << t for t in trials))
         assert list(everywhere) == list(augs)
-        failures = 0
         for case in (augs, everywhere):
             assert _batched_failure(dga, case) is None
             assert first_failure_one_by_one(dga, case) is None
             members, f = _trials(case), len(case.free)
+            outside = next(u for u in range(1 << f) if not case.ok >> u & 1)
+            failures = 0
             for t in sorted({members[0], members[len(members) // 2], members[-1]}):
-                for i in range(f):
-                    bad = _with_ok(case, case.ok & ~(1 << t) | 1 << (t ^ 1 << (f - 1 - i)))
+                for u in [t ^ 1 << (f - 1 - i) for i in range(f)] + [outside]:
+                    bad = _with_ok(case, case.ok & ~(1 << t) | 1 << u)
                     want = first_failure_one_by_one(dga, bad)
                     if want is None:
-                        assert _batched_failure(dga, bad) is None, (t, case.free[i])
+                        assert u != outside, (t, case.free)
+                        assert _batched_failure(dga, bad) is None, (t, u)
                         continue
                     failures += 1
                     first, message = want
@@ -248,8 +257,22 @@ def test_batched_check_names_the_first_failure_of_the_one_by_one_check():
                     before, through = bad.ok & ((1 << cut) - 1), bad.ok & ((2 << cut) - 1)
                     assert _batched_failure(dga, _with_ok(bad, before)) is None
                     assert _batched_failure(dga, _with_ok(bad, through)) == message
-                    assert _batched_failure(dga, bad) == message, (t, case.free[i])
-        assert failures
+                    assert _batched_failure(dga, bad) == message, (t, u)
+            assert failures, case.free
+
+
+def test_the_batched_check_reads_each_free_letter_where_members_read_it():
+    """x y + y = 0 has the members 00, 10 and 11 over (x, y).  Members that
+    read x and y from each other's trial bits are 00, 01 and 11, and both
+    checks refuse 01."""
+    dga = DGA(0, ("x", "y", "a"), {"x": 0, "y": 0, "a": 1}, {"a": poly(("x", "y"), ("y",))})
+    augs = enumerate_augmentations(dga)
+    assert [aug.describe() for aug in augs] == ["all generators -> 0", "x -> 1", "x -> 1, y -> 1"]
+    swapped = copy.copy(augs)
+    swapped._bits = [(bit, p, one) for (bit, _, _), (_, p, one) in zip(augs._bits, augs._bits[::-1])]
+    assert [aug.describe() for aug in swapped] == ["all generators -> 0", "y -> 1", "x -> 1, y -> 1"]
+    assert first_failure_one_by_one(dga, swapped) == (1, "augmentation fails to kill d a")
+    assert _batched_failure(dga, swapped) == "augmentation fails to kill d a"
 
 
 def test_enumeration_interleaves_inert_letters_between_occurring_and_forced_ones():
