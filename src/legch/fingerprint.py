@@ -11,14 +11,14 @@ fingerprints are inconclusive.  Augmentations that differ only on inert
 letters share their twist (``augment.per_twist``), so they share one ring
 and its profile, which counts once per member.
 
-Cup ranks and triple brackets are read off the ring's ``ProductTable``:
-each bidegree's rank off the class rows of its pair block, and each degree
-triple's (defined, nonzero) from one flags pass over its pair blocks and
-its block of the ring's transferred p_3, run only where mu_2 or p_3 has an
-entry (every other triple is (True, False)).  Brackets of order 4 and up
-walk the defining systems of the ring's minimal model class tuple by class
-tuple (``massey_higher``, which proves the value sets are the chain-level
-ones), all of a ring's walks bounded in advance by ``MAX_MASSEY_SYSTEMS``.
+Cup ranks are read off the class rows of the pair blocks of the ring's
+``ProductTable``.  Massey brackets of every order are one code path: the
+walk of ``massey_higher`` (``ainfty._BracketWalk``, whose docstrings prove
+that the value sets are the chain-level ones and that the outer layer is
+a coset) over the ring's checked minimal model, asked class tuple by
+class tuple, skipping the degree tuples where mu has no entry on any run;
+the walks of order 4 and up are bounded in advance by
+``MAX_MASSEY_SYSTEMS``.
 
 ``compare_mirror`` fingerprints only the knot.  The mirror's A-infinity
 structure is the opposite one, m_k^op(x_1..x_k) = m_k(x_k..x_1), so its
@@ -31,13 +31,14 @@ augmentation verified on its differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import chain, groupby, repeat
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
-from .ainfty import CohomologyRing, HClass, build_ring, check_massey_budget, massey_higher
+from .ainfty import CohomologyRing, _BracketWalk, build_ring, check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
 from .gf2 import apply_block, rank
@@ -116,35 +117,58 @@ def _tuple_space(dims: Sequence[int]) -> bool:
     return _class_tuples(dims) <= DEFAULT_MAX_TUPLES
 
 
+def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):
+    """(some bracket defined, some nonzero) over the tuples of nonzero classes
+    in these degrees, asked tuple by tuple in product order, up to the first
+    nonzero one.  A bracket with a nonzero adjacent product x_l x_(l+1) is
+    undefined (that product is the obstruction of the width-1 run [l, l+1]
+    on every branch), so only the other tuples are asked, built position by
+    position from ``zero(a, b)``, which maps each class x of degree a to the
+    y of degree b with x y = 0; where the walk is ``flat`` none is asked."""
+    combos = [(x,) for x in range(1, 1 << dims[0])]
+    for after in map(zero, degrees, degrees[1:]):
+        combos = [c + (y,) for c in combos for y in after[c[-1]]]
+    if not combos or walk.flat(degrees):
+        return bool(combos), False
+    defined = False
+    for here, nonzero in map(partial(walk.flags, degrees), combos):
+        if nonzero:
+            return True, True
+        defined = defined or here
+    return defined, False
+
+
 def massey_table(
     ring: CohomologyRing, massey_order: int = DEFAULT_MASSEY_ORDER
 ) -> Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]]:
     """Per degree tuple: does any Massey bracket exist, and any nonzero one?
 
     Both booleans quantify over all tuples of nonzero classes in the given
-    degrees, so they do not depend on a basis choice.  "Nonzero" means the
-    value coset omits zero.  Degree tuples whose class count exceeds
-    ``DEFAULT_MAX_TUPLES`` are skipped (a function of the dimensions alone).
+    degrees, so they do not depend on a basis choice.  "Nonzero" means 0
+    lies outside the affine hull of the value set (``is_trivial``).  Degree
+    tuples whose class count exceeds ``DEFAULT_MAX_TUPLES`` are skipped (a
+    function of the dimensions alone).
 
-    A degree triple (a, b, c) takes a flags pass of the product table only
-    where mu_2 of the ring's transfer has an entry in degrees (a, b) or
-    (b, c), or its p_3 one in (a, b, c); every other triple is (True, False)
-    (see "Support" in ``ProductTable``).  Higher orders walk the minimal
-    model class tuple by class tuple (``massey_higher``); before the ring's
-    first walk, ``check_massey_budget`` bounds the walks of every order and
-    admitted class tuple together.  The ring is transferred once, at
-    ``massey_order``, and that transfer's cuts serve the lower orders and
-    the order-n dims up to it.
+    Every order reads the ring's checked minimal model the same way, with
+    one ``_BracketWalk`` (the walk of ``massey_higher``) asked class tuple
+    by class tuple for (defined, nonzero) (``_walk_flags``), up to the first
+    nonzero tuple; each bracket stops at the first coset after which its
+    hull holds 0.  A degree tuple on none of whose runs (k_l..k_m), l < m,
+    mu_(m-l+1) has an entry is (True, False) with no walk: there every
+    bracket has the zero system, whose obstructions and value are the
+    mu_(m-l+1)(x_l..x_m), all 0.  Before the ring's first walk of order 4
+    or more, ``check_massey_budget`` bounds those walks' complete systems,
+    every order and admitted class tuple together.  The ring is transferred
+    once, at ``massey_order``, and that transfer's cuts serve the lower
+    orders and the order-n dims up to it.
     """
     h = ring.cochain
     dim_of = h.dims()
     degrees = sorted(dim_of)
 
     def admitted(order: int):
-        for prefix in iproduct(degrees, repeat=order):
-            dims = [dim_of[k] for k in prefix]
-            if _tuple_space(dims):
-                yield prefix, dims
+        tuples = zip(iproduct(degrees, repeat=order), iproduct(dim_of.values(), repeat=order))
+        return ((prefix, dims) for prefix, dims in tuples if _tuple_space(dims))
 
     if massey_order >= 4:
         orders = range(4, massey_order + 1)
@@ -154,26 +178,22 @@ def massey_table(
     if massey_order >= 3:
         ring.minimal(massey_order)
     table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
+
+    @lru_cache(maxsize=None)
+    def zero(a: int, b: int) -> Dict[int, List[int]]:
+        pair, ys = ring.products.pair(a, b).coords, range(1, 1 << dim_of[b])
+        return {x: [y for y in ys if not apply_block(pair, x, y)] for x in range(1, 1 << dim_of[a])}
+
     for order in range(3, massey_order + 1):
-        if order == 3:
-            mu = ring.minimal(3)[0]
-            cups = {tuple(map(mu.degree_of.get, w)) for w in mu.tables[2]}
-        else:
-            mu = ring.checked_minimal(order)[0]
+        mu = ring.checked_minimal(order)[0]
+        walk = _BracketWalk(mu, order)
+        runs = [(l, m, mu.grouped(m - l)) for l in range(order) for m in range(l + 2, order + 1)]
         for prefix, dims in admitted(order):
-            if order == 3:
-                a, b, c = prefix
-                support = (a, b) in cups or (b, c) in cups or prefix in ring.products.triples
-                table[(order, prefix)] = ring.products.flags(a, b, c) if support else (True, False)
-                continue
-            defined = nonzero = False
-            for combo in iproduct(*(range(1, 1 << d) for d in dims)):
-                result = massey_higher(mu, [HClass(k, v) for k, v in zip(prefix, combo)])
-                defined = defined or result.defined
-                if result.defined and not result.is_trivial():
-                    nonzero = True
+            table[(order, prefix)] = (True, False)
+            for l, m, grouped in runs:
+                if prefix[l:m] in grouped:
+                    table[(order, prefix)] = _walk_flags(walk, prefix, dims, zero)
                     break
-            table[(order, prefix)] = (defined, nonzero)
     return table
 
 
@@ -350,18 +370,17 @@ def compare_mirror(
       m^op, m_k^op(x_1..x_k) = m_k(x_k..x_1), and its A-infinity relations
       are the knot's read in reverse.
     - Transfer.  With the same (h, i, p) the tree sum mirrors tree by tree
-      (each planar tree reflected), so the mirror's minimal model is mu^op
-      and its p_3 is p_3 reversed.
+      (each planar tree reflected), so the mirror's minimal model is mu^op.
     - Cup ranks.  {m_2^op(x, y)} spans {m_2(y, x)}, so the rank at (r, s)
       is the knot's at (s, r).
     - Massey flags.  b[l, m] -> b[o + 1 - m, o + 1 - l] maps the defining
       systems of <x_1..x_o> under m^op onto those of <x_o..x_1> under m,
-      value for value, so (defined, nonzero), triple and order >= 4, is the
-      knot's at the reversed tuple.  The order-3 support (mu_2 in (a, b) or
-      (b, c), p_3 in (a, b, c)) and ``_tuple_space`` (a product over the
-      tuple) reverse with it.  A walk of order >= 4 reaches every defining
-      system of mu^op, and ``check_massey_budget`` sums over a tuple's
-      sub-intervals, which reversal permutes.
+      value for value, so (defined, nonzero) at every order is the knot's
+      at the reversed tuple.  The support (an entry of mu on some run of
+      the tuple) and ``_tuple_space`` (a product over the tuple) reverse
+      with it.  A walk reaches every defining system of mu^op, and
+      ``check_massey_budget`` sums over a tuple's sub-intervals, which
+      reversal permutes.
     - Order-n dims.  Word reversal is an isomorphism of the window
       complexes (``reflection_compare`` checks rev d rev = d_mirror), so the
       dims are equal.

@@ -5,8 +5,9 @@ masseyex base, and grow by stabilizations and elementary isomorphisms,
 both of which preserve validity, so every produced DGA passes the
 validator by construction (and we assert as much here to fail fast if a
 move is broken).  The chain-level triple Massey product, the chain-level
-walk of higher Massey defining systems, the block-by-block triple
-builder, the visit-every-triple Massey table, the per-tuple composition
+walk of higher Massey defining systems, the minimal-model walk of every
+defining system one by one, the block-by-block p_3 builder, the
+visit-every-triple Massey table, the per-tuple composition
 sum, the word-by-word Leibniz and window expansions, the word-by-word
 window matrix with its d d = 0, the sliced count of the window matrix,
 the word-by-word perturbation series, the whole-field multiset witness
@@ -15,8 +16,9 @@ every basis vector, the per-augmentation ``report`` and
 fingerprint loops, the brute force over every degree-0 letter with its
 grouping by twist and its check of one member at a time, and the
 letter-by-letter ``pmul`` substitution are kept here as the references
-that the library's product table, its minimal-model Massey walk, its
-transferred p_3 blocks, its support-only Massey table, its table-driven
+that the library's product table, its minimal-model Massey walk with
+its outer layer summed as a coset, its transferred mu_3, its
+support-only Massey table, its table-driven
 composition sum, its pair checks, its window matrix and relation-based
 d d = 0, its closed-form entry count, its minimal-model order-n engine,
 its mirror witness, its one-sided mirror comparison, its proof that
@@ -30,7 +32,9 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest.mock import patch
 
@@ -43,6 +47,7 @@ from legch.ainfty import (
     MasseyResult,
     basis_classes,
     build_ring,
+    _BracketWalk,
     _compositions,
     cup_product,
 )
@@ -81,7 +86,7 @@ from legch.fingerprint import (
     profile_for,
 )
 from legch.gf2 import bits, span_basis
-from legch.linear import GradedMatrixMap, duality_search
+from legch.linear import GradedMatrixMap, duality_search, vector_label
 from legch.tilde import _ring_pairs
 
 
@@ -601,24 +606,40 @@ def random_disguised_base(rng: random.Random) -> DGA:
     return dga
 
 
+def apply(s: AInftyStructure, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """Reference multilinear m_k on a tuple of (degree, vector) arguments,
+    label tuple by label tuple, where the library reads coordinate blocks
+    (``AInftyStructure.block`` with ``gf2.apply_block``).
+
+    Returns (output degree, output vector); the degree is meaningful even
+    when the vector is zero.
+    """
+    outdeg = canon_degree(s.modulus, sum(d for d, _ in pairs) + 1)
+    table = s.tables.get(len(pairs))
+    if not table:
+        return outdeg, 0
+    choices = [[s.names(d)[i] for i in bits(vec)] for d, vec in pairs]
+    return outdeg, reduce(xor, (table.get(combo, 0) for combo in product(*choices)), 0)
+
+
 def chain_p3(h, s, x: HClass, y: HClass, z: HClass) -> Tuple[int, int]:
     """Degree and chain vector of m_3(ix, iy, iz) + m_2(ix, h m_2(iy, iz)) + m_2(h m_2(ix, iy), iz).
 
-    Computed on the representatives of x, y, z themselves; the library's
-    triple blocks hold this vector on basis classes.
+    Computed on the representatives of x, y, z themselves; the library
+    keeps only its projection on basis classes, the minimal model's mu_3.
     """
     ix = h.include(x.degree, x.coords)
     iy = h.include(y.degree, y.coords)
     iz = h.include(z.degree, z.coords)
-    dxy, vxy = s.apply([(h.canon(x.degree), ix), (h.canon(y.degree), iy)])
-    dyz, vyz = s.apply([(h.canon(y.degree), iy), (h.canon(z.degree), iz)])
+    dxy, vxy = apply(s, [(h.canon(x.degree), ix), (h.canon(y.degree), iy)])
+    dyz, vyz = apply(s, [(h.canon(y.degree), iy), (h.canon(z.degree), iz)])
     xt = h.homotopy(dxy, vxy)  # bounds m_2(x, y) when that product is exact
     yt = h.homotopy(dyz, vyz)  # bounds m_2(y, z) when that product is exact
-    d3, v3 = s.apply(
+    d3, v3 = apply(s, 
         [(h.canon(x.degree), ix), (h.canon(y.degree), iy), (h.canon(z.degree), iz)]
     )
-    _, va = s.apply([(h.canon(x.degree), ix), (h.canon(dyz - h.shift), yt)])
-    _, vb = s.apply([(h.canon(dxy - h.shift), xt), (h.canon(z.degree), iz)])
+    _, va = apply(s, [(h.canon(x.degree), ix), (h.canon(dyz - h.shift), yt)])
+    _, vb = apply(s, [(h.canon(dxy - h.shift), xt), (h.canon(z.degree), iz)])
     return d3, v3 ^ va ^ vb
 
 
@@ -728,7 +749,7 @@ def chain_massey_higher(
             pairs = [(deg[b], state[b]) for b in blocks]
             if any(v == 0 for _, v in pairs):
                 continue
-            _, vec = s.apply(pairs)
+            _, vec = apply(s, pairs)
             total ^= vec
         return total
 
@@ -800,13 +821,13 @@ def chain_massey_higher(
 
 
 def block_triples(h, s):
-    """Reference triple blocks of ``ProductTable.triples``, built block by block.
+    """Reference chain table p_3 of the arity-3 transfer, built block by block.
 
     Per degree pair the lifts i_2 = h(m_2) of the basis pairs, then per
     degree triple Kadeishvili's p_3 = m_3(i, i, i) + m_2(i, i_2) + m_2(i_2, i)
     on every basis triple from m_2, m_3 and h; the nonzero vectors, keyed by
-    degree triple and then basis-index triple.  The library reads the same
-    vectors off the p_3 table of the ring's transfer.
+    degree triple and then basis-index triple.  The library keeps only
+    their projections, the minimal model's mu_3.
     """
     degrees = h.degrees()
     incl = {k: [h.include(k, 1 << i) for i in range(h.dim(k))] for k in degrees}
@@ -814,30 +835,106 @@ def block_triples(h, s):
     for a, b in product(degrees, repeat=2):
         degree = h.canon(a + b + 1)
         lifts[(a, b)] = [
-            [h.homotopy(degree, s.apply([(a, x), (b, y)])[1]) for y in incl[b]] for x in incl[a]
+            [h.homotopy(degree, apply(s, [(a, x), (b, y)])[1]) for y in incl[b]] for x in incl[a]
         ]
     blocks = {}
     for a, b, c in product(degrees, repeat=3):
         ab = h.canon(a + b + 1 - h.shift)
         bc = h.canon(b + c + 1 - h.shift)
         for (i, x), (j, y), (k, z) in product(*(enumerate(incl[d]) for d in (a, b, c))):
-            vec = s.apply([(a, x), (b, y), (c, z)])[1]
-            vec ^= s.apply([(a, x), (bc, lifts[(b, c)][j][k])])[1]
-            vec ^= s.apply([(ab, lifts[(a, b)][i][j]), (c, z)])[1]
+            vec = apply(s, [(a, x), (b, y), (c, z)])[1]
+            vec ^= apply(s, [(a, x), (bc, lifts[(b, c)][j][k])])[1]
+            vec ^= apply(s, [(ab, lifts[(a, b)][i][j]), (c, z)])[1]
             if vec:
                 blocks.setdefault((a, b, c), {})[(i, j, k)] = vec
     return blocks
 
 
 def every_triple_massey_table(ring):
-    """Reference order-3 ``massey_table``: one flags pass on every admitted degree
-    triple, where the library runs one only on the support of mu_2 and p_3."""
+    """Reference order-3 ``massey_table``: the per-bracket (defined, nonzero)
+    on every admitted degree triple, where the library skips the triples on
+    none of whose runs mu_2 or mu_3 has an entry."""
     h = ring.cochain
+    mu = ring.checked_minimal(3)[0]
     table = {}
     for prefix in product(sorted(h.dims()), repeat=3):
-        if _tuple_space([h.dim(k) for k in prefix]):
-            table[(3, prefix)] = ring.products.flags(*prefix)
+        dims = [h.dim(k) for k in prefix]
+        if _tuple_space(dims):
+            walk = _BracketWalk(mu, 3)
+            flags = [walk.flags(prefix, c) for c in product(*(range(1, 1 << d) for d in dims))]
+            table[(3, prefix)] = (any(d for d, _ in flags), any(z for _, z in flags))
     return table
+
+
+def minimal_walk_massey(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResult:
+    """Reference ``massey_higher``: every defining system of the minimal model,
+    the two outer variables b[1, n-1] and b[2, n] included, walked one by one
+    through ``AInftyStructure.apply``.
+
+    A variable b[l, m] is a dead branch where its partition sum is nonzero
+    and otherwise ranges over all of H in its degree; the value set is the
+    set of partition sums over [1, n], and the witness of an undefined
+    bracket the last obstruction met.
+    """
+    n = len(classes)
+    deg: Dict[Tuple[int, int], int] = {}
+    state: Dict[Tuple[int, int], int] = {}
+    for l in range(1, n + 1):
+        for m in range(l, n + 1):
+            deg[(l, m)] = canon_degree(mu.modulus, sum(c.degree for c in classes[l - 1 : m]))
+        state[(l, l)] = classes[l - 1].coords
+    variables = [(l, l + width) for width in range(1, n - 1) for l in range(1, n + 1 - width)]
+
+    def partitions(l: int, m: int) -> List[List[Tuple[int, int]]]:
+        out = []
+        for r in range(2, m - l + 2):
+            for comp in _compositions(m - l + 1, r):
+                starts = [l + sum(comp[:i]) for i in range(r)]
+                out.append([(a, a + c - 1) for a, c in zip(starts, comp)])
+        return out
+
+    parts = {(l, m): partitions(l, m) for (l, m) in variables + [(1, n)]}
+    values = set()
+    systems = 0
+    witness = "no defining system found"
+
+    def block_sum(l: int, m: int) -> int:
+        total = 0
+        for blocks in parts[(l, m)]:
+            pairs = [(deg[b], state[b]) for b in blocks]
+            if all(v for _, v in pairs):
+                total ^= apply(mu, pairs)[1]
+        return total
+
+    def walk(idx: int) -> None:
+        nonlocal systems, witness
+        if idx == len(variables):
+            values.add(block_sum(1, n))
+            systems += 1
+            return
+        l, m = variables[idx]
+        obs = block_sum(l, m)
+        if obs:
+            label = vector_label(mu.names(deg[(l, m)] + 1), obs)
+            witness = "sub-bracket obstruction %s at (%d, %d)" % (label, l, m)
+            return
+        for vec in range(1 << len(mu.names(deg[(l, m)]))):
+            state[(l, m)] = vec
+            walk(idx + 1)
+
+    walk(0)
+    if not values:
+        return MasseyResult("undefined", witness=witness)
+    ordered = sorted(values)
+    rep = ordered[0]
+    return MasseyResult(
+        "defined",
+        degree=canon_degree(mu.modulus, sum(c.degree for c in classes) + 1),
+        value=rep,
+        indeterminacy=span_basis([v ^ rep for v in ordered[1:]]),
+        value_set=ordered,
+        systems=systems,
+    )
 
 
 def _field_multiset(fp, field: str) -> dict:
@@ -977,7 +1074,7 @@ def per_tuple_composition_sum(m, f, degree_of, entry_degree, n, min_blocks, tota
                 continue
             for chosen in product(*blocks):
                 args = tuple(x for w, _, _ in chosen for x in w)
-                got, val = m.apply([(d, vec) for _, d, vec in chosen])
+                got, val = apply(m, [(d, vec) for _, d, vec in chosen])
                 want = canon_degree(m.modulus, sum(degree_of[x] for x in args) + 1)
                 if got != want:
                     raise AssertionError(

@@ -37,7 +37,7 @@ from legch.tilde import (
     tilde_complex,
 )
 
-from helpers import _apply_if_small, random_augmented_dga, random_elementary_iso
+from helpers import _apply_if_small, apply, random_augmented_dga, random_elementary_iso
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +308,7 @@ def test_criterion_8_invariance_under_stabilization_and_isomorphism():
                     key = tuple(
                         h.label(c.degree, c.coords) for c in (x, y, z)
                     )
-                    _, vec = mu.apply(
+                    _, vec = apply(mu, 
                         [(x.degree, x.coords), (y.degree, y.coords), (z.degree, z.coords)]
                     )
                     assert vec == result.value, key

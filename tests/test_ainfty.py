@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
@@ -36,6 +37,8 @@ from legch.augment import Augmentation, enumerate_augmentations, twist
 from legch.cli import main
 from legch.fileio import serialize_dga
 from legch.families import bundled_examples, cupex, masseyex, trefoil
+from legch.gf2 import apply_block, apply_cols
+from legch.fingerprint import _tuple_space
 from legch.linear import homology, linearized_complexes
 from helpers import (
     admitted_class_triples,
@@ -43,7 +46,9 @@ from helpers import (
     chain_massey_higher,
     chain_massey_triple,
     chain_p3,
+    apply,
     disguised_order_four_bracket_dgas,
+    minimal_walk_massey,
     oracle_rings,
     order_four_bracket_dga,
     per_tuple_composition_sum,
@@ -51,6 +56,7 @@ from helpers import (
     random_augmented_dga,
     random_dga,
     trivial_bracket_dga,
+    twist_firsts,
 )
 
 
@@ -80,15 +86,23 @@ def test_trefoil_adjoint_tables_are_exactly_the_dual_differential():
 
 
 def test_adjoint_apply_is_multilinear():
+    """m_k is read through its coordinate blocks: ``gf2.apply_block`` on
+    ``AInftyStructure.block`` extends the table multilinearly, agrees with
+    the label-by-label reference, and an empty table reads as zero blocks."""
     s = trefoil_ring().structure
     # m2(b1 + b3, b2) = m2(b1, b2) + m2(b3, b2) = a1
-    deg, vec = s.apply([(0, 0b101), (0, 0b010)])
-    assert (deg, vec) == (1, 0b01)
-    deg, vec = s.apply([(0, 0b101), (0, 0)])
-    assert (deg, vec) == (1, 0)
+    assert apply_block(s.block((0, 0)), 0b101, 0b010) == 0b01
+    assert apply(s, [(0, 0b101), (0, 0b010)]) == (1, 0b01)
+    assert apply_block(s.block((0, 0)), 0b101, 0) == 0
+    assert apply(s, [(0, 0b101), (0, 0)]) == (1, 0)
     # degree arithmetic is reported even for empty tables
-    deg, _ = s.apply([(1, 0b1), (1, 0b1)])
-    assert deg == 3
+    assert apply(s, [(1, 0b1), (1, 0b1)])[0] == s.out_degree(("a1", "a1")) == 3
+    assert s.block((1, 1)) == [[0, 0], [0, 0]]
+    assert (0, 0) in s.grouped(2) and (1, 1) not in s.grouped(2)
+    for degrees in product(s.basis, repeat=3):
+        for masks in product(*(range(1 << len(s.basis[k])) for k in degrees)):
+            want = apply(s, list(zip(degrees, masks)))[1]
+            assert apply_block(s.block(degrees), *masks) == want, (degrees, masks)
 
 
 def test_structure_constructor_rejects_malformed_tables():
@@ -305,9 +319,14 @@ def test_mirror_massey_triples_vanish_in_the_same_ordered_degrees():
 
 
 def _assert_triples_match_the_chain_level_oracle(ring):
+    """Every admitted triple, read off the ring's table and off one standalone
+    table over the same (h, s), which runs its own transfer and verifies its
+    retract as ``massey_triple`` does, equals the chain-level bracket."""
     h, s = ring.cochain, ring.structure
+    standalone = ProductTable(h, s)
     for _, classes in admitted_class_triples(h):
-        assert massey_triple(h, s, *classes) == chain_massey_triple(h, s, *classes), classes
+        want = chain_massey_triple(h, s, *classes)
+        assert ring.products.massey(*classes) == standalone.massey(*classes) == want, classes
 
 
 def test_massey_triple_value_can_lie_in_its_indeterminacy():
@@ -333,20 +352,27 @@ def test_massey_triple_matches_the_chain_level_oracle_on_random_dgas(seed):
 
 
 def _assert_triple_blocks_match_the_chain_level_formula(ring):
-    """Every triple block's p_3 vectors, a missing entry read as zero, equal
-    the chain-level formula on every basis triple, and the blocks equal the
-    block-by-block builder's, both for the ring's table and for a standalone
+    """On every basis triple, mu_3 of the transfer is the projection of the
+    chain-level p_3 (the block-by-block builder's vector, a missing entry
+    read as zero, which equals ``chain_p3``), as a table entry and through
+    its coordinate block, both for the ring's table and for a standalone
     one, which runs its own transfer."""
     h, s = ring.cochain, ring.structure
-    want_blocks = block_triples(h, s)
-    assert ring.products.triples == ProductTable(h, s).triples == want_blocks
+    p3_blocks = block_triples(h, s)
+    mus = [ring.products.minimal(3)[0], ProductTable(h, s).minimal(3)[0]]
     for a, b, c in product(h.degrees(), repeat=3):
-        block = ring.products.triples.get((a, b, c), {})
+        p3 = p3_blocks.get((a, b, c), {})
         degree = h.canon(a + b + c + 1)
         for i, j, k in product(range(h.dim(a)), range(h.dim(b)), range(h.dim(c))):
-            got = block.get((i, j, k), 0)
-            want = chain_p3(h, s, HClass(a, 1 << i), HClass(b, 1 << j), HClass(c, 1 << k))
-            assert (degree, got) == want, (a, b, c, i, j, k)
+            classes = HClass(a, 1 << i), HClass(b, 1 << j), HClass(c, 1 << k)
+            vec = p3.get((i, j, k), 0)
+            assert (degree, vec) == chain_p3(h, s, *classes), (a, b, c, i, j, k)
+            want = h.project(degree, vec)
+            for mu in mus:
+                labels = tuple(mu.names(x.degree)[x.coords.bit_length() - 1] for x in classes)
+                block = mu.block((a, b, c))
+                got = apply_block(block, 1 << i, 1 << j, 1 << k) if block else 0
+                assert mu.entry(labels) == got == want, (a, b, c, i, j, k)
 
 
 def test_triple_blocks_match_the_chain_level_formula_on_bundled_examples():
@@ -404,7 +430,7 @@ def test_massey_higher_budget_and_argument_validation(monkeypatch):
     def refuse(*args):
         raise AssertionError("a walk ran")
 
-    monkeypatch.setattr(fingerprint, "massey_higher", refuse)
+    monkeypatch.setattr(fingerprint, "_BracketWalk", refuse)
     with pytest.raises(
         ContractError,
         match="take at least \\d+ defining systems, over the budget MAX_MASSEY_SYSTEMS",
@@ -413,14 +439,27 @@ def test_massey_higher_budget_and_argument_validation(monkeypatch):
 
 
 def test_massey_higher_order_three_agrees_with_triple():
+    """On every triple of nonzero trefoil classes the two formats say the same:
+    definedness, and the triple's coset value + span(indeterminacy) is the
+    higher bracket's value set."""
     ring = trefoil_ring()
     h, s = ring.cochain, ring.structure
+    mu = ring.checked_minimal(3)[0]
+    defined = 0
+    for _, classes in admitted_class_triples(h):
+        triple = massey_triple(h, s, *classes)
+        higher = massey_higher(mu, classes)
+        assert higher.defined == triple.defined, classes
+        if triple.defined:
+            defined += 1
+            basis = triple.indeterminacy
+            coset = sorted(triple.value ^ apply_cols(basis, t) for t in range(1 << len(basis)))
+            assert higher.value_set == coset, classes
+    assert defined
     b = HClass(0, 1)
     triple = massey_triple(h, s, b, b, b)
-    higher = massey_higher(ring.checked_minimal(3)[0], [b, b, b])
-    assert higher.defined and triple.defined
-    assert higher.contains(triple.value)
-    assert triple.contains(higher.value)
+    assert (triple.value, triple.indeterminacy) == (0, [1])
+    assert massey_higher(mu, [b, b, b]).value_set == [0, 1]
 
 
 def _assert_walk_matches_the_chain_oracle(ring, order, cap):
@@ -458,6 +497,54 @@ def test_massey_higher_matches_the_chain_oracle_on_cupex_at_order_3():
     dga = cupex(1, 1, 2)
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
     assert _assert_walk_matches_the_chain_oracle(ring, 3, 1 << 4) == (298, 702, 0)
+
+
+def _coset_walk_against_the_one_by_one_walk(ring, order) -> Counter:
+    """Every ``MasseyResult`` field of ``massey_higher`` (status, degree, value,
+    indeterminacy, value set, witness, systems) equals the one-by-one walk's
+    over every tuple of nonzero classes, and the order-``order`` rows of
+    ``massey_table`` are the one-by-one walk's (defined, nonzero) per
+    admitted degree tuple.  Counts the brackets by status and the
+    nontrivial ones."""
+    h = ring.cochain
+    mu = ring.checked_minimal(order)[0]
+    counts, want_table = Counter(), {}
+    for prefix in product(h.degrees(), repeat=order):
+        flags = []
+        for combo in product(*(range(1, 1 << h.dim(k)) for k in prefix)):
+            classes = [HClass(k, v) for k, v in zip(prefix, combo)]
+            want = minimal_walk_massey(mu, classes)
+            assert massey_higher(mu, classes) == want, classes
+            counts[want.status] += 1
+            flags.append((want.defined, want.defined and not want.is_trivial()))
+        counts["nontrivial"] += sum(nonzero for _, nonzero in flags)
+        if _tuple_space([h.dim(k) for k in prefix]):
+            want_table[(order, prefix)] = (any(d for d, _ in flags), any(z for _, z in flags))
+    got_table = fingerprint.massey_table(ring, order)
+    assert {key: v for key, v in got_table.items() if key[0] == order} == want_table
+    return counts
+
+
+def test_coset_walk_matches_the_one_by_one_walk():
+    """At order 4: trefoil, the order-four bracket DGA and two disguises,
+    and ``random_dga(Random(seed), 4)`` for seeds 1000-1019, one ring per
+    twist; at order 3: the bundled examples' rings, both sides.  Seed 1003
+    is compared on its first twist's ring only, since the one-by-one walk
+    takes 1.7 s on each of its four rings (the fingerprint test at order 4
+    covers all four)."""
+    dgas = [trefoil(), order_four_bracket_dga()] + disguised_order_four_bracket_dgas()[:2]
+    seeds = {len(dgas) + i: seed for i, seed in enumerate(range(1000, 1020))}
+    dgas += [random_dga(random.Random(seed), 4) for seed in seeds.values()]
+    at_four = Counter()
+    for index, dga in enumerate(dgas):
+        firsts = twist_firsts(dga)
+        for aug in firsts[:1] if seeds.get(index) == 1003 else firsts:
+            at_four += _coset_walk_against_the_one_by_one_walk(build_ring(dga, aug), 4)
+    at_three = Counter()
+    for ring in oracle_rings():
+        at_three += _coset_walk_against_the_one_by_one_walk(ring, 3)
+    assert at_four == Counter(defined=2666, undefined=900, nontrivial=3)
+    assert at_three == Counter(defined=2160, undefined=874, nontrivial=8)
 
 
 def test_massey_higher_matches_the_chain_oracle_on_random_dgas_at_order_4():
@@ -508,7 +595,7 @@ def _tree_sum_transfer(h, s, up_to):
             if child is not None:
                 d, vec = h.canon(d - h.shift), h.homotopy(d, vec)
             args.append((d, vec))
-        return s.apply(args)
+        return apply(s, args)
 
     mu, incl = {}, {}
     for k in range(2, up_to + 1):

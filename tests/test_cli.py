@@ -246,7 +246,7 @@ def test_massey_walks_over_the_budget_are_refused_before_any_walk(capsys, trefoi
     def refuse(*args):
         raise AssertionError("a walk ran")
 
-    monkeypatch.setattr(fingerprint, "massey_higher", refuse)
+    monkeypatch.setattr(fingerprint, "_BracketWalk", refuse)
     monkeypatch.setattr(cli, "massey_higher", refuse)
     for argv in (
         ("compare-mirror", "--massey-order", "5"),
