@@ -1094,15 +1094,10 @@ def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
     So the relations hold at every arity, also above the arity that
     ``adjoint_structure`` checks, and m_1 m_1 = 0 is the case l = 1, which
     ``linear._retract`` needs of both maps (its docstring).  ``_dualize``
-    still checks each word's degree, and ``twist`` the constant terms.  The
-    budget of the check stays: a structure whose relations up to its arity
-    would take more than ``MAX_RELATION_TERMS`` terms is refused, so the
-    rings admitted are the ones the check admitted, and their size bounds
-    the window checks and composition sums that later layers run on them.
+    still checks each word's degree, and ``twist`` the constant terms.
     """
     assert_valid(dga)
     twisted = twist(dga, aug)
     s = _dualize(twisted)
-    _check_relation_budget(s, s.arity)
     chain_map, cochain_map = linearized_complexes(s)
     return CohomologyRing(dga, twisted, s, _retract(chain_map), _retract(cochain_map))

@@ -14,8 +14,9 @@ the word-by-word perturbation series, the whole-field multiset witness
 and the two-sided mirror comparison, the five retract identities on
 every basis vector, the per-augmentation ``report`` and
 fingerprint loops, the brute force over every degree-0 letter with its
-grouping by twist and its check of one member at a time, and the
-letter-by-letter ``pmul`` substitution are kept here as the references
+grouping by twist and its check of one member at a time, the
+letter-by-letter ``pmul`` substitution and the duality search's Gram
+matrix per (kappa, c, complement) are kept here as the references
 that the library's product table, its minimal-model Massey walk with
 its outer layer summed as a coset, its transferred mu_3, its
 support-only Massey table, its table-driven
@@ -24,7 +25,8 @@ d d = 0, its closed-form entry count, its minimal-model order-n engine,
 its mirror witness, its one-sided mirror comparison, its proof that
 its own retracts are strong deformation retracts, its one ring per
 distinct twist, its one trial mask with its batched check of every member,
-and its word-at-once substitution are compared against.
+its word-at-once substitution and its one form per degree and kappa are
+compared against.
 """
 
 import random
@@ -42,6 +44,7 @@ import pytest
 
 from legch import ContractError, InternalConsistencyError, cli, fingerprint
 from legch.ainfty import (
+    MAX_RELATION_TERMS,
     AInftyStructure,
     HClass,
     MasseyResult,
@@ -49,6 +52,7 @@ from legch.ainfty import (
     build_ring,
     _BracketWalk,
     _compositions,
+    _relation_terms,
     cup_product,
 )
 from legch.algebra import (
@@ -85,8 +89,17 @@ from legch.fingerprint import (
     fingerprint_dga,
     profile_for,
 )
-from legch.gf2 import bits, span_basis
-from legch.linear import GradedMatrixMap, duality_search, vector_label
+from legch.gf2 import Eliminator, apply_block, bits, rank, span_basis
+from legch.linear import (
+    MAX_DUALITY_PAIRS,
+    DualityCertificate,
+    DualityFailure,
+    GradedMatrixMap,
+    HomologyData,
+    duality_search,
+    pair_bit,
+    vector_label,
+)
 from legch.tilde import _ring_pairs
 
 
@@ -152,6 +165,24 @@ def disguised_order_four_bracket_dgas() -> List[DGA]:
 
 def poly(*words: Tuple[str, ...]):
     return frozenset(tuple(w) for w in words)
+
+
+def path_dga(k: int) -> DGA:
+    """Degree-0 letters b0..b(k-1) on a path: d a_i = b_i b_(i+1)."""
+    bs = tuple("b%d" % i for i in range(k))
+    aes = tuple("a%d" % i for i in range(k - 1))
+    degrees = dict(dict.fromkeys(bs, 0), **dict.fromkeys(aes, 1))
+    diff = {a: poly((bs[i], bs[i + 1])) for i, a in enumerate(aes)}
+    return DGA(0, aes + bs, degrees, diff)
+
+
+def zero_product_dga(k: int) -> DGA:
+    """k closed degree-1 letters x_i and k - 1 closed degree -1 letters y_i:
+    the degree-1 cohomology is one larger than degree -1's, and every
+    product vanishes."""
+    xs = tuple("x%d" % i for i in range(k))
+    ys = tuple("y%d" % i for i in range(k - 1))
+    return DGA(0, xs + ys, dict(dict.fromkeys(xs, 1), **dict.fromkeys(ys, -1)), {})
 
 
 def _toggle(out: set, word) -> None:
@@ -491,8 +522,9 @@ def random_augmented_dga(rng: random.Random, max_gens: int = 8):
 
     A draw whose relation check would exceed ``MAX_RELATION_TERMS`` (long
     twisted words: 23 and 29 of seeds 0-19999 at max_gens 6 and 8, 3 of
-    seeds 0-1999 at max_gens 10) is refused by ``build_ring`` and drawn
-    again.  The ring that passed is returned, so no draw is built twice.
+    seeds 0-1999 at max_gens 10) is drawn again, since the tests check the
+    relations of what they draw, and so is one that ``build_ring`` refuses.
+    The ring that passed is returned, so no draw is built twice.
     """
     while True:
         dga = random_dga(rng, max_gens)
@@ -500,9 +532,12 @@ def random_augmented_dga(rng: random.Random, max_gens: int = 8):
         if augs:
             aug = augs[rng.randrange(len(augs))]
             try:
-                return dga, aug, build_ring(dga, aug)
+                ring = build_ring(dga, aug)
             except ContractError:
                 continue
+            s = ring.structure
+            if _relation_terms(s, s.arity) <= MAX_RELATION_TERMS:
+                return dga, aug, ring
 
 
 def flip_table_bit(ring, rng: random.Random):
@@ -1249,3 +1284,131 @@ def one_ring_per_augmentation():
             yield
         finally:
             cli.build_parser.cache_clear()
+
+
+def _gram_ok(modulus: int, entries: List[Tuple[int, int]], gram: List[List[int]]) -> bool:
+    """Symmetry plus nondegeneracy of each (k, -k) block."""
+    n = len(entries)
+    for i in range(n):
+        for j in range(n):
+            if gram[i][j] != gram[j][i]:
+                return False
+    by_degree: Dict[int, List[int]] = {}
+    for idx, (k, _) in enumerate(entries):
+        by_degree.setdefault(k, []).append(idx)
+    for k, rows in by_degree.items():
+        cols = by_degree.get(canon_degree(modulus, -k), [])
+        if len(cols) != len(rows):
+            return False
+        vectors = []
+        for i in rows:
+            v = 0
+            for pos, j in enumerate(cols):
+                if gram[i][j]:
+                    v ^= 1 << pos
+            vectors.append(v)
+        if rank(vectors) != len(rows):
+            return False
+    return True
+
+
+def duality_search_oracle(ring):
+    """Reference ``linear.duality_search``: a Gram matrix built and checked for
+    every (kappa, c, complement) in the search order, with both counts kept
+    as the loop runs.
+
+    ``ring`` carries the homological data: attributes ``chain`` and
+    ``cochain`` (HomologyData of the two linearized complexes) and
+    ``products``, whose ``pair(k, l).chains[i][j]`` is the cochain vector
+    m_2(i e_i, i e_j) on the representatives of the basis classes of degrees
+    k and l.  A Gram entry <[x] cup [y], kappa> pairs kappa with m_2 on the
+    representatives of x and y; m_2 is bilinear and the inclusion i is
+    linear, so that vector is the XOR of the pair block's chain vectors over
+    the coordinate bits of x and y (``apply_block``), exactly.
+
+    All kappa and c candidates with <c, kappa> = 1 are tried in coordinate
+    order.  For each, the complement of span(c) is formed with deterministic
+    pivots; when the degree-1 cohomology has dimension at most 6, every
+    graded complement is tried.  More than ``MAX_DUALITY_PAIRS``
+    candidates, (2^kd - 1)(2^cd - 1) for the degree-1 dimensions kd and cd,
+    is a ``ContractError`` before any work.
+    """
+    chain_h: HomologyData = ring.chain
+    cochain_h: HomologyData = ring.cochain
+    modulus = chain_h.modulus
+    one = canon_degree(modulus, 1)
+    kd = chain_h.dim(one)
+    cd = cochain_h.dim(one)
+    candidates = ((1 << kd) - 1) * ((1 << cd) - 1)
+    if candidates > MAX_DUALITY_PAIRS:
+        raise ContractError(
+            "duality search over %d (kappa, c) candidates exceeds the budget %d"
+            % (candidates, MAX_DUALITY_PAIRS)
+        )
+    if kd == 0 or cd == 0:
+        return DualityFailure(
+            "no candidates: dim of chain homology in degree 1 is %d, cochain %d"
+            % (kd, cd),
+            0,
+            0,
+        )
+
+    limit = 1 << (cd - 1) if cd <= 6 else 1
+
+    degrees = cochain_h.degrees()
+    pairs_tried = 0
+    complements_tried = 0
+    for kmask in range(1, 1 << kd):
+        kappa_vec = chain_h.include(one, kmask)
+        for cmask in range(1, 1 << cd):
+            c_vec = cochain_h.include(one, cmask)
+            if pair_bit(c_vec, kappa_vec) != 1:
+                continue
+            pairs_tried += 1
+            base = []  # coordinate masks extending cmask to a basis of degree 1
+            elim = Eliminator()
+            elim.add(cmask)
+            for i in range(cd):
+                created, _ = elim.add(1 << i)
+                if created:
+                    base.append(1 << i)
+            for variant in range(limit):
+                complements_tried += 1
+                entries: List[Tuple[int, int]] = []  # (degree, class coords)
+                for k in degrees:
+                    if k == one:
+                        for t, u in enumerate(base):
+                            coords = u ^ (cmask if (variant >> t) & 1 else 0)
+                            entries.append((k, coords))
+                    else:
+                        for i in range(cochain_h.dim(k)):
+                            entries.append((k, 1 << i))
+                gram = []
+                for ki, ci in entries:
+                    row = []
+                    for kj, cj in entries:
+                        if canon_degree(modulus, ki + kj + 1) != one:
+                            row.append(0)
+                        else:
+                            prod = apply_block(ring.products.pair(ki, kj).chains, ci, cj)
+                            row.append(pair_bit(prod, kappa_vec))
+                    gram.append(row)
+                if _gram_ok(modulus, entries, gram):
+                    complement = [
+                        (k, coords, cochain_h.label(k, coords)) for k, coords in entries
+                    ]
+                    return DualityCertificate(
+                        kmask,
+                        kappa_vec,
+                        chain_h.label(one, kmask),
+                        cmask,
+                        c_vec,
+                        cochain_h.label(one, cmask),
+                        complement,
+                        gram,
+                    )
+    return DualityFailure(
+        "no (kappa, c, complement) choice yields a symmetric nondegenerate pairing",
+        pairs_tried,
+        complements_tried,
+    )

@@ -34,6 +34,7 @@ from helpers import (
     assert_matches_brute_force,
     first_failure_one_by_one,
     mirror_bases,
+    path_dga,
     poly,
     random_dga,
     random_dgas,
@@ -167,15 +168,6 @@ def test_enumeration_equals_the_brute_force_on_stabilized_examples():
             dga = stabilize(dga, 0)
 
 
-def _path_dga(k):
-    """Degree-0 letters b0..b(k-1) on a path: d a_i = b_i b_(i+1)."""
-    bs = tuple("b%d" % i for i in range(k))
-    aes = tuple("a%d" % i for i in range(k - 1))
-    degrees = dict(dict.fromkeys(bs, 0), **dict.fromkeys(aes, 1))
-    diff = {a: poly((bs[i], bs[i + 1])) for i, a in enumerate(aes)}
-    return DGA(0, aes + bs, degrees, diff)
-
-
 def test_enumeration_equals_the_brute_force_on_free_generators_and_random_dgas():
     for k in range(13):
         assert_matches_brute_force(_free_zero_dga(k))
@@ -183,8 +175,8 @@ def test_enumeration_equals_the_brute_force_on_free_generators_and_random_dgas()
     fibonacci = [0, 1]
     for k in range(13):
         fibonacci.append(fibonacci[-1] + fibonacci[-2])
-        assert_matches_brute_force(_path_dga(k))
-        assert len(enumerate_augmentations(_path_dga(k))) == fibonacci[k + 2]
+        assert_matches_brute_force(path_dga(k))
+        assert len(enumerate_augmentations(path_dga(k))) == fibonacci[k + 2]
     # b b + b vanishes on both values of b (x^2 = x): no equation, b free.
     repeated = DGA(0, ("b", "a"), {"b": 0, "a": 1}, {"a": poly(("b", "b"), ("b",))})
     assert_matches_brute_force(repeated)

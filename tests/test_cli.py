@@ -15,12 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError, ainfty, algebra, cli, fingerprint
 from legch.ainfty import MAX_ARITY, MAX_MASSEY_SYSTEMS, MAX_RELATION_TERMS
-from legch.augment import MAX_FREE_GENERATORS
+from legch.augment import MAX_FREE_GENERATORS, enumerate_augmentations, twist
 from legch.algebra import DGA, mirror_dga, stabilize
 from legch.cli import build_parser, main
 from legch.families import cupex, masseyex, trefoil
 from legch.fileio import bundled_text, parse_dga, serialize_dga
-from helpers import one_ring_per_augmentation, order_four_bracket_dga, random_dga, random_dgas
+from helpers import (
+    one_ring_per_augmentation,
+    order_four_bracket_dga,
+    path_dga,
+    random_dga,
+    random_dgas,
+)
 
 
 @pytest.fixture
@@ -299,18 +305,20 @@ def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):
     assert "(%d)" % count in err and "MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS in err
 
 
-def test_linhom_refuses_relation_checks_over_the_budget(capsys, tmp_path):
-    """Augmentation 5 of this draw takes 21546201 relation terms, augmentation 0
-    takes 33817; the budget lies between them."""
+def test_linhom_admits_twists_whose_relation_check_is_over_the_budget(capsys, tmp_path):
+    """Augmentation 5 of this draw twists into a structure whose relation check
+    takes 21546201 terms.  ``build_ring`` proves the relations rather than
+    checking them, so ``linhom`` prints its rows, while ``adjoint_structure``,
+    which checks them, still refuses with the budget's name."""
+    dga = random_dga(random.Random(1), 6, moduli=(1,))
     path = tmp_path / "long_words.dga"
-    path.write_text(serialize_dga(random_dga(random.Random(1), 6, moduli=(1,))), encoding="utf-8")
+    path.write_text(serialize_dga(dga), encoding="utf-8")
     code, out, err = run_cli(capsys, "linhom", str(path), "--aug", "5")
-    assert code == 1
-    assert out == ""
-    assert "take 21546201 terms" in err
-    assert "MAX_RELATION_TERMS = %d" % MAX_RELATION_TERMS in err
-    code, out, _ = run_cli(capsys, "linhom", str(path), "--aug", "0")
-    assert code == 0 and out
+    assert code == 0 and out and err == ""
+    twisted = twist(dga, enumerate_augmentations(dga)[5])
+    with pytest.raises(ContractError, match="take 21546201 terms") as refused:
+        ainfty.adjoint_structure(twisted)
+    assert "MAX_RELATION_TERMS = %d" % MAX_RELATION_TERMS in str(refused.value)
 
 
 def test_ordern_rows(capsys, trefoil_file):
@@ -332,6 +340,20 @@ def test_ordern_validation_errors(capsys, trefoil_file):
     assert code == 1 and "order must be at least 1" in err
     code, _, err = run_cli(capsys, "ordern", trefoil_file, "--engine", "magic")
     assert code == 1 and "invalid choice" in err
+
+
+def test_duality_failure_rows(capsys, tmp_path):
+    path = tmp_path / "path6.dga"
+    path.write_text(serialize_dga(path_dga(6)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "duality", str(path))
+    assert code == 0 and err == ""
+    assert rows_of(out) == [
+        ["augmentation", "all generators -> 0"],
+        ["status", "no certificate"],
+        ["reason", "no (kappa, c, complement) choice yields a symmetric nondegenerate pairing"],
+        ["pairs.tried", "496"],
+        ["complements.tried", "7936"],
+    ]
 
 
 def test_duality_certificate_rows(capsys, trefoil_file):

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError
 from legch.ainfty import adjoint_structure, build_ring
-from legch.algebra import DGA, canon_degree, component_k
-from legch.augment import Augmentation, enumerate_augmentations, twist
+from legch.algebra import DGA, canon_degree, component_k, mirror_dga
+from legch.augment import Augmentation, enumerate_augmentations, per_twist, twist
 from legch.families import bundled_examples, cupex, trefoil
 from legch.gf2 import rank
 from legch.cli import main
-from legch.fileio import serialize_dga
+from legch.fileio import parse_dga, serialize_dga
 from legch.linear import (
     MAX_DUALITY_PAIRS,
     GradedMatrixMap,
@@ -22,7 +22,15 @@ from legch.linear import (
     pair_bit,
     vector_label,
 )
-from helpers import assert_retract_identities, proved_rings, random_augmented_dga
+from helpers import (
+    assert_retract_identities,
+    duality_search_oracle,
+    path_dga,
+    proved_rings,
+    random_augmented_dga,
+    random_dgas,
+    zero_product_dga,
+)
 
 
 def test_pair_bit_counts_common_bits_mod_2():
@@ -218,6 +226,53 @@ def test_duality_failure_reports_counts():
     result = duality_search(ring)
     assert not result.ok
     assert "degree 1" in result.reason
+    assert (result.pairs_tried, result.complements_tried) == (0, 0)
+    # the totals of the per-complement loop run to the end, which the oracle
+    # counted on these zero augmentations: the paths fail the dimension test,
+    # the zero products pass it and fail the rank bound for every kappa
+    for dga, pairs, complements in [
+        (path_dga(6), 496, 7936),
+        (path_dga(7), 2016, 64512),
+        (path_dga(8), 8128, 8128),
+        (zero_product_dga(6), 2016, 64512),
+    ]:
+        result = duality_search(build_ring(dga, enumerate_augmentations(dga)[0]))
+        assert not result.ok
+        assert (result.pairs_tried, result.complements_tried) == (pairs, complements)
+
+
+def _same_as_oracle(dga, aug) -> None:
+    ring = build_ring(dga, aug)
+    assert duality_search(ring) == duality_search_oracle(ring)
+
+
+def test_duality_search_equals_the_per_complement_oracle():
+    """Field for field: the certificate's masks, vectors, labels, complement
+    and Gram, or the failure's reason and both counts.  The oracle takes
+    about 8 s on the zero augmentation of the 7-letter path and 10 s on
+    ``zero_product_dga(6)``, so those two are pinned by their counts in
+    ``test_duality_failure_reports_counts`` instead."""
+    for _, dga in bundled_examples():
+        for side in (dga, mirror_dga(dga)):
+            for aug in enumerate_augmentations(side):
+                _same_as_oracle(side, aug)
+    for dga in random_dgas(20261018, 30):
+        per_twist(enumerate_augmentations(dga), lambda aug: _same_as_oracle(dga, aug))
+    for k in range(2, 8):
+        dga = path_dga(k)
+        for aug in enumerate_augmentations(dga)[1 if k == 7 else 0 :]:
+            _same_as_oracle(dga, aug)
+    dga = path_dga(8)
+    _same_as_oracle(dga, enumerate_augmentations(dga)[0])
+    for k in range(1, 6):
+        dga = zero_product_dga(k)
+        _same_as_oracle(dga, enumerate_augmentations(dga)[0])
+    # with d q = x y + y x the first certificate depends on the order of the
+    # variants and on which unit the complement drops; with d q = x y the
+    # degree-1 block is nondegenerate but not symmetric
+    for words in ("x y + y x", "x y"):
+        dga = parse_dga("modulus 0\ngen x 1\ngen q 1\ngen y -1\nd q = %s\n" % words)
+        _same_as_oracle(dga, enumerate_augmentations(dga)[0])
 
 
 def test_duality_search_over_budget_fails_fast(tmp_path, capsys):
