@@ -551,6 +551,13 @@ class ProductTable:
     (``class_of`` runs on every entry, so a product that is not closed is
     rejected); and the ring's one transfer ``minimal``, which checks its
     mu_2 against those pair blocks and verifies a retract h from a caller.
+    A degree pair on which the chain-level m_2 has no entry is the zero
+    block, built with no ``class_of``: each chain m_2(i x_i, i y_j) sums
+    the m_2 entries on the pair's canonical degrees (ca, cb) whose two
+    basis letters occur in i x_i and i y_j, and there are none, so every
+    chain is 0, closed, and ``class_of(0) = p(0) = 0`` as p is linear.  So
+    the transfer's mu_2 check still compares every class pair with its
+    product.
     The paper (arXiv:0901.0490) defines the cup product as the class of m_2
     on representatives; i is linear and m_2 bilinear, so ``cup`` reads a
     product of arbitrary classes off the class rows by multilinearity
@@ -609,12 +616,17 @@ class ProductTable:
         if block is None:
             h, s = self.h, self.s
             (ca, xs), (cb, ys) = self._basis(a), self._basis(b)
-            degree, m_2 = h.canon(ca + cb + 1), s.grouped(2).get((ca, cb), ())
-            coords, chains = [], []
-            for x in xs:
-                vecs = [reduce(xor, (v for (i, j), v in m_2 if x >> i & y >> j & 1), 0) for y in ys]
-                coords.append([h.class_of(degree, vec) for vec in vecs])
-                chains.append(vecs)
+            degree, m_2 = h.canon(ca + cb + 1), s.grouped(2).get((ca, cb))
+            if m_2 is None:  # the zero block (class docstring)
+                coords = chains = [[0] * len(ys) for _ in xs]
+            else:
+                coords, chains = [], []
+                for x in xs:
+                    vecs = [
+                        reduce(xor, (v for (i, j), v in m_2 if x >> i & y >> j & 1), 0) for y in ys
+                    ]
+                    coords.append([h.class_of(degree, vec) for vec in vecs])
+                    chains.append(vecs)
             block = self._pairs[(a, b)] = PairBlock(degree, coords, chains)
         return block
 

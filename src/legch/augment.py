@@ -157,6 +157,21 @@ class Augmentations(Sequence[Augmentation]):
                 values[p] = one
         return Augmentation(tuple(values))
 
+    def descriptions(self) -> Iterator[str]:
+        """``Augmentation.describe`` of each member, in order, written from its
+        trial with no member made: the assigned 1-letters and the free letters
+        whose trial bit is set, in generator order."""
+        always = 1 << len(self.free)  # above every trial bit
+        bit_of = {p: bit for bit, p, _ in self._bits}
+        ones = [
+            (bit_of.get(p, always), "%s -> 1" % g)
+            for p, (g, value) in enumerate(self._base)
+            if value or p in bit_of
+        ]
+        for t in self._trials():
+            t |= always
+            yield ", ".join([one for bit, one in ones if t & bit]) or "all generators -> 0"
+
     def _trials(self) -> Iterator[int]:
         """The set bits of ``ok``, ascending: its binary digits read lowest first."""
         return compress(count(), map("1".__eq__, bin(self.ok)[:1:-1]))

@@ -165,7 +165,7 @@ def cmd_validate(args) -> Rows:
 def cmd_augs(args) -> Iterable[Row]:
     dga, rows = _load(args.file)
     augs = _enumerate(dga, rows)
-    return chain(rows, (("augmentation.%d" % i, aug.describe()) for i, aug in enumerate(augs)))
+    return chain(rows, (("augmentation.%d" % i, row) for i, row in enumerate(augs.descriptions())))
 
 
 def cmd_linhom(ring: CohomologyRing, args) -> Rows:

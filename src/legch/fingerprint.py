@@ -12,12 +12,14 @@ letters share their twist (``augment.per_twist``), so they share one ring
 and its profile, which counts once per member.
 
 Cup ranks are read off the class rows of the pair blocks of the ring's
-``ProductTable``.  Massey brackets of every order are one code path: the
-walk of ``massey_higher`` (``ainfty._BracketWalk``, whose docstrings prove
-that the value sets are the chain-level ones and that the outer layer is
-a coset) over the ring's checked minimal model, asked class tuple by
-class tuple, skipping the degree tuples where mu has no entry on any run;
-the walks of order 4 and up are bounded in advance by
+``ProductTable``, on the bidegrees where the chain-level m_2 has an
+entry.  Massey brackets of every order are one code path: the walk of
+``massey_higher`` (``ainfty._BracketWalk``, whose docstrings prove that
+the value sets are the chain-level ones and that the outer layer is a
+coset) over the ring's checked minimal model, asked class tuple by class
+tuple on the support only, the degree tuples enumerated from the entries
+of mu on their runs; the table's degree tuples are bounded in advance by
+``MAX_MASSEY_TUPLES``, and the walks of order 4 and up by
 ``MAX_MASSEY_SYSTEMS``.
 
 ``compare_mirror`` fingerprints only the knot.  The mirror's A-infinity
@@ -30,10 +32,13 @@ augmentation verified on its differential.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from heapq import merge
 from itertools import chain, groupby, repeat
 from itertools import product as iproduct
+from math import prod
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +46,7 @@ from . import ContractError, InternalConsistencyError
 from .ainfty import CohomologyRing, _BracketWalk, build_ring, check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
-from .gf2 import apply_block, rank
+from .gf2 import apply_block, apply_cols, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
 
@@ -58,6 +63,12 @@ __all__ = [
 DEFAULT_MASSEY_ORDER = 3
 DEFAULT_ORDER_CAP = 2
 DEFAULT_MAX_TUPLES = 4096
+# Admitted degree tuples of one Massey table, orders 3..massey_order together.
+# Near the bound, on a DGA with no differential and one generator per degree
+# 1..k, compare-mirror takes 0.23-0.25 s at k = 40 (64,000 triples) and
+# 0.35-0.43 s at k = 15 with --massey-order 4 (54,000 tuples), in-process
+# (python 3.11, 2 vCPUs); k = 41 is refused at once.
+MAX_MASSEY_TUPLES = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -91,13 +102,14 @@ def cup_rank_table(
     ring: CohomologyRing, bases: Optional[Dict[int, List[int]]] = None
 ) -> Dict[Tuple[int, int], int]:
     """Rank of the cup product per bidegree (nonzero entries only), read off
-    the pair blocks' class rows."""
+    the pair blocks' class rows.  Only the bidegrees where the chain-level
+    m_2 has an entry are read: every other pair block is zero
+    (``ProductTable``), of rank 0."""
     if bases is None:
         bases = _standard_bases(ring.cochain)
-    degrees = sorted(bases)
     table: Dict[Tuple[int, int], int] = {}
-    for r in degrees:
-        for s in degrees:
+    for r, s in sorted(ring.structure.grouped(2)):
+        if r in bases and s in bases:
             coords = ring.products.pair(r, s).coords
             value = rank(apply_block(coords, xv, yv) for xv in bases[r] for yv in bases[s])
             if value:
@@ -105,16 +117,48 @@ def cup_rank_table(
     return table
 
 
-def _class_tuples(dims: Sequence[int]) -> int:
-    """The number of tuples of nonzero classes in degrees of these dimensions."""
-    total = 1
-    for d in dims:
-        total *= (1 << d) - 1
-    return total
+def _check_tuple_budget(counts: Sequence[int], massey_order: int) -> None:
+    """Refuse a Massey table of more than ``MAX_MASSEY_TUPLES`` admitted
+    degree tuples over the orders 3..``massey_order``, before any is built.
+
+    ``counts`` holds each degree's number of nonzero classes, every one at
+    least 1, and a tuple is admitted when their product is at most
+    ``DEFAULT_MAX_TUPLES``.  Products only grow along a tuple, so a refused
+    prefix stays refused: ``ways`` maps each admitted product of the
+    current length to its number of tuples, and grows by one degree per
+    order, with no tuple listed.
+    """
+    ways, total, per_count = {1: 1}, 0, Counter(counts).items()
+    for order in range(1, massey_order + 1):
+        grown: Dict[int, int] = {}
+        for p, n in ways.items():
+            for c, m in per_count:
+                if p * c <= DEFAULT_MAX_TUPLES:
+                    grown[p * c] = grown.get(p * c, 0) + n * m
+        ways = grown
+        total += sum(ways.values()) if order >= 3 else 0
+        if total > MAX_MASSEY_TUPLES:
+            raise ContractError(
+                "the Massey table has at least %d degree tuples, over the budget"
+                " MAX_MASSEY_TUPLES = %d" % (total, MAX_MASSEY_TUPLES)
+            )
 
 
-def _tuple_space(dims: Sequence[int]) -> bool:
-    return _class_tuples(dims) <= DEFAULT_MAX_TUPLES
+def _annihilators(ring: CohomologyRing, a: int, b: int) -> Dict[int, Sequence[int]]:
+    """Each nonzero class x of degree a -> the nonzero y of degree b with
+    x y = 0: every y where the chain-level m_2 has no entry on (a, b), whose
+    pair block is zero (``ProductTable``), and otherwise the y on which x's
+    row of products with the basis classes sums to 0."""
+    h = ring.cochain
+    xs, ys = range(1, 1 << h.dim(a)), range(1, 1 << h.dim(b))
+    if (a, b) not in ring.structure.grouped(2):
+        return dict.fromkeys(xs, ys)
+    columns = list(zip(*ring.products.pair(a, b).coords))
+    zero = {}
+    for x in xs:
+        row = [apply_cols(column, x) for column in columns]
+        zero[x] = [y for y in ys if not apply_cols(row, y)]
+    return zero
 
 
 def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):
@@ -123,8 +167,9 @@ def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int
     nonzero one.  A bracket with a nonzero adjacent product x_l x_(l+1) is
     undefined (that product is the obstruction of the width-1 run [l, l+1]
     on every branch), so only the other tuples are asked, built position by
-    position from ``zero(a, b)``, which maps each class x of degree a to the
-    y of degree b with x y = 0; where the walk is ``flat`` none is asked."""
+    position from ``zero(a, b)`` (``_annihilators``), which maps each class
+    x of degree a to the y of degree b with x y = 0; where the walk is
+    ``flat`` none is asked."""
     combos = [(x,) for x in range(1, 1 << dims[0])]
     for after in map(zero, degrees, degrees[1:]):
         combos = [c + (y,) for c in combos for y in after[c[-1]]]
@@ -147,53 +192,74 @@ def massey_table(
     degrees, so they do not depend on a basis choice.  "Nonzero" means 0
     lies outside the affine hull of the value set (``is_trivial``).  Degree
     tuples whose class count exceeds ``DEFAULT_MAX_TUPLES`` are skipped (a
-    function of the dimensions alone).
+    function of the dimensions alone), and a table of more than
+    ``MAX_MASSEY_TUPLES`` admitted tuples is refused before any is built
+    (``_check_tuple_budget``).
 
     Every order reads the ring's checked minimal model the same way, with
     one ``_BracketWalk`` (the walk of ``massey_higher``) asked class tuple
     by class tuple for (defined, nonzero) (``_walk_flags``), up to the first
     nonzero tuple; each bracket stops at the first coset after which its
-    hull holds 0.  A degree tuple on none of whose runs (k_l..k_m), l < m,
-    mu_(m-l+1) has an entry is (True, False) with no walk: there every
-    bracket has the zero system, whose obstructions and value are the
-    mu_(m-l+1)(x_l..x_m), all 0.  Before the ring's first walk of order 4
-    or more, ``check_massey_budget`` bounds those walks' complete systems,
-    every order and admitted class tuple together.  The ring is transferred
+    hull holds 0.
+
+    Only the support is walked: the degree tuples (k_1..k_n) with a run
+    [l, m], l < m, on whose degrees (k_l..k_m) mu_(m-l+1) has an entry.
+    It is enumerated per run and per key of ``mu.grouped(m - l + 1)`` (the
+    degree tuples where that m_r has an entry) as the tuples with that key
+    on the run and any degrees elsewhere.  Each enumerated tuple has an
+    entry on that run, and each support tuple is enumerated at that run
+    and its own key there, so the enumerated set is exactly the support.
+    Every admitted tuple off the support is (True, False), with no walk.
+    Take classes x_1..x_n in its degrees, and the system with every
+    variable b[l, m], l < m, set to 0.  The partition sum of a run [l, m]
+    is multilinear in its blocks' entries, so only the partition into
+    single classes can be nonzero, mu_(m-l+1)(x_l..x_m), and it is 0
+    because mu_(m-l+1) has no entry on (k_l..k_m).  So no obstruction
+    meets this system, and its value, the same sum over [1, n], is 0.
+    Every degree in the table has a nonzero class, so some bracket is
+    defined, and each bracket's value set holds 0.  The table is filled in
+    one pass over the admitted tuples in product order, so its keys come
+    sorted.
+
+    Before the ring's first walk of order 4 or more,
+    ``check_massey_budget`` bounds those walks' complete systems, every
+    order and admitted class tuple together.  The ring is transferred
     once, at ``massey_order``, and that transfer's cuts serve the lower
     orders and the order-n dims up to it.
     """
     h = ring.cochain
     dim_of = h.dims()
     degrees = sorted(dim_of)
+    counts = [(1 << dim_of[k]) - 1 for k in degrees]
+    _check_tuple_budget(counts, massey_order)
 
     def admitted(order: int):
-        tuples = zip(iproduct(degrees, repeat=order), iproduct(dim_of.values(), repeat=order))
-        return ((prefix, dims) for prefix, dims in tuples if _tuple_space(dims))
+        """(degree tuple, class-tuple count) of the admitted tuples, in product order."""
+        tuples = zip(iproduct(degrees, repeat=order), map(prod, iproduct(counts, repeat=order)))
+        return ((prefix, count) for prefix, count in tuples if count <= DEFAULT_MAX_TUPLES)
 
     if massey_order >= 4:
-        orders = range(4, massey_order + 1)
-        check_massey_budget(
-            h, ((p, _class_tuples(dims)) for o in orders for p, dims in admitted(o))
-        )
+        check_massey_budget(h, (t for o in range(4, massey_order + 1) for t in admitted(o)))
     if massey_order >= 3:
         ring.minimal(massey_order)
     table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
-
-    @lru_cache(maxsize=None)
-    def zero(a: int, b: int) -> Dict[int, List[int]]:
-        pair, ys = ring.products.pair(a, b).coords, range(1, 1 << dim_of[b])
-        return {x: [y for y in ys if not apply_block(pair, x, y)] for x in range(1, 1 << dim_of[a])}
-
+    zero = lru_cache(maxsize=None)(partial(_annihilators, ring))
     for order in range(3, massey_order + 1):
         mu = ring.checked_minimal(order)[0]
         walk = _BracketWalk(mu, order)
-        runs = [(l, m, mu.grouped(m - l)) for l in range(order) for m in range(l + 2, order + 1)]
-        for prefix, dims in admitted(order):
-            table[(order, prefix)] = (True, False)
-            for l, m, grouped in runs:
-                if prefix[l:m] in grouped:
-                    table[(order, prefix)] = _walk_flags(walk, prefix, dims, zero)
-                    break
+        support = {
+            head + key + tail
+            for l in range(order)
+            for m in range(l + 2, order + 1)
+            for key in mu.grouped(m - l)
+            for head in iproduct(degrees, repeat=l)
+            for tail in iproduct(degrees, repeat=order - m)
+        }
+        for prefix, _ in admitted(order):
+            flags = (True, False)
+            if prefix in support:
+                flags = _walk_flags(walk, prefix, [dim_of[k] for k in prefix], zero)
+            table[(order, prefix)] = flags
     return table
 
 
@@ -336,10 +402,15 @@ def _first_difference(left: Fingerprint, right: Fingerprint) -> str:
     }
     for field in ("dims", "cup_ranks", "massey", "order_dims"):
         missing = (False, False) if field == "massey" else 0
-        lt = [dict(getattr(p, field)) for p in left.profiles]
-        rt = [dict(getattr(p, field)) for p in right.profiles]
-        # Each key's values, sorted across augmentations, only up to the first that differs.
-        for key in sorted({k for t in lt + rt for k in t}):
+        # Equal profiles sit together: one dict per distinct profile, listed per member.
+        runs = [
+            [(dict(getattr(p, field)), len(list(run))) for p, run in groupby(fp.profiles)]
+            for fp in (left, right)
+        ]
+        lt, rt = ([t for t, n in side for _ in range(n)] for side in runs)
+        # Each field is sorted by key, so the merged keys come in order; each
+        # key's values, sorted across augmentations, only up to the first that differs.
+        for key, _ in groupby(merge(*(t for side in runs for t, _ in side))):
             lv = sorted(t.get(key, missing) for t in lt)
             rv = sorted(t.get(key, missing) for t in rt)
             if lv != rv:
@@ -377,7 +448,7 @@ def compare_mirror(
       systems of <x_1..x_o> under m^op onto those of <x_o..x_1> under m,
       value for value, so (defined, nonzero) at every order is the knot's
       at the reversed tuple.  The support (an entry of mu on some run of
-      the tuple) and ``_tuple_space`` (a product over the tuple) reverse
+      the tuple) and the admission (a product over the tuple) reverse
       with it.  A walk reaches every defining system of mu^op, and
       ``check_massey_budget`` sums over a tuple's sub-intervals, which
       reversal permutes.

@@ -7,26 +7,28 @@ validator by construction (and we assert as much here to fail fast if a
 move is broken).  The chain-level triple Massey product, the chain-level
 walk of higher Massey defining systems, the minimal-model walk of every
 defining system one by one, the block-by-block p_3 builder, the
-visit-every-triple Massey table, the per-tuple composition
-sum, the word-by-word Leibniz and window expansions, the word-by-word
-window matrix with its d d = 0, the sliced count of the window matrix,
-the word-by-word perturbation series, the whole-field multiset witness
-and the two-sided mirror comparison, the five retract identities on
-every basis vector, the per-augmentation ``report`` and
-fingerprint loops, the brute force over every degree-0 letter with its
-grouping by twist and its check of one member at a time, the
-letter-by-letter ``pmul`` substitution and the duality search's Gram
-matrix per (kappa, c, complement) are kept here as the references
-that the library's product table, its minimal-model Massey walk with
-its outer layer summed as a coset, its transferred mu_3, its
-support-only Massey table, its table-driven
-composition sum, its pair checks, its window matrix and relation-based
-d d = 0, its closed-form entry count, its minimal-model order-n engine,
-its mirror witness, its one-sided mirror comparison, its proof that
-its own retracts are strong deformation retracts, its one ring per
-distinct twist, its one trial mask with its batched check of every member,
-its word-at-once substitution and its one form per degree and kappa are
-compared against.
+visit-every-triple Massey table, the degree-scan Massey table with its
+``apply_block`` annihilators, the all-pairs cup rank table, the
+per-tuple composition sum, the word-by-word Leibniz and window
+expansions, the word-by-word window matrix with its d d = 0, the sliced
+count of the window matrix, the word-by-word perturbation series, the
+whole-field multiset witness, the sorted-key-union witness and the
+two-sided mirror comparison, the five retract identities on every basis
+vector, the per-augmentation ``report`` and fingerprint loops, the brute
+force over every degree-0 letter with its grouping by twist and its
+check of one member at a time, the letter-by-letter ``pmul``
+substitution and the duality search's Gram matrix per (kappa, c,
+complement) are kept here as the references that the library's product
+table, its minimal-model Massey walk with its outer layer summed as a
+coset, its transferred mu_3, its support-only Massey table enumerated
+from mu's entries, its zero pair blocks with no ``class_of``, its
+table-driven composition sum, its pair checks, its window matrix and
+relation-based d d = 0, its closed-form entry count, its minimal-model
+order-n engine, its lazily merged mirror witness, its one-sided mirror
+comparison, its proof that its own retracts are strong deformation
+retracts, its one ring per distinct twist, its one trial mask with its
+batched check of every member, its word-at-once substitution and its one
+form per degree and kappa are compared against.
 """
 
 import random
@@ -34,8 +36,9 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
+from math import prod
 from operator import xor
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest.mock import patch
@@ -53,6 +56,7 @@ from legch.ainfty import (
     _BracketWalk,
     _compositions,
     _relation_terms,
+    check_massey_budget,
     cup_product,
 )
 from legch.algebra import (
@@ -85,7 +89,8 @@ from legch.fingerprint import (
     Fingerprint,
     MirrorReport,
     _first_difference,
-    _tuple_space,
+    _standard_bases,
+    _walk_flags,
     fingerprint_dga,
     profile_for,
 )
@@ -885,6 +890,100 @@ def block_triples(h, s):
     return blocks
 
 
+def _class_tuples(dims: Sequence[int]) -> int:
+    """The number of tuples of nonzero classes in degrees of these dimensions."""
+    return prod((1 << d) - 1 for d in dims)
+
+
+def _tuple_space(dims: Sequence[int]) -> bool:
+    """Whether ``massey_table`` admits a degree tuple of these dimensions."""
+    return _class_tuples(dims) <= fingerprint.DEFAULT_MAX_TUPLES
+
+
+def apply_block_annihilators(ring, a: int, b: int) -> Dict[int, List[int]]:
+    """Reference ``fingerprint._annihilators``: each nonzero class x of degree
+    a -> the nonzero y of degree b with x y = 0, by ``apply_block`` on the
+    (a, b) pair block for every pair, where the library skips the degree
+    pairs with no chain-level m_2 entry."""
+    h = ring.cochain
+    pair, ys = ring.products.pair(a, b).coords, range(1, 1 << h.dim(b))
+    return {x: [y for y in ys if not apply_block(pair, x, y)] for x in range(1, 1 << h.dim(a))}
+
+
+def degree_scan_massey_table(ring, massey_order: int = DEFAULT_MASSEY_ORDER):
+    """Reference ``massey_table``: every admitted degree tuple scanned for a
+    run with an entry of mu, with ``apply_block_annihilators``, where the
+    library enumerates the support from mu's entries and admits tuples by
+    one product of class counts."""
+    h = ring.cochain
+    dim_of = h.dims()
+    degrees = sorted(dim_of)
+
+    def admitted(order: int):
+        tuples = zip(product(degrees, repeat=order), product(dim_of.values(), repeat=order))
+        return ((prefix, dims) for prefix, dims in tuples if _tuple_space(dims))
+
+    if massey_order >= 4:
+        tuples = (t for o in range(4, massey_order + 1) for t in admitted(o))
+        check_massey_budget(h, ((prefix, _class_tuples(dims)) for prefix, dims in tuples))
+    if massey_order >= 3:
+        ring.minimal(massey_order)
+    table = {}
+    zero = lru_cache(maxsize=None)(partial(apply_block_annihilators, ring))
+    for order in range(3, massey_order + 1):
+        mu = ring.checked_minimal(order)[0]
+        walk = _BracketWalk(mu, order)
+        runs = [(l, m, mu.grouped(m - l)) for l in range(order) for m in range(l + 2, order + 1)]
+        for prefix, dims in admitted(order):
+            table[(order, prefix)] = (True, False)
+            for l, m, grouped in runs:
+                if prefix[l:m] in grouped:
+                    table[(order, prefix)] = _walk_flags(walk, prefix, dims, zero)
+                    break
+    return table
+
+
+def all_pairs_cup_rank_table(ring, bases=None) -> Dict[Tuple[int, int], int]:
+    """Reference ``cup_rank_table``: the rank on every degree pair, where the
+    library reads only the pairs with a chain-level m_2 entry."""
+    if bases is None:
+        bases = _standard_bases(ring.cochain)
+    degrees = sorted(bases)
+    table = {}
+    for r in degrees:
+        for s in degrees:
+            coords = ring.products.pair(r, s).coords
+            value = rank(apply_block(coords, xv, yv) for xv in bases[r] for yv in bases[s])
+            if value:
+                table[(r, s)] = value
+    return table
+
+
+def sorted_union_first_difference(left, right) -> str:
+    """Reference ``fingerprint._first_difference``: the union of every
+    profile's keys, sorted whole before any key is compared, where the
+    library merges the sorted fields lazily and stops at the first key
+    whose values differ."""
+    if len(left.profiles) != len(right.profiles):
+        return "augmentation count %d vs %d" % (len(left.profiles), len(right.profiles))
+    messages = {
+        "dims": "dim of cohomology in degree %s across augmentations: %s vs %s",
+        "cup_ranks": "rank of the cup product in bidegree %s across augmentations: %s vs %s",
+        "massey": "Massey bracket summary (defined, nonzero) in degree tuple %s: %s vs %s",
+        "order_dims": "order-n cohomology dim at (n, degree) %s: %s vs %s",
+    }
+    for field in ("dims", "cup_ranks", "massey", "order_dims"):
+        missing = _missing(field)
+        lt = [dict(getattr(p, field)) for p in left.profiles]
+        rt = [dict(getattr(p, field)) for p in right.profiles]
+        for key in sorted({k for t in lt + rt for k in t}):
+            lv = sorted(t.get(key, missing) for t in lt)
+            rv = sorted(t.get(key, missing) for t in rt)
+            if lv != rv:
+                return messages[field] % (key, lv, rv)
+    return "profiles differ only under joint per-augmentation pairing"
+
+
 def every_triple_massey_table(ring):
     """Reference order-3 ``massey_table``: the per-bracket (defined, nonzero)
     on every admitted degree triple, where the library skips the triples on
@@ -1212,11 +1311,13 @@ def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
 def assert_matches_brute_force(dga: DGA) -> None:
     """``enumerate_augmentations`` equals the brute force element by element:
     length, iteration, every index, every negative index, and IndexError
-    one past either end."""
+    one past either end; the rows written from the trials are the members'
+    ``describe``."""
     want = brute_force_augmentations(dga)
     got = enumerate_augmentations(dga)
     assert len(got) == len(want)
     assert list(got) == want
+    assert list(got.descriptions()) == [aug.describe() for aug in want]
     for i, aug in enumerate(want):
         assert got[i] == aug and got[i - len(want)] == aug, i
     for i in (len(want), -len(want) - 1):

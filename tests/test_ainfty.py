@@ -38,9 +38,9 @@ from legch.cli import main
 from legch.fileio import serialize_dga
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.gf2 import apply_block, apply_cols
-from legch.fingerprint import _tuple_space
 from legch.linear import homology, linearized_complexes
 from helpers import (
+    _tuple_space,
     admitted_class_triples,
     block_triples,
     chain_massey_higher,
@@ -705,6 +705,27 @@ def test_transfer_mu2_check_catches_a_flipped_p2_entry(monkeypatch):
         match=re.escape("transferred mu_2 disagrees with the cup product on ([b2], [b1+b3])"),
     ):
         transfer_minimal_model(ring.cochain, ring.structure, 3)
+
+
+def test_a_flipped_bit_in_a_zero_pair_block_fails_the_mu2_check():
+    """A degree pair with no chain-level m_2 entry is built as the zero block
+    with no ``class_of``; the transfer still compares each of its entries."""
+    dga = masseyex(1, 4, 9, 20)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    h, products = ring.cochain, set(ring.structure.grouped(2))
+    pairs = [
+        (a, b)
+        for a, b in product(h.degrees(), repeat=2)
+        if (a, b) not in products and h.dim(a + b + 1)
+    ]
+    assert pairs
+    for a, b in pairs[:: len(pairs) // 3 or 1]:
+        ring = build_ring(dga, enumerate_augmentations(dga)[0])
+        block = ring.products.pair(a, b)
+        assert block.coords == [[0] * h.dim(b) for _ in range(h.dim(a))]
+        block.coords[-1][-1] ^= 1
+        with pytest.raises(InternalConsistencyError, match="transferred mu_2 disagrees"):
+            ring.minimal(2)
 
 
 def test_a_product_that_is_not_closed_is_rejected():

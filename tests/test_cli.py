@@ -264,6 +264,23 @@ def test_massey_walks_over_the_budget_are_refused_before_any_walk(capsys, trefoi
         assert err.endswith(" over the budget MAX_MASSEY_SYSTEMS = %d\n" % MAX_MASSEY_SYSTEMS)
 
 
+def test_a_massey_table_over_the_budget_is_refused_at_once(capsys, tmp_path, monkeypatch):
+    """One generator per degree 1..k and no differential: 41 degrees, or 20 at
+    order 4, give more than 2^16 admitted degree tuples."""
+
+    def refuse(*args):
+        raise AssertionError("a transfer ran")
+
+    monkeypatch.setattr(ainfty, "transfer_minimal_model", refuse)
+    for k, argv in ((41, ()), (20, ("--massey-order", "4"))):
+        path = tmp_path / ("free%d.dga" % k)
+        path.write_text("modulus 0\n" + "".join("gen a%d %d\n" % (i, i) for i in range(1, k + 1)))
+        code, out, err = run_cli(capsys, "compare-mirror", *argv, str(path))
+        assert (code, out) == (1, ""), k
+        assert err.startswith("error: the Massey table has at least "), k
+        assert err.endswith(" over the budget MAX_MASSEY_TUPLES = 65536\n"), k
+
+
 def test_compare_mirror_on_trefoil_at_massey_order_4_is_pinned(capsys, trefoil_file):
     """Every byte of the order-4 report, as the chain-level walk printed it."""
     code, out, _ = run_cli(capsys, "compare-mirror", "--massey-order", "4", trefoil_file)

@@ -1,18 +1,25 @@
 """Basis-independent fingerprints and the mirror comparison verdicts."""
 
 import random
+import re
+from itertools import product
+from math import prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch import ContractError
-from legch.ainfty import HClass, build_ring
+from legch import ContractError, fingerprint
+from legch.ainfty import HClass, ProductTable, build_ring
 from legch.algebra import mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fingerprint import (
+    DEFAULT_MAX_TUPLES,
     AugmentationProfile,
     Fingerprint,
+    _annihilators,
+    _check_tuple_budget,
     _first_difference,
     _opposite,
     audit_basis_independence,
@@ -24,12 +31,17 @@ from legch.fingerprint import (
     profile_for,
     random_graded_basis,
 )
+from legch.fileio import parse_dga
 from legch.gf2 import rank
+from legch.linear import HomologyData
 from legch.tilde import order_n_cohomology
 from helpers import (
     admitted_class_triples,
+    all_pairs_cup_rank_table,
+    apply_block_annihilators,
     chain_massey_triple,
     cup_table,
+    degree_scan_massey_table,
     disguised_order_four_bracket_dgas,
     every_triple_massey_table,
     mirror_bases,
@@ -40,6 +52,7 @@ from helpers import (
     random_dga,
     random_dgas,
     random_disguised_base,
+    sorted_union_first_difference,
     trivial_bracket_dga,
     twist_groups,
     two_sided_compare_mirror,
@@ -133,6 +146,123 @@ def test_massey_table_on_the_support_equals_the_every_triple_table():
 def test_massey_table_on_the_support_equals_the_every_triple_table_on_random_dgas(seed):
     ring = random_augmented_dga(random.Random(seed), max_gens=10)[2]
     assert massey_table(ring) == every_triple_massey_table(ring)
+
+
+def _member_rings(dgas):
+    """The ring of every member of each DGA and of its mirror."""
+    for dga in dgas:
+        for side in (dga, mirror_dga(dga)):
+            for aug in enumerate_augmentations(side):
+                yield build_ring(side, aug)
+
+
+def _table_or_error(table, ring, order):
+    try:
+        return table(ring, order)
+    except ContractError as exc:
+        return "ContractError: %s" % exc
+
+
+def _assert_support_reads_match_the_oracles(rings):
+    """The Massey table at orders 3 and 4, the cup ranks in the standard and
+    a random basis, and the annihilators of every degree pair."""
+    for ring in rings:
+        for order in (3, 4):
+            want = _table_or_error(degree_scan_massey_table, ring, order)
+            assert _table_or_error(massey_table, ring, order) == want
+        assert cup_rank_table(ring) == all_pairs_cup_rank_table(ring)
+        bases = random_graded_basis(ring.cochain, random.Random(len(ring.cochain.dims())))
+        assert cup_rank_table(ring, bases) == all_pairs_cup_rank_table(ring, bases)
+        for a, b in product(ring.cochain.degrees(), repeat=2):
+            got = {x: list(ys) for x, ys in _annihilators(ring, a, b).items()}
+            assert got == apply_block_annihilators(ring, a, b), (a, b)
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_support_reads_equal_the_degree_scan_oracles_on_the_examples_and_mirror_bases():
+    dgas = [dga for _, dga in bundled_examples()] + mirror_bases()
+    _assert_support_reads_match_the_oracles(_member_rings(dgas))
+
+
+def test_support_reads_equal_the_degree_scan_oracles_on_random_dgas():
+    _assert_support_reads_match_the_oracles(_member_rings(random_dgas(20261019, 20)))
+
+
+def _free_ring(k: int):
+    """One generator in each degree 1..k and no differential."""
+    dga = parse_dga("modulus 0\n" + "".join("gen a%d %d\n" % (i, i) for i in range(1, k + 1)))
+    return build_ring(dga, enumerate_augmentations(dga)[0])
+
+
+def test_the_massey_table_budget_admits_40_degrees_and_refuses_41(monkeypatch):
+    """40 one-dimensional degrees give 64,000 triples, 41 give 68,921 and
+    20 give 8,000 triples and 160,000 quadruples; a refusal comes before
+    the transfer."""
+    refused = "the Massey table has at least %d degree tuples, over the budget MAX_MASSEY_TUPLES = %d"
+    ring = _free_ring(40)
+    table = massey_table(ring)
+    assert len(table) == 64000 and set(table.values()) == {(True, False)}
+    for k, order, total in ((41, 3, 68921), (20, 4, 168000)):
+        big = _free_ring(k)
+        with pytest.raises(ContractError, match=re.escape(refused % (total, 1 << 16))):
+            massey_table(big, order)
+        assert not big.products._cuts
+    monkeypatch.setattr(fingerprint, "MAX_MASSEY_TUPLES", 64000)
+    assert massey_table(ring) == table
+    monkeypatch.setattr(fingerprint, "MAX_MASSEY_TUPLES", 63999)
+    with pytest.raises(ContractError, match=re.escape(refused % (64000, 63999))):
+        massey_table(ring)
+
+
+def test_the_tuple_budget_counts_the_admitted_tuples():
+    """The count over products of class counts equals the tuples listed
+    one by one; a budget one below it refuses, at it admits."""
+    rng = random.Random(29)
+    for _ in range(60):
+        dims = [rng.randint(1, 7) for _ in range(rng.randint(1, 5))]
+        massey_order = rng.randint(0, 5)
+        counts = [(1 << d) - 1 for d in dims]
+        want = sum(
+            prod(t) <= DEFAULT_MAX_TUPLES
+            for order in range(3, massey_order + 1)
+            for t in product(counts, repeat=order)
+        )
+        with patch.object(fingerprint, "MAX_MASSEY_TUPLES", want):
+            _check_tuple_budget(counts, massey_order)
+        if want:
+            with patch.object(fingerprint, "MAX_MASSEY_TUPLES", want - 1):
+                with pytest.raises(ContractError, match="at least %d degree tuples" % want):
+                    _check_tuple_budget(counts, massey_order)
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_class_of_never_runs_on_a_pair_without_a_chain_level_product(monkeypatch):
+    """A spy records, at each ``class_of`` inside ``ProductTable.pair``, the
+    degree pair being built: only pairs where the chain-level m_2 has an
+    entry, and every such pair that was built."""
+    building, seen = [], []
+    real_pair, real_class_of = ProductTable.pair, HomologyData.class_of
+
+    def pair(self, a, b):
+        building.append((self.h.canon(a), self.h.canon(b)))
+        try:
+            return real_pair(self, a, b)
+        finally:
+            building.pop()
+
+    def class_of(self, k, vec):
+        if building:
+            seen.append(building[-1])
+        return real_class_of(self, k, vec)
+
+    monkeypatch.setattr(ProductTable, "pair", pair)
+    monkeypatch.setattr(HomologyData, "class_of", class_of)
+    for ring in _member_rings(mirror_bases()[:4] + random_dgas(20261019, 10)):
+        seen.clear()
+        profile_for(ring)
+        products = set(ring.structure.grouped(2))
+        assert set(seen) == {p for p in ring.products._pairs if p in products}
+        assert len(ring.products._pairs) == len(ring.cochain.degrees()) ** 2
 
 
 def test_massey_table_counts_a_value_in_its_indeterminacy_as_zero():
@@ -261,10 +391,10 @@ def test_order_dim_table_is_the_dense_engine_s_nonzero_dims():
 
 
 def _assert_witness_matches_the_multiset_oracle(left, right):
-    """Both directions agree with the oracle; returns the left-to-right witness."""
-    assert _first_difference(right, left) == multiset_first_difference(right, left)
-    witness = _first_difference(left, right)
-    assert witness == multiset_first_difference(left, right)
+    """Both directions agree with both oracles; returns the left-to-right witness."""
+    for a, b in ((right, left), (left, right)):
+        witness = _first_difference(a, b)
+        assert witness == multiset_first_difference(a, b) == sorted_union_first_difference(a, b)
     return witness
 
 
@@ -274,6 +404,12 @@ def test_mirror_witness_matches_the_multiset_oracle_on_the_mirror_bases():
         _assert_witness_matches_the_multiset_oracle(
             fingerprint_dga(dga), fingerprint_dga(mirror_dga(dga))
         )
+
+
+def test_mirror_witness_matches_the_oracles_between_random_dgas():
+    fingerprints = [fingerprint_dga(dga) for dga in random_dgas(20261019, 12)]
+    for left, right in zip(fingerprints, fingerprints[1:]):
+        _assert_witness_matches_the_multiset_oracle(left, right)
 
 
 def _profile(dims=(), cups=(), massey=(), orders=()):
