@@ -55,10 +55,13 @@ __all__ = [
     "transfer_minimal_model",
 ]
 
-# Defining systems the massey_higher walks on one ring may reach, counted
-# before any walk (check_massey_budget).  Each trefoil ring counts 101,449
-# at Massey order 4 (0.19-0.26 s of massey_table, python 3.11 on 2 vCPUs)
-# and 70,125,710 up to order 5.
+# Inner defining systems the massey_higher walks on one ring may visit (the
+# two outer variables are summed as a coset), counted before any walk
+# (check_massey_budget).  Each trefoil ring counts 8,281 at Massey order 4
+# and 4,928,414 up to order 5, which stays refused.  The slowest admitted
+# case found is one bracket at the bound, `legch massey --classes
+# 0:1,0:1,0:1,5:1` on 7 free degree-0 and 6 free degree-5 generators:
+# 2^20 inner systems in 3.0 s in-process (python 3.11, 2 vCPUs).
 MAX_MASSEY_SYSTEMS = 1 << 20
 
 # Top arity transfer_minimal_model accepts.  The tables and the time grow
@@ -543,25 +546,38 @@ class PairBlock(NamedTuple):
 
 
 class ProductTable:
-    """Cups of a cohomology ring, read off pair blocks, and the ring's one transfer.
+    """The products of a cohomology ring: cups read off pair blocks, and the
+    ring's one transfer.
 
     Everything is filled on first use and kept for the life of the table,
     keyed by degree: per degree its canonical form and the inclusion vectors
     i x_i of the basis classes; per degree pair (a, b) a ``PairBlock``
     (``class_of`` runs on every entry, so a product that is not closed is
-    rejected); and the ring's one transfer ``minimal``, which checks its
-    mu_2 against those pair blocks and verifies a retract h from a caller.
-    A degree pair on which the chain-level m_2 has no entry is the zero
-    block, built with no ``class_of``: each chain m_2(i x_i, i y_j) sums
-    the m_2 entries on the pair's canonical degrees (ca, cb) whose two
-    basis letters occur in i x_i and i y_j, and there are none, so every
+    rejected) and its ``annihilators``; and the ring's one transfer
+    ``minimal``, which checks its mu_2 against those pair blocks and
+    verifies a retract h from a caller.
+
+    The support.  ``support`` holds the degree pairs (a, b) of H on which
+    the chain-level m_2 has an entry; every other pair block is the zero
+    block, built with no ``class_of``.  Each chain m_2(i x_i, i y_j) sums
+    the m_2 entries on the pair's canonical degrees whose two basis letters
+    occur in i x_i and i y_j, and off the support there are none, so every
     chain is 0, closed, and ``class_of(0) = p(0) = 0`` as p is linear.  So
     the transfer's mu_2 check still compares every class pair with its
-    product.
+    product, and a reader of cups or annihilators needs only the support.
     The paper (arXiv:0901.0490) defines the cup product as the class of m_2
     on representatives; i is linear and m_2 bilinear, so ``cup`` reads a
     product of arbitrary classes off the class rows by multilinearity
     (``gf2.apply_block``), and returns what ``cup_product`` returns.
+
+    The transfer.  ``minimal`` keeps one transfer, at the highest arity
+    asked so far, and hands it out whole: the recursion builds arity k
+    from lower arities alone, so its tables of arity <= k are those of a
+    transfer to k, and every reader reads m_r only up to the arity it asks
+    (an order-n walk r <= n, a window matrix |t| <= n).  It is checked once,
+    when it is built: for a table built by a caller, the structure's
+    relations up to that arity (a ``ContractError``), then mu's (an
+    ``InternalConsistencyError``).
 
     Triple brackets.  The paper's triple Massey product of x, y, z with
     x y = y z = 0 is the class of the chain
@@ -584,10 +600,9 @@ class ProductTable:
     which is 0 when x y = y z = 0.  On the ring's table the relations and
     the retract identities are proved (``build_ring``, ``linear._retract``);
     a table built by a caller (as in ``massey_triple``) verifies its
-    retract in its transfer and checks its structure's relations up to
-    arity 3 in ``massey``.  So no closedness check runs on a value, and
-    mu_3's own relations are checked before it is read
-    (``checked_minimal(3)``).
+    retract and its structure's relations in its transfer.  So no
+    closedness check runs on a value, and mu's relations up to the
+    transfer's arity are checked before it is read.
     """
 
     def __init__(self, h: HomologyData, s: AInftyStructure):
@@ -599,7 +614,14 @@ class ProductTable:
         self.proved = False
         self._bases: Dict[int, Tuple[int, List[int]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
-        self._cuts: Dict[int, Tuple[AInftyStructure, AInftyMorphism]] = {}  # by arity
+        self._zeros: Dict[Tuple[int, int], Dict[int, Sequence[int]]] = {}
+        self._model: Optional[Tuple[AInftyStructure, AInftyMorphism]] = None
+
+    @cached_property
+    def support(self) -> Tuple[Tuple[int, int], ...]:
+        """The degree pairs of H where the chain-level m_2 has an entry, sorted."""
+        dims = self.h.dims()
+        return tuple(sorted(p for p in self.s.grouped(2) if p[0] in dims and p[1] in dims))
 
     def _basis(self, k: int) -> Tuple[int, List[int]]:
         """(canonical degree, inclusion vectors of the basis classes) of degree k."""
@@ -614,13 +636,13 @@ class ProductTable:
         """The (a, b) pair block."""
         block = self._pairs.get((a, b))
         if block is None:
-            h, s = self.h, self.s
+            h = self.h
             (ca, xs), (cb, ys) = self._basis(a), self._basis(b)
-            degree, m_2 = h.canon(ca + cb + 1), s.grouped(2).get((ca, cb))
-            if m_2 is None:  # the zero block (class docstring)
+            degree = h.canon(ca + cb + 1)
+            if (ca, cb) not in self.support:  # the zero block (class docstring)
                 coords = chains = [[0] * len(ys) for _ in xs]
             else:
-                coords, chains = [], []
+                coords, chains, m_2 = [], [], self.s.grouped(2)[(ca, cb)]
                 for x in xs:
                     vecs = [
                         reduce(xor, (v for (i, j), v in m_2 if x >> i & y >> j & 1), 0) for y in ys
@@ -630,32 +652,39 @@ class ProductTable:
             block = self._pairs[(a, b)] = PairBlock(degree, coords, chains)
         return block
 
+    def annihilators(self, a: int, b: int) -> Dict[int, Sequence[int]]:
+        """Each nonzero class x of degree a -> the nonzero y of degree b with
+        x y = 0: every y off the support, where the pair block is zero, and
+        otherwise the y on which x's row of products with the basis classes
+        sums to 0."""
+        zero = self._zeros.get((a, b))
+        if zero is None:
+            xs, ys = range(1, 1 << self.h.dim(a)), range(1, 1 << self.h.dim(b))
+            if (a, b) not in self.support:
+                zero = dict.fromkeys(xs, ys)
+            else:
+                columns, zero = list(zip(*self.pair(a, b).coords)), {}
+                for x in xs:
+                    row = [apply_cols(column, x) for column in columns]
+                    zero[x] = [y for y in ys if not apply_cols(row, y)]
+            self._zeros[(a, b)] = zero
+        return zero
+
     def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
-        """``transfer_minimal_model(self.h, self.s, arity, self)``, cached.
-
-        Only the highest arity transferred so far is kept, so the cache holds
-        at most one transfer of arity <= ``MAX_ARITY``.  The recursion builds
-        arity k from lower arities alone, so a lower arity is the kept tables
-        cut at ``arity``; each cut is kept until the transfer is rebuilt.
-        """
-        if not 2 <= arity <= max(self._cuts, default=0):
-            self._cuts = {arity: transfer_minimal_model(self.h, self.s, arity, self)}
-        if arity not in self._cuts:
-            mu, incl = self._cuts[max(self._cuts)]
-            low = AInftyStructure(
-                mu.modulus, mu.basis, arity, {k: t for k, t in mu.tables.items() if k <= arity}
-            )
-            cut = {k: t for k, t in incl.tables.items() if k <= arity}
-            self._cuts[arity] = low, AInftyMorphism(arity, cut, src=low, dst=incl.dst)
-        return self._cuts[arity]
-
-    def checked_minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
-        """``minimal(arity)``, with mu's A-infinity relations checked up to ``arity``."""
-        mu, incl = self.minimal(arity)
-        if not (report := check_an_relations(mu, arity)).ok:
-            detail = "transferred structure fails a relation: " + report.detail
-            raise InternalConsistencyError(detail)
-        return mu, incl
+        """The kept transfer, ``transfer_minimal_model(self.h, self.s, arity,
+        self)`` rebuilt and checked (class docstring) when ``arity`` lies
+        above its arity, so it holds at most one transfer of arity <=
+        ``MAX_ARITY``.  Its tables of arity <= ``arity`` are those of a
+        transfer to ``arity``."""
+        if not 2 <= arity <= (self._model[0].arity if self._model else 0):
+            mu, incl = transfer_minimal_model(self.h, self.s, arity, self)
+            if not self.proved and not (report := check_an_relations(self.s, arity)).ok:
+                raise ContractError("structure fails a relation: %s" % report.detail)
+            if not (report := check_an_relations(mu, arity)).ok:
+                detail = "transferred structure fails a relation: " + report.detail
+                raise InternalConsistencyError(detail)
+            self._model = mu, incl
+        return self._model
 
     def cup(self, x: HClass, y: HClass) -> HClass:
         """x * y, bilinear in the pair block."""
@@ -666,13 +695,8 @@ class ProductTable:
         """<x, y, z> in the triple's own format: undefined with the first pair
         whose product is nonzero as witness, else the value mu_3(x, y, z) and
         the indeterminacy x H + H z (``span_basis`` of the x e_i, then the
-        e_j z), from one system.  A table built by a caller checks its
-        structure's relations up to arity 3 once its transfer has run: the
-        value's closedness rests on them (class docstring)."""
-        self.minimal(3)
-        if not self.proved and not (report := check_an_relations(self.s, 3)).ok:
-            raise ContractError("structure fails a relation: %s" % report.detail)
-        h, walk = self.h, _BracketWalk(self.checked_minimal(3)[0], 3)
+        e_j z), from one system of the checked transfer (class docstring)."""
+        h, walk = self.h, _BracketWalk(self.minimal(3)[0], 3)
         degrees, coords = (x.degree, y.degree, z.degree), (x.coords, y.coords, z.coords)
         for value in walk.cosets(degrees, coords):
             basis = span_basis(walk.shifts(degrees, coords))
@@ -687,30 +711,28 @@ def massey_triple(
 ) -> MasseyResult:
     """Triple Massey product with explicit definedness check and indeterminacy,
     read off a new ``ProductTable`` over (h, s), whose transfer verifies h and
-    which checks the relations of s."""
+    the relations of s."""
     return ProductTable(h, s).massey(x, y, z)
 
 
 def check_massey_budget(h: HomologyData, tuples: Iterable[Tuple[Sequence[int], int]]) -> None:
     """Refuse ``massey_higher`` walks of more than ``MAX_MASSEY_SYSTEMS``
-    defining systems in all, before any runs.
+    inner defining systems in all, before any runs.
 
     ``tuples`` pairs a degree tuple with the number of class tuples to be
-    walked in it.  A walk in degrees (k_1..k_n) has at most
-    2^(sum of dim H in degree k_l + .. + k_m) complete systems, the sum over
-    its off-diagonal variables b[l, m], l < m, (l, m) != (1, n); the bound
-    reads only the dimensions of H.
+    walked in it.  A walk in degrees (k_1..k_n) visits at most
+    2^(sum of dim H in degree k_l + .. + k_m) inner systems, the sum over
+    its inner variables b[l, m], 1 <= m - l <= n - 3 (``massey_higher``):
+    the two outer ones are summed as a coset, not walked.  The bound reads
+    only the dimensions of H, each run's degree a difference of the tuple's
+    prefix sums.
     """
-    total = 0
+    total, dim = 0, lru_cache(maxsize=None)(h.dim)
     for degrees, count in tuples:
-        n = len(degrees)
-        free = sum(
-            h.dim(sum(degrees[l : m + 1]))
-            for l in range(n)
-            for m in range(l + 1, n)
-            if m - l < n - 1
+        n, sums = len(degrees), list(accumulate(degrees, initial=0))
+        total += count << sum(
+            dim(sums[l + w + 1] - sums[l]) for w in range(1, n - 2) for l in range(n - w)
         )
-        total += count << free
         if total > MAX_MASSEY_SYSTEMS:
             raise ContractError(
                 "the Massey brackets take at least %d defining systems, over the budget"
@@ -903,8 +925,8 @@ def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResul
     the representatives, so i_1* keeps coordinates, and the chain-level
     walk's projected values are these coordinate vectors.  That walk's
     closedness checks of each constraint and of the value are vacuous at
-    m_1 = 0; ``CohomologyRing.checked_minimal`` checks mu's A-infinity
-    relations up to n instead.
+    m_1 = 0; ``ProductTable.minimal`` checks mu's A-infinity relations up
+    to its arity, at least n, instead.
 
     ``mu.arity`` below n and a nonzero m_1 are refused.
     """
@@ -966,8 +988,7 @@ def transfer_minimal_model(
     defined triple p_3 is closed, so mu_3 is its class, as
     ``ProductTable`` proves).  mu_2 is checked against the cup product:
     the class rows of the pair blocks of ``products``, a ``ProductTable``
-    over h and s (built here if none is given), which then serve as mu_2's
-    coordinate blocks (``AInftyStructure.block``).  Arities above
+    over h and s (built here if none is given).  Arities above
     ``MAX_ARITY`` are refused before any work.  The five retract identities
     are verified on h (``_verify_retract``) unless ``products`` is the
     ring's own table over h (``CohomologyRing.products``), whose retract
@@ -1031,7 +1052,6 @@ def transfer_minimal_model(
             raise InternalConsistencyError(
                 "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
             )
-    mu._blocks.update(((a, b), products.pair(a, b).coords) for a in hbasis for b in hbasis)
     return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s)
 
 
@@ -1047,7 +1067,7 @@ class CohomologyRing:
     (``build_ring``) and both homologies are strong deformation retracts
     (``linear._retract``).  A ring assembled by hand carries no such proof;
     the checks that stay (the window relations, the pair check, the
-    transfer's mu_2 and ``checked_minimal``) run on it as on any other."""
+    transfer's mu_2 and mu's relations) run on it as on any other."""
 
     dga: DGA
     twisted: DGA
@@ -1063,18 +1083,15 @@ class CohomologyRing:
     def products(self) -> ProductTable:
         """The cohomology product table; its blocks fill as readers ask for them.
         Its retract and structure are the ring's own, so its transfer skips
-        ``_verify_retract`` and its brackets the structure's relation check."""
+        ``_verify_retract`` and the structure's relation check."""
         table = ProductTable(self.cochain, self.structure)
         table.proved = True
         return table
 
     def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
-        """The minimal model to the given arity, from the product table's cached transfer."""
+        """The product table's one checked transfer, of arity at least ``arity``
+        (``ProductTable.minimal``): read its m_r for r <= ``arity`` only."""
         return self.products.minimal(arity)
-
-    def checked_minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
-        """``minimal(arity)``, with mu's A-infinity relations checked up to ``arity``."""
-        return self.products.checked_minimal(arity)
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:

@@ -26,14 +26,12 @@ import os
 import sys
 import warnings
 from itertools import chain
-from itertools import product as iproduct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
 from .ainfty import (
     CohomologyRing,
     HClass,
-    basis_classes,
     build_ring,
     check_ainfty_morphism,
     check_massey_budget,
@@ -141,15 +139,17 @@ def _dims_rows(prefix: str, dims: Dict[int, int]) -> Rows:
 
 
 def _product_rows(ring: CohomologyRing) -> Rows:
-    """Nonzero cup products of basis classes, keyed product.X.Y."""
+    """Nonzero cup products of basis classes, keyed product.X.Y: the class rows
+    of the pair blocks on the product table's support, where every nonzero
+    product lies (``ProductTable``)."""
     h = ring.cochain
-    degrees = _degrees(h)
     return [
-        ("product.%s.%s" % (h.label(r, x.coords), h.label(s, y.coords)), _label(h, v.degree, v.coords))
-        for r in degrees
-        for s in degrees
-        for x, y in iproduct(basis_classes(h, r), basis_classes(h, s))
-        if (v := ring.products.cup(x, y)).coords
+        ("product.%s.%s" % (h.label(r, 1 << i), h.label(s, 1 << j)), h.label(block.degree, v))
+        for r, s in ring.products.support
+        for block in [ring.products.pair(r, s)]
+        for i, row in enumerate(block.coords)
+        for j, v in enumerate(row)
+        if v
     ]
 
 
@@ -221,7 +221,7 @@ def cmd_massey(ring: CohomologyRing, args) -> Rows:
         result = ring.products.massey(*classes)
     else:
         check_massey_budget(h, [([c.degree for c in classes], 1)])
-        result = massey_higher(ring.checked_minimal(len(classes))[0], classes)
+        result = massey_higher(ring.minimal(len(classes))[0], classes)
     rows = [
         ("classes", ", ".join(_label(h, c.degree, c.coords) for c in classes)),
         ("status", result.status),
@@ -243,7 +243,7 @@ def cmd_massey(ring: CohomologyRing, args) -> Rows:
 
 
 def cmd_minimal(ring: CohomologyRing, args) -> Rows:
-    mu, incl = ring.checked_minimal(args.arity)
+    mu, incl = ring.minimal(args.arity)
     inclusion = check_ainfty_morphism(incl, mu, ring.structure, args.arity)
     if not inclusion.ok:
         raise InternalConsistencyError(

@@ -12,21 +12,21 @@ letters share their twist (``augment.per_twist``), so they share one ring
 and its profile, which counts once per member.
 
 Cup ranks are read off the class rows of the pair blocks of the ring's
-``ProductTable``, on the bidegrees where the chain-level m_2 has an
-entry.  Massey brackets of every order are one code path: the walk of
-``massey_higher`` (``ainfty._BracketWalk``, whose docstrings prove that
-the value sets are the chain-level ones and that the outer layer is a
-coset) over the ring's checked minimal model, asked class tuple by class
-tuple on the support only, the degree tuples enumerated from the entries
-of mu on their runs; the table's degree tuples are bounded in advance by
-``MAX_MASSEY_TUPLES``, and the walks of order 4 and up by
-``MAX_MASSEY_SYSTEMS``.
+``ProductTable``, on its ``support``: the bidegrees where the chain-level
+m_2 has an entry.  Massey brackets of every order are one code path: the
+walk of ``massey_higher`` (``ainfty._BracketWalk``, whose docstrings
+prove that the value sets are the chain-level ones and that the outer
+layer is a coset) over the ring's one checked minimal model, asked class
+tuple by class tuple on the support only, the degree tuples enumerated
+from the entries of mu on their runs; the table's degree tuples are
+bounded in advance by ``MAX_MASSEY_TUPLES``, and the inner systems of the
+walks of order 4 and up by ``MAX_MASSEY_SYSTEMS``.
 
 ``compare_mirror`` fingerprints only the knot.  The mirror's A-infinity
 structure is the opposite one, m_k^op(x_1..x_k) = m_k(x_k..x_1), so its
 fingerprint is ``_opposite`` of the knot's: cup keys swapped, Massey
-tuples reversed, dims and order-n dims kept (the proof is in the
-``compare_mirror`` docstring).  The mirror is still validated, and each
+flags read at reversed tuples, dims and order-n dims kept (the proof is in
+the ``compare_mirror`` docstring).  The mirror is still validated, and each
 augmentation verified on its differential.
 """
 
@@ -34,11 +34,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from heapq import merge
 from itertools import chain, groupby, repeat
-from itertools import product as iproduct
-from math import prod
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +44,7 @@ from . import ContractError, InternalConsistencyError
 from .ainfty import CohomologyRing, _BracketWalk, build_ring, check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
-from .gf2 import apply_block, apply_cols, rank
+from .gf2 import apply_block, rank
 from .linear import HomologyData
 from .tilde import order_n_cohomology
 
@@ -102,13 +100,12 @@ def cup_rank_table(
     ring: CohomologyRing, bases: Optional[Dict[int, List[int]]] = None
 ) -> Dict[Tuple[int, int], int]:
     """Rank of the cup product per bidegree (nonzero entries only), read off
-    the pair blocks' class rows.  Only the bidegrees where the chain-level
-    m_2 has an entry are read: every other pair block is zero
-    (``ProductTable``), of rank 0."""
+    the pair blocks' class rows on the product table's ``support``: every
+    other pair block is zero (``ProductTable``), of rank 0."""
     if bases is None:
         bases = _standard_bases(ring.cochain)
     table: Dict[Tuple[int, int], int] = {}
-    for r, s in sorted(ring.structure.grouped(2)):
+    for r, s in ring.products.support:
         if r in bases and s in bases:
             coords = ring.products.pair(r, s).coords
             value = rank(apply_block(coords, xv, yv) for xv in bases[r] for yv in bases[s])
@@ -126,10 +123,12 @@ def _check_tuple_budget(counts: Sequence[int], massey_order: int) -> None:
     ``DEFAULT_MAX_TUPLES``.  Products only grow along a tuple, so a refused
     prefix stays refused: ``ways`` maps each admitted product of the
     current length to its number of tuples, and grows by one degree per
-    order, with no tuple listed.
+    order, with no tuple listed, up to the first order that admits none.
     """
     ways, total, per_count = {1: 1}, 0, Counter(counts).items()
     for order in range(1, massey_order + 1):
+        if not ways:
+            return
         grown: Dict[int, int] = {}
         for p, n in ways.items():
             for c, m in per_count:
@@ -144,32 +143,15 @@ def _check_tuple_budget(counts: Sequence[int], massey_order: int) -> None:
             )
 
 
-def _annihilators(ring: CohomologyRing, a: int, b: int) -> Dict[int, Sequence[int]]:
-    """Each nonzero class x of degree a -> the nonzero y of degree b with
-    x y = 0: every y where the chain-level m_2 has no entry on (a, b), whose
-    pair block is zero (``ProductTable``), and otherwise the y on which x's
-    row of products with the basis classes sums to 0."""
-    h = ring.cochain
-    xs, ys = range(1, 1 << h.dim(a)), range(1, 1 << h.dim(b))
-    if (a, b) not in ring.structure.grouped(2):
-        return dict.fromkeys(xs, ys)
-    columns = list(zip(*ring.products.pair(a, b).coords))
-    zero = {}
-    for x in xs:
-        row = [apply_cols(column, x) for column in columns]
-        zero[x] = [y for y in ys if not apply_cols(row, y)]
-    return zero
-
-
 def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):
     """(some bracket defined, some nonzero) over the tuples of nonzero classes
     in these degrees, asked tuple by tuple in product order, up to the first
     nonzero one.  A bracket with a nonzero adjacent product x_l x_(l+1) is
     undefined (that product is the obstruction of the width-1 run [l, l+1]
     on every branch), so only the other tuples are asked, built position by
-    position from ``zero(a, b)`` (``_annihilators``), which maps each class
-    x of degree a to the y of degree b with x y = 0; where the walk is
-    ``flat`` none is asked."""
+    position from ``zero(a, b)`` (``ProductTable.annihilators``), which
+    maps each class x of degree a to the y of degree b with x y = 0; where
+    the walk is ``flat`` none is asked."""
     combos = [(x,) for x in range(1, 1 << dims[0])]
     for after in map(zero, degrees, degrees[1:]):
         combos = [c + (y,) for c in combos for y in after[c[-1]]]
@@ -194,21 +176,26 @@ def massey_table(
     tuples whose class count exceeds ``DEFAULT_MAX_TUPLES`` are skipped (a
     function of the dimensions alone), and a table of more than
     ``MAX_MASSEY_TUPLES`` admitted tuples is refused before any is built
-    (``_check_tuple_budget``).
+    (``_check_tuple_budget``).  Products only grow along a tuple, so each
+    order's admitted tuples are the previous order's extended by one
+    admitted degree, listed in product order; the orders stop at the first
+    that admits none.
 
-    Every order reads the ring's checked minimal model the same way, with
+    Every order reads the ring's one checked minimal model, transferred
+    once at ``massey_order`` (``ProductTable.minimal``), the same way, with
     one ``_BracketWalk`` (the walk of ``massey_higher``) asked class tuple
     by class tuple for (defined, nonzero) (``_walk_flags``), up to the first
     nonzero tuple; each bracket stops at the first coset after which its
-    hull holds 0.
+    hull holds 0.  The annihilators it builds tuples from are the product
+    table's (``ProductTable.annihilators``).
 
     Only the support is walked: the degree tuples (k_1..k_n) with a run
     [l, m], l < m, on whose degrees (k_l..k_m) mu_(m-l+1) has an entry.
     It is enumerated per run and per key of ``mu.grouped(m - l + 1)`` (the
     degree tuples where that m_r has an entry) as the tuples with that key
-    on the run and any degrees elsewhere.  Each enumerated tuple has an
-    entry on that run, and each support tuple is enumerated at that run
-    and its own key there, so the enumerated set is exactly the support.
+    on the run and admitted heads and tails: the head and tail of an
+    admitted tuple are admitted, so each admitted support tuple is
+    enumerated at a run with an entry and its own key there.
     Every admitted tuple off the support is (True, False), with no walk.
     Take classes x_1..x_n in its degrees, and the system with every
     variable b[l, m], l < m, set to 0.  The partition sum of a run [l, m]
@@ -222,43 +209,37 @@ def massey_table(
     sorted.
 
     Before the ring's first walk of order 4 or more,
-    ``check_massey_budget`` bounds those walks' complete systems, every
-    order and admitted class tuple together.  The ring is transferred
-    once, at ``massey_order``, and that transfer's cuts serve the lower
-    orders and the order-n dims up to it.
+    ``check_massey_budget`` bounds the inner systems those walks visit,
+    every order and admitted class tuple together.
     """
     h = ring.cochain
     dim_of = h.dims()
-    degrees = sorted(dim_of)
-    counts = [(1 << dim_of[k]) - 1 for k in degrees]
-    _check_tuple_budget(counts, massey_order)
-
-    def admitted(order: int):
-        """(degree tuple, class-tuple count) of the admitted tuples, in product order."""
-        tuples = zip(iproduct(degrees, repeat=order), map(prod, iproduct(counts, repeat=order)))
-        return ((prefix, count) for prefix, count in tuples if count <= DEFAULT_MAX_TUPLES)
-
+    counts = {k: (1 << dim) - 1 for k, dim in dim_of.items()}
+    _check_tuple_budget(list(counts.values()), massey_order)
+    levels = [[((), 1)]]  # per order, the admitted (degree tuple, class-tuple count)
+    while len(levels) <= massey_order and levels[-1]:
+        grown = ((t + (k,), c * n) for t, c in levels[-1] for k, n in counts.items())
+        levels.append([(t, c) for t, c in grown if c <= DEFAULT_MAX_TUPLES])
     if massey_order >= 4:
-        check_massey_budget(h, (t for o in range(4, massey_order + 1) for t in admitted(o)))
+        check_massey_budget(h, chain.from_iterable(levels[4:]))
     if massey_order >= 3:
-        ring.minimal(massey_order)
+        mu = ring.minimal(massey_order)[0]
     table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
-    zero = lru_cache(maxsize=None)(partial(_annihilators, ring))
-    for order in range(3, massey_order + 1):
-        mu = ring.checked_minimal(order)[0]
+    for order in range(3, len(levels)):
         walk = _BracketWalk(mu, order)
         support = {
             head + key + tail
             for l in range(order)
             for m in range(l + 2, order + 1)
             for key in mu.grouped(m - l)
-            for head in iproduct(degrees, repeat=l)
-            for tail in iproduct(degrees, repeat=order - m)
+            for head, _ in levels[l]
+            for tail, _ in levels[order - m]
         }
-        for prefix, _ in admitted(order):
+        for prefix, _ in levels[order]:
             flags = (True, False)
             if prefix in support:
-                flags = _walk_flags(walk, prefix, [dim_of[k] for k in prefix], zero)
+                dims = [dim_of[k] for k in prefix]
+                flags = _walk_flags(walk, prefix, dims, ring.products.annihilators)
             table[(order, prefix)] = flags
     return table
 
@@ -275,8 +256,9 @@ def order_dim_table(
     ``build_ring``, which proves it from ``assert_valid`` (once per
     content).  The checks it keeps: the pair check (one comparison per
     ring, at every term length, serves every n), the transfer's mu_2 check
-    (one transfer per ring, its cuts kept, on the ring's own retract, which
-    ``linear._retract`` proves), and the minimal model's relations up to
+    and mu's relations up to its arity (one transfer per ring, at the
+    highest arity asked, read whole by every n, on the ring's own retract,
+    which ``linear._retract`` proves), and the window's relations up to
     arity n.
     """
     table: Dict[Tuple[int, int], int] = {}
@@ -330,23 +312,25 @@ def _opposite(fp: Fingerprint) -> Fingerprint:
     """The fingerprint of the opposite A-infinity structure,
     m_k^op(x_1..x_k) = m_k(x_k..x_1): each cup key (r, s) becomes (s, r),
     each Massey degree tuple is reversed, dims and order-n dims stay, and
-    every field and then the profiles are sorted again.  Equal profiles sit
+    the cup field and then the profiles are sorted again.  Admission is a
+    product over the tuple, so each order's admitted tuples are closed
+    under reversal: the opposite Massey field has the knot's sorted keys,
+    each with the knot's value at its reversed key.  Equal profiles sit
     together in a sorted fingerprint, so each distinct one is reversed once
     and repeated; reversal is injective, so the distinct results sort
     without ties."""
+
+    def opposite(p: AugmentationProfile) -> AugmentationProfile:
+        massey = dict(p.massey)
+        return AugmentationProfile(
+            p.dims,
+            tuple(sorted(((s, r), v) for (r, s), v in p.cup_ranks)),
+            tuple((key, massey[key[0], key[1][::-1]]) for key, _ in p.massey),
+            p.order_dims,
+        )
+
     runs = sorted(
-        (
-            (
-                AugmentationProfile(
-                    p.dims,
-                    tuple(sorted(((s, r), v) for (r, s), v in p.cup_ranks)),
-                    tuple(sorted(((o, t[::-1]), v) for (o, t), v in p.massey)),
-                    p.order_dims,
-                ),
-                len(list(members)),
-            )
-            for p, members in groupby(fp.profiles)
-        ),
+        ((opposite(p), len(list(members))) for p, members in groupby(fp.profiles)),
         key=itemgetter(0),
     )
     return Fingerprint(tuple(chain.from_iterable(repeat(p, n) for p, n in runs)))

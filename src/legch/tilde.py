@@ -100,11 +100,15 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   differential is the bar differential of the structure transferred
   along (i, p, h), truncated at length n (Kadeishvili 1980;
   Huebschmann-Kadeishvili 1991; Markl 2006, Transferring A-infinity
-  structures).  So the perturbation engine is the window matrix of
-  ``ring.minimal(max(n, 2))``; its d d = 0 is the minimal model's
-  A-infinity relations up to arity n (Square zero).  The transfer checks
-  its mu_2 against the cup product; (i, p, h) is the ring's own retract,
-  a strong deformation retract by construction (``linear._retract``).
+  structures).  So the perturbation engine is the window matrix of the
+  ring's one transfer, ``ring.minimal(max(n, 2))``, whose arity may lie
+  above n: a window of more than n letters fits no word of the order-n
+  space, so the matrix keeps the terms with |t| <= n, those of a transfer
+  to max(n, 2).  Its d d = 0 is the minimal model's A-infinity relations
+  up to arity n (Square zero), which the transfer's own check covers too.
+  The transfer checks its mu_2 against the cup product; (i, p, h) is the
+  ring's own retract, a strong deformation retract by construction
+  (``linear._retract``).
 * Square zero.  The window differential only shortens words, so nothing
   is truncated.  A term of d d(w) applies a window W1 of w, then a window
   of the result.  If that second window misses W1's output letter, it is
@@ -129,7 +133,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, groupby, product as iproduct
+from itertools import accumulate, chain, groupby, product as iproduct
 from operator import xor
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -141,7 +145,6 @@ from .ainfty import (
     AInftyStructure,
     CohomologyRing,
     _compositions,
-    basis_classes,
     build_ring,
     check_ainfty_morphism,
     check_an_relations,
@@ -519,8 +522,8 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     pairs on every call.  The dense engine builds that matrix on
     ``ring.structure`` from the checked ``ring.pairs`` and asserts the
     count; the perturbation engine reads and checks the pairs of the
-    minimal model ``ring.minimal(max(n, 2))`` and builds its window matrix
-    (Perturbation, in the module docstring).
+    ring's one transfer ``ring.minimal(max(n, 2))`` and builds its window
+    matrix from those with |t| <= n (Perturbation, in the module docstring).
     Either asserts d d = 0 through its structure's A-infinity relations up
     to arity n (Square zero).
     The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
@@ -677,16 +680,16 @@ def splitting_check_n2(ring: CohomologyRing) -> SplittingReport:
 
     Length-1 words form a subcomplex of the order-2 complex with quotient
     the length-2 words; the connecting map of the resulting long exact
-    sequence is the cup product on the tensor square of cohomology.  The
-    order-2 dimensions must therefore split as recorded in the report's
-    convention string.
+    sequence is the cup product on the tensor square of cohomology, read
+    off the class rows of the ring's pair blocks.  The order-2 dimensions
+    must therefore split as recorded in the report's convention string.
     """
     order2 = order_n_cohomology(ring, 2)
     h = ring.cochain
-    classes = [c for k in h.degrees() for c in basis_classes(h, k)]
     cup_cols: Dict[int, List[int]] = {}
-    for value in (ring.products.cup(x, y) for x in classes for y in classes):
-        cup_cols.setdefault(h.canon(value.degree - 1), []).append(value.coords)
+    for a, b in iproduct(h.degrees(), repeat=2):
+        block = ring.products.pair(a, b)
+        cup_cols.setdefault(h.canon(block.degree - 1), []).extend(chain.from_iterable(block.coords))
     kernel: Dict[int, int] = {}
     image: Dict[int, int] = {}
     for kk, cols in cup_cols.items():

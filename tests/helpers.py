@@ -8,8 +8,10 @@ move is broken).  The chain-level triple Massey product, the chain-level
 walk of higher Massey defining systems, the minimal-model walk of every
 defining system one by one, the block-by-block p_3 builder, the
 visit-every-triple Massey table, the degree-scan Massey table with its
-``apply_block`` annihilators, the all-pairs cup rank table, the
-per-tuple composition sum, the word-by-word Leibniz and window
+``apply_block`` annihilators, the all-pairs cup rank table, the cup
+support read off ``cup_product`` on every class pair, the per-class-pair
+order-2 splitting, the sorting opposite fingerprint, the per-tuple
+composition sum, the word-by-word Leibniz and window
 expansions, the word-by-word window matrix with its d d = 0, the sliced
 count of the window matrix, the word-by-word perturbation series, the
 whole-field multiset witness, the sorted-key-union witness and the
@@ -28,7 +30,8 @@ order-n engine, its lazily merged mirror witness, its one-sided mirror
 comparison, its proof that its own retracts are strong deformation
 retracts, its one ring per distinct twist, its one trial mask with its
 batched check of every member, its word-at-once substitution and its one
-form per degree and kappa are compared against.
+form per degree and kappa, its one cup support and its opposite Massey
+field read at reversed keys are compared against.
 """
 
 import random
@@ -86,6 +89,7 @@ from legch.fileio import parse_dga
 from legch.fingerprint import (
     DEFAULT_MASSEY_ORDER,
     DEFAULT_ORDER_CAP,
+    AugmentationProfile,
     Fingerprint,
     MirrorReport,
     _first_difference,
@@ -105,7 +109,13 @@ from legch.linear import (
     pair_bit,
     vector_label,
 )
-from legch.tilde import _ring_pairs
+from legch.tilde import (
+    SPLITTING_CONVENTION,
+    SplittingReport,
+    SplittingRow,
+    _ring_pairs,
+    order_n_cohomology,
+)
 
 
 def trivial_bracket_dga() -> DGA:
@@ -901,7 +911,7 @@ def _tuple_space(dims: Sequence[int]) -> bool:
 
 
 def apply_block_annihilators(ring, a: int, b: int) -> Dict[int, List[int]]:
-    """Reference ``fingerprint._annihilators``: each nonzero class x of degree
+    """Reference ``ProductTable.annihilators``: each nonzero class x of degree
     a -> the nonzero y of degree b with x y = 0, by ``apply_block`` on the
     (a, b) pair block for every pair, where the library skips the degree
     pairs with no chain-level m_2 entry."""
@@ -931,7 +941,7 @@ def degree_scan_massey_table(ring, massey_order: int = DEFAULT_MASSEY_ORDER):
     table = {}
     zero = lru_cache(maxsize=None)(partial(apply_block_annihilators, ring))
     for order in range(3, massey_order + 1):
-        mu = ring.checked_minimal(order)[0]
+        mu = ring.minimal(order)[0]
         walk = _BracketWalk(mu, order)
         runs = [(l, m, mu.grouped(m - l)) for l in range(order) for m in range(l + 2, order + 1)]
         for prefix, dims in admitted(order):
@@ -941,6 +951,66 @@ def degree_scan_massey_table(ring, massey_order: int = DEFAULT_MASSEY_ORDER):
                     table[(order, prefix)] = _walk_flags(walk, prefix, dims, zero)
                     break
     return table
+
+
+def cup_product_support(ring) -> List[Tuple[int, int]]:
+    """Reference ``ProductTable.support``, with the fact it rests on: the
+    degree pairs of H on which some entry of ``ring.structure.tables[2]``
+    lies, read label by label, after ``cup_product`` on every pair of basis
+    classes is found 0 off them."""
+    h, s = ring.cochain, ring.structure
+    degrees = h.degrees()
+    entries = {tuple(s.degree_of[x] for x in args) for args in s.tables.get(2, {})}
+    support = [(a, b) for a, b in product(degrees, repeat=2) if (a, b) in entries]
+    for a, b in product(degrees, repeat=2):
+        if (a, b) not in support:
+            for x, y in product(basis_classes(h, a), basis_classes(h, b)):
+                assert not cup_product(h, s, x, y).coords, (x, y)
+    return support
+
+
+def per_class_pair_splitting_check_n2(ring) -> SplittingReport:
+    """Reference ``tilde.splitting_check_n2``: the cup product of every pair
+    of basis classes through ``ProductTable.cup``, where the library reads
+    the class rows of the pair blocks."""
+    order2 = order_n_cohomology(ring, 2)
+    h = ring.cochain
+    classes = [c for k in h.degrees() for c in basis_classes(h, k)]
+    cup_cols: Dict[int, List[int]] = {}
+    for value in (ring.products.cup(x, y) for x in classes for y in classes):
+        cup_cols.setdefault(h.canon(value.degree - 1), []).append(value.coords)
+    kernel = {kk: len(cols) - rank(cols) for kk, cols in cup_cols.items()}
+    image = {kk: rank(cols) for kk, cols in cup_cols.items()}
+    degrees = sorted(
+        set(order2.dims)
+        | set(h.dims())
+        | {kk for kk, v in kernel.items() if v}
+        | {h.canon(kk + 1) for kk, v in image.items() if v}
+    )
+    rows = []
+    for k in degrees:
+        kr, hd, im = kernel.get(k, 0), h.dim(k), image.get(h.canon(k - 1), 0)
+        rows.append(SplittingRow(k, order2.dims.get(k, 0), kr, hd, im, kr + hd - im))
+    return SplittingReport(SPLITTING_CONVENTION, rows)
+
+
+def sorted_opposite(fp: Fingerprint) -> Fingerprint:
+    """Reference ``fingerprint._opposite``: every field of each reversed
+    profile sorted again, where the library reads the Massey field at
+    reversed keys, and then the profiles."""
+    return Fingerprint(
+        tuple(
+            sorted(
+                AugmentationProfile(
+                    p.dims,
+                    tuple(sorted(((s, r), v) for (r, s), v in p.cup_ranks)),
+                    tuple(sorted(((o, t[::-1]), v) for (o, t), v in p.massey)),
+                    p.order_dims,
+                )
+                for p in fp.profiles
+            )
+        )
+    )
 
 
 def all_pairs_cup_rank_table(ring, bases=None) -> Dict[Tuple[int, int], int]:
@@ -989,7 +1059,7 @@ def every_triple_massey_table(ring):
     on every admitted degree triple, where the library skips the triples on
     none of whose runs mu_2 or mu_3 has an entry."""
     h = ring.cochain
-    mu = ring.checked_minimal(3)[0]
+    mu = ring.minimal(3)[0]
     table = {}
     for prefix in product(sorted(h.dims()), repeat=3):
         dims = [h.dim(k) for k in prefix]

@@ -39,6 +39,7 @@ from legch.fileio import serialize_dga
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.gf2 import apply_block, apply_cols
 from legch.linear import homology, linearized_complexes
+from legch.tilde import order_n_cohomology
 from helpers import (
     _tuple_space,
     admitted_class_triples,
@@ -402,7 +403,7 @@ def test_massey_higher_on_trefoil_fourth_power():
     oracle = chain_massey_higher(h, s, [b, b, b, b])
     assert oracle.defined and not oracle.truncated
     assert oracle.systems == 256
-    r = massey_higher(ring.checked_minimal(4)[0], [b, b, b, b])
+    r = massey_higher(ring.minimal(4)[0], [b, b, b, b])
     assert r.defined
     assert (r.degree, r.value) == (oracle.degree, oracle.value) == (1, 0)
     assert r.value_set == oracle.value_set == [0, 1]
@@ -413,7 +414,7 @@ def test_massey_higher_on_trefoil_fourth_power():
 
 def test_massey_higher_budget_and_argument_validation(monkeypatch):
     ring = trefoil_ring()
-    mu = ring.checked_minimal(4)[0]
+    mu = ring.minimal(4)[0]
     b = HClass(0, 1)
     with pytest.raises(ContractError, match="at least 3 classes"):
         massey_higher(mu, [b, b])
@@ -421,11 +422,12 @@ def test_massey_higher_budget_and_argument_validation(monkeypatch):
         massey_higher(mu, [b] * 5)
     with pytest.raises(ContractError, match="m_1 = 0"):
         massey_higher(ring.structure, [b, b, b])
-    # four degree-0 classes: five off-diagonal variables in H^0 of dim 2, so
-    # 2^10 systems each; three degree-1 classes: two variables in H^2 = 0
-    check_massey_budget(ring.cochain, [((0, 0, 0, 0), 1 << 10)])
+    # four degree-0 classes: three inner variables (width 1) in H^0 of dim 2,
+    # so 2^6 inner systems each, and 2^14 of them reach 2^20; three degree-1
+    # classes: no inner variable, one system
+    check_massey_budget(ring.cochain, [((0, 0, 0, 0), 1 << 14)])
     with pytest.raises(ContractError, match="MAX_MASSEY_SYSTEMS = %d$" % MAX_MASSEY_SYSTEMS):
-        check_massey_budget(ring.cochain, [((0, 0, 0, 0), 1 << 10), ((1, 1, 1), 1)])
+        check_massey_budget(ring.cochain, [((0, 0, 0, 0), 1 << 14), ((1, 1, 1), 1)])
 
     def refuse(*args):
         raise AssertionError("a walk ran")
@@ -444,7 +446,7 @@ def test_massey_higher_order_three_agrees_with_triple():
     higher bracket's value set."""
     ring = trefoil_ring()
     h, s = ring.cochain, ring.structure
-    mu = ring.checked_minimal(3)[0]
+    mu = ring.minimal(3)[0]
     defined = 0
     for _, classes in admitted_class_triples(h):
         triple = massey_triple(h, s, *classes)
@@ -468,7 +470,7 @@ def _assert_walk_matches_the_chain_oracle(ring, order, cap):
     set and indeterminacy; where it stops at ``cap``, its values lie in the
     minimal walk's.  Returns (compared, stopped, nontrivial)."""
     h = ring.cochain
-    mu = ring.checked_minimal(order)[0]
+    mu = ring.minimal(order)[0]
     compared = stopped = nontrivial = 0
     for prefix in product(h.degrees(), repeat=order):
         for combo in product(*(range(1, 1 << h.dim(k)) for k in prefix)):
@@ -507,7 +509,7 @@ def _coset_walk_against_the_one_by_one_walk(ring, order) -> Counter:
     admitted degree tuple.  Counts the brackets by status and the
     nontrivial ones."""
     h = ring.cochain
-    mu = ring.checked_minimal(order)[0]
+    mu = ring.minimal(order)[0]
     counts, want_table = Counter(), {}
     for prefix in product(h.degrees(), repeat=order):
         flags = []
@@ -779,7 +781,7 @@ def test_the_rings_own_retract_is_not_verified_again(monkeypatch, tmp_path, caps
 
     monkeypatch.setattr(ainfty, "_verify_retract", refuse)
     ring = trefoil_ring()
-    ring.checked_minimal(4)
+    ring.minimal(4)
     assert ring.products.massey(*_defined_triple(ring.products)).defined
     path = tmp_path / "m.dga"
     path.write_text(serialize_dga(masseyex(1, 4, 9, 20)), encoding="utf-8")
@@ -811,7 +813,11 @@ def test_morphism_checker_detects_a_corrupted_inclusion():
     assert report.args == ("[b2]", "[b2]")
 
 
-def test_ring_keeps_one_transfer_and_cuts_lower_arities_from_it(monkeypatch):
+def test_ring_keeps_one_transfer_and_hands_it_out_whole(monkeypatch):
+    """``minimal(k)`` returns the kept objects for every k up to the kept
+    arity, a higher k rebuilds the transfer, and the kept tables of arity
+    <= k are a fresh transfer's to k: the recursion builds arity k from
+    lower arities alone."""
     ring = trefoil_ring()
     calls = []
     real = transfer_minimal_model
@@ -821,17 +827,93 @@ def test_ring_keeps_one_transfer_and_cuts_lower_arities_from_it(monkeypatch):
         return real(h, s, up_to, products)
 
     monkeypatch.setattr(ainfty, "transfer_minimal_model", counted)
-    for arity in (3, 5, 2, 4, 5):
+    for arity, kept in ((3, 3), (5, 5), (2, 5), (4, 5), (5, 5)):
         mu, incl = ring.minimal(arity)
+        assert (mu.arity, incl.arity) == (kept, kept)
+        assert ring.minimal(arity) == (mu, incl) and ring.minimal(arity)[0] is mu
         want_mu, want_incl = real(ring.cochain, ring.structure, arity)
-        assert mu == want_mu and mu.arity == arity
-        assert incl.tables == want_incl.tables and incl.arity == arity
-    assert calls == [3, 5]  # lower arities are cut from the kept transfer
-    assert ring.minimal(5)[0] is ring.minimal(5)[0]
+        assert {k: mu.tables.get(k, {}) for k in range(1, arity + 1)} == {
+            k: want_mu.tables.get(k, {}) for k in range(1, arity + 1)
+        }
+        assert {k: t for k, t in incl.tables.items() if k <= arity} == want_incl.tables
+    assert calls == [3, 5]  # lower arities read the kept transfer
+    assert all(ring.minimal(k)[0] is ring.minimal(5)[0] for k in range(2, 6))
     with pytest.raises(ContractError):
         ring.minimal(1)
     with pytest.raises(ContractError, match="MAX_ARITY"):
         ring.minimal(MAX_ARITY + 1)
+    assert ring.minimal(5)[0].arity == 5 and calls == [3, 5, 1, MAX_ARITY + 1]
+
+
+def test_compare_mirror_transfers_each_ring_once_and_checks_that_transfer_once(monkeypatch):
+    """Spies on the transfer, on ``ainfty``'s relation checks and on the
+    rings built: across ``compare-mirror --massey-order 4 --order-cap 3``
+    each ring is transferred once, at arity 4, and its mu's relations are
+    checked once, at that transfer; the ring's own structure is not."""
+    rings, transfers, checks = [], [], []
+    real_build, real_transfer, real_check = build_ring, transfer_minimal_model, check_an_relations
+
+    def built(dga, aug):
+        rings.append(real_build(dga, aug))
+        return rings[-1]
+
+    def transfer(h, s, up_to, products=None):
+        transfers.append((products, up_to, real_transfer(h, s, up_to, products)))
+        return transfers[-1][2]
+
+    def check(s, up_to):
+        checks.append((s, up_to))
+        return real_check(s, up_to)
+
+    monkeypatch.setattr(fingerprint, "build_ring", built)
+    monkeypatch.setattr(ainfty, "transfer_minimal_model", transfer)
+    monkeypatch.setattr(ainfty, "check_an_relations", check)
+    for _, dga in bundled_examples():
+        for spy in (rings, transfers, checks):
+            spy.clear()
+        fingerprint.compare_mirror(dga, massey_order=4, order_cap=3)
+        assert rings and [id(r.products) for r in rings] == [id(t) for t, _, _ in transfers]
+        assert [up_to for _, up_to, _ in transfers] == [4] * len(rings)
+        mus = [mu for _, _, (mu, _) in transfers]
+        assert [(id(s), up_to) for s, up_to in checks] == [(id(mu), 4) for mu in mus]
+
+
+def test_a_transfer_with_a_flipped_mu3_bit_is_refused_by_every_reader(
+    monkeypatch, tmp_path, capsys
+):
+    """One flipped mu_3 bit of masseyex(1,4,9,20)'s transfer fails the
+    arity-4 relation, and the check at the transfer refuses it before
+    ``massey_table``, the perturbation engine, ``minimal`` or ``massey`` on
+    4 classes reads it.  With m_1 = 0 no relation of arity 3 or less
+    involves mu_3, so the perturbation engine is asked at n = 4."""
+    real = transfer_minimal_model
+
+    def flipped(h, s, up_to, products=None):
+        mu, incl = real(h, s, up_to, products)
+        tables = {k: dict(t) for k, t in mu.tables.items()}
+        tables[3][("[b1]", "[a2]", "[a2]")] = tables[3].get(("[b1]", "[a2]", "[a2]"), 0) ^ 1
+        return AInftyStructure(mu.modulus, mu.basis, mu.arity, tables), incl
+
+    monkeypatch.setattr(ainfty, "transfer_minimal_model", flipped)
+    dga = masseyex(1, 4, 9, 20)
+    detail = (
+        "transferred structure fails a relation:"
+        " relation fails at arity 4 on ([b1], [a2], [a2], [d])"
+    )
+    for read in (
+        lambda ring: fingerprint.massey_table(ring, 4),
+        lambda ring: order_n_cohomology(ring, 4, engine="perturbation"),
+    ):
+        with pytest.raises(InternalConsistencyError, match=re.escape(detail)):
+            read(build_ring(dga, enumerate_augmentations(dga)[0]))
+    path = tmp_path / "m.dga"
+    path.write_text(serialize_dga(dga), encoding="utf-8")
+    for argv in (
+        ["minimal", "--arity", "4", str(path)],
+        ["massey", "--classes=-20:1,4:1,4:1,11:1", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "internal consistency failure: %s\n" % detail)
 
 
 def test_transfer_refuses_arities_above_the_budget():

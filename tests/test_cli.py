@@ -246,8 +246,8 @@ def test_max_systems_is_a_usage_error(capsys, trefoil_file, command):
 
 
 def test_massey_walks_over_the_budget_are_refused_before_any_walk(capsys, trefoil_file, monkeypatch):
-    """Trefoil's rings take 70,125,710 systems at orders 4 and 5, and six
-    degree-0 classes 4^14 in one walk; the budget is counted first."""
+    """Trefoil's rings take 4,928,414 inner systems at orders 4 and 5, and six
+    degree-0 classes 4^12 in one walk; the budget is counted first."""
 
     def refuse(*args):
         raise AssertionError("a walk ran")
@@ -262,6 +262,22 @@ def test_massey_walks_over_the_budget_are_refused_before_any_walk(capsys, trefoi
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: the Massey brackets take at least "), argv
         assert err.endswith(" over the budget MAX_MASSEY_SYSTEMS = %d\n" % MAX_MASSEY_SYSTEMS)
+
+
+def test_the_massey_budget_counts_the_inner_systems_the_walk_visits(capsys, tmp_path):
+    """Four degree-0 classes over five free degree-0 generators walk 2^15
+    inner systems, admitted, and report the 2^25 complete ones; over seven
+    generators they would walk 2^21, refused."""
+    for k, code_want in ((5, 0), (7, 1)):
+        path = tmp_path / ("free%d.dga" % k)
+        path.write_text("modulus 0\n" + "".join("gen b%d 0\n" % i for i in range(k)))
+        code, out, err = run_cli(capsys, "massey", "--classes", "0:1,0:1,0:1,0:1", str(path))
+        assert code == code_want, err
+        if code:
+            assert (out, err) == ("", "error: the Massey brackets take at least 2097152 defining"
+                                  " systems, over the budget MAX_MASSEY_SYSTEMS = 1048576\n")
+        else:
+            assert ["systems", "33554432"] in rows_of(out)
 
 
 def test_a_massey_table_over_the_budget_is_refused_at_once(capsys, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from itertools import product
 from math import prod
 from unittest.mock import patch
@@ -9,7 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch import ContractError, fingerprint
+from legch import ContractError, ainfty, fingerprint
 from legch.ainfty import HClass, ProductTable, build_ring
 from legch.algebra import mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
@@ -18,7 +19,6 @@ from legch.fingerprint import (
     DEFAULT_MAX_TUPLES,
     AugmentationProfile,
     Fingerprint,
-    _annihilators,
     _check_tuple_budget,
     _first_difference,
     _opposite,
@@ -40,6 +40,7 @@ from helpers import (
     all_pairs_cup_rank_table,
     apply_block_annihilators,
     chain_massey_triple,
+    cup_product_support,
     cup_table,
     degree_scan_massey_table,
     disguised_order_four_bracket_dgas,
@@ -52,6 +53,7 @@ from helpers import (
     random_dga,
     random_dgas,
     random_disguised_base,
+    sorted_opposite,
     sorted_union_first_difference,
     trivial_bracket_dga,
     twist_groups,
@@ -164,9 +166,11 @@ def _table_or_error(table, ring, order):
 
 
 def _assert_support_reads_match_the_oracles(rings):
-    """The Massey table at orders 3 and 4, the cup ranks in the standard and
-    a random basis, and the annihilators of every degree pair."""
+    """The Massey table at orders 3 and 4, the cup support, the cup ranks in
+    the standard and a random basis, and the annihilators of every degree
+    pair."""
     for ring in rings:
+        assert list(ring.products.support) == cup_product_support(ring)
         for order in (3, 4):
             want = _table_or_error(degree_scan_massey_table, ring, order)
             assert _table_or_error(massey_table, ring, order) == want
@@ -174,7 +178,7 @@ def _assert_support_reads_match_the_oracles(rings):
         bases = random_graded_basis(ring.cochain, random.Random(len(ring.cochain.dims())))
         assert cup_rank_table(ring, bases) == all_pairs_cup_rank_table(ring, bases)
         for a, b in product(ring.cochain.degrees(), repeat=2):
-            got = {x: list(ys) for x, ys in _annihilators(ring, a, b).items()}
+            got = {x: list(ys) for x, ys in ring.products.annihilators(a, b).items()}
             assert got == apply_block_annihilators(ring, a, b), (a, b)
 
 
@@ -202,16 +206,40 @@ def test_the_massey_table_budget_admits_40_degrees_and_refuses_41(monkeypatch):
     ring = _free_ring(40)
     table = massey_table(ring)
     assert len(table) == 64000 and set(table.values()) == {(True, False)}
-    for k, order, total in ((41, 3, 68921), (20, 4, 168000)):
-        big = _free_ring(k)
-        with pytest.raises(ContractError, match=re.escape(refused % (total, 1 << 16))):
-            massey_table(big, order)
-        assert not big.products._cuts
+
+    def refuse(*args):
+        raise AssertionError("a transfer ran")
+
+    with patch.object(ainfty, "transfer_minimal_model", refuse):
+        for k, order, total in ((41, 3, 68921), (20, 4, 168000)):
+            with pytest.raises(ContractError, match=re.escape(refused % (total, 1 << 16))):
+                massey_table(_free_ring(k), order)
     monkeypatch.setattr(fingerprint, "MAX_MASSEY_TUPLES", 64000)
     assert massey_table(ring) == table
     monkeypatch.setattr(fingerprint, "MAX_MASSEY_TUPLES", 63999)
     with pytest.raises(ContractError, match=re.escape(refused % (64000, 63999))):
         massey_table(ring)
+
+
+def test_a_massey_order_that_admits_no_tuple_fails_fast():
+    """Three 3-dimensional degrees admit no tuple of order 5 or more
+    (7^5 > 4096), and zero cohomology none at all: the orders stop at the
+    first that admits none, and only the transfer's arity budget refuses
+    an order above it."""
+    spread = parse_dga(
+        "modulus 0\n"
+        + "".join("gen a%d 7\ngen b%d 11\ngen q%d 19\n" % (i, i, i) for i in (1, 2, 3))
+        + "".join("d q%d = a%d b%d\n" % (i, i, i) for i in (1, 2, 3))
+    )
+    zero = parse_dga("modulus 0\ngen a 1\ngen b 0\nd a = b\n")
+    start = time.perf_counter()
+    report = compare_mirror(spread, massey_order=16)
+    assert report.distinguished and not any(v[1] for p in report.knot.profiles for _, v in p.massey)
+    assert {order for p in report.knot.profiles for (order, _), _ in p.massey} == {3, 4}
+    refused = "transfer arity 1000000 exceeds the budget MAX_ARITY = 16"
+    with pytest.raises(ContractError, match=refused):
+        compare_mirror(zero, massey_order=10**6)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_the_tuple_budget_counts_the_admitted_tuples():
@@ -460,6 +488,8 @@ def _assert_one_side_matches_two_sides(dga, **options):
     with the two-sided oracle's; a budget refusal must be the same one."""
     report = _report_or_error(compare_mirror, dga, **options)
     assert report == _report_or_error(two_sided_compare_mirror, dga, **options)
+    if not isinstance(report, str):
+        assert _opposite(report.knot) == sorted_opposite(report.knot)
     return report
 
 
@@ -534,6 +564,8 @@ def test_compare_mirror_tells_the_order_four_bracket_dga_in_disguise():
 
 
 def test_opposite_swaps_cup_keys_and_reverses_massey_tuples():
+    # Each order's admitted tuples are closed under reversal (admission is a
+    # product), and so is the Massey field of every fingerprint.
     profile = _profile(
         dims=[(0, 1), (1, 2)],
         cups=[((0, 1), 1), ((1, 0), 2), ((1, 1), 1)],
@@ -541,6 +573,7 @@ def test_opposite_swaps_cup_keys_and_reverses_massey_tuples():
             ((3, (0, 1, 1)), (True, True)),
             ((3, (1, 1, 0)), (True, False)),
             ((4, (0, 0, 1, 1)), (False, False)),
+            ((4, (1, 1, 0, 0)), (True, False)),
         ],
         orders=[((1, 0), 1), ((2, 1), 3)],
     )
@@ -552,6 +585,7 @@ def test_opposite_swaps_cup_keys_and_reverses_massey_tuples():
                 massey=[
                     ((3, (0, 1, 1)), (True, False)),
                     ((3, (1, 1, 0)), (True, True)),
+                    ((4, (0, 0, 1, 1)), (True, False)),
                     ((4, (1, 1, 0, 0)), (False, False)),
                 ],
                 orders=[((1, 0), 1), ((2, 1), 3)],

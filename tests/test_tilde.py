@@ -49,8 +49,10 @@ from helpers import (
     decode,
     flip_table_bit,
     letter_windows,
+    per_class_pair_splitting_check_n2,
     random_augmented_dga,
     random_dga,
+    random_dgas,
     sliced_count,
     toggle_entry,
     word_window_matrix,
@@ -195,6 +197,12 @@ def test_splitting_rows_frozen_on_first_trefoil_augmentation():
     report = splitting_check_n2(build_ring(dga, enumerate_augmentations(dga)[0]))
     table = [(r.degree, r.order2_dim, r.kernel_dim, r.homology_dim, r.image_dim) for r in report.rows]
     assert table == [(0, 5, 3, 2, 0), (1, 4, 4, 1, 1), (2, 1, 1, 0, 0)]
+
+
+def test_splitting_reads_the_pair_blocks_as_the_per_class_pair_cups_do():
+    for dga in random_dgas(20261020, 20):
+        ring = build_ring(dga, enumerate_augmentations(dga)[0])
+        assert splitting_check_n2(ring) == per_class_pair_splitting_check_n2(ring)
 
 
 def _count_twists(monkeypatch):
@@ -547,12 +555,17 @@ def test_a_relation_failing_only_above_build_rings_arity_is_caught_at_that_order
     ring = toggle_entry(build_ring(good, aug), ("u", "c"), "g")
     assert ring.structure.arity == 2
     assert check_an_relations(ring.structure, 2).ok
-    for engine in ("dense", "perturbation"):
+    # The dense engine meets the failure in its window matrix, the
+    # perturbation engine in the check of the transfer it reads.
+    for engine, expected in (
+        ("dense", "order-3 differential does not square to zero: relation fails at arity 3"),
+        (
+            "perturbation",
+            "transferred structure fails a relation: relation fails at arity 3 on ([a], [b], [c])",
+        ),
+    ):
         order_n_cohomology(ring, 2, engine=engine)
-        _raises_naming(
-            "order-3 differential does not square to zero: relation fails at arity 3",
-            lambda: order_n_cohomology(ring, 3, engine=engine),
-        )
+        _raises_naming(expected, lambda: order_n_cohomology(ring, 3, engine=engine))
     _raises_naming(
         "relation fails at arity 3 on (a, b, c)",
         lambda: order_n_cohomology(ring, 3, engine="dense"),
@@ -680,16 +693,17 @@ def test_library_complexes_are_reduced_without_squaring_them_again(monkeypatch):
             assert len(calls) == before + 1
 
 
-def test_minimal_model_cuts_are_kept_until_the_transfer_is_rebuilt():
+def test_minimal_model_is_kept_whole_until_a_higher_arity_rebuilds_it():
     dga = trefoil()
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
     top = ring.minimal(3)
-    low = ring.minimal(2)
-    assert low[0].arity == 2 and ring.minimal(2)[0] is low[0] and ring.minimal(2)[1] is low[1]
-    assert ring.minimal(3)[0] is top[0]
-    ring.minimal(4)  # a higher arity rebuilds the transfer and drops the cuts
-    assert ring.minimal(2)[0] is not low[0]
-    assert ring.minimal(2)[0].tables == low[0].tables
+    assert top[0].arity == 3 and all(ring.minimal(k) == top for k in (2, 3))
+    assert ring.minimal(2)[0] is top[0] and ring.minimal(2)[1] is top[1]
+    result = order_n_cohomology(ring, 2, engine="perturbation")
+    assert result.structure is top[0]  # read whole, its terms of length <= 2
+    higher = ring.minimal(4)  # a higher arity rebuilds the transfer
+    assert higher[0].arity == 4 and ring.minimal(2)[0] is higher[0] is not top[0]
+    assert {k: higher[0].tables[k] for k in (2, 3)} == {k: top[0].tables[k] for k in (2, 3)}
 
 
 def test_transpose_check_rejects_a_one_sided_pair_longer_than_the_order():
