@@ -576,8 +576,22 @@ class ProductTable:
     transfer to k, and every reader reads m_r only up to the arity it asks
     (an order-n walk r <= n, a window matrix |t| <= n).  It is checked once,
     when it is built: for a table built by a caller, the structure's
-    relations up to that arity (a ``ContractError``), then mu's (an
-    ``InternalConsistencyError``).
+    relations up to that arity k (a ``ContractError``), then mu's up to
+    k + 1 (an ``InternalConsistencyError``).  With m_1 = 0 the arity-l
+    relation sums mu_a(1 x mu_b x 1) over a + b = l + 1 with a, b >= 2, so
+    no relation of arity <= k reads mu_k, while the arity-(k + 1) relation
+    reads mu_2..mu_k and no mu_(k + 1): it is defined on a transfer of
+    arity k, checks mu_3 at k = 3 and mu_2's associativity at k = 2.  The
+    inclusion's morphism equation up to k would also refuse what no
+    relation can: of 12 transfers at k = 3 with one set bit of mu_3
+    cleared (the first two augmentations of trefoil, cupex(1,3,7),
+    masseyex(1,4,9,20) and masseyex(2,3,5,9)), the relations up to arity 4
+    refuse 8, and 4 only the morphism equation, which ``legch minimal``
+    prints.  It is not checked here: on the 24 rings of the ``mirror``
+    benchmark's bases and their mirrors at k = 3 it takes 6.6 ms in all,
+    more than the transfers' 5.5 ms, where the arity-4 relations add
+    0.2 ms to the 0.3 ms of those up to arity 3 (in-process, best of 7,
+    python 3.11, 2 vCPUs).
 
     Triple brackets.  The paper's triple Massey product of x, y, z with
     x y = y z = 0 is the class of the chain
@@ -601,8 +615,8 @@ class ProductTable:
     the retract identities are proved (``build_ring``, ``linear._retract``);
     a table built by a caller (as in ``massey_triple``) verifies its
     retract and its structure's relations in its transfer.  So no
-    closedness check runs on a value, and mu's relations up to the
-    transfer's arity are checked before it is read.
+    closedness check runs on a value, and mu's relations up to one above
+    the transfer's arity, which read mu_3, are checked before it is read.
     """
 
     def __init__(self, h: HomologyData, s: AInftyStructure):
@@ -680,7 +694,7 @@ class ProductTable:
             mu, incl = transfer_minimal_model(self.h, self.s, arity, self)
             if not self.proved and not (report := check_an_relations(self.s, arity)).ok:
                 raise ContractError("structure fails a relation: %s" % report.detail)
-            if not (report := check_an_relations(mu, arity)).ok:
+            if not (report := check_an_relations(mu, arity + 1)).ok:
                 detail = "transferred structure fails a relation: " + report.detail
                 raise InternalConsistencyError(detail)
             self._model = mu, incl
@@ -926,7 +940,7 @@ def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResul
     walk's projected values are these coordinate vectors.  That walk's
     closedness checks of each constraint and of the value are vacuous at
     m_1 = 0; ``ProductTable.minimal`` checks mu's A-infinity relations up
-    to its arity, at least n, instead.
+    to one above its arity, at least n + 1, instead, which reads mu_n.
 
     ``mu.arity`` below n and a nonzero m_1 are refused.
     """

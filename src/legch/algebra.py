@@ -172,12 +172,11 @@ class ElementaryIso:
                 )
 
 
-def leibniz(dga: DGA, word: Word, diff: Optional[Dict[str, Poly]] = None) -> Poly:
+def leibniz(dga: DGA, word: Word) -> Poly:
     """Differential of a word: sum over letters of prefix*(d letter)*suffix."""
-    table = dga.diff if diff is None else diff
     out: FrozenSet[Word] = frozenset()
     for i, g in enumerate(word):
-        dg = table.get(g, ZERO)
+        dg = dga.diff.get(g, ZERO)
         if not dg:
             continue
         prefix, suffix = word[:i], word[i + 1 :]
@@ -185,10 +184,10 @@ def leibniz(dga: DGA, word: Word, diff: Optional[Dict[str, Poly]] = None) -> Pol
     return out
 
 
-def diff_poly(dga: DGA, p: Poly, diff: Optional[Dict[str, Poly]] = None) -> Poly:
+def diff_poly(dga: DGA, p: Poly) -> Poly:
     out: FrozenSet[Word] = frozenset()
     for w in p:
-        out = out ^ leibniz(dga, w, diff)
+        out = out ^ leibniz(dga, w)
     return out
 
 

@@ -287,8 +287,8 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
     free = [g for g in zero_gens if g not in assigned]
     if len(free) > MAX_FREE_GENERATORS:
         raise ContractError(
-            "too many undetermined degree-0 generators (%d) to enumerate; the budget"
-            " MAX_FREE_GENERATORS is %d" % (len(free), MAX_FREE_GENERATORS)
+            "too many undetermined degree-0 generators (%d) to enumerate, over the budget"
+            " MAX_FREE_GENERATORS = %d" % (len(free), MAX_FREE_GENERATORS)
         )
     augs = Augmentations(dga, free, assigned, _search(eqs, free))
     _verify_solutions(dga, augs)

@@ -130,10 +130,6 @@ def _label(h, degree: int, coords: int) -> str:
     return h.label(degree, coords) if coords else "0"
 
 
-def _degrees(h) -> List[int]:
-    return [k for k in sorted(h.dims()) if h.dim(k)]
-
-
 def _dims_rows(prefix: str, dims: Dict[int, int]) -> Rows:
     return [("%s.%d" % (prefix, k), str(dims[k])) for k in sorted(dims) if dims[k]]
 
@@ -181,7 +177,7 @@ def cmd_ring(ring: CohomologyRing, args) -> Rows:
     h = ring.cochain
     basis = [
         ("basis.%d" % k, " ".join(h.label(k, 1 << i) for i in range(h.dim(k))))
-        for k in _degrees(h)
+        for k in h.degrees()
     ]
     return basis + _product_rows(ring)
 

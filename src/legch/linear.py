@@ -469,8 +469,8 @@ def duality_search(ring):
     candidates = ((1 << kd) - 1) * ((1 << cd) - 1)
     if candidates > MAX_DUALITY_PAIRS:
         raise ContractError(
-            "duality search over %d (kappa, c) candidates exceeds the budget %d"
-            % (candidates, MAX_DUALITY_PAIRS)
+            "duality search over %d (kappa, c) candidates, over the budget"
+            " MAX_DUALITY_PAIRS = %d" % (candidates, MAX_DUALITY_PAIRS)
         )
     if kd == 0 or cd == 0:
         return DualityFailure(

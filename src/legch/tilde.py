@@ -105,7 +105,10 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   above n: a window of more than n letters fits no word of the order-n
   space, so the matrix keeps the terms with |t| <= n, those of a transfer
   to max(n, 2).  Its d d = 0 is the minimal model's A-infinity relations
-  up to arity n (Square zero), which the transfer's own check covers too.
+  up to arity n (Square zero).  The transfer's own check reads one arity
+  further, up to max(n, 2) + 1, the first relation that reads mu_n, so
+  the relations on every mu_r the window reads, mu_2's associativity
+  among them, hold before it is built.
   The transfer checks its mu_2 against the cup product; (i, p, h) is the
   ring's own retract, a strong deformation retract by construction
   (``linear._retract``).

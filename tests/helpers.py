@@ -1365,7 +1365,7 @@ def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
         eqs = [eq for eq in eqs if eq]
     free = [g for g in zero_gens if g not in assigned]
     if len(free) > MAX_FREE_GENERATORS:
-        raise ContractError("MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS)
+        raise ContractError("over the budget MAX_FREE_GENERATORS = %d" % MAX_FREE_GENERATORS)
     trial = dict.fromkeys(dga.generators, 0)
     trial.update(assigned)
     out = []
@@ -1513,8 +1513,8 @@ def duality_search_oracle(ring):
     candidates = ((1 << kd) - 1) * ((1 << cd) - 1)
     if candidates > MAX_DUALITY_PAIRS:
         raise ContractError(
-            "duality search over %d (kappa, c) candidates exceeds the budget %d"
-            % (candidates, MAX_DUALITY_PAIRS)
+            "duality search over %d (kappa, c) candidates, over the budget"
+            " MAX_DUALITY_PAIRS = %d" % (candidates, MAX_DUALITY_PAIRS)
         )
     if kd == 0 or cd == 0:
         return DualityFailure(

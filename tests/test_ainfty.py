@@ -849,7 +849,8 @@ def test_compare_mirror_transfers_each_ring_once_and_checks_that_transfer_once(m
     """Spies on the transfer, on ``ainfty``'s relation checks and on the
     rings built: across ``compare-mirror --massey-order 4 --order-cap 3``
     each ring is transferred once, at arity 4, and its mu's relations are
-    checked once, at that transfer; the ring's own structure is not."""
+    checked once, at that transfer, up to arity 5, the first relation that
+    reads mu_4; the ring's own structure is not."""
     rings, transfers, checks = [], [], []
     real_build, real_transfer, real_check = build_ring, transfer_minimal_model, check_an_relations
 
@@ -875,7 +876,7 @@ def test_compare_mirror_transfers_each_ring_once_and_checks_that_transfer_once(m
         assert rings and [id(r.products) for r in rings] == [id(t) for t, _, _ in transfers]
         assert [up_to for _, up_to, _ in transfers] == [4] * len(rings)
         mus = [mu for _, _, (mu, _) in transfers]
-        assert [(id(s), up_to) for s, up_to in checks] == [(id(mu), 4) for mu in mus]
+        assert [(id(s), up_to) for s, up_to in checks] == [(id(mu), 5) for mu in mus]
 
 
 def test_a_transfer_with_a_flipped_mu3_bit_is_refused_by_every_reader(
@@ -883,9 +884,10 @@ def test_a_transfer_with_a_flipped_mu3_bit_is_refused_by_every_reader(
 ):
     """One flipped mu_3 bit of masseyex(1,4,9,20)'s transfer fails the
     arity-4 relation, and the check at the transfer refuses it before
-    ``massey_table``, the perturbation engine, ``minimal`` or ``massey`` on
-    4 classes reads it.  With m_1 = 0 no relation of arity 3 or less
-    involves mu_3, so the perturbation engine is asked at n = 4."""
+    ``massey_table``, the perturbation engine, ``minimal``,
+    ``compare-mirror`` or ``massey`` reads it, at order 3 and at order 4.
+    With m_1 = 0 no relation of arity 3 or less involves mu_3, so a
+    transfer to arity 3 is checked up to arity 4."""
     real = transfer_minimal_model
 
     def flipped(h, s, up_to, products=None):
@@ -900,16 +902,19 @@ def test_a_transfer_with_a_flipped_mu3_bit_is_refused_by_every_reader(
         "transferred structure fails a relation:"
         " relation fails at arity 4 on ([b1], [a2], [a2], [d])"
     )
-    for read in (
-        lambda ring: fingerprint.massey_table(ring, 4),
-        lambda ring: order_n_cohomology(ring, 4, engine="perturbation"),
-    ):
-        with pytest.raises(InternalConsistencyError, match=re.escape(detail)):
-            read(build_ring(dga, enumerate_augmentations(dga)[0]))
+    for n in (3, 4):
+        for read in (
+            lambda ring: fingerprint.massey_table(ring, n),
+            lambda ring: order_n_cohomology(ring, n, engine="perturbation"),
+        ):
+            with pytest.raises(InternalConsistencyError, match=re.escape(detail)):
+                read(build_ring(dga, enumerate_augmentations(dga)[0]))
     path = tmp_path / "m.dga"
     path.write_text(serialize_dga(dga), encoding="utf-8")
     for argv in (
         ["minimal", "--arity", "4", str(path)],
+        ["compare-mirror", "--order-cap", "3", str(path)],
+        ["massey", "--classes=-20:1,4:1,4:1", str(path)],
         ["massey", "--classes=-20:1,4:1,4:1,11:1", str(path)],
     ):
         assert main(argv) == 2, argv

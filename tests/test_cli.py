@@ -335,7 +335,8 @@ def test_augs_refuses_more_free_generators_than_the_budget(capsys, tmp_path):
     code, out, err = run_cli(capsys, "augs", str(path))
     assert code == 1
     assert out == ""
-    assert "(%d)" % count in err and "MAX_FREE_GENERATORS is %d" % MAX_FREE_GENERATORS in err
+    assert "(%d)" % count in err
+    assert "over the budget MAX_FREE_GENERATORS = %d" % MAX_FREE_GENERATORS in err
 
 
 def test_linhom_admits_twists_whose_relation_check_is_over_the_budget(capsys, tmp_path):
