@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
-from itertools import accumulate, pairwise
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, chain, groupby, pairwise
 from itertools import product as iproduct
-from operator import getitem, itemgetter, xor
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
@@ -174,9 +174,8 @@ class AInftyStructure:
         ``block[i]..[j]`` the vector of the i-th, .., j-th labels (read with
         ``gf2.apply_block``), built from its ``grouped`` entries on first use."""
         if degrees not in self._blocks:
-            cells = self._blocks[degrees] = _zeros([len(self.basis.get(k, ())) for k in degrees])
-            for idx, vec in self.grouped(len(degrees)).get(degrees, ()):
-                reduce(getitem, idx[:-1], cells)[idx[-1]] = vec
+            dims = [len(self.basis.get(k, ())) for k in degrees]
+            self._blocks[degrees] = _nested(dims, self.grouped(len(degrees)).get(degrees, ()))
         return self._blocks[degrees]
 
     def hits(self, j: int) -> Dict[str, List[Tuple[str, ...]]]:
@@ -186,9 +185,21 @@ class AInftyStructure:
         return self._hits[j]
 
 
-def _zeros(dims: Sequence[int]) -> list:
-    """A nested list of zeros, dims[0] x .. x dims[-1]."""
-    return [0] * dims[0] if len(dims) == 1 else [_zeros(dims[1:]) for _ in range(dims[0])]
+def _nested(dims: Sequence[int], entries: Iterable[Tuple[Tuple[int, ...], int]]) -> list:
+    """A nested list dims[0] x .. x dims[-1], read only, holding each (index
+    tuple, vector) of ``entries`` at its place and 0 elsewhere.  The sub-lists
+    without an entry are one shared list of zeros, so a block costs the rows
+    its entries lie in, not the product of its dims."""
+    if len(dims) == 1:
+        cells = [0] * dims[0]
+        for (i,), vec in entries:
+            cells[i] = vec
+        return cells
+    rows: Dict[int, list] = {}
+    for idx, vec in entries:
+        rows.setdefault(idx[0], []).append((idx[1:], vec))
+    zero = _nested(dims[1:], ())
+    return [_nested(dims[1:], rows[i]) if i in rows else zero for i in range(dims[0])]
 
 
 def _inverted_index(
@@ -563,8 +574,15 @@ class ProductTable:
     the m_2 entries on the pair's canonical degrees whose two basis letters
     occur in i x_i and i y_j, and off the support there are none, so every
     chain is 0, closed, and ``class_of(0) = p(0) = 0`` as p is linear.  So
-    the transfer's mu_2 check still compares every class pair with its
-    product, and a reader of cups or annihilators needs only the support.
+    a reader of cups or annihilators needs only the support, and so does
+    the transfer's mu_2 check, which compares mu_2(x_i, y_j) with the class
+    row entry of every class pair whose degree pair (a, b) is on the
+    support, carries a mu_2 entry, or has a block built already (which a
+    caller may have changed), in class order.  On any other degree pair
+    both sides are 0: mu_2 has no entry there, and the block, built when it
+    is first asked for, is the zero block.  So the check is the comparison
+    of every class pair, and names the same first failure, without
+    building the zero blocks.
     The paper (arXiv:0901.0490) defines the cup product as the class of m_2
     on representatives; i is linear and m_2 bilinear, so ``cup`` reads a
     product of arbitrary classes off the class rows by multilinearity
@@ -656,13 +674,9 @@ class ProductTable:
             if (ca, cb) not in self.support:  # the zero block (class docstring)
                 coords = chains = [[0] * len(ys) for _ in xs]
             else:
-                coords, chains, m_2 = [], [], self.s.grouped(2)[(ca, cb)]
-                for x in xs:
-                    vecs = [
-                        reduce(xor, (v for (i, j), v in m_2 if x >> i & y >> j & 1), 0) for y in ys
-                    ]
-                    coords.append([h.class_of(degree, vec) for vec in vecs])
-                    chains.append(vecs)
+                m_2 = self.s.block((ca, cb))
+                chains = [[apply_block(m_2, x, y) for y in ys] for x in xs]
+                coords = [[h.class_of(degree, vec) for vec in row] for row in chains]
             block = self._pairs[(a, b)] = PairBlock(degree, coords, chains)
         return block
 
@@ -1002,7 +1016,8 @@ def transfer_minimal_model(
     defined triple p_3 is closed, so mu_3 is its class, as
     ``ProductTable`` proves).  mu_2 is checked against the cup product:
     the class rows of the pair blocks of ``products``, a ``ProductTable``
-    over h and s (built here if none is given).  Arities above
+    over h and s (built here if none is given), on the degree pairs where
+    the two can differ (``ProductTable``).  Arities above
     ``MAX_ARITY`` are refused before any work.  The five retract identities
     are verified on h (``_verify_retract``) unless ``products`` is the
     ring's own table over h (``CohomologyRing.products``), whose retract
@@ -1061,11 +1076,17 @@ def transfer_minimal_model(
 
     mu = AInftyStructure(h.modulus, hbasis, up_to, mu_tables)
 
-    for (a, i, lx), (b, j, ly) in iproduct(class_list, class_list):
-        if mu.entry((lx, ly)) != products.pair(a, b).coords[i][j]:
-            raise InternalConsistencyError(
-                "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
-            )
+    # the degree pairs where mu_2 and the cup table can differ (ProductTable), in class order
+    entries = (tuple(map(degree_of.get, w)) for w in mu.tables.get(2, {}))
+    pairs = set(chain(products.support, products._pairs, entries))
+    pairs = sorted(p for p in pairs if p[0] in hbasis and p[1] in hbasis)
+    for a, group in groupby(pairs, itemgetter(0)):
+        for (i, lx), (_, b) in iproduct(enumerate(hbasis[a]), group):
+            for ly, cup in zip(hbasis[b], products.pair(a, b).coords[i]):
+                if mu.entry((lx, ly)) != cup:
+                    raise InternalConsistencyError(
+                        "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
+                    )
     return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s)
 
 

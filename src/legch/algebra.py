@@ -31,7 +31,6 @@ __all__ = [
     "ONE",
     "canon_degree",
     "reduce_terms",
-    "padd",
     "pmul",
     "component_k",
     "DGA",
@@ -69,13 +68,6 @@ def reduce_terms(terms: Iterable[Word]) -> Tuple[Poly, int]:
             seen.add(w)
     cancelled = (len(terms) - len(seen)) // 2
     return frozenset(seen), cancelled
-
-
-def padd(*polys: Poly) -> Poly:
-    out: FrozenSet[Word] = frozenset()
-    for p in polys:
-        out = out ^ p
-    return out
 
 
 def pmul(p: Poly, q: Poly) -> Poly:

@@ -82,19 +82,36 @@ def _warn_core_gradings(name: str, core: Dict[str, int]) -> None:
                 "%s grading collision: %s all have degree %d"
                 % (name, ", ".join(gens), deg),
                 FamilyGradingWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
     if 0 in by_degree:
         warnings.warn(
             "%s zero grading: %s" % (name, ", ".join(by_degree[0])),
             FamilyGradingWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _cusp_rows(diff: Dict[str, Poly], prefix: str, legs: List[str]) -> None:
-    for i in range(len(legs) - 1):
-        diff["%s%d" % (prefix, i + 1)] = _poly((), (legs[i], legs[i + 1]))
+def _knot(
+    name: str, core: Dict[str, int], legs: Dict[str, int], cusps: int, diff: Dict[str, Poly]
+) -> DGA:
+    """The validated DGA of a family: the ``core`` generators in their
+    gradings, then per leg x of n cusps the degree-0 letters x1..x(n+1), the
+    lettered cusps t0..t(cusps-1) and the leg cusps tx1..txn, every cusp of
+    degree 1.  ``diff`` holds the core and lettered-cusp rows, and each leg
+    cusp gets d txi = 1 + xi x(i+1).  Core gradings that collide or are zero
+    warn at the family's caller."""
+    _warn_core_gradings(name, core)
+    degrees = dict(core)
+    degrees.update((g, 0) for x, n in legs.items() for g in _leg(x, n + 1))
+    degrees.update(("t%d" % i, 1) for i in range(cusps))
+    for x, n in legs.items():
+        for i in range(1, n + 1):
+            degrees["t%s%d" % (x, i)] = 1
+            diff["t%s%d" % (x, i)] = _poly((), ("%s%d" % (x, i), "%s%d" % (x, i + 1)))
+    dga = DGA(0, tuple(degrees), degrees, diff)
+    assert_valid(dga)
+    return dga
 
 
 def cupex(k: int, l: int, m: int) -> DGA:
@@ -113,33 +130,16 @@ def cupex(k: int, l: int, m: int) -> DGA:
         "c1": l - m - 1,
         "c2": m - l + 1,
     }
-    _warn_core_gradings("cupex(%d,%d,%d)" % (k, l, m), core)
-    xs, ys, zs = _leg("x", k + 1), _leg("y", l + 1), _leg("z", m + 1)
-    cusps = (
-        ["t0", "t1", "t2", "t3"]
-        + _leg("tx", k)
-        + _leg("ty", l)
-        + _leg("tz", m)
-    )
-    generators = tuple(list(core) + xs + ys + zs + cusps)
-    degrees = dict(core)
-    degrees.update({g: 0 for g in xs + ys + zs})
-    degrees.update({g: 1 for g in cusps})
     diff: Dict[str, Poly] = {
         "a2": _poly(("y1", "c1", "b2")),
         "b1": _poly(("a1", "y1", "c1")),
         "c2": _poly(("b2", "a1", "y1")),
-        "t0": _poly((), (xs[-1], ys[-1], zs[-1])),
+        "t0": _poly((), ("x%d" % (k + 1), "y%d" % (l + 1), "z%d" % (m + 1))),
         "t1": _poly((), ("x1",), ("x1", "a1", "a2"), ("x1", "b1", "b2")),
         "t2": _poly((), ("y1",), ("a2", "a1", "y1"), ("y1", "c1", "c2")),
         "t3": _poly((), ("z1",), ("b2", "b1", "z1"), ("c2", "c1", "z1")),
     }
-    _cusp_rows(diff, "tx", xs)
-    _cusp_rows(diff, "ty", ys)
-    _cusp_rows(diff, "tz", zs)
-    dga = DGA(0, generators, degrees, diff)
-    assert_valid(dga)
-    return dga
+    return _knot("cupex(%d,%d,%d)" % (k, l, m), core, dict(x=k, y=l, z=m), 4, diff)
 
 
 def masseyex(k: int, l: int, m: int, n: int) -> DGA:
@@ -163,39 +163,20 @@ def masseyex(k: int, l: int, m: int, n: int) -> DGA:
         "e0": l - n - 1,
         "e1": l - n - 2,
     }
-    _warn_core_gradings("masseyex(%d,%d,%d,%d)" % (k, l, m, n), core)
-    xs, ys = _leg("x", k + 1), _leg("y", l + 1)
-    zs, ws = _leg("z", m + 1), _leg("w", n + 1)
-    cusps = (
-        ["t0", "t1", "t2", "t3", "t4"]
-        + _leg("tx", k)
-        + _leg("ty", l)
-        + _leg("tz", m)
-        + _leg("tw", n)
-    )
-    generators = tuple(list(core) + xs + ys + zs + ws + cusps)
-    degrees = dict(core)
-    degrees.update({g: 0 for g in xs + ys + zs + ws})
-    degrees.update({g: 1 for g in cusps})
     diff: Dict[str, Poly] = {
         "a2": _poly(("y1", "c0", "c1", "b2")),
         "b1": _poly(("a1", "y1", "c0", "c1")),
         "d": _poly(("b2", "a1", "y1", "c0")),
         "f": _poly(("c1", "b2", "a1", "y1")),
         "e0": _poly(("e1",)),
-        "t0": _poly((), (xs[-1], ys[-1], zs[-1], ws[-1])),
+        "t0": _poly((), ("x%d" % (k + 1), "y%d" % (l + 1), "z%d" % (m + 1), "w%d" % (n + 1))),
         "t1": _poly((), ("x1",), ("x1", "a1", "a2"), ("x1", "b1", "b2")),
         "t2": _poly((), ("y1",), ("a2", "a1", "y1"), ("y1", "c0", "f")),
         "t3": _poly((), ("w1",), ("b2", "b1", "w1"), ("d", "c1", "w1")),
         "t4": _poly((), ("z1",), ("f", "c0", "z1"), ("c1", "d", "z1")),
     }
-    _cusp_rows(diff, "tx", xs)
-    _cusp_rows(diff, "ty", ys)
-    _cusp_rows(diff, "tz", zs)
-    _cusp_rows(diff, "tw", ws)
-    dga = DGA(0, generators, degrees, diff)
-    assert_valid(dga)
-    return dga
+    name = "masseyex(%d,%d,%d,%d)" % (k, l, m, n)
+    return _knot(name, core, dict(x=k, y=l, z=m, w=n), 5, diff)
 
 
 FAMILY_NAMES = ("trefoil", "cupex", "masseyex")

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from heapq import merge
 from itertools import chain, groupby, repeat
 from operator import itemgetter
@@ -179,7 +179,14 @@ def massey_table(
     (``_check_tuple_budget``).  Products only grow along a tuple, so each
     order's admitted tuples are the previous order's extended by one
     admitted degree, listed in product order; the orders stop at the first
-    that admits none.
+    that admits none.  A tuple of count c extends by the degrees whose
+    count n has c n <= ``DEFAULT_MAX_TUPLES``, one list per distinct c.
+    Only orders 3 and up are read; a tuple of order 1 or 2 only as the head
+    or tail of a longer admitted tuple, and such a head or tail extends
+    (its count times that of a class next to it in the longer tuple is at
+    most the longer tuple's).  So below order 3 only tuples that extend by
+    some degree are kept, those of count c n at most the bound over the
+    least count, and with ``massey_order`` below 3 no level is built.
 
     Every order reads the ring's one checked minimal model, transferred
     once at ``massey_order`` (``ProductTable.minimal``), the same way, with
@@ -216,10 +223,14 @@ def massey_table(
     dim_of = h.dims()
     counts = {k: (1 << dim) - 1 for k, dim in dim_of.items()}
     _check_tuple_budget(list(counts.values()), massey_order)
-    levels = [[((), 1)]]  # per order, the admitted (degree tuple, class-tuple count)
-    while len(levels) <= massey_order and levels[-1]:
-        grown = ((t + (k,), c * n) for t, c in levels[-1] for k, n in counts.items())
-        levels.append([(t, c) for t, c in grown if c <= DEFAULT_MAX_TUPLES])
+    # per order, the admitted (degree tuple, class-tuple count) that are read
+    levels = [[((), 1)]] if massey_order >= 3 else []
+    least = min(counts.values(), default=1)
+    while levels and len(levels) <= massey_order and levels[-1]:
+        # below order 3, a tuple is kept only if it extends
+        cap = DEFAULT_MAX_TUPLES // (least if len(levels) < 3 else 1)
+        admits = cache(lambda c: [(k, n) for k, n in counts.items() if c * n <= cap])
+        levels.append([(t + (k,), c * n) for t, c in levels[-1] for k, n in admits(c)])
     if massey_order >= 4:
         check_massey_budget(h, chain.from_iterable(levels[4:]))
     if massey_order >= 3:

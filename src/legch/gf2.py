@@ -16,11 +16,8 @@ __all__ = [
     "apply_block",
     "Eliminator",
     "rank",
-    "kernel_basis",
     "in_span",
-    "solve",
     "invert",
-    "compose",
     "transpose",
     "span_basis",
 ]
@@ -142,25 +139,6 @@ def in_span(vectors: Iterable[int], target: int) -> bool:
     return e.solve(target) is not None
 
 
-def kernel_basis(cols: List[int]) -> List[int]:
-    """Basis of {x : apply_cols(cols, x) = 0}, as domain bitmasks."""
-    e = Eliminator()
-    out = []
-    for c in cols:
-        created, combo = e.add(c)
-        if not created:
-            out.append(combo)
-    return out
-
-
-def solve(cols: List[int], target: int) -> Optional[int]:
-    """One x with apply_cols(cols, x) = target, or None."""
-    e = Eliminator()
-    for c in cols:
-        e.add(c)
-    return e.solve(target)
-
-
 def invert(cols: List[int], n: int) -> List[int]:
     """Inverse of an n x n column-map.  Raises ValueError if singular."""
     if len(cols) != n:
@@ -171,11 +149,6 @@ def invert(cols: List[int], n: int) -> List[int]:
     if e.rank != n:
         raise ValueError("matrix is singular")
     return [e.solve(1 << i) for i in range(n)]
-
-
-def compose(outer: List[int], inner: List[int]) -> List[int]:
-    """Column-map of outer o inner."""
-    return [apply_cols(outer, c) for c in inner]
 
 
 def transpose(cols: List[int], nrows: int) -> List[int]:

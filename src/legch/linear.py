@@ -4,7 +4,7 @@ The linearized cochain complex of an augmented DGA is (V, m_1), the
 arity-one part of the adjoint A-infinity structure (degree +1); the chain
 complex is its transpose on the same labels and degrees (degree -1), the
 word-length-one part of the twisted differential.  ``homology`` checks its
-contract (direction, shift, d d = 0) on a map from any caller and hands it
+contract (shift -1 or +1, d d = 0) on a map from any caller and hands it
 to ``_retract``, which performs deterministic Gaussian elimination and
 returns not just dimensions but a full strong deformation retract
 (inclusion i, projection p, homotopy h) onto chosen representatives.  The
@@ -74,9 +74,6 @@ class GradedMatrixMap:
 
     def dim(self, k: int) -> int:
         return len(self.basis.get(self.canon(k), ()))
-
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
 
     def columns(self, k: int) -> List[int]:
         k = self.canon(k)
@@ -204,13 +201,9 @@ class HomologyData:
         inv = self._inverse(k)
         if inv is None:
             return 0
+        hvecs = self._hvecs[k]
         coords = apply_cols(inv, vec) >> len(self.reps[k])
-        out = 0
-        for w in self._hvecs[k]:
-            if coords & 1:
-                out ^= w
-            coords >>= 1
-        return out
+        return apply_cols(hvecs, coords & ((1 << len(hvecs)) - 1))
 
     def is_cycle(self, k: int, vec: int) -> bool:
         return self.differential.apply(k, vec) == 0
@@ -225,20 +218,15 @@ class HomologyData:
         return "[%s]" % vector_label(self.names(k), self.include(k, coords))
 
 
-def homology(m: GradedMatrixMap, direction: str) -> HomologyData:
+def homology(m: GradedMatrixMap) -> HomologyData:
     """Homology of a square-zero map, with deterministic representatives.
 
-    ``direction`` is "chain" (degree -1 map) or "cochain" (degree +1) and
-    must match the map's shift; a map that does not square to zero is a
-    ``ContractError``.  The reduction itself is ``_retract``.
+    The map's shift says which: -1 is a chain map, +1 a cochain map, and
+    any other shift is a ``ContractError``, as is a map that does not
+    square to zero.  The reduction itself is ``_retract``.
     """
-    if direction not in ("chain", "cochain"):
-        raise ContractError("direction must be 'chain' or 'cochain'")
-    if m.shift != (-1 if direction == "chain" else 1):
-        raise ContractError(
-            "map has degree shift %d, which does not match direction %s"
-            % (m.shift, direction)
-        )
+    if m.shift not in (-1, 1):
+        raise ContractError("map has degree shift %d, neither -1 nor +1" % m.shift)
     if not m.is_square_zero():
         raise ContractError("map does not square to zero; homology is undefined")
     return _retract(m)

@@ -46,8 +46,6 @@ from operator import xor
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest.mock import patch
 
-import pytest
-
 from legch import ContractError, InternalConsistencyError, cli, fingerprint
 from legch.ainfty import (
     MAX_RELATION_TERMS,
@@ -1383,6 +1381,8 @@ def assert_matches_brute_force(dga: DGA) -> None:
     length, iteration, every index, every negative index, and IndexError
     one past either end; the rows written from the trials are the members'
     ``describe``."""
+    import pytest  # here alone: the limits table imports this module without pytest
+
     want = brute_force_augmentations(dga)
     got = enumerate_augmentations(dga)
     assert len(got) == len(want)

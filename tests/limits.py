@@ -104,6 +104,11 @@ def graded(k):
     return _dga(("a%d" % i, i) for i in range(1, k + 1))
 
 
+def layered(d, k):
+    """k closed letters in each of degrees 1..d and no differential."""
+    return _dga(("a%d_%d" % (i, j), i) for i in range(1, d + 1) for j in range(k))
+
+
 def path(k, cyclic=False):
     """d a_i = b_i b_(i+1) on k degree-0 letters, indices mod k if ``cyclic``."""
     gens = [("a%d" % i, 1) for i in range(k - 1 + cyclic)] + [("b%d" % i, 0) for i in range(k)]
@@ -177,10 +182,14 @@ ROWS = [
     bound("MAX_MASSEY_TUPLES", (graded, 40), "compare-mirror", SAME, KNOT + "0"),
     refusal("MAX_MASSEY_TUPLES", (graded, 41), "compare-mirror"),
     refusal("MAX_MASSEY_TUPLES", (graded, 20), "compare-mirror --massey-order 4"),
+    # 63^2 class pairs per degree pair and no triple: the table lists no pair it cannot extend
+    row((layered, 300, 6), "compare-mirror --order-cap 1", SAME, seconds=3, rss_mb=60),
     bound("MAX_ARITY", "spread", "compare-mirror --massey-order 16", DISTINGUISHED, KNOT + "0"),
     refusal("MAX_ARITY", "zero", "compare-mirror --massey-order 1000000",
             ("substring", "transfer arity 1000000 exceeds the budget MAX_ARITY = 16")),
     bound("MAX_ARITY", TREFOIL, "minimal --arity 16", "inclusion: ok up to arity 16"),
+    # 10^6 class pairs, no product: the mu_2 check builds no zero pair block
+    row((graded, 1000), "minimal --arity 2", seconds=3, rss_mb=60),
     refusal("MAX_ARITY", TREFOIL, "minimal --arity 17",
             ("exact", "error: transfer arity 17 exceeds the budget MAX_ARITY = 16\n")),
     # four degree-0 classes over five free letters: 2^15 inner systems walked, 2^25 complete

@@ -246,7 +246,7 @@ def test_criterion_7_order_n_cohomology_suite():
             for n in (1, 2, 3):
                 small = tilde_complex(mu, n)
                 want = order_n_cohomology(ring, n)
-                assert homology(small.differential, "cochain").dims() == want.dims
+                assert homology(small.differential).dims() == want.dims
 
             # order-2 splitting identity per degree
             report = splitting_check_n2(ring)

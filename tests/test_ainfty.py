@@ -736,7 +736,7 @@ def test_a_product_that_is_not_closed_is_rejected():
     s = AInftyStructure(
         0, {0: ("x",), 1: ("a",), 2: ("b",)}, 2, {1: {("a",): 1}, 2: {("x", "x"): 1}}
     )
-    h = homology(linearized_complexes(s)[1], "cochain")
+    h = homology(linearized_complexes(s)[1])
     x = HClass(0, 1)
     with pytest.raises(ContractError, match="not closed"):
         transfer_minimal_model(h, s, 3)

@@ -23,7 +23,6 @@ from legch.algebra import (
     iso_expansion_terms,
     leibniz,
     mirror_dga,
-    padd,
     pmul,
     reduce_terms,
     stabilize,
@@ -59,10 +58,6 @@ def test_reduce_terms_cancels_duplicate_pairs():
     p, cancelled = reduce_terms(terms)
     assert p == poly(("a",), ("b",))
     assert cancelled == 1
-
-
-def test_padd_is_symmetric_difference():
-    assert padd(poly(("a",), ("b",)), poly(("b",), ("c",))) == poly(("a",), ("c",))
 
 
 def test_pmul_concatenates_and_cancels():

@@ -141,22 +141,21 @@ def test_chain_and_cochain_dims_agree_per_degree():
 
 
 def test_homology_rejects_wrong_direction_or_shift():
-    m = GradedMatrixMap(0, 1, {0: ("x",)}, {0: [0]})
-    with pytest.raises(ContractError):
-        homology(m, "sideways")
-    with pytest.raises(ContractError):
-        homology(m, "chain")  # chain needs shift -1
+    # the shift is the direction: -1 chain, +1 cochain, and nothing else
+    m = GradedMatrixMap(0, 2, {0: ("x",)}, {0: [0]})
+    with pytest.raises(ContractError, match="map has degree shift 2, neither -1 nor \\+1"):
+        homology(m)
     line = GradedMatrixMap(0, 1, {0: ("x",), 1: ("y",), 2: ("z",)}, {0: [1], 1: [1]})
     with pytest.raises(ContractError, match="map does not square to zero; homology is undefined"):
-        homology(line, "cochain")  # d d x = z
+        homology(line)  # d d x = z
 
 
 def test_homology_is_a_strong_deformation_retract_on_trefoil():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
         chain, cochain = linearized_complexes(adjoint_structure(twist(dga, aug)))
-        assert_retract_identities(homology(chain, "chain"))
-        assert_retract_identities(homology(cochain, "cochain"))
+        assert_retract_identities(homology(chain))
+        assert_retract_identities(homology(cochain))
 
 
 @given(st.integers(0, 10**6))
@@ -178,7 +177,7 @@ def test_class_of_rejects_non_cycles():
     dga = trefoil()
     aug = enumerate_augmentations(dga)[0]
     chain, _ = linearized_complexes(adjoint_structure(twist(dga, aug)))
-    h = homology(chain, "chain")
+    h = homology(chain)
     # b1 (a basis vector of degree 0) is a cycle; a1 in degree 1 is not
     assert h.is_cycle(0, 0b1)
     assert not h.is_cycle(1, 0b1)

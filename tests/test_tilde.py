@@ -270,7 +270,7 @@ def test_tilde_complex_dims_match_engine_output():
     ring = build_ring(dga, aug)
     built = tilde_complex(ring.structure, 2)
     assert built.total_dim() == 30
-    assert homology(built.differential, "cochain").dims() == TREFOIL_ORDER_DIMS[2]
+    assert homology(built.differential).dims() == TREFOIL_ORDER_DIMS[2]
 
 
 def test_minimal_model_tilde_complex_computes_order_n_dims():
@@ -282,7 +282,7 @@ def test_minimal_model_tilde_complex_computes_order_n_dims():
             for n in range(1, top + 1):
                 small = tilde_complex(mu, n)
                 want = order_n_cohomology(ring, n)
-                assert homology(small.differential, "cochain").dims() == want.dims
+                assert homology(small.differential).dims() == want.dims
 
 
 def test_tilde_of_morphism_is_a_quasi_isomorphism():
@@ -689,9 +689,9 @@ def test_library_complexes_are_reduced_without_squaring_them_again(monkeypatch):
             assert all(a == b == r for a, b, r in ranks.values())
     assert calls == []
     for ring in rings:
-        for h, direction in ((ring.chain, "chain"), (ring.cochain, "cochain")):
+        for h in (ring.chain, ring.cochain):
             before = len(calls)
-            assert homology(h.differential, direction).dims() == h.dims()
+            assert homology(h.differential).dims() == h.dims()
             assert len(calls) == before + 1
 
 
