@@ -31,7 +31,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Option
 from . import ContractError, InternalConsistencyError
 from .algebra import DGA, assert_valid, canon_degree
 from .augment import Augmentation, twist
-from .gf2 import apply_block, apply_cols, bits, in_span, span_basis
+from .gf2 import SparseCols, apply_block, apply_cols, bits, in_span, span_basis
 from .linear import HomologyData, _retract, linearized_complexes, vector_label
 
 __all__ = [
@@ -152,7 +152,7 @@ class AInftyStructure:
         return self.basis.get(canon_degree(self.modulus, k), ())
 
     def out_degree(self, args: Sequence[str]) -> int:
-        return canon_degree(self.modulus, sum(self.degree_of[x] for x in args) + 1)
+        return canon_degree(self.modulus, sum(map(self.degree_of.__getitem__, args)) + 1)
 
     def entry(self, args: Sequence[str]) -> int:
         table = self.tables.get(len(args))
@@ -185,12 +185,16 @@ class AInftyStructure:
         return self._hits[j]
 
 
-def _nested(dims: Sequence[int], entries: Iterable[Tuple[Tuple[int, ...], int]]) -> list:
+def _nested(dims: Sequence[int], entries: Sequence[Tuple[Tuple[int, ...], int]]) -> list:
     """A nested list dims[0] x .. x dims[-1], read only, holding each (index
     tuple, vector) of ``entries`` at its place and 0 elsewhere.  The sub-lists
-    without an entry are one shared list of zeros, so a block costs the rows
-    its entries lie in, not the product of its dims."""
+    without an entry are one shared list of zeros, and a last-index row with
+    fewer entries than an eighth of its cells is a ``gf2.SparseCols``, so a
+    block costs at most 8 cells per entry beyond its one zero row per level,
+    not the product of its dims."""
     if len(dims) == 1:
+        if 0 < 8 * len(entries) < dims[0]:
+            return SparseCols((i, vec) for (i,), vec in entries)
         cells = [0] * dims[0]
         for (i,), vec in entries:
             cells[i] = vec
@@ -855,7 +859,8 @@ class _BracketWalk:
         n, deg = len(coords), partial(self.deg, degrees)
         left = self.mu.block((deg(1, 1), deg(2, n)))
         right = self.mu.block((deg(1, n - 1), deg(n, n)))
-        return [apply_block(left, coords[0], 1 << i) for i in range(len(left[0]))] + [
+        across = len(self.mu.names(deg(2, n)))  # a sparse row's len counts its entries
+        return [apply_block(left, coords[0], 1 << i) for i in range(across)] + [
             apply_block(right, 1 << j, coords[-1]) for j in range(len(right))
         ]
 

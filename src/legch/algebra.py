@@ -166,21 +166,27 @@ class ElementaryIso:
 
 def leibniz(dga: DGA, word: Word) -> Poly:
     """Differential of a word: sum over letters of prefix*(d letter)*suffix."""
-    out: FrozenSet[Word] = frozenset()
+    out: Set[Word] = set()
+    _add_leibniz(dga, word, out)
+    return frozenset(out)
+
+
+def _add_leibniz(dga: DGA, word: Word, out: Set[Word]) -> None:
+    """Add the differential of a word into ``out`` over GF(2), in place: the
+    cost is the terms added, not the size of ``out``."""
     for i, g in enumerate(word):
         dg = dga.diff.get(g, ZERO)
-        if not dg:
-            continue
-        prefix, suffix = word[:i], word[i + 1 :]
-        out = out ^ frozenset(prefix + t + suffix for t in dg)
-    return out
+        if dg:
+            prefix, suffix = word[:i], word[i + 1 :]
+            out.symmetric_difference_update(prefix + t + suffix for t in dg)
 
 
 def diff_poly(dga: DGA, p: Poly) -> Poly:
-    out: FrozenSet[Word] = frozenset()
+    """Differential of a polynomial, summed into one set: linear in its terms."""
+    out: Set[Word] = set()
     for w in p:
-        out = out ^ leibniz(dga, w)
-    return out
+        _add_leibniz(dga, w, out)
+    return frozenset(out)
 
 
 def validate_dga(dga: DGA) -> List[str]:

@@ -46,7 +46,7 @@ from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
 from .gf2 import apply_block, rank
 from .linear import HomologyData
-from .tilde import order_n_cohomology
+from .tilde import _check_lower_orders, order_n_cohomology
 
 __all__ = [
     "AugmentationProfile",
@@ -261,24 +261,29 @@ def order_dim_table(
     """Order-n cohomology dimensions for 1 <= n <= order_cap.
 
     Dimensions do not depend on the engine, so this always takes the
-    perturbation engine, the window complex of the ring's minimal model.
+    perturbation engine, the window complex of the ring's minimal model,
+    and asks it once, at the cap: ``order_n_cohomology`` returns every
+    lower order's dims from its one window matrix (``legch.tilde``,
+    Filtration).  Its refusals are those of a loop over n = 1..order_cap,
+    with their messages: the order, window-bit and relation-term budgets
+    of each order below the cap are read first, ascending
+    (``tilde._check_lower_orders``), then the call at the cap runs the
+    checks of the loop's last step, the pair check among them.
     The adjoint structure's window d d = 0 it skips, its A-infinity
     relations up to arity n, holds at every arity on a ring from
     ``build_ring``, which proves it from ``assert_valid`` (once per
     content).  The checks it keeps: the pair check (one comparison per
     ring, at every term length, serves every n), the transfer's mu_2 check
     and mu's relations up to its arity (one transfer per ring, at the
-    highest arity asked, read whole by every n, on the ring's own retract,
-    which ``linear._retract`` proves), and the window's relations up to
-    arity n.
+    highest arity asked, on the ring's own retract, which
+    ``linear._retract`` proves), and the window's relations up to the cap,
+    which cover every lower order's (Square zero).
     """
-    table: Dict[Tuple[int, int], int] = {}
-    for n in range(1, order_cap + 1):
-        result = order_n_cohomology(ring, n, engine="perturbation")
-        for degree, dim in sorted(result.dims.items()):
-            if dim:
-                table[(n, degree)] = dim
-    return table
+    if order_cap < 1:
+        return {}
+    _check_lower_orders(ring, order_cap)
+    orders = order_n_cohomology(ring, order_cap, engine="perturbation").orders
+    return {(n, k): dim for n, dims in orders.items() for k, dim in dims.items()}
 
 
 def profile_for(

@@ -8,12 +8,14 @@ results are deterministic for a fixed basis order.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "bits",
     "apply_cols",
     "apply_block",
+    "SparseCols",
     "Eliminator",
     "rank",
     "in_span",
@@ -29,6 +31,17 @@ def bits(vec: int):
         low = vec & -vec
         yield low.bit_length() - 1
         vec ^= low
+
+
+class SparseCols(dict):
+    """A column map that holds only its nonzero columns, by index: a missing
+    column reads as 0, so ``apply_cols`` and ``apply_block`` read it as the
+    list it stands for, at the size of its entries."""
+
+    __slots__ = ()
+
+    def __missing__(self, index: int) -> int:
+        return 0
 
 
 def apply_cols(cols: List[int], vec: int) -> int:
@@ -108,17 +121,25 @@ class Eliminator:
         return len(self.pivots)
 
 
-def rank(vectors: Iterable[int]) -> int:
-    """Rank, by a pivot dict keyed on the highest set bit that tracks no combos."""
+def rank(vectors: Iterable[int], cuts: Optional[Sequence[int]] = None):
+    """Rank, by a pivot dict keyed on the highest set bit that tracks no combos.
+
+    With ``cuts``, ascending counts, the list of the ranks of the first c
+    vectors for each c in ``cuts``, from the one elimination.
+    """
     pivots = {}
-    for v in vectors:
-        while v:
-            row = pivots.get(v.bit_length())
-            if row is None:
-                pivots[v.bit_length()] = v
-                break
-            v ^= row
-    return len(pivots)
+    ranks, vectors, done = [], iter(vectors), 0
+    for cut in (None,) if cuts is None else cuts:
+        for v in islice(vectors, None if cut is None else cut - done):
+            while v:
+                row = pivots.get(v.bit_length())
+                if row is None:
+                    pivots[v.bit_length()] = v
+                    break
+                v ^= row
+        ranks.append(len(pivots))
+        done = cut
+    return ranks if cuts is not None else ranks[0]
 
 
 def span_basis(vectors: Iterable[int]) -> List[int]:

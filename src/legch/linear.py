@@ -84,17 +84,6 @@ class GradedMatrixMap:
         """Image (in degree k + shift) of a degree-k vector."""
         return apply_cols(self.columns(k), vec)
 
-    def homology_dims(self) -> Dict[int, int]:
-        """``homology(...).dims()`` of a square-zero map, from ranks alone:
-        dim H_k = |basis_k| - rank(out of degree k) - rank(into degree k)."""
-        ranks = {k: rank(self.columns(k)) for k in self.basis}
-        dims = {}
-        for k in sorted(self.basis):
-            d = len(self.basis[k]) - ranks[k] - ranks.get(self.canon(k - self.shift), 0)
-            if d:
-                dims[k] = d
-        return dims
-
     def is_square_zero(self) -> bool:
         for k in self.basis:
             after = self.columns(k + self.shift)

@@ -129,10 +129,24 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   the check stays for every structure handed in, the minimal model and a
   ring assembled by hand among them.  That is the only d d = 0 check on a
   window matrix: ``linear._retract`` reduces it without squaring it again.
+* Filtration.  No window lengthens a word: the window image of v is a sum
+  of words of length |v| - |t| + 1 <= |v|.  So for m <= n the words of
+  length <= m span a subcomplex of the order-n complex, and it is the
+  order-m complex: a word of length <= m has the same windows, all of
+  length <= m, in both, so its column in the order-n matrix is its
+  column in the order-m one, and lies in the same span.  Codes are length-major, so
+  those words are a prefix of each degree group, of c_k(m) words, the
+  codes below off[m + 1].  The rank of the first c columns of a degree
+  does not depend on the columns after them, so one elimination in code
+  order, its rank read at each cut c_k(1) <= .. <= c_k(n), gives
+  dim_k = c_k(m) - rank d_k - rank d_(k-1) at every order m <= n from the
+  one order-n matrix; its d d = 0 (the relations up to arity n) covers
+  every lower order's, since its lower blocks are theirs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -147,6 +161,7 @@ from .ainfty import (
     AInftyMorphism,
     AInftyStructure,
     CohomologyRing,
+    _check_relation_budget,
     _compositions,
     build_ring,
     check_ainfty_morphism,
@@ -209,6 +224,16 @@ def _window_bits(s: AInftyStructure, n: int) -> int:
     return sum(size * size for size in blocks.values())
 
 
+def _check_window_bits(s: AInftyStructure, n: int) -> None:
+    """Refuse an order-n word space of ``s`` whose ``_window_bits`` exceed ``MAX_WINDOW_BITS``."""
+    bits = _window_bits(s, n)
+    if bits > MAX_WINDOW_BITS:
+        raise ContractError(
+            "order-%d words over %d letters take %d window bits, over the budget "
+            "MAX_WINDOW_BITS = %d" % (n, len(s.order), bits, MAX_WINDOW_BITS)
+        )
+
+
 class _Words:
     """The order-n word space of a structure: every word of length 1..n over
     its basis letters, in ``s.order``, coded as ints (Codes, in the module
@@ -224,12 +249,7 @@ class _Words:
     """
 
     def __init__(self, s: AInftyStructure, n: int):
-        bits = _window_bits(s, n)
-        if bits > MAX_WINDOW_BITS:
-            raise ContractError(
-                "order-%d words over %d letters take %d window bits, over the budget "
-                "MAX_WINDOW_BITS = %d" % (n, len(s.order), bits, MAX_WINDOW_BITS)
-            )
+        _check_window_bits(s, n)
         self.n = n
         self.labels: List[str] = sorted(s.order, key=s.order.get)
         self.index: Dict[str, int] = {lbl: i for i, lbl in enumerate(self.labels)}
@@ -422,6 +442,24 @@ def _window_matrix(
     return GradedMatrixMap(s.modulus, 1, words.groups, cols)
 
 
+def _order_dims(window: GradedMatrixMap, words: _Words) -> Dict[int, Dict[int, int]]:
+    """The nonzero dims of every order m <= n, by m, off the order-n window
+    matrix on ``words`` (Filtration, in the module docstring): dim_k = c_k -
+    r_k - r_(k-1), with c_k the words of degree k and length <= m, a prefix
+    of the degree group, and r_k the rank of their columns, read at every
+    cut by one elimination per degree."""
+    ends = words.off[2:]  # the words of length <= m code below off[m + 1]
+    cuts = {k: [bisect_left(codes, end) for end in ends] for k, codes in words.groups.items()}
+    ranks = {k: rank(window.cols[k], cut) for k, cut in cuts.items()}
+    zero = [0] * words.n
+    orders = {}
+    for m in range(words.n):
+        below = (ranks.get(window.canon(k - 1), zero)[m] for k in sorted(cuts))
+        dims = ((k, cuts[k][m] - ranks[k][m] - r) for k, r in zip(sorted(cuts), below))
+        orders[m + 1] = {k: d for k, d in dims if d}
+    return orders
+
+
 def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
     """Materialize the order-n complex of a structure.
 
@@ -487,6 +525,10 @@ def check_order_n_transpose(ring: CohomologyRing, n: int) -> int:
 class OrderNCohomology:
     """Graded dimensions and representatives of order-n cohomology.
 
+    ``orders`` holds the dims of every order m <= n, by m, read off the same
+    window matrix (Filtration, in the module docstring); ``dims`` is
+    ``orders[n]``.
+
     ``engine`` records which structure's window complex was reduced:
     "dense" the adjoint structure (representatives are words of
     generators), "perturbation" the transferred minimal model (words of
@@ -505,6 +547,7 @@ class OrderNCohomology:
     dims: Dict[int, int]
     complex_dim: int
     transpose_entries: int
+    orders: Dict[int, Dict[int, int]]
     structure: AInftyStructure = field(repr=False, compare=False)
 
     @cached_property
@@ -530,10 +573,14 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     Either asserts d d = 0 through its structure's A-infinity relations up
     to arity n (Square zero).
     The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
-    Dimensions come from ranks (``GradedMatrixMap.homology_dims``), with no
-    retract and no word labels.  Each DGA's contents are validated once per
-    process (``assert_valid``'s bounded memo, shared with loading).  Orders
-    above the budget ``MAX_ORDER`` raise ``ContractError``.
+    Dimensions come from ranks (``_order_dims``), with no retract and no
+    word labels, and those of every order m <= n come with them, as
+    ``orders``, from the one matrix and one elimination (Filtration): the
+    relations up to arity n cover every lower order's, and the pair check,
+    the transfer's checks and the entry count are the order-n ones.  Each
+    DGA's contents are validated once per process (``assert_valid``'s
+    bounded memo, shared with loading).  Orders above the budget
+    ``MAX_ORDER`` raise ``ContractError``.
     """
     _check_order(n)
     if engine not in ("auto", "dense", "perturbation"):
@@ -549,8 +596,26 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
         structure, count = ring.minimal(max(n, 2))[0], None
         pairs = _window_pairs(structure)
         _check_homogeneous(structure, "window", pairs)
-    built = _window_matrix(structure, _Words(structure, n), pairs, count)
-    return OrderNCohomology(n, engine, built.homology_dims(), total, entries, structure)
+    words = _Words(structure, n)
+    orders = _order_dims(_window_matrix(structure, words, pairs, count), words)
+    return OrderNCohomology(n, engine, orders[n], total, entries, orders, structure)
+
+
+def _check_lower_orders(ring: CohomologyRing, n: int) -> None:
+    """Refuse what the perturbation engine's loop over the orders m < n
+    would refuse, with its message, before the order-n call builds the one
+    window: per order, ascending, the order (``MAX_ORDER``), the ring's
+    transfer to max(m, 2) with its own checks, then the window bits
+    (``MAX_WINDOW_BITS``) and relation terms (``MAX_RELATION_TERMS``) of
+    order m.  The order-n call then runs the checks of the loop's last
+    step, in its order.  The transfer is the ring's one kept transfer,
+    raised as the loop raised it; its tables up to arity m are those of a
+    transfer to max(m, 2), and so are the budgets read from them."""
+    for m in range(1, n):
+        _check_order(m)
+        s = ring.minimal(max(m, 2))[0]
+        _check_window_bits(s, m)
+        _check_relation_budget(s, m)
 
 
 @dataclass

@@ -43,7 +43,7 @@ from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import prod
 from operator import xor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from unittest.mock import patch
 
 from legch import ContractError, InternalConsistencyError, cli, fingerprint
@@ -78,7 +78,6 @@ from legch.augment import (
     Augmentation,
     _checked_values,
     _equation,
-    _substitute_value,
     enumerate_augmentations,
     per_twist,
 )
@@ -967,6 +966,19 @@ def cup_product_support(ring) -> List[Tuple[int, int]]:
     return support
 
 
+def per_order_dim_table(ring, order_cap: int) -> Dict[Tuple[int, int], int]:
+    """Reference ``order_dim_table``: one perturbation-engine
+    ``order_n_cohomology`` per order 1..order_cap, ascending, each refusing
+    or failing as it would on its own."""
+    table = {}
+    for n in range(1, order_cap + 1):
+        result = order_n_cohomology(ring, n, engine="perturbation")
+        for degree, dim in sorted(result.dims.items()):
+            if dim:
+                table[(n, degree)] = dim
+    return table
+
+
 def per_class_pair_splitting_check_n2(ring) -> SplittingReport:
     """Reference ``tilde.splitting_check_n2``: the cup product of every pair
     of basis classes through ``ProductTable.cup``, where the library reads
@@ -1330,12 +1342,24 @@ def substitute_by_pmul(p: Poly, images: Dict[str, Poly]) -> Poly:
     return frozenset(out)
 
 
-def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
-    """Reference ``enumerate_augmentations``: propagation, then a brute force
-    over every undetermined degree-0 letter, inert ones included, with one
-    ``_verify`` per member, collected in a list."""
-    zero_gens = [g for g in dga.generators if dga.degree(g) == 0]
-    eqs = [eq for eq in (_equation(dga, dga.d(g)) for g in dga.generators) if eq]
+def _substitute_value(eqs: List[Set[FrozenSet[str]]], var: str, value: int) -> None:
+    for eq in eqs:
+        touched = [m for m in eq if var in m]
+        for m in touched:
+            eq.discard(m)
+            if value == 1:
+                rest = m - {var}
+                if rest in eq:
+                    eq.discard(rest)
+                else:
+                    eq.add(rest)
+
+
+def scan_propagation(eqs: List[Set[FrozenSet[str]]]):
+    """Reference unit propagation: rounds that read every equation, each
+    forced value substituted into every equation, until a round forces
+    nothing.  (forced values, nonempty reduced equations in their order), or
+    None when it derives 1 = 0 or two values for one letter."""
     assigned = {}
     changed = True
     while changed:
@@ -1344,7 +1368,7 @@ def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
             if not eq:
                 continue
             if frozenset() in eq and len(eq) == 1:
-                return []
+                return None
             forced = []
             if len(eq) == 1:
                 (m,) = tuple(eq)
@@ -1355,12 +1379,26 @@ def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
                 forced.extend((v, 1) for v in other)
             for var, value in forced:
                 if assigned.get(var, value) != value:
-                    return []
+                    return None
                 if var not in assigned:
                     assigned[var] = value
                     _substitute_value(eqs, var, value)
                     changed = True
         eqs = [eq for eq in eqs if eq]
+    return assigned, eqs
+
+
+def brute_force_augmentations(dga: DGA) -> List[Augmentation]:
+    """Reference ``enumerate_augmentations``: propagation by rounds
+    (``scan_propagation``), then a brute force over every undetermined
+    degree-0 letter, inert ones included, with one ``_verify`` per member,
+    collected in a list."""
+    zero_gens = [g for g in dga.generators if dga.degree(g) == 0]
+    eqs = [eq for eq in (_equation(dga, dga.d(g)) for g in dga.generators) if eq]
+    propagated = scan_propagation(eqs)
+    if propagated is None:
+        return []
+    assigned, eqs = propagated
     free = [g for g in zero_gens if g not in assigned]
     if len(free) > MAX_FREE_GENERATORS:
         raise ContractError("over the budget MAX_FREE_GENERATORS = %d" % MAX_FREE_GENERATORS)

@@ -128,6 +128,21 @@ def forced(k):
     return _dga(gens, [("a", "1 + " + " ".join(bs))] + [(c, b + " + 1") for b, c in zip(bs, cs)])
 
 
+def killed(k):
+    """k degree-0 letters, b_1..b_(k-1) killed by d c_i = b_i, and d a = b1 b0 + .. + b(k-1) b0."""
+    gens = [("b%d" % i, 0) for i in range(k)] + [("c%d" % i, 1) for i in range(1, k)] + [("a", 1)]
+    products = " + ".join("b%d b0" % i for i in range(1, k))
+    return _dga(gens, [("c%d" % i, "b%d" % i) for i in range(1, k)] + [("a", products)])
+
+
+def sums(k):
+    """d e = a_0 + z_0 + .. + a_(k-1) + z_(k-1) and d a_i = d z_i = y_i: d(d e) sums 2k words."""
+    gens = [(x + str(i), 1) for x in "az" for i in range(k)] + [("y%d" % i, 0) for i in range(k)]
+    terms = " + ".join("a%d + z%d" % (i, i) for i in range(k))
+    diffs = [("e", terms)] + [(x + str(i), "y%d" % i) for x in "az" for i in range(k)]
+    return _dga(gens + [("e", 2)], diffs)
+
+
 def closed(kx, ky):
     """kx closed degree-1 and ky closed degree -1 letters: every product is zero."""
     return _dga([("x%d" % i, 1) for i in range(kx)] + [("y%d" % i, -1) for i in range(ky)])
@@ -200,6 +215,11 @@ ROWS = [
     PERTURBATION := row(CUPEX_112, "ordern --n 3 --engine perturbation"),
     bound("MAX_ORDER", MASSEYEX, "ordern --n 4", "complex.dim: 57955920",
           "transpose.entries: 205681979", seconds=60),
+    # every order 1..4 from one window per ring
+    bound("MAX_ORDER", MASSEYEX, "compare-mirror --order-cap 4", DISTINGUISHED,
+          "knot.0.order1.dims: -20:1 -11:1 -6:1 -4:1 1:1 4:1 6:1 11:1 20:1", seconds=5),
+    refusal("MAX_ORDER", MASSEYEX, "compare-mirror --order-cap 7",
+            ("exact", "error: order 5 exceeds the budget MAX_ORDER = 4\n")),
     *sum(SEEDED, []),
     row(CUPEX, "compare-mirror", **dict(CLOSED, exit=None)),
     # about 1 MB of mirror output, far more than a pipe buffer
@@ -227,6 +247,12 @@ ROWS = [
     refusal("MAX_FREE_GENERATORS", (parity, 21), "augs"),
     # the twist would build 2^25 words
     refusal("MAX_TWIST_TERMS", (forced, 24), "linhom"),
+    # propagation forces 3001 letters, reading only the equations of each
+    row((forced, 3000), "augs", "augmentations: 1", count=2, seconds=2),
+    # d(d e) sums 16,000 words into one set
+    row((sums, 8000), "validate", "valid: yes", seconds=1.5),
+    # m_2 has an entry in 2999 rows of a 3000 x 3000 block: its rows hold only their entries
+    row((killed, 3000), "ring", "basis.0: [b0]", rss_mb=45),
     bound("MAX_WINDOW_BITS", "window", "ordern --n 2", "complex.dim: 40602", "total: 40600"),
     refusal("MAX_WINDOW_BITS", CUPEX, "ordern --n 4 --engine dense", seconds=60),
     *(refusal(None, "dd", c, ("substring", "invalid DGA: d(d a) != 0"), 60)

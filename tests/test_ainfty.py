@@ -37,7 +37,7 @@ from legch.augment import Augmentation, enumerate_augmentations, twist
 from legch.cli import main
 from legch.fileio import serialize_dga
 from legch.families import bundled_examples, cupex, masseyex, trefoil
-from legch.gf2 import apply_block, apply_cols
+from legch.gf2 import SparseCols, apply_block, apply_cols
 from legch.linear import homology, linearized_complexes
 from legch.tilde import order_n_cohomology
 from helpers import (
@@ -104,6 +104,26 @@ def test_adjoint_apply_is_multilinear():
         for masks in product(*(range(1 << len(s.basis[k])) for k in degrees)):
             want = apply(s, list(zip(degrees, masks)))[1]
             assert apply_block(s.block(degrees), *masks) == want, (degrees, masks)
+
+
+def test_a_block_is_bounded_by_its_entries_and_reads_as_the_dense_one():
+    """m_2 on 40 degree-0 letters with an entry on (b_i, b_0) for i >= 1, as
+    in d a = b1 b0 + .. + b39 b0, plus a dense row on (b_0, b_j): each sparse
+    row is a ``SparseCols`` of its entries, the dense row and the zero row
+    are lists, and ``apply_block`` reads it as the label-by-label sum."""
+    names = tuple("b%d" % i for i in range(40))
+    table = {(x, "b0"): 1 for x in names[1:]}
+    table.update({("b0", y): 1 for y in names[::2]})
+    s = AInftyStructure(0, {0: names, 1: ("a",)}, 2, {2: table})
+    block = s.block((0, 0))
+    assert isinstance(block[1], SparseCols) and dict(block[1]) == {0: 1}
+    assert block[0] == [1, 0] * 20
+    assert type(s.block((1, 1))[0]) is list and s.block((0, 1))[5] == [0]
+    assert sum(len(row) for row in block if row is not block[0]) == 39
+    rng = random.Random(20261019)
+    for _ in range(200):
+        x, y = rng.getrandbits(40), rng.getrandbits(40)
+        assert apply_block(block, x, y) == apply(s, [(0, x), (0, y)])[1]
 
 
 def test_structure_constructor_rejects_malformed_tables():

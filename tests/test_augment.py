@@ -2,6 +2,7 @@
 
 import copy
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from legch.augment import (
     MAX_TWIST_TERMS,
     Augmentation,
     Augmentations,
+    _equation,
     enumerate_augmentations,
     extend_by_zero,
     per_twist,
@@ -39,6 +41,7 @@ from helpers import (
     random_dga,
     random_dgas,
     random_elementary_iso,
+    scan_propagation,
     twist_groups,
 )
 
@@ -189,6 +192,47 @@ def test_enumeration_equals_the_brute_force_on_free_generators_and_random_dgas()
     assert [aug("b") for aug in augs] == [0, 1] and twist_groups(repeated, augs) == [[0], [1]]
     for dga in random_dgas(20261018, 30):
         assert_matches_brute_force(dga)
+
+
+def _random_system(rng):
+    """Equations over up to six letters, each a sum of up to three monomials of
+    at most three letters; about half of them derive a clash or 1 = 0."""
+    letters = ["x%d" % i for i in range(rng.randint(1, 6))]
+    eqs = []
+    for _ in range(rng.randint(1, 6)):
+        eq = set()
+        for _ in range(rng.randint(1, 3)):
+            size = rng.choice((0, 1, 1, 2, 2, 3)[: len(letters) + 1])
+            eq ^= {frozenset(rng.sample(letters, size))}
+        if eq:
+            eqs.append(eq)
+    return eqs
+
+
+def test_indexed_propagation_is_the_scan_by_rounds():
+    """Same forced values and reduced equations, in order, or both None, as the
+    rounds that read every equation; on random systems and random DGAs."""
+    systems = [_random_system(random.Random(seed)) for seed in range(3000)]
+    for dga in random_dgas(20261019, 200):
+        systems.append([eq for eq in (_equation(dga, dga.d(g)) for g in dga.generators) if eq])
+    outcomes = set()
+    for eqs in systems:
+        want = scan_propagation(copy.deepcopy(eqs))
+        assert augment._propagate(copy.deepcopy(eqs)) == want, eqs
+        outcomes.add(want is None or bool(want[0]))
+    assert outcomes == {True, False}
+
+
+def test_propagation_reads_only_the_equations_of_each_forced_letter():
+    """d c_i = b_i + 1 forces 3000 letters, and d a = 1 + b0 .. b2999 rekeys one
+    monomial per forced letter; a scan of every equation per forced letter
+    reads 9 million equations."""
+    letters = ["b%d" % i for i in range(3000)]
+    eqs = [{frozenset(), frozenset(letters)}] + [{frozenset([b]), frozenset()} for b in letters]
+    start = time.perf_counter()
+    assigned, reduced = augment._propagate(eqs)
+    assert time.perf_counter() - start < 1.0
+    assert assigned == dict.fromkeys(letters, 1) and reduced == []
 
 
 def _with_ok(augs, ok):

@@ -10,7 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch import ContractError, ainfty, fingerprint
+from legch import ContractError, ainfty, fingerprint, tilde
 from legch.ainfty import HClass, ProductTable, build_ring
 from legch.algebra import mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
@@ -49,6 +49,7 @@ from helpers import (
     multiset_first_difference,
     oracle_rings,
     order_four_bracket_dga,
+    per_order_dim_table,
     random_augmented_dga,
     random_dga,
     random_dgas,
@@ -417,6 +418,50 @@ def test_order_dim_table_is_the_dense_engine_s_nonzero_dims():
                     if d
                 }
                 assert order_dim_table(ring, 2) == dense
+
+
+def test_order_dim_table_is_the_per_order_loop_at_every_cap():
+    dgas = [dga for _, dga in bundled_examples()]
+    dgas += [mirror_dga(dga) for dga in dgas] + random_dgas(20261019, 12, 6)
+    for dga in dgas:
+        for aug in enumerate_augmentations(dga)[:3]:
+            for cap in range(5):
+                want = per_order_dim_table(build_ring(dga, aug), cap)
+                assert order_dim_table(build_ring(dga, aug), cap) == want, (cap, aug)
+
+
+def _refusal(call, *args):
+    try:
+        call(*args)
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+def test_order_dim_table_refuses_as_the_per_order_loop(monkeypatch):
+    """Each budget refusal, and the first order over MAX_ORDER, is the one the
+    loop over n = 1..cap meets first, with its message."""
+    dga = masseyex(1, 4, 9, 20)
+    aug = enumerate_augmentations(dga)[0]
+    mu = build_ring(dga, aug).minimal(4)[0]
+
+    def both(cap):
+        got = _refusal(order_dim_table, build_ring(dga, aug), cap)
+        assert got == _refusal(per_order_dim_table, build_ring(dga, aug), cap), cap
+        return got
+
+    for cap in (5, 7):
+        assert both(cap) == "order 5 exceeds the budget MAX_ORDER = 4"
+    seen = set()
+    for name, module, count in (
+        ("MAX_WINDOW_BITS", tilde, tilde._window_bits),
+        ("MAX_RELATION_TERMS", ainfty, ainfty._relation_terms),
+    ):
+        for n in range(1, 5):
+            with monkeypatch.context() as patched:
+                patched.setattr(module, name, count(mu, n) - 1)
+                seen.update(both(cap) for cap in (n, 4, 7))
+    assert None not in seen and len(seen) >= 6, seen
 
 
 def _assert_witness_matches_the_multiset_oracle(left, right):

@@ -38,6 +38,16 @@ def test_rank_equals_the_eliminator_rank(vectors):
     assert rank(vectors) == rank(iter(vectors)) == elim.rank
 
 
+@given(st.integers(1, 12).flatmap(
+    lambda width: st.lists(st.integers(0, (1 << width) - 1), max_size=16)
+), st.lists(st.integers(0, 18), max_size=5))
+def test_rank_at_cuts_is_the_rank_of_each_prefix(vectors, cuts):
+    cuts = sorted(cuts)
+    assert rank(vectors, cuts) == [rank(vectors[:c]) for c in cuts]
+    assert rank(iter(vectors), cuts) == rank(vectors, cuts)
+    assert rank(vectors, []) == []
+
+
 def test_rank_and_span_basics():
     vecs = [0b101, 0b011, 0b110]
     assert rank(vecs) == 2  # third is the sum of the first two

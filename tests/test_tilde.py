@@ -112,6 +112,33 @@ def test_engines_agree():
             assert dense.transpose_entries == pert.transpose_entries
 
 
+def _assert_every_order_is_its_own_call(ring, top):
+    """At each n <= top, ``orders[m]`` is the m-th call's dims for every m <= n,
+    on the perturbation engine and, where the order-n words of the
+    generators number at most 20000, on the dense one."""
+    size = len(ring.dga.generators)
+    for n in range(1, top + 1):
+        dense = tilde._word_count(size, n) <= 20000
+        for engine in ("perturbation", "dense")[: 1 + dense]:
+            got = order_n_cohomology(ring, n, engine=engine)
+            assert list(got.orders) == list(range(1, n + 1)) and got.orders[n] == got.dims
+            for m in range(1, n):
+                assert got.orders[m] == order_n_cohomology(ring, m, engine=engine).dims, (n, m)
+
+
+def test_every_lower_order_comes_from_the_one_window_on_the_examples():
+    for dga in (trefoil(), cupex(1, 3, 7), masseyex(1, 4, 9, 20)):
+        for side in (dga, mirror_dga(dga)):
+            for aug in enumerate_augmentations(side):
+                _assert_every_order_is_its_own_call(build_ring(side, aug), 4)
+
+
+def test_every_lower_order_comes_from_the_one_window_on_random_dgas():
+    for dga in random_dgas(20261019, 20, 6):
+        for aug in enumerate_augmentations(dga)[:2]:
+            _assert_every_order_is_its_own_call(build_ring(dga, aug), 4)
+
+
 def _assert_rank_dims_are_homology_dims(ring, n, engine):
     """Dims read off ranks equal those of a full homology() of the engine's complex."""
     got = order_n_cohomology(ring, n, engine=engine)
