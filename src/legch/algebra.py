@@ -199,10 +199,11 @@ def validate_dga(dga: DGA) -> List[str]:
                     problems.append("d %s uses undeclared generator %s" % (g, letter))
     if problems:
         return problems  # degree/d^2 checks would crash on undeclared letters
+    degree = dga.degrees.__getitem__
     for g in dga.generators:
-        want = canon_degree(dga.modulus, dga.degree(g) - 1)
+        want = canon_degree(dga.modulus, degree(g) - 1)
         for w in dga.d(g):
-            got = dga.word_degree(w)
+            got = canon_degree(dga.modulus, sum(map(degree, w)))
             if got != want:
                 problems.append(
                     "d %s is not homogeneous: term %s has degree %d, expected %d"

@@ -217,8 +217,9 @@ def _equation(dga: DGA, poly: Poly) -> Set[FrozenSet[str]]:
     repeated degree-0 letters collapse (x^2 = x over GF(2) values).
     """
     monomials: Set[FrozenSet[str]] = set()
+    degree = dga.degrees.__getitem__  # canonical, so 0 exactly in degree 0
     for w in poly:
-        if any(dga.degree(g) != 0 for g in w):
+        if any(map(degree, w)):
             continue
         m = frozenset(w)
         if m in monomials:
