@@ -9,6 +9,7 @@ results are deterministic for a fixed basis order.
 from __future__ import annotations
 
 from itertools import islice
+from sys import maxsize
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -129,16 +130,17 @@ def rank(vectors: Iterable[int], cuts: Optional[Sequence[int]] = None):
     """
     pivots = {}
     ranks, vectors, done = [], iter(vectors), 0
-    for cut in (None,) if cuts is None else cuts:
-        for v in islice(vectors, None if cut is None else cut - done):
-            while v:
-                row = pivots.get(v.bit_length())
-                if row is None:
-                    pivots[v.bit_length()] = v
-                    break
-                v ^= row
+    for cut in (maxsize,) if cuts is None else cuts:
+        if cut > done:
+            for v in islice(vectors, cut - done):
+                while v:
+                    row = pivots.get(v.bit_length())
+                    if row is None:
+                        pivots[v.bit_length()] = v
+                        break
+                    v ^= row
+            done = cut
         ranks.append(len(pivots))
-        done = cut
     return ranks if cuts is not None else ranks[0]
 
 

@@ -449,14 +449,17 @@ def _order_dims(window: GradedMatrixMap, words: _Words) -> Dict[int, Dict[int, i
     of the degree group, and r_k the rank of their columns, read at every
     cut by one elimination per degree."""
     ends = words.off[2:]  # the words of length <= m code below off[m + 1]
-    cuts = {k: [bisect_left(codes, end) for end in ends] for k, codes in words.groups.items()}
-    ranks = {k: rank(window.cols[k], cut) for k, cut in cuts.items()}
+    cuts, ranks = {}, {}
+    for k, codes in words.groups.items():
+        cut = cuts[k] = [bisect_left(codes, end) for end in ends]
+        ranks[k] = rank(window.cols[k], cut)
     zero = [0] * words.n
-    orders = {}
-    for m in range(words.n):
-        below = (ranks.get(window.canon(k - 1), zero)[m] for k in sorted(cuts))
-        dims = ((k, cuts[k][m] - ranks[k][m] - r) for k, r in zip(sorted(cuts), below))
-        orders[m + 1] = {k: d for k, d in dims if d}
+    orders: Dict[int, Dict[int, int]] = {m: {} for m in range(1, words.n + 1)}
+    for k in sorted(cuts):
+        below = ranks.get(window.canon(k - 1), zero)
+        for m, c, r, b in zip(orders, cuts[k], ranks[k], below):
+            if c - r - b:
+                orders[m][k] = c - r - b
     return orders
 
 
