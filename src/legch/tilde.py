@@ -134,14 +134,14 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   length <= m span a subcomplex of the order-n complex, and it is the
   order-m complex: a word of length <= m has the same windows, all of
   length <= m, in both, so its column in the order-n matrix is its
-  column in the order-m one, and lies in the same span.  Codes are length-major, so
-  those words are a prefix of each degree group, of c_k(m) words, the
-  codes below off[m + 1].  The rank of the first c columns of a degree
-  does not depend on the columns after them, so one elimination in code
-  order, its rank read at each cut c_k(1) <= .. <= c_k(n), gives
-  dim_k = c_k(m) - rank d_k - rank d_(k-1) at every order m <= n from the
-  one order-n matrix; its d d = 0 (the relations up to arity n) covers
-  every lower order's, since its lower blocks are theirs.
+  column in the order-m one, and lies in the same span.  Codes are
+  length-major, so those words are a prefix of each degree group, of
+  c_k(m) words, the codes below off[m + 1].  The rank of the first c
+  columns of a degree does not depend on the columns after them, so one
+  elimination in code order, its rank read at each cut c_k(1) <= .. <=
+  c_k(n), gives dim_k = c_k(m) - rank d_k - rank d_(k-1) at every order
+  m <= n from the one order-n matrix; its d d = 0 (the relations up to
+  arity n) covers every lower order's, since its lower blocks are theirs.
 """
 
 from __future__ import annotations
