@@ -504,10 +504,10 @@ def check_ainfty_morphism(
 
 
 def cup_product(h: HomologyData, s: AInftyStructure, x: HClass, y: HClass) -> HClass:
-    """The class of m_2 on chosen representatives; degree |x| + |y| + 1."""
-    xv, yv = h.include(x.degree, x.coords), h.include(y.degree, y.coords)
-    deg, m_2 = h.canon(x.degree + y.degree + 1), s.block((h.canon(x.degree), h.canon(y.degree)))
-    return HClass(deg, h.class_of(deg, apply_block(m_2, xv, yv)))
+    """The class of m_2 on chosen representatives, of degree |x| + |y| + 1:
+    ``ProductTable(h, s).cup(x, y)``, read off the (|x|, |y|) pair block, so
+    a basis product of that block that is not closed is refused."""
+    return ProductTable(h, s).cup(x, y)
 
 
 def basis_classes(h: HomologyData, k: int) -> List[HClass]:
@@ -590,7 +590,8 @@ class ProductTable:
     The paper (arXiv:0901.0490) defines the cup product as the class of m_2
     on representatives; i is linear and m_2 bilinear, so ``cup`` reads a
     product of arbitrary classes off the class rows by multilinearity
-    (``gf2.apply_block``), and returns what ``cup_product`` returns.
+    (``gf2.apply_block``), and is the one cup evaluator: ``cup_product`` is
+    ``cup`` on a new table.
 
     The transfer.  ``minimal`` keeps one transfer, at the highest arity
     asked so far, and hands it out whole: the recursion builds arity k

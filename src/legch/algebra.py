@@ -165,27 +165,22 @@ class ElementaryIso:
 
 
 def leibniz(dga: DGA, word: Word) -> Poly:
-    """Differential of a word: sum over letters of prefix*(d letter)*suffix."""
-    out: Set[Word] = set()
-    _add_leibniz(dga, word, out)
-    return frozenset(out)
-
-
-def _add_leibniz(dga: DGA, word: Word, out: Set[Word]) -> None:
-    """Add the differential of a word into ``out`` over GF(2), in place: the
-    cost is the terms added, not the size of ``out``."""
-    for i, g in enumerate(word):
-        dg = dga.diff.get(g, ZERO)
-        if dg:
-            prefix, suffix = word[:i], word[i + 1 :]
-            out.symmetric_difference_update(prefix + t + suffix for t in dg)
+    """Differential of a word: sum over letters of prefix*(d letter)*suffix,
+    the ``diff_poly`` of the one-word polynomial."""
+    return diff_poly(dga, frozenset({word}))
 
 
 def diff_poly(dga: DGA, p: Poly) -> Poly:
-    """Differential of a polynomial, summed into one set: linear in its terms."""
+    """Differential of a polynomial by the Leibniz rule, each word's terms
+    summed into one set over GF(2) in place: the cost is the terms added,
+    linear in them, not the size of the sum."""
     out: Set[Word] = set()
     for w in p:
-        _add_leibniz(dga, w, out)
+        for i, g in enumerate(w):
+            dg = dga.diff.get(g, ZERO)
+            if dg:
+                prefix, suffix = w[:i], w[i + 1 :]
+                out.symmetric_difference_update(prefix + t + suffix for t in dg)
     return frozenset(out)
 
 

@@ -25,7 +25,7 @@ import functools
 import os
 import sys
 import warnings
-from itertools import chain
+from itertools import chain, count
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError
@@ -38,7 +38,7 @@ from .ainfty import (
     massey_higher,
 )
 from .algebra import DGA, assert_valid, mirror_dga, validate_dga
-from .augment import Augmentation, Augmentations, enumerate_augmentations, per_twist
+from .augment import Augmentations, enumerate_augmentations, per_twist
 from .families import FamilyGradingWarning, generate_family
 from .fileio import parse_dga, serialize_dga
 from .fingerprint import (
@@ -361,12 +361,12 @@ def cmd_report(args) -> Iterable[Row]:
     # twist share them.
     bodies = per_twist(augs, lambda aug: _ring_report_rows(build_ring(dga, aug)))
 
-    def per_augmentation(i: int, aug: Augmentation) -> Iterable[Row]:
-        yield "aug.%d" % i, aug.describe()
+    def per_augmentation(i: int, description: str) -> Iterable[Row]:
+        yield "aug.%d" % i, description
         for key, value in bodies[i]:
             yield "aug.%d.%s" % (i, key), value
 
-    return chain(rows, chain.from_iterable(map(per_augmentation, range(len(augs)), augs)))
+    return chain(rows, chain.from_iterable(map(per_augmentation, count(), augs.descriptions())))
 
 
 @functools.lru_cache(maxsize=1)

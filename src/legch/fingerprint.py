@@ -290,11 +290,11 @@ def profile_for(
     ring: CohomologyRing,
     massey_order: int = DEFAULT_MASSEY_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
-    bases: Optional[Dict[int, List[int]]] = None,
 ) -> AugmentationProfile:
-    """All invariants of a single augmentation."""
+    """All invariants of a single augmentation, cup ranks in the standard
+    basis (the one field read in a basis, ``audit_basis_independence``)."""
     dims = tuple(sorted((k, d) for k, d in ring.cochain.dims().items() if d))
-    cups = tuple(sorted(cup_rank_table(ring, bases).items()))
+    cups = tuple(sorted(cup_rank_table(ring).items()))
     massey = tuple(sorted(massey_table(ring, massey_order).items()))
     orders = tuple(sorted(order_dim_table(ring, order_cap).items()))
     return AugmentationProfile(dims, cups, massey, orders)
@@ -365,11 +365,12 @@ def random_graded_basis(h: HomologyData, rng) -> Dict[int, List[int]]:
     return bases
 
 
-def audit_basis_independence(ring: CohomologyRing, rng, **options) -> bool:
-    """Recompute one profile in a random basis and insist nothing moved."""
-    baseline = profile_for(ring, **options)
-    shuffled = profile_for(ring, bases=random_graded_basis(ring.cochain, rng), **options)
-    if baseline != shuffled:
+def audit_basis_independence(ring: CohomologyRing, rng) -> bool:
+    """Recompute the cup ranks in a random graded basis and insist nothing
+    moved.  They are the only profile field read in a basis: the dims and
+    order-n dims read no class, and the Massey flags quantify over every
+    tuple of nonzero classes."""
+    if cup_rank_table(ring) != cup_rank_table(ring, random_graded_basis(ring.cochain, rng)):
         raise InternalConsistencyError(
             "fingerprint changed under a degree-preserving basis change"
         )

@@ -162,7 +162,6 @@ from .ainfty import (
     AInftyStructure,
     CohomologyRing,
     _check_relation_budget,
-    _compositions,
     build_ring,
     check_ainfty_morphism,
     check_an_relations,
@@ -655,7 +654,9 @@ def tilde_of_morphism(f: AInftyMorphism, n: int) -> TildeChainMap:
     """Chain map on order-n complexes induced by an A-infinity morphism.
 
     The block from length-a words to length-r words sums f_{i_1} x ... x
-    f_{i_r} over all compositions i_1 + ... + i_r = a.  The morphism
+    f_{i_r} over all compositions i_1 + ... + i_r = a, built by the bar
+    map's own recursion F(w) = sum over c of f_c(w[:c]) x F(w[c:]), with
+    F of the empty word the empty word, memoised per call.  The morphism
     equation is re-checked up to arity n first (failure rejects the
     input), and F d_src = d_dst F is asserted on the window matrices, one
     source word (column) at a time.
@@ -671,23 +672,18 @@ def tilde_of_morphism(f: AInftyMorphism, n: int) -> TildeChainMap:
     source = tilde_complex(f.src, n)
     target = tilde_complex(f.dst, n)
 
+    images: Dict[Tuple[str, ...], set] = {(): {()}}
+
     def image(word: Tuple[str, ...]) -> set:
-        out: set = set()
-        for r in range(1, len(word) + 1):
-            for comp in _compositions(len(word), r):
-                lists = []
-                start = 0
-                for c in comp:
-                    args = word[start : start + c]
-                    vec = f.tables.get(c, {}).get(args)
-                    if not vec:
-                        break
-                    names = f.dst.names(sum(map(f.src.degree_of.__getitem__, args)))
-                    lists.append([names[i] for i in bits(vec)])
-                    start += c
-                else:
-                    out.symmetric_difference_update(iproduct(*lists))
-        return out
+        if word not in images:
+            out = images[word] = set()
+            for c in range(1, len(word) + 1):
+                vec = f.tables.get(c, {}).get(word[:c])
+                if vec:
+                    names = f.dst.names(sum(map(f.src.degree_of.__getitem__, word[:c])))
+                    rest = image(word[c:])
+                    out.symmetric_difference_update((names[i], *t) for i in bits(vec) for t in rest)
+        return images[word]
 
     dst_index = {w: (k, i) for k, ws in target.words.items() for i, w in enumerate(ws)}
     blocks: Dict[int, List[int]] = {}
@@ -752,21 +748,25 @@ def splitting_check_n2(ring: CohomologyRing) -> SplittingReport:
     Length-1 words form a subcomplex of the order-2 complex with quotient
     the length-2 words; the connecting map of the resulting long exact
     sequence is the cup product on the tensor square of cohomology, read
-    off the class rows of the ring's pair blocks.  The order-2 dimensions
-    must therefore split as recorded in the report's convention string.
+    off the class rows of the ring's pair blocks on the support
+    (``ProductTable.support``), as every other pair block is zero.  So the
+    image in each degree is the rank of the support's cup columns there,
+    and the kernel on the degree-k part of H (x) H is the sum of
+    dim H^a dim H^b over canon(a + b) = k, less that rank; no pair block
+    off the support is built.  The order-2 dimensions must split as
+    recorded in the report's convention string.
     """
     order2 = order_n_cohomology(ring, 2)
-    h = ring.cochain
+    h, products = ring.cochain, ring.products
     cup_cols: Dict[int, List[int]] = {}
-    for a, b in iproduct(h.degrees(), repeat=2):
-        block = ring.products.pair(a, b)
-        cup_cols.setdefault(h.canon(block.degree - 1), []).extend(chain.from_iterable(block.coords))
-    kernel: Dict[int, int] = {}
-    image: Dict[int, int] = {}
-    for kk, cols in cup_cols.items():
-        r = rank(cols)
-        kernel[kk] = len(cols) - r
-        image[kk] = r
+    for a, b in products.support:
+        coords = products.pair(a, b).coords
+        cup_cols.setdefault(h.canon(a + b), []).extend(chain.from_iterable(coords))
+    image = {kk: rank(cols) for kk, cols in cup_cols.items()}
+    kernel: Counter = Counter()
+    for (a, da), (b, db) in iproduct(h.dims().items(), repeat=2):
+        kernel[h.canon(a + b)] += da * db
+    kernel.subtract(image)
     degrees = sorted(
         set(order2.dims)
         | set(h.dims())

@@ -10,7 +10,8 @@ defining system one by one, the block-by-block p_3 builder, the
 visit-every-triple Massey table, the degree-scan Massey table with its
 ``apply_block`` annihilators, the all-pairs cup rank table, the cup
 support read off ``cup_product`` on every class pair, the per-class-pair
-order-2 splitting, the sorting opposite fingerprint, the per-tuple
+order-2 splitting, the composition enumeration of an induced chain
+map's blocks, the sorting opposite fingerprint, the per-tuple
 composition sum, the word-by-word Leibniz and window
 expansions, the word-by-word window matrix with its d d = 0, the sliced
 count of the window matrix, the word-by-word perturbation series, the
@@ -24,6 +25,7 @@ complement) are kept here as the references that the library's product
 table, its minimal-model Massey walk with its outer layer summed as a
 coset, its transferred mu_3, its support-only Massey table enumerated
 from mu's entries, its zero pair blocks with no ``class_of``, its
+splitting read off the support, its bar-map recursion, its
 table-driven composition sum, its pair checks, its window matrix and
 relation-based d d = 0, its closed-form entry count, its minimal-model
 order-n engine, its lazily merged mirror witness, its one-sided mirror
@@ -112,6 +114,7 @@ from legch.tilde import (
     SplittingRow,
     _ring_pairs,
     order_n_cohomology,
+    tilde_complex,
 )
 
 
@@ -1002,6 +1005,44 @@ def per_class_pair_splitting_check_n2(ring) -> SplittingReport:
         kr, hd, im = kernel.get(k, 0), h.dim(k), image.get(h.canon(k - 1), 0)
         rows.append(SplittingRow(k, order2.dims.get(k, 0), kr, hd, im, kr + hd - im))
     return SplittingReport(SPLITTING_CONVENTION, rows)
+
+
+def closed_letters(count: int, modulus: int) -> DGA:
+    """Letters g1..g<count> of degrees 1..count and no differential."""
+    names = tuple("g%d" % i for i in range(1, count + 1))
+    return DGA(modulus, names, {g: i for i, g in enumerate(names, 1)})
+
+
+def composition_tilde_blocks(f, n: int) -> Dict[int, List[int]]:
+    """Reference ``tilde_of_morphism(f, n).blocks``: the image of each source
+    word summed over every composition of its length, one product of f
+    blocks per composition, where the library runs the bar map's recursion
+    memoised on suffixes."""
+    source, target = tilde_complex(f.src, n), tilde_complex(f.dst, n)
+
+    def image(word: Tuple[str, ...]) -> set:
+        out: set = set()
+        for r in range(1, len(word) + 1):
+            for comp in _compositions(len(word), r):
+                lists = []
+                start = 0
+                for c in comp:
+                    args = word[start : start + c]
+                    vec = f.tables.get(c, {}).get(args)
+                    if not vec:
+                        break
+                    names = f.dst.names(sum(map(f.src.degree_of.__getitem__, args)))
+                    lists.append([names[i] for i in bits(vec)])
+                    start += c
+                else:
+                    out.symmetric_difference_update(product(*lists))
+        return out
+
+    index = {w: i for ws in target.words.values() for i, w in enumerate(ws)}
+    return {
+        k: [reduce(xor, (1 << index[v] for v in image(w)), 0) for w in ws]
+        for k, ws in source.words.items()
+    }
 
 
 def sorted_opposite(fp: Fingerprint) -> Fingerprint:

@@ -10,7 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from legch import ContractError, ainfty, fingerprint, tilde
+from legch import ContractError, InternalConsistencyError, ainfty, fingerprint, tilde
 from legch.ainfty import HClass, ProductTable, build_ring
 from legch.algebra import mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
@@ -390,6 +390,18 @@ def test_audit_basis_independence_on_bundled_examples():
         assert audit_basis_independence(build_ring(dga, aug), rng)
     cup = cupex(1, 3, 7)
     assert audit_basis_independence(build_ring(cup, enumerate_augmentations(cup)[0]), rng)
+
+
+def test_audit_basis_independence_refuses_a_basis_dependent_cup_rank(monkeypatch):
+    """Cup ranks are the field the audit reads in two bases: with the rank
+    replaced by a count of nonzero products, which a basis change moves,
+    it raises."""
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    monkeypatch.setattr(fingerprint, "rank", lambda vectors: sum(1 for v in vectors if v))
+    with pytest.raises(InternalConsistencyError) as info:
+        audit_basis_independence(ring, random.Random(0))
+    assert str(info.value) == "fingerprint changed under a degree-preserving basis change"
 
 
 def test_profiles_hash_and_compare():

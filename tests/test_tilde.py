@@ -226,10 +226,26 @@ def test_splitting_rows_frozen_on_first_trefoil_augmentation():
     assert table == [(0, 5, 3, 2, 0), (1, 4, 4, 1, 1), (2, 1, 1, 0, 0)]
 
 
-def test_splitting_reads_the_pair_blocks_as_the_per_class_pair_cups_do():
+def _splitting_rings():
+    """40 closed letters of degrees 1..40 (1,600 degree pairs, no support) at
+    modulus 0 and 3, every twist of the bundled examples and the mirror
+    bases, and the first augmentation of 20 random DGAs."""
+    dgas = [helpers.closed_letters(40, modulus) for modulus in (0, 3)]
+    for dga in dgas + [dga for _, dga in bundled_examples()] + helpers.mirror_bases():
+        for aug in helpers.twist_firsts(dga):
+            yield build_ring(dga, aug)
     for dga in random_dgas(20261020, 20):
-        ring = build_ring(dga, enumerate_augmentations(dga)[0])
-        assert splitting_check_n2(ring) == per_class_pair_splitting_check_n2(ring)
+        yield build_ring(dga, enumerate_augmentations(dga)[0])
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_splitting_reads_the_pair_blocks_as_the_per_class_pair_cups_do():
+    """The check builds no pair block off the support, and its kernels,
+    counted from the dims, are those of the per-class-pair cups."""
+    for ring in _splitting_rings():
+        report = splitting_check_n2(ring)
+        assert set(ring.products._pairs) <= set(ring.products.support)
+        assert report == per_class_pair_splitting_check_n2(ring)
 
 
 def _count_twists(monkeypatch):
@@ -323,6 +339,14 @@ def test_tilde_of_morphism_is_a_quasi_isomorphism():
             assert induced.is_quasi_iso(), ranks
             for k, (a, b, r) in ranks.items():
                 assert a == b == r, (k, a, b, r)
+
+
+def test_tilde_of_morphism_blocks_match_the_composition_sum():
+    for dga in (trefoil(), cupex(1, 3, 7)):
+        for aug in enumerate_augmentations(dga):
+            f = build_ring(dga, aug).minimal(3)[1]
+            for n in (1, 2, 3):
+                assert tilde_of_morphism(f, n).blocks == helpers.composition_tilde_blocks(f, n)
 
 
 def test_tilde_of_morphism_rejects_incomplete_or_wrong_input():
