@@ -8,8 +8,9 @@ move is broken).  The chain-level triple Massey product, the chain-level
 walk of higher Massey defining systems, the minimal-model walk of every
 defining system one by one, the block-by-block p_3 builder, the
 visit-every-triple Massey table, the degree-scan Massey table with its
-``apply_block`` annihilators, the all-pairs cup rank table, the cup
-support read off ``cup_product`` on every class pair, the per-class-pair
+``apply_block`` annihilators, the chain-level cup product on chosen
+representatives, the all-pairs cup rank table, the cup
+support read off the chain-level cup on every class pair, the per-class-pair
 order-2 splitting, the composition enumeration of an induced chain
 map's blocks, the sorting opposite fingerprint, the per-tuple
 composition sum, the word-by-word Leibniz and window
@@ -60,7 +61,6 @@ from legch.ainfty import (
     _compositions,
     _relation_terms,
     check_massey_budget,
-    cup_product,
 )
 from legch.algebra import (
     DGA,
@@ -693,9 +693,19 @@ def chain_p3(h, s, x: HClass, y: HClass, z: HClass) -> Tuple[int, int]:
     return d3, v3 ^ va ^ vb
 
 
+def chain_cup_product(h, s, x: HClass, y: HClass) -> HClass:
+    """Reference ``ainfty.cup_product``: the class of m_2 on the chosen
+    representatives of x and y, degree |x| + |y| + 1, read off the one pair
+    block those representatives hit, where the library reads the class rows
+    of the product table's pair block."""
+    xv, yv = h.include(x.degree, x.coords), h.include(y.degree, y.coords)
+    deg, m_2 = h.canon(x.degree + y.degree + 1), s.block((h.canon(x.degree), h.canon(y.degree)))
+    return HClass(deg, h.class_of(deg, apply_block(m_2, xv, yv)))
+
+
 def cup_table(h, s, xs, ys):
     """Chain-level cup products x * y for every x in xs and y in ys, x-major."""
-    return [cup_product(h, s, x, y) for x in xs for y in ys]
+    return [chain_cup_product(h, s, x, y) for x in xs for y in ys]
 
 
 def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
@@ -706,7 +716,7 @@ def chain_massey_triple(h, s, x: HClass, y: HClass, z: HClass) -> MasseyResult:
     same value off its product table by multilinearity.
     """
     for which, (u, v) in (("first", (x, y)), ("second", (y, z))):
-        cup = cup_product(h, s, u, v)
+        cup = chain_cup_product(h, s, u, v)
         if cup.coords:
             return MasseyResult(
                 "undefined",
@@ -956,8 +966,8 @@ def degree_scan_massey_table(ring, massey_order: int = DEFAULT_MASSEY_ORDER):
 def cup_product_support(ring) -> List[Tuple[int, int]]:
     """Reference ``ProductTable.support``, with the fact it rests on: the
     degree pairs of H on which some entry of ``ring.structure.tables[2]``
-    lies, read label by label, after ``cup_product`` on every pair of basis
-    classes is found 0 off them."""
+    lies, read label by label, after the chain-level cup on every pair of
+    basis classes is found 0 off them."""
     h, s = ring.cochain, ring.structure
     degrees = h.degrees()
     entries = {tuple(s.degree_of[x] for x in args) for args in s.tables.get(2, {})}
@@ -965,7 +975,7 @@ def cup_product_support(ring) -> List[Tuple[int, int]]:
     for a, b in product(degrees, repeat=2):
         if (a, b) not in support:
             for x, y in product(basis_classes(h, a), basis_classes(h, b)):
-                assert not cup_product(h, s, x, y).coords, (x, y)
+                assert not chain_cup_product(h, s, x, y).coords, (x, y)
     return support
 
 

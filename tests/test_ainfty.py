@@ -44,6 +44,7 @@ from helpers import (
     _tuple_space,
     admitted_class_triples,
     block_triples,
+    chain_cup_product,
     chain_massey_higher,
     chain_massey_triple,
     chain_p3,
@@ -241,6 +242,20 @@ def test_trefoil_cup_products():
     a = HClass(1, 1)
     assert cup_product(h, s, a, b).coords == 0
     assert cup_product(h, s, a, a).coords == 0
+
+
+def test_cup_product_is_the_chain_level_cup():
+    """``cup_product`` reads the product table's class rows; it equals the
+    class of m_2 on the chosen representatives on every pair of classes
+    (coordinates below 8) of the oracle rings and of random DGAs."""
+    rings = list(oracle_rings()) + [
+        random_augmented_dga(random.Random(seed), max_gens=6)[2] for seed in range(20)
+    ]
+    for ring in rings:
+        h, s = ring.cochain, ring.structure
+        classes = [HClass(k, c) for k in h.degrees() for c in range(1, min(1 << h.dim(k), 8))]
+        for x, y in product(classes, repeat=2):
+            assert cup_product(h, s, x, y) == chain_cup_product(h, s, x, y), (x, y)
 
 
 def test_cup_product_table_on_cup_family():

@@ -268,14 +268,15 @@ def test_diff_poly_squares_to_zero_on_valid_dga():
 
 def test_diff_poly_is_the_sum_of_every_leibniz_term():
     """One set summed over the words equals the GF(2) fold of every term
-    prefix * d(letter) * suffix, on random DGAs and sums of their words."""
+    prefix * d(letter) * suffix, and each word's ``leibniz`` the fold of its
+    own terms, on random DGAs and sums of their words."""
     for seed, dga in enumerate(random_dgas(20261019, 40)):
         rng = random.Random(seed)
         words = [w for g in dga.generators for w in dga.d(g)] + [(g,) for g in dga.generators]
         for p in [dga.d(g) for g in dga.generators] + [frozenset(rng.sample(words, min(4, len(words))))]:
-            terms = [w[:i] + t + w[i + 1 :] for w in p for i, g in enumerate(w) for t in dga.d(g)]
-            assert diff_poly(dga, p) == reduce_terms(terms)[0]
-            assert all(leibniz(dga, w) == diff_poly(dga, frozenset([w])) for w in p)
+            terms = {w: [w[:i] + t + w[i + 1 :] for i, g in enumerate(w) for t in dga.d(g)] for w in p}
+            assert diff_poly(dga, p) == reduce_terms([t for ts in terms.values() for t in ts])[0]
+            assert all(leibniz(dga, w) == reduce_terms(ts)[0] for w, ts in terms.items())
 
 
 @given(st.integers(0, 10**6))
