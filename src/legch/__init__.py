@@ -19,5 +19,14 @@ class InternalConsistencyError(Exception):
     """A mathematical identity that must hold was violated (a bug trap)."""
 
 
-__all__ = ["ContractError", "InternalConsistencyError"]
+def check_budget(name: str, limit: int, count: int, what: str, *args) -> None:
+    """The one refusal of a named budget: raise ``ContractError`` reading
+    ``what % (*args, count)`` then "the budget NAME = LIMIT" when ``count``
+    exceeds ``limit``, and admit ``count == limit``.  Every budget constant
+    stays in its own module and is passed in here as read there."""
+    if count > limit:
+        raise ContractError("%s the budget %s = %d" % (what % (*args, count), name, limit))
+
+
+__all__ = ["ContractError", "InternalConsistencyError", "check_budget"]
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import ContractError, InternalConsistencyError
+from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import DGA, assert_valid, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import SparseCols, apply_block, apply_cols, bits, in_span, span_basis
@@ -90,6 +90,14 @@ class CheckReport:
     arity: Optional[int] = None
     args: Optional[Tuple[str, ...]] = None
 
+    def require(self, error: type, prefix: str = "") -> None:
+        """The one conversion of a failed identity check into the exit-code
+        contract: raise ``error`` (``ContractError``, exit 1, for a caller's
+        input, or ``InternalConsistencyError``, exit 2, for a proved
+        identity) reading ``prefix`` then the detail, unless the check held."""
+        if not self.ok:
+            raise error(prefix + self.detail)
+
 
 @dataclass
 class AInftyStructure:
@@ -150,6 +158,9 @@ class AInftyStructure:
 
     def names(self, k: int) -> Tuple[str, ...]:
         return self.basis.get(canon_degree(self.modulus, k), ())
+
+    def dim(self, k: int) -> int:
+        return len(self.names(k))
 
     def out_degree(self, args: Sequence[str]) -> int:
         return canon_degree(self.modulus, sum(map(self.degree_of.__getitem__, args)) + 1)
@@ -258,7 +269,7 @@ class AInftyMorphism:
                             % (", ".join(map(str, args)), lbl)
                         )
                 degree = canon_degree(dst.modulus, sum(src.degree_of[x] for x in args))
-                if vec >> len(dst.names(degree)):
+                if vec >> dst.dim(degree):
                     raise ContractError(
                         "morphism entry on (%s) has bits outside the degree-%d target basis"
                         % (", ".join(args), degree)
@@ -288,9 +299,7 @@ def adjoint_structure(twisted: DGA) -> AInftyStructure:
     docstring).
     """
     structure = _dualize(twisted)
-    report = check_an_relations(structure, structure.arity)
-    if not report.ok:
-        raise InternalConsistencyError(report.detail)
+    check_an_relations(structure, structure.arity).require(InternalConsistencyError)
     return structure
 
 
@@ -449,11 +458,8 @@ def _check_relation_budget(s: AInftyStructure, up_to: int) -> None:
     pairs = [(r, l + 1 - r) for l in range(1, up_to + 1) for r in range(1, l + 1)]
     if sum(r * size.get(r, 0) * size.get(j, 0) for r, j in pairs) > MAX_RELATION_TERMS:
         terms = _relation_terms(s, up_to)
-        if terms > MAX_RELATION_TERMS:
-            raise ContractError(
-                "the A-infinity relations up to arity %d take %d terms, over the budget"
-                " MAX_RELATION_TERMS = %d" % (up_to, terms, MAX_RELATION_TERMS)
-            )
+        what = "the A-infinity relations up to arity %d take %d terms, over"
+        check_budget("MAX_RELATION_TERMS", MAX_RELATION_TERMS, terms, what, up_to)
 
 
 def _failure(total: Dict[Tuple[str, ...], int], s: AInftyStructure, text: str, n: int):
@@ -711,11 +717,11 @@ class ProductTable:
         transfer to ``arity``."""
         if not 2 <= arity <= (self._model[0].arity if self._model else 0):
             mu, incl = transfer_minimal_model(self.h, self.s, arity, self)
-            if not self.proved and not (report := check_an_relations(self.s, arity)).ok:
-                raise ContractError("structure fails a relation: %s" % report.detail)
-            if not (report := check_an_relations(mu, arity + 1)).ok:
-                detail = "transferred structure fails a relation: " + report.detail
-                raise InternalConsistencyError(detail)
+            if not self.proved:
+                relations = check_an_relations(self.s, arity)
+                relations.require(ContractError, "structure fails a relation: ")
+            relations = check_an_relations(mu, arity + 1)
+            relations.require(InternalConsistencyError, "transferred structure fails a relation: ")
             self._model = mu, incl
         return self._model
 
@@ -748,9 +754,12 @@ def massey_triple(
     return ProductTable(h, s).massey(x, y, z)
 
 
-def check_massey_budget(h: HomologyData, tuples: Iterable[Tuple[Sequence[int], int]]) -> None:
+def check_massey_budget(
+    h: HomologyData | AInftyStructure, tuples: Iterable[Tuple[Sequence[int], int]]
+) -> None:
     """Refuse ``massey_higher`` walks of more than ``MAX_MASSEY_SYSTEMS``
-    inner defining systems in all, before any runs.
+    inner defining systems in all, before any runs.  ``h`` is the cohomology
+    or a minimal model on it: only its ``dim`` is read.
 
     ``tuples`` pairs a degree tuple with the number of class tuples to be
     walked in it.  A walk in degrees (k_1..k_n) visits at most
@@ -766,11 +775,8 @@ def check_massey_budget(h: HomologyData, tuples: Iterable[Tuple[Sequence[int], i
         total += count << sum(
             dim(sums[l + w + 1] - sums[l]) for w in range(1, n - 2) for l in range(n - w)
         )
-        if total > MAX_MASSEY_SYSTEMS:
-            raise ContractError(
-                "the Massey brackets take at least %d defining systems, over the budget"
-                " MAX_MASSEY_SYSTEMS = %d" % (total, MAX_MASSEY_SYSTEMS)
-            )
+        what = "the Massey brackets take at least %d defining systems, over"
+        check_budget("MAX_MASSEY_SYSTEMS", MAX_MASSEY_SYSTEMS, total, what)
 
 
 @lru_cache(maxsize=256)
@@ -851,7 +857,7 @@ class _BracketWalk:
             yield self._sum((1, len(coords)), degrees, state)
             return
         run = self.variables[idx]
-        for state[run] in range(1 << len(self.mu.names(self.deg(degrees, *run)))):
+        for state[run] in range(1 << self.mu.dim(self.deg(degrees, *run))):
             yield from self.cosets(degrees, coords, idx + 1, state)
 
     def shifts(self, degrees: Tuple[int, ...], coords: Sequence[int]) -> List[int]:
@@ -860,7 +866,7 @@ class _BracketWalk:
         n, deg = len(coords), partial(self.deg, degrees)
         left = self.mu.block((deg(1, 1), deg(2, n)))
         right = self.mu.block((deg(1, n - 1), deg(n, n)))
-        across = len(self.mu.names(deg(2, n)))  # a sparse row's len counts its entries
+        across = self.mu.dim(deg(2, n))  # a sparse row's len counts its entries
         return [apply_block(left, coords[0], 1 << i) for i in range(across)] + [
             apply_block(right, 1 << j, coords[-1]) for j in range(len(right))
         ]
@@ -907,7 +913,8 @@ def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResul
     m_1 = 0) b[m, m] is the class itself, a variable b[l, m] is a dead
     branch where that sum is nonzero and otherwise ranges over all of H in
     its degree, and the value is the sum over [1, n].
-    ``check_massey_budget`` bounds the number of systems in advance.
+    ``check_massey_budget(mu, ...)`` refuses the bracket before the walk
+    when its inner systems exceed ``MAX_MASSEY_SYSTEMS``.
 
     The outer layer is a coset.  The two variables of width n - 2,
     b[1, n-1] and b[2, n], lie in no other variable's partition sum (a run
@@ -962,7 +969,8 @@ def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResul
     m_1 = 0; ``ProductTable.minimal`` checks mu's A-infinity relations up
     to one above its arity, at least n + 1, instead, which reads mu_n.
 
-    ``mu.arity`` below n and a nonzero m_1 are refused.
+    ``mu.arity`` below n, a nonzero m_1 and a walk over the budget are
+    refused.
     """
     n = len(classes)
     if n < 3:
@@ -973,7 +981,9 @@ def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResul
         )
     if mu.tables.get(1):
         raise ContractError("a Massey walk needs a minimal model, with m_1 = 0")
-    return _BracketWalk(mu, n).result(tuple(c.degree for c in classes), [c.coords for c in classes])
+    degrees = tuple(c.degree for c in classes)
+    check_massey_budget(mu, [(degrees, 1)])
+    return _BracketWalk(mu, n).result(degrees, [c.coords for c in classes])
 
 
 def _verify_retract(h: HomologyData) -> None:
@@ -1031,10 +1041,7 @@ def transfer_minimal_model(
     """
     if up_to < 2:
         raise ContractError("transfer needs arity at least 2")
-    if up_to > MAX_ARITY:
-        raise ContractError(
-            "transfer arity %d exceeds the budget MAX_ARITY = %d" % (up_to, MAX_ARITY)
-        )
+    check_budget("MAX_ARITY", MAX_ARITY, up_to, "transfer arity %d exceeds")
     if products is None:
         products = ProductTable(h, s)
     if not (products.proved and products.h is h):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from . import ContractError
+from . import ContractError, check_budget
 
 Word = Tuple[str, ...]
 Poly = FrozenSet[Word]
@@ -344,12 +344,8 @@ def apply_elementary_iso(dga: DGA, iso: ElementaryIso) -> DGA:
     term count exceeds ``MAX_ISO_TERMS``.
     """
     iso.check(dga)
-    predicted = iso_expansion_terms(dga, iso)
-    if predicted > MAX_ISO_TERMS:
-        raise ContractError(
-            "elementary isomorphism on %s would expand the differential to %d terms,"
-            " over the budget MAX_ISO_TERMS = %d" % (iso.target, predicted, MAX_ISO_TERMS)
-        )
+    what = "elementary isomorphism on %s would expand the differential to %d terms, over"
+    check_budget("MAX_ISO_TERMS", MAX_ISO_TERMS, iso_expansion_terms(dga, iso), what, iso.target)
     images = {iso.target: frozenset({(iso.target,)}) ^ iso.shift}
     diff = {}
     for g in dga.generators:

@@ -77,7 +77,7 @@ from typing import (
     TypeVar,
 )
 
-from . import ContractError, InternalConsistencyError
+from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import DGA, Poly, substitute, substitution_terms
 
 __all__ = [
@@ -324,11 +324,8 @@ def enumerate_augmentations(dga: DGA) -> Augmentations:
     assigned, eqs = propagated
 
     free = [g for g in zero_gens if g not in assigned]
-    if len(free) > MAX_FREE_GENERATORS:
-        raise ContractError(
-            "too many undetermined degree-0 generators (%d) to enumerate, over the budget"
-            " MAX_FREE_GENERATORS = %d" % (len(free), MAX_FREE_GENERATORS)
-        )
+    what = "too many undetermined degree-0 generators (%d) to enumerate, over"
+    check_budget("MAX_FREE_GENERATORS", MAX_FREE_GENERATORS, len(free), what)
     augs = Augmentations(dga, free, assigned, _search(eqs, free))
     _verify_solutions(dga, augs)
     return augs
@@ -446,10 +443,8 @@ def twist(dga: DGA, aug: Augmentation) -> DGA:
     if sum(1 << len(w) for p in dga.diff.values() for w in p) > MAX_TWIST_TERMS:
         predicted = substitution_terms(dga.diff.values(), images)
         if predicted > MAX_TWIST_TERMS:
-            raise ContractError(
-                "twisting by %s would build %d terms, over the budget MAX_TWIST_TERMS = %d"
-                % (aug.describe(), predicted, MAX_TWIST_TERMS)
-            )
+            what = "twisting by %s would build %d terms, over"
+            check_budget("MAX_TWIST_TERMS", MAX_TWIST_TERMS, predicted, what, aug.describe())
     diff = {g: substitute(dga.d(g), images) for g in dga.generators}
     for g, p in diff.items():
         if () in p:

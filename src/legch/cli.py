@@ -241,10 +241,7 @@ def cmd_massey(ring: CohomologyRing, args) -> Rows:
 def cmd_minimal(ring: CohomologyRing, args) -> Rows:
     mu, incl = ring.minimal(args.arity)
     inclusion = check_ainfty_morphism(incl, mu, ring.structure, args.arity)
-    if not inclusion.ok:
-        raise InternalConsistencyError(
-            "inclusion fails the morphism equation: %s" % inclusion.detail
-        )
+    inclusion.require(InternalConsistencyError, "inclusion fails the morphism equation: ")
     rows = [("arity", str(args.arity))]
     rows += [("basis.%d" % k, " ".join(mu.basis[k])) for k in sorted(mu.basis) if mu.basis[k]]
     for k in range(1, args.arity + 1):

@@ -40,7 +40,7 @@ from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import ContractError, InternalConsistencyError
+from . import ContractError, InternalConsistencyError, check_budget
 from .ainfty import CohomologyRing, _BracketWalk, build_ring, check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
@@ -136,11 +136,8 @@ def _check_tuple_budget(counts: Sequence[int], massey_order: int) -> None:
                     grown[p * c] = grown.get(p * c, 0) + n * m
         ways = grown
         total += sum(ways.values()) if order >= 3 else 0
-        if total > MAX_MASSEY_TUPLES:
-            raise ContractError(
-                "the Massey table has at least %d degree tuples, over the budget"
-                " MAX_MASSEY_TUPLES = %d" % (total, MAX_MASSEY_TUPLES)
-            )
+        what = "the Massey table has at least %d degree tuples, over"
+        check_budget("MAX_MASSEY_TUPLES", MAX_MASSEY_TUPLES, total, what)
 
 
 def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import ContractError, InternalConsistencyError
+from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import canon_degree
 from .gf2 import Eliminator, apply_cols, invert, rank, transpose
 
@@ -444,11 +444,8 @@ def duality_search(ring):
     kd = chain_h.dim(one)
     cd = cochain_h.dim(one)
     candidates = ((1 << kd) - 1) * ((1 << cd) - 1)
-    if candidates > MAX_DUALITY_PAIRS:
-        raise ContractError(
-            "duality search over %d (kappa, c) candidates, over the budget"
-            " MAX_DUALITY_PAIRS = %d" % (candidates, MAX_DUALITY_PAIRS)
-        )
+    what = "duality search over %d (kappa, c) candidates, over"
+    check_budget("MAX_DUALITY_PAIRS", MAX_DUALITY_PAIRS, candidates, what)
     if kd == 0 or cd == 0:
         return DualityFailure(
             "no candidates: dim of chain homology in degree 1 is %d, cochain %d"

@@ -154,7 +154,7 @@ from itertools import accumulate, chain, groupby, product as iproduct
 from operator import xor
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from . import ContractError, InternalConsistencyError
+from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import DGA, assert_valid, canon_degree, mirror_dga
 from .augment import enumerate_augmentations, per_twist
 from .ainfty import (
@@ -199,8 +199,7 @@ MAX_WINDOW_BITS = 1 << 31
 def _check_order(n: int) -> None:
     if n < 1:
         raise ContractError("order must be at least 1")
-    if n > MAX_ORDER:
-        raise ContractError("order %d exceeds the budget MAX_ORDER = %d" % (n, MAX_ORDER))
+    check_budget("MAX_ORDER", MAX_ORDER, n, "order %d exceeds")
 
 
 def _word_count(size: int, n: int) -> int:
@@ -225,12 +224,8 @@ def _window_bits(s: AInftyStructure, n: int) -> int:
 
 def _check_window_bits(s: AInftyStructure, n: int) -> None:
     """Refuse an order-n word space of ``s`` whose ``_window_bits`` exceed ``MAX_WINDOW_BITS``."""
-    bits = _window_bits(s, n)
-    if bits > MAX_WINDOW_BITS:
-        raise ContractError(
-            "order-%d words over %d letters take %d window bits, over the budget "
-            "MAX_WINDOW_BITS = %d" % (n, len(s.order), bits, MAX_WINDOW_BITS)
-        )
+    what = "order-%d words over %d letters take %d window bits, over"
+    check_budget("MAX_WINDOW_BITS", MAX_WINDOW_BITS, _window_bits(s, n), what, n, len(s.order))
 
 
 class _Words:
@@ -421,11 +416,8 @@ def _window_matrix(
     relations of ``s`` up to arity n (Square zero, in the module docstring)
     and, when given, the number of nonzero entries."""
     n = words.n
-    report = check_an_relations(s, n)
-    if not report.ok:
-        raise InternalConsistencyError(
-            "order-%d differential does not square to zero: %s" % (n, report.detail)
-        )
+    prefix = "order-%d differential does not square to zero: " % n
+    check_an_relations(s, n).require(InternalConsistencyError, prefix)
     code = words.index.__getitem__
     coded = [(code(g), tuple(map(code, t))) for g, t in pairs if len(t) <= n]
     flat = [0] * words.total  # by row word code: its column, over the target degree's places
@@ -666,9 +658,7 @@ def tilde_of_morphism(f: AInftyMorphism, n: int) -> TildeChainMap:
         raise ContractError("morphism does not carry source and target structures")
     if f.src.modulus != f.dst.modulus:
         raise ContractError("source and target structures use different moduli")
-    report = check_ainfty_morphism(f, f.src, f.dst, n)
-    if not report.ok:
-        raise ContractError(report.detail)
+    check_ainfty_morphism(f, f.src, f.dst, n).require(ContractError)
     source = tilde_complex(f.src, n)
     target = tilde_complex(f.dst, n)
 

@@ -475,6 +475,26 @@ def test_massey_higher_budget_and_argument_validation(monkeypatch):
         fingerprint.massey_table(trefoil_ring(), 5)
 
 
+def test_massey_higher_enforces_the_systems_budget_itself(monkeypatch):
+    """Five degree-0 trefoil classes count 2^14 inner systems: admitted at a
+    budget of 2^14, and refused one below it, before any walk."""
+    mu, classes = trefoil_ring().minimal(5)[0], [HClass(0, 1)] * 5
+    monkeypatch.setattr(ainfty, "MAX_MASSEY_SYSTEMS", 1 << 14)
+    assert massey_higher(mu, classes).systems == 8192
+
+    def refuse(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(ainfty, "MAX_MASSEY_SYSTEMS", (1 << 14) - 1)
+    monkeypatch.setattr(ainfty, "_BracketWalk", refuse)
+    with pytest.raises(ContractError) as refused:
+        massey_higher(mu, classes)
+    assert str(refused.value) == (
+        "the Massey brackets take at least 16384 defining systems,"
+        " over the budget MAX_MASSEY_SYSTEMS = 16383"
+    )
+
+
 def test_massey_higher_order_three_agrees_with_triple():
     """On every triple of nonzero trefoil classes the two formats say the same:
     definedness, and the triple's coset value + span(indeterminacy) is the
