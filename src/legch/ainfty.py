@@ -14,8 +14,10 @@ m_j into an outer operation, and composing m_r with blocks of a table of
 multilinear maps.  Both are driven by sparse tables through one inverted
 index (basis label -> table keys whose vector contains it): the insertion
 sum looks up which m_j entries hit each input label of the outer table, and
-the composition sum looks up, per block arity, which table words hit each
-input label of an m_r entry.  Neither builds a tuple whose terms all vanish.
+the composition sum visits each m_r entry once, looks up the block arities
+at which table words hit each of its input labels, and enumerates only the
+compositions whose every block has hits, reading each hit list's degree
+sums once.  Neither builds a tuple whose terms all vanish.
 """
 
 from __future__ import annotations
@@ -65,8 +67,11 @@ __all__ = [
 MAX_MASSEY_SYSTEMS = 1 << 20
 
 # Top arity transfer_minimal_model accepts.  The tables and the time grow
-# 1.6-1.9x per arity; at 16 the transfer plus the inclusion's morphism check
-# takes at most 0.4 s on each bundled example, at 20 up to 1.7 s.
+# 1.4-2x per arity; at 16 the transfer plus the inclusion's morphism check
+# takes at most 0.10 s on each bundled example, at 20 up to 0.63 s
+# (in-process, best of 3, python 3.11, 2 vCPUs).  `legch minimal --arity 16`
+# on masseyex(1,4,9,20), which also checks mu's relations up to arity 17,
+# takes 0.48-0.53 s as a process on the same host.
 MAX_ARITY = 16
 
 # Insertion terms check_an_relations may toggle, counted before it starts.
@@ -262,13 +267,14 @@ class AInftyMorphism:
         dst basis of degree sum|labels| (each f_n has degree 0)."""
         for table in self.tables.values():
             for args, vec in table.items():
-                for lbl in args:
-                    if lbl not in src.degree_of:
-                        raise ContractError(
-                            "morphism entry on (%s) has unknown source label %s"
-                            % (", ".join(map(str, args)), lbl)
-                        )
-                degree = canon_degree(dst.modulus, sum(src.degree_of[x] for x in args))
+                try:
+                    degree = canon_degree(dst.modulus, sum(map(src.degree_of.__getitem__, args)))
+                except KeyError:
+                    lbl = next(x for x in args if x not in src.degree_of)
+                    raise ContractError(
+                        "morphism entry on (%s) has unknown source label %s"
+                        % (", ".join(map(str, args)), lbl)
+                    ) from None
                 if vec >> dst.dim(degree):
                     raise ContractError(
                         "morphism entry on (%s) has bits outside the degree-%d target basis"
@@ -359,17 +365,35 @@ def _insertion_sum(
                     _toggle(total, before + iargs + after, ovec)
 
 
-@lru_cache(maxsize=256)
-def _compositions(n: int, r: int) -> List[Tuple[int, ...]]:
-    """All r-tuples of positive integers summing to n (a shared list: read it,
-    do not change it)."""
-    if r == 1:
-        return [(n,)]
-    out = []
-    for first in range(1, n - r + 2):
-        for rest in _compositions(n - first, r - 1):
-            out.append((first,) + rest)
-    return out
+def _compositions(n: int, r: int) -> Tuple[Tuple[int, ...], ...]:
+    """All r-tuples of positive integers summing to n, in lexicographic order."""
+    return _compositions_in((tuple(range(1, n + 1)),) * r, n)
+
+
+@lru_cache(maxsize=4096)
+def _compositions_in(options: Tuple[Tuple[int, ...], ...], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The compositions of n whose j-th part lies in ``options[j]`` (ascending),
+    in lexicographic order.  A part is tried only where the parts after it
+    can still make up the rest (between the sums of their least and greatest
+    options), and each suffix is solved once per remainder while cached, so
+    the product of the option lists is never formed."""
+    if len(options) == 1:
+        return ((n,),) if n in options[0] else ()
+    rest = options[1:]
+    low, high = sum(o[0] for o in rest), sum(o[-1] for o in rest)
+    return tuple(
+        (c,) + tail
+        for c in options[0]
+        if low <= n - c <= high
+        for tail in _compositions_in(rest, n - c)
+    )
+
+
+def _lift(m: AInftyStructure, x: str, words: list, degree_of: Dict[str, int]) -> Optional[int]:
+    """The canonical degree sum that ``words`` share, less |x| in ``m``, or
+    None if two of them differ."""
+    sums = {canon_degree(m.modulus, sum(map(degree_of.__getitem__, w))) for w in words}
+    return canon_degree(m.modulus, sums.pop() - m.degree_of[x]) if len(sums) == 1 else None
 
 
 def _composition_sum(
@@ -391,49 +415,75 @@ def _composition_sum(
     transfer or morphism check, since f_c does not change under it.  Terms
     accumulate on the concatenated n-tuple of inputs.
 
-    The sparse m_r tables drive the sum.  For each composition whose
-    blocks are all nonempty and each entry (x_1..x_r) -> v of m_r, v is
-    toggled onto every concatenation w_1..w_r with w_j among the index hits
-    of x_j at c_j.  This is the per-tuple sum: by multilinearity
-    m_r(f(w_1), .., f(w_r)) is the XOR of m_r(y_1, .., y_r) over the labels
-    y_j in f(w_j), and only the nonzero entries of the table add anything.
-    Exchanging the two sums, entry (x_1..x_r) -> v reaches w_1..w_r exactly
-    when every x_j lies in f(w_j), once for each such tuple, which is the
-    index condition.  Tuples on which every term vanishes are never built.
+    The sparse m_r tables drive the sum, entry by entry.  ``arities[y]``
+    lists the block arities c <= n at which some word hits the label y.  An
+    entry (x_1..x_r) -> v of m_r contributes only at the compositions
+    (c_1..c_r) of n with every c_j in arities[x_j] (``_compositions_in``,
+    which prunes by the arity still to place), and there v is toggled onto
+    every concatenation w_1..w_r with w_j among the index hits of x_j at
+    c_j.  This is the per-tuple sum: by multilinearity m_r(f(w_1), ..,
+    f(w_r)) is the XOR of m_r(y_1, .., y_r) over the labels y_j in f(w_j),
+    and only the nonzero entries of the table add anything.  Exchanging the
+    two sums, entry (x_1..x_r) -> v reaches w_1..w_r exactly when every x_j
+    lies in f(w_j), once for each such tuple, which is the index condition.
+    Tuples on which every term vanishes are never built, and neither is a
+    composition with an empty block.  The (composition, entry) pairs found
+    for one r run in the order composition (lexicographic), entry (table
+    order), words (the product of the hit lists, first block slowest): the
+    order of a scan of every entry at every composition, so ``total``
+    receives the same toggles in the same order, and the degree check
+    below names the same first tuple.
 
     Degree check.  An entry's vector v lives in degree sum|x_j| + 1 of
     ``m``, where |x_j| = entry_degree(w_j) because the index read f(w_j)
     there; the accumulated tuple is read in degree sum(degree_of) + 1.  The
     two are compared on every contributing term, and a mismatch is an
-    internal error.  Checking only contributing terms weakens nothing: both
-    sides are functions of the words alone, and a tuple on which every term
-    vanishes puts no vector into ``total``, so nothing is read there in a
-    wrong degree.  (In ``check_ainfty_morphism`` entry_degree sums
-    degree_of, so the sides agree on every tuple; in the transfer they
-    differ by 1 - shift per block of length > 1, which is 0 on a cochain
-    retract.)
+    internal error naming the first such tuple.  Each hit list (c, x) has
+    its words' degree sums read once per call (``_lift``): where its words
+    share one sum, its lift is that sum less |x|, and a term's two sides
+    differ by the sum of its blocks' lifts.  So when every list of a
+    (composition, entry) pair has a lift and they sum to 0, every term of
+    the pair passes; otherwise the terms are compared one by one.  Checking
+    only contributing terms weakens nothing: both sides are functions of
+    the words alone, and a tuple on which every term vanishes puts no
+    vector into ``total``, so nothing is read there in a wrong degree.  (In
+    ``check_ainfty_morphism`` entry_degree sums degree_of, so the sides
+    agree on every tuple; in the transfer they differ by 1 - shift per
+    block of length > 1, which is 0 on a cochain retract.)
     """
+    arities: Dict[str, Tuple[int, ...]] = {}
+    for c in sorted(index):
+        for x in index[c] if c <= n else ():
+            arities[x] = arities.get(x, ()) + (c,)
+    canon = partial(canon_degree, m.modulus)
+    reads: Dict[Tuple[int, str], Tuple[list, Optional[int]]] = {}
     for r in range(min_blocks, min(m.arity, n) + 1):
-        table = m.tables.get(r)
-        if not table:
-            continue
-        for comp in _compositions(n, r):
-            blocks = [index.get(c) for c in comp]
-            if not all(blocks):
-                continue
-            for xs, vec in table.items():
-                choices = [block.get(x) for block, x in zip(blocks, xs)]
-                if not all(choices):
-                    continue
-                got = m.out_degree(xs)
-                for words in iproduct(*choices):
-                    args = tuple(x for w in words for x in w)
-                    want = canon_degree(m.modulus, sum(degree_of[x] for x in args) + 1)
-                    if got != want:
-                        raise InternalConsistencyError(
-                            "composition sum in mixed degrees: m_%d on (%s) lands in"
-                            " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
-                        )
+        found: Dict[Tuple[int, ...], list] = {}
+        for xs, vec in m.tables.get(r, {}).items():
+            options = tuple(map(arities.get, xs))
+            if None not in options:
+                for comp in _compositions_in(options, n):
+                    found.setdefault(comp, []).append((xs, vec))
+        for comp in sorted(found):
+            for xs, vec in found[comp]:
+                terms, lifts = [()], []
+                for key in zip(comp, xs):
+                    read = reads.get(key)
+                    if read is None:
+                        words = index[key[0]][key[1]]
+                        read = reads[key] = words, _lift(m, key[1], words, degree_of)
+                    terms = [a + w for a in terms for w in read[0]]
+                    lifts.append(read[1])
+                if None in lifts or canon(sum(lifts)):
+                    got = m.out_degree(xs)
+                    for args in terms:
+                        want = canon(sum(map(degree_of.__getitem__, args)) + 1)
+                        if got != want:
+                            raise InternalConsistencyError(
+                                "composition sum in mixed degrees: m_%d on (%s) lands in"
+                                " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
+                            )
+                for args in terms:
                     _toggle(total, args, vec)
 
 
@@ -497,7 +547,7 @@ def check_ainfty_morphism(
     f.validate_against(src, dst)
 
     def entry_degree(w: Tuple[str, ...]) -> int:
-        return canon_degree(src.modulus, sum(src.degree_of[x] for x in w))
+        return canon_degree(src.modulus, sum(map(src.degree_of.__getitem__, w)))
 
     index = {c: _inverted_index(dst, table, entry_degree) for c, table in f.tables.items()}
     for n in range(1, up_to + 1):
@@ -1026,11 +1076,12 @@ def transfer_minimal_model(
 
         p_k = sum over r >= 2 and k_1+..+k_r = k of m_r(i_{k_1} x .. x i_{k_r}),
 
-    with mu_k = p(p_k) and i_k = h(p_k); mu_1 = 0.  Each p_k reuses the
-    stored i_j tables of lower arity; only mu_k and i_k are kept, and
-    Massey brackets of every order read mu (``massey_higher``; on a
-    defined triple p_3 is closed, so mu_3 is its class, as
-    ``ProductTable`` proves).  mu_2 is checked against the cup product:
+    with mu_k = p(p_k) and i_k = h(p_k), each entry's pair read off one
+    application of the degree's inverse (``HomologyData.split``); mu_1 = 0.
+    Each p_k reuses the stored i_j tables of lower arity; only mu_k and i_k
+    are kept, and Massey brackets of every order read mu
+    (``massey_higher``; on a defined triple p_3 is closed, so mu_3 is its
+    class, as ``ProductTable`` proves).  mu_2 is checked against the cup product:
     the class rows of the pair blocks of ``products``, a ``ProductTable``
     over h and s (built here if none is given), on the degree pairs where
     the two can differ (``ProductTable``).  Arities above
@@ -1056,10 +1107,11 @@ def transfer_minimal_model(
             class_list.append((k, i, lbl))
     degree_of = {lbl: k for k, _, lbl in class_list}
 
+    canon, lift = partial(canon_degree, h.modulus), 1 - h.shift
+
     def entry_degree(w: Tuple[str, ...]) -> int:
         """Degree of i_j(w): i is degree 0, h(p_j) lowers m_r's +1 by the shift."""
-        lift = 1 - h.shift if len(w) > 1 else 0
-        return h.canon(sum(degree_of[x] for x in w) + lift)
+        return canon(sum(map(degree_of.__getitem__, w)) + (lift if len(w) > 1 else 0))
 
     mu_tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     i_tables: Dict[int, Dict[Tuple[str, ...], int]] = {
@@ -1076,11 +1128,10 @@ def transfer_minimal_model(
         mu_k: Dict[Tuple[str, ...], int] = {}
         i_k: Dict[Tuple[str, ...], int] = {}
         for labels, total in p_k.items():
-            outdeg = h.canon(sum(degree_of[x] for x in labels) + 1)
-            coords = h.project(outdeg, total)
+            outdeg = canon(sum(map(degree_of.__getitem__, labels)) + 1)
+            coords, tail = h.split(outdeg, total)
             if coords:
                 mu_k[labels] = coords
-            tail = h.homotopy(outdeg, total)
             if tail:
                 i_k[labels] = tail
         mu_tables[k] = mu_k

@@ -120,7 +120,9 @@ class HomologyData:
     For each degree the space splits as representatives + boundaries + a
     complement mapped isomorphically onto the next boundaries.  ``project``
     (p), ``include`` (i) and ``homotopy`` (h) realise p o i = id and
-    id + i o p = dh + hd with the side conditions h h = 0, h i = 0, p h = 0.
+    id + i o p = dh + hd with the side conditions h h = 0, h i = 0, p h = 0;
+    ``split`` reads p and h of one vector off one application of the
+    degree's inverse.
     """
 
     differential: GradedMatrixMap
@@ -193,6 +195,18 @@ class HomologyData:
         hvecs = self._hvecs[k]
         coords = apply_cols(inv, vec) >> len(self.reps[k])
         return apply_cols(hvecs, coords & ((1 << len(hvecs)) - 1))
+
+    def split(self, k: int, vec: int) -> Tuple[int, int]:
+        """(project(k, vec), homotopy(k, vec)), read off one application of the
+        degree's inverse."""
+        k = self.canon(k)
+        inv = self._inverse(k)
+        if inv is None:
+            return 0, 0
+        hvecs, nreps = self._hvecs[k], len(self.reps[k])
+        coords = apply_cols(inv, vec)
+        tail = apply_cols(hvecs, (coords >> nreps) & ((1 << len(hvecs)) - 1))
+        return coords & ((1 << nreps) - 1), tail
 
     def is_cycle(self, k: int, vec: int) -> bool:
         return self.differential.apply(k, vec) == 0

@@ -203,6 +203,7 @@ ROWS = [
     refusal("MAX_ARITY", "zero", "compare-mirror --massey-order 1000000",
             ("substring", "transfer arity 1000000 exceeds the budget MAX_ARITY = 16")),
     bound("MAX_ARITY", TREFOIL, "minimal --arity 16", "inclusion: ok up to arity 16"),
+    bound("MAX_ARITY", MASSEYEX, "minimal --arity 16", "inclusion: ok up to arity 16"),
     # 10^6 class pairs, no product: the mu_2 check builds no zero pair block
     row((graded, 1000), "minimal --arity 2", seconds=3, rss_mb=60),
     refusal("MAX_ARITY", TREFOIL, "minimal --arity 17",

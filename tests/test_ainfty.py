@@ -29,6 +29,8 @@ from legch.ainfty import (
     massey_triple,
     transfer_minimal_model,
     _composition_sum,
+    _compositions,
+    _compositions_in,
     _inverted_index,
     _relation_terms,
 )
@@ -1036,6 +1038,41 @@ def test_composition_sum_toggles_every_index_hit_at_the_top_arity():
     _composition_sum(m, {1: _inverted_index(m, f[1], entry_degree)}, degree_of, 2, 1, got)
     per_tuple_composition_sum(m, f, degree_of, entry_degree, 2, 1, want)
     assert got == want == {args: 1 for args in product("pq", repeat=2)}
+
+
+def test_compositions_in_lists_the_compositions_with_every_part_in_its_options():
+    """Against the filtered product of the option lists, which is in
+    lexicographic order; every part allowed gives all compositions."""
+    rng = random.Random(5)
+    for _ in range(300):
+        r, n = rng.randint(1, 5), rng.randint(1, 12)
+        options = tuple(tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 5)))) for _ in range(r))
+        assert _compositions_in(options, n) == tuple(c for c in product(*options) if sum(c) == n)
+    for n, r in product(range(1, 9), range(1, 5)):
+        everything = tuple(c for c in product(range(1, n + 1), repeat=r) if sum(c) == n)
+        assert _compositions(n, r) == everything
+
+
+@pytest.mark.parametrize("f_2", [
+    {("p", "p"): 0b01, ("s", "t"): 0b01, ("q", "q"): 0b10},
+    {("s", "t"): 0b01, ("q", "q"): 0b10},
+])
+def test_composition_sum_names_the_first_tuple_in_mixed_degrees(f_2):
+    """The index reads every word in degree 0, but (s, t) has degree sum 1, so
+    two tuples fail: (q, s, t) at the composition (1, 2) from m_2's second
+    entry, and (s, t, q) at (2, 1) from its first.  The sum runs r, then the
+    compositions in order, then the entries in table order, then the words,
+    so it names (q, s, t), after passing (p, q, q) and, where f_2 has it,
+    (q, p, p)."""
+    m = AInftyStructure(0, {0: ("a", "b"), 1: ("c",)}, 2, {2: {("a", "b"): 1, ("b", "a"): 1}})
+    f = {1: {("p",): 0b01, ("q",): 0b10}, 2: f_2}
+    index = {c: _inverted_index(m, table, lambda w: 0) for c, table in f.items()}
+    degree_of = {"p": 0, "q": 0, "s": 0, "t": 1}
+    with pytest.raises(InternalConsistencyError) as raised:
+        _composition_sum(m, index, degree_of, 3, 2, {})
+    assert str(raised.value) == (
+        "composition sum in mixed degrees: m_2 on (q, s, t) lands in degree 1, the labels give 2"
+    )
 
 
 def test_morphism_tables_are_checked_against_source_and_target():

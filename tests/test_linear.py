@@ -173,6 +173,14 @@ def test_the_retracts_build_ring_proves_satisfy_every_identity_on_every_basis_ve
         assert_retract_identities(ring.cochain)
 
 
+def test_split_is_project_and_homotopy_from_one_inverse_read():
+    for ring in proved_rings():
+        for h in (ring.chain, ring.cochain):
+            for k, names in h.differential.basis.items():
+                for i in range(len(names)):
+                    assert h.split(k, 1 << i) == (h.project(k, 1 << i), h.homotopy(k, 1 << i))
+
+
 def test_class_of_rejects_non_cycles():
     dga = trefoil()
     aug = enumerate_augmentations(dga)[0]
