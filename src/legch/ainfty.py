@@ -452,8 +452,8 @@ def _composition_sum(
     block of length > 1, which is 0 on a cochain retract.)
     """
     arities: Dict[str, Tuple[int, ...]] = {}
-    for c in sorted(index):
-        for x in index[c] if c <= n else ():
+    for c in sorted(c for c in index if c <= n):
+        for x in index[c]:
             arities[x] = arities.get(x, ()) + (c,)
     canon = partial(canon_degree, m.modulus)
     reads: Dict[Tuple[int, str], Tuple[list, Optional[int]]] = {}
