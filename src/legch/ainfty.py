@@ -16,8 +16,8 @@ index (basis label -> table keys whose vector contains it): the insertion
 sum looks up which m_j entries hit each input label of the outer table, and
 the composition sum visits each m_r entry once, looks up the block arities
 at which table words hit each of its input labels, and enumerates only the
-compositions whose every block has hits, reading each hit list's degree
-sums once.  Neither builds a tuple whose terms all vanish.
+compositions whose every block has hits, reading each hit word's degree
+sum once.  Neither builds a tuple whose terms all vanish.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ MAX_MASSEY_SYSTEMS = 1 << 20
 
 # Top arity transfer_minimal_model accepts.  The tables and the time grow
 # 1.4-2x per arity; at 16 the transfer plus the inclusion's morphism check
-# takes at most 0.10 s on each bundled example, at 20 up to 0.63 s
+# takes at most 0.13 s on each bundled example, at 20 up to 0.6 s
 # (in-process, best of 3, python 3.11, 2 vCPUs).  `legch minimal --arity 16`
 # on masseyex(1,4,9,20), which also checks mu's relations up to arity 17,
-# takes 0.48-0.53 s as a process on the same host.
+# takes 0.57-0.59 s as a process on the same host.
 MAX_ARITY = 16
 
 # Insertion terms check_an_relations may toggle, counted before it starts.
@@ -267,14 +267,13 @@ class AInftyMorphism:
         dst basis of degree sum|labels| (each f_n has degree 0)."""
         for table in self.tables.values():
             for args, vec in table.items():
-                try:
-                    degree = canon_degree(dst.modulus, sum(map(src.degree_of.__getitem__, args)))
-                except KeyError:
-                    lbl = next(x for x in args if x not in src.degree_of)
-                    raise ContractError(
-                        "morphism entry on (%s) has unknown source label %s"
-                        % (", ".join(map(str, args)), lbl)
-                    ) from None
+                for lbl in args:
+                    if lbl not in src.degree_of:
+                        raise ContractError(
+                            "morphism entry on (%s) has unknown source label %s"
+                            % (", ".join(map(str, args)), lbl)
+                        )
+                degree = canon_degree(dst.modulus, sum(src.degree_of[x] for x in args))
                 if vec >> dst.dim(degree):
                     raise ContractError(
                         "morphism entry on (%s) has bits outside the degree-%d target basis"
@@ -370,7 +369,10 @@ def _compositions(n: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     return _compositions_in((tuple(range(1, n + 1)),) * r, n)
 
 
-@lru_cache(maxsize=4096)
+# A transfer with its morphism check at MAX_ARITY makes at most 541 distinct
+# keys on the bundled examples (masseyex(1,4,9,20), holding about 90 KiB),
+# so one such run fits in the cache twice over.
+@lru_cache(maxsize=1024)
 def _compositions_in(options: Tuple[Tuple[int, ...], ...], n: int) -> Tuple[Tuple[int, ...], ...]:
     """The compositions of n whose j-th part lies in ``options[j]`` (ascending),
     in lexicographic order.  A part is tried only where the parts after it
@@ -387,13 +389,6 @@ def _compositions_in(options: Tuple[Tuple[int, ...], ...], n: int) -> Tuple[Tupl
         if low <= n - c <= high
         for tail in _compositions_in(rest, n - c)
     )
-
-
-def _lift(m: AInftyStructure, x: str, words: list, degree_of: Dict[str, int]) -> Optional[int]:
-    """The canonical degree sum that ``words`` share, less |x| in ``m``, or
-    None if two of them differ."""
-    sums = {canon_degree(m.modulus, sum(map(degree_of.__getitem__, w))) for w in words}
-    return canon_degree(m.modulus, sums.pop() - m.degree_of[x]) if len(sums) == 1 else None
 
 
 def _composition_sum(
@@ -438,15 +433,12 @@ def _composition_sum(
     ``m``, where |x_j| = entry_degree(w_j) because the index read f(w_j)
     there; the accumulated tuple is read in degree sum(degree_of) + 1.  The
     two are compared on every contributing term, and a mismatch is an
-    internal error naming the first such tuple.  Each hit list (c, x) has
-    its words' degree sums read once per call (``_lift``): where its words
-    share one sum, its lift is that sum less |x|, and a term's two sides
-    differ by the sum of its blocks' lifts.  So when every list of a
-    (composition, entry) pair has a lift and they sum to 0, every term of
-    the pair passes; otherwise the terms are compared one by one.  Checking
-    only contributing terms weakens nothing: both sides are functions of
-    the words alone, and a tuple on which every term vanishes puts no
-    vector into ``total``, so nothing is read there in a wrong degree.  (In
+    internal error naming the first such tuple.  Each hit word's degree sum
+    is read once per call, and a term's sum adds up its words' sums.
+    Checking only contributing terms weakens nothing: both sides are
+    functions of the words alone, and a tuple on which every term vanishes
+    puts no vector into ``total``, so nothing is read there in a wrong
+    degree.  (In
     ``check_ainfty_morphism`` entry_degree sums degree_of, so the sides
     agree on every tuple; in the transfer they differ by 1 - shift per
     block of length > 1, which is 0 on a cochain retract.)
@@ -456,7 +448,7 @@ def _composition_sum(
         for x in index[c]:
             arities[x] = arities.get(x, ()) + (c,)
     canon = partial(canon_degree, m.modulus)
-    reads: Dict[Tuple[int, str], Tuple[list, Optional[int]]] = {}
+    hits: Dict[Tuple[int, str], List[Tuple[Tuple[str, ...], int]]] = {}
     for r in range(min_blocks, min(m.arity, n) + 1):
         found: Dict[Tuple[int, ...], list] = {}
         for xs, vec in m.tables.get(r, {}).items():
@@ -466,24 +458,22 @@ def _composition_sum(
                     found.setdefault(comp, []).append((xs, vec))
         for comp in sorted(found):
             for xs, vec in found[comp]:
-                terms, lifts = [()], []
+                terms = [((), 0)]
                 for key in zip(comp, xs):
-                    read = reads.get(key)
-                    if read is None:
-                        words = index[key[0]][key[1]]
-                        read = reads[key] = words, _lift(m, key[1], words, degree_of)
-                    terms = [a + w for a in terms for w in read[0]]
-                    lifts.append(read[1])
-                if None in lifts or canon(sum(lifts)):
-                    got = m.out_degree(xs)
-                    for args in terms:
-                        want = canon(sum(map(degree_of.__getitem__, args)) + 1)
-                        if got != want:
-                            raise InternalConsistencyError(
-                                "composition sum in mixed degrees: m_%d on (%s) lands in"
-                                " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
-                            )
-                for args in terms:
+                    words = hits.get(key)
+                    if words is None:
+                        words = hits[key] = [
+                            (w, sum(map(degree_of.__getitem__, w))) for w in index[key[0]][key[1]]
+                        ]
+                    terms = [(a + w, d + e) for a, d in terms for w, e in words]
+                got = m.out_degree(xs)
+                for args, degree in terms:
+                    want = canon(degree + 1)
+                    if got != want:
+                        raise InternalConsistencyError(
+                            "composition sum in mixed degrees: m_%d on (%s) lands in"
+                            " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
+                        )
                     _toggle(total, args, vec)
 
 

@@ -188,17 +188,11 @@ class HomologyData:
 
     def homotopy(self, k: int, vec: int) -> int:
         """h(vec), landing in degree k - shift."""
-        k = self.canon(k)
-        inv = self._inverse(k)
-        if inv is None:
-            return 0
-        hvecs = self._hvecs[k]
-        coords = apply_cols(inv, vec) >> len(self.reps[k])
-        return apply_cols(hvecs, coords & ((1 << len(hvecs)) - 1))
+        return self.split(k, vec)[1]
 
     def split(self, k: int, vec: int) -> Tuple[int, int]:
-        """(project(k, vec), homotopy(k, vec)), read off one application of the
-        degree's inverse."""
+        """(p(vec), h(vec)): the class coordinates of a degree-k vector and its
+        homotopy, read off one application of the degree's inverse."""
         k = self.canon(k)
         inv = self._inverse(k)
         if inv is None:
