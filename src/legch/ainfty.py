@@ -34,7 +34,7 @@ from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import DGA, assert_valid, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import SparseCols, apply_block, apply_cols, bits, in_span, span_basis
-from .linear import HomologyData, _retract, linearized_complexes, vector_label
+from .linear import GradedMatrixMap, HomologyData, _retract, linearized_complexes, vector_label
 
 __all__ = [
     "HClass",
@@ -63,7 +63,8 @@ __all__ = [
 # and 4,928,414 up to order 5, which stays refused.  The slowest admitted
 # case found is one bracket at the bound, `legch massey --classes
 # 0:1,0:1,0:1,5:1` on 7 free degree-0 and 6 free degree-5 generators:
-# 2^20 inner systems in 3.0 s in-process (python 3.11, 2 vCPUs).
+# 2^20 inner systems in 3.4-4.5 s at 25.8-25.9 MB as a process (the limits
+# row two_degrees(7, 6); python 3.11, 2 vCPUs, shared host).
 MAX_MASSEY_SYSTEMS = 1 << 20
 
 # Top arity transfer_minimal_model accepts.  The tables and the time grow
@@ -614,7 +615,8 @@ class ProductTable:
     keyed by degree: per degree its canonical form and the inclusion vectors
     i x_i of the basis classes; per degree pair (a, b) a ``PairBlock``
     (``class_of`` runs on every entry, so a product that is not closed is
-    rejected) and its ``annihilators``; and the ring's one transfer
+    rejected) and its ``annihilators``, one bitmask of the y with x y = 0
+    per class x; and the ring's one transfer
     ``minimal``, which checks its mu_2 against those pair blocks and
     verifies a retract h from a caller.
 
@@ -624,7 +626,9 @@ class ProductTable:
     the m_2 entries on the pair's canonical degrees whose two basis letters
     occur in i x_i and i y_j, and off the support there are none, so every
     chain is 0, closed, and ``class_of(0) = p(0) = 0`` as p is linear.  So
-    a reader of cups or annihilators needs only the support, and so does
+    a reader of cups or annihilators needs only the support (off it every
+    annihilator mask is full, which ``fingerprint.massey_table`` reads
+    without building one), and so does
     the transfer's mu_2 check, which compares mu_2(x_i, y_j) with the class
     row entry of every class pair whose degree pair (a, b) is on the
     support, carries a mu_2 entry, or has a block built already (which a
@@ -697,7 +701,7 @@ class ProductTable:
         self.proved = False
         self._bases: Dict[int, Tuple[int, List[int]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
-        self._zeros: Dict[Tuple[int, int], Dict[int, Sequence[int]]] = {}
+        self._zeros: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._model: Optional[Tuple[AInftyStructure, AInftyMorphism]] = None
 
     @cached_property
@@ -731,21 +735,21 @@ class ProductTable:
             block = self._pairs[(a, b)] = PairBlock(degree, coords, chains)
         return block
 
-    def annihilators(self, a: int, b: int) -> Dict[int, Sequence[int]]:
-        """Each nonzero class x of degree a -> the nonzero y of degree b with
-        x y = 0: every y off the support, where the pair block is zero, and
-        otherwise the y on which x's row of products with the basis classes
-        sums to 0."""
+    def annihilators(self, a: int, b: int) -> Dict[int, int]:
+        """Each nonzero class x of degree a -> the mask whose bit y is set for
+        the nonzero y of degree b with x y = 0: the full mask off the
+        support, where the pair block is zero, and otherwise the y on which
+        x's row of products with the basis classes sums to 0."""
         zero = self._zeros.get((a, b))
         if zero is None:
             xs, ys = range(1, 1 << self.h.dim(a)), range(1, 1 << self.h.dim(b))
             if (a, b) not in self.support:
-                zero = dict.fromkeys(xs, ys)
+                zero = dict.fromkeys(xs, (2 << len(ys)) - 2)
             else:
                 columns, zero = list(zip(*self.pair(a, b).coords)), {}
                 for x in xs:
                     row = [apply_cols(column, x) for column in columns]
-                    zero[x] = [y for y in ys if not apply_cols(row, y)]
+                    zero[x] = sum(1 << y for y in ys if not apply_cols(row, y))
             self._zeros[(a, b)] = zero
         return zero
 
@@ -794,6 +798,18 @@ def massey_triple(
     return ProductTable(h, s).massey(x, y, z)
 
 
+def _prefix_runs(t: Tuple[int, ...], known: dict, dim) -> Tuple[int, Tuple[int, ...]]:
+    """What ``check_massey_budget`` keeps of a prefix t, in ``known``: the
+    summed dims of its runs of two or more classes other than t itself,
+    and its suffixes' degree sums, shortest first."""
+    if t not in known:
+        runs, suffixes = _prefix_runs(t[:-1], known, dim)
+        ends = [s + t[-1] for s in suffixes]
+        runs += sum(map(dim, ends[:-1])) + (dim(suffixes[-1]) if len(t) > 2 else 0)
+        known[t] = runs, (t[-1], *ends)
+    return known[t]
+
+
 def check_massey_budget(
     h: HomologyData | AInftyStructure, tuples: Iterable[Tuple[Sequence[int], int]]
 ) -> None:
@@ -806,17 +822,25 @@ def check_massey_budget(
     2^(sum of dim H in degree k_l + .. + k_m) inner systems, the sum over
     its inner variables b[l, m], 1 <= m - l <= n - 3 (``massey_higher``):
     the two outer ones are summed as a coset, not walked.  The bound reads
-    only the dimensions of H, each run's degree a difference of the tuple's
-    prefix sums.
+    only the dimensions of H.  The sum extends level by level: each prefix
+    t keeps, once per call, the summed dims of its runs of two or more
+    classes other than t itself, and its suffixes' degree sums.  A tuple
+    t + (k) of n classes sums those of t and the runs of 2 to n - 2
+    classes ending at k, and keeps those and t and the runs of 2 to n - 1
+    classes ending at k.  The refusal comes at the first tuple over the
+    budget, with the total up to it.
     """
-    total, dim = 0, lru_cache(maxsize=None)(h.dim)
+    dim, known, total = lru_cache(maxsize=None)(h.dim), {(): (0, ())}, 0
     for degrees, count in tuples:
-        n, sums = len(degrees), list(accumulate(degrees, initial=0))
-        total += count << sum(
-            dim(sums[l + w + 1] - sums[l]) for w in range(1, n - 2) for l in range(n - w)
-        )
-        what = "the Massey brackets take at least %d defining systems, over"
-        check_budget("MAX_MASSEY_SYSTEMS", MAX_MASSEY_SYSTEMS, total, what)
+        head = tuple(degrees[:-1])
+        runs, suffixes = known[head] if head in known else _prefix_runs(head, known, dim)
+        for s in suffixes[: len(degrees) - 3]:
+            runs += dim(s + degrees[-1])
+        total += count << runs
+        if total > MAX_MASSEY_SYSTEMS:
+            break
+    what = "the Massey brackets take at least %d defining systems, over"
+    check_budget("MAX_MASSEY_SYSTEMS", MAX_MASSEY_SYSTEMS, total, what)
 
 
 @lru_cache(maxsize=256)
@@ -838,7 +862,10 @@ class _BracketWalk:
     degrees of its classes, the partitions into r >= 2 runs on whose degrees
     m_r has an entry, each with that coordinate block
     (``AInftyStructure.block``), so a partition sum is a few
-    ``gf2.apply_block`` calls.
+    ``gf2.apply_block`` calls.  ``flat`` reads these terms too, and builds
+    the blocks of the first run that has one; a walk that follows reads
+    them (``fingerprint.massey_table`` asks ``flat`` only where some class
+    tuple has its adjacent products 0, and walks only where it is false).
     """
 
     def __init__(self, mu: AInftyStructure, n: int):
@@ -1156,17 +1183,26 @@ class CohomologyRing:
     (``build_ring``) and both homologies are strong deformation retracts
     (``linear._retract``).  A ring assembled by hand carries no such proof;
     the checks that stay (the window relations, the pair check, the
-    transfer's mu_2 and mu's relations) run on it as on any other."""
+    transfer's mu_2 and mu's relations) run on it as on any other.
+
+    The chain homology is read only by ``linhom`` and ``duality_search``, so
+    the ring keeps the chain map and retracts it on first read (``chain``);
+    a ``replace`` copy retracts its own."""
 
     dga: DGA
     twisted: DGA
     structure: AInftyStructure
-    chain: HomologyData
+    chain_map: GradedMatrixMap
     cochain: HomologyData
     # (letter, term) pairs of ``structure``, set once ``tilde.check_order_n_transpose``
     # finds them homogeneous and equal to those of ``twisted``; the dense order-n
     # engine builds its window matrix from them.  A ``replace`` copy checks anew.
     pairs: Optional[FrozenSet[tuple]] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def chain(self) -> HomologyData:
+        """The chain homology, the retract of ``chain_map``, built on first read."""
+        return _retract(self.chain_map)
 
     @cached_property
     def products(self) -> ProductTable:
@@ -1184,7 +1220,8 @@ class CohomologyRing:
 
 
 def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
-    """Twist once into the adjoint structure, and take homology of m_1 both ways.
+    """Twist once into the adjoint structure, and take the cohomology of m_1;
+    the chain homology is retracted on first read (``CohomologyRing.chain``).
 
     ``dga`` is validated first (``assert_valid``, a memo hit for a DGA that
     was loaded), so an invalid DGA is a ``ContractError`` before anything is
@@ -1218,4 +1255,4 @@ def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
     twisted = twist(dga, aug)
     s = _dualize(twisted)
     chain_map, cochain_map = linearized_complexes(s)
-    return CohomologyRing(dga, twisted, s, _retract(chain_map), _retract(cochain_map))
+    return CohomologyRing(dga, twisted, s, chain_map, _retract(cochain_map))

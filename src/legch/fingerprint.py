@@ -18,7 +18,9 @@ walk of ``massey_higher`` (``ainfty._BracketWalk``, whose docstrings
 prove that the value sets are the chain-level ones and that the outer
 layer is a coset) over the ring's one checked minimal model, asked class
 tuple by class tuple on the support only, the degree tuples enumerated
-from the entries of mu on their runs; the table's degree tuples are
+from the entries of mu on their runs, and there only where some class
+tuple has every adjacent product 0 (a reach mask per prefix, read off the
+product table's annihilator masks); the table's degree tuples are
 bounded in advance by ``MAX_MASSEY_TUPLES``, and the inner systems of the
 walks of order 4 and up by ``MAX_MASSEY_SYSTEMS``.
 
@@ -44,7 +46,7 @@ from . import ContractError, InternalConsistencyError, check_budget
 from .ainfty import CohomologyRing, _BracketWalk, build_ring, check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
-from .gf2 import apply_block, rank
+from .gf2 import apply_block, bits, rank
 from .linear import HomologyData
 from .tilde import _check_lower_orders, order_n_cohomology
 
@@ -147,19 +149,34 @@ def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int
     undefined (that product is the obstruction of the width-1 run [l, l+1]
     on every branch), so only the other tuples are asked, built position by
     position from ``zero(a, b)`` (``ProductTable.annihilators``), which
-    maps each class x of degree a to the y of degree b with x y = 0; where
-    the walk is ``flat`` none is asked."""
+    maps each class x of degree a to the mask of the y of degree b with
+    x y = 0.  ``massey_table`` calls it only where some such tuple exists
+    (its reach) and the walk is not ``flat``."""
     combos = [(x,) for x in range(1, 1 << dims[0])]
     for after in map(zero, degrees, degrees[1:]):
-        combos = [c + (y,) for c in combos for y in after[c[-1]]]
-    if not combos or walk.flat(degrees):
-        return bool(combos), False
+        combos = [c + (y,) for c in combos for y in bits(after[c[-1]])]
     defined = False
     for here, nonzero in map(partial(walk.flags, degrees), combos):
         if nonzero:
             return True, True
         defined = defined or here
     return defined, False
+
+
+def _reach(prefix: Tuple[int, ...], reach: dict, pairs: set, zero) -> int:
+    """The reach of a degree tuple (``massey_table``), kept in ``reach``,
+    which holds every one-degree tuple's; ``pairs`` is the support and
+    ``zero`` the annihilators of the product table."""
+    if prefix not in reach:
+        before = _reach(prefix[:-1], reach, pairs, zero)
+        if not before or prefix[-2:] not in pairs:  # off the support every mask is full
+            reach[prefix] = before and reach[prefix[-1:]]
+        else:
+            after, mask = zero(*prefix[-2:]), 0
+            for x in bits(before):
+                mask |= after[x]
+            reach[prefix] = mask
+    return reach[prefix]
 
 
 def massey_table(
@@ -190,8 +207,23 @@ def massey_table(
     one ``_BracketWalk`` (the walk of ``massey_higher``) asked class tuple
     by class tuple for (defined, nonzero) (``_walk_flags``), up to the first
     nonzero tuple; each bracket stops at the first coset after which its
-    hull holds 0.  The annihilators it builds tuples from are the product
-    table's (``ProductTable.annihilators``).
+    hull holds 0.  It is asked only on the support tuples that reach and
+    are not ``flat`` (below).
+
+    Reach.  A bracket with a nonzero adjacent product is undefined
+    (``_walk_flags``), so some bracket in a degree tuple is defined only
+    if some tuple of nonzero classes in those degrees has every adjacent
+    product 0.  The reach of a degree tuple is the mask of the classes of
+    its last degree that end such a class tuple: every nonzero class for
+    one degree, and for t + (k) the union, over the x in the reach of t,
+    of x's annihilator mask in degree k (``ProductTable.annihilators``).
+    So it is nonzero exactly when such a class tuple exists.  Off the
+    support every annihilator mask is full, so there the reach of t + (k)
+    is full when that of t is nonzero, and no annihilator is built.  Each
+    prefix's reach is computed once per call.  A support tuple of reach 0
+    is (False, False); one whose walk is ``flat`` is (True, False), with
+    every bracket of adjacent products 0 defined and holding 0; only the
+    rest are walked.
 
     Only the support is walked: the degree tuples (k_1..k_n) with a run
     [l, m], l < m, on whose degrees (k_l..k_m) mu_(m-l+1) has an entry.
@@ -209,8 +241,10 @@ def massey_table(
     meets this system, and its value, the same sum over [1, n], is 0.
     Every degree in the table has a nonzero class, so some bracket is
     defined, and each bracket's value set holds 0.  The table is filled in
-    one pass over the admitted tuples in product order, so its keys come
-    sorted.
+    one pass over the admitted tuples, order by order, each order's listed
+    in lexicographic order (each extends the previous order's list, in
+    order, by the degrees in ascending order), so its keys come sorted and
+    ``profile_for`` reads them as they come.
 
     Before the ring's first walk of order 4 or more,
     ``check_massey_budget`` bounds the inner systems those walks visit,
@@ -232,6 +266,8 @@ def massey_table(
         check_massey_budget(h, chain.from_iterable(levels[4:]))
     if massey_order >= 3:
         mu = ring.minimal(massey_order)[0]
+    zero, reach = ring.products.annihilators, {(k,): (2 << n) - 2 for k, n in counts.items()}
+    reaches = partial(_reach, reach=reach, pairs=set(ring.products.support), zero=zero)
     table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
     for order in range(3, len(levels)):
         walk = _BracketWalk(mu, order)
@@ -246,8 +282,10 @@ def massey_table(
         for prefix, _ in levels[order]:
             flags = (True, False)
             if prefix in support:
-                dims = [dim_of[k] for k in prefix]
-                flags = _walk_flags(walk, prefix, dims, ring.products.annihilators)
+                if not reaches(prefix):
+                    flags = (False, False)
+                elif not walk.flat(prefix):
+                    flags = _walk_flags(walk, prefix, [dim_of[k] for k in prefix], zero)
             table[(order, prefix)] = flags
     return table
 
@@ -289,10 +327,11 @@ def profile_for(
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> AugmentationProfile:
     """All invariants of a single augmentation, cup ranks in the standard
-    basis (the one field read in a basis, ``audit_basis_independence``)."""
+    basis (the one field read in a basis, ``audit_basis_independence``).
+    The Massey table's keys come sorted (``massey_table``)."""
     dims = tuple(sorted((k, d) for k, d in ring.cochain.dims().items() if d))
     cups = tuple(sorted(cup_rank_table(ring).items()))
-    massey = tuple(sorted(massey_table(ring, massey_order).items()))
+    massey = tuple(massey_table(ring, massey_order).items())
     orders = tuple(sorted(order_dim_table(ring, order_cap).items()))
     return AugmentationProfile(dims, cups, massey, orders)
 

@@ -8,7 +8,8 @@ move is broken).  The chain-level triple Massey product, the chain-level
 walk of higher Massey defining systems, the minimal-model walk of every
 defining system one by one, the block-by-block p_3 builder, the
 visit-every-triple Massey table, the degree-scan Massey table with its
-``apply_block`` annihilators, the chain-level cup product on chosen
+``apply_block`` annihilator lists and class-tuple lists, the per-run
+count of Massey defining systems, the chain-level cup product on chosen
 representatives, the all-pairs cup rank table, the cup
 support read off the chain-level cup on every class pair, the per-class-pair
 order-2 splitting, the composition enumeration of an induced chain
@@ -25,7 +26,9 @@ substitution and the duality search's Gram matrix per (kappa, c,
 complement) are kept here as the references that the library's product
 table, its minimal-model Massey walk with its outer layer summed as a
 coset, its transferred mu_3, its support-only Massey table enumerated
-from mu's entries, its zero pair blocks with no ``class_of``, its
+from mu's entries and walked where a reach mask says a class tuple
+exists, its level-by-level systems count, its zero pair blocks with no
+``class_of``, its
 splitting read off the support, its bar-map recursion, its
 table-driven composition sum, its pair checks, its window matrix and
 relation-based d d = 0, its closed-form entry count, its minimal-model
@@ -93,7 +96,6 @@ from legch.fingerprint import (
     MirrorReport,
     _first_difference,
     _standard_bases,
-    _walk_flags,
     fingerprint_dga,
     profile_for,
 )
@@ -930,6 +932,40 @@ def apply_block_annihilators(ring, a: int, b: int) -> Dict[int, List[int]]:
     return {x: [y for y in ys if not apply_block(pair, x, y)] for x in range(1, 1 << h.dim(a))}
 
 
+def list_walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):
+    """Reference ``fingerprint._walk_flags`` with ``massey_table``'s reach and
+    ``flat`` tests in front: the class tuples whose adjacent products all
+    vanish listed from ``zero``'s lists of y, (False, False) where there is
+    none, (True, False) where the walk is ``flat``, and otherwise each asked
+    in product order up to the first nonzero one."""
+    combos = [(x,) for x in range(1, 1 << dims[0])]
+    for after in map(zero, degrees, degrees[1:]):
+        combos = [c + (y,) for c in combos for y in after[c[-1]]]
+    if not combos or walk.flat(degrees):
+        return bool(combos), False
+    defined = False
+    for combo in combos:
+        here, nonzero = walk.flags(degrees, combo)
+        if nonzero:
+            return True, True
+        defined = defined or here
+    return defined, False
+
+
+def per_tuple_massey_systems(dim, tuples) -> List[int]:
+    """Reference ``check_massey_budget``'s count: the running total over
+    ``tuples`` of count << (the dims of every inner run summed), each run of
+    2 to n - 2 classes of an n-tuple read on its own, where the library
+    extends each prefix's sum."""
+    totals, total = [], 0
+    for degrees, count in tuples:
+        n = len(degrees)
+        runs = [sum(degrees[l : l + w]) for w in range(2, n - 1) for l in range(n - w + 1)]
+        total += count << sum(map(dim, runs))
+        totals.append(total)
+    return totals
+
+
 def degree_scan_massey_table(ring, massey_order: int = DEFAULT_MASSEY_ORDER):
     """Reference ``massey_table``: every admitted degree tuple scanned for a
     run with an entry of mu, with ``apply_block_annihilators``, where the
@@ -958,7 +994,7 @@ def degree_scan_massey_table(ring, massey_order: int = DEFAULT_MASSEY_ORDER):
             table[(order, prefix)] = (True, False)
             for l, m, grouped in runs:
                 if prefix[l:m] in grouped:
-                    table[(order, prefix)] = _walk_flags(walk, prefix, dims, zero)
+                    table[(order, prefix)] = list_walk_flags(walk, prefix, dims, zero)
                     break
     return table
 

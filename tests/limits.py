@@ -99,6 +99,11 @@ def free_letters(k):
     return _dga(("b%d" % i, 0) for i in range(k))
 
 
+def two_degrees(k0, k5):
+    """k0 free degree-0 and k5 closed degree-5 letters, and no differential."""
+    return _dga([("b%d" % i, 0) for i in range(k0)] + [("c%d" % i, 5) for i in range(k5)])
+
+
 def graded(k):
     """One generator per degree 1..k and no differential."""
     return _dga(("a%d" % i, i) for i in range(1, k + 1))
@@ -211,6 +216,10 @@ ROWS = [
     # four degree-0 classes over five free letters: 2^15 inner systems walked, 2^25 complete
     bound("MAX_MASSEY_SYSTEMS", (free_letters, 5), "massey --classes 0:1,0:1,0:1,0:1",
           "systems: 33554432"),
+    # at the bound: inner variables of dims 7, 7 and 6, so 2^20 inner systems, each with a
+    # coset of 2^13 complete ones; 3.4-4.5 s at 25.8-25.9 MB as a process (python 3.11, 2 vCPUs)
+    bound("MAX_MASSEY_SYSTEMS", (two_degrees, 7, 6), "massey --classes 0:1,0:1,0:1,5:1",
+          "systems: 8589934592", "trivial: yes", seconds=20),
     DENSE := row(CUPEX_112, "ordern --n 3", "engine: dense", "complex.dim: 9723",
                  "transpose.entries: 19822", "total: 317"),
     PERTURBATION := row(CUPEX_112, "ordern --n 3 --engine perturbation"),

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,6 +57,7 @@ from helpers import (
     oracle_rings,
     order_four_bracket_dga,
     per_tuple_composition_sum,
+    per_tuple_massey_systems,
     proved_rings,
     random_augmented_dga,
     random_dga,
@@ -475,6 +477,34 @@ def test_massey_higher_budget_and_argument_validation(monkeypatch):
         match="take at least \\d+ defining systems, over the budget MAX_MASSEY_SYSTEMS",
     ):
         fingerprint.massey_table(trefoil_ring(), 5)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_systems_budget_refuses_at_the_first_tuple_over_it_with_the_per_tuple_total(
+    monkeypatch, seed
+):
+    """Tuples of 1 to 8 degrees sharing prefixes, as a Massey table's do, and
+    in arbitrary order: at every budget between the running totals the
+    level-by-level count refuses exactly when the per-run reference does,
+    naming the same total."""
+    rng = random.Random(seed)
+    dims = {k: rng.randrange(3) for k in range(-12, 25)}
+    h = SimpleNamespace(dim=lambda k: dims.get(k, 0))
+    pool = [tuple(rng.randrange(-3, 4) for _ in range(rng.randrange(1, 9))) for _ in range(30)]
+    tuples = [(t[: rng.randrange(1, len(t) + 1)], rng.randrange(1, 4)) for t in pool * 2]
+    totals = per_tuple_massey_systems(h.dim, tuples)
+    for limit in sorted({0, *totals, *(t - 1 for t in totals)}):
+        monkeypatch.setattr(ainfty, "MAX_MASSEY_SYSTEMS", limit)
+        over = [t for t in totals if t > limit]
+        if not over:
+            check_massey_budget(h, tuples)
+            continue
+        with pytest.raises(ContractError) as refused:
+            check_massey_budget(h, tuples)
+        assert str(refused.value) == (
+            "the Massey brackets take at least %d defining systems,"
+            " over the budget MAX_MASSEY_SYSTEMS = %d" % (over[0], limit)
+        )
 
 
 def test_massey_higher_enforces_the_systems_budget_itself(monkeypatch):

@@ -568,6 +568,32 @@ def test_compare_mirror_validates_the_knot_and_its_mirror_once_each(capsys, tmp_
     assert algebra.dga_key(calls[1]) != algebra.dga_key(calls[0])
 
 
+@pytest.mark.parametrize(
+    "argv, reads_chain",
+    [
+        (["compare-mirror"], False),
+        (["ordern", "--n", "2"], False),
+        (["minimal", "--arity", "3"], False),
+        (["ring"], False),
+        (["massey", "--classes", "0:1,0:1,0:1"], False),
+        (["linhom"], True),
+        (["duality"], True),
+        (["report"], True),
+    ],
+)
+def test_only_the_chain_homology_readers_retract_the_chain_map(
+    capsys, trefoil_file, monkeypatch, argv, reads_chain
+):
+    """Every ring retracts its cochain map once; its chain map is retracted on
+    first read of ``ring.chain``, which only ``linhom`` and ``duality_search``
+    make."""
+    shifts, retract = [], ainfty._retract
+    monkeypatch.setattr(ainfty, "_retract", lambda m: shifts.append(m.shift) or retract(m))
+    code, _, _ = run_cli(capsys, *argv, trefoil_file)
+    assert code == 0 and shifts.count(1) >= 1
+    assert shifts.count(-1) == (shifts.count(1) if reads_chain else 0)
+
+
 def test_compare_mirror_rows(capsys, trefoil_file):
     code, out, _ = run_cli(capsys, "compare-mirror", trefoil_file)
     assert code == 0

@@ -120,8 +120,9 @@ def test_cup_rank_table_in_random_bases_equals_the_chain_level_rank():
 
 
 def test_massey_table_equals_the_chain_level_oracle_table():
+    """Equal as dicts, and the table's keys come in sorted order."""
     for ring in oracle_rings():
-        assert massey_table(ring) == _oracle_massey_table(ring)
+        assert list(massey_table(ring).items()) == sorted(_oracle_massey_table(ring).items())
 
 
 @given(st.integers(0, 10**6))
@@ -131,7 +132,7 @@ def test_massey_table_equals_the_chain_level_oracle_table():
 @settings(deadline=None, max_examples=15)
 def test_massey_table_equals_the_chain_level_oracle_table_on_random_dgas(seed):
     ring = random_augmented_dga(random.Random(seed), max_gens=10)[2]
-    assert massey_table(ring) == _oracle_massey_table(ring)
+    assert list(massey_table(ring).items()) == sorted(_oracle_massey_table(ring).items())
 
 
 def test_massey_table_on_the_support_equals_the_every_triple_table():
@@ -151,6 +152,21 @@ def test_massey_table_on_the_support_equals_the_every_triple_table_on_random_dga
     assert massey_table(ring) == every_triple_massey_table(ring)
 
 
+def test_the_massey_table_walks_only_reachable_non_flat_support_triples_on_masseyex():
+    """masseyex(1,4,9,20) has one augmentation and 9^3 admitted triples, 140
+    of them on the support.  In 136 of those no class triple has both
+    adjacent products zero, so they are (False, False) with no walk; the
+    other 4 are not flat, are walked, and each has a nonzero bracket."""
+    ring = build_ring(masseyex(1, 4, 9, 20), enumerate_augmentations(masseyex(1, 4, 9, 20))[0])
+    walked, walk_flags = [], fingerprint._walk_flags
+    with patch.object(fingerprint, "_walk_flags", lambda *a: walked.append(a[1]) or walk_flags(*a)):
+        table = massey_table(ring)
+    assert len(table) == 729 and len(walked) == 4
+    assert sum(flags == (False, False) for flags in table.values()) == 136
+    assert [table[(3, t)] for t in walked] == [(True, True)] * 4
+    assert table == degree_scan_massey_table(ring)
+
+
 def _member_rings(dgas):
     """The ring of every member of each DGA and of its mirror."""
     for dga in dgas:
@@ -167,20 +183,23 @@ def _table_or_error(table, ring, order):
 
 
 def _assert_support_reads_match_the_oracles(rings):
-    """The Massey table at orders 3 and 4, the cup support, the cup ranks in
-    the standard and a random basis, and the annihilators of every degree
-    pair."""
+    """The Massey table at orders 3 and 4, its keys in sorted order, the cup
+    support, the cup ranks in the standard and a random basis, and the
+    annihilator masks of every degree pair."""
     for ring in rings:
         assert list(ring.products.support) == cup_product_support(ring)
         for order in (3, 4):
             want = _table_or_error(degree_scan_massey_table, ring, order)
-            assert _table_or_error(massey_table, ring, order) == want
+            got = _table_or_error(massey_table, ring, order)
+            assert got == want
+            assert isinstance(got, str) or list(got) == sorted(got)
         assert cup_rank_table(ring) == all_pairs_cup_rank_table(ring)
         bases = random_graded_basis(ring.cochain, random.Random(len(ring.cochain.dims())))
         assert cup_rank_table(ring, bases) == all_pairs_cup_rank_table(ring, bases)
         for a, b in product(ring.cochain.degrees(), repeat=2):
-            got = {x: list(ys) for x, ys in ring.products.annihilators(a, b).items()}
-            assert got == apply_block_annihilators(ring, a, b), (a, b)
+            want = apply_block_annihilators(ring, a, b)
+            masks = {x: sum(1 << y for y in ys) for x, ys in want.items()}
+            assert ring.products.annihilators(a, b) == masks, (a, b)
 
 
 @pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")

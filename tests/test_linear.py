@@ -16,6 +16,7 @@ from legch.fileio import parse_dga, serialize_dga
 from legch.linear import (
     MAX_DUALITY_PAIRS,
     GradedMatrixMap,
+    _retract,
     duality_search,
     homology,
     linearized_complexes,
@@ -171,6 +172,15 @@ def test_the_retracts_build_ring_proves_satisfy_every_identity_on_every_basis_ve
     for ring in proved_rings():
         assert_retract_identities(ring.chain)
         assert_retract_identities(ring.cochain)
+
+
+def test_the_chain_homology_built_on_first_read_is_the_eager_retract():
+    """``ring.chain`` retracts the ring's chain map when first read, once, and
+    equals the retract of the chain complex of the ring's structure."""
+    for ring in proved_rings():
+        assert "chain" not in vars(ring)
+        assert ring.chain == _retract(linearized_complexes(ring.structure)[0])
+        assert ring.chain is ring.chain
 
 
 def test_split_is_project_and_homotopy_from_one_inverse_read():
