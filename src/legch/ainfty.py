@@ -33,7 +33,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Option
 from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import DGA, assert_valid, canon_degree
 from .augment import Augmentation, twist
-from .gf2 import SparseCols, apply_block, apply_cols, bits, in_span, span_basis
+from .gf2 import apply_block, apply_cols, bits, in_span, span_basis
 from .linear import GradedMatrixMap, HomologyData, _retract, linearized_complexes, vector_label
 
 __all__ = [
@@ -160,7 +160,6 @@ class AInftyStructure:
         self.tables = cleaned
         self._hits: Dict[int, Dict[str, List[Tuple[str, ...]]]] = {}
         self._grouped: Dict[int, Dict[Tuple[int, ...], list]] = {}
-        self._blocks: Dict[Tuple[int, ...], list] = {}
 
     def names(self, k: int) -> Tuple[str, ...]:
         return self.basis.get(canon_degree(self.modulus, k), ())
@@ -186,15 +185,6 @@ class AInftyStructure:
                 groups.setdefault(key, []).append((tuple(map(where.get, w)), vec))
         return self._grouped[r]
 
-    def block(self, degrees: Tuple[int, ...]) -> list:
-        """m_r on the basis of the canonical degrees (k_1..k_r) as a nested list,
-        ``block[i]..[j]`` the vector of the i-th, .., j-th labels (read with
-        ``gf2.apply_block``), built from its ``grouped`` entries on first use."""
-        if degrees not in self._blocks:
-            dims = [len(self.basis.get(k, ())) for k in degrees]
-            self._blocks[degrees] = _nested(dims, self.grouped(len(degrees)).get(degrees, ()))
-        return self._blocks[degrees]
-
     def hits(self, j: int) -> Dict[str, List[Tuple[str, ...]]]:
         """For each basis label y, the arity-j argument tuples whose image contains y."""
         if j not in self._hits:
@@ -202,25 +192,19 @@ class AInftyStructure:
         return self._hits[j]
 
 
-def _nested(dims: Sequence[int], entries: Sequence[Tuple[Tuple[int, ...], int]]) -> list:
-    """A nested list dims[0] x .. x dims[-1], read only, holding each (index
-    tuple, vector) of ``entries`` at its place and 0 elsewhere.  The sub-lists
-    without an entry are one shared list of zeros, and a last-index row with
-    fewer entries than an eighth of its cells is a ``gf2.SparseCols``, so a
-    block costs at most 8 cells per entry beyond its one zero row per level,
-    not the product of its dims."""
-    if len(dims) == 1:
-        if 0 < 8 * len(entries) < dims[0]:
-            return SparseCols((i, vec) for (i,), vec in entries)
-        cells = [0] * dims[0]
-        for (i,), vec in entries:
-            cells[i] = vec
-        return cells
-    rows: Dict[int, list] = {}
+def _apply_entries(entries: Iterable[Tuple[Tuple[int, ...], int]], *masks: int) -> int:
+    """The multilinear map with these (index tuple, vector) entries, as
+    ``AInftyStructure.grouped`` keeps them, on one mask per position: the
+    XOR of the vectors of the entries whose every index is a set bit of its
+    position's mask."""
+    out = 0
     for idx, vec in entries:
-        rows.setdefault(idx[0], []).append((idx[1:], vec))
-    zero = _nested(dims[1:], ())
-    return [_nested(dims[1:], rows[i]) if i in rows else zero for i in range(dims[0])]
+        for i, mask in zip(idx, masks):
+            if not mask >> i & 1:
+                break
+        else:
+            out ^= vec
+    return out
 
 
 def _inverted_index(
@@ -596,15 +580,13 @@ class MasseyResult:
 
 
 class PairBlock(NamedTuple):
-    """Cup data of a degree pair (a, b) on basis classes x_i, y_j.
-
-    ``chains[i][j]`` is the chain vector m_2(i x_i, i y_j) and ``coords[i][j]``
-    its class, both in ``degree`` = a + b + 1.
+    """Cup data of a degree pair (a, b) on basis classes x_i, y_j:
+    ``coords[i][j]`` is the class of the chain m_2(i x_i, i y_j), in
+    ``degree`` = a + b + 1.
     """
 
     degree: int
     coords: List[List[int]]
-    chains: List[List[int]]
 
 
 class ProductTable:
@@ -612,20 +594,25 @@ class ProductTable:
     ring's one transfer.
 
     Everything is filled on first use and kept for the life of the table,
-    keyed by degree: per degree its canonical form and the inclusion vectors
-    i x_i of the basis classes; per degree pair (a, b) a ``PairBlock``
-    (``class_of`` runs on every entry, so a product that is not closed is
-    rejected) and its ``annihilators``, one bitmask of the y with x y = 0
-    per class x; and the ring's one transfer
-    ``minimal``, which checks its mu_2 against those pair blocks and
-    verifies a retract h from a caller.
+    keyed by degree: per degree its canonical form and, per basis letter,
+    the basis classes whose representative i x_i holds it (its owners); per
+    degree pair (a, b) a ``PairBlock`` of class rows and its
+    ``annihilators``, one bitmask of the y with x y = 0 per class x; and the
+    ring's one transfer ``minimal``, which checks its mu_2 against those
+    pair blocks and verifies a retract h from a caller.
+
+    Pair blocks.  m_2 is bilinear, so the chain m_2(i x_i, i y_j) is the
+    XOR of the m_2 entries (k, l) -> v on the pair's canonical degrees whose
+    letter k occurs in i x_i and l in i y_j.  ``pair`` XORs each entry into
+    the class pairs that own its two letters, at a cost of entries times
+    owners, and keeps only the classes: ``class_of`` runs on every class
+    pair of a block on the support, so a product that is not closed is
+    rejected.
 
     The support.  ``support`` holds the degree pairs (a, b) of H on which
     the chain-level m_2 has an entry; every other pair block is the zero
-    block, built with no ``class_of``.  Each chain m_2(i x_i, i y_j) sums
-    the m_2 entries on the pair's canonical degrees whose two basis letters
-    occur in i x_i and i y_j, and off the support there are none, so every
-    chain is 0, closed, and ``class_of(0) = p(0) = 0`` as p is linear.  So
+    block, built with no ``class_of``: with no entry every chain is 0,
+    closed, and ``class_of(0) = p(0) = 0`` as p is linear.  So
     a reader of cups or annihilators needs only the support (off it every
     annihilator mask is full, which ``fingerprint.massey_table`` reads
     without building one), and so does
@@ -699,7 +686,7 @@ class ProductTable:
         # which ``linear._retract`` builds as one, and s its own structure,
         # whose relations ``build_ring`` proves, so neither is checked here.
         self.proved = False
-        self._bases: Dict[int, Tuple[int, List[int]]] = {}
+        self._bases: Dict[int, Tuple[int, Dict[int, List[int]]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
         self._zeros: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._model: Optional[Tuple[AInftyStructure, AInftyMorphism]] = None
@@ -710,29 +697,34 @@ class ProductTable:
         dims = self.h.dims()
         return tuple(sorted(p for p in self.s.grouped(2) if p[0] in dims and p[1] in dims))
 
-    def _basis(self, k: int) -> Tuple[int, List[int]]:
-        """(canonical degree, inclusion vectors of the basis classes) of degree k."""
+    def _basis(self, k: int) -> Tuple[int, Dict[int, List[int]]]:
+        """(canonical degree, owners) of degree k: each basis letter's index ->
+        the indices of the basis classes whose representative holds it."""
         entry = self._bases.get(k)
         if entry is None:
-            h = self.h
+            h, owners = self.h, {}
             c = h.canon(k)
-            entry = self._bases[k] = (c, [h.include(c, 1 << i) for i in range(h.dim(c))])
+            for x in range(h.dim(c)):
+                for i in bits(h.include(c, 1 << x)):
+                    owners.setdefault(i, []).append(x)
+            entry = self._bases[k] = (c, owners)
         return entry
 
     def pair(self, a: int, b: int) -> PairBlock:
-        """The (a, b) pair block."""
+        """The (a, b) pair block, built entry by entry (class docstring)."""
         block = self._pairs.get((a, b))
         if block is None:
             h = self.h
             (ca, xs), (cb, ys) = self._basis(a), self._basis(b)
             degree = h.canon(ca + cb + 1)
-            if (ca, cb) not in self.support:  # the zero block (class docstring)
-                coords = chains = [[0] * len(ys) for _ in xs]
-            else:
-                m_2 = self.s.block((ca, cb))
-                chains = [[apply_block(m_2, x, y) for y in ys] for x in xs]
-                coords = [[h.class_of(degree, vec) for vec in row] for row in chains]
-            block = self._pairs[(a, b)] = PairBlock(degree, coords, chains)
+            rows = [[0] * h.dim(cb) for _ in range(h.dim(ca))]
+            for (i, j), vec in self.s.grouped(2).get((ca, cb), ()):
+                for x in xs.get(i, ()):
+                    for y in ys.get(j, ()):
+                        rows[x][y] ^= vec
+            if (ca, cb) in self.support:  # else the zero block (class docstring)
+                rows = [[h.class_of(degree, vec) for vec in row] for row in rows]
+            block = self._pairs[(a, b)] = PairBlock(degree, rows)
         return block
 
     def annihilators(self, a: int, b: int) -> Dict[int, int]:
@@ -771,7 +763,7 @@ class ProductTable:
 
     def cup(self, x: HClass, y: HClass) -> HClass:
         """x * y, bilinear in the pair block."""
-        degree, coords, _ = self.pair(x.degree, y.degree)
+        degree, coords = self.pair(x.degree, y.degree)
         return HClass(degree, apply_block(coords, x.coords, y.coords))
 
     def massey(self, x: HClass, y: HClass, z: HClass) -> MasseyResult:
@@ -860,12 +852,8 @@ class _BracketWalk:
 
     Brackets share what reads only degrees: per run [l, m] summed and the
     degrees of its classes, the partitions into r >= 2 runs on whose degrees
-    m_r has an entry, each with that coordinate block
-    (``AInftyStructure.block``), so a partition sum is a few
-    ``gf2.apply_block`` calls.  ``flat`` reads these terms too, and builds
-    the blocks of the first run that has one; a walk that follows reads
-    them (``fingerprint.massey_table`` asks ``flat`` only where some class
-    tuple has its adjacent products 0, and walks only where it is false).
+    m_r has an entry, each with those entries (``AInftyStructure.grouped``),
+    so a partition sum is a few ``_apply_entries`` calls.
     """
 
     def __init__(self, mu: AInftyStructure, n: int):
@@ -881,31 +869,25 @@ class _BracketWalk:
     def _terms(self, run: Tuple[int, int], degrees: Tuple[int, ...]) -> list:
         """The partitions of the run into r >= 2 consecutive runs (first, last)
         on whose degrees m_r has an entry, each as (getter of its runs'
-        entries, coordinate block); for [1, n] without the two through the
-        outer variables, which stay 0."""
+        vectors, m_r's entries there); for [1, n] without the two through
+        the outer variables, which stay 0."""
         (l, m), n = run, len(degrees)
         key = l, degrees[l - 1 : m]
         if key not in self.terms:
             self.terms[key], outer = [], {(1, n - 1), (2, n)} if run == (1, n) else set()
             for blocks in filter(outer.isdisjoint, _runs(l, m)):
                 ks = tuple([self.deg(degrees, *b) for b in blocks])
-                if ks in self.mu.grouped(len(ks)):
-                    self.terms[key].append((itemgetter(*blocks), self.mu.block(ks)))
+                entries = self.mu.grouped(len(ks)).get(ks)
+                if entries:
+                    self.terms[key].append((itemgetter(*blocks), entries))
         return self.terms[key]
-
-    def flat(self, degrees: Tuple[int, ...]) -> bool:
-        """No run of width 2 or more has a term here: every bracket whose
-        adjacent products x_l x_(l+1) vanish is then defined, and every coset
-        is W, which holds 0."""
-        n = len(degrees)
-        return not any(self._terms(run, degrees) for run in self.variables[n - 1 :] + [(1, n)])
 
     def _sum(self, run: Tuple[int, int], degrees: Tuple[int, ...], state: dict) -> int:
         total = 0
-        for vectors, block in self._terms(run, degrees):
+        for vectors, entries in self._terms(run, degrees):
             vecs = vectors(state)
             if all(vecs):
-                total ^= apply_block(block, *vecs)
+                total ^= _apply_entries(entries, *vecs)
         return total
 
     def cosets(self, degrees: Tuple[int, ...], coords: Sequence[int], idx=0, state=None):
@@ -930,12 +912,10 @@ class _BracketWalk:
     def shifts(self, degrees: Tuple[int, ...], coords: Sequence[int]) -> List[int]:
         """Vectors spanning W: m_2(x_1, e_i) over the basis e_i of degree
         (2, n), then m_2(e_j, x_n) over that of degree (1, n-1)."""
-        n, deg = len(coords), partial(self.deg, degrees)
-        left = self.mu.block((deg(1, 1), deg(2, n)))
-        right = self.mu.block((deg(1, n - 1), deg(n, n)))
-        across = self.mu.dim(deg(2, n))  # a sparse row's len counts its entries
-        return [apply_block(left, coords[0], 1 << i) for i in range(across)] + [
-            apply_block(right, 1 << j, coords[-1]) for j in range(len(right))
+        n, deg, m_2 = len(coords), partial(self.deg, degrees), self.mu.grouped(2)
+        left, right = m_2.get((deg(1, 1), deg(2, n)), ()), m_2.get((deg(1, n - 1), deg(n, n)), ())
+        return [_apply_entries(left, coords[0], 1 << i) for i in range(self.mu.dim(deg(2, n)))] + [
+            _apply_entries(right, 1 << j, coords[-1]) for j in range(self.mu.dim(deg(1, n - 1)))
         ]
 
     def flags(self, degrees: Tuple[int, ...], coords: Sequence[int]) -> Tuple[bool, bool]:

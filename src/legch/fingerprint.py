@@ -20,7 +20,8 @@ layer is a coset) over the ring's one checked minimal model, asked class
 tuple by class tuple on the support only, the degree tuples enumerated
 from the entries of mu on their runs, and there only where some class
 tuple has every adjacent product 0 (a reach mask per prefix, read off the
-product table's annihilator masks); the table's degree tuples are
+product table's annihilator masks) and mu has an entry on the degrees of
+a run of three or more classes; the table's degree tuples are
 bounded in advance by ``MAX_MASSEY_TUPLES``, and the inner systems of the
 walks of order 4 and up by ``MAX_MASSEY_SYSTEMS``.
 
@@ -151,7 +152,7 @@ def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int
     position from ``zero(a, b)`` (``ProductTable.annihilators``), which
     maps each class x of degree a to the mask of the y of degree b with
     x y = 0.  ``massey_table`` calls it only where some such tuple exists
-    (its reach) and the walk is not ``flat``."""
+    (its reach) and mu has an entry on a run of three or more classes."""
     combos = [(x,) for x in range(1, 1 << dims[0])]
     for after in map(zero, degrees, degrees[1:]):
         combos = [c + (y,) for c in combos for y in bits(after[c[-1]])]
@@ -208,7 +209,8 @@ def massey_table(
     by class tuple for (defined, nonzero) (``_walk_flags``), up to the first
     nonzero tuple; each bracket stops at the first coset after which its
     hull holds 0.  It is asked only on the support tuples that reach and
-    are not ``flat`` (below).
+    on whose degrees mu has an entry on a run of three or more classes
+    (below).
 
     Reach.  A bracket with a nonzero adjacent product is undefined
     (``_walk_flags``), so some bracket in a degree tuple is defined only
@@ -221,26 +223,33 @@ def massey_table(
     support every annihilator mask is full, so there the reach of t + (k)
     is full when that of t is nonzero, and no annihilator is built.  Each
     prefix's reach is computed once per call.  A support tuple of reach 0
-    is (False, False); one whose walk is ``flat`` is (True, False), with
-    every bracket of adjacent products 0 defined and holding 0; only the
-    rest are walked.
+    is (False, False).
 
-    Only the support is walked: the degree tuples (k_1..k_n) with a run
-    [l, m], l < m, on whose degrees (k_l..k_m) mu_(m-l+1) has an entry.
-    It is enumerated per run and per key of ``mu.grouped(m - l + 1)`` (the
-    degree tuples where that m_r has an entry) as the tuples with that key
-    on the run and admitted heads and tails: the head and tail of an
-    admitted tuple are admitted, so each admitted support tuple is
-    enumerated at a run with an entry and its own key there.
-    Every admitted tuple off the support is (True, False), with no walk.
-    Take classes x_1..x_n in its degrees, and the system with every
-    variable b[l, m], l < m, set to 0.  The partition sum of a run [l, m]
-    is multilinear in its blocks' entries, so only the partition into
-    single classes can be nonzero, mu_(m-l+1)(x_l..x_m), and it is 0
-    because mu_(m-l+1) has no entry on (k_l..k_m).  So no obstruction
-    meets this system, and its value, the same sum over [1, n], is 0.
-    Every degree in the table has a nonzero class, so some bracket is
-    defined, and each bracket's value set holds 0.  The table is filled in
+    The support.  Only the degree tuples (k_1..k_n) with a run [l, m],
+    l < m, on whose degrees (k_l..k_m) mu_(m-l+1) has an entry can be
+    other than (True, False).  They are enumerated per run and per key of
+    ``mu.grouped(m - l + 1)`` (the degree tuples where that m_r has an
+    entry) as the tuples with that key on the run and admitted heads and
+    tails: the head and tail of an admitted tuple are admitted, so each
+    admitted support tuple is enumerated at a run with an entry and its
+    own key there.
+
+    The zero system.  Take classes x_1..x_n of a degree tuple with every
+    adjacent product x_l x_(l+1) = 0, and the system with every variable
+    b[l, m], l < m, set to 0.  The partition sum of a run [l, m] is
+    multilinear in its blocks' entries, so only the partition into single
+    classes can be nonzero, mu_(m-l+1)(x_l..x_m): the adjacent product,
+    0, on a run of two classes, and 0 on a longer run where mu_(m-l+1) has
+    no entry on (k_l..k_m).  So where mu has no entry on the degrees of any
+    run of three or more classes, no obstruction meets this system, and
+    its value, the same sum over [1, n], is 0: every bracket with its
+    adjacent products 0 is defined and its value set holds 0, and every
+    other bracket is undefined.  Such a degree tuple with a class tuple of
+    that kind is (True, False) with no walk; off the support it has one,
+    as every degree in the table has a nonzero class and every product
+    there is 0, and on it its reach says so.  Only the support tuples of
+    nonzero reach with an entry of mu on a run of three or more classes
+    are walked.  The table is filled in
     one pass over the admitted tuples, order by order, each order's listed
     in lexicographic order (each extends the previous order's list, in
     order, by the degrees in ascending order), so its keys come sorted and
@@ -279,12 +288,13 @@ def massey_table(
             for head, _ in levels[l]
             for tail, _ in levels[order - m]
         }
+        runs = [(l, l + r) for r in range(3, order + 1) for l in range(order + 1 - r)]
         for prefix, _ in levels[order]:
             flags = (True, False)
             if prefix in support:
                 if not reaches(prefix):
                     flags = (False, False)
-                elif not walk.flat(prefix):
+                elif any(prefix[l:m] in mu.grouped(m - l) for l, m in runs):
                     flags = _walk_flags(walk, prefix, [dim_of[k] for k in prefix], zero)
             table[(order, prefix)] = flags
     return table

@@ -16,7 +16,6 @@ __all__ = [
     "bits",
     "apply_cols",
     "apply_block",
-    "SparseCols",
     "Eliminator",
     "rank",
     "in_span",
@@ -32,17 +31,6 @@ def bits(vec: int):
         low = vec & -vec
         yield low.bit_length() - 1
         vec ^= low
-
-
-class SparseCols(dict):
-    """A column map that holds only its nonzero columns, by index: a missing
-    column reads as 0, so ``apply_cols`` and ``apply_block`` read it as the
-    list it stands for, at the size of its entries."""
-
-    __slots__ = ()
-
-    def __missing__(self, index: int) -> int:
-        return 0
 
 
 def apply_cols(cols: List[int], vec: int) -> int:

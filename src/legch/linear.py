@@ -391,9 +391,8 @@ def duality_search(ring):
 
     ``ring`` carries the homological data: attributes ``chain`` and
     ``cochain`` (HomologyData of the two linearized complexes) and
-    ``products``, whose ``pair(k, l).chains[i][j]`` is the cochain vector
-    m_2(i e_i, i e_j) on the representatives of the basis classes of degrees
-    k and l.
+    ``products``, whose ``pair(k, l).coords[i][j]`` is the cup product
+    e_i e_j of the basis classes of degrees k and l.
 
     The candidates are the pairs (kappa, c) of a nonzero degree-1 class of
     the chain homology and one of the cochain homology with <c, kappa> = 1,
@@ -411,12 +410,18 @@ def duality_search(ring):
 
     Why one form per degree and kappa decides every candidate:
 
-    * Bilinearity.  G[x][y] pairs kappa with m_2(i x, i y).  m_2 is
-      bilinear, the inclusion i linear and the pairing linear, so G[x][y]
-      is bilinear in the coordinates of x and y, and linear in kappa.  Let
-      F_k be the form of degree k whose row i holds <m_2(i e_i, i e_j),
-      kappa> over the basis e_j of degree -k, read off the pair block's
-      chain vectors.  Then G[x][y] = <x F_k, y> (``_restrict``).
+    * Bilinearity.  G[x][y] pairs kappa with m_2(i x, i y), a cocycle
+      that is i(x y) plus a coboundary d z.  The chain differential is the
+      transpose of the cochain one, so <d z, kappa> = <z, d kappa> = 0 on
+      the cycle kappa, and G[x][y] = <i(x y), kappa>: the bits of x y on
+      the row of kappa in the pairing P below, apply_cols(P, kmask), which
+      the search reads for ``_complements`` too.  The cup product is
+      bilinear and the pairing linear, so G[x][y] is bilinear in the
+      coordinates of x and y, and linear in kappa.  Let F_k be the form of
+      degree k whose row i holds <e_i e_j, kappa> over the basis e_j of
+      degree -k, read off the pair block's class rows.  Then
+      G[x][y] = <x F_k, y> (``_restrict``).  The chain vector of kappa is
+      built only for the certificate.
     * Blocks.  m_2 maps degrees (k, l) to k + l + 1, which is 1 only when
       l = -k, so G vanishes off the (k, -k) blocks.  G is symmetric when
       each (k, -k) block is the transpose of the (-k, k) block (the same
@@ -472,16 +477,16 @@ def duality_search(ring):
     sizes = {k: len(u) for k, u in units.items()}
     sizes[one] = cd - 1
     if all(sizes[k] == sizes.get(l, 0) for k, l in opposite.items()):
-        chains = {k: ring.products.pair(k, l).chains for k, l in opposite.items()}
+        cups = {k: ring.products.pair(k, l).coords for k, l in opposite.items()}
         for kmask in range(1, 1 << kd):
-            kappa_vec = apply_cols(kbasis, kmask)
-            form = {k: [_pairings(kappa_vec, row) for row in rows] for k, rows in chains.items()}
+            paired = apply_cols(pairing, kmask)
+            form = {k: [_pairings(paired, row) for row in rows] for k, rows in cups.items()}
             if rank(form[one]) < cd - 1 or not all(
                 _block_ok(form[k], form[l]) for k, l in opposite.items() if one not in (k, l)
             ):
                 continue
             verdicts: Dict[Tuple[int, ...], bool] = {}  # degree-1 entries -> block ok
-            for cmask, coords in _complements(apply_cols(pairing, kmask), cd, limit):
+            for cmask, coords in _complements(paired, cd, limit):
                 if coords not in verdicts:
                     cols = coords if minus_one == one else units[minus_one]
                     verdicts[coords] = _block_ok(
@@ -501,7 +506,7 @@ def duality_search(ring):
                 ]
                 return DualityCertificate(
                     kmask,
-                    kappa_vec,
+                    apply_cols(kbasis, kmask),
                     chain_h.label(one, kmask),
                     cmask,
                     apply_cols(cbasis, cmask),

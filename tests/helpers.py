@@ -660,8 +660,8 @@ def random_disguised_base(rng: random.Random) -> DGA:
 
 def apply(s: AInftyStructure, pairs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
     """Reference multilinear m_k on a tuple of (degree, vector) arguments,
-    label tuple by label tuple, where the library reads coordinate blocks
-    (``AInftyStructure.block`` with ``gf2.apply_block``).
+    label tuple by label tuple, where the library reads the entries grouped
+    by degree tuple (``AInftyStructure.grouped`` with ``_apply_entries``).
 
     Returns (output degree, output vector); the degree is meaningful even
     when the vector is zero.
@@ -697,12 +697,12 @@ def chain_p3(h, s, x: HClass, y: HClass, z: HClass) -> Tuple[int, int]:
 
 def chain_cup_product(h, s, x: HClass, y: HClass) -> HClass:
     """Reference ``ainfty.cup_product``: the class of m_2 on the chosen
-    representatives of x and y, degree |x| + |y| + 1, read off the one pair
-    block those representatives hit, where the library reads the class rows
-    of the product table's pair block."""
+    representatives of x and y, degree |x| + |y| + 1, summed label pair by
+    label pair (``apply``), where the library reads the class rows of the
+    product table's pair block, built entry by entry."""
     xv, yv = h.include(x.degree, x.coords), h.include(y.degree, y.coords)
-    deg, m_2 = h.canon(x.degree + y.degree + 1), s.block((h.canon(x.degree), h.canon(y.degree)))
-    return HClass(deg, h.class_of(deg, apply_block(m_2, xv, yv)))
+    deg, vec = apply(s, [(h.canon(x.degree), xv), (h.canon(y.degree), yv)])
+    return HClass(deg, h.class_of(deg, vec))
 
 
 def cup_table(h, s, xs, ys):
@@ -933,16 +933,17 @@ def apply_block_annihilators(ring, a: int, b: int) -> Dict[int, List[int]]:
 
 
 def list_walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):
-    """Reference ``fingerprint._walk_flags`` with ``massey_table``'s reach and
-    ``flat`` tests in front: the class tuples whose adjacent products all
-    vanish listed from ``zero``'s lists of y, (False, False) where there is
-    none, (True, False) where the walk is ``flat``, and otherwise each asked
-    in product order up to the first nonzero one."""
+    """Reference ``fingerprint._walk_flags`` with ``massey_table``'s reach
+    test in front: the class tuples whose adjacent products all vanish
+    listed from ``zero``'s lists of y, (False, False) where there is none,
+    and otherwise each walked in product order up to the first nonzero one,
+    where the library skips the degree tuples with no entry of mu on a run
+    of three or more classes."""
     combos = [(x,) for x in range(1, 1 << dims[0])]
     for after in map(zero, degrees, degrees[1:]):
         combos = [c + (y,) for c in combos for y in after[c[-1]]]
-    if not combos or walk.flat(degrees):
-        return bool(combos), False
+    if not combos:
+        return False, False
     defined = False
     for combo in combos:
         here, nonzero = walk.flags(degrees, combo)
@@ -1615,12 +1616,11 @@ def duality_search_oracle(ring):
 
     ``ring`` carries the homological data: attributes ``chain`` and
     ``cochain`` (HomologyData of the two linearized complexes) and
-    ``products``, whose ``pair(k, l).chains[i][j]`` is the cochain vector
-    m_2(i e_i, i e_j) on the representatives of the basis classes of degrees
-    k and l.  A Gram entry <[x] cup [y], kappa> pairs kappa with m_2 on the
-    representatives of x and y; m_2 is bilinear and the inclusion i is
-    linear, so that vector is the XOR of the pair block's chain vectors over
-    the coordinate bits of x and y (``apply_block``), exactly.
+    ``structure``, the adjoint A-infinity structure.  A Gram entry
+    <[x] cup [y], kappa> pairs the chain vector of kappa with the cochain
+    vector m_2(i x, i y), built label pair by label pair on the
+    representatives of x and y (``apply``), where the library pairs the
+    class coordinates of x y with kappa's row of the class pairing.
 
     All kappa and c candidates with <c, kappa> = 1 are tried in coordinate
     order.  For each, the complement of span(c) is formed with deterministic
@@ -1650,6 +1650,11 @@ def duality_search_oracle(ring):
         )
 
     limit = 1 << (cd - 1) if cd <= 6 else 1
+
+    @lru_cache(maxsize=None)
+    def m_2(ki: int, ci: int, kj: int, cj: int) -> int:
+        x, y = cochain_h.include(ki, ci), cochain_h.include(kj, cj)
+        return apply(ring.structure, [(ki, x), (kj, y)])[1]
 
     degrees = cochain_h.degrees()
     pairs_tried = 0
@@ -1686,8 +1691,7 @@ def duality_search_oracle(ring):
                         if canon_degree(modulus, ki + kj + 1) != one:
                             row.append(0)
                         else:
-                            prod = apply_block(ring.products.pair(ki, kj).chains, ci, cj)
-                            row.append(pair_bit(prod, kappa_vec))
+                            row.append(pair_bit(m_2(ki, ci, kj, cj), kappa_vec))
                     gram.append(row)
                 if _gram_ok(modulus, entries, gram):
                     complement = [

@@ -120,6 +120,12 @@ def path(k, cyclic=False):
     return _dga(gens, [("a%d" % i, "b%d b%d" % (i, (i + 1) % k)) for i in range(k - 1 + cyclic)])
 
 
+def raised_path(k):
+    """d a_i = b_i b_(i+1) on k degree-2 letters, |a_i| = 5: k^2 class pairs on one degree pair."""
+    gens = [("a%d" % i, 5) for i in range(k - 1)] + [("b%d" % i, 2) for i in range(k)]
+    return _dga(gens, [("a%d" % i, "b%d b%d" % (i, i + 1)) for i in range(k - 1)])
+
+
 def parity(k):
     """d a = x_0 + .. + x_(k-1): k undetermined letters."""
     gens = [("x%d" % i, 0) for i in range(k)] + [("a", 1)]
@@ -263,6 +269,10 @@ ROWS = [
     row((sums, 8000), "validate", "valid: yes", seconds=1.5),
     # m_2 has an entry in 2999 rows of a 3000 x 3000 block: its rows hold only their entries
     row((killed, 3000), "ring", "basis.0: [b0]", rss_mb=45),
+    # 10^6 class pairs on the support pair (2, 2) and 999 m_2 entries: the pair block is
+    # built entry by entry, then class_of runs on every class pair
+    row((raised_path, 1000), "ring", "product.[b998].[b999]: [a998]", count=1002, seconds=8,
+        rss_mb=60),
     bound("MAX_WINDOW_BITS", "window", "ordern --n 2", "complex.dim: 40602", "total: 40600"),
     refusal("MAX_WINDOW_BITS", CUPEX, "ordern --n 4 --engine dense", seconds=60),
     *(refusal(None, "dd", c, ("substring", "invalid DGA: d(d a) != 0"), 60)

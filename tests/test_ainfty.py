@@ -29,6 +29,7 @@ from legch.ainfty import (
     massey_higher,
     massey_triple,
     transfer_minimal_model,
+    _apply_entries,
     _composition_sum,
     _compositions,
     _compositions_in,
@@ -38,9 +39,9 @@ from legch.ainfty import (
 from legch.algebra import DGA, mirror_dga
 from legch.augment import Augmentation, enumerate_augmentations, twist
 from legch.cli import main
-from legch.fileio import serialize_dga
+from legch.fileio import parse_dga, serialize_dga
 from legch.families import bundled_examples, cupex, masseyex, trefoil
-from legch.gf2 import SparseCols, apply_block, apply_cols
+from legch.gf2 import apply_cols
 from legch.linear import homology, linearized_complexes
 from legch.tilde import order_n_cohomology
 from helpers import (
@@ -92,43 +93,42 @@ def test_trefoil_adjoint_tables_are_exactly_the_dual_differential():
 
 
 def test_adjoint_apply_is_multilinear():
-    """m_k is read through its coordinate blocks: ``gf2.apply_block`` on
-    ``AInftyStructure.block`` extends the table multilinearly, agrees with
-    the label-by-label reference, and an empty table reads as zero blocks."""
+    """m_k is read off its entries: ``_apply_entries`` on
+    ``AInftyStructure.grouped`` extends the table multilinearly, agrees with
+    the label-by-label reference, and a degree tuple with no entry reads as 0."""
     s = trefoil_ring().structure
+    m_2 = s.grouped(2)[(0, 0)]
     # m2(b1 + b3, b2) = m2(b1, b2) + m2(b3, b2) = a1
-    assert apply_block(s.block((0, 0)), 0b101, 0b010) == 0b01
+    assert _apply_entries(m_2, 0b101, 0b010) == 0b01
     assert apply(s, [(0, 0b101), (0, 0b010)]) == (1, 0b01)
-    assert apply_block(s.block((0, 0)), 0b101, 0) == 0
+    assert _apply_entries(m_2, 0b101, 0) == 0
     assert apply(s, [(0, 0b101), (0, 0)]) == (1, 0)
     # degree arithmetic is reported even for empty tables
     assert apply(s, [(1, 0b1), (1, 0b1)])[0] == s.out_degree(("a1", "a1")) == 3
-    assert s.block((1, 1)) == [[0, 0], [0, 0]]
     assert (0, 0) in s.grouped(2) and (1, 1) not in s.grouped(2)
-    for degrees in product(s.basis, repeat=3):
-        for masks in product(*(range(1 << len(s.basis[k])) for k in degrees)):
-            want = apply(s, list(zip(degrees, masks)))[1]
-            assert apply_block(s.block(degrees), *masks) == want, (degrees, masks)
+    assert _apply_entries(s.grouped(2).get((1, 1), ()), 0b11, 0b11) == 0
+    for r in (2, 3):
+        for degrees in product(s.basis, repeat=r):
+            entries = s.grouped(r).get(degrees, ())
+            for masks in product(*(range(1 << len(s.basis[k])) for k in degrees)):
+                want = apply(s, list(zip(degrees, masks)))[1]
+                assert _apply_entries(entries, *masks) == want, (degrees, masks)
 
 
-def test_a_block_is_bounded_by_its_entries_and_reads_as_the_dense_one():
+def test_entries_read_as_the_label_by_label_sum():
     """m_2 on 40 degree-0 letters with an entry on (b_i, b_0) for i >= 1, as
-    in d a = b1 b0 + .. + b39 b0, plus a dense row on (b_0, b_j): each sparse
-    row is a ``SparseCols`` of its entries, the dense row and the zero row
-    are lists, and ``apply_block`` reads it as the label-by-label sum."""
+    in d a = b1 b0 + .. + b39 b0, plus a dense row on (b_0, b_j):
+    ``_apply_entries`` reads its 59 entries as the label-by-label sum."""
     names = tuple("b%d" % i for i in range(40))
     table = {(x, "b0"): 1 for x in names[1:]}
     table.update({("b0", y): 1 for y in names[::2]})
     s = AInftyStructure(0, {0: names, 1: ("a",)}, 2, {2: table})
-    block = s.block((0, 0))
-    assert isinstance(block[1], SparseCols) and dict(block[1]) == {0: 1}
-    assert block[0] == [1, 0] * 20
-    assert type(s.block((1, 1))[0]) is list and s.block((0, 1))[5] == [0]
-    assert sum(len(row) for row in block if row is not block[0]) == 39
+    entries = s.grouped(2)[(0, 0)]
+    assert len(entries) == 59 and set(s.grouped(2)) == {(0, 0)}
     rng = random.Random(20261019)
     for _ in range(200):
         x, y = rng.getrandbits(40), rng.getrandbits(40)
-        assert apply_block(block, x, y) == apply(s, [(0, x), (0, y)])[1]
+        assert _apply_entries(entries, x, y) == apply(s, [(0, x), (0, y)])[1]
 
 
 def test_structure_constructor_rejects_malformed_tables():
@@ -260,6 +260,29 @@ def test_cup_product_is_the_chain_level_cup():
         classes = [HClass(k, c) for k in h.degrees() for c in range(1, min(1 << h.dim(k), 8))]
         for x, y in product(classes, repeat=2):
             assert cup_product(h, s, x, y) == chain_cup_product(h, s, x, y), (x, y)
+
+
+def test_pair_blocks_built_entry_by_entry_are_the_chain_level_cups_on_shared_letters():
+    """d a = x + y + z + w makes the degree-0 representatives x+y, x+z and
+    x+w, so the letter x is owned by all three classes and each m_2 entry on
+    x reaches several class pairs; every pair block's class rows equal the
+    chain-level cups of the basis classes, and the (0, 0) block is dense."""
+    dga = parse_dga(
+        "modulus 0\ngen x 0\ngen y 0\ngen z 0\ngen w 0\ngen a 1\ngen c 1\ngen e 1\n"
+        "d a = x + y + z + w\nd c = x y + y z + z x + w w\nd e = x x + z w + w y\n"
+    )
+    ring = build_ring(dga, Augmentation(tuple((g, 0) for g in dga.generators)))
+    h, s = ring.cochain, ring.structure
+    assert [h.label(0, 1 << i) for i in range(3)] == ["[x+y]", "[x+z]", "[x+w]"]
+    assert ring.products._basis(0)[1][0] == [0, 1, 2]
+    assert ring.products.pair(0, 0).coords == [[3, 3, 2], [2, 3, 1], [1, 2, 3]]
+    for a, b in product(h.degrees(), repeat=2):
+        block = ring.products.pair(a, b)
+        want = [
+            [chain_cup_product(h, s, HClass(a, 1 << i), HClass(b, 1 << j)) for j in range(h.dim(b))]
+            for i in range(h.dim(a))
+        ]
+        assert [[HClass(block.degree, c) for c in row] for row in block.coords] == want, (a, b)
 
 
 def test_cup_product_table_on_cup_family():
@@ -395,7 +418,7 @@ def _assert_triple_blocks_match_the_chain_level_formula(ring):
     """On every basis triple, mu_3 of the transfer is the projection of the
     chain-level p_3 (the block-by-block builder's vector, a missing entry
     read as zero, which equals ``chain_p3``), as a table entry and through
-    its coordinate block, both for the ring's table and for a standalone
+    its grouped entries, both for the ring's table and for a standalone
     one, which runs its own transfer."""
     h, s = ring.cochain, ring.structure
     p3_blocks = block_triples(h, s)
@@ -410,8 +433,7 @@ def _assert_triple_blocks_match_the_chain_level_formula(ring):
             want = h.project(degree, vec)
             for mu in mus:
                 labels = tuple(mu.names(x.degree)[x.coords.bit_length() - 1] for x in classes)
-                block = mu.block((a, b, c))
-                got = apply_block(block, 1 << i, 1 << j, 1 << k) if block else 0
+                got = _apply_entries(mu.grouped(3).get((a, b, c), ()), 1 << i, 1 << j, 1 << k)
                 assert mu.entry(labels) == got == want, (a, b, c, i, j, k)
 
 

@@ -156,7 +156,8 @@ def test_the_massey_table_walks_only_reachable_non_flat_support_triples_on_masse
     """masseyex(1,4,9,20) has one augmentation and 9^3 admitted triples, 140
     of them on the support.  In 136 of those no class triple has both
     adjacent products zero, so they are (False, False) with no walk; the
-    other 4 are not flat, are walked, and each has a nonzero bracket."""
+    other 4 carry an entry of mu_3 on their degrees, are walked, and each
+    has a nonzero bracket."""
     ring = build_ring(masseyex(1, 4, 9, 20), enumerate_augmentations(masseyex(1, 4, 9, 20))[0])
     walked, walk_flags = [], fingerprint._walk_flags
     with patch.object(fingerprint, "_walk_flags", lambda *a: walked.append(a[1]) or walk_flags(*a)):
@@ -165,6 +166,39 @@ def test_the_massey_table_walks_only_reachable_non_flat_support_triples_on_masse
     assert sum(flags == (False, False) for flags in table.values()) == 136
     assert [table[(3, t)] for t in walked] == [(True, True)] * 4
     assert table == degree_scan_massey_table(ring)
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_bracket_terms_are_built_only_inside_walks_on_masseyex_1_2_3_4():
+    """The tables of orders 3 and 4 of masseyex(1,2,3,4) walk 4 and 55
+    support tuples, those of nonzero reach on whose degrees mu has an
+    entry on a run of three or more classes, and ``_BracketWalk._terms``
+    runs only inside those walks, 21 and 5,885 times."""
+    dga = masseyex(1, 2, 3, 4)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    counts, terms, walk_flags = {}, ainfty._BracketWalk._terms, fingerprint._walk_flags
+
+    def counted_terms(self, *args):
+        counts["terms"] += 1
+        counts["outside"] += not counts["depth"]
+        return terms(self, *args)
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        counts["depth"] += 1
+        try:
+            return walk_flags(*args)
+        finally:
+            counts["depth"] -= 1
+
+    for order, walks, built in ((3, 4, 21), (4, 55, 5885)):
+        counts.update(walks=0, terms=0, outside=0, depth=0)
+        with patch.object(ainfty._BracketWalk, "_terms", counted_terms), patch.object(
+            fingerprint, "_walk_flags", counted_walk
+        ):
+            table = massey_table(ring, order)
+        assert counts == dict(walks=walks, terms=built, outside=0, depth=0), order
+        assert table == degree_scan_massey_table(ring, order)
 
 
 def _member_rings(dgas):

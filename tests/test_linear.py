@@ -24,6 +24,7 @@ from legch.linear import (
     vector_label,
 )
 from helpers import (
+    apply,
     assert_retract_identities,
     duality_search_oracle,
     path_dga,
@@ -256,6 +257,33 @@ def test_duality_failure_reports_counts():
         result = duality_search(build_ring(dga, enumerate_augmentations(dga)[0]))
         assert not result.ok
         assert (result.pairs_tried, result.complements_tried) == (pairs, complements)
+
+
+def test_the_class_level_duality_form_is_the_chain_level_one():
+    """On every proved ring and every nonzero degree-1 kappa of the chain
+    homology, <m_2(i e_i, i e_j), kappa> on the chain vector of kappa equals
+    the cup e_i e_j's class coordinates paired with kappa's row of the
+    class pairing, as ``duality_search`` reads it, on every pair of basis
+    classes of opposite degrees: 110 pairs, 48 of which pair to 1."""
+    pairs = ones = 0
+    for ring in proved_rings():
+        chain_h, h = ring.chain, ring.cochain
+        one = h.canon(1)
+        cbasis = [h.include(one, 1 << b) for b in range(h.dim(one))]
+        blocks = []  # (class rows, chain vectors) per degree pair (k, -k)
+        for k in h.degrees():
+            l = h.canon(-k)
+            reps = [[h.include(d, 1 << i) for i in range(h.dim(d))] for d in (k, l)]
+            chains = [[apply(ring.structure, [(k, x), (l, y)])[1] for y in reps[1]] for x in reps[0]]
+            blocks.append((ring.products.pair(k, l).coords, chains))
+        for kmask in range(1, 1 << chain_h.dim(one)):
+            kappa = chain_h.include(one, kmask)
+            paired = sum(pair_bit(c, kappa) << b for b, c in enumerate(cbasis))
+            for coords, chains in blocks:
+                want = [pair_bit(v, kappa) for row in chains for v in row]
+                assert [pair_bit(c, paired) for row in coords for c in row] == want
+                pairs, ones = pairs + len(want), ones + sum(want)
+    assert (pairs, ones) == (110, 48)
 
 
 def _same_as_oracle(dga, aug) -> None:
