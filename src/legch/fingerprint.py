@@ -25,6 +25,15 @@ a run of three or more classes; the table's degree tuples are
 bounded in advance by ``MAX_MASSEY_TUPLES``, and the inner systems of the
 walks of order 4 and up by ``MAX_MASSEY_SYSTEMS``.
 
+The Massey field lists every admitted degree tuple, and (True, False),
+defined and zero, is its default: every tuple off the support holds it
+(the zero system in the ``massey_table`` docstring), and so do most on
+it.  Its readers work only on the other entries.  ``massey_table`` fills
+the default in one pass and writes the support tuples; ``_opposite``
+copies the field and rewrites only the keys of other flags and their
+reversals; ``_first_difference`` compares only the keys where the
+distinct profiles' values are not all equal.
+
 ``compare_mirror`` fingerprints only the knot.  The mirror's A-infinity
 structure is the opposite one, m_k^op(x_1..x_k) = m_k(x_k..x_1), so its
 fingerprint is ``_opposite`` of the knot's: cup keys swapped, Massey
@@ -35,12 +44,12 @@ augmentation verified on its differential.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
-from heapq import merge
-from itertools import chain, groupby, repeat
-from operator import itemgetter
+from functools import cache, partial, reduce
+from itertools import chain, compress, count, groupby, repeat
+from operator import itemgetter, ne, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
@@ -64,10 +73,13 @@ __all__ = [
 DEFAULT_MASSEY_ORDER = 3
 DEFAULT_ORDER_CAP = 2
 DEFAULT_MAX_TUPLES = 4096
+# The Massey field's default flags, (defined, zero): ``massey_table`` fills
+# every admitted degree tuple with them, then writes only the support tuples.
+_DEFAULT_FLAGS = (True, False)
 # Admitted degree tuples of one Massey table, orders 3..massey_order together.
 # Near the bound, on a DGA with no differential and one generator per degree
-# 1..k, compare-mirror takes 0.23-0.25 s at k = 40 (64,000 triples) and
-# 0.35-0.43 s at k = 15 with --massey-order 4 (54,000 tuples), in-process
+# 1..k, compare-mirror takes 0.05-0.09 s at k = 40 (64,000 triples) and
+# 0.08-0.13 s at k = 15 with --massey-order 4 (54,000 tuples), in-process
 # (python 3.11, 2 vCPUs); k = 41 is refused at once.
 MAX_MASSEY_TUPLES = 1 << 16
 
@@ -164,20 +176,22 @@ def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int
     return defined, False
 
 
-def _reach(prefix: Tuple[int, ...], reach: dict, pairs: set, zero) -> int:
-    """The reach of a degree tuple (``massey_table``), kept in ``reach``,
-    which holds every one-degree tuple's; ``pairs`` is the support and
-    ``zero`` the annihilators of the product table."""
-    if prefix not in reach:
-        before = _reach(prefix[:-1], reach, pairs, zero)
-        if not before or prefix[-2:] not in pairs:  # off the support every mask is full
-            reach[prefix] = before and reach[prefix[-1:]]
-        else:
-            after, mask = zero(*prefix[-2:]), 0
-            for x in bits(before):
-                mask |= after[x]
-            reach[prefix] = mask
-    return reach[prefix]
+def _reach(tuples: List[Tuple[int, ...]], reach: dict, pairs: set, zero) -> None:
+    """Fill ``reach`` (``massey_table``), which holds every one-degree
+    tuple's, at every prefix of these tuples, all of one length, shortest
+    first; ``pairs`` is the support and ``zero`` the annihilators of the
+    product table."""
+    spread: Dict[tuple, int] = {}  # (support pair, reach before it) -> reach past it
+    for n in range(2, len(tuples[0]) + 1 if tuples else 0):
+        for prefix in {t[:n] for t in tuples}.difference(reach):
+            before, pair = reach[prefix[:-1]], prefix[-2:]
+            if not before or pair not in pairs:  # off the support every mask is full
+                reach[prefix] = before and reach[prefix[-1:]]
+            else:
+                if (pair, before) not in spread:
+                    masks = map(zero(*pair).__getitem__, bits(before))
+                    spread[pair, before] = reduce(or_, masks, 0)
+                reach[prefix] = spread[pair, before]
 
 
 def massey_table(
@@ -222,8 +236,10 @@ def massey_table(
     So it is nonzero exactly when such a class tuple exists.  Off the
     support every annihilator mask is full, so there the reach of t + (k)
     is full when that of t is nonzero, and no annihilator is built.  Each
-    prefix's reach is computed once per call.  A support tuple of reach 0
-    is (False, False).
+    prefix's reach is computed once per call, level by level over the
+    prefixes of the order's admitted support tuples (``_reach``), and on a
+    support pair once per reach before it.  A support tuple of reach 0 is
+    (False, False).
 
     The support.  Only the degree tuples (k_1..k_n) with a run [l, m],
     l < m, on whose degrees (k_l..k_m) mu_(m-l+1) has an entry can be
@@ -249,11 +265,16 @@ def massey_table(
     as every degree in the table has a nonzero class and every product
     there is 0, and on it its reach says so.  Only the support tuples of
     nonzero reach with an entry of mu on a run of three or more classes
-    are walked.  The table is filled in
-    one pass over the admitted tuples, order by order, each order's listed
-    in lexicographic order (each extends the previous order's list, in
-    order, by the degrees in ascending order), so its keys come sorted and
-    ``profile_for`` reads them as they come.
+    are walked.
+
+    The fill.  (True, False) is thus the table's default.  Every admitted
+    tuple gets it in one ``dict.fromkeys`` over the orders' lists, each
+    order's in lexicographic order (each extends the previous order's
+    list, in order, by the degrees in ascending order), so the keys come
+    sorted and ``profile_for`` reads them as they come.  Then only the
+    admitted support tuples are visited: (False, False) where the reach
+    is 0, the walk's flags where one is asked, and the default kept
+    elsewhere.
 
     Before the ring's first walk of order 4 or more,
     ``check_massey_budget`` bounds the inner systems those walks visit,
@@ -269,15 +290,15 @@ def massey_table(
     while levels and len(levels) <= massey_order and levels[-1]:
         # below order 3, a tuple is kept only if it extends
         cap = DEFAULT_MAX_TUPLES // (least if len(levels) < 3 else 1)
-        admits = cache(lambda c: [(k, n) for k, n in counts.items() if c * n <= cap])
-        levels.append([(t + (k,), c * n) for t, c in levels[-1] for k, n in admits(c)])
+        admits = cache(lambda c: [((k,), n) for k, n in counts.items() if c * n <= cap])
+        levels.append([(t + k, c * n) for t, c in levels[-1] for k, n in admits(c)])
     if massey_order >= 4:
         check_massey_budget(h, chain.from_iterable(levels[4:]))
     if massey_order >= 3:
         mu = ring.minimal(massey_order)[0]
     zero, reach = ring.products.annihilators, {(k,): (2 << n) - 2 for k, n in counts.items()}
-    reaches = partial(_reach, reach=reach, pairs=set(ring.products.support), zero=zero)
-    table: Dict[Tuple[int, Tuple[int, ...]], Tuple[bool, bool]] = {}
+    keys = [(order, t) for order in range(3, len(levels)) for t, _ in levels[order]]
+    table = dict.fromkeys(keys, _DEFAULT_FLAGS)
     for order in range(3, len(levels)):
         walk = _BracketWalk(mu, order)
         support = {
@@ -289,14 +310,13 @@ def massey_table(
             for tail, _ in levels[order - m]
         }
         runs = [(l, l + r) for r in range(3, order + 1) for l in range(order + 1 - r)]
-        for prefix, _ in levels[order]:
-            flags = (True, False)
-            if prefix in support:
-                if not reaches(prefix):
-                    flags = (False, False)
-                elif any(prefix[l:m] in mu.grouped(m - l) for l, m in runs):
-                    flags = _walk_flags(walk, prefix, [dim_of[k] for k in prefix], zero)
-            table[(order, prefix)] = flags
+        admitted = [t for t in support if (order, t) in table]
+        _reach(admitted, reach, set(ring.products.support), zero)
+        for prefix in admitted:
+            if not reach[prefix]:
+                table[order, prefix] = (False, False)
+            elif any(prefix[l:m] in mu.grouped(m - l) for l, m in runs):
+                table[order, prefix] = _walk_flags(walk, prefix, [dim_of[k] for k in prefix], zero)
     return table
 
 
@@ -377,17 +397,29 @@ def _opposite(fp: Fingerprint) -> Fingerprint:
     the cup field and then the profiles are sorted again.  Admission is a
     product over the tuple, so each order's admitted tuples are closed
     under reversal: the opposite Massey field has the knot's sorted keys,
-    each with the knot's value at its reversed key.  Equal profiles sit
-    together in a sorted fingerprint, so each distinct one is reversed once
-    and repeated; reversal is injective, so the distinct results sort
-    without ties."""
+    each with the knot's value at its reversed key.  Where the knot's
+    flags at k and at rev(k) both are the default (True, False), that is
+    the knot's own value, so the field is copied as a list and rewritten
+    only at the keys k of other flags, found with their positions in one
+    scan (``where``), and at each rev(k) whose flags are the default,
+    found by bisection in the sorted field.  Equal profiles sit together
+    in a sorted fingerprint, so each distinct one is reversed once and
+    repeated; reversal is injective, so the distinct results sort without
+    ties."""
 
     def opposite(p: AugmentationProfile) -> AugmentationProfile:
-        massey = dict(p.massey)
+        massey = list(p.massey)
+        where = {item[0]: i for i, item in enumerate(p.massey) if item[1] != _DEFAULT_FLAGS}
+        for key, i in where.items():
+            r = (key[0], key[1][::-1])
+            j = where.get(r)
+            massey[i] = (key, _DEFAULT_FLAGS if j is None else p.massey[j][1])
+            if j is None:  # the flags at rev(k) are the default: the two swap flags
+                massey[bisect_left(massey, (r,))] = (r, p.massey[i][1])
         return AugmentationProfile(
             p.dims,
             tuple(sorted(((s, r), v) for (r, s), v in p.cup_ranks)),
-            tuple((key, massey[key[0], key[1][::-1]]) for key, _ in p.massey),
+            tuple(massey),
             p.order_dims,
         )
 
@@ -438,7 +470,32 @@ class MirrorReport:
         return self.verdict == "DISTINGUISHED"
 
 
+def _differing(fields: list, missing) -> Tuple[list, List[int]]:
+    """The fields on one key list, and the sorted positions where some field
+    differs from the first: at every other position all hold one value.
+    Fields of equal length whose keys agree wherever their items differ
+    share their key list and are kept as they are; otherwise each is
+    rewritten on the sorted union of the keys, ``missing`` where it lacks
+    one."""
+    first = fields[0] if fields else ()
+    spots = sorted(set().union(*(compress(count(), map(ne, first, f)) for f in fields[1:])))
+    if all(len(f) == len(first) and all(f[j][0] == first[j][0] for j in spots) for f in fields):
+        return fields, spots
+    keys = sorted(set().union(*(map(itemgetter(0), f) for f in fields)))
+    aligned = [tuple(zip(keys, map(dict(f).get, keys, repeat(missing)))) for f in fields]
+    return _differing(aligned, missing)
+
+
 def _first_difference(left: Fingerprint, right: Fingerprint) -> str:
+    """The first key, field by field in sorted key order, whose multiset of
+    values across the augmentations differs between the sides.  Both sides
+    have the same profile count, so a key where every distinct profile of
+    both sides holds the same value holds the same multiset on both: only
+    the positions ``_differing`` returns are compared, each one's values
+    sorted across the augmentations, up to the first that differs.  On the
+    Massey field of profiles with equal dims (one key list, as admission
+    reads only the per-degree class counts) these are the keys where some
+    profile's flags differ from the first's."""
     if len(left.profiles) != len(right.profiles):
         return "augmentation count %d vs %d" % (len(left.profiles), len(right.profiles))
     messages = {
@@ -447,21 +504,17 @@ def _first_difference(left: Fingerprint, right: Fingerprint) -> str:
         "massey": "Massey bracket summary (defined, nonzero) in degree tuple %s: %s vs %s",
         "order_dims": "order-n cohomology dim at (n, degree) %s: %s vs %s",
     }
+    # Equal profiles sit together: one field per distinct profile, repeated per member.
+    runs = [(p, len(list(run))) for fp in (left, right) for p, run in groupby(fp.profiles)]
+    size = len(left.profiles)
     for field in ("dims", "cup_ranks", "massey", "order_dims"):
         missing = (False, False) if field == "massey" else 0
-        # Equal profiles sit together: one dict per distinct profile, listed per member.
-        runs = [
-            [(dict(getattr(p, field)), len(list(run))) for p, run in groupby(fp.profiles)]
-            for fp in (left, right)
-        ]
-        lt, rt = ([t for t, n in side for _ in range(n)] for side in runs)
-        # Each field is sorted by key, so the merged keys come in order; each
-        # key's values, sorted across augmentations, only up to the first that differs.
-        for key, _ in groupby(merge(*(t for side in runs for t, _ in side))):
-            lv = sorted(t.get(key, missing) for t in lt)
-            rv = sorted(t.get(key, missing) for t in rt)
+        fields, spots = _differing([getattr(p, field) for p, _ in runs], missing)
+        for j in spots:
+            values = [f[j][1] for f, (_, n) in zip(fields, runs) for _ in range(n)]
+            lv, rv = sorted(values[:size]), sorted(values[size:])
             if lv != rv:
-                return messages[field] % (key, lv, rv)
+                return messages[field] % (fields[0][j][0], lv, rv)
     return "profiles differ only under joint per-augmentation pairing"
 
 
@@ -505,6 +558,13 @@ def compare_mirror(
 
     Budgets count the same terms on both sides, and the knot runs first, so
     an error raised on either side was raised on the knot.
+
+    The Massey field's readers here work only on the entries other than
+    its default (True, False): ``_opposite`` rewrites only the keys of
+    other flags and their reversals (the knot's and the mirror's fields
+    hold the same keys, and agree wherever both flags are the default),
+    and the witness ``_first_difference`` compares only the keys where the
+    distinct profiles' values are not all equal.
     """
     _check_options(massey_order, order_cap)
     augs = enumerate_augmentations(dga)

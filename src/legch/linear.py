@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import canon_degree
-from .gf2 import Eliminator, apply_cols, invert, rank, transpose
+from .gf2 import Eliminator, apply_cols, bits, invert, rank, transpose
 
 __all__ = [
     "GradedMatrixMap",
@@ -48,8 +48,8 @@ def pair_bit(x: int, y: int) -> int:
 
 
 def vector_label(names: Tuple[str, ...], vec: int) -> str:
-    parts = [names[i] for i in range(len(names)) if (vec >> i) & 1]
-    return "+".join(parts) if parts else "0"
+    """The names of the set bits of ``vec``, ascending, joined by "+"; "0" for 0."""
+    return "+".join(map(names.__getitem__, bits(vec))) or "0"
 
 
 @dataclass

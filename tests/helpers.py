@@ -1094,8 +1094,9 @@ def composition_tilde_blocks(f, n: int) -> Dict[int, List[int]]:
 
 def sorted_opposite(fp: Fingerprint) -> Fingerprint:
     """Reference ``fingerprint._opposite``: every field of each reversed
-    profile sorted again, where the library reads the Massey field at
-    reversed keys, and then the profiles."""
+    profile sorted again, and then the profiles, where the library copies
+    the Massey field and rewrites only the keys whose flags differ from
+    their reversal's."""
     return Fingerprint(
         tuple(
             sorted(
@@ -1129,9 +1130,9 @@ def all_pairs_cup_rank_table(ring, bases=None) -> Dict[Tuple[int, int], int]:
 
 def sorted_union_first_difference(left, right) -> str:
     """Reference ``fingerprint._first_difference``: the union of every
-    profile's keys, sorted whole before any key is compared, where the
-    library merges the sorted fields lazily and stops at the first key
-    whose values differ."""
+    profile's keys, sorted whole, each compared, where the library
+    compares only the keys at which some distinct profile's value differs
+    from the first's and stops at the first key whose values differ."""
     if len(left.profiles) != len(right.profiles):
         return "augmentation count %d vs %d" % (len(left.profiles), len(right.profiles))
     messages = {

@@ -168,6 +168,41 @@ def test_the_massey_table_walks_only_reachable_non_flat_support_triples_on_masse
     assert table == degree_scan_massey_table(ring)
 
 
+def test_the_reach_past_a_support_pair_depends_on_the_reach_before_it():
+    """Degree 3 holds u and v, and x v, y u and u w are the nonzero products.
+    The support pair (3, 4) is reached from {u} after x and from {v} after
+    y, so its reach is 0 past x, where u w != 0, and {w} past y: (1, 3, 4)
+    is (False, False) and (2, 3, 4) keeps the default."""
+    dga = parse_dga(
+        "modulus 0\n"
+        + "".join("gen %s %d\n" % g for g in zip("xyuvw", (1, 2, 3, 3, 4)))
+        + "gen p1 5\ngen p2 6\ngen p3 8\nd p1 = x v\nd p2 = y u\nd p3 = u w\n"
+    )
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    assert ring.products.support == ((1, 3), (2, 3), (3, 4))
+    table = massey_table(ring)
+    assert (table[(3, (1, 3, 4))], table[(3, (2, 3, 4))]) == ((False, False), (True, False))
+    assert table == degree_scan_massey_table(ring)
+
+
+def test_support_tuples_past_the_class_tuple_bound_stay_out_of_the_massey_table():
+    """x b != 0 for every nonzero x of degree 1 (dims 6 and 1), so the
+    support triples around the pair (1, 2) have reach 0.  With degree 5 of
+    dim 7 as their third degree they count 63 * 127 class tuples, past
+    ``DEFAULT_MAX_TUPLES``: not admitted, so not in the table."""
+    dga = parse_dga(
+        "modulus 0\ngen b 2\n"
+        + "".join("gen a%d 1\ngen p%d 4\nd p%d = a%d b\n" % (i, i, i, i) for i in range(6))
+        + "".join("gen t%d 5\n" % i for i in range(7))
+    )
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    assert ring.cochain.dims() == {1: 6, 2: 1, 4: 6, 5: 7}
+    table = massey_table(ring)
+    assert (3, (1, 2, 5)) not in table and (3, (5, 1, 2)) not in table
+    assert table[(3, (1, 2, 4))] == table[(3, (4, 1, 2))] == (False, False)
+    assert list(table.items()) == sorted(degree_scan_massey_table(ring).items())
+
+
 @pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
 def test_bracket_terms_are_built_only_inside_walks_on_masseyex_1_2_3_4():
     """The tables of orders 3 and 4 of masseyex(1,2,3,4) walk 4 and 55
@@ -585,6 +620,112 @@ def test_mirror_witness_matches_the_multiset_oracle_on_hand_built_fingerprints()
             Fingerprint(tuple(sorted(left))), Fingerprint(tuple(sorted(right)))
         )
         assert got == want
+
+
+def _random_massey_field(rng, degrees):
+    """Every triple and 4-tuple over these degrees, closed under reversal as
+    each order's admitted tuples are, mostly (True, False), with (False,
+    False) and (True, True) at random keys, some of them where the
+    reversal is (True, False)."""
+    flags = [(True, False)] * 6 + [(False, False), (False, False), (True, True)]
+    return [
+        ((order, t), rng.choice(flags)) for order in (3, 4) for t in product(degrees, repeat=order)
+    ]
+
+
+def _random_profile(rng):
+    degrees = sorted(rng.sample(range(-2, 3), rng.randint(1, 3)))
+    return _profile(
+        dims=[(k, rng.randint(1, 2)) for k in degrees],
+        cups=[((r, s), 1) for r in degrees for s in degrees if (r + s) % 3 == 0],
+        massey=_random_massey_field(rng, degrees),
+        orders=[((1, k), rng.randint(0, 2)) for k in degrees],
+    )
+
+
+def test_opposite_and_witness_match_the_oracles_on_hand_built_fingerprints():
+    """Distinct profiles of different dims on each side, so a Massey key is
+    missing from some profiles, and (False, False) and (True, True) flags
+    at keys whose reversal is (True, False)."""
+    knot = _profile(
+        dims=[(0, 1), (1, 1)],
+        cups=[((0, 1), 1), ((1, 0), 1)],
+        massey=[
+            ((3, (0, 0, 0)), (True, False)),
+            ((3, (0, 0, 1)), (False, False)),  # its reversal (1, 0, 0) is (True, False)
+            ((3, (0, 1, 0)), (True, False)),
+            ((3, (0, 1, 1)), (True, True)),  # its reversal (1, 1, 0) is (True, False)
+            ((3, (1, 0, 0)), (True, False)),
+            ((3, (1, 0, 1)), (False, False)),
+            ((3, (1, 1, 0)), (True, False)),
+            ((3, (1, 1, 1)), (True, True)),
+        ],
+    )
+    small = _profile(dims=[(0, 1)], massey=[((3, (0, 0, 0)), (True, True))])
+    fingerprints = [
+        Fingerprint(tuple(sorted(side)))
+        for side in ([knot, small, small], [knot, knot, small], [small, knot, small])
+    ]
+    empty = Fingerprint(())
+    assert _assert_witness_matches_the_multiset_oracle(empty, empty) == (
+        "profiles differ only under joint per-augmentation pairing"
+    )
+    rng = random.Random(40)
+    for _ in range(30):
+        fingerprints.append(Fingerprint(tuple(sorted(_random_profile(rng) for _ in range(3)))))
+    fields = set()
+    for fp in fingerprints:
+        flipped = _opposite(fp)
+        assert flipped == sorted_opposite(fp)
+        assert _opposite(flipped) == fp
+        for other in (flipped, fingerprints[0]):
+            witness = _assert_witness_matches_the_multiset_oracle(fp, other)
+            fields.add((witness.split(" ")[0], len({p.dims for p in fp.profiles})))
+    assert _opposite(Fingerprint((knot,))).profiles[0].massey[1:4] == (
+        ((3, (0, 0, 1)), (True, False)),
+        ((3, (0, 1, 0)), (True, False)),
+        ((3, (0, 1, 1)), (True, False)),
+    )
+    # Massey witnesses among profiles of two and three distinct dims
+    assert {("Massey", 2), ("Massey", 3), ("dim", 2)} <= fields
+
+
+@pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
+def test_opposite_and_witness_match_the_oracles_at_massey_order_4_on_the_mirror_bases():
+    """Both Massey orders in one field, and the mirror's own fingerprint."""
+    for dga in mirror_bases():
+        knot = fingerprint_dga(dga, massey_order=4)
+        mirror = _opposite(knot)
+        assert mirror == sorted_opposite(knot) == fingerprint_dga(mirror_dga(dga), massey_order=4)
+        _assert_witness_matches_the_multiset_oracle(knot, mirror)
+
+
+def test_the_witness_sorts_the_values_of_one_key_on_masseyex():
+    """masseyex(1,4,9,20)'s Massey field lists 729 triples, 589 of them
+    (True, False); the knot's and the mirror's differ at 8, the first of
+    which, key 102 of 729, is the witness.  Its values are the only ones
+    sorted: one list per side."""
+    knot = fingerprint_dga(masseyex(1, 4, 9, 20))
+    mirror = _opposite(knot)
+    fields = [fp.profiles[0].massey for fp in (knot, mirror)]
+    assert len(fields[0]) == 729
+    assert sum(flags == (True, False) for _, flags in fields[0]) == 589
+    spots = fingerprint._differing(fields, (False, False))[1]
+    assert (len(spots), spots[0]) == (8, 102)
+    lists = []
+
+    def counted(values):
+        if isinstance(values, list):
+            lists.append(values)
+        return sorted(values)
+
+    with patch.object(fingerprint, "sorted", counted, create=True):
+        witness = _first_difference(knot, mirror)
+    assert witness == (
+        "Massey bracket summary (defined, nonzero) in degree tuple (3, (-11, -6, -4)):"
+        " [(True, False)] vs [(True, True)]"
+    )
+    assert lists == [[(True, False)], [(True, True)]]  # one key's values, one list per side
 
 
 def _report_or_error(compare, dga, **options):

@@ -46,6 +46,19 @@ def test_vector_label_joins_basis_names():
     assert vector_label(("x",), 0) == "0"
 
 
+def test_vector_label_reads_the_set_bits_as_the_name_scan_does():
+    """On a 1000-name degree the label, read off the set bits, equals the
+    scan of every name in order, at every density and at both ends."""
+    names = tuple("a%d" % i for i in range(1000))
+    rng = random.Random(1000)
+    vectors = [0, 1, 1 << 999, (1 << 1000) - 1] + [
+        rng.getrandbits(1000) & rng.getrandbits(1000) >> rng.randrange(1000) for _ in range(200)
+    ]
+    for vec in vectors:
+        scan = [names[i] for i in range(len(names)) if (vec >> i) & 1]
+        assert vector_label(names, vec) == ("+".join(scan) if scan else "0")
+
+
 def test_linearized_complexes_directions_and_squares():
     dga = trefoil()
     for aug in enumerate_augmentations(dga):
