@@ -28,5 +28,15 @@ def check_budget(name: str, limit: int, count: int, what: str, *args) -> None:
         raise ContractError("%s the budget %s = %d" % (what % (*args, count), name, limit))
 
 
+def assemble(cls: type, *fields, **attributes):
+    """``cls(*fields)`` with ``attributes`` set besides, for a dataclass
+    ``cls``, without ``__post_init__``: for a builder that has just
+    established what that pass would check (each caller proves it beside
+    the call).  The public constructor still validates every other input."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, fields), **attributes)
+    return obj
+
+
 __all__ = ["ContractError", "InternalConsistencyError", "check_budget"]
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ from itertools import product as iproduct
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import ContractError, InternalConsistencyError, check_budget
-from .algebra import DGA, assert_valid, canon_degree
+from . import ContractError, InternalConsistencyError, assemble, check_budget
+from .algebra import DGA, _undeclared, assert_valid, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import apply_block, apply_cols, bits, in_span, span_basis
 from .linear import GradedMatrixMap, HomologyData, _retract, linearized_complexes, vector_label
@@ -113,6 +113,10 @@ class AInftyStructure:
     vector, a bitmask over the basis in the output degree.  Every m_k has
     degree +1: the output of m_k(x_1..x_k) lives in degree sum|x_i| + 1,
     which is enforced representationally (vectors are read in that degree).
+    The constructor validates every caller's basis and every entry.  The
+    adjoint structure and the transferred mu are checked once, where they
+    are built, and assembled with only ``_derive``, which checks the basis,
+    not the entries.
     """
 
     modulus: int
@@ -123,18 +127,7 @@ class AInftyStructure:
     def __post_init__(self):
         if self.arity < 1:
             raise ContractError("arity bound must be at least 1")
-        self.degree_of: Dict[str, int] = {}
-        for k, names in self.basis.items():
-            if canon_degree(self.modulus, k) != k:
-                raise ContractError("basis degree %d is not canonical" % k)
-            for lbl in names:
-                if lbl in self.degree_of:
-                    raise ContractError("duplicate basis label %s" % lbl)
-                self.degree_of[lbl] = k
-        self.order: Dict[str, int] = {}
-        for k in sorted(self.basis):
-            for lbl in self.basis[k]:
-                self.order[lbl] = len(self.order)
+        self._derive()
         cleaned: Dict[int, Dict[Tuple[str, ...], int]] = {}
         degree = self.degree_of.__getitem__
         for k, table in self.tables.items():
@@ -158,8 +151,28 @@ class AInftyStructure:
                     kept[args] = vec
             cleaned[k] = kept
         self.tables = cleaned
+
+    def _derive(self) -> "AInftyStructure":
+        """Check that the basis degrees are canonical and the labels unique,
+        set ``degree_of``, ``order`` (the label's position, degrees
+        ascending) and the empty caches of ``hits`` and ``grouped``, and
+        return the structure.  ``__post_init__`` then checks every entry; a
+        builder that has just checked its entries (``_dualize``,
+        ``transfer_minimal_model``, proof beside each) assembles the
+        structure and calls this alone."""
+        degree_of: Dict[str, int] = {}
+        for k, names in self.basis.items():
+            if canon_degree(self.modulus, k) != k:
+                raise ContractError("basis degree %d is not canonical" % k)
+            for lbl in names:
+                if lbl in degree_of:
+                    raise ContractError("duplicate basis label %s" % lbl)
+                degree_of[lbl] = k
+        ordered = chain.from_iterable(map(self.basis.get, sorted(self.basis)))
+        self.degree_of, self.order = degree_of, {lbl: i for i, lbl in enumerate(ordered)}
         self._hits: Dict[int, Dict[str, List[Tuple[str, ...]]]] = {}
         self._grouped: Dict[int, Dict[Tuple[int, ...], list]] = {}
+        return self
 
     def names(self, k: int) -> Tuple[str, ...]:
         return self.basis.get(canon_degree(self.modulus, k), ())
@@ -266,53 +279,63 @@ class AInftyMorphism:
                     )
 
 
-def _basis_by_degree(dga: DGA) -> Tuple[Dict[int, Tuple[str, ...]], Dict[str, int]]:
-    basis: Dict[int, List[str]] = {}
-    pos: Dict[str, int] = {}
-    for g in dga.generators:
-        k = dga.degree(g)
-        basis.setdefault(k, [])
-        pos[g] = len(basis[k])
-        basis[k].append(g)
-    return {k: tuple(v) for k, v in basis.items()}, pos
-
-
 def adjoint_structure(twisted: DGA) -> AInftyStructure:
     """Dualize each word-length part of an already twisted differential.
 
     m_k(x_1..x_k) is the sum of the generators whose twisted differential
-    contains the word x_1..x_k.  Every word must have degree |g| - 1, so that
-    m_k has degree +1, and the relations must hold up to the arity bound (the
-    longest word occurring); either failure is an internal error.  A twisted
-    DGA from a caller carries no proof of the relations, so they are checked
-    here; ``build_ring`` dualizes its own twist unchecked (proof in its
-    docstring).
+    contains the word x_1..x_k.  Every word must have degree |g| - 1, so
+    that m_k has degree +1, and the relations must hold up to the arity
+    bound (the longest word occurring); either failure is an internal
+    error.  A twisted DGA from a caller carries no proof of the relations,
+    so they are checked here; ``build_ring`` dualizes its own twist
+    unchecked (proof in its docstring).  Nor is a caller's twist known to
+    be a DGA's: a letter that is no generator is a ``ContractError`` before
+    any degree is read, in ``validate_dga``'s words, and the tables pass
+    the validating constructor, which refuses a constant term as a table
+    of arity 0.
     """
-    structure = _dualize(twisted)
+    if problems := _undeclared(twisted):
+        raise ContractError("; ".join(problems))
+    s = _dualize(twisted)
+    structure = AInftyStructure(s.modulus, s.basis, s.arity, s.tables)  # a caller's input
     check_an_relations(structure, structure.arity).require(InternalConsistencyError)
     return structure
 
 
 def _dualize(twisted: DGA) -> AInftyStructure:
     """The tables of ``adjoint_structure``, with each word's degree checked
-    and the relations not."""
-    basis, pos = _basis_by_degree(twisted)
-    modulus, degrees = twisted.modulus, twisted.degrees
-    arity = 1
+    and the relations not, assembled with no second pass over the entries
+    (``AInftyStructure._derive``).  Its letters are generators
+    (``build_ring`` validates the DGA, ``adjoint_structure`` checks them),
+    and on a twist with no constant term every entry the constructor would
+    check passes:
+
+    * entry w -> bit of g (its position among the generators of its
+      degree) in m_|w| comes from a word w of d g with deg w = deg g - 1,
+      so the bit lies in the basis of degree sum + 1;
+    * the basis labels are the generators of a constructed DGA, so they are
+      unique and their degrees canonical;
+    * no vector is 0: the words of one d g are distinct, and the generators
+      whose d holds w all have degree deg w + 1, so they set distinct bits.
+    """
+    modulus, degree, diff = twisted.modulus, twisted.degrees.__getitem__, twisted.diff
+    basis: Dict[int, List[str]] = {}
     tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     for g in twisted.generators:
-        want = canon_degree(modulus, degrees[g] - 1)
-        for w in twisted.d(g):
-            got = canon_degree(modulus, sum(map(degrees.__getitem__, w)))
-            if got != want:
+        names = basis.setdefault(degree(g), [])
+        want, bit = canon_degree(modulus, degree(g) - 1), 1 << len(names)
+        names.append(g)
+        for w in diff[g]:
+            got = sum(map(degree, w))
+            if got != want and canon_degree(modulus, got) != want:
                 raise InternalConsistencyError(
                     "twisted d %s is not degree-homogeneous: term %s has degree %d,"
-                    " expected %d" % (g, "".join(w), got, want)
+                    " expected %d" % (g, "".join(w), canon_degree(modulus, got), want)
                 )
-            arity = max(arity, len(w))
             table = tables.setdefault(len(w), {})
-            table[w] = table.get(w, 0) ^ (1 << pos[g])
-    return AInftyStructure(twisted.modulus, basis, arity, tables)
+            table[w] = table.get(w, 0) ^ bit
+    basis = {k: tuple(names) for k, names in basis.items()}
+    return assemble(AInftyStructure, modulus, basis, max([1, *tables]), tables)._derive()
 
 
 def _toggle(total: Dict[Tuple[str, ...], int], args: Tuple[str, ...], vec: int) -> None:
@@ -1086,6 +1109,18 @@ def transfer_minimal_model(
     are verified on h (``_verify_retract``) unless ``products`` is the
     ring's own table over h (``CohomologyRing.products``), whose retract
     ``linear._retract`` builds as one (proof there).
+
+    mu and the inclusion are handed out without the constructors' second
+    pass over their entries.  Every entry of either lies at the arity of
+    its word of class labels, and its vector is nonzero (``if coords``,
+    ``if tail``, and i_1 only where i is).  Each mu vector is the
+    ``coords`` that ``split`` masks to the classes of its degree sum + 1.
+    Each inclusion vector has passed ``_inverted_index`` into s in degree
+    ``entry_degree(w)``, which reads a label for every set bit, and on a
+    cochain retract (shift +1) that is the degree sum ``validate_against``
+    reads; over any other retract the inclusion is validated here.
+    ``check_ainfty_morphism`` validates its tables again, since a caller
+    may change them.
     """
     if up_to < 2:
         raise ContractError("transfer needs arity at least 2")
@@ -1135,7 +1170,7 @@ def transfer_minimal_model(
         i_tables[k] = i_k
         index[k] = _inverted_index(s, i_k, entry_degree)
 
-    mu = AInftyStructure(h.modulus, hbasis, up_to, mu_tables)
+    mu = assemble(AInftyStructure, h.modulus, hbasis, up_to, mu_tables)._derive()
 
     # the degree pairs where mu_2 and the cup table can differ (ProductTable), in class order
     entries = (tuple(map(degree_of.get, w)) for w in mu.tables.get(2, {}))
@@ -1148,7 +1183,9 @@ def transfer_minimal_model(
                     raise InternalConsistencyError(
                         "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
                     )
-    return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s)
+    if lift:  # not a cochain retract: i_k is not read in its labels' degree (docstring)
+        return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s)
+    return mu, assemble(AInftyMorphism, up_to, i_tables, mu, s)
 
 
 @dataclass
@@ -1230,6 +1267,10 @@ def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
     ``adjoint_structure`` checks, and m_1 m_1 = 0 is the case l = 1, which
     ``linear._retract`` needs of both maps (its docstring).  ``_dualize``
     still checks each word's degree, and ``twist`` the constant terms.
+    Nothing the ring holds is checked twice: ``twist`` copies the validated
+    DGA without re-running the constructor (``DGA.replace_diff``), and
+    ``_dualize`` assembles the structure without the constructor's
+    per-entry pass (proofs beside each).
     """
     assert_valid(dga)
     twisted = twist(dga, aug)

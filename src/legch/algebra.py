@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from . import ContractError, check_budget
+from . import ContractError, assemble, check_budget
 
 Word = Tuple[str, ...]
 Poly = FrozenSet[Word]
@@ -133,7 +133,15 @@ class DGA:
         return sorted(p, key=self.word_key)
 
     def replace_diff(self, diff: Dict[str, Poly]) -> "DGA":
-        return DGA(self.modulus, self.generators, dict(self.degrees), diff)
+        """This DGA's generators and degrees with differential ``diff``, a
+        generator absent from it mapping to ``ZERO`` (``twist``,
+        ``mirror_dga``, ``apply_elementary_iso``).  ``__post_init__`` checks
+        only the generators and their degrees, which this DGA's construction
+        checked and canonicalized, so it is not run again; the copy holds
+        its own ``degrees`` and ``index`` dicts."""
+        diff = {g: diff.get(g, ZERO) for g in self.generators}
+        degrees, index = dict(self.degrees), dict(self.index)
+        return assemble(DGA, self.modulus, self.generators, degrees, diff, index=index)
 
 
 @dataclass
@@ -184,14 +192,15 @@ def diff_poly(dga: DGA, p: Poly) -> Poly:
     return frozenset(out)
 
 
+def _undeclared(dga: DGA) -> List[str]:
+    """One problem per letter of a differential word that is no generator."""
+    where = ((g, x) for g in dga.generators for w in dga.d(g) for x in w if x not in dga.index)
+    return ["d %s uses undeclared generator %s" % gx for gx in where]
+
+
 def validate_dga(dga: DGA) -> List[str]:
     """All structural and homological violations, empty list when valid."""
-    problems = []
-    for g in dga.generators:
-        for w in dga.d(g):
-            for letter in w:
-                if letter not in dga.index:
-                    problems.append("d %s uses undeclared generator %s" % (g, letter))
+    problems = _undeclared(dga)
     if problems:
         return problems  # degree/d^2 checks would crash on undeclared letters
     degree = dga.degrees.__getitem__

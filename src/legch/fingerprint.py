@@ -284,30 +284,33 @@ def massey_table(
     dim_of = h.dims()
     counts = {k: (1 << dim) - 1 for k, dim in dim_of.items()}
     _check_tuple_budget(list(counts.values()), massey_order)
-    # per order, the admitted (degree tuple, class-tuple count) that are read
-    levels = [[((), 1)]] if massey_order >= 3 else []
+    # per order l, the admitted keys (l, degree tuple) that are read, and their
+    # class-tuple counts where the next order or check_massey_budget reads them
+    keys, sizes = ([[(0, ())]], [[1]]) if massey_order >= 3 else ([], [])
     least = min(counts.values(), default=1)
-    while levels and len(levels) <= massey_order and levels[-1]:
+    while keys and len(keys) <= massey_order and keys[-1]:
+        l = len(keys)
         # below order 3, a tuple is kept only if it extends
-        cap = DEFAULT_MAX_TUPLES // (least if len(levels) < 3 else 1)
+        cap = DEFAULT_MAX_TUPLES // (least if l < 3 else 1)
         admits = cache(lambda c: [((k,), n) for k, n in counts.items() if c * n <= cap])
-        levels.append([(t + k, c * n) for t, c in levels[-1] for k, n in admits(c)])
+        keys.append([(l, t + k) for (_, t), c in zip(keys[-1], sizes[-1]) for k, _ in admits(c)])
+        if l < 3 or massey_order >= 4:
+            sizes.append([c * n for c in sizes[-1] for _, n in admits(c)])
     if massey_order >= 4:
-        check_massey_budget(h, chain.from_iterable(levels[4:]))
+        check_massey_budget(h, zip([t for _, t in chain(*keys[4:])], chain(*sizes[4:])))
     if massey_order >= 3:
         mu = ring.minimal(massey_order)[0]
     zero, reach = ring.products.annihilators, {(k,): (2 << n) - 2 for k, n in counts.items()}
-    keys = [(order, t) for order in range(3, len(levels)) for t, _ in levels[order]]
-    table = dict.fromkeys(keys, _DEFAULT_FLAGS)
-    for order in range(3, len(levels)):
+    table = dict.fromkeys(chain.from_iterable(keys[3:]), _DEFAULT_FLAGS)
+    for order in range(3, len(keys)):
         walk = _BracketWalk(mu, order)
         support = {
             head + key + tail
             for l in range(order)
             for m in range(l + 2, order + 1)
             for key in mu.grouped(m - l)
-            for head, _ in levels[l]
-            for tail, _ in levels[order - m]
+            for _, head in keys[l]
+            for _, tail in keys[order - m]
         }
         runs = [(l, l + r) for r in range(3, order + 1) for l in range(order + 1 - r)]
         admitted = [t for t in support if (order, t) in table]

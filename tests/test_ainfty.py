@@ -36,7 +36,7 @@ from legch.ainfty import (
     _inverted_index,
     _relation_terms,
 )
-from legch.algebra import DGA, mirror_dga
+from legch.algebra import MAX_ISO_TERMS, DGA, apply_elementary_iso, iso_expansion_terms, mirror_dga
 from legch.augment import Augmentation, enumerate_augmentations, twist
 from legch.cli import main
 from legch.fileio import parse_dga, serialize_dga
@@ -62,6 +62,7 @@ from helpers import (
     proved_rings,
     random_augmented_dga,
     random_dga,
+    random_elementary_iso,
     trivial_bracket_dga,
     twist_firsts,
 )
@@ -1154,6 +1155,86 @@ def test_morphism_tables_validate_arity():
         AInftyMorphism(2, {3: {("x", "y", "z"): 1}})
     with pytest.raises(ContractError):
         AInftyMorphism(2, {2: {("x",): 1}})
+
+
+def _structure_fields(s):
+    return (s.modulus, s.basis, s.arity, s.tables, s.degree_of, s.order)
+
+
+def _dga_fields(dga):
+    return (dga.modulus, dga.generators, dga.degrees, dga.diff, dga.index)
+
+
+def test_what_the_builders_skip_checking_is_what_the_constructors_build():
+    """The adjoint structure, the transfer's mu and inclusion and the DGA
+    copies of ``twist``, ``mirror_dga`` and ``apply_elementary_iso`` are
+    built without the constructors' second pass; on every proved ring and
+    its mirror ring they equal what the validating constructors build from
+    the same fields, and the inclusion passes ``validate_against``."""
+    rng = random.Random(20261020)
+    for ring in proved_rings():
+        # a mirror has its DGA's augmentations; take the one of ring's twist
+        augs = enumerate_augmentations(ring.dga)
+        aug = next(a for a in augs if twist(ring.dga, a).diff == ring.twisted.diff)
+        for r in (ring, build_ring(mirror_dga(ring.dga), aug)):
+            s = r.structure
+            assert _structure_fields(s) == _structure_fields(
+                AInftyStructure(s.modulus, s.basis, s.arity, s.tables)
+            )
+            for k in range(2, 6):
+                mu, f = r.minimal(k)
+                assert _structure_fields(mu) == _structure_fields(
+                    AInftyStructure(mu.modulus, mu.basis, mu.arity, mu.tables)
+                )
+                f.validate_against(mu, s)
+                assert (f.src, f.dst) == (mu, s)
+                assert AInftyMorphism(f.arity, f.tables, src=mu, dst=s).tables == f.tables
+            copies = [r.twisted, mirror_dga(r.dga)]
+            iso = random_elementary_iso(rng, r.dga)
+            if iso and iso_expansion_terms(r.dga, iso) <= MAX_ISO_TERMS:
+                copies.append(apply_elementary_iso(r.dga, iso))
+            for copy in copies:
+                built = DGA(copy.modulus, copy.generators, copy.degrees, copy.diff)
+                assert _dga_fields(copy) == _dga_fields(built)
+
+
+def test_a_dga_copy_is_independent_of_its_parent():
+    parent = trefoil()
+    before = _dga_fields(replace(parent, degrees=dict(parent.degrees)))
+    for copy in (mirror_dga(parent), twist(parent, enumerate_augmentations(parent)[0])):
+        copy.degrees["b1"] = 7
+        copy.index["b1"] = 9
+        copy.diff["a1"] = frozenset()
+        assert _dga_fields(parent) == before
+
+
+def test_the_inclusion_of_a_transfer_over_a_chain_retract_is_still_checked():
+    """Over a retract that is not a cochain retract, i_k for k >= 2 is read
+    in another degree than its labels' sum, so the transfer checks the
+    inclusion's tables against mu and s before it hands them out."""
+    dga = parse_dga(
+        """modulus 0
+        gen g0 -3
+        gen g1 2
+        gen e1 2
+        gen e2 1
+        d e1 = e2 + g1 g0 g1 + g1 g1 g0 + e1 g0 g1 + e1 g1 g0
+        d e2 = e2 g0 g1 + e2 g1 g0 + g1 g0 g1 g0 g1 + g1 g0 g1 g1 g0 + g1 g1 g0 g0 g1"""
+        " + g1 g1 g0 g1 g0 + e1 g0 g1 g0 g1 + e1 g0 g1 g1 g0 + e1 g1 g0 g0 g1 + e1 g1 g0 g1 g0\n"
+    )
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    detail = r"morphism entry on \(\[g[01]\](, \[g[01]\]){4}\) has bits outside the degree-0 "
+    with pytest.raises(ContractError, match=detail):
+        transfer_minimal_model(ring.chain, ring.structure, 5)
+
+
+def test_adjoint_structure_refuses_an_undeclared_letter_and_a_constant_term():
+    undeclared = DGA(0, ("a", "b"), {"a": 1, "b": 0}, {"a": frozenset({("b", "c")})})
+    with pytest.raises(ContractError, match="^d a uses undeclared generator c$"):
+        adjoint_structure(undeclared)
+    constant = DGA(0, ("a", "b"), {"a": 1, "b": 0}, {"a": frozenset({(), ("b",)})})
+    with pytest.raises(ContractError, match=re.escape("table arity 0 outside 1..1")):
+        adjoint_structure(constant)
 
 
 @given(st.integers(0, 10**6))
