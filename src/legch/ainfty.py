@@ -262,21 +262,25 @@ class AInftyMorphism:
 
     def validate_against(self, src: AInftyStructure, dst: AInftyStructure) -> None:
         """Every entry's labels are src basis labels, and its vector lies in the
-        dst basis of degree sum|labels| (each f_n has degree 0)."""
+        dst basis of degree sum|labels| (each f_n has degree 0).  A failure
+        names the least failing entry by arity, then in the basis order of
+        ``src`` with unknown labels after the known ones, as ``_failure`` does."""
+        degree_of, modulus, bad = src.degree_of, dst.modulus, {}
         for table in self.tables.values():
             for args, vec in table.items():
-                for lbl in args:
-                    if lbl not in src.degree_of:
-                        raise ContractError(
-                            "morphism entry on (%s) has unknown source label %s"
-                            % (", ".join(map(str, args)), lbl)
-                        )
-                degree = canon_degree(dst.modulus, sum(src.degree_of[x] for x in args))
+                try:
+                    degree = canon_degree(modulus, sum(map(degree_of.__getitem__, args)))
+                except KeyError:
+                    unknown = next(lbl for lbl in args if lbl not in degree_of)
+                    bad[args] = "unknown source label %s" % unknown
+                    continue
                 if vec >> dst.dim(degree):
-                    raise ContractError(
-                        "morphism entry on (%s) has bits outside the degree-%d target basis"
-                        % (", ".join(args), degree)
-                    )
+                    bad[args] = "bits outside the degree-%d target basis" % degree
+        if bad:
+            last = len(src.order)
+            args = min(bad, key=lambda a: (len(a), [(src.order.get(x, last), str(x)) for x in a]))
+            labels = ", ".join(map(str, args))
+            raise ContractError("morphism entry on (%s) has %s" % (labels, bad[args]))
 
 
 def adjoint_structure(twisted: DGA) -> AInftyStructure:

@@ -2,15 +2,19 @@
 
 Vectors are Python ints (bit i = coordinate i).  A linear map is a list of
 column vectors: ``cols[j]`` is the image of the j-th domain basis vector.
-Everything except ``rank`` reduces with the lowest set bit as pivot, so
-results are deterministic for a fixed basis order.
+``Eliminator``, and ``span_basis``, ``in_span`` and ``invert`` through it,
+reduce with the lowest set bit as pivot and track combos, so results are
+deterministic for a fixed basis order; ``rank`` and ``prefix_ranks`` pivot
+on the highest set bit and track none, so a stored row is its pivot's
+place plus places below it, which is what lets ``prefix_ranks`` clear at
+every prefix.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from sys import maxsize
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "bits",
@@ -18,6 +22,7 @@ __all__ = [
     "apply_block",
     "Eliminator",
     "rank",
+    "prefix_ranks",
     "in_span",
     "invert",
     "transpose",
@@ -110,26 +115,46 @@ class Eliminator:
         return len(self.pivots)
 
 
-def rank(vectors: Iterable[int], cuts: Optional[Sequence[int]] = None):
-    """Rank, by a pivot dict keyed on the highest set bit that tracks no combos.
+def rank(vectors: Iterable[int]) -> int:
+    """Rank: ``prefix_ranks`` of one map, cut after its last vector."""
+    return next(prefix_ranks([(list(vectors), (maxsize,))]))[0]
 
-    With ``cuts``, ascending counts, the list of the ranks of the first c
-    vectors for each c in ``cuts``, from the one elimination.
+
+def prefix_ranks(blocks: Iterable[Tuple[List[int], Sequence[int]]]) -> Iterator[List[int]]:
+    """Yield, per map, the ranks of its first c columns for each c in its
+    cuts, the maps reduced in turn by a pivot dict keyed on the highest set
+    bit that tracks no combos, with clearing.
+
+    ``blocks`` yields (cols, cuts) per map, cuts ascending counts.  Each map
+    is cleared by the one before it, which must be zero or have this map's
+    domain as its target and a zero composite with it: the place of each of
+    its pivot rows, which set the row's highest bit, then names a column in
+    the span of the columns before it, and skipping that column changes no
+    prefix rank (Clearing, in ``legch.tilde``).  ``cols`` is never written to.
     """
-    pivots = {}
-    ranks, vectors, done = [], iter(vectors), 0
-    for cut in (maxsize,) if cuts is None else cuts:
-        if cut > done:
-            for v in islice(vectors, cut - done):
-                while v:
-                    row = pivots.get(v.bit_length())
-                    if row is None:
-                        pivots[v.bit_length()] = v
-                        break
-                    v ^= row
-            done = cut
-        ranks.append(len(pivots))
-    return ranks if cuts is not None else ranks[0]
+    pivots: dict = {}
+    for cols, cuts in blocks:
+        if not any(cols):
+            pivots = {}
+            yield [0] * len(cuts)
+            continue
+        if pivots:
+            cols = cols.copy()
+            for length in pivots:
+                cols[length - 1] = 0
+        pivots, ranks, vectors, done = {}, [], iter(cols), 0
+        for cut in cuts:
+            if cut > done:
+                for v in islice(vectors, cut - done):
+                    while v:
+                        row = pivots.get(v.bit_length())
+                        if row is None:
+                            pivots[v.bit_length()] = v
+                            break
+                        v ^= row
+                done = cut
+            ranks.append(len(pivots))
+        yield ranks
 
 
 def span_basis(vectors: Iterable[int]) -> List[int]:

@@ -142,6 +142,25 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   c_k(n), gives dim_k = c_k(m) - rank d_k - rank d_(k-1) at every order
   m <= n from the one order-n matrix; its d d = 0 (the relations up to
   arity n) covers every lower order's, since its lower blocks are theirs.
+* Clearing.  The degree blocks are reduced in ascending degree, and
+  before d_k is reduced every column whose place is the pivot of a row
+  stored while reducing the block before it is skipped (the twist of
+  Chen-Kerber, Persistent homology computation with a twist, 2011;
+  Bauer-Kerber-Reininghaus, Clear and Compress, 2014).  The block before
+  d_k is d_(k-1), unless no word has degree k - 1: then it maps into
+  that empty degree, so it is zero and stores no row.  Columns run in
+  code order and a pivot sits on the highest set bit, the largest place,
+  so a row R stored while reducing d_(k-1), a combination of its
+  columns, is e_i plus places below i.  d_k R = 0 (d d = 0, which
+  ``_window_matrix`` asserts on both engines through
+  ``check_an_relations(s, n)`` before it returns), so column i of d_k
+  lies in the span of the columns before it, and dropping it changes no
+  prefix rank; by induction neither does dropping several.  Every cut
+  c_k(m) is a prefix, so column i lies inside every cut above i and
+  outside every other: the ranks at every cut, and so ``orders`` at
+  every m <= n, are those of the full blocks.  With a cyclic grading the
+  first degree reduced has its degree below reduced last, so it is not
+  cleared.
 """
 
 from __future__ import annotations
@@ -166,7 +185,7 @@ from .ainfty import (
     check_ainfty_morphism,
     check_an_relations,
 )
-from .gf2 import apply_cols, bits, rank
+from .gf2 import apply_cols, bits, prefix_ranks, rank
 from .linear import GradedMatrixMap, HomologyData, _retract
 
 __all__ = [
@@ -209,16 +228,19 @@ def _word_count(size: int, n: int) -> int:
 
 def _window_bits(s: AInftyStructure, n: int) -> int:
     """Σ_k |block_k|² over the degree blocks of the order-n words, with no word
-    built: each degree's word count is the letters' degree histogram
-    convolved with itself, summed over lengths 1..n."""
-    letters = Counter(canon_degree(s.modulus, s.degree_of[lbl]) for lbl in s.order)
-    layer, blocks = Counter({0: 1}), Counter()
+    built: a word of length 1..j+1 is a letter and then a word of length
+    0..j, so each degree's word count is the letters' degree histogram (the
+    basis sizes, in canonical degrees) convolved n times with the counts
+    before it and the empty word."""
+    letters = [(k, len(names)) for k, names in s.basis.items() if names]
+    modulus, blocks = s.modulus, {}
     for _ in range(n):
-        step = Counter()
-        for (d, count), (e, times) in iproduct(layer.items(), letters.items()):
-            step[canon_degree(s.modulus, d + e)] += count * times
-        blocks.update(step)
-        layer = step
+        step: Dict[int, int] = {}
+        for d, count in [(0, 1), *blocks.items()]:
+            for e, times in letters:
+                k = (d + e) % modulus if modulus else d + e  # canon_degree
+                step[k] = step.get(k, 0) + count * times
+        blocks = step
     return sum(size * size for size in blocks.values())
 
 
@@ -309,11 +331,9 @@ def _twisted_pairs(twisted: DGA, s: AInftyStructure) -> set:
 
 
 def _window_pairs(s: AInftyStructure) -> FrozenSet[Pair]:
-    """(g, t) for every letter g in m_|t|(t), at every arity."""
-    return frozenset(
-        (s.names(s.out_degree(t))[i], t)
-        for table in s.tables.values() for t, vec in table.items() for i in bits(vec)
-    )
+    """(g, t) for every letter g in m_|t|(t), at every arity, read off the
+    structure's label index ``s.hits(j)``, which the relation check reuses."""
+    return frozenset((g, t) for j in s.tables for g, ts in s.hits(j).items() for t in ts)
 
 
 def _xor_triples(flat: List[int], pairs, words: _Words) -> None:
@@ -438,19 +458,17 @@ def _order_dims(window: GradedMatrixMap, words: _Words) -> Dict[int, Dict[int, i
     matrix on ``words`` (Filtration, in the module docstring): dim_k = c_k -
     r_k - r_(k-1), with c_k the words of degree k and length <= m, a prefix
     of the degree group, and r_k the rank of their columns, read at every
-    cut by one elimination per degree."""
+    cut by one elimination per degree, the degrees ascending and each
+    cleared by the one below (Clearing)."""
     ends = words.off[2:]  # the words of length <= m code below off[m + 1]
-    cuts, ranks = {}, {}
-    for k, codes in words.groups.items():
-        cut = cuts[k] = [bisect_left(codes, end) for end in ends]
-        ranks[k] = rank(window.cols[k], cut)
-    zero = [0] * words.n
+    cuts = {k: [bisect_left(words.groups[k], end) for end in ends] for k in sorted(words.groups)}
+    ranks = dict(zip(cuts, prefix_ranks((window.cols[k], cut) for k, cut in cuts.items())))
     orders: Dict[int, Dict[int, int]] = {m: {} for m in range(1, words.n + 1)}
-    for k in sorted(cuts):
-        below = ranks.get(window.canon(k - 1), zero)
-        for m, c, r, b in zip(orders, cuts[k], ranks[k], below):
+    for k, cut in cuts.items():  # k - 1 is canonical but at k = 0
+        below = ranks.get(k - 1) or ranks.get(window.canon(k - 1), [0] * words.n)
+        for dims, c, r, b in zip(orders.values(), cut, ranks[k], below):
             if c - r - b:
-                orders[m][k] = c - r - b
+                dims[k] = c - r - b
     return orders
 
 

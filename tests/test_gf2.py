@@ -10,6 +10,7 @@ from legch.gf2 import (
     bits,
     in_span,
     invert,
+    prefix_ranks,
     rank,
     span_basis,
     transpose,
@@ -41,11 +42,50 @@ def test_rank_equals_the_eliminator_rank(vectors):
 @given(st.integers(1, 12).flatmap(
     lambda width: st.lists(st.integers(0, (1 << width) - 1), max_size=16)
 ), st.lists(st.integers(0, 18), max_size=5))
-def test_rank_at_cuts_is_the_rank_of_each_prefix(vectors, cuts):
+def test_prefix_ranks_at_cuts_are_the_rank_of_each_prefix(vectors, cuts):
     cuts = sorted(cuts)
-    assert rank(vectors, cuts) == [rank(vectors[:c]) for c in cuts]
-    assert rank(iter(vectors), cuts) == rank(vectors, cuts)
-    assert rank(vectors, []) == []
+    want = [_fed(vectors[:c])[0].rank for c in cuts]
+    assert list(prefix_ranks([(vectors, cuts)])) == [want]
+    assert list(prefix_ranks(iter([(vectors, cuts), ([0] * len(vectors), [])]))) == [want, []]
+
+
+def _chain(rng):
+    """Random maps d: V1 -> V2 and e: V2 -> V3 with e d = 0, as columns: each
+    column of d is a random sum of the kernel basis of e that an Eliminator
+    reads off its dead combos."""
+    e = _random_cols(rng, rng.randint(1, 6), rng.randint(1, 10))
+    kernel = _fed(e)[1]
+    d = [0] * rng.randint(0, 8)
+    for i in range(len(d)):
+        for k in kernel:
+            d[i] ^= k if rng.random() < 0.5 else 0
+    return d, e
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None)
+def test_prefix_ranks_with_clearing_are_the_rank_of_each_prefix(seed):
+    """e is cleared by d; the last d follows a zero map, so nothing clears it."""
+    rng = random.Random(seed)
+    d, e = _chain(rng)
+    assert not any(apply_cols(e, col) for col in d)
+    before = (list(d), list(e))
+    cuts = [sorted(rng.randint(0, len(cols)) for _ in range(3)) for cols in (d, e)]
+    maps, cuts = [d, e, [0] * len(d), d], cuts + cuts[:1] * 2
+    want = [[_fed(cols[:c])[0].rank for c in cut] for cols, cut in zip(maps, cuts)]
+    assert list(prefix_ranks(zip(maps, cuts))) == want
+    assert (d, e) == before
+
+
+def test_prefix_ranks_skip_the_columns_at_the_pivots_of_the_map_before():
+    """d's pivot row 0b11 sits on place 1, so the next map's column 1 is
+    skipped: once e d = 0 fails, the skipped column shows in the rank."""
+    d = [0b11]
+    assert list(prefix_ranks([(d, [1]), ([0b1, 0b1], [1, 2])])) == [[1], [1, 1]]
+    broken = [0, 0b1]  # broken d = 0b1, which is not 0
+    assert list(prefix_ranks([(d, [1]), (broken, [1, 2])])) == [[1], [0, 0]]
+    assert list(prefix_ranks([(d, [1]), ([0], [1]), (broken, [1, 2])])) == [[1], [0], [0, 1]]
+    assert broken == [0, 0b1]
 
 
 def test_rank_and_span_basics():

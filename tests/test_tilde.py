@@ -26,7 +26,7 @@ from legch.cli import main
 from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fileio import parse_dga, serialize_dga
 from legch.fingerprint import compare_mirror
-from legch.gf2 import bits
+from legch.gf2 import bits, rank
 from legch.linear import GradedMatrixMap, homology
 from legch.tilde import (
     MAX_WINDOW_BITS,
@@ -170,6 +170,82 @@ def test_rank_dims_are_homology_dims_on_random_dgas(seed):
     for n in (1, 2, 3):
         for engine in ("dense", "perturbation"):
             _assert_rank_dims_are_homology_dims(ring, n, engine)
+
+
+def _spy_prefix_ranks(monkeypatch):
+    """Record each ``prefix_ranks`` call of ``_order_dims``: its blocks and ranks."""
+    calls, real = [], tilde.prefix_ranks
+
+    def spy(blocks):
+        blocks = list(blocks)
+        calls.append((blocks, list(real(blocks))))
+        return iter(calls[-1][1])
+
+    monkeypatch.setattr(tilde, "prefix_ranks", spy)
+    return calls
+
+
+def _assert_cleared_ranks_are_prefix_ranks(ring, n, engine, calls):
+    calls.clear()
+    got = order_n_cohomology(ring, n, engine=engine)
+    ((blocks, ranks),) = calls
+    assert len(blocks) == len(ranks) and [cuts[-1] for _, cuts in blocks] == [
+        len(cols) for cols, _ in blocks
+    ]
+    for (cols, cuts), cleared in zip(blocks, ranks):
+        assert cleared == [rank(cols[:c]) for c in cuts], (n, engine, got.dims)
+
+
+def test_cleared_prefix_ranks_are_the_ranks_of_each_prefix(monkeypatch):
+    """On every window of the proved rings at n = 1..3, on both engines (dense
+    up to 50,000 words: not masseyex(1,4,9,20) at n = 3), and of seeded
+    rings with a cyclic grading, clearing leaves the rank at every cut."""
+    calls = _spy_prefix_ranks(monkeypatch)
+    cyclic = [dga for dga in random_dgas(20261020, 60, 6) if dga.modulus > 0]
+    rings = list(helpers.proved_rings())
+    rings += [build_ring(dga, aug) for dga in cyclic for aug in helpers.twist_firsts(dga)]
+    assert sum(ring.dga.modulus > 0 for ring in rings) >= 20
+    for ring in rings:
+        size = len(ring.dga.generators)
+        for n in (1, 2, 3):
+            _assert_cleared_ranks_are_prefix_ranks(ring, n, "perturbation", calls)
+            if tilde._word_count(size, n) <= 50000:
+                _assert_cleared_ranks_are_prefix_ranks(ring, n, "dense", calls)
+
+
+def test_clearing_skips_columns_of_a_cyclic_graded_complex(monkeypatch):
+    """Modulus 3: m_1 a = c + d, m_1 c = m_1 d = e, m_1 f = b.  Degree 0 is
+    reduced first, and not cleared though its degree below, 2, holds rows;
+    its row c + d sits on d's place and degree 1's row e on e's place, so
+    the nonzero column d and the column e are skipped.  Reduced in
+    descending degree, degree 1's row e would name column a instead."""
+    s = AInftyStructure(
+        3,
+        {0: ("a", "b", "x"), 1: ("c", "d"), 2: ("e", "f")},
+        1,
+        {1: {("a",): 0b11, ("c",): 0b01, ("d",): 0b01, ("f",): 0b010}},
+    )
+    words = tilde._Words(s, 1)
+    window = tilde._window_matrix(s, words, tilde._window_pairs(s))
+    cols = {0: [0b11, 0, 0], 1: [0b01, 0b01], 2: [0, 0b010]}
+    assert window.cols == cols
+    calls = _spy_prefix_ranks(monkeypatch)
+    assert tilde._order_dims(window, words) == {1: {0: 1}}  # x; the rest is exact
+    assert calls[0][1] == [[1], [1], [1]]
+    assert window.cols == cols
+
+
+def test_order_dims_leaves_the_window_unchanged(monkeypatch):
+    calls = _spy_prefix_ranks(monkeypatch)
+    ring = build_ring(trefoil(), enumerate_augmentations(trefoil())[0])
+    tilde.check_order_n_transpose(ring, 3)
+    words = tilde._Words(ring.structure, 3)
+    window = tilde._window_matrix(ring.structure, words, ring.pairs)
+    before = {k: list(cols) for k, cols in window.cols.items()}
+    assert tilde._order_dims(window, words) == TREFOIL_ORDER_DIMS
+    assert window.cols == before
+    ((blocks, ranks),) = calls  # a nonzero block after one of nonzero rank was cleared
+    assert any(any(cols) and below[-1] for (cols, _), below in zip(blocks[1:], ranks))
 
 
 def test_auto_engine_resolution_and_frozen_counts(monkeypatch):
