@@ -450,10 +450,9 @@ def _composition_sum(
     Checking only contributing terms weakens nothing: both sides are
     functions of the words alone, and a tuple on which every term vanishes
     puts no vector into ``total``, so nothing is read there in a wrong
-    degree.  (In
-    ``check_ainfty_morphism`` entry_degree sums degree_of, so the sides
-    agree on every tuple; in the transfer they differ by 1 - shift per
-    block of length > 1, which is 0 on a cochain retract.)
+    degree.  (In ``check_ainfty_morphism`` and in the transfer, whose
+    retract is a cochain retract, entry_degree sums degree_of, so the
+    sides agree on every tuple.)
     """
     arities: Dict[str, Tuple[int, ...]] = {}
     for c in sorted(c for c in index if c <= n):
@@ -630,19 +629,19 @@ class ProductTable:
 
     Pair blocks.  m_2 is bilinear, so the chain m_2(i x_i, i y_j) is the
     XOR of the m_2 entries (k, l) -> v on the pair's canonical degrees whose
-    letter k occurs in i x_i and l in i y_j.  ``pair`` XORs each entry into
-    the class pairs that own its two letters, at a cost of entries times
-    owners, and keeps only the classes: ``class_of`` runs on every class
-    pair of a block on the support, so a product that is not closed is
-    rejected.
+    letter k occurs in i x_i and l in i y_j.  p and the differential d are
+    linear, so the chain's class and boundary are the XORs of p v and d v
+    over those entries: ``pair`` applies p and d once per entry and XORs
+    both into the class pairs that own its two letters, at a cost of
+    entries times owners, and keeps only the classes.  A class pair whose
+    boundary sums to nonzero is a product that is not closed, and is
+    rejected; closedness is of the sum, as one entry need not be closed.
 
     The support.  ``support`` holds the degree pairs (a, b) of H on which
-    the chain-level m_2 has an entry; every other pair block is the zero
-    block, built with no ``class_of``: with no entry every chain is 0,
-    closed, and ``class_of(0) = p(0) = 0`` as p is linear.  So
-    a reader of cups or annihilators needs only the support (off it every
-    annihilator mask is full, which ``fingerprint.massey_table`` reads
-    without building one), and so does
+    the chain-level m_2 has an entry; off it there is no entry, and the
+    pair block is zero.  So a reader of cups or annihilators needs only the
+    support (off it every annihilator mask is full, which
+    ``fingerprint.massey_table`` reads without building one), and so does
     the transfer's mu_2 check, which compares mu_2(x_i, y_j) with the class
     row entry of every class pair whose degree pair (a, b) is on the
     support, carries a mu_2 entry, or has a block built already (which a
@@ -744,13 +743,16 @@ class ProductTable:
             h = self.h
             (ca, xs), (cb, ys) = self._basis(a), self._basis(b)
             degree = h.canon(ca + cb + 1)
-            rows = [[0] * h.dim(cb) for _ in range(h.dim(ca))]
+            rows, boundaries = [[0] * h.dim(cb) for _ in range(h.dim(ca))], {}
             for (i, j), vec in self.s.grouped(2).get((ca, cb), ()):
+                coords, boundary = h.project(degree, vec), h.differential.apply(degree, vec)
                 for x in xs.get(i, ()):
                     for y in ys.get(j, ()):
-                        rows[x][y] ^= vec
-            if (ca, cb) in self.support:  # else the zero block (class docstring)
-                rows = [[h.class_of(degree, vec) for vec in row] for row in rows]
+                        rows[x][y] ^= coords
+                        if boundary:
+                            boundaries[x, y] = boundaries.get((x, y), 0) ^ boundary
+            if any(boundaries.values()):
+                raise ContractError("vector of degree %d is not closed" % degree)
             block = self._pairs[(a, b)] = PairBlock(degree, rows)
         return block
 
@@ -1109,10 +1111,12 @@ def transfer_minimal_model(
     the class rows of the pair blocks of ``products``, a ``ProductTable``
     over h and s (built here if none is given), on the degree pairs where
     the two can differ (``ProductTable``).  Arities above
-    ``MAX_ARITY`` are refused before any work.  The five retract identities
-    are verified on h (``_verify_retract``) unless ``products`` is the
+    ``MAX_ARITY`` are refused before any work.  Unless ``products`` is the
     ring's own table over h (``CohomologyRing.products``), whose retract
-    ``linear._retract`` builds as one (proof there).
+    ``linear._retract`` builds as one (proof there), h must be a retract of
+    the structure's m_1, a cochain map (shift +1) on the basis of s with
+    the columns of m_1, and the five retract identities are verified on it
+    (``_verify_retract``): any other retract is a ``ContractError``.
 
     mu and the inclusion are handed out without the constructors' second
     pass over their entries.  Every entry of either lies at the arity of
@@ -1120,9 +1124,8 @@ def transfer_minimal_model(
     ``if tail``, and i_1 only where i is).  Each mu vector is the
     ``coords`` that ``split`` masks to the classes of its degree sum + 1.
     Each inclusion vector has passed ``_inverted_index`` into s in degree
-    ``entry_degree(w)``, which reads a label for every set bit, and on a
-    cochain retract (shift +1) that is the degree sum ``validate_against``
-    reads; over any other retract the inclusion is validated here.
+    ``entry_degree(w)``, which reads a label for every set bit; over a
+    cochain retract that is the degree sum ``validate_against`` reads.
     ``check_ainfty_morphism`` validates its tables again, since a caller
     may change them.
     """
@@ -1132,6 +1135,11 @@ def transfer_minimal_model(
     if products is None:
         products = ProductTable(h, s)
     if not (products.proved and products.h is h):
+        d = h.differential
+        if (d.modulus, d.shift, d.basis) != (s.modulus, 1, s.basis) or any(
+            d.columns(k) != [s.entry((g,)) for g in names] for k, names in s.basis.items()
+        ):
+            raise ContractError("retract's differential is not the structure's m_1")
         _verify_retract(h)
 
     hbasis: Dict[int, Tuple[str, ...]] = {}
@@ -1143,11 +1151,11 @@ def transfer_minimal_model(
             class_list.append((k, i, lbl))
     degree_of = {lbl: k for k, _, lbl in class_list}
 
-    canon, lift = partial(canon_degree, h.modulus), 1 - h.shift
+    canon = partial(canon_degree, h.modulus)
 
     def entry_degree(w: Tuple[str, ...]) -> int:
-        """Degree of i_j(w): i is degree 0, h(p_j) lowers m_r's +1 by the shift."""
-        return canon(sum(map(degree_of.__getitem__, w)) + (lift if len(w) > 1 else 0))
+        """Degree of i_j(w): i is degree 0, and h(p_j) lowers m_r's +1 by 1."""
+        return canon(sum(map(degree_of.__getitem__, w)))
 
     mu_tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     i_tables: Dict[int, Dict[Tuple[str, ...], int]] = {
@@ -1187,8 +1195,6 @@ def transfer_minimal_model(
                     raise InternalConsistencyError(
                         "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
                     )
-    if lift:  # not a cochain retract: i_k is not read in its labels' degree (docstring)
-        return mu, AInftyMorphism(up_to, i_tables, src=mu, dst=s)
     return mu, assemble(AInftyMorphism, up_to, i_tables, mu, s)
 
 

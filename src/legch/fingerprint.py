@@ -300,7 +300,9 @@ def massey_table(
         check_massey_budget(h, zip([t for _, t in chain(*keys[4:])], chain(*sizes[4:])))
     if massey_order >= 3:
         mu = ring.minimal(massey_order)[0]
-    zero, reach = ring.products.annihilators, {(k,): (2 << n) - 2 for k, n in counts.items()}
+    # a degree of count over DEFAULT_MAX_TUPLES is in no admitted tuple, so it has no reach
+    reach = {(k,): (2 << n) - 2 for k, n in counts.items() if n <= DEFAULT_MAX_TUPLES}
+    zero = ring.products.annihilators
     table = dict.fromkeys(chain.from_iterable(keys[3:]), _DEFAULT_FLAGS)
     for order in range(3, len(keys)):
         walk = _BracketWalk(mu, order)

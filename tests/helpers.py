@@ -27,8 +27,8 @@ complement) are kept here as the references that the library's product
 table, its minimal-model Massey walk with its outer layer summed as a
 coset, its transferred mu_3, its support-only Massey table enumerated
 from mu's entries and walked where a reach mask says a class tuple
-exists, its level-by-level systems count, its zero pair blocks with no
-``class_of``, its
+exists, its level-by-level systems count, its pair blocks summed from
+projected m_2 entries, its
 splitting read off the support, its bar-map recursion, its
 table-driven composition sum, its pair checks, its window matrix and
 relation-based d d = 0, its closed-form entry count, its minimal-model

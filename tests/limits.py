@@ -210,6 +210,8 @@ ROWS = [
     refusal("MAX_MASSEY_TUPLES", (graded, 20), "compare-mirror --massey-order 4"),
     # 63^2 class pairs per degree pair and no triple: the table lists no pair it cannot extend
     row((layered, 300, 6), "compare-mirror --order-cap 1", SAME, seconds=3, rss_mb=60),
+    # 2^40 - 1 classes in one degree, over DEFAULT_MAX_TUPLES: no tuple, and no reach mask
+    row((layered, 1, 40), "compare-mirror", "knot.0.dims: 1:40", count=11, seconds=1),
     bound("MAX_ARITY", "spread", "compare-mirror --massey-order 16", DISTINGUISHED, KNOT + "0"),
     refusal("MAX_ARITY", "zero", "compare-mirror --massey-order 1000000",
             ("substring", "transfer arity 1000000 exceeds the budget MAX_ARITY = 16")),
@@ -269,10 +271,12 @@ ROWS = [
     row((sums, 8000), "validate", "valid: yes", seconds=1.5),
     # m_2 has an entry in 2999 rows of a 3000 x 3000 block: its rows hold only their entries
     row((killed, 3000), "ring", "basis.0: [b0]", rss_mb=45),
-    # 10^6 class pairs on the support pair (2, 2) and 999 m_2 entries: the pair block is
-    # built entry by entry, then class_of runs on every class pair
-    row((raised_path, 1000), "ring", "product.[b998].[b999]: [a998]", count=1002, seconds=8,
-        rss_mb=60),
+    # 10^6 class pairs on the support pair (2, 2) and 999 m_2 entries: the pair block
+    # projects each entry and its boundary once, and XORs them into the class pairs
+    row((raised_path, 1000), "ring", "product.[b998].[b999]: [a998]", count=1002, seconds=1,
+        rss_mb=40),
+    # 2^1000 - 1 classes in degree 2: no tuple is admitted, and the order-2 window is refused
+    refusal("MAX_WINDOW_BITS", (raised_path, 1000), "compare-mirror"),
     bound("MAX_WINDOW_BITS", "window", "ordern --n 2", "complex.dim: 40602", "total: 40600"),
     refusal("MAX_WINDOW_BITS", CUPEX, "ordern --n 4 --engine dense", seconds=60),
     *(refusal(None, "dd", c, ("substring", "invalid DGA: d(d a) != 0"), 60)

@@ -65,6 +65,7 @@ from helpers import (
     proved_rings,
     random_augmented_dga,
     random_dga,
+    random_dgas,
     random_elementary_iso,
     trivial_bracket_dga,
     twist_firsts,
@@ -823,8 +824,8 @@ def test_transfer_mu2_check_catches_a_flipped_p2_entry(monkeypatch):
 
 
 def test_a_flipped_bit_in_a_zero_pair_block_fails_the_mu2_check():
-    """A degree pair with no chain-level m_2 entry is built as the zero block
-    with no ``class_of``; the transfer still compares each of its entries."""
+    """A degree pair with no chain-level m_2 entry has the zero block; the
+    transfer still compares each of its entries."""
     dga = masseyex(1, 4, 9, 20)
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
     h, products = ring.cochain, set(ring.structure.grouped(2))
@@ -1048,14 +1049,11 @@ def _assert_composition_sums_match_the_oracle(ring, up_to):
     h, s = ring.cochain, ring.structure
     mu, f = transfer_minimal_model(h, s, up_to)
 
-    def lifted(w):  # degree of i_{|w|}(w), as the transfer reads it
-        return h.canon(sum(mu.degree_of[x] for x in w) + (1 - h.shift if len(w) > 1 else 0))
-
-    def plain(w):  # degree of f_{|w|}(w) for a degree-0 morphism
+    def entry_degree(w):  # degree of f_{|w|}(w) = i_{|w|}(w), a degree-0 morphism's
         return h.canon(sum(mu.degree_of[x] for x in w))
 
-    for min_blocks, entry_degree in ((2, lifted), (1, plain)):
-        index = {c: _inverted_index(s, table, entry_degree) for c, table in f.tables.items()}
+    index = {c: _inverted_index(s, table, entry_degree) for c, table in f.tables.items()}
+    for min_blocks in (2, 1):
         for n in range(min_blocks, up_to + 1):
             got, want = {}, {}
             _composition_sum(s, index, mu.degree_of, n, min_blocks, got)
@@ -1221,35 +1219,61 @@ CHAIN_RETRACT_DGA = (
     d e2 = e2 g0 g1 + e2 g1 g0 + g1 g0 g1 g0 g1 + g1 g0 g1 g1 g0 + g1 g1 g0 g0 g1"""
     " + g1 g1 g0 g1 g0 + e1 g0 g1 g0 g1 + e1 g0 g1 g1 g0 + e1 g1 g0 g0 g1 + e1 g1 g0 g1 g0\n"
 )
-# Four 5-tuples fail; [g0] precedes [g1] in the basis order, so this one is the least.
-CHAIN_RETRACT_FAILURE = (
-    "morphism entry on ([g1], [g0], [g1], [g0], [g1]) has bits outside the degree-0 target basis"
+NOT_M1 = "^retract's differential is not the structure's m_1$"
+
+
+def test_a_transfer_over_a_chain_retract_is_refused():
+    """A chain retract has shift -1, so it is no retract of m_1: the transfer
+    refuses it before any identity of it is verified.  The parent named a
+    failing inclusion entry on ``CHAIN_RETRACT_DGA``, and on the 300 random
+    rings accepted 277 chain retracts and ended 6 transfers in an
+    ``InternalConsistencyError``."""
+    for dga in [parse_dga(CHAIN_RETRACT_DGA)] + random_dgas(7, 300):
+        ring = build_ring(dga, enumerate_augmentations(dga)[0])
+        with pytest.raises(ContractError, match=NOT_M1):
+            transfer_minimal_model(ring.chain, ring.structure, 5)
+
+
+def test_a_transfer_refuses_a_retract_of_another_map():
+    """A retract of another ring's m_1, of m_1 on a basis with one more degree,
+    or of a map with other columns, is refused as one of the wrong shift is."""
+    dga = cupex(1, 3, 7)
+    ring, other = trefoil_ring(), build_ring(dga, enumerate_augmentations(dga)[0])
+    m1 = ring.cochain.differential
+    wider = homology(replace(m1, basis={**m1.basis, 7: ("z",)}))
+    zero = homology(replace(m1, cols={}))
+    for h in (other.cochain, wider, zero):
+        with pytest.raises(ContractError, match=NOT_M1):
+            transfer_minimal_model(h, ring.structure, 3)
+        with pytest.raises(ContractError, match=NOT_M1):
+            ProductTable(h, ring.structure).minimal(3)
+
+
+# Every word of two and three classes fails; [b2] is the first class in the basis order.
+INCLUSION_FAILURE = (
+    "morphism entry on ([b2], [b2]) has bits outside the degree-0 target basis"
 )
 
 
-def _transfer_over_the_chain_retract():
-    dga = parse_dga(CHAIN_RETRACT_DGA)
-    ring = build_ring(dga, enumerate_augmentations(dga)[0])
-    transfer_minimal_model(ring.chain, ring.structure, 5)
-
-
-def test_the_inclusion_of_a_transfer_over_a_chain_retract_is_still_checked():
-    """Over a retract that is not a cochain retract, i_k for k >= 2 is read
-    in another degree than its labels' sum, so the transfer checks the
-    inclusion's tables against mu and s before it hands them out, and names
-    the least failing entry in the basis order."""
-    with pytest.raises(ContractError, match="^%s$" % re.escape(CHAIN_RETRACT_FAILURE)):
-        _transfer_over_the_chain_retract()
+def _check_a_failing_inclusion():
+    """trefoil's inclusion with every arity-2 and arity-3 entry set outside its
+    target basis, the entries added in the order of a set."""
+    ring = trefoil_ring()
+    mu, f = transfer_minimal_model(ring.cochain, ring.structure, 3)
+    labels, tables = list(mu.degree_of), {1: f.tables[1]}
+    for n in (2, 3):
+        tables[n] = {w: 1 << 3 for w in set(product(labels, repeat=n))}
+    AInftyMorphism(3, tables, src=mu, dst=ring.structure)
 
 
 def test_the_failing_inclusion_entry_named_does_not_depend_on_the_hash_seed():
-    """The morphism tables follow the frozenset order of the differential,
-    which moves with PYTHONHASHSEED; at seeds 0, 1 and 3 a table-order scan
-    named three different tuples."""
+    """A caller's morphism tables come in the order it built them, here a
+    set's, which moves with PYTHONHASHSEED; ``validate_against`` names the
+    least failing entry at seeds 0, 1 and 3 all the same."""
     code = (
         "import sys; sys.path.insert(0, %r)\n"
-        "from test_ainfty import _transfer_over_the_chain_retract\n"
-        "try:\n    _transfer_over_the_chain_retract()\n"
+        "from test_ainfty import _check_a_failing_inclusion\n"
+        "try:\n    _check_a_failing_inclusion()\n"
         "except Exception as exc:\n    print(exc)" % os.path.dirname(__file__)
     )
     src = os.path.dirname(os.path.dirname(ainfty.__file__))
@@ -1258,7 +1282,7 @@ def test_the_failing_inclusion_entry_named_does_not_depend_on_the_hash_seed():
         argv = [sys.executable, "-c", code]
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == CHAIN_RETRACT_FAILURE + "\n", seed
+        assert proc.stdout == INCLUSION_FAILURE + "\n", seed
 
 
 def test_adjoint_structure_refuses_an_undeclared_letter_and_a_constant_term():

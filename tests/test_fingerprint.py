@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from legch import ContractError, InternalConsistencyError, ainfty, fingerprint, tilde
-from legch.ainfty import HClass, ProductTable, build_ring
+from legch.ainfty import AInftyStructure, HClass, ProductTable, build_ring
 from legch.algebra import mirror_dga, stabilize
 from legch.augment import enumerate_augmentations
 from legch.families import bundled_examples, cupex, masseyex, trefoil
@@ -33,7 +33,7 @@ from legch.fingerprint import (
 )
 from legch.fileio import parse_dga
 from legch.gf2 import rank
-from legch.linear import HomologyData
+from legch.linear import HomologyData, homology, linearized_complexes
 from legch.tilde import order_n_cohomology
 from helpers import (
     admitted_class_triples,
@@ -354,12 +354,13 @@ def test_the_tuple_budget_counts_the_admitted_tuples():
 
 @pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
 def test_class_of_never_runs_on_a_pair_without_a_chain_level_product(monkeypatch):
-    """A spy records, at each ``class_of`` inside ``ProductTable.pair``, the
-    degree pair being built: only pairs where the chain-level m_2 has an
-    entry, and every such pair that was built; and every block that
-    ``profile_for`` builds lies on the support."""
+    """A spy records, at each ``project`` inside ``ProductTable.pair`` (one per
+    m_2 entry), the degree pair being built: only pairs where the
+    chain-level m_2 has an entry, and every such pair that was built; no
+    ``class_of`` runs there; and every block that ``profile_for`` builds
+    lies on the support."""
     building, seen = [], []
-    real_pair, real_class_of = ProductTable.pair, HomologyData.class_of
+    real_pair, real_project = ProductTable.pair, HomologyData.project
 
     def pair(self, a, b):
         building.append((self.h.canon(a), self.h.canon(b)))
@@ -368,12 +369,16 @@ def test_class_of_never_runs_on_a_pair_without_a_chain_level_product(monkeypatch
         finally:
             building.pop()
 
-    def class_of(self, k, vec):
+    def project(self, k, vec):
         if building:
             seen.append(building[-1])
-        return real_class_of(self, k, vec)
+        return real_project(self, k, vec)
+
+    def class_of(self, k, vec):
+        raise AssertionError("class_of ran on a class pair")
 
     monkeypatch.setattr(ProductTable, "pair", pair)
+    monkeypatch.setattr(HomologyData, "project", project)
     monkeypatch.setattr(HomologyData, "class_of", class_of)
     for ring in _member_rings(mirror_bases()[:4] + random_dgas(20261019, 10)):
         seen.clear()
@@ -381,6 +386,23 @@ def test_class_of_never_runs_on_a_pair_without_a_chain_level_product(monkeypatch
         products = set(ring.structure.grouped(2))
         assert set(seen) == {p for p in ring.products._pairs if p in products}
         assert set(ring.products._pairs) <= set(ring.products.support)
+
+
+def test_a_pair_block_decides_closedness_on_each_class_pair_sum():
+    """The class x = [a + b] has m_2(a, a) = m_2(b, b) = u with d u = w != 0,
+    and no other entry: neither entry is closed, but their sum m_2(ix, ix)
+    is 0, so x x = 0 and nothing is refused."""
+    s = AInftyStructure(
+        0,
+        {0: ("a", "b"), 1: ("c", "u", "e"), 2: ("w",)},
+        2,
+        {1: {("a",): 0b001, ("b",): 0b001, ("u",): 0b1}, 2: {("a", "a"): 0b010, ("b", "b"): 0b010}},
+    )
+    h = homology(linearized_complexes(s)[1])
+    assert h.dims() == {0: 1, 1: 1} and h.include(0, 1) == 0b11
+    table = ProductTable(h, s)
+    assert table.pair(0, 0).coords == [[0]]
+    assert table.cup(HClass(0, 1), HClass(0, 1)) == HClass(1, 0)
 
 
 def test_massey_table_counts_a_value_in_its_indeterminacy_as_zero():
