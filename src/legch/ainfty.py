@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, groupby, pairwise
 from itertools import product as iproduct
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError, assemble, check_budget
 from .algebra import DGA, _undeclared, assert_valid, canon_degree
@@ -625,7 +625,10 @@ class ProductTable:
     degree pair (a, b) a ``PairBlock`` of class rows and its
     ``annihilators``, one bitmask of the y with x y = 0 per class x; and the
     ring's one transfer ``minimal``, which checks its mu_2 against those
-    pair blocks and verifies a retract h from a caller.
+    pair blocks.  A table built by a caller refuses a retract h that is
+    not one of the structure's m_1 once, before its first cup, pair block,
+    annihilator mask or transfer (``_check_retract``), so no reader reads a
+    retract of another map; the ring's own table skips that check.
 
     Pair blocks.  m_2 is bilinear, so the chain m_2(i x_i, i y_j) is the
     XOR of the m_2 entries (k, l) -> v on the pair's canonical degrees whose
@@ -700,18 +703,19 @@ class ProductTable:
     which is 0 when x y = y z = 0.  On the ring's table the relations and
     the retract identities are proved (``build_ring``, ``linear._retract``);
     a table built by a caller (as in ``massey_triple``) verifies its
-    retract and its structure's relations in its transfer.  So no
+    retract before its first read and its structure's relations in its
+    transfer.  So no
     closedness check runs on a value, and mu's relations up to one above
     the transfer's arity, which read mu_3, are checked before it is read.
     """
 
-    def __init__(self, h: HomologyData, s: AInftyStructure):
+    def __init__(self, h: HomologyData, s: AInftyStructure, proved: bool = False):
         self.h = h
         self.s = s
         # Set by ``CohomologyRing.products``: h is the ring's own retract,
         # which ``linear._retract`` builds as one, and s its own structure,
         # whose relations ``build_ring`` proves, so neither is checked here.
-        self.proved = False
+        self.proved = self._retract_checked = proved
         self._bases: Dict[int, Tuple[int, Dict[int, List[int]]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
         self._zeros: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -722,6 +726,22 @@ class ProductTable:
         """The degree pairs of H where the chain-level m_2 has an entry, sorted."""
         dims = self.h.dims()
         return tuple(sorted(p for p in self.s.grouped(2) if p[0] in dims and p[1] in dims))
+
+    def _check_retract(self) -> None:
+        """Refuse, before the table's first cup, pair block, annihilator mask
+        or transfer, a retract h that is not one of the structure's m_1: h's
+        differential must be a cochain map (shift +1) on the basis of s with
+        the columns of m_1, and the five retract identities must hold on it
+        (``_verify_retract``).  Checked once per table; the ring's own table
+        (``proved``) skips it."""
+        if not self._retract_checked:
+            d, s = self.h.differential, self.s
+            if (d.modulus, d.shift, d.basis) != (s.modulus, 1, s.basis) or any(
+                d.columns(k) != [s.entry((g,)) for g in names] for k, names in s.basis.items()
+            ):
+                raise ContractError("retract's differential is not the structure's m_1")
+            _verify_retract(self.h)
+            self._retract_checked = True
 
     def _basis(self, k: int) -> Tuple[int, Dict[int, List[int]]]:
         """(canonical degree, owners) of degree k: each basis letter's index ->
@@ -740,6 +760,7 @@ class ProductTable:
         """The (a, b) pair block, built entry by entry (class docstring)."""
         block = self._pairs.get((a, b))
         if block is None:
+            self._check_retract()
             h = self.h
             (ca, xs), (cb, ys) = self._basis(a), self._basis(b)
             degree = h.canon(ca + cb + 1)
@@ -763,6 +784,7 @@ class ProductTable:
         x's row of products with the basis classes sums to 0."""
         zero = self._zeros.get((a, b))
         if zero is None:
+            self._check_retract()
             xs, ys = range(1, 1 << self.h.dim(a)), range(1, 1 << self.h.dim(b))
             if (a, b) not in self.support:
                 zero = dict.fromkeys(xs, (2 << len(ys)) - 2)
@@ -1086,6 +1108,13 @@ def _verify_retract(h: HomologyData) -> None:
                 raise ContractError("retract fails p(h(x)) = 0 in degree %d" % k)
 
 
+def _check_arity(up_to: int) -> None:
+    """Refuse a transfer arity below 2 or above ``MAX_ARITY``."""
+    if up_to < 2:
+        raise ContractError("transfer needs arity at least 2")
+    check_budget("MAX_ARITY", MAX_ARITY, up_to, "transfer arity %d exceeds")
+
+
 def transfer_minimal_model(
     h: HomologyData, s: AInftyStructure, up_to: int, products: Optional[ProductTable] = None
 ) -> Tuple[AInftyStructure, AInftyMorphism]:
@@ -1109,14 +1138,13 @@ def transfer_minimal_model(
     (``massey_higher``; on a defined triple p_3 is closed, so mu_3 is its
     class, as ``ProductTable`` proves).  mu_2 is checked against the cup product:
     the class rows of the pair blocks of ``products``, a ``ProductTable``
-    over h and s (built here if none is given), on the degree pairs where
-    the two can differ (``ProductTable``).  Arities above
-    ``MAX_ARITY`` are refused before any work.  Unless ``products`` is the
-    ring's own table over h (``CohomologyRing.products``), whose retract
-    ``linear._retract`` builds as one (proof there), h must be a retract of
-    the structure's m_1, a cochain map (shift +1) on the basis of s with
-    the columns of m_1, and the five retract identities are verified on it
-    (``_verify_retract``): any other retract is a ``ContractError``.
+    over h and s (built here if none over h is given), on the degree pairs
+    where the two can differ (``ProductTable``).  Arities above
+    ``MAX_ARITY`` are refused before any work.  Then the table checks h
+    (``ProductTable._check_retract``): unless it is the ring's own table
+    (``CohomologyRing.products``), whose retract ``linear._retract`` builds
+    as one (proof there), h must be a retract of the structure's m_1, and
+    any other retract is a ``ContractError``.
 
     mu and the inclusion are handed out without the constructors' second
     pass over their entries.  Every entry of either lies at the arity of
@@ -1129,18 +1157,10 @@ def transfer_minimal_model(
     ``check_ainfty_morphism`` validates its tables again, since a caller
     may change them.
     """
-    if up_to < 2:
-        raise ContractError("transfer needs arity at least 2")
-    check_budget("MAX_ARITY", MAX_ARITY, up_to, "transfer arity %d exceeds")
-    if products is None:
+    _check_arity(up_to)
+    if products is None or products.h is not h:
         products = ProductTable(h, s)
-    if not (products.proved and products.h is h):
-        d = h.differential
-        if (d.modulus, d.shift, d.basis) != (s.modulus, 1, s.basis) or any(
-            d.columns(k) != [s.entry((g,)) for g in names] for k, names in s.basis.items()
-        ):
-            raise ContractError("retract's differential is not the structure's m_1")
-        _verify_retract(h)
+    products._check_retract()
 
     hbasis: Dict[int, Tuple[str, ...]] = {}
     class_list: List[Tuple[int, int, str]] = []  # (degree, index, label)
@@ -1221,10 +1241,12 @@ class CohomologyRing:
     structure: AInftyStructure
     chain_map: GradedMatrixMap
     cochain: HomologyData
-    # (letter, term) pairs of ``structure``, set once ``tilde.check_order_n_transpose``
-    # finds them homogeneous and equal to those of ``twisted``; the dense order-n
-    # engine builds its window matrix from them.  A ``replace`` copy checks anew.
-    pairs: Optional[FrozenSet[tuple]] = field(default=None, init=False, repr=False, compare=False)
+    # The (letter, term) pairs of ``twisted``, set once the one pass of
+    # ``tilde.check_order_n_transpose`` proves them homogeneous and equal to those of
+    # ``structure``, with what the entry count reads; iterated, they are the pairs
+    # the dense order-n engine builds its window matrix from.  A ``replace`` copy
+    # checks anew.
+    pairs: Optional[Iterable[tuple]] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def chain(self) -> HomologyData:
@@ -1234,11 +1256,9 @@ class CohomologyRing:
     @cached_property
     def products(self) -> ProductTable:
         """The cohomology product table; its blocks fill as readers ask for them.
-        Its retract and structure are the ring's own, so its transfer skips
-        ``_verify_retract`` and the structure's relation check."""
-        table = ProductTable(self.cochain, self.structure)
-        table.proved = True
-        return table
+        Its retract and structure are the ring's own, so it skips the retract
+        check and its transfer the structure's relation check."""
+        return ProductTable(self.cochain, self.structure, proved=True)
 
     def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
         """The product table's one checked transfer, of arity at least ``arity``

@@ -53,7 +53,7 @@ from operator import itemgetter, ne, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
-from .ainfty import CohomologyRing, _BracketWalk, build_ring, check_massey_budget
+from .ainfty import CohomologyRing, _BracketWalk, _check_arity, build_ring, check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
 from .gf2 import apply_block, bits, rank
@@ -218,7 +218,9 @@ def massey_table(
     least count, and with ``massey_order`` below 3 no level is built.
 
     Every order reads the ring's one checked minimal model, transferred
-    once at ``massey_order`` (``ProductTable.minimal``), the same way, with
+    once at ``massey_order`` (``ProductTable.minimal``) when some tuple of
+    order 3 or more is admitted (otherwise none is read, and only the
+    transfer's arity budget ``MAX_ARITY`` is checked), the same way, with
     one ``_BracketWalk`` (the walk of ``massey_higher``) asked class tuple
     by class tuple for (defined, nonzero) (``_walk_flags``), up to the first
     nonzero tuple; each bracket stops at the first coset after which its
@@ -298,13 +300,14 @@ def massey_table(
             sizes.append([c * n for c in sizes[-1] for _, n in admits(c)])
     if massey_order >= 4:
         check_massey_budget(h, zip([t for _, t in chain(*keys[4:])], chain(*sizes[4:])))
-    if massey_order >= 3:
-        mu = ring.minimal(massey_order)[0]
+    orders = [order for order in range(3, len(keys)) if keys[order]]
+    if massey_order >= 3:  # the transfer when a tuple reads it, else only its arity refusal
+        mu = ring.minimal(massey_order)[0] if orders else _check_arity(massey_order)
     # a degree of count over DEFAULT_MAX_TUPLES is in no admitted tuple, so it has no reach
     reach = {(k,): (2 << n) - 2 for k, n in counts.items() if n <= DEFAULT_MAX_TUPLES}
     zero = ring.products.annihilators
     table = dict.fromkeys(chain.from_iterable(keys[3:]), _DEFAULT_FLAGS)
-    for order in range(3, len(keys)):
+    for order in orders:
         walk = _BracketWalk(mu, order)
         support = {
             head + key + tail
@@ -342,7 +345,7 @@ def order_dim_table(
     The adjoint structure's window d d = 0 it skips, its A-infinity
     relations up to arity n, holds at every arity on a ring from
     ``build_ring``, which proves it from ``assert_valid`` (once per
-    content).  The checks it keeps: the pair check (one comparison per
+    content).  The checks it keeps: the pair check (one pass per
     ring, at every term length, serves every n), the transfer's mu_2 check
     and mu's relations up to its arity (one transfer per ring, at the
     highest arity asked, on the ring's own retract, which

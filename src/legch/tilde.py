@@ -52,16 +52,23 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   so the (g, t) entry of F(Q) is 1 exactly when (g, t) is in Q.  So the
   matrices are equal exactly when the pair sets are.  These are the pairs
   with |t| <= n of the full sets (every term of d(g), every table entry),
-  so equal full sets give equal matrices at every order:
-  ``check_order_n_transpose`` compares the full sets once per ring, which
-  also rejects a one-sided pair longer than n, and names the smallest
-  differing pair in code order (letter, term length, term); one-letter
-  columns code first, so with |t| <= n it is the smallest differing entry
-  of the matrices.  Reversal conjugation maps the triple h.g.tl -> h.t.tl
-  to rev tl.g.rev h -> rev tl.rev t.rev h, so rev d rev = F(rev P) with
-  rev P = {(g, rev t)}, and rev d rev = d_mirror holds on every word of
-  length <= n exactly when it holds on the one-letter words.  Neither
-  argument uses |t| >= 1.
+  so equal full sets give equal matrices at every order.
+  ``check_order_n_transpose`` proves them equal once per ring, in one pass
+  over the terms of the twisted differential and no set built
+  (``_TwistedPairs``): each term t of d(g) is nonempty, has degree
+  deg g - 1 and holds g's bit, its place in the basis of its degree, in
+  the table vector of t, so (g, t) is a window pair and P_Leibniz lies in
+  P_window; and the terms are as many as the set bits of all table
+  vectors, which is |P_window|, as each bit is one pair (the labels are
+  unique).  So the sets are equal; that also rejects a one-sided pair
+  longer than n.  Only on a failure are the tables scanned for the
+  window-only pairs, to name the smallest differing pair in code order
+  (letter, term length, term); one-letter columns code first, so with
+  |t| <= n it is the smallest differing entry of the matrices.  Reversal
+  conjugation maps the triple h.g.tl -> h.t.tl to rev tl.g.rev h ->
+  rev tl.rev t.rev h, so rev d rev = F(rev P) with rev P = {(g, rev t)},
+  and rev d rev = d_mirror holds on every word of length <= n exactly
+  when it holds on the one-letter words.  Neither argument uses |t| >= 1.
 * Count.  The nonzero entries of F(P) are counted from P alone.  Let
   W(k) = sum_{m=0..k} (m + 1) |V|^m, the (head, tail) pairs with
   |h| + |tl| <= k.  An entry carrying c triples is nonzero when c is odd,
@@ -86,6 +93,12 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   S = {g : (g, (g)) in P}.  With sigma = |S|, the u of length m add
   sigma^2 (|V| - 2 sigma)^m, so these cores give
   -2 sigma^2 sum_{m=0..n-2} (|V| - 2 sigma)^m W(n - m - 2).
+  So the count reads P through three things only: its number of pairs
+  per term length; the pairs (g, t) with t[0] = g or t[-1] = g, which hold
+  every core's outer pairs and S; and membership of a core's other pairs,
+  t' in d(g').  The pass of Pairs records the first two on its way, so
+  ``check_order_n_transpose`` returns the count on every call with no
+  second scan of P.
 * Homogeneity.  By additivity of degree, deg(h.t.tl) - deg(h.g.tl) =
   deg t - deg g, so every output word has degree one below its column
   word exactly when every contributing pair has deg t = deg g - 1.  Each
@@ -320,20 +333,62 @@ def _check_homogeneous(s: AInftyStructure, side: str, pairs) -> None:
         )
 
 
-def _twisted_pairs(twisted: DGA, s: AInftyStructure) -> set:
-    """(g, t) for every term t of the twisted differential d(g), at every length."""
-    for g in s.order:
-        if () in twisted.d(g):
-            raise InternalConsistencyError("twisted differential of %s has a constant term" % g)
-    pairs = {(g, t) for g in s.order for t in twisted.d(g)}
-    _check_homogeneous(s, "Leibniz", pairs)
-    return pairs
+class _TwistedPairs:
+    """The (letter, term) pairs of a twisted differential, proved equal to the
+    window pairs of a structure in one pass over the terms (Pairs, in the
+    module docstring): each term t of d(g) is nonempty, of degree deg g - 1
+    (read through ``s.out_degree``) and holds g's bit in its table vector,
+    and the terms are as many as the tables' set bits.
+
+    Iterating yields every term t of ``diff[g]`` as (g, t), letter by letter
+    in ``letters`` (``s.order``); the pass also keeps the number of pairs
+    per term length, ``lengths``, and the few pairs whose term begins or
+    ends with its own letter, ``own``, which is all ``_entry_count`` walks.
+    On a failure the tables are scanned for window-only pairs, and the
+    error names, in this order, a constant term, an inhomogeneous pair of
+    either side, or the smallest one-sided pair in code order (``n`` only
+    names the order)."""
+
+    def __init__(self, twisted: DGA, s: AInftyStructure, n: int):
+        diff, tables, out_degree, none = twisted.diff, s.tables, s.out_degree, {}
+        failing, own, terms = [], [], 0
+        for k in sorted(s.basis):  # the letters in s.order, g's bit its place in its degree
+            for place, g in enumerate(s.basis[k]):
+                dg = diff[g]
+                if () in dg:
+                    what = "twisted differential of %s has a constant term"
+                    raise InternalConsistencyError(what % g)
+                terms += len(dg)
+                for t in dg:
+                    if out_degree(t) != k or not tables.get(len(t), none).get(t, 0) >> place & 1:
+                        failing.append((g, t))
+                    elif t[0] == g or t[-1] == g:
+                        own.append((g, t))
+        lengths = {j: sum(map(int.bit_count, table.values())) for j, table in tables.items()}
+        if failing or terms != sum(lengths.values()):
+            # the other terms passed out_degree, the same sum, so they and the
+            # window pairs they are are homogeneous: _window_pairs can only
+            # name an inhomogeneous window-only pair
+            _check_homogeneous(s, "Leibniz", failing)
+            window = [(g, t) for g, t in _window_pairs(s) if t not in diff[g]]
+            g, t = min(failing + window, key=_code_order(s))
+            raise InternalConsistencyError(
+                "order-%d transpose equality fails: only the %s side has the entry (%s -> %s)"
+                % (n, "Leibniz" if t in diff[g] else "window", g, "|".join(t))
+            )
+        self.diff, self.letters, self.lengths, self.own = diff, s.order, lengths, own
+
+    def __iter__(self):
+        return ((g, t) for g in self.letters for t in self.diff[g])
 
 
 def _window_pairs(s: AInftyStructure) -> FrozenSet[Pair]:
     """(g, t) for every letter g in m_|t|(t), at every arity, read off the
-    structure's label index ``s.hits(j)``, which the relation check reuses."""
-    return frozenset((g, t) for j in s.tables for g, ts in s.hits(j).items() for t in ts)
+    structure's label index ``s.hits(j)``, which the relation check reuses,
+    once each is homogeneous."""
+    pairs = frozenset((g, t) for j in s.tables for g, ts in s.hits(j).items() for t in ts)
+    _check_homogeneous(s, "window", pairs)
+    return pairs
 
 
 def _xor_triples(flat: List[int], pairs, words: _Words) -> None:
@@ -369,22 +424,25 @@ def _xor_triples(flat: List[int], pairs, words: _Words) -> None:
                     flat[rows] = map(xor, flat[rows], bit[c : c + count * cstep : cstep])
 
 
-def _entry_count(pairs: FrozenSet[Pair], size: int, n: int) -> int:
+def _entry_count(pairs: _TwistedPairs, size: int, n: int) -> int:
     """Nonzero entries of F(P) over ``size`` letters at order n (Count), P the
     pairs in ``pairs`` with |t| <= n.
 
-    The triples count sum_P W(n - |t|); each core (g, t, u, g', t') takes
-    away 2 (-1)^s W(n - |rc|), and the cores of one-letter terms (g, (g))
-    are summed in closed form.  Only equality and slicing of letters is used.
+    The triples count sum_P W(n - |t|), read off the pairs per term length;
+    each core (g, t, u, g', t') takes away 2 (-1)^s W(n - |rc|), and the
+    cores of one-letter terms (g, (g)) are summed in closed form.  A core's
+    outer pairs begin and end with their own letters, so only those pairs
+    are walked, and the others are only asked for membership.  Only
+    equality and slicing of letters is used.
     """
     weights = list(accumulate((m + 1) * size**m for m in range(n + 1)))
     ends: Dict[Tuple[str, ...], List[str]] = {}  # t' less g' -> letters g' ending t'
-    for g, t in pairs:
+    for g, t in pairs.own:
         if t[-1] == g and len(t) < n:
             ends.setdefault(t[:-1], []).append(g)
-    count = sum(weights[n - len(t)] for _, t in pairs if len(t) <= n)
+    count = sum(weights[n - j] * c for j, c in pairs.lengths.items() if j <= n)
     sigma = 0
-    for g, t in pairs:
+    for g, t in pairs.own:
         length = len(t)
         if t[0] != g:
             continue
@@ -403,7 +461,7 @@ def _entry_count(pairs: FrozenSet[Pair], size: int, n: int) -> int:
                     for p in range(len(cc))
                     if cc[:p] == rc[:p]
                     and cc[p + 1 :] == rc[p + length :]
-                    and (cc[p], rc[p : p + length]) in pairs
+                    and rc[p : p + length] in pairs.diff[cc[p]]
                 )
                 count -= 2 * (-1) ** s * weights[n - len(rc)]
     free = size - 2 * sigma
@@ -484,7 +542,6 @@ def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
     """
     _check_order(n)
     pairs = _window_pairs(s)
-    _check_homogeneous(s, "window", pairs)
     space = _Words(s, n)
     window = _window_matrix(s, space, pairs)
     words = space.spelled()
@@ -492,45 +549,28 @@ def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
     return TildeComplex(s, n, words, replace(window, basis=basis))
 
 
-def _ring_pairs(ring: CohomologyRing, n: int) -> FrozenSet[Pair]:
-    """The window side's (letter, term) pairs, once they equal the Leibniz side's at
-    every term length: compared once per ring and kept as ``ring.pairs`` (``n``
-    only names the order in a failure, which reports the smallest differing pair)."""
-    if ring.pairs is None:
-        s = ring.structure
-        leibniz = _twisted_pairs(ring.twisted, s)
-        window = _window_pairs(s)
-        _check_homogeneous(s, "window", window - leibniz)  # the rest passed as Leibniz pairs
-        differ = leibniz ^ window
-        if differ:
-            g, t = min(differ, key=_code_order(s))
-            raise InternalConsistencyError(
-                "order-%d transpose equality fails: only the %s side has the entry (%s -> %s)"
-                % (n, "Leibniz" if (g, t) in leibniz else "window", g, "|".join(t))
-            )
-        ring.pairs = window
-    return ring.pairs
-
-
 def check_order_n_transpose(ring: CohomologyRing, n: int) -> int:
     """Assert the order-n differential is the Leibniz expansion's transpose.
 
     The tensor algebra truncated at word length n carries the Leibniz
-    expansion of ``ring.twisted`` (degree -1, long outputs dropped), read
-    from d(g) itself and never from the structure's tables; its matrix must
-    be, entry for entry, the transpose of the window differential of
-    ``ring.structure``.  They are equal exactly when their (letter, term)
-    pair sets are, and the full pair sets, compared once per ring, cover
-    every order (Pairs, in the module docstring); a discrepancy is an
-    internal error naming the side and the smallest offending pair.  The
-    checked set is kept as ``ring.pairs``, which the dense engine builds
-    its window matrix from.  Orders above ``MAX_ORDER`` are refused.
-    Returns the number of nonzero entries of the window matrix, in closed
-    form from the pairs (Count): the work is over pairs and letters, never
+    expansion of ``ring.twisted`` (degree -1, long outputs dropped); its
+    matrix must be, entry for entry, the transpose of the window
+    differential of ``ring.structure``.  They are equal exactly when their
+    (letter, term) pair sets are, and equal full sets cover every order
+    (Pairs, in the module docstring).  One pass over the twisted
+    differential per ring (``_TwistedPairs``) proves them equal, and keeps
+    what it checked as ``ring.pairs``, which the dense engine builds its
+    window matrix from; a discrepancy is an internal error naming the side
+    and the smallest offending pair, and ``n`` names the order in it.
+    Orders above ``MAX_ORDER`` are refused.  Returns, on every call, the
+    number of nonzero entries of the window matrix, in closed form from
+    what the pass kept (Count): the work is over pairs and letters, never
     over words.
     """
     _check_order(n)
-    return _entry_count(_ring_pairs(ring, n), len(ring.structure.order), n)
+    if ring.pairs is None:
+        ring.pairs = _TwistedPairs(ring.twisted, ring.structure, n)
+    return _entry_count(ring.pairs, len(ring.structure.order), n)
 
 
 @dataclass
@@ -575,13 +615,14 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
 
     Always verifies the transpose equality between the window differential
     and the truncated Leibniz differential before reducing, through
-    ``check_order_n_transpose``: one pair comparison per ring covers every
-    order, and the window matrix's nonzero entries are counted from the
-    pairs on every call.  The dense engine builds that matrix on
-    ``ring.structure`` from the checked ``ring.pairs`` and asserts the
-    count; the perturbation engine reads and checks the pairs of the
-    ring's one transfer ``ring.minimal(max(n, 2))`` and builds its window
-    matrix from those with |t| <= n (Perturbation, in the module docstring).
+    ``check_order_n_transpose``: one pass per ring over the twisted
+    differential covers every order, and the window matrix's nonzero
+    entries are counted on every call from what that pass kept.  The dense
+    engine builds that matrix on ``ring.structure`` from the pairs the pass
+    checked, ``ring.pairs``, and asserts the count; the perturbation engine
+    reads and checks the pairs of the ring's one transfer
+    ``ring.minimal(max(n, 2))`` and builds its window matrix from those
+    with |t| <= n (Perturbation, in the module docstring).
     Either asserts d d = 0 through its structure's A-infinity relations up
     to arity n (Square zero).
     The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
@@ -607,7 +648,6 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     else:
         structure, count = ring.minimal(max(n, 2))[0], None
         pairs = _window_pairs(structure)
-        _check_homogeneous(structure, "window", pairs)
     words = _Words(structure, n)
     orders = _order_dims(_window_matrix(structure, words, pairs, count), words)
     return OrderNCohomology(n, engine, orders[n], total, entries, orders, structure)

@@ -15,7 +15,8 @@ support read off the chain-level cup on every class pair, the per-class-pair
 order-2 splitting, the composition enumeration of an induced chain
 map's blocks, the sorting opposite fingerprint, the per-tuple
 composition sum, the word-by-word Leibniz and window
-expansions, the word-by-word window matrix with its d d = 0, the sliced
+expansions, the pair check as two full sets compared with the count
+walked over every pair, the word-by-word window matrix with its d d = 0, the sliced
 count of the window matrix, the word-by-word perturbation series, the
 whole-field multiset witness, the sorted-key-union witness and the
 two-sided mirror comparison, the five retract identities on every basis
@@ -30,7 +31,8 @@ from mu's entries and walked where a reach mask says a class tuple
 exists, its level-by-level systems count, its pair blocks summed from
 projected m_2 entries, its
 splitting read off the support, its bar-map recursion, its
-table-driven composition sum, its pair checks, its window matrix and
+table-driven composition sum, its pair checks, its one pass over the
+twisted differential, its window matrix and
 relation-based d d = 0, its closed-form entry count, its minimal-model
 order-n engine, its lazily merged mirror witness, its one-sided mirror
 comparison, its proof that its own retracts are strong deformation
@@ -46,7 +48,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import prod
 from operator import xor
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -114,7 +116,6 @@ from legch.tilde import (
     SPLITTING_CONVENTION,
     SplittingReport,
     SplittingRow,
-    _ring_pairs,
     order_n_cohomology,
     tilde_complex,
 )
@@ -344,12 +345,101 @@ def _toggle_triples(out: set, pairs, codes: Codes, lo: int, hi: int) -> None:
                         )
 
 
+def pair_oracle(ring, n: int) -> FrozenSet[Tuple[str, Tuple[str, ...]]]:
+    """The pair check as two full sets, compared: the window side's (letter,
+    term) pairs, read off the tables in the degree ``s.out_degree`` gives,
+    once they equal the Leibniz side's, the terms of every twisted d(g).
+
+    Raises what the library's one pass must raise, in its order: a constant
+    term (the first letter in ``s.order``), then an inhomogeneous Leibniz
+    pair, an inhomogeneous window-only pair, and the smallest differing
+    pair, each the smallest in code order (letter, term length, term).
+    """
+    twisted, s = ring.twisted, ring.structure
+    order, degree_of = s.order, s.degree_of
+
+    def code(pair):
+        return order[pair[0]], len(pair[1]), [order[x] for x in pair[1]]
+
+    def up(t):
+        return canon_degree(s.modulus, sum(degree_of[x] for x in t) + 1)
+
+    def homogeneous(side, pairs):
+        bad = [(g, t) for g, t in pairs if up(t) != degree_of[g]]
+        if bad:
+            g, t = min(bad, key=code)
+            leibniz = side == "Leibniz"
+            image, source, want = (t, (g,), degree_of[g] - 1) if leibniz else ((g,), t, up(t))
+            raise InternalConsistencyError(
+                "%s image %s of %s is not homogeneous of degree %d"
+                % (side, "|".join(image), "|".join(source), canon_degree(s.modulus, want))
+            )
+
+    for g in order:
+        if () in twisted.d(g):
+            raise InternalConsistencyError("twisted differential of %s has a constant term" % g)
+    leibniz = {(g, t) for g in order for t in twisted.d(g)}
+    homogeneous("Leibniz", leibniz)
+    window = set()
+    for table in s.tables.values():
+        for t, vec in table.items():
+            names = s.names(s.out_degree(t))
+            window.update((names[i], t) for i in bits(vec))
+    homogeneous("window", window - leibniz)
+    differ = leibniz ^ window
+    if differ:
+        g, t = min(differ, key=code)
+        raise InternalConsistencyError(
+            "order-%d transpose equality fails: only the %s side has the entry (%s -> %s)"
+            % (n, "Leibniz" if (g, t) in leibniz else "window", g, "|".join(t))
+        )
+    return frozenset(window)
+
+
+def pair_oracle_count(pairs, size: int, n: int) -> int:
+    """The closed-form count (``legch.tilde``, Count) over a full pair set:
+    every pair is walked for the triples and the cores, and a core's other
+    pairs are looked up in the set."""
+    weights = list(accumulate((m + 1) * size**m for m in range(n + 1)))
+    ends: Dict[Tuple[str, ...], List[str]] = {}
+    for g, t in pairs:
+        if t[-1] == g and len(t) < n:
+            ends.setdefault(t[:-1], []).append(g)
+    count = sum(weights[n - len(t)] for _, t in pairs if len(t) <= n)
+    sigma = 0
+    for g, t in pairs:
+        length = len(t)
+        if t[0] != g:
+            continue
+        if length == 1:
+            sigma += 1
+            continue
+        rest = t[1:]
+        for m in range(n - length):
+            middle = tuple(rest[i % (length - 1)] for i in range(m))
+            prefix = tuple(rest[(m + i) % (length - 1)] for i in range(length - 1))
+            for last in ends.get(prefix, ()):
+                cc, rc = (g,) + middle + (last,), t + middle + (last,)
+                s = sum(
+                    1
+                    for p in range(len(cc))
+                    if cc[:p] == rc[:p]
+                    and cc[p + 1 :] == rc[p + length :]
+                    and (cc[p], rc[p : p + length]) in pairs
+                )
+                count -= 2 * (-1) ** s * weights[n - len(rc)]
+    free = size - 2 * sigma
+    count -= 2 * sigma * sigma * sum(free**m * weights[n - m - 2] for m in range(n - 1))
+    return count
+
+
 # Column words per slice of the sliced count; bounds its peak memory.
 _SLICE_WORDS = 1 << 15
 
 
 def _transpose_slices(ring, n: int):
-    """Check the pair sets, then yield the window matrix one column slice at a time.
+    """Check the pair sets (``pair_oracle``), then yield the window matrix one
+    column slice at a time.
 
     Each slice comes with the codes ``col * M + row`` of its nonzero
     entries; a slice covers as many first letters as keep it within
@@ -359,7 +449,7 @@ def _transpose_slices(ring, n: int):
     """
     letters = Letters(ring.structure)
     code = letters.index.__getitem__
-    window = [(code(g), tuple(map(code, t))) for g, t in _ring_pairs(ring, n) if len(t) <= n]
+    window = [(code(g), tuple(map(code, t))) for g, t in pair_oracle(ring, n) if len(t) <= n]
     codes = Codes(len(letters.labels), n)
     step = max(1, _SLICE_WORDS // (codes.off[n] + 1))
     for lo in range(0, codes.size, step):

@@ -1249,6 +1249,48 @@ def test_a_transfer_refuses_a_retract_of_another_map():
             ProductTable(h, ring.structure).minimal(3)
 
 
+
+def test_a_callers_table_refuses_a_chain_retract_before_any_block_is_read():
+    """Each reader of a caller's table checks the retract before its first
+    block: on the chain retract (shift -1) the parent returned a class on 5
+    of trefoil's 9 basis class pairs and 73 of masseyex(1,4,9,20)'s 81."""
+    for dga in (trefoil(), masseyex(1, 4, 9, 20)):
+        ring = build_ring(dga, enumerate_augmentations(dga)[0])
+        h, s = ring.chain, ring.structure
+        (a, b), x = ring.products.support[0], HClass(h.degrees()[0], 1)
+        readers = [
+            lambda table: table.cup(x, x),
+            lambda table: table.pair(a, b),
+            lambda table: table.annihilators(a, b),
+            lambda table: table.annihilators(min(h.degrees()) - 7, 0),  # off the support
+        ]
+        for read in readers:
+            table = ProductTable(h, s)
+            for _ in range(2):  # a refusal is not remembered as checked
+                with pytest.raises(ContractError, match=NOT_M1):
+                    read(table)
+            assert table._pairs == {} and table._zeros == {}
+        assert ring.products.pair(a, b) is ring.products.pair(a, b)  # the ring's own reads
+
+
+def test_a_callers_table_verifies_its_retract_once(monkeypatch):
+    """Blocks, masks and the transfer of one caller's table share one check
+    of its retract; the ring's own table runs none."""
+    calls = []
+    real = ainfty._verify_retract
+    monkeypatch.setattr(ainfty, "_verify_retract", lambda h: calls.append(h) or real(h))
+    ring = trefoil_ring()
+    table = ProductTable(ring.cochain, ring.structure)
+    for a, b in table.support:
+        table.pair(a, b)
+        table.annihilators(a, b)
+    table.minimal(3)
+    assert len(calls) == 1 and calls[0] is ring.cochain
+    for a, b in ring.products.support:
+        ring.products.annihilators(a, b)
+    ring.minimal(3)
+    assert len(calls) == 1
+
 # Every word of two and three classes fails; [b2] is the first class in the basis order.
 INCLUSION_FAILURE = (
     "morphism entry on ([b2], [b2]) has bits outside the degree-0 target basis"

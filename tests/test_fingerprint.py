@@ -203,6 +203,28 @@ def test_support_tuples_past_the_class_tuple_bound_stay_out_of_the_massey_table(
     assert list(table.items()) == sorted(degree_scan_massey_table(ring).items())
 
 
+
+def test_a_massey_table_that_admits_no_tuple_transfers_nothing():
+    """13 closed letters in degree 2 have 8,191 nonzero classes, past
+    ``DEFAULT_MAX_TUPLES``: no tuple is admitted, so the table is empty and
+    no transfer is built for it, while an order over ``MAX_ARITY`` is still
+    refused in the transfer's words."""
+    dga = parse_dga("modulus 0\n" + "".join("gen b%d 2\n" % i for i in range(13)))
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+
+    def refuse(*args):
+        raise AssertionError("a transfer ran")
+
+    with patch.object(ainfty, "transfer_minimal_model", refuse):
+        for order in (3, 4, ainfty.MAX_ARITY):
+            assert massey_table(ring, order) == {}
+        over = "^transfer arity %d exceeds the budget MAX_ARITY = %d$"
+        with pytest.raises(ContractError, match=over % (ainfty.MAX_ARITY + 1, ainfty.MAX_ARITY)):
+            massey_table(ring, ainfty.MAX_ARITY + 1)
+    assert ring.products._model is None
+    ring = _free_ring(3)  # one class per degree: every triple is admitted and read
+    assert massey_table(ring) and ring.products._model[0].arity == 3
+
 @pytest.mark.filterwarnings("ignore::legch.families.FamilyGradingWarning")
 def test_bracket_terms_are_built_only_inside_walks_on_masseyex_1_2_3_4():
     """The tables of orders 3 and 4 of masseyex(1,2,3,4) walk 4 and 55

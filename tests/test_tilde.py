@@ -3,7 +3,7 @@
 import random
 import sys
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -49,12 +49,16 @@ from helpers import (
     decode,
     flip_table_bit,
     letter_windows,
+    pair_oracle,
+    pair_oracle_count,
     per_class_pair_splitting_check_n2,
+    proved_rings,
     random_augmented_dga,
     random_dga,
     random_dgas,
     sliced_count,
     toggle_entry,
+    twist_firsts,
     word_window_matrix,
     words_by_degree,
 )
@@ -763,9 +767,9 @@ def test_each_dga_is_validated_once_and_an_invalid_one_still_fails(monkeypatch):
 
 def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(monkeypatch):
     compared, letters = [], []
-    real_pairs, real_words = tilde._twisted_pairs, tilde._Words
+    real_pairs, real_words = tilde._TwistedPairs, tilde._Words
     monkeypatch.setattr(
-        tilde, "_twisted_pairs", lambda *args: compared.append(args) or real_pairs(*args)
+        tilde, "_TwistedPairs", lambda *args: compared.append(args) or real_pairs(*args)
     )
     # each word space codes the letters of its structure
     monkeypatch.setattr(tilde, "_Words", lambda s, n: letters.append(s) or real_words(s, n))
@@ -776,26 +780,36 @@ def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(mo
             for engine in ("dense", "perturbation"):
                 order_n_cohomology(ring, n, engine=engine)
             check_order_n_transpose(ring, n)
+    # one pass per ring, over that ring's twist and structure, at the first order asked
     assert len(compared) == len(rings)
+    assert all(t is r.twisted and s is r.structure and n == 1 for (t, s, n), r in zip(compared, rings))
     assert len(letters) == len(rings) * 4 * 2  # one per window matrix built
     assert all(s is rings[0].structure for s in letters[:8:2])  # dense, then the minimal model
 
 
 def test_dense_engine_builds_on_the_pairs_the_ring_compared(monkeypatch):
-    callers = []
-    real = tilde._window_pairs
+    # The dense window matrix is built from the pairs the one pass proved,
+    # kept as ``ring.pairs``; no table is scanned for pairs on the way.
+    scanned, built = [], []
+    real = tilde._window_matrix
+    monkeypatch.setattr(tilde, "_window_pairs", lambda s: scanned.append(s))
 
-    def spy(s):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(s)
+    def spy(s, words, pairs, *rest):
+        built.append((sys._getframe(1).f_code.co_name, s, pairs))
+        return real(s, words, pairs, *rest)
 
-    monkeypatch.setattr(tilde, "_window_pairs", spy)
+    monkeypatch.setattr(tilde, "_window_matrix", spy)
     dga = trefoil()
     rings = [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
     for ring in rings:
         for n in (1, 2, 3, 4):
             order_n_cohomology(ring, n, engine="dense")
-    assert callers == ["_ring_pairs"] * len(rings)
+    assert scanned == []
+    assert len(built) == 4 * len(rings)
+    for (caller, s, pairs), ring in zip(built, [r for r in rings for _ in range(4)]):
+        assert (caller, s, pairs) == ("order_n_cohomology", ring.structure, ring.pairs)
+        assert s is ring.structure and pairs is ring.pairs
+        assert set(pairs) == pair_oracle(ring, 4)
 
 
 def test_library_complexes_are_reduced_without_squaring_them_again(monkeypatch):
@@ -927,6 +941,25 @@ def test_transpose_check_rejects_a_table_entry_of_the_wrong_degree(monkeypatch):
     )
 
 
+
+def test_an_inhomogeneous_leibniz_pair_outranks_an_inhomogeneous_window_pair(monkeypatch):
+    """The wrong-degree reading of the test above, and a twisted term of the
+    wrong degree beside it: the Leibniz side is named, as the oracle does."""
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    s = ring.structure
+    args = min(s.tables[2], key=lambda a: [s.order[x] for x in a])
+    right = s.out_degree(args)
+    wrong = next(k for k in s.basis if k != right and len(s.names(k)) >= len(s.names(right)))
+    real = s.out_degree
+    monkeypatch.setattr(s, "out_degree", lambda a: wrong if a == args else real(a))
+    mutated = _with_terms(ring, {"a2": {("a1",)}})
+    message = "Leibniz image a1 of a2 is not homogeneous of degree 0"
+    assert _pair_outcome(lambda: pair_oracle(mutated, 2)) == ("error", message)
+    assert _pair_outcome(lambda: check_order_n_transpose(mutated, 2)) == ("error", message)
+    window = _pair_outcome(lambda: check_order_n_transpose(replace(ring), 2))
+    assert window[0] == "error" and window[1].startswith("window image")
+
 def test_transpose_check_rejects_a_dropped_entry_in_a_later_slice():
     dga = cupex(1, 3, 7)
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
@@ -952,6 +985,123 @@ def test_transpose_check_rejects_a_dropped_entry_in_a_later_slice():
         % (letters.labels[min(hits)], "|".join(labels)),
         lambda: check_order_n_transpose(mutated, n),
     )
+
+
+def _pair_outcome(call):
+    """("ok", value) or ("error", message) of a call that may fail a pair check."""
+    try:
+        return "ok", call()
+    except InternalConsistencyError as err:
+        return "error", str(err)
+
+
+def _with_terms(ring, changes):
+    """``ring`` with each twisted d(g) XORed with its set of words, the structure kept."""
+    twisted = ring.twisted
+    diff = {g: twisted.d(g) ^ frozenset(changes.get(g, ())) for g in twisted.generators}
+    return replace(ring, twisted=twisted.replace_diff(diff))
+
+
+def _with_table_bit(ring, args, g):
+    """``ring`` with g toggled in m_|args|(args), the twist kept."""
+    s = ring.structure
+    tables = {j: dict(t) for j, t in s.tables.items()}
+    table = tables.setdefault(len(args), {})
+    table[args] = table.get(args, 0) ^ (1 << s.names(s.degree_of[g]).index(g))
+    structure = AInftyStructure(s.modulus, s.basis, max(s.arity, len(args)), tables)
+    return replace(ring, structure=structure)
+
+
+def _pair_mutations(ring, rng):
+    """``ring`` and mutations of one side of its pairs: a random word toggled
+    in a random d(g) (of any degree, so often inhomogeneous), a term dropped
+    from the twist, a table bit toggled on an entry or on random letters,
+    and a constant term."""
+    s = ring.structure
+    labels = sorted(s.order, key=s.order.get)
+    yield ring
+    word = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
+    yield _with_terms(ring, {rng.choice(labels): {word}})
+    terms = [(g, t) for g in labels for t in ring.twisted.d(g)]
+    if terms:
+        g, t = rng.choice(terms)
+        yield _with_terms(ring, {g: {t}})
+    entries = sorted(args for table in s.tables.values() for args in table)
+    if entries and rng.random() < 0.5:
+        args = rng.choice(entries)
+    else:
+        args = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
+    out = s.basis.get(s.out_degree(args), ())
+    if out:
+        yield _with_table_bit(ring, args, rng.choice(out))
+    yield _with_terms(ring, {rng.choice(labels): {()}})
+
+
+def _one_pass_rings():
+    """The proved rings, the twists of more random draws, and modulus-1 rings
+    whose one-letter terms (g, (g)) make diagonal cores."""
+    yield from proved_rings()
+    rng = random.Random(20261020)
+    draws = random_dgas(44, 40) + [_diagonal_dga()]
+    draws += [random_dga(rng, 6, moduli=(1,)) for _ in range(30)]
+    for dga in draws:
+        # build_ring checks the relations up to the longest word: keep them short
+        if max((len(w) for g in dga.generators for w in dga.d(g)), default=0) <= 8:
+            for aug in twist_firsts(dga):
+                yield build_ring(dga, aug)
+
+
+KINDS = ("constant term", "not homogeneous", "only the Leibniz side", "only the window side")
+
+
+def test_one_pass_verdict_and_count_are_the_set_oracles():
+    """The one pass and the full-set comparison agree on every ring and every
+    one-sided mutation of it at n = 1..4: the same count, or the same error."""
+    rng = random.Random(44)
+    rings = diagonal = 0
+    kinds = Counter()
+    for ring in _one_pass_rings():
+        rings += 1
+        diagonal += any((g,) in ring.twisted.d(g) for g in ring.structure.order)
+        for mutated in _pair_mutations(ring, rng):
+            size = len(mutated.structure.order)
+            for n in (1, 2, 3, 4):
+                fresh = replace(mutated)
+                want = _pair_outcome(lambda: pair_oracle_count(pair_oracle(mutated, n), size, n))
+                assert _pair_outcome(lambda: check_order_n_transpose(fresh, n)) == want
+                if want[0] == "ok":
+                    assert set(fresh.pairs) == pair_oracle(mutated, n)
+                else:
+                    assert fresh.pairs is None
+                kinds["ok" if want[0] == "ok" else next(k for k in KINDS if k in want[1])] += 1
+    # 170 rings, 16 with a diagonal pair; every kind of verdict is met
+    assert rings >= 150 and diagonal >= 10, (rings, diagonal)
+    assert set(kinds) == {"ok", *KINDS}, kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_each_pair_failure_keeps_its_exact_message(n):
+    """Each failure kind, with a lesser one beside it that it outranks."""
+    ring = build_ring(trefoil(), enumerate_augmentations(trefoil())[0])
+    cases = [
+        # a constant term outranks an inhomogeneous term of an earlier letter
+        ({"b1": {("a1",)}, "a1": {()}}, "twisted differential of a1 has a constant term"),
+        # an inhomogeneous Leibniz pair outranks a one-sided pair of an earlier letter
+        ({"a1": {("b1",)}, "a2": {("a1",)}}, "Leibniz image a1 of a2 is not homogeneous of degree 0"),
+        # the smallest one-sided pair in code order names its side
+        (
+            {"a1": {("b2",)}, "a2": {("b3", "b2", "b1")}},
+            "order-%d transpose equality fails: only the Leibniz side has the entry (a1 -> b2)" % n,
+        ),
+        (
+            {"a1": {("b1", "b2")}, "a2": {("b2",)}},
+            "order-%d transpose equality fails: only the window side has the entry (a1 -> b1|b2)" % n,
+        ),
+    ]
+    for changes, message in cases:
+        mutated = _with_terms(ring, changes)
+        assert _pair_outcome(lambda: pair_oracle(mutated, n)) == ("error", message)
+        assert _pair_outcome(lambda: check_order_n_transpose(mutated, n)) == ("error", message)
 
 
 def _word_by_word_reflection(twisted, twisted_mirror, n):
