@@ -63,8 +63,8 @@ __all__ = [
 # and 4,928,414 up to order 5, which stays refused.  The slowest admitted
 # case found is one bracket at the bound, `legch massey --classes
 # 0:1,0:1,0:1,5:1` on 7 free degree-0 and 6 free degree-5 generators:
-# 2^20 inner systems in 3.4-4.5 s at 25.8-25.9 MB as a process (the limits
-# row two_degrees(7, 6); python 3.11, 2 vCPUs, shared host).
+# 2^20 inner systems in 0.80-0.87 s at 25.8 MB as a process (the limits
+# row two_degrees(7, 6); six runs, python 3.11.7, 2 vCPUs, shared host).
 MAX_MASSEY_SYSTEMS = 1 << 20
 
 # Top arity transfer_minimal_model accepts.  The tables and the time grow
@@ -822,10 +822,10 @@ class ProductTable:
         whose product is nonzero as witness, else the value mu_3(x, y, z) and
         the indeterminacy x H + H z (``span_basis`` of the x e_i, then the
         e_j z), from one system of the checked transfer (class docstring)."""
-        h, walk = self.h, _BracketWalk(self.minimal(3)[0], 3)
         degrees, coords = (x.degree, y.degree, z.degree), (x.coords, y.coords, z.coords)
-        for value in walk.cosets(degrees, coords):
-            basis = span_basis(walk.shifts(degrees, coords))
+        h, walk = self.h, _BracketWalk(self.minimal(3)[0], degrees)
+        for value in walk.cosets(coords):
+            basis = span_basis(walk.shifts(coords))
             return MasseyResult("defined", h.canon(sum(degrees) + 1), value, basis, systems=1)
         (l, m), vec = walk.obstruction
         which, label = "first" if l == 1 else "second", h.label(sum(degrees[l - 1 : m]) + 1, vec)
@@ -894,110 +894,114 @@ def _runs(l: int, m: int) -> List[List[Tuple[int, int]]]:
 
 
 class _BracketWalk:
-    """The defining systems of the order-n brackets of a minimal model, walked
-    as ``massey_higher`` describes: the variables b[l, m] in the order
-    (width, l), each a dead branch where its partition sum is nonzero; an
-    inner one (width at most n - 3) ranges over H in its degree, the two
-    outer ones are checked and left 0, so each inner system with both outer
-    obstructions zero yields its value sum c_s, and its coset c_s + W.
+    """The defining systems of the brackets in one degree tuple on a minimal
+    model, walked as ``massey_higher`` describes: the variables b[l, m] in
+    the order (width, l), each a dead branch where its partition sum is
+    nonzero; an inner one (width at most n - 3) ranges over H in its
+    degree, the two outer ones are checked and left 0, so each inner system
+    with both outer obstructions zero yields its value sum c_s, and its
+    coset c_s + W.
 
-    Brackets share what reads only degrees: per run [l, m] summed and the
-    degrees of its classes, the partitions into r >= 2 runs on whose degrees
-    m_r has an entry, each with those entries (``AInftyStructure.grouped``),
-    so a partition sum is a few ``_apply_entries`` calls.
+    The constructor binds what reads only degrees, once: per variable its
+    run, its term list and its range size, and the value's term list.  A
+    term list holds the partitions of the run into r >= 2 runs on whose
+    degrees m_r has an entry, each with those entries
+    (``AInftyStructure.grouped``), so a partition sum is a few
+    ``_apply_entries`` calls.
     """
 
-    def __init__(self, mu: AInftyStructure, n: int):
-        self.mu, self.diagonal = mu, [(l, l) for l in range(1, n + 1)]
-        self.variables = [(l, l + w) for w in range(1, n - 1) for l in range(1, n + 1 - w)]
-        self.terms: Dict[Tuple[int, Tuple[int, ...]], list] = {}
+    def __init__(self, mu: AInftyStructure, degrees: Tuple[int, ...]):
+        n = len(degrees)
+        self.mu, self.degrees, self.diagonal = mu, degrees, [(l, l) for l in range(1, n + 1)]
+        runs = [(l, l + w) for w in range(1, n - 1) for l in range(1, n + 1 - w)]
+        self.variables = [(run, self._terms(run), 1 << mu.dim(self.deg(*run))) for run in runs]
+        self.value = self._terms((1, n))
         self.obstruction: Optional[Tuple[Tuple[int, int], int]] = None
 
-    def deg(self, degrees: Tuple[int, ...], l: int, m: int) -> int:
-        """The canonical degree of the run [l, m] of classes in these degrees."""
-        return canon_degree(self.mu.modulus, sum(degrees[l - 1 : m]))
+    def deg(self, l: int, m: int) -> int:
+        """The canonical degree of the run [l, m] of classes."""
+        return canon_degree(self.mu.modulus, sum(self.degrees[l - 1 : m]))
 
-    def _terms(self, run: Tuple[int, int], degrees: Tuple[int, ...]) -> list:
+    def _terms(self, run: Tuple[int, int]) -> list:
         """The partitions of the run into r >= 2 consecutive runs (first, last)
         on whose degrees m_r has an entry, each as (getter of its runs'
         vectors, m_r's entries there); for [1, n] without the two through
         the outer variables, which stay 0."""
-        (l, m), n = run, len(degrees)
-        key = l, degrees[l - 1 : m]
-        if key not in self.terms:
-            self.terms[key], outer = [], {(1, n - 1), (2, n)} if run == (1, n) else set()
-            for blocks in filter(outer.isdisjoint, _runs(l, m)):
-                ks = tuple([self.deg(degrees, *b) for b in blocks])
-                entries = self.mu.grouped(len(ks)).get(ks)
-                if entries:
-                    self.terms[key].append((itemgetter(*blocks), entries))
-        return self.terms[key]
+        n = len(self.degrees)
+        outer, terms = {(1, n - 1), (2, n)} if run == (1, n) else set(), []
+        for blocks in filter(outer.isdisjoint, _runs(*run)):
+            entries = self.mu.grouped(len(blocks)).get(tuple([self.deg(*b) for b in blocks]))
+            if entries:
+                terms.append((itemgetter(*blocks), entries))
+        return terms
 
-    def _sum(self, run: Tuple[int, int], degrees: Tuple[int, ...], state: dict) -> int:
-        total = 0
-        for vectors, entries in self._terms(run, degrees):
-            vecs = vectors(state)
-            if all(vecs):
-                total ^= _apply_entries(entries, *vecs)
-        return total
-
-    def cosets(self, degrees: Tuple[int, ...], coords: Sequence[int], idx=0, state=None):
+    def cosets(self, coords: Sequence[int], idx=0, state=None):
         """c_s for each inner system s whose outer obstructions vanish, in walk
         order.  The last obstruction met is kept as ``obstruction``, a pair
         (run, vector in the degree above the run's); a walk with no coset
         meets at least one."""
         state = dict(zip(self.diagonal, coords)) if state is None else state
         last = idx == len(self.variables) - 2
-        for run in self.variables[idx:] if last else self.variables[idx : idx + 1]:
-            obstruction = self._sum(run, degrees, state)
+        for run, terms, _ in self.variables[idx:] if last else self.variables[idx : idx + 1]:
+            obstruction = _partition_sum(terms, state)
             if obstruction:
                 self.obstruction = run, obstruction
                 return
         if last:
-            yield self._sum((1, len(coords)), degrees, state)
+            yield _partition_sum(self.value, state)
             return
-        run = self.variables[idx]
-        for state[run] in range(1 << self.mu.dim(self.deg(degrees, *run))):
-            yield from self.cosets(degrees, coords, idx + 1, state)
+        run, _, size = self.variables[idx]
+        for state[run] in range(size):
+            yield from self.cosets(coords, idx + 1, state)
 
-    def shifts(self, degrees: Tuple[int, ...], coords: Sequence[int]) -> List[int]:
+    def shifts(self, coords: Sequence[int]) -> List[int]:
         """Vectors spanning W: m_2(x_1, e_i) over the basis e_i of degree
         (2, n), then m_2(e_j, x_n) over that of degree (1, n-1)."""
-        n, deg, m_2 = len(coords), partial(self.deg, degrees), self.mu.grouped(2)
+        n, deg, m_2 = len(coords), self.deg, self.mu.grouped(2)
         left, right = m_2.get((deg(1, 1), deg(2, n)), ()), m_2.get((deg(1, n - 1), deg(n, n)), ())
         return [_apply_entries(left, coords[0], 1 << i) for i in range(self.mu.dim(deg(2, n)))] + [
             _apply_entries(right, 1 << j, coords[-1]) for j in range(self.mu.dim(deg(1, n - 1)))
         ]
 
-    def flags(self, degrees: Tuple[int, ...], coords: Sequence[int]) -> Tuple[bool, bool]:
+    def flags(self, coords: Sequence[int]) -> Tuple[bool, bool]:
         """(defined, nonzero) of one bracket, where nonzero means 0 lies
         outside the affine hull of the value set (``MasseyResult.is_trivial``).
         The hull c_0 + span(W, c_s - c_0) only grows as cosets come in, so
         the walk stops at the first coset after which it holds 0."""
         hull: List[int] = []
-        for c in self.cosets(degrees, coords):
-            hull = hull or [c] + (self.shifts(degrees, coords) if c else [])
+        for c in self.cosets(coords):
+            hull = hull or [c] + (self.shifts(coords) if c else [])
             hull.append(c ^ hull[0])
             if in_span(hull[1:], hull[0]):
                 return True, False
         return bool(hull), bool(hull)
 
-    def result(self, degrees: Tuple[int, ...], coords: Sequence[int]) -> MasseyResult:
+    def result(self, coords: Sequence[int]) -> MasseyResult:
         """``massey_higher``'s result: the union of the cosets, listed.  It has
         at most as many elements as there are systems."""
-        cosets = list(self.cosets(degrees, coords))
+        cosets = list(self.cosets(coords))
         if not cosets:
             (l, m), vec = self.obstruction
-            label = vector_label(self.mu.names(self.deg(degrees, l, m) + 1), vec)
+            label = vector_label(self.mu.names(self.deg(l, m) + 1), vec)
             witness = "sub-bracket obstruction %s at (%d, %d)" % (label, l, m)
             return MasseyResult("undefined", witness=witness)
-        basis = span_basis(shifts := self.shifts(degrees, coords))
+        basis = span_basis(shifts := self.shifts(coords))
         span = [apply_cols(basis, t) for t in range(1 << len(basis))]
         values = sorted({c ^ w for c in set(cosets) for w in span})
         indeterminacy = span_basis([v ^ values[0] for v in values[1:]])
-        degree = canon_degree(self.mu.modulus, sum(degrees) + 1)
+        degree = canon_degree(self.mu.modulus, sum(self.degrees) + 1)
         systems = len(cosets) << len(shifts)
         return MasseyResult("defined", degree, values[0], indeterminacy, values, systems=systems)
+
+
+def _partition_sum(terms: list, state: dict) -> int:
+    """The sum of a bound term list over the variables' values in ``state``."""
+    total = 0
+    for vectors, entries in terms:
+        vecs = vectors(state)
+        if all(vecs):
+            total ^= _apply_entries(entries, *vecs)
+    return total
 
 
 def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResult:
@@ -1081,7 +1085,7 @@ def massey_higher(mu: AInftyStructure, classes: Sequence[HClass]) -> MasseyResul
         raise ContractError("a Massey walk needs a minimal model, with m_1 = 0")
     degrees = tuple(c.degree for c in classes)
     check_massey_budget(mu, [(degrees, 1)])
-    return _BracketWalk(mu, n).result(degrees, [c.coords for c in classes])
+    return _BracketWalk(mu, degrees).result([c.coords for c in classes])
 
 
 def _verify_retract(h: HomologyData) -> None:

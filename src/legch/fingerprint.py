@@ -16,8 +16,9 @@ Cup ranks are read off the class rows of the pair blocks of the ring's
 m_2 has an entry.  Massey brackets of every order are one code path: the
 walk of ``massey_higher`` (``ainfty._BracketWalk``, whose docstrings
 prove that the value sets are the chain-level ones and that the outer
-layer is a coset) over the ring's one checked minimal model, asked class
-tuple by class tuple on the support only, the degree tuples enumerated
+layer is a coset) over the ring's one checked minimal model, one walk
+per degree tuple with its term lists bound once, asked class tuple by
+class tuple on the support only, the degree tuples enumerated
 from the entries of mu on their runs, and there only where some class
 tuple has every adjacent product 0 (a reach mask per prefix, read off the
 product table's annihilator masks) and mu has an entry on the degrees of
@@ -47,13 +48,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import chain, compress, count, groupby, repeat
 from operator import itemgetter, ne, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
-from .ainfty import CohomologyRing, _BracketWalk, _check_arity, build_ring, check_massey_budget
+from .ainfty import AInftyStructure, CohomologyRing, _BracketWalk, _check_arity, build_ring
+from .ainfty import check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
 from .gf2 import apply_block, bits, rank
@@ -107,25 +109,26 @@ class Fingerprint:
     profiles: Tuple[AugmentationProfile, ...]
 
 
-def _standard_bases(h: HomologyData) -> Dict[int, List[int]]:
-    return {k: [1 << i for i in range(h.dim(k))] for k in h.degrees()}
-
-
 def cup_rank_table(
     ring: CohomologyRing, bases: Optional[Dict[int, List[int]]] = None
 ) -> Dict[Tuple[int, int], int]:
     """Rank of the cup product per bidegree (nonzero entries only), read off
     the pair blocks' class rows on the product table's ``support``: every
-    other pair block is zero (``ProductTable``), of rank 0."""
-    if bases is None:
-        bases = _standard_bases(ring.cochain)
+    other pair block is zero (``ProductTable``), of rank 0.  In the
+    standard basis (no ``bases``) a block's rank is that of its entries,
+    the products of the basis classes; in a caller's bases it is that of
+    the products of their vectors, on the pairs of degrees they cover."""
     table: Dict[Tuple[int, int], int] = {}
     for r, s in ring.products.support:
-        if r in bases and s in bases:
+        if bases is None:
+            value = rank(chain.from_iterable(ring.products.pair(r, s).coords))
+        elif r in bases and s in bases:
             coords = ring.products.pair(r, s).coords
             value = rank(apply_block(coords, xv, yv) for xv in bases[r] for yv in bases[s])
-            if value:
-                table[(r, s)] = value
+        else:
+            continue
+        if value:
+            table[(r, s)] = value
     return table
 
 
@@ -155,12 +158,13 @@ def _check_tuple_budget(counts: Sequence[int], massey_order: int) -> None:
         check_budget("MAX_MASSEY_TUPLES", MAX_MASSEY_TUPLES, total, what)
 
 
-def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):
+def _walk_flags(mu: AInftyStructure, degrees: Tuple[int, ...], dims: Sequence[int], zero):
     """(some bracket defined, some nonzero) over the tuples of nonzero classes
-    in these degrees, asked tuple by tuple in product order, up to the first
-    nonzero one.  A bracket with a nonzero adjacent product x_l x_(l+1) is
-    undefined (that product is the obstruction of the width-1 run [l, l+1]
-    on every branch), so only the other tuples are asked, built position by
+    in these degrees, asked tuple by tuple in product order of one
+    ``_BracketWalk`` over mu in these degrees, up to the first nonzero one.
+    A bracket with a nonzero adjacent product x_l x_(l+1) is undefined
+    (that product is the obstruction of the width-1 run [l, l+1] on every
+    branch), so only the other tuples are asked, built position by
     position from ``zero(a, b)`` (``ProductTable.annihilators``), which
     maps each class x of degree a to the mask of the y of degree b with
     x y = 0.  ``massey_table`` calls it only where some such tuple exists
@@ -169,7 +173,7 @@ def _walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int
     for after in map(zero, degrees, degrees[1:]):
         combos = [c + (y,) for c in combos for y in bits(after[c[-1]])]
     defined = False
-    for here, nonzero in map(partial(walk.flags, degrees), combos):
+    for here, nonzero in map(_BracketWalk(mu, degrees).flags, combos):
         if nonzero:
             return True, True
         defined = defined or here
@@ -220,13 +224,14 @@ def massey_table(
     Every order reads the ring's one checked minimal model, transferred
     once at ``massey_order`` (``ProductTable.minimal``) when some tuple of
     order 3 or more is admitted (otherwise none is read, and only the
-    transfer's arity budget ``MAX_ARITY`` is checked), the same way, with
-    one ``_BracketWalk`` (the walk of ``massey_higher``) asked class tuple
-    by class tuple for (defined, nonzero) (``_walk_flags``), up to the first
-    nonzero tuple; each bracket stops at the first coset after which its
-    hull holds 0.  It is asked only on the support tuples that reach and
-    on whose degrees mu has an entry on a run of three or more classes
-    (below).
+    transfer's arity budget ``MAX_ARITY`` is checked), the same way: each
+    walked degree tuple gets its own ``_BracketWalk`` (the walk of
+    ``massey_higher``, its term lists bound once for the tuple), asked
+    class tuple by class tuple for (defined, nonzero) (``_walk_flags``), up
+    to the first nonzero tuple; each bracket stops at the first coset after
+    which its hull holds 0.  It is asked only on the support tuples that
+    reach and on whose degrees mu has an entry on a run of three or more
+    classes (below).
 
     Reach.  A bracket with a nonzero adjacent product is undefined
     (``_walk_flags``), so some bracket in a degree tuple is defined only
@@ -308,7 +313,6 @@ def massey_table(
     zero = ring.products.annihilators
     table = dict.fromkeys(chain.from_iterable(keys[3:]), _DEFAULT_FLAGS)
     for order in orders:
-        walk = _BracketWalk(mu, order)
         support = {
             head + key + tail
             for l in range(order)
@@ -324,7 +328,7 @@ def massey_table(
             if not reach[prefix]:
                 table[order, prefix] = (False, False)
             elif any(prefix[l:m] in mu.grouped(m - l) for l, m in runs):
-                table[order, prefix] = _walk_flags(walk, prefix, [dim_of[k] for k in prefix], zero)
+                table[order, prefix] = _walk_flags(mu, prefix, [dim_of[k] for k in prefix], zero)
     return table
 
 

@@ -97,7 +97,6 @@ from legch.fingerprint import (
     Fingerprint,
     MirrorReport,
     _first_difference,
-    _standard_bases,
     fingerprint_dga,
     profile_for,
 )
@@ -1022,7 +1021,7 @@ def apply_block_annihilators(ring, a: int, b: int) -> Dict[int, List[int]]:
     return {x: [y for y in ys if not apply_block(pair, x, y)] for x in range(1, 1 << h.dim(a))}
 
 
-def list_walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence[int], zero):
+def list_walk_flags(mu: AInftyStructure, degrees: Tuple[int, ...], dims: Sequence[int], zero):
     """Reference ``fingerprint._walk_flags`` with ``massey_table``'s reach
     test in front: the class tuples whose adjacent products all vanish
     listed from ``zero``'s lists of y, (False, False) where there is none,
@@ -1034,9 +1033,9 @@ def list_walk_flags(walk: _BracketWalk, degrees: Tuple[int, ...], dims: Sequence
         combos = [c + (y,) for c in combos for y in after[c[-1]]]
     if not combos:
         return False, False
-    defined = False
+    defined, walk = False, _BracketWalk(mu, degrees)
     for combo in combos:
-        here, nonzero = walk.flags(degrees, combo)
+        here, nonzero = walk.flags(combo)
         if nonzero:
             return True, True
         defined = defined or here
@@ -1079,13 +1078,12 @@ def degree_scan_massey_table(ring, massey_order: int = DEFAULT_MASSEY_ORDER):
     zero = lru_cache(maxsize=None)(partial(apply_block_annihilators, ring))
     for order in range(3, massey_order + 1):
         mu = ring.minimal(order)[0]
-        walk = _BracketWalk(mu, order)
         runs = [(l, m, mu.grouped(m - l)) for l in range(order) for m in range(l + 2, order + 1)]
         for prefix, dims in admitted(order):
             table[(order, prefix)] = (True, False)
             for l, m, grouped in runs:
                 if prefix[l:m] in grouped:
-                    table[(order, prefix)] = list_walk_flags(walk, prefix, dims, zero)
+                    table[(order, prefix)] = list_walk_flags(mu, prefix, dims, zero)
                     break
     return table
 
@@ -1206,7 +1204,8 @@ def all_pairs_cup_rank_table(ring, bases=None) -> Dict[Tuple[int, int], int]:
     """Reference ``cup_rank_table``: the rank on every degree pair, where the
     library reads only the pairs with a chain-level m_2 entry."""
     if bases is None:
-        bases = _standard_bases(ring.cochain)
+        h = ring.cochain
+        bases = {k: [1 << i for i in range(h.dim(k))] for k in h.degrees()}
     degrees = sorted(bases)
     table = {}
     for r in degrees:
@@ -1253,8 +1252,8 @@ def every_triple_massey_table(ring):
     for prefix in product(sorted(h.dims()), repeat=3):
         dims = [h.dim(k) for k in prefix]
         if _tuple_space(dims):
-            walk = _BracketWalk(mu, 3)
-            flags = [walk.flags(prefix, c) for c in product(*(range(1, 1 << d) for d in dims))]
+            walk = _BracketWalk(mu, prefix)
+            flags = [walk.flags(c) for c in product(*(range(1, 1 << d) for d in dims))]
             table[(3, prefix)] = (any(d for d, _ in flags), any(z for _, z in flags))
     return table
 

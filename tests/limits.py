@@ -225,9 +225,10 @@ ROWS = [
     bound("MAX_MASSEY_SYSTEMS", (free_letters, 5), "massey --classes 0:1,0:1,0:1,0:1",
           "systems: 33554432"),
     # at the bound: inner variables of dims 7, 7 and 6, so 2^20 inner systems, each with a
-    # coset of 2^13 complete ones; 3.4-4.5 s at 25.8-25.9 MB as a process (python 3.11, 2 vCPUs)
+    # coset of 2^13 complete ones; 0.80-0.87 s at 25.8 MB as a process (six runs, python 3.11,
+    # 2 vCPUs), the walk's term lists bound once per bracket; the bound is 3x the slowest
     bound("MAX_MASSEY_SYSTEMS", (two_degrees, 7, 6), "massey --classes 0:1,0:1,0:1,5:1",
-          "systems: 8589934592", "trivial: yes", seconds=20),
+          "systems: 8589934592", "trivial: yes", seconds=3),
     DENSE := row(CUPEX_112, "ordern --n 3", "engine: dense", "complex.dim: 9723",
                  "transpose.entries: 19822", "total: 317"),
     PERTURBATION := row(CUPEX_112, "ordern --n 3 --engine perturbation"),

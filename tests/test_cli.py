@@ -161,6 +161,30 @@ def test_massey_order_four(capsys, trefoil_file):
 
 
 @pytest.mark.parametrize(
+    "classes,rows",
+    [
+        (
+            "0:1,0:1,0:1,0:1",
+            "classes: [b2], [b2], [b2], [b2]\nstatus: defined\ndegree: 1\nvalue: 0\n"
+            "indeterminacy.dim: 1\nindeterminacy.0: [a1]\ntrivial: yes\nvalues: 2\n"
+            "systems: 256\ntruncated: no\n",
+        ),
+        (
+            "0:1,0:2,0:2,0:2",
+            "classes: [b2], [b1+b3], [b1+b3], [b1+b3]\nstatus: undefined\n"
+            "witness: sub-bracket obstruction [a1] at (1, 2)\n",
+        ),
+    ],
+)
+def test_an_order_four_bracket_prints_exactly_these_rows(capsys, trefoil_file, classes, rows):
+    """The whole output of ``massey_higher`` at the command line on trefoil's
+    first augmentation: a defined bracket with its value set and systems,
+    and an undefined one with the last obstruction met as witness."""
+    code, out, err = run_cli(capsys, "massey", trefoil_file, "--classes", classes)
+    assert (code, out, err) == (0, "augmentation: b3 -> 1\n" + rows, "")
+
+
+@pytest.mark.parametrize(
     "spec,fragment",
     [
         ("0:1,0:1", "at least 3"),
