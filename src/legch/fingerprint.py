@@ -53,13 +53,12 @@ from itertools import chain, compress, count, groupby, repeat
 from operator import itemgetter, ne, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import ContractError, InternalConsistencyError, check_budget
+from . import ContractError, check_budget
 from .ainfty import AInftyStructure, CohomologyRing, _BracketWalk, _check_arity, build_ring
 from .ainfty import check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
-from .gf2 import apply_block, bits, rank
-from .linear import HomologyData
+from .gf2 import bits, rank
 from .tilde import _check_lower_orders, order_n_cohomology
 
 __all__ = [
@@ -68,8 +67,6 @@ __all__ = [
     "MirrorReport",
     "fingerprint_dga",
     "compare_mirror",
-    "audit_basis_independence",
-    "random_graded_basis",
 ]
 
 DEFAULT_MASSEY_ORDER = 3
@@ -109,24 +106,14 @@ class Fingerprint:
     profiles: Tuple[AugmentationProfile, ...]
 
 
-def cup_rank_table(
-    ring: CohomologyRing, bases: Optional[Dict[int, List[int]]] = None
-) -> Dict[Tuple[int, int], int]:
+def cup_rank_table(ring: CohomologyRing) -> Dict[Tuple[int, int], int]:
     """Rank of the cup product per bidegree (nonzero entries only), read off
     the pair blocks' class rows on the product table's ``support``: every
-    other pair block is zero (``ProductTable``), of rank 0.  In the
-    standard basis (no ``bases``) a block's rank is that of its entries,
-    the products of the basis classes; in a caller's bases it is that of
-    the products of their vectors, on the pairs of degrees they cover."""
+    other pair block is zero (``ProductTable``), of rank 0.  A block's rank
+    is that of its entries, the products of the basis classes."""
     table: Dict[Tuple[int, int], int] = {}
     for r, s in ring.products.support:
-        if bases is None:
-            value = rank(chain.from_iterable(ring.products.pair(r, s).coords))
-        elif r in bases and s in bases:
-            coords = ring.products.pair(r, s).coords
-            value = rank(apply_block(coords, xv, yv) for xv in bases[r] for yv in bases[s])
-        else:
-            continue
+        value = rank(chain.from_iterable(ring.products.pair(r, s).coords))
         if value:
             table[(r, s)] = value
     return table
@@ -369,8 +356,9 @@ def profile_for(
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> AugmentationProfile:
     """All invariants of a single augmentation, cup ranks in the standard
-    basis (the one field read in a basis, ``audit_basis_independence``).
-    The Massey table's keys come sorted (``massey_table``)."""
+    basis (the one field read in a basis; the tests check that a random
+    graded basis gives the same ranks).  The Massey table's keys come
+    sorted (``massey_table``)."""
     dims = tuple(sorted((k, d) for k, d in ring.cochain.dims().items() if d))
     cups = tuple(sorted(cup_rank_table(ring).items()))
     massey = tuple(massey_table(ring, massey_order).items())
@@ -440,31 +428,6 @@ def _opposite(fp: Fingerprint) -> Fingerprint:
         key=itemgetter(0),
     )
     return Fingerprint(tuple(chain.from_iterable(repeat(p, n) for p, n in runs)))
-
-
-def random_graded_basis(h: HomologyData, rng) -> Dict[int, List[int]]:
-    """A random degree-preserving change of homology basis (as coordinates)."""
-    bases: Dict[int, List[int]] = {}
-    for k in h.degrees():
-        dim = h.dim(k)
-        while True:
-            vectors = [rng.randrange(1, 1 << dim) for _ in range(dim)]
-            if rank(vectors) == dim:
-                bases[k] = vectors
-                break
-    return bases
-
-
-def audit_basis_independence(ring: CohomologyRing, rng) -> bool:
-    """Recompute the cup ranks in a random graded basis and insist nothing
-    moved.  They are the only profile field read in a basis: the dims and
-    order-n dims read no class, and the Massey flags quantify over every
-    tuple of nonzero classes."""
-    if cup_rank_table(ring) != cup_rank_table(ring, random_graded_basis(ring.cochain, rng)):
-        raise InternalConsistencyError(
-            "fingerprint changed under a degree-preserving basis change"
-        )
-    return True
 
 
 @dataclass(frozen=True)
@@ -565,7 +528,8 @@ def compare_mirror(
       ``check_massey_budget`` sums over a tuple's sub-intervals, which
       reversal permutes.
     - Order-n dims.  Word reversal is an isomorphism of the window
-      complexes (``reflection_compare`` checks rev d rev = d_mirror), so the
+      complexes (rev d rev = d_mirror, Pairs in the ``legch.tilde``
+      docstring; the tests check it on every word up to the order), so the
       dims are equal.
 
     Budgets count the same terms on both sides, and the knot runs first, so

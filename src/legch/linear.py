@@ -247,8 +247,8 @@ def _retract(m: GradedMatrixMap) -> HomologyData:
     * The window complexes of ``legch.tilde`` are built by ``_window_matrix``,
       which asserts the relations up to arity n; the Square zero paragraph
       of the ``legch.tilde`` docstring shows that this is d d = 0 on words
-      of length <= n (``OrderNCohomology.data``,
-      ``TildeChainMap.induced_ranks``).
+      of length <= n (``OrderNCohomology.data``, and the test-side chain
+      maps between order-n complexes).
 
     Why the result is a strong deformation retract, so that no caller
     verifies the ring's own (``ainfty.transfer_minimal_model``).  In degree

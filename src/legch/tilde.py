@@ -68,7 +68,10 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   conjugation maps the triple h.g.tl -> h.t.tl to rev tl.g.rev h ->
   rev tl.rev t.rev h, so rev d rev = F(rev P) with rev P = {(g, rev t)},
   and rev d rev = d_mirror holds on every word of length <= n exactly
-  when it holds on the one-letter words.  Neither argument uses |t| >= 1.
+  when it holds on the one-letter words; the fingerprint's mirror
+  derivation rests on this (``fingerprint.compare_mirror``), and the
+  tests check it on the one-letter words against a word-by-word
+  expansion.  Neither argument uses |t| >= 1.
 * Count.  The nonzero entries of F(P) are counted from P alone.  Let
   W(k) = sum_{m=0..k} (m + 1) |V|^m, the (head, tail) pairs with
   |h| + |tl| <= k.  An entry carrying c triples is nonzero when c is odd,
@@ -135,13 +138,13 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   h.R(W).tl, R the arity-|W| relation sum m(1 x m x 1).  Only W = w gives
   a one-letter word, so the one-letter part of d d(w) is R(w), and d d =
   0 on words of length <= n exactly when R_l = 0 for every l <= n.
-  ``_window_matrix``, behind both engines and ``tilde_complex`` (so also
-  ``tilde_of_morphism``), decides that on the tables with
-  ``check_an_relations(s, n)``.  The adjoint structure of a ring from
-  ``build_ring`` satisfies the relations at every arity (proof there);
-  the check stays for every structure handed in, the minimal model and a
-  ring assembled by hand among them.  That is the only d d = 0 check on a
-  window matrix: ``linear._retract`` reduces it without squaring it again.
+  ``_window_matrix``, behind both engines and ``tilde_complex``, decides
+  that on the tables with ``check_an_relations(s, n)``.  The adjoint
+  structure of a ring from ``build_ring`` satisfies the relations at every
+  arity (proof there); the check stays for every structure handed in, the
+  minimal model and a ring assembled by hand among them.  That is the
+  only d d = 0 check on a window matrix: ``linear._retract`` reduces it
+  without squaring it again.
 * Filtration.  No window lengthens a word: the window image of v is a sum
   of words of length |v| - |t| + 1 <= |v|.  So for m <= n the words of
   length <= m span a subcomplex of the order-n complex, and it is the
@@ -179,46 +182,27 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, chain, groupby, product as iproduct
+from itertools import accumulate, groupby, product as iproduct
 from operator import xor
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
-from .algebra import DGA, assert_valid, canon_degree, mirror_dga
-from .augment import enumerate_augmentations, per_twist
-from .ainfty import (
-    AInftyMorphism,
-    AInftyStructure,
-    CohomologyRing,
-    _check_relation_budget,
-    build_ring,
-    check_ainfty_morphism,
-    check_an_relations,
-)
-from .gf2 import apply_cols, bits, prefix_ranks, rank
+from .algebra import DGA, assert_valid, canon_degree
+from .ainfty import AInftyStructure, CohomologyRing, _check_relation_budget, check_an_relations
+from .gf2 import prefix_ranks
 from .linear import GradedMatrixMap, HomologyData, _retract
 
 __all__ = [
     "DENSE_LIMIT",
     "MAX_ORDER",
     "MAX_WINDOW_BITS",
-    "SPLITTING_CONVENTION",
     "OrderNCohomology",
-    "ReflectionReport",
-    "ReflectionRow",
-    "SplittingReport",
-    "SplittingRow",
-    "TildeChainMap",
     "TildeComplex",
     "check_order_n_transpose",
     "order_n_cohomology",
-    "reflection_compare",
-    "splitting_check_n2",
     "tilde_complex",
-    "tilde_of_morphism",
 ]
 
 MAX_ORDER = 4
@@ -668,232 +652,3 @@ def _check_lower_orders(ring: CohomologyRing, n: int) -> None:
         s = ring.minimal(max(m, 2))[0]
         _check_window_bits(s, m)
         _check_relation_budget(s, m)
-
-
-@dataclass
-class TildeChainMap:
-    """Degree-0 chain map between the order-n complexes of two structures."""
-
-    source: TildeComplex
-    target: TildeComplex
-    blocks: Dict[int, List[int]]
-
-    def apply(self, k: int, vec: int) -> int:
-        k = self.source.differential.canon(k)
-        return apply_cols(self.blocks.get(k, []), vec)
-
-    def induced_ranks(self) -> Dict[int, Tuple[int, int, int]]:
-        """Per degree: (source homology dim, target homology dim, map rank).
-
-        Both complexes come from ``tilde_complex``, whose ``_window_matrix``
-        proved d d = 0 through the relations (Square zero), so they are
-        reduced by ``linear._retract`` without squaring them again."""
-        hs = _retract(self.source.differential)
-        ht = _retract(self.target.differential)
-        out: Dict[int, Tuple[int, int, int]] = {}
-        for k in sorted(set(hs.degrees()) | set(ht.degrees())):
-            images = [self.apply(k, hs.include(k, 1 << i)) for i in range(hs.dim(k))]
-            out[k] = (hs.dim(k), ht.dim(k), rank(ht.class_of(k, v) for v in images))
-        return out
-
-    def is_quasi_iso(self) -> bool:
-        return all(a == b == r for a, b, r in self.induced_ranks().values())
-
-
-def tilde_of_morphism(f: AInftyMorphism, n: int) -> TildeChainMap:
-    """Chain map on order-n complexes induced by an A-infinity morphism.
-
-    The block from length-a words to length-r words sums f_{i_1} x ... x
-    f_{i_r} over all compositions i_1 + ... + i_r = a, built by the bar
-    map's own recursion F(w) = sum over c of f_c(w[:c]) x F(w[c:]), with
-    F of the empty word the empty word, memoised per call.  The morphism
-    equation is re-checked up to arity n first (failure rejects the
-    input), and F d_src = d_dst F is asserted on the window matrices, one
-    source word (column) at a time.
-    """
-    _check_order(n)
-    if f.src is None or f.dst is None:
-        raise ContractError("morphism does not carry source and target structures")
-    if f.src.modulus != f.dst.modulus:
-        raise ContractError("source and target structures use different moduli")
-    check_ainfty_morphism(f, f.src, f.dst, n).require(ContractError)
-    source = tilde_complex(f.src, n)
-    target = tilde_complex(f.dst, n)
-
-    images: Dict[Tuple[str, ...], set] = {(): {()}}
-
-    def image(word: Tuple[str, ...]) -> set:
-        if word not in images:
-            out = images[word] = set()
-            for c in range(1, len(word) + 1):
-                vec = f.tables.get(c, {}).get(word[:c])
-                if vec:
-                    names = f.dst.names(sum(map(f.src.degree_of.__getitem__, word[:c])))
-                    rest = image(word[c:])
-                    out.symmetric_difference_update((names[i], *t) for i in bits(vec) for t in rest)
-        return images[word]
-
-    dst_index = {w: (k, i) for k, ws in target.words.items() for i, w in enumerate(ws)}
-    blocks: Dict[int, List[int]] = {}
-    for k, ws in source.words.items():
-        kcols = []
-        for w in ws:
-            vec = 0
-            for v in image(w):
-                spot = dst_index.get(v)
-                if spot is None or spot[0] != k:
-                    raise InternalConsistencyError(
-                        "image of the degree-%d word %s leaves that degree" % (k, "|".join(w))
-                    )
-                vec ^= 1 << spot[1]
-            kcols.append(vec)
-        blocks[k] = kcols
-    d_src, d_dst = source.differential, target.differential
-    for k, ws in source.words.items():
-        after = blocks.get(d_src.canon(k + 1), [])
-        for w, down, across in zip(ws, d_src.columns(k), blocks[k]):
-            if apply_cols(after, down) != d_dst.apply(k, across):
-                raise InternalConsistencyError(
-                    "induced map fails to commute with the differentials on %s" % "|".join(w)
-                )
-    return TildeChainMap(source, target, blocks)
-
-
-SPLITTING_CONVENTION = (
-    "dim H^k(order 2) = dim ker(mu_2 on the degree-k part of H (x) H)"
-    " + dim H^k - rank(mu_2 from the degree-(k-1) part of H (x) H);"
-    " degrees follow the long exact sequence of the length-1 subcomplex"
-)
-
-
-@dataclass
-class SplittingRow:
-    degree: int
-    order2_dim: int
-    kernel_dim: int
-    homology_dim: int
-    image_dim: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.order2_dim == self.expected
-
-
-@dataclass
-class SplittingReport:
-    convention: str
-    rows: List[SplittingRow]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def splitting_check_n2(ring: CohomologyRing) -> SplittingReport:
-    """Check the order-2 splitting against the cup product, degree by degree.
-
-    Length-1 words form a subcomplex of the order-2 complex with quotient
-    the length-2 words; the connecting map of the resulting long exact
-    sequence is the cup product on the tensor square of cohomology, read
-    off the class rows of the ring's pair blocks on the support
-    (``ProductTable.support``), as every other pair block is zero.  So the
-    image in each degree is the rank of the support's cup columns there,
-    and the kernel on the degree-k part of H (x) H is the sum of
-    dim H^a dim H^b over canon(a + b) = k, less that rank; no pair block
-    off the support is built.  The order-2 dimensions must split as
-    recorded in the report's convention string.
-    """
-    order2 = order_n_cohomology(ring, 2)
-    h, products = ring.cochain, ring.products
-    cup_cols: Dict[int, List[int]] = {}
-    for a, b in products.support:
-        coords = products.pair(a, b).coords
-        cup_cols.setdefault(h.canon(a + b), []).extend(chain.from_iterable(coords))
-    image = {kk: rank(cols) for kk, cols in cup_cols.items()}
-    kernel: Counter = Counter()
-    for (a, da), (b, db) in iproduct(h.dims().items(), repeat=2):
-        kernel[h.canon(a + b)] += da * db
-    kernel.subtract(image)
-    degrees = sorted(
-        set(order2.dims)
-        | set(h.dims())
-        | {kk for kk, v in kernel.items() if v}
-        | {h.canon(kk + 1) for kk, v in image.items() if v}
-    )
-    rows = []
-    for k in degrees:
-        kr = kernel.get(k, 0)
-        hd = h.dim(k)
-        im = image.get(h.canon(k - 1), 0)
-        rows.append(SplittingRow(k, order2.dims.get(k, 0), kr, hd, im, kr + hd - im))
-    return SplittingReport(SPLITTING_CONVENTION, rows)
-
-
-@dataclass
-class ReflectionRow:
-    augmentation: str
-    dims: Dict[int, int]
-    mirror_dims: Dict[int, int]
-
-    @property
-    def ok(self) -> bool:
-        return self.dims == self.mirror_dims
-
-
-@dataclass
-class ReflectionReport:
-    order: int
-    rows: List[ReflectionRow]
-    conjugation_words: int
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def _check_reflection_conjugation(twisted: DGA, twisted_mirror: DGA, n: int) -> int:
-    """Verify rev(d(w)) = d_mirror(rev(w)) on every word of length <= n.
-
-    Both truncated Leibniz differentials are F of their (letter, term) pairs
-    and reversal conjugation sends F(P) to F(rev P), with F injective (Pairs,
-    in the module docstring), so the identity holds on every word exactly
-    when it holds on the one-letter words: d_mirror(g) = rev d(g) up to
-    terms of length n.  Returns the number of words it covers.
-    """
-    for g in twisted.generators:
-        left = {w[::-1] for w in twisted.d(g) if len(w) <= n}
-        if left != {w for w in twisted_mirror.d(g) if len(w) <= n}:
-            raise InternalConsistencyError("reflection conjugation fails on %s" % g)
-    return _word_count(len(twisted.generators), n)
-
-
-def reflection_compare(dga: DGA, n: int) -> ReflectionReport:
-    """Compare order-n dimensions of a DGA and its mirror, per augmentation.
-
-    An augmentation of the knot serves the mirror unchanged, because the
-    value of a reversed word is the same product of values.  Besides
-    computing both sides, the word-reversal conjugation identity between
-    the two truncated Leibniz differentials is checked on every word of
-    length <= n for every augmentation, through the one-letter words.
-
-    Augmentations with one twist share a knot ring, a mirror ring and one
-    conjugation check (``per_twist``), and ``conjugation_words`` counts the
-    check's words once per augmentation.
-    """
-    _check_order(n)
-    mirror = mirror_dga(dga)
-
-    def both_sides(aug):
-        ring, mirror_ring = build_ring(dga, aug), build_ring(mirror, aug)
-        left = order_n_cohomology(ring, n)
-        right = order_n_cohomology(mirror_ring, n)
-        words = _check_reflection_conjugation(ring.twisted, mirror_ring.twisted, n)
-        return left.dims, right.dims, words
-
-    augs = enumerate_augmentations(dga)
-    sides = per_twist(augs, both_sides)
-    rows = [
-        ReflectionRow(aug.describe(), left, right) for aug, (left, right, _) in zip(augs, sides)
-    ]
-    return ReflectionReport(n, rows, sum(words for _, _, words in sides))

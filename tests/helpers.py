@@ -10,36 +10,36 @@ defining system one by one, the block-by-block p_3 builder, the
 visit-every-triple Massey table, the degree-scan Massey table with its
 ``apply_block`` annihilator lists and class-tuple lists, the per-run
 count of Massey defining systems, the chain-level cup product on chosen
-representatives, the all-pairs cup rank table, the cup
-support read off the chain-level cup on every class pair, the per-class-pair
-order-2 splitting, the composition enumeration of an induced chain
-map's blocks, the sorting opposite fingerprint, the per-tuple
-composition sum, the word-by-word Leibniz and window
-expansions, the pair check as two full sets compared with the count
-walked over every pair, the word-by-word window matrix with its d d = 0, the sliced
-count of the window matrix, the word-by-word perturbation series, the
-whole-field multiset witness, the sorted-key-union witness and the
-two-sided mirror comparison, the five retract identities on every basis
-vector, the per-augmentation ``report`` and fingerprint loops, the brute
-force over every degree-0 letter with its grouping by twist and its
-check of one member at a time, the letter-by-letter ``pmul``
-substitution and the duality search's Gram matrix per (kappa, c,
-complement) are kept here as the references that the library's product
-table, its minimal-model Massey walk with its outer layer summed as a
-coset, its transferred mu_3, its support-only Massey table enumerated
-from mu's entries and walked where a reach mask says a class tuple
-exists, its level-by-level systems count, its pair blocks summed from
-projected m_2 entries, its
-splitting read off the support, its bar-map recursion, its
-table-driven composition sum, its pair checks, its one pass over the
-twisted differential, its window matrix and
-relation-based d d = 0, its closed-form entry count, its minimal-model
-order-n engine, its lazily merged mirror witness, its one-sided mirror
-comparison, its proof that its own retracts are strong deformation
-retracts, its one ring per distinct twist, its one trial mask with its
-batched check of every member, its word-at-once substitution and its one
-form per degree and kappa, its one cup support and its opposite Massey
-field read at reversed keys are compared against.
+representatives, the all-pairs cup rank table (in the standard basis or
+a caller's), the cup support read off the chain-level cup on every class
+pair, the sorting opposite fingerprint, the per-tuple composition sum,
+the word-by-word Leibniz and window expansions, the pair check as two
+full sets compared with the count walked over every pair, the
+word-by-word window matrix with its d d = 0, the sliced count of the
+window matrix, the word-by-word perturbation series, the whole-field
+multiset witness, the sorted-key-union witness and the two-sided mirror
+comparison, the five retract identities on every basis vector, the
+per-augmentation ``report`` and fingerprint loops, the brute force over
+every degree-0 letter with its grouping by twist and its check of one
+member at a time, the letter-by-letter ``pmul`` substitution and the
+duality search's Gram matrix per (kappa, c, complement) are kept here as
+the references that the library's product table, its minimal-model
+Massey walk with its outer layer summed as a coset, its transferred
+mu_3, its support-only Massey table enumerated from mu's entries and
+walked where a reach mask says a class tuple exists, its level-by-level
+systems count, its pair blocks summed from projected m_2 entries, its
+cup ranks read off the support, its table-driven composition sum, its
+pair checks, its one pass over the twisted differential, its window
+matrix and relation-based d d = 0, its closed-form entry count, its
+minimal-model order-n engine, its lazily merged mirror witness, its
+one-sided mirror comparison, its proof that its own retracts are strong
+deformation retracts, its one ring per distinct twist, its one trial
+mask with its batched check of every member, its word-at-once
+substitution and its one form per degree and kappa, its one cup support
+and its opposite Massey field read at reversed keys are compared
+against.  The paper's theorem checks, which no command runs, live in
+``theorems`` beside their own references, and read the all-pairs cup
+rank table in a random basis from here.
 """
 
 import random
@@ -111,13 +111,7 @@ from legch.linear import (
     pair_bit,
     vector_label,
 )
-from legch.tilde import (
-    SPLITTING_CONVENTION,
-    SplittingReport,
-    SplittingRow,
-    order_n_cohomology,
-    tilde_complex,
-)
+from legch.tilde import order_n_cohomology
 
 
 def trivial_bracket_dga() -> DGA:
@@ -1117,67 +1111,10 @@ def per_order_dim_table(ring, order_cap: int) -> Dict[Tuple[int, int], int]:
     return table
 
 
-def per_class_pair_splitting_check_n2(ring) -> SplittingReport:
-    """Reference ``tilde.splitting_check_n2``: the cup product of every pair
-    of basis classes through ``ProductTable.cup``, where the library reads
-    the class rows of the pair blocks."""
-    order2 = order_n_cohomology(ring, 2)
-    h = ring.cochain
-    classes = [c for k in h.degrees() for c in basis_classes(h, k)]
-    cup_cols: Dict[int, List[int]] = {}
-    for value in (ring.products.cup(x, y) for x in classes for y in classes):
-        cup_cols.setdefault(h.canon(value.degree - 1), []).append(value.coords)
-    kernel = {kk: len(cols) - rank(cols) for kk, cols in cup_cols.items()}
-    image = {kk: rank(cols) for kk, cols in cup_cols.items()}
-    degrees = sorted(
-        set(order2.dims)
-        | set(h.dims())
-        | {kk for kk, v in kernel.items() if v}
-        | {h.canon(kk + 1) for kk, v in image.items() if v}
-    )
-    rows = []
-    for k in degrees:
-        kr, hd, im = kernel.get(k, 0), h.dim(k), image.get(h.canon(k - 1), 0)
-        rows.append(SplittingRow(k, order2.dims.get(k, 0), kr, hd, im, kr + hd - im))
-    return SplittingReport(SPLITTING_CONVENTION, rows)
-
-
 def closed_letters(count: int, modulus: int) -> DGA:
     """Letters g1..g<count> of degrees 1..count and no differential."""
     names = tuple("g%d" % i for i in range(1, count + 1))
     return DGA(modulus, names, {g: i for i, g in enumerate(names, 1)})
-
-
-def composition_tilde_blocks(f, n: int) -> Dict[int, List[int]]:
-    """Reference ``tilde_of_morphism(f, n).blocks``: the image of each source
-    word summed over every composition of its length, one product of f
-    blocks per composition, where the library runs the bar map's recursion
-    memoised on suffixes."""
-    source, target = tilde_complex(f.src, n), tilde_complex(f.dst, n)
-
-    def image(word: Tuple[str, ...]) -> set:
-        out: set = set()
-        for r in range(1, len(word) + 1):
-            for comp in _compositions(len(word), r):
-                lists = []
-                start = 0
-                for c in comp:
-                    args = word[start : start + c]
-                    vec = f.tables.get(c, {}).get(args)
-                    if not vec:
-                        break
-                    names = f.dst.names(sum(map(f.src.degree_of.__getitem__, args)))
-                    lists.append([names[i] for i in bits(vec)])
-                    start += c
-                else:
-                    out.symmetric_difference_update(product(*lists))
-        return out
-
-    index = {w: i for ws in target.words.values() for i, w in enumerate(ws)}
-    return {
-        k: [reduce(xor, (1 << index[v] for v in image(w)), 0) for w in ws]
-        for k, ws in source.words.items()
-    }
 
 
 def sorted_opposite(fp: Fingerprint) -> Fingerprint:

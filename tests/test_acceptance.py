@@ -29,15 +29,10 @@ from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fileio import serialize_dga
 from legch.fingerprint import cup_rank_table, massey_table
 from legch.linear import duality_search, homology
-from legch.tilde import (
-    check_order_n_transpose,
-    order_n_cohomology,
-    reflection_compare,
-    splitting_check_n2,
-    tilde_complex,
-)
+from legch.tilde import check_order_n_transpose, order_n_cohomology, tilde_complex
 
 from helpers import _apply_if_small, apply, random_augmented_dga, random_elementary_iso
+from theorems import reflection_compare, splitting_check_n2
 
 
 @pytest.fixture(scope="module")

@@ -28,17 +28,10 @@ from legch.fileio import parse_dga, serialize_dga
 from legch.fingerprint import compare_mirror
 from legch.gf2 import bits, rank
 from legch.linear import GradedMatrixMap, homology
-from legch.tilde import (
-    MAX_WINDOW_BITS,
-    check_order_n_transpose,
-    order_n_cohomology,
-    reflection_compare,
-    splitting_check_n2,
-    tilde_complex,
-    tilde_of_morphism,
-)
+from legch.tilde import MAX_WINDOW_BITS, check_order_n_transpose, order_n_cohomology, tilde_complex
 
 import helpers
+import theorems
 from helpers import (
     Codes,
     Letters,
@@ -51,7 +44,6 @@ from helpers import (
     letter_windows,
     pair_oracle,
     pair_oracle_count,
-    per_class_pair_splitting_check_n2,
     proved_rings,
     random_augmented_dga,
     random_dga,
@@ -61,6 +53,13 @@ from helpers import (
     twist_firsts,
     word_window_matrix,
     words_by_degree,
+)
+from theorems import (
+    _word_by_word_reflection,
+    per_class_pair_splitting_check_n2,
+    reflection_compare,
+    splitting_check_n2,
+    tilde_of_morphism,
 )
 
 TREFOIL_ORDER_DIMS = {
@@ -83,6 +82,30 @@ def test_order_and_engine_validation(monkeypatch):
     monkeypatch.setattr(tilde, "MAX_ORDER", 5)
     high = order_n_cohomology(ring, 5)
     assert high.order == 5 and sum(high.dims.values()) > 0
+
+
+# Every entry that reads an order, the library's and the test-side theorem
+# checks, refuses it through ``tilde._check_order``.
+ORDER_ENTRIES = {
+    "order_n_cohomology": lambda dga, ring, n: order_n_cohomology(ring, n),
+    "check_order_n_transpose": lambda dga, ring, n: check_order_n_transpose(ring, n),
+    "tilde_complex": lambda dga, ring, n: tilde_complex(ring.structure, n),
+    "tilde_of_morphism": lambda dga, ring, n: tilde_of_morphism(ring.minimal(2)[1], n),
+    "reflection_compare": lambda dga, ring, n: reflection_compare(dga, n),
+}
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [(0, "order must be at least 1"), (5, "order 5 exceeds the budget MAX_ORDER = 4")],
+)
+@pytest.mark.parametrize("name", list(ORDER_ENTRIES))
+def test_every_order_n_entry_refuses_an_order_outside_1_to_max_order(name, n, message):
+    dga = trefoil()
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    with pytest.raises(ContractError) as info:
+        ORDER_ENTRIES[name](dga, ring, n)
+    assert str(info.value) == message
 
 
 def test_trefoil_order_dims_frozen():
@@ -426,7 +449,7 @@ def test_tilde_of_morphism_blocks_match_the_composition_sum():
         for aug in enumerate_augmentations(dga):
             f = build_ring(dga, aug).minimal(3)[1]
             for n in (1, 2, 3):
-                assert tilde_of_morphism(f, n).blocks == helpers.composition_tilde_blocks(f, n)
+                assert tilde_of_morphism(f, n).blocks == theorems.composition_tilde_blocks(f, n)
 
 
 def test_tilde_of_morphism_rejects_incomplete_or_wrong_input():
@@ -459,7 +482,7 @@ def test_tilde_of_morphism_rejects_a_map_that_does_not_commute(monkeypatch, lett
     tables = {a: dict(t) for a, t in f.tables.items()}
     tables[1][(letter,)] ^= 1
     broken = AInftyMorphism(f.arity, tables, src=f.src, dst=f.dst)
-    monkeypatch.setattr(tilde, "check_ainfty_morphism", lambda *args: CheckReport(True, ""))
+    monkeypatch.setattr(theorems, "check_ainfty_morphism", lambda *args: CheckReport(True, ""))
     with pytest.raises(InternalConsistencyError) as info:
         tilde_of_morphism(broken, n)
     assert str(info.value) == "induced map fails to commute with the differentials on " + word
@@ -1104,30 +1127,6 @@ def test_each_pair_failure_keeps_its_exact_message(n):
         assert _pair_outcome(lambda: check_order_n_transpose(mutated, n)) == ("error", message)
 
 
-def _word_by_word_reflection(twisted, twisted_mirror, n):
-    """Oracle: rev(d(w)) = d_mirror(rev(w)) on every word of length <= n,
-    expanded word by word with ``_chain_terms``; returns the words checked."""
-    index = {g: i for i, g in enumerate(twisted.generators)}
-
-    def encode(source):
-        return [tuple(tuple(index[x] for x in w) for w in source.d(g)) for g in source.generators]
-
-    repl, repl_mirror = encode(twisted), encode(twisted_mirror)
-    count = 0
-    layer = [()]
-    for _ in range(n):
-        layer = [w + (g,) for w in layer for g in range(len(index))]
-        for w in layer:
-            left = {v[::-1] for v in _chain_terms(repl, w, n)}
-            if left != _chain_terms(repl_mirror, w[::-1], n):
-                raise InternalConsistencyError(
-                    "reflection conjugation fails on %s"
-                    % "|".join(twisted.generators[g] for g in w)
-                )
-            count += 1
-    return count
-
-
 def test_reflection_check_matches_the_word_by_word_oracle():
     for name, dga in bundled_examples():
         top = 2 if name.startswith("masseyex") else 3
@@ -1136,7 +1135,7 @@ def test_reflection_check_matches_the_word_by_word_oracle():
             knot, other = build_ring(dga, aug).twisted, build_ring(mirror, aug).twisted
             for n in range(1, top + 1):
                 want = _word_by_word_reflection(knot, other, n)
-                assert tilde._check_reflection_conjugation(knot, other, n) == want
+                assert theorems._check_reflection_conjugation(knot, other, n) == want
                 assert want == sum(len(dga.generators) ** a for a in range(1, n + 1))
 
 
@@ -1149,7 +1148,7 @@ def test_reflection_check_rejects_a_spurious_mirror_term():
     diff["a2"] = diff["a2"] | {("b2", "b1")}
     spurious = other.replace_diff(diff)
     for n in (2, 3):
-        for check in (tilde._check_reflection_conjugation, _word_by_word_reflection):
+        for check in (theorems._check_reflection_conjugation, _word_by_word_reflection):
             _raises_naming(
                 "reflection conjugation fails on a2", lambda: check(knot, spurious, n)
             )
