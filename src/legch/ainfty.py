@@ -69,10 +69,11 @@ MAX_MASSEY_SYSTEMS = 1 << 20
 
 # Top arity transfer_minimal_model accepts.  The tables and the time grow
 # 1.4-2x per arity; at 16 the transfer plus the inclusion's morphism check
-# takes at most 0.13 s on each bundled example, at 20 up to 0.6 s
-# (in-process, best of 3, python 3.11, 2 vCPUs).  `legch minimal --arity 16`
-# on masseyex(1,4,9,20), which also checks mu's relations up to arity 17,
-# takes 0.57-0.59 s as a process on the same host.
+# (which reads the transfer's tree sums) takes at most 0.08 s on each bundled
+# example, at 20 up to 0.36 s (in-process, best of 3, every twist, python
+# 3.11.7, 2 vCPUs, shared host).  `legch minimal --arity 16` on
+# masseyex(1,4,9,20), which also checks mu's relations up to arity 17, takes
+# 0.25-0.31 s as a process on the same host (six runs).
 MAX_ARITY = 16
 
 # Insertion terms check_an_relations may toggle, counted before it starts.
@@ -245,6 +246,9 @@ class AInftyMorphism:
     tables: Dict[int, Dict[Tuple[str, ...], int]]
     src: Optional["AInftyStructure"] = None
     dst: Optional["AInftyStructure"] = None
+    # Set by transfer_minimal_model alone: (mu, s, p, index), its tree sums p_k
+    # and the index by block arity each was built from (check_ainfty_morphism).
+    _tree_sums: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tables = {
@@ -410,8 +414,10 @@ def _composition_sum(
     n: int,
     min_blocks: int,
     total: Dict[Tuple[str, ...], int],
+    max_blocks: Optional[int] = None,
 ) -> None:
-    """Add sum over r >= min_blocks, c_1+..+c_r = n of m_r(f_{c_1} x .. x f_{c_r}).
+    """Add sum over min_blocks <= r (<= max_blocks, if given), c_1+..+c_r = n
+    of m_r(f_{c_1} x .. x f_{c_r}).
 
     ``f`` holds sparse tables by arity whose vectors live in the basis of
     ``m``, and ``entry_degree(w)`` is the degree of f_{|w|}(w).  The sum
@@ -460,7 +466,7 @@ def _composition_sum(
             arities[x] = arities.get(x, ()) + (c,)
     canon = partial(canon_degree, m.modulus)
     hits: Dict[Tuple[int, str], List[Tuple[Tuple[str, ...], int]]] = {}
-    for r in range(min_blocks, min(m.arity, n) + 1):
+    for r in range(min_blocks, min(m.arity, n, max_blocks or n) + 1):
         found: Dict[Tuple[int, ...], list] = {}
         for xs, vec in m.tables.get(r, {}).items():
             options = tuple(map(arities.get, xs))
@@ -544,6 +550,17 @@ def check_ainfty_morphism(
     f_{i+1+k}(1 x m_j x 1) must equal the sum over all splittings
     i_1+..+i_r = n of m_r(f_{i_1} x .. x f_{i_r}).  Tables that do not fit
     ``src`` and ``dst`` are a ``ContractError``.
+
+    The index is rebuilt from f's tables as they are now.  The r >= 2 part
+    at arity n is read off the transfer's tree sum p_n when f is the
+    inclusion ``transfer_minimal_model`` returned, ``src`` and ``dst`` are
+    its mu and s, and the index equals the transfer's at every block arity
+    below n: that part reads f only through those arities of the index,
+    and p_n is ``_composition_sum`` of the same s, labels, index and n, so
+    it is the same dict of terms, and the same degree check already passed
+    on it.  A copied or edited f (its index differs), or another src or
+    dst, has the whole sum computed here.  Structures are not edited in
+    place (their ``hits`` are cached).
     """
     f.validate_against(src, dst)
 
@@ -551,10 +568,18 @@ def check_ainfty_morphism(
         return canon_degree(src.modulus, sum(map(src.degree_of.__getitem__, w)))
 
     index = {c: _inverted_index(dst, table, entry_degree) for c, table in f.tables.items()}
+    record = f._tree_sums
+    same = record is not None and record[0] is src and record[1] is dst
     for n in range(1, up_to + 1):
         total: Dict[Tuple[str, ...], int] = {}
         _insertion_sum(f.tables, src, n, total)
-        _composition_sum(dst, index, src.degree_of, n, 1, total)
+        same = same and index.get(n - 1) == record[3].get(n - 1)
+        if same and n in record[2]:
+            _composition_sum(dst, index, src.degree_of, n, 1, total, max_blocks=1)
+            for args, vec in record[2][n].items():
+                _toggle(total, args, vec)
+        else:
+            _composition_sum(dst, index, src.degree_of, n, 1, total)
         if total:
             return _failure(total, src, "morphism equation fails at arity %d on (%s)", n)
     return CheckReport(True, "morphism equation holds up to arity %d" % up_to)
@@ -1137,13 +1162,16 @@ def transfer_minimal_model(
 
     with mu_k = p(p_k) and i_k = h(p_k), each entry's pair read off one
     application of the degree's inverse (``HomologyData.split``); mu_1 = 0.
-    Each p_k reuses the stored i_j tables of lower arity; only mu_k and i_k
-    are kept, and Massey brackets of every order read mu
-    (``massey_higher``; on a defined triple p_3 is closed, so mu_3 is its
-    class, as ``ProductTable`` proves).  mu_2 is checked against the cup product:
-    the class rows of the pair blocks of ``products``, a ``ProductTable``
-    over h and s (built here if none over h is given), on the degree pairs
-    where the two can differ (``ProductTable``).  Arities above
+    Each p_k reuses the stored i_j tables of lower arity.  mu_k and i_k are
+    the tables kept; the inclusion also records each p_k and the index it
+    was built from, by reference, so that ``check_ainfty_morphism`` reads
+    its r >= 2 part instead of summing it again.  Massey brackets of every
+    order read mu (``massey_higher``; on a defined triple p_3 is closed, so
+    mu_3 is its class, as ``ProductTable`` proves).  mu_2 is checked
+    against the cup product: the class rows of the pair blocks of
+    ``products``, a ``ProductTable`` over h and s (built here if none over
+    h is given), on the degree pairs where the two can differ
+    (``ProductTable``).  Arities above
     ``MAX_ARITY`` are refused before any work.  Then the table checks h
     (``ProductTable._check_retract``): unless it is the ring's own table
     (``CohomologyRing.products``), whose retract ``linear._retract`` builds
@@ -1190,8 +1218,9 @@ def transfer_minimal_model(
         }
     }
     index = {1: _inverted_index(s, i_tables[1], entry_degree)}
+    p_tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     for k in range(2, up_to + 1):
-        p_k: Dict[Tuple[str, ...], int] = {}
+        p_k = p_tables[k] = {}
         _composition_sum(s, index, degree_of, k, 2, p_k)
         mu_k: Dict[Tuple[str, ...], int] = {}
         i_k: Dict[Tuple[str, ...], int] = {}
@@ -1219,7 +1248,8 @@ def transfer_minimal_model(
                     raise InternalConsistencyError(
                         "transferred mu_2 disagrees with the cup product on (%s, %s)" % (lx, ly)
                     )
-    return mu, assemble(AInftyMorphism, up_to, i_tables, mu, s)
+    record = (mu, s, p_tables, index)
+    return mu, assemble(AInftyMorphism, up_to, i_tables, mu, s, _tree_sums=record)
 
 
 @dataclass

@@ -1,15 +1,18 @@
 """One sha256 per layer over a fixed corpus of rings, so that a refactor can
 show in one command that it changed no result.  ``PYTHONPATH=src python
 tests/digest.py``, run from the repository root, prints ``rings N`` and one
-``layer sha256`` row per layer; two trees give equal rows exactly when every
-layer's results are equal on the corpus (up to a hash collision).  The
-seconds it took go to stderr.  Pytest does not collect it.
+``layer sha256`` row per layer, then a ``refusals sha256`` row; two trees
+give equal rows exactly when every layer's results are equal on the corpus
+(up to a hash collision).  The seconds it took go to stderr.  Pytest does
+not collect it.
 
 The corpus is ``helpers.proved_rings()`` and the rings of up to three twists
 of each of ``helpers.random_dgas(seed, 150)`` for seeds 0, 1 and 2.  Each
 ring's value of a layer is written in a canonical form, dicts and sets
 sorted, so the digests do not depend on ``PYTHONHASHSEED``; a ``ContractError``
-is the value ``refused: <its text>``.
+is the value ``refused: <its text>``.  No corpus ring is refused, so the
+``refusals`` row digests every layer on a few rings past a budget, built
+with ``limits.py``'s constructors (``refusal_rings``).
 """
 
 import hashlib
@@ -19,10 +22,12 @@ import warnings
 
 from helpers import proved_rings, random_dgas, twist_firsts
 from legch import ContractError
-from legch.ainfty import build_ring
+from legch.ainfty import build_ring, check_ainfty_morphism
 from legch.families import FamilyGradingWarning
+from legch.fileio import parse_dga
 from legch.fingerprint import cup_rank_table, massey_table, order_dim_table
 from legch.tilde import order_n_cohomology
+from limits import graded, raised_path
 
 
 def corpus():
@@ -32,6 +37,15 @@ def corpus():
         for dga in random_dgas(seed, 150):
             for aug in twist_firsts(dga)[:3]:
                 yield build_ring(dga, aug)
+
+
+def refusal_rings():
+    """Rings a layer refuses: graded(41) is over MAX_MASSEY_TUPLES at Massey
+    order 3, graded(20) at order 4, and raised_path(1000) over
+    MAX_WINDOW_BITS at order 2."""
+    for text in (graded(41), graded(20), raised_path(1000)):
+        dga = parse_dga(text)
+        yield build_ring(dga, twist_firsts(dga)[0])
 
 
 def canonical(value):
@@ -66,6 +80,11 @@ def transferred(ring):
     return {r: mu.tables.get(r, {}) for r in range(1, 5)}, inclusion.tables
 
 
+def inclusion_check(ring):
+    mu, inclusion = ring.minimal(4)
+    return check_ainfty_morphism(inclusion, mu, ring.structure, 4)
+
+
 LAYERS = [
     ("representatives", lambda ring: ring.cochain.reps),
     ("pair_blocks", lambda ring: [(ab, ring.products.pair(*ab)) for ab in ring.products.support]),
@@ -76,21 +95,32 @@ LAYERS = [
     ("dense_orders_2", refused(lambda ring: orders(ring, "dense"))),
     ("perturbation_orders_2", refused(lambda ring: orders(ring, "perturbation"))),
     ("transferred_4", refused(transferred)),
+    ("inclusion_4", refused(inclusion_check)),
 ]
+
+
+def layer_hashes(rings):
+    """One sha256 per layer over ``rings``, and the number of rings."""
+    hashes = {name: hashlib.sha256() for name, _ in LAYERS}
+    count = 0
+    for ring in rings:
+        count += 1
+        for name, layer in LAYERS:
+            hashes[name].update(repr(canonical(layer(ring))).encode() + b"\n")
+    return count, hashes
 
 
 def main():
     warnings.simplefilter("ignore", FamilyGradingWarning)
     start = time.perf_counter()
-    hashes = {name: hashlib.sha256() for name, _ in LAYERS}
-    rings = 0
-    for ring in corpus():
-        rings += 1
-        for name, layer in LAYERS:
-            hashes[name].update(repr(canonical(layer(ring))).encode() + b"\n")
+    rings, hashes = layer_hashes(corpus())
     print("rings %d" % rings)
     for name, _ in LAYERS:
         print("%s %s" % (name, hashes[name].hexdigest()))
+    refusals = hashlib.sha256()
+    for layer in layer_hashes(refusal_rings())[1].values():
+        refusals.update(layer.digest())
+    print("refusals %s" % refusals.hexdigest())
     print("%.1f s" % (time.perf_counter() - start), file=sys.stderr)
     return 0
 

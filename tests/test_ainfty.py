@@ -927,6 +927,81 @@ def test_morphism_checker_detects_a_corrupted_inclusion():
     assert report.args == ("[b2]", "[b2]")
 
 
+def _recomputed(f):
+    """A table-for-table copy of ``f`` through the validating constructor; it
+    carries no tree sums, so its morphism check sums every term itself."""
+    return AInftyMorphism(f.arity, {n: dict(t) for n, t in f.tables.items()}, f.src, f.dst)
+
+
+def _spied_check(monkeypatch, f, src, dst, up_to):
+    """``check_ainfty_morphism``'s report, or its ``ContractError`` text, and
+    the arities at which it read the transfer's tree sum (the r = 1 term alone
+    summed)."""
+    read = []
+    real = _composition_sum
+
+    def spy(m, index, degree_of, n, min_blocks, total, max_blocks=None):
+        if max_blocks == 1:
+            read.append(n)
+        real(m, index, degree_of, n, min_blocks, total, max_blocks)
+
+    monkeypatch.setattr(ainfty, "_composition_sum", spy)
+    try:
+        return check_ainfty_morphism(f, src, dst, up_to), read
+    except ContractError as exc:
+        return str(exc), read
+    finally:
+        monkeypatch.setattr(ainfty, "_composition_sum", real)
+
+
+def test_the_inclusion_check_reads_the_tree_sums_and_reports_as_a_copy(monkeypatch):
+    """On every proved ring at arities 2-5, the check of ``minimal(k)``'s
+    inclusion reads p_n for 2 <= n <= k off the transfer, and reports what
+    the check of a validated copy, which sums every term, reports."""
+    for ring in proved_rings():
+        for k in range(2, 6):
+            mu, incl = ring.minimal(k)
+            got, read = _spied_check(monkeypatch, incl, mu, ring.structure, k)
+            want, none = _spied_check(monkeypatch, _recomputed(incl), mu, ring.structure, k)
+            assert (got, read, none) == (want, list(range(2, k + 1)), [])
+            assert got.ok
+
+
+def test_an_inclusion_edited_in_place_is_checked_as_its_copy(monkeypatch):
+    """A one-bit edit of an i_c table (c = 1, 2, 3) after the transfer:
+    p_n is read off the transfer up to n = c, whose sum reads only the
+    block arities below n, and summed anew above, and the report is the
+    copy's.  69 of the 112 edits are refused."""
+    edits = refused = 0
+    for ring in proved_rings():
+        for c in (1, 2, 3):
+            mu, incl = transfer_minimal_model(ring.cochain, ring.structure, 4)
+            if not incl.tables[c]:
+                continue
+            args = next(iter(incl.tables[c]))
+            incl.tables[c][args] ^= 1
+            got, read = _spied_check(monkeypatch, incl, mu, ring.structure, 4)
+            want, _ = _spied_check(monkeypatch, _recomputed(incl), mu, ring.structure, 4)
+            assert got == want and read == list(range(2, c + 1))
+            edits += 1
+            refused += not got.ok
+    assert (edits, refused) == (112, 69)
+
+
+def test_an_equal_but_other_source_or_target_has_the_whole_sum_computed(monkeypatch):
+    """The tree sums are read only with the transfer's own mu and s: an
+    equal structure built anew is checked by the whole sum, with the same
+    report."""
+    ring = trefoil_ring()
+    mu, incl = transfer_minimal_model(ring.cochain, ring.structure, 4)
+    s = ring.structure
+    want, read = _spied_check(monkeypatch, incl, mu, s, 4)
+    assert want.ok and read == [2, 3, 4]
+    for src, dst in ((replace(mu), s), (mu, replace(s))):
+        assert (src, dst) == (mu, s)
+        assert _spied_check(monkeypatch, incl, src, dst, 4) == (want, [])
+
+
 def test_ring_keeps_one_transfer_and_hands_it_out_whole(monkeypatch):
     """``minimal(k)`` returns the kept objects for every k up to the kept
     arity, a higher k rebuilds the transfer, and the kept tables of arity
@@ -1344,4 +1419,5 @@ def test_adjoint_relations_and_transfer_on_random_dgas(seed):
     assert check_an_relations(s, min(s.arity + 1, 4)).ok
     mu, f = transfer_minimal_model(h, s, 3)
     assert check_an_relations(mu, 3).ok
-    assert check_ainfty_morphism(f, mu, s, 3).ok
+    report = check_ainfty_morphism(f, mu, s, 3)
+    assert report.ok and check_ainfty_morphism(_recomputed(f), mu, s, 3) == report

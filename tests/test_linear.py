@@ -10,7 +10,6 @@ from legch.ainfty import adjoint_structure, build_ring
 from legch.algebra import DGA, canon_degree, component_k, mirror_dga
 from legch.augment import Augmentation, enumerate_augmentations, per_twist, twist
 from legch.families import bundled_examples, cupex, trefoil
-from legch.gf2 import rank
 from legch.cli import main
 from legch.fileio import parse_dga, serialize_dga
 from legch.linear import (
