@@ -422,7 +422,7 @@ def build_parser() -> _Parser:
         "--engine",
         choices=("auto", "dense", "perturbation"),
         default="auto",
-        help="complex construction strategy (default auto)",
+        help="complex construction strategy (default auto, the perturbation engine)",
     )
     add("duality", cmd_duality, "duality pairing certificate", with_aug=True)
     add("mirror", cmd_mirror, "emit the mirrored DGA file", report=False)

@@ -10,14 +10,15 @@ other, and ``order_n_cohomology`` asserts that entry for entry on every
 run before reducing.
 
 Two engines are available, and both are one construction, the window
-matrix, applied to two structures: the dense engine builds it on the adjoint
-structure itself, over words of generators; the perturbation engine
+matrix, applied to two structures: the perturbation engine, the default,
 builds it on the ring's transferred minimal model, over words of
-cohomology classes (Perturbation, below).  Either way its d d = 0 is read
-from that structure's A-infinity relations up to arity n (Square zero),
-and the dimensions are dim_k = |basis_k| - rank d_k - rank d_(k-1), read
-off ranks with no word labels; the homology retract of the order-n
-complex, with labelled representatives, is built only on demand.
+cohomology classes (Perturbation, below); the dense engine builds it on
+the adjoint structure itself, over words of generators.  Either way its
+d d = 0 is read from that structure's A-infinity relations up to arity n
+(Square zero), and the dimensions are dim_k = |basis_k| - rank d_k -
+rank d_(k-1), read off ranks with no word labels; the homology retract
+of the order-n complex, with labelled representatives, is built only on
+demand.
 
 The transpose check and the window matrix are built from (letter, term)
 triples instead of expanding word by word.  Index both matrices by a
@@ -152,7 +153,8 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   length <= m, in both, so its column in the order-n matrix is its
   column in the order-m one, and lies in the same span.  Codes are
   length-major, so those words are a prefix of each degree group, of
-  c_k(m) words, the codes below off[m + 1].  The rank of the first c
+  c_k(m) words, the codes below off[m + 1], counted with no word built
+  (``_degree_counts``).  The rank of the first c
   columns of a degree does not depend on the columns after them, so one
   elimination in code order, its rank read at each cut c_k(1) <= .. <=
   c_k(n), gives dim_k = c_k(m) - rank d_k - rank d_(k-1) at every order
@@ -164,7 +166,9 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   Chen-Kerber, Persistent homology computation with a twist, 2011;
   Bauer-Kerber-Reininghaus, Clear and Compress, 2014).  The block before
   d_k is d_(k-1), unless no word has degree k - 1: then it maps into
-  that empty degree, so it is zero and stores no row.  Columns run in
+  that empty degree, so it is zero and stores no row; so does every zero
+  block, which ``_window_matrix`` lists no columns for and ``_order_dims``
+  reduces as no columns, of rank 0 at every cut.  Columns run in
   code order and a pivot sits on the highest set bit, the largest place,
   so a row R stored while reducing d_(k-1), a combination of its
   columns, is e_i plus places below i.  d_k R = 0 (d d = 0, which
@@ -181,7 +185,6 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby, product as iproduct
@@ -195,7 +198,6 @@ from .gf2 import prefix_ranks
 from .linear import GradedMatrixMap, HomologyData, _retract
 
 __all__ = [
-    "DENSE_LIMIT",
     "MAX_ORDER",
     "MAX_WINDOW_BITS",
     "OrderNCohomology",
@@ -206,7 +208,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
-DENSE_LIMIT = 20000
 # A window matrix holds about one bit per (row word, column word) pair of a
 # degree block: Σ_k |block_k|² bits over the word space's degree blocks.
 MAX_WINDOW_BITS = 1 << 31
@@ -223,28 +224,37 @@ def _word_count(size: int, n: int) -> int:
     return sum(size**length for length in range(1, n + 1))
 
 
-def _window_bits(s: AInftyStructure, n: int) -> int:
-    """Σ_k |block_k|² over the degree blocks of the order-n words, with no word
-    built: a word of length 1..j+1 is a letter and then a word of length
-    0..j, so each degree's word count is the letters' degree histogram (the
-    basis sizes, in canonical degrees) convolved n times with the counts
-    before it and the empty word."""
+def _degree_counts(s: AInftyStructure, n: int) -> List[Dict[int, int]]:
+    """For m = 1..n, each degree's number of words of length 1..m, with no
+    word built: a word of length 1..m+1 is a letter and then a word of
+    length 0..m, so the counts at m + 1 are the letters' degree histogram
+    (the basis sizes, in canonical degrees) convolved with the counts at m
+    and the empty word."""
     letters = [(k, len(names)) for k, names in s.basis.items() if names]
-    modulus, blocks = s.modulus, {}
+    modulus, counts = s.modulus, [{}]
     for _ in range(n):
         step: Dict[int, int] = {}
-        for d, count in [(0, 1), *blocks.items()]:
+        for d, count in [(0, 1), *counts[-1].items()]:
             for e, times in letters:
                 k = (d + e) % modulus if modulus else d + e  # canon_degree
                 step[k] = step.get(k, 0) + count * times
-        blocks = step
-    return sum(size * size for size in blocks.values())
+        counts.append(step)
+    return counts[1:]
 
 
-def _check_window_bits(s: AInftyStructure, n: int) -> None:
-    """Refuse an order-n word space of ``s`` whose ``_window_bits`` exceed ``MAX_WINDOW_BITS``."""
+def _window_bits(s: AInftyStructure, n: int) -> int:
+    """Σ_k |block_k|² over the degree blocks of the order-n words."""
+    return sum(size * size for size in _degree_counts(s, n)[-1].values())
+
+
+def _check_window_bits(s: AInftyStructure, n: int) -> List[Dict[int, int]]:
+    """Refuse an order-n word space of ``s`` whose ``_window_bits`` exceed
+    ``MAX_WINDOW_BITS``; else return its ``_degree_counts``."""
+    counts = _degree_counts(s, n)
+    bits = sum(size * size for size in counts[-1].values())
     what = "order-%d words over %d letters take %d window bits, over"
-    check_budget("MAX_WINDOW_BITS", MAX_WINDOW_BITS, _window_bits(s, n), what, n, len(s.order))
+    check_budget("MAX_WINDOW_BITS", MAX_WINDOW_BITS, bits, what, n, len(s.order))
+    return counts
 
 
 class _Words:
@@ -257,12 +267,14 @@ class _Words:
     order.  ``groups`` holds each degree's codes, ascending, degrees in
     order of their first word; ``bit``, indexed by code, is the word's bit
     1 << (its place in its degree's group).  Words are spelled in letter
-    labels only by ``spelled``.  A space whose ``_window_bits`` exceed the
-    budget ``MAX_WINDOW_BITS`` is refused before any word is built.
+    labels only by ``spelled``.  ``counts[m - 1]`` holds, by degree, the
+    number of words of length <= m (``_degree_counts``): the group's codes
+    below ``off[m + 1]``.  A space whose ``_window_bits`` exceed the budget
+    ``MAX_WINDOW_BITS`` is refused before any word is built.
     """
 
     def __init__(self, s: AInftyStructure, n: int):
-        _check_window_bits(s, n)
+        self.counts = _check_window_bits(s, n)
         self.n = n
         self.labels: List[str] = sorted(s.order, key=s.order.get)
         self.index: Dict[str, int] = {lbl: i for i, lbl in enumerate(self.labels)}
@@ -321,8 +333,8 @@ class _TwistedPairs:
     """The (letter, term) pairs of a twisted differential, proved equal to the
     window pairs of a structure in one pass over the terms (Pairs, in the
     module docstring): each term t of d(g) is nonempty, of degree deg g - 1
-    (read through ``s.out_degree``) and holds g's bit in its table vector,
-    and the terms are as many as the tables' set bits.
+    (its letters' degrees summed from ``s.degree_of``) and holds g's bit in
+    its table vector, and the terms are as many as the tables' set bits.
 
     Iterating yields every term t of ``diff[g]`` as (g, t), letter by letter
     in ``letters`` (``s.order``); the pass also keeps the number of pairs
@@ -334,9 +346,11 @@ class _TwistedPairs:
     names the order)."""
 
     def __init__(self, twisted: DGA, s: AInftyStructure, n: int):
-        diff, tables, out_degree, none = twisted.diff, s.tables, s.out_degree, {}
+        diff, tables, modulus, none = twisted.diff, s.tables, s.modulus, {}
+        degree = s.degree_of.__getitem__
         failing, own, terms = [], [], 0
         for k in sorted(s.basis):  # the letters in s.order, g's bit its place in its degree
+            below = k - 1
             for place, g in enumerate(s.basis[k]):
                 dg = diff[g]
                 if () in dg:
@@ -344,15 +358,17 @@ class _TwistedPairs:
                     raise InternalConsistencyError(what % g)
                 terms += len(dg)
                 for t in dg:
-                    if out_degree(t) != k or not tables.get(len(t), none).get(t, 0) >> place & 1:
+                    off = sum(map(degree, t)) - below  # deg t - (deg g - 1), k canonical
+                    vector = tables.get(len(t), none).get(t, 0)
+                    if (off % modulus if modulus else off) or not vector >> place & 1:
                         failing.append((g, t))
                     elif t[0] == g or t[-1] == g:
                         own.append((g, t))
         lengths = {j: sum(map(int.bit_count, table.values())) for j, table in tables.items()}
         if failing or terms != sum(lengths.values()):
-            # the other terms passed out_degree, the same sum, so they and the
-            # window pairs they are are homogeneous: _window_pairs can only
-            # name an inhomogeneous window-only pair
+            # the other terms passed the degree test, _check_homogeneous's sum,
+            # so they and the window pairs they are are homogeneous:
+            # _window_pairs can only name an inhomogeneous window-only pair
             _check_homogeneous(s, "Leibniz", failing)
             window = [(g, t) for g, t in _window_pairs(s) if t not in diff[g]]
             g, t = min(failing + window, key=_code_order(s))
@@ -476,7 +492,8 @@ def _window_matrix(
     space of ``s``, built from the (letter, term) pairs of ``s``, which the
     caller has checked homogeneous.  Asserts d d = 0 through the A-infinity
     relations of ``s`` up to arity n (Square zero, in the module docstring)
-    and, when given, the number of nonzero entries."""
+    and, when given, the number of nonzero entries.  Only the nonzero degree
+    blocks get a column list; a missing one is zero (``columns``)."""
     n = words.n
     prefix = "order-%d differential does not square to zero: " % n
     check_an_relations(s, n).require(InternalConsistencyError, prefix)
@@ -491,27 +508,31 @@ def _window_matrix(
                 "order-%d window matrix has %d nonzero entries, its pairs count %d"
                 % (n, found, entries)
             )
-    cols = {k: list(map(flat.__getitem__, codes)) for k, codes in words.groups.items()}
+    column = flat.__getitem__
+    blocks = words.groups.items()
+    cols = {k: list(map(column, codes)) for k, codes in blocks if any(map(column, codes))}
     return GradedMatrixMap(s.modulus, 1, words.groups, cols)
 
 
 def _order_dims(window: GradedMatrixMap, words: _Words) -> Dict[int, Dict[int, int]]:
     """The nonzero dims of every order m <= n, by m, off the order-n window
     matrix on ``words`` (Filtration, in the module docstring): dim_k = c_k -
-    r_k - r_(k-1), with c_k the words of degree k and length <= m, a prefix
-    of the degree group, and r_k the rank of their columns, read at every
-    cut by one elimination per degree, the degrees ascending and each
-    cleared by the one below (Clearing)."""
-    ends = words.off[2:]  # the words of length <= m code below off[m + 1]
-    cuts = {k: [bisect_left(words.groups[k], end) for end in ends] for k in sorted(words.groups)}
-    ranks = dict(zip(cuts, prefix_ranks((window.cols[k], cut) for k, cut in cuts.items())))
-    orders: Dict[int, Dict[int, int]] = {m: {} for m in range(1, words.n + 1)}
-    for k, cut in cuts.items():  # k - 1 is canonical but at k = 0
-        below = ranks.get(k - 1) or ranks.get(window.canon(k - 1), [0] * words.n)
-        for dims, c, r, b in zip(orders.values(), cut, ranks[k], below):
-            if c - r - b:
-                dims[k] = c - r - b
-    return orders
+    r_k - r_(k-1), with c_k the words of degree k and length <= m
+    (``words.counts``), a prefix of the degree group, and r_k the rank of
+    their columns, read at every cut by one elimination per nonzero block,
+    the degrees ascending and each cleared by the one below (Clearing).  A
+    block missing from ``window.cols`` is zero: it is reduced as no columns,
+    read at n cuts of 0, so it has rank 0 and, storing no row, resets the
+    clearing chain."""
+    cols, counts, none = window.cols, words.counts, [0] * words.n
+    cuts = {k: [c.get(k, 0) for c in counts] if k in cols else none for k in sorted(words.groups)}
+    orders = {m: dict(c) for m, c in enumerate(counts, 1)}
+    for k, ranks in zip(cuts, prefix_ranks((cols.get(k, []), cut) for k, cut in cuts.items())):
+        for dims, r in zip(orders.values(), ranks):
+            if r:  # d_k maps r dimensions of degree k onto degree k + 1
+                dims[k] -= r
+                dims[window.canon(k + 1)] -= r
+    return {m: {k: d for k, d in sorted(dims.items()) if d} for m, dims in orders.items()}
 
 
 def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
@@ -530,7 +551,8 @@ def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
     window = _window_matrix(s, space, pairs)
     words = space.spelled()
     basis = {k: tuple("|".join(w) for w in ws) for k, ws in words.items()}
-    return TildeComplex(s, n, words, replace(window, basis=basis))
+    cols = {k: window.columns(k) for k in basis}  # the zero blocks too
+    return TildeComplex(s, n, words, replace(window, basis=basis, cols=cols))
 
 
 def check_order_n_transpose(ring: CohomologyRing, n: int) -> int:
@@ -566,9 +588,13 @@ class OrderNCohomology:
     ``orders[n]``.
 
     ``engine`` records which structure's window complex was reduced:
-    "dense" the adjoint structure (representatives are words of
-    generators), "perturbation" the transferred minimal model (words of
-    cohomology classes); ``structure`` is that structure.  ``data``, the
+    "perturbation", the default, the transferred minimal model (words of
+    cohomology classes), "dense" the adjoint structure (representatives
+    are words of generators); ``structure`` is that structure.  The default
+    path ran the one pass of the transpose check over the twisted
+    differential, the transfer's mu_2 and relation checks, and the minimal
+    model's window relations up to arity n; the dense one ran the pass, the
+    adjoint structure's window relations and the entry count.  ``data``, the
     homology of its complex, is rebuilt on first use through
     ``tilde_complex``, which reads and checks the structure's pairs itself
     and asserts d d = 0 through the relations (Square zero), and is reduced
@@ -601,15 +627,16 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     and the truncated Leibniz differential before reducing, through
     ``check_order_n_transpose``: one pass per ring over the twisted
     differential covers every order, and the window matrix's nonzero
-    entries are counted on every call from what that pass kept.  The dense
-    engine builds that matrix on ``ring.structure`` from the pairs the pass
-    checked, ``ring.pairs``, and asserts the count; the perturbation engine
-    reads and checks the pairs of the ring's one transfer
-    ``ring.minimal(max(n, 2))`` and builds its window matrix from those
-    with |t| <= n (Perturbation, in the module docstring).
-    Either asserts d d = 0 through its structure's A-infinity relations up
-    to arity n (Square zero).
-    The "auto" engine is dense up to ``DENSE_LIMIT`` words of length <= n.
+    entries are counted on every call from what that pass kept.  The
+    default "auto" is the perturbation engine: it reads and checks the
+    pairs of the ring's one transfer ``ring.minimal(max(n, 2))``, whose
+    mu_2 is checked against the cup product and whose relations are
+    checked up to arity max(n, 2) + 1 when it is built, and builds its
+    window matrix from those pairs with |t| <= n (Perturbation, in the
+    module docstring).  The dense engine builds that matrix on
+    ``ring.structure`` from the pairs the pass checked, ``ring.pairs``,
+    and asserts the count.  Either asserts d d = 0 through its structure's
+    A-infinity relations up to arity n (Square zero).
     Dimensions come from ranks (``_order_dims``), with no retract and no
     word labels, and those of every order m <= n come with them, as
     ``orders``, from the one matrix and one elimination (Filtration): the
@@ -622,18 +649,16 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     _check_order(n)
     if engine not in ("auto", "dense", "perturbation"):
         raise ContractError("engine must be 'auto', 'dense' or 'perturbation'")
-    total = _word_count(len(ring.dga.generators), n)
-    if engine == "auto":
-        engine = "dense" if total <= DENSE_LIMIT else "perturbation"
     assert_valid(ring.dga)
     entries = check_order_n_transpose(ring, n)
     if engine == "dense":
         structure, pairs, count = ring.structure, ring.pairs, entries
     else:
-        structure, count = ring.minimal(max(n, 2))[0], None
+        engine, structure, count = "perturbation", ring.minimal(max(n, 2))[0], None
         pairs = _window_pairs(structure)
     words = _Words(structure, n)
     orders = _order_dims(_window_matrix(structure, words, pairs, count), words)
+    total = _word_count(len(ring.dga.generators), n)
     return OrderNCohomology(n, engine, orders[n], total, entries, orders, structure)
 
 

@@ -229,7 +229,7 @@ ROWS = [
     # 2 vCPUs), the walk's term lists bound once per bracket; the bound is 3x the slowest
     bound("MAX_MASSEY_SYSTEMS", (two_degrees, 7, 6), "massey --classes 0:1,0:1,0:1,5:1",
           "systems: 8589934592", "trivial: yes", seconds=3),
-    DENSE := row(CUPEX_112, "ordern --n 3", "engine: dense", "complex.dim: 9723",
+    DENSE := row(CUPEX_112, "ordern --n 3 --engine dense", "engine: dense", "complex.dim: 9723",
                  "transpose.entries: 19822", "total: 317"),
     PERTURBATION := row(CUPEX_112, "ordern --n 3 --engine perturbation"),
     bound("MAX_ORDER", MASSEYEX, "ordern --n 4", "complex.dim: 57955920",

@@ -29,10 +29,10 @@ from legch.families import bundled_examples, cupex, masseyex, trefoil
 from legch.fileio import serialize_dga
 from legch.fingerprint import cup_rank_table, massey_table
 from legch.linear import duality_search, homology
-from legch.tilde import check_order_n_transpose, order_n_cohomology, tilde_complex
+from legch.tilde import check_order_n_transpose, tilde_complex
 
 from helpers import _apply_if_small, apply, random_augmented_dga, random_elementary_iso
-from theorems import reflection_compare, splitting_check_n2
+from theorems import dense_order_n, reflection_compare, splitting_check_n2
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +230,7 @@ def test_criterion_7_order_n_cohomology_suite():
             ring = build_ring(dga, aug)
             # bit-exact transpose agreement at every order up to 3
             for n in (1, 2, 3):
-                result = order_n_cohomology(ring, n)
+                result = dense_order_n(ring, n)
                 assert result.transpose_entries > 0
                 if len(dga.generators) <= 5:
                     entries = check_order_n_transpose(ring, n)
@@ -240,7 +240,7 @@ def test_criterion_7_order_n_cohomology_suite():
             mu, _ = transfer_minimal_model(ring.cochain, ring.structure, 3)
             for n in (1, 2, 3):
                 small = tilde_complex(mu, n)
-                want = order_n_cohomology(ring, n)
+                want = dense_order_n(ring, n)
                 assert homology(small.differential).dims() == want.dims
 
             # order-2 splitting identity per degree

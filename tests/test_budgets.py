@@ -92,7 +92,7 @@ REFUSALS = [
         "MAX_WINDOW_BITS",
         tilde,
         50,
-        lambda: order_n_cohomology(first_ring(trefoil()), 2),
+        lambda: order_n_cohomology(first_ring(trefoil()), 2, engine="dense"),
         "order-2 words over 5 letters take 356 window bits, over the budget MAX_WINDOW_BITS = 50",
     ),
     (

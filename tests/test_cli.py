@@ -384,7 +384,7 @@ def test_ordern_rows(capsys, trefoil_file):
     assert code == 0
     lines = dict(rows_of(out))
     assert lines["order"] == "2"
-    assert lines["engine"] == "dense"
+    assert lines["engine"] == "perturbation"
     assert lines["complex.dim"] == "30"
     assert int(lines["transpose.entries"]) > 0
     assert lines["dim.0"] == "5"

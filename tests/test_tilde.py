@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from bisect import bisect_left
 from collections import Counter, OrderedDict
 from dataclasses import replace
 
@@ -122,21 +123,35 @@ def test_order_one_matches_linearized_cohomology():
     for name, dga in bundled_examples():
         for aug in enumerate_augmentations(dga):
             ring = build_ring(dga, aug)
-            got = order_n_cohomology(ring, 1)
+            got = order_n_cohomology(ring, 1, engine="dense")
             assert got.dims == ring.cochain.dims(), name
 
 
+def _assert_engines_agree(ring, n):
+    auto = order_n_cohomology(ring, n)
+    dense = order_n_cohomology(ring, n, engine="dense")
+    pert = order_n_cohomology(ring, n, engine="perturbation")
+    assert auto.engine == "perturbation"
+    assert dense.engine == "dense" and pert.engine == "perturbation"
+    for got in (auto, pert):
+        assert got.dims == dense.dims, n
+        assert got.orders == dense.orders, n
+        assert got.complex_dim == dense.complex_dim, n
+        assert got.transpose_entries == dense.transpose_entries, n
+
+
 def test_engines_agree():
+    """auto, dense and perturbation on every augmentation of the examples, and
+    on every ring of ``helpers.proved_rings()`` at n = 1..3 where the dense
+    window has at most 50,000 words (all but masseyex(1,4,9,20) at n = 3)."""
     jobs = [(trefoil(), 3), (cupex(1, 3, 7), 2), (masseyex(1, 4, 9, 20), 2)]
     for dga, n in jobs:
         for aug in enumerate_augmentations(dga):
-            ring = build_ring(dga, aug)
-            dense = order_n_cohomology(ring, n, engine="dense")
-            pert = order_n_cohomology(ring, n, engine="perturbation")
-            assert dense.engine == "dense" and pert.engine == "perturbation"
-            assert dense.dims == pert.dims
-            assert dense.complex_dim == pert.complex_dim
-            assert dense.transpose_entries == pert.transpose_entries
+            _assert_engines_agree(build_ring(dga, aug), n)
+    for ring in helpers.proved_rings():
+        for n in (1, 2, 3):
+            if tilde._word_count(len(ring.dga.generators), n) <= 50000:
+                _assert_engines_agree(ring, n)
 
 
 def _assert_every_order_is_its_own_call(ring, top):
@@ -275,7 +290,8 @@ def test_order_dims_leaves_the_window_unchanged(monkeypatch):
     assert any(any(cols) and below[-1] for (cols, _), below in zip(blocks[1:], ranks))
 
 
-def test_auto_engine_resolution_and_frozen_counts(monkeypatch):
+def test_auto_engine_resolution_and_frozen_counts():
+    """``auto`` is the perturbation engine on every window, small or large."""
     cup = cupex(1, 3, 7)
     big = order_n_cohomology(build_ring(cup, enumerate_augmentations(cup)[0]), 3)
     assert big.engine == "perturbation"
@@ -283,15 +299,14 @@ def test_auto_engine_resolution_and_frozen_counts(monkeypatch):
     assert big.transpose_entries == 106531
     mas = masseyex(1, 4, 9, 20)
     mid = order_n_cohomology(build_ring(mas, enumerate_augmentations(mas)[0]), 2)
-    assert mid.engine == "dense"
+    assert mid.engine == "perturbation"
     assert mid.complex_dim == 7656
     assert mid.transpose_entries == 13523
     tre = trefoil()
     ring = build_ring(tre, enumerate_augmentations(tre)[0])
-    monkeypatch.setattr(tilde, "DENSE_LIMIT", 10)
-    forced = order_n_cohomology(ring, 2)
-    assert forced.engine == "perturbation"
-    assert forced.dims == TREFOIL_ORDER_DIMS[2]
+    small = order_n_cohomology(ring, 2)
+    assert small.engine == "perturbation"
+    assert small.dims == TREFOIL_ORDER_DIMS[2]
 
 
 def test_transpose_check_counts_linear_entries_at_order_one():
@@ -427,7 +442,7 @@ def test_minimal_model_tilde_complex_computes_order_n_dims():
             mu, _ = transfer_minimal_model(ring.cochain, ring.structure, 3)
             for n in range(1, top + 1):
                 small = tilde_complex(mu, n)
-                want = order_n_cohomology(ring, n)
+                want = order_n_cohomology(ring, n, engine="dense")
                 assert homology(small.differential).dims() == want.dims
 
 
@@ -736,7 +751,7 @@ def test_dense_side_relation_checks_stay_far_below_the_budget():
     for dga, n in jobs:
         ring = build_ring(dga, enumerate_augmentations(dga)[0])
         assert _relation_terms(ring.structure, n) * 10**4 < MAX_RELATION_TERMS
-        assert order_n_cohomology(ring, n).engine == "dense"
+        assert order_n_cohomology(ring, n, engine="dense").engine == "dense"
 
 
 def _assert_minimal_window_is_the_perturbed_complex(ring, n):
@@ -958,10 +973,14 @@ def test_transpose_check_rejects_a_table_entry_of_the_wrong_degree(monkeypatch):
     first = s.names(wrong)[(s.tables[2][args] & -s.tables[2][args]).bit_length() - 1]
     with pytest.raises(InternalConsistencyError):
         _word_by_word_entries(ring, 2)
-    _raises_naming(
-        "window image %s of %s is not homogeneous" % (first, "|".join(args)),
-        lambda: check_order_n_transpose(ring, 2),
-    )
+    # The pass sums each term's degree from s.degree_of, so the wrong reading
+    # shows where the tables are read through s.out_degree: in the scan for
+    # window-only pairs that a failing pass runs (one twisted term dropped),
+    # and in tilde_complex.
+    message = "window image %s of %s is not homogeneous" % (first, "|".join(args))
+    g = next(x for x in s.order if args in ring.twisted.d(x))
+    _raises_naming(message, lambda: check_order_n_transpose(_with_terms(ring, {g: {args}}), 2))
+    _raises_naming(message, lambda: tilde_complex(s, 2))
 
 
 
@@ -980,7 +999,8 @@ def test_an_inhomogeneous_leibniz_pair_outranks_an_inhomogeneous_window_pair(mon
     message = "Leibniz image a1 of a2 is not homogeneous of degree 0"
     assert _pair_outcome(lambda: pair_oracle(mutated, 2)) == ("error", message)
     assert _pair_outcome(lambda: check_order_n_transpose(mutated, 2)) == ("error", message)
-    window = _pair_outcome(lambda: check_order_n_transpose(replace(ring), 2))
+    g = next(x for x in s.order if args in ring.twisted.d(x))  # the window side alone
+    window = _pair_outcome(lambda: check_order_n_transpose(_with_terms(ring, {g: {args}}), 2))
     assert window[0] == "error" and window[1].startswith("window image")
 
 def test_transpose_check_rejects_a_dropped_entry_in_a_later_slice():
@@ -1198,5 +1218,9 @@ def test_window_bits_count_the_blocks_of_the_built_word_space(n):
         for aug in enumerate_augmentations(dga)[:2]:
             ring = build_ring(dga, aug)
             for s in (ring.structure, ring.minimal(max(n, 2))[0]):
-                groups = tilde._Words(s, n).groups.values()
-                assert tilde._window_bits(s, n) == sum(len(codes) ** 2 for codes in groups)
+                words = tilde._Words(s, n)
+                groups = words.groups
+                assert tilde._window_bits(s, n) == sum(len(codes) ** 2 for codes in groups.values())
+                for m, counts in enumerate(words.counts, 1):  # each group's codes below off[m + 1]
+                    cuts = {k: bisect_left(codes, words.off[m + 1]) for k, codes in groups.items()}
+                    assert counts == {k: c for k, c in cuts.items() if c}, (n, m)
