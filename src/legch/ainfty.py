@@ -734,13 +734,17 @@ class ProductTable:
     the transfer's arity, which read mu_3, are checked before it is read.
     """
 
-    def __init__(self, h: HomologyData, s: AInftyStructure, proved: bool = False):
+    def __init__(
+        self, h: HomologyData, s: AInftyStructure, proved: bool = False, arity: Optional[int] = None
+    ):
         self.h = h
         self.s = s
         # Set by ``CohomologyRing.products``: h is the ring's own retract,
         # which ``linear._retract`` builds as one, and s its own structure,
-        # whose relations ``build_ring`` proves, so neither is checked here.
+        # whose relations ``build_ring`` proves, so neither is checked here;
+        # ``arity`` is the ring's, above which s holds no word (``minimal``).
         self.proved = self._retract_checked = proved
+        self.arity = arity
         self._bases: Dict[int, Tuple[int, Dict[int, List[int]]]] = {}
         self._pairs: Dict[Tuple[int, int], PairBlock] = {}
         self._zeros: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -826,8 +830,10 @@ class ProductTable:
         self)`` rebuilt and checked (class docstring) when ``arity`` lies
         above its arity, so it holds at most one transfer of arity <=
         ``MAX_ARITY``.  Its tables of arity <= ``arity`` are those of a
-        transfer to ``arity``."""
+        transfer to ``arity``, which reads m_r for r <= ``arity`` only, so
+        an ``arity`` above the ring's is refused (``_check_read``)."""
         if not 2 <= arity <= (self._model[0].arity if self._model else 0):
+            _check_read(self.arity, arity, "a transfer to arity %d" % arity)
             mu, incl = transfer_minimal_model(self.h, self.s, arity, self)
             if not self.proved:
                 relations = check_an_relations(self.s, arity)
@@ -1144,6 +1150,15 @@ def _check_arity(up_to: int) -> None:
     check_budget("MAX_ARITY", MAX_ARITY, up_to, "transfer arity %d exceeds")
 
 
+def _check_read(arity: Optional[int], k: int, what: str) -> None:
+    """Refuse ``what``, a reader of m_k, on a ring built up to ``arity`` < k
+    (``build_ring``): its twist holds no word longer than ``arity``, so a
+    read above it is refused rather than truncated.  ``None`` is the full
+    ring."""
+    if arity is not None and k > arity:
+        raise ContractError("%s reads m_%d, above the ring's arity %d" % (what, k, arity))
+
+
 def transfer_minimal_model(
     h: HomologyData, s: AInftyStructure, up_to: int, products: Optional[ProductTable] = None
 ) -> Tuple[AInftyStructure, AInftyMorphism]:
@@ -1260,11 +1275,17 @@ class CohomologyRing:
     first use.  It holds no augmentation: the ring depends on one only
     through the twist, so the members of one twist share it
     (``augment.per_twist``).  A ring from ``build_ring`` is proved, not
-    checked: its structure satisfies the A-infinity relations at every arity
-    (``build_ring``) and both homologies are strong deformation retracts
-    (``linear._retract``).  A ring assembled by hand carries no such proof;
-    the checks that stay (the window relations, the pair check, the
-    transfer's mu_2 and mu's relations) run on it as on any other.
+    checked: its structure satisfies the A-infinity relations up to its
+    arity (``build_ring``) and both homologies are strong deformation
+    retracts (``linear._retract``).  A ring assembled by hand carries no
+    such proof; the checks that stay (the window relations, the pair check,
+    the transfer's mu_2 and mu's relations) run on it as on any other.
+
+    ``arity`` is the longest word the ring was built with (``None``: every
+    word).  ``twisted`` holds the words of the twist up to it, and
+    ``structure`` the m_k for k <= it; each reader of m_k refuses a k above
+    it (``_check_read``): the product table below 2, a transfer to a higher
+    arity, and an order-n transpose check or window above it.
 
     The chain homology is read only by ``linhom`` and ``duality_search``, so
     the ring keeps the chain map and retracts it on first read (``chain``);
@@ -1275,6 +1296,7 @@ class CohomologyRing:
     structure: AInftyStructure
     chain_map: GradedMatrixMap
     cochain: HomologyData
+    arity: Optional[int] = None
     # The (letter, term) pairs of ``twisted``, set once the one pass of
     # ``tilde.check_order_n_transpose`` proves them homogeneous and equal to those of
     # ``structure``, with what the entry count reads; iterated, they are the pairs
@@ -1291,8 +1313,10 @@ class CohomologyRing:
     def products(self) -> ProductTable:
         """The cohomology product table; its blocks fill as readers ask for them.
         Its retract and structure are the ring's own, so it skips the retract
-        check and its transfer the structure's relation check."""
-        return ProductTable(self.cochain, self.structure, proved=True)
+        check and its transfer the structure's relation check.  It reads m_2,
+        so a ring of arity 1 refuses it."""
+        _check_read(self.arity, 2, "the product table")
+        return ProductTable(self.cochain, self.structure, proved=True, arity=self.arity)
 
     def minimal(self, arity: int) -> Tuple[AInftyStructure, AInftyMorphism]:
         """The product table's one checked transfer, of arity at least ``arity``
@@ -1300,14 +1324,20 @@ class CohomologyRing:
         return self.products.minimal(arity)
 
 
-def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
+def build_ring(dga: DGA, aug: Augmentation, arity: Optional[int] = None) -> CohomologyRing:
     """Twist once into the adjoint structure, and take the cohomology of m_1;
     the chain homology is retracted on first read (``CohomologyRing.chain``).
+
+    ``arity``, when given, is the longest word the twist keeps (``twist``'s
+    arity cut), so the structure holds m_k for k <= ``arity`` only, those
+    of the full ring, and the ring records it; ``None`` builds every word.
+    A command builds its ring at the arity its output reads.
 
     ``dga`` is validated first (``assert_valid``, a memo hit for a DGA that
     was loaded), so an invalid DGA is a ``ContractError`` before anything is
     twisted.  The twist is then dualized with no relation check, because
-    the relations hold at every arity.  Over GF(2):
+    the relations hold at every arity of the full twist, and so up to the
+    ring's arity.  Over GF(2):
 
     * phi(g) = g + eps(g) extends to an algebra map with phi phi = id, and
       ``twist`` computes d^eps = phi d phi^-1: it substitutes q -> q + eps(q)
@@ -1329,15 +1359,21 @@ def build_ring(dga: DGA, aug: Augmentation) -> CohomologyRing:
 
     So the relations hold at every arity, also above the arity that
     ``adjoint_structure`` checks, and m_1 m_1 = 0 is the case l = 1, which
-    ``linear._retract`` needs of both maps (its docstring).  ``_dualize``
+    ``linear._retract`` needs of both maps (its docstring).  Up to the
+    ring's arity a nothing changes: the arity-l relation reads only m_j and
+    m_(l+1-j) with 1 <= j <= l, the words of length <= l of d^eps, and for
+    l <= a the twist keeps every one of them, so the relations of arity
+    <= a hold on the ring's structure as on the full one.  ``_dualize``
     still checks each word's degree, and ``twist`` the constant terms.
     Nothing the ring holds is checked twice: ``twist`` copies the validated
     DGA without re-running the constructor (``DGA.replace_diff``), and
     ``_dualize`` assembles the structure without the constructor's
     per-entry pass (proofs beside each).
     """
+    if arity is not None and arity < 1:
+        raise ContractError("ring arity must be at least 1")
     assert_valid(dga)
-    twisted = twist(dga, aug)
+    twisted = twist(dga, aug, arity)
     s = _dualize(twisted)
     chain_map, cochain_map = linearized_complexes(s)
-    return CohomologyRing(dga, twisted, s, chain_map, _retract(cochain_map))
+    return CohomologyRing(dga, twisted, s, chain_map, _retract(cochain_map), arity)

@@ -285,8 +285,9 @@ def stabilize(dga: DGA, degree: int, names: Optional[Tuple[str, str]] = None) ->
     return DGA(dga.modulus, dga.generators + (e1, e2), degrees, diff)
 
 
-def substitute(p: Poly, images: Dict[str, Poly]) -> Poly:
-    """Apply the algebra map sending each listed letter to its image poly.
+def substitute(p: Poly, images: Dict[str, Poly], arity: Optional[int] = None) -> Poly:
+    """Apply the algebra map sending each listed letter to its image poly;
+    given ``arity``, cut to the words of length <= ``arity``.
 
     A word with no listed letter is its own image.  Any other word is
     multiplied out letter by letter: an unlisted letter is appended to each
@@ -294,9 +295,27 @@ def substitute(p: Poly, images: Dict[str, Poly]) -> Poly:
     multiplies them with ``pmul``, which cancels equal terms at once, so a
     repeated letter never multiplies terms that have cancelled (b^k under
     b -> b + 1 holds at most k + 1 terms, not 2^k).
+
+    The arity cut.  A partial product only grows as letters are appended,
+    by one per unlisted letter and by at least 0 per listed one, so every
+    word it leads to is at least its length plus the unlisted letters still
+    to come.  On a word longer than ``arity`` a partial product past
+    ``arity`` by that count is dropped, and a word with more than ``arity``
+    unlisted letters is skipped outright: neither leads to a kept word, and
+    equal partial products are dropped together, so such a word gives
+    exactly its image's words of length <= ``arity``.  A shorter word is
+    multiplied out whole.  So the result agrees with the full image on every
+    word of length <= ``arity``, and holds no longer word when no image word
+    has more than one letter, as under a twist q -> q + eps(q), which never
+    lengthens a word.
     """
     out: Set[Word] = set()
     for w in p:
+        room = None  # the length a partial product may reach before the letters to come
+        if arity is not None and len(w) > arity:
+            room = arity - len(w) + sum(map(images.__contains__, w))
+            if room < 0:
+                continue
         if images.keys().isdisjoint(w):
             if w in out:
                 out.discard(w)
@@ -309,8 +328,12 @@ def substitute(p: Poly, images: Dict[str, Poly]) -> Poly:
             if image is None:
                 letter = (g,)
                 acc = {t + letter for t in acc}
+                if room is not None:
+                    room += 1
             else:
                 acc = pmul(acc, image)
+                if room is not None:
+                    acc = {t for t in acc if len(t) <= room}
         out.symmetric_difference_update(acc)
     return frozenset(out)
 

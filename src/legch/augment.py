@@ -96,10 +96,16 @@ __all__ = [
 # included, that enumeration accepts: the search tests 2^20 trials at most.
 MAX_FREE_GENERATORS = 20
 
-# Words the twist may build before anything cancels (``substitution_terms``).
-# The Tier-1 suite's largest twist predicts 1,863,373 and takes 0.27 s; the
-# worst admitted, 2,097,151 predicted words none of which cancel, takes
-# 4.4 s at a 383 MB peak (python 3.11.7, 2 vCPUs).
+# Words the twist may build before anything cancels (``substitution_terms``),
+# counted untruncated at every arity, so a ring built only up to a low arity
+# is refused as conservatively as the full one.  The Tier-1 suite's largest
+# twist predicts 1,863,373 and takes 0.27 s.  Untruncated, the worst
+# admitted, 2,097,151 predicted words none of which cancel, takes 4.4 s at a
+# 383 MB peak, and `legch minimal --arity 16` on d a = 1 + b0 .. b19 (2^20
+# words) 8.5-13.6 s at 268-301 MB as a process; at the arity their output
+# reads, `linhom`, `ring`, `report` and `compare-mirror` on that input keep
+# at most 1,351 words of d a and take 0.08-0.17 s at 18 MB (python 3.11.7,
+# 2 vCPUs, shared host).
 MAX_TWIST_TERMS = 1 << 21
 
 T = TypeVar("T")
@@ -427,12 +433,15 @@ def _checked_values(dga: DGA, aug: Augmentation) -> Dict[str, int]:
     return values
 
 
-def twist(dga: DGA, aug: Augmentation) -> DGA:
+def twist(dga: DGA, aug: Augmentation, arity: Optional[int] = None) -> DGA:
     """Conjugate the differential by the augmentation: substitute q -> q + eps(q).
 
     The result has the same generators and gradings and no constant terms in
-    any differential.  A twist predicted to build more than
-    ``MAX_TWIST_TERMS`` words is refused before any is built.
+    any differential.  Given ``arity``, it holds only the words of length
+    <= ``arity`` of the full twist (``substitute``'s arity cut: twisting
+    never lengthens a word).  A twist predicted to build more than
+    ``MAX_TWIST_TERMS`` words, counted untruncated, is refused before any
+    is built.
     """
     values = _checked_values(dga, aug)
     images = {
@@ -445,7 +454,7 @@ def twist(dga: DGA, aug: Augmentation) -> DGA:
         if predicted > MAX_TWIST_TERMS:
             what = "twisting by %s would build %d terms, over"
             check_budget("MAX_TWIST_TERMS", MAX_TWIST_TERMS, predicted, what, aug.describe())
-    diff = {g: substitute(dga.d(g), images) for g in dga.generators}
+    diff = {g: substitute(dga.d(g), images, arity) for g in dga.generators}
     for g, p in diff.items():
         if () in p:
             raise InternalConsistencyError(

@@ -105,6 +105,24 @@ def _enumerate(dga: DGA, rows: Rows) -> Augmentations:
     return augs
 
 
+def _ring_arity(args) -> int:
+    """The arity of the ring a per-augmentation command builds: the longest
+    twisted word its output reads (``build_ring``).  ``linhom`` reads m_1;
+    ``ring``, ``duality`` and ``report`` the cup products, m_2; ``massey``
+    a bracket of its classes, ``minimal`` a transfer to ``--arity`` and
+    ``ordern`` the order-n pairs, each at least m_2 (``compare-mirror``'s is
+    worked out in ``fingerprint``)."""
+    if args.command == "linhom":
+        return 1
+    if args.command == "massey":
+        return max(2, len(args.classes.split(",")))
+    if args.command == "minimal":
+        return max(2, args.arity)
+    if args.command == "ordern":
+        return max(2, args.n)
+    return 2
+
+
 def _on_ring(command):
     """The preamble of the per-augmentation commands: load and validate, pick
     ``--aug``, build its ring, then the ``augmentation`` row and the rows of
@@ -120,7 +138,7 @@ def _on_ring(command):
                 "augmentation index %d out of range; there are %d" % (args.aug, len(augs))
             )
         aug = augs[args.aug]
-        ring = build_ring(dga, aug)
+        ring = build_ring(dga, aug, _ring_arity(args))
         return rows + [("augmentation", aug.describe())] + command(ring, args)
 
     return run
@@ -356,7 +374,8 @@ def cmd_report(args) -> Iterable[Row]:
     augs = _enumerate(dga, rows)
     # The rows below aug.N read only the ring, so augmentations with one
     # twist share them.
-    bodies = per_twist(augs, lambda aug: _ring_report_rows(build_ring(dga, aug)))
+    arity = _ring_arity(args)
+    bodies = per_twist(augs, lambda aug: _ring_report_rows(build_ring(dga, aug, arity)))
 
     def per_augmentation(i: int, description: str) -> Iterable[Row]:
         yield "aug.%d" % i, description

@@ -329,8 +329,10 @@ def order_dim_table(
     and asks it once, at the cap: ``order_n_cohomology`` returns every
     lower order's dims from its one window matrix (``legch.tilde``,
     Filtration).  Its refusals are those of a loop over n = 1..order_cap,
-    with their messages: the order, window-bit and relation-term budgets
-    of each order below the cap are read first, ascending
+    with their messages, except that every order's window bits are read
+    before the first transfer: the window-bit budget of each order up to
+    the cap (and below the order budget), ascending, then the order,
+    transfer and relation-term budgets of each order below the cap
     (``tilde._check_lower_orders``), then the call at the cap runs the
     checks of the loop's last step, the pair check among them.
     The adjoint structure's window d d = 0 it skips, its A-infinity
@@ -384,9 +386,12 @@ def _check_options(massey_order: int, order_cap: int) -> None:
 
 def _fingerprint(dga: DGA, augs: Augmentations, massey_order: int, order_cap: int) -> Fingerprint:
     """One ring and profile per twist (``augment.per_twist``), and the profile
-    counted once per member."""
-    options = (massey_order, order_cap)
-    profiles = per_twist(augs, lambda aug: profile_for(build_ring(dga, aug), *options))
+    counted once per member.  Each ring is built up to the arity its profile
+    reads: m_2 for the cups, m_r for r <= ``massey_order`` in the Massey
+    table's transfer, and the pairs with |t| <= ``order_cap`` in the order-n
+    dims."""
+    options, arity = (massey_order, order_cap), max(massey_order, order_cap, 2)
+    profiles = per_twist(augs, lambda aug: profile_for(build_ring(dga, aug, arity), *options))
     return Fingerprint(tuple(sorted(profiles)))
 
 

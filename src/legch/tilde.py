@@ -53,7 +53,10 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   so the (g, t) entry of F(Q) is 1 exactly when (g, t) is in Q.  So the
   matrices are equal exactly when the pair sets are.  These are the pairs
   with |t| <= n of the full sets (every term of d(g), every table entry),
-  so equal full sets give equal matrices at every order.
+  so equal full sets give equal matrices at every order.  A ring built up
+  to arity a (``build_ring``) holds the pairs with |t| <= a of both full
+  sets, and the order-n matrices read only |t| <= n, so for n <= a equal
+  ring sets give equal order-n matrices, and an order above a is refused.
   ``check_order_n_transpose`` proves them equal once per ring, in one pass
   over the terms of the twisted differential and no set built
   (``_TwistedPairs``): each term t of d(g) is nonempty, has degree
@@ -193,7 +196,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import DGA, assert_valid, canon_degree
-from .ainfty import AInftyStructure, CohomologyRing, _check_relation_budget, check_an_relations
+from .ainfty import AInftyStructure, CohomologyRing, _check_read, _check_relation_budget
+from .ainfty import check_an_relations
 from .gf2 import prefix_ranks
 from .linear import GradedMatrixMap, HomologyData, _retract
 
@@ -224,14 +228,14 @@ def _word_count(size: int, n: int) -> int:
     return sum(size**length for length in range(1, n + 1))
 
 
-def _degree_counts(s: AInftyStructure, n: int) -> List[Dict[int, int]]:
-    """For m = 1..n, each degree's number of words of length 1..m, with no
-    word built: a word of length 1..m+1 is a letter and then a word of
+def _degree_counts(modulus: int, sizes: Dict[int, int], n: int) -> List[Dict[int, int]]:
+    """For m = 1..n, each degree's number of words of length 1..m over
+    letters of ``sizes`` (degree -> letter count, canonical degrees), with
+    no word built: a word of length 1..m+1 is a letter and then a word of
     length 0..m, so the counts at m + 1 are the letters' degree histogram
-    (the basis sizes, in canonical degrees) convolved with the counts at m
-    and the empty word."""
-    letters = [(k, len(names)) for k, names in s.basis.items() if names]
-    modulus, counts = s.modulus, [{}]
+    convolved with the counts at m and the empty word."""
+    letters = [(k, size) for k, size in sizes.items() if size]
+    counts = [{}]
     for _ in range(n):
         step: Dict[int, int] = {}
         for d, count in [(0, 1), *counts[-1].items()]:
@@ -242,18 +246,24 @@ def _degree_counts(s: AInftyStructure, n: int) -> List[Dict[int, int]]:
     return counts[1:]
 
 
+def _sizes(s: AInftyStructure) -> Dict[int, int]:
+    """The basis sizes of ``s``, by degree: its letters' degree histogram."""
+    return {k: len(names) for k, names in s.basis.items()}
+
+
 def _window_bits(s: AInftyStructure, n: int) -> int:
     """Σ_k |block_k|² over the degree blocks of the order-n words."""
-    return sum(size * size for size in _degree_counts(s, n)[-1].values())
+    return sum(size * size for size in _degree_counts(s.modulus, _sizes(s), n)[-1].values())
 
 
-def _check_window_bits(s: AInftyStructure, n: int) -> List[Dict[int, int]]:
-    """Refuse an order-n word space of ``s`` whose ``_window_bits`` exceed
-    ``MAX_WINDOW_BITS``; else return its ``_degree_counts``."""
-    counts = _degree_counts(s, n)
+def _check_window_bits(modulus: int, sizes: Dict[int, int], n: int) -> List[Dict[int, int]]:
+    """Refuse an order-n word space over the letters of ``sizes`` whose
+    ``_window_bits`` exceed ``MAX_WINDOW_BITS``; else return its
+    ``_degree_counts``."""
+    counts = _degree_counts(modulus, sizes, n)
     bits = sum(size * size for size in counts[-1].values())
     what = "order-%d words over %d letters take %d window bits, over"
-    check_budget("MAX_WINDOW_BITS", MAX_WINDOW_BITS, bits, what, n, len(s.order))
+    check_budget("MAX_WINDOW_BITS", MAX_WINDOW_BITS, bits, what, n, sum(sizes.values()))
     return counts
 
 
@@ -274,7 +284,7 @@ class _Words:
     """
 
     def __init__(self, s: AInftyStructure, n: int):
-        self.counts = _check_window_bits(s, n)
+        self.counts = _check_window_bits(s.modulus, _sizes(s), n)
         self.n = n
         self.labels: List[str] = sorted(s.order, key=s.order.get)
         self.index: Dict[str, int] = {lbl: i for i, lbl in enumerate(self.labels)}
@@ -568,12 +578,13 @@ def check_order_n_transpose(ring: CohomologyRing, n: int) -> int:
     what it checked as ``ring.pairs``, which the dense engine builds its
     window matrix from; a discrepancy is an internal error naming the side
     and the smallest offending pair, and ``n`` names the order in it.
-    Orders above ``MAX_ORDER`` are refused.  Returns, on every call, the
-    number of nonzero entries of the window matrix, in closed form from
-    what the pass kept (Count): the work is over pairs and letters, never
-    over words.
+    Orders above ``MAX_ORDER``, then above the ring's arity, are refused.
+    Returns, on every call, the number of nonzero entries of the window
+    matrix, in closed form from what the pass kept (Count): the work is
+    over pairs and letters, never over words.
     """
     _check_order(n)
+    _check_read(ring.arity, n, "an order-%d complex" % n)
     if ring.pairs is None:
         ring.pairs = _TwistedPairs(ring.twisted, ring.structure, n)
     return _entry_count(ring.pairs, len(ring.structure.order), n)
@@ -644,7 +655,9 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     the transfer's checks and the entry count are the order-n ones.  Each
     DGA's contents are validated once per process (``assert_valid``'s
     bounded memo, shared with loading).  Orders above the budget
-    ``MAX_ORDER`` raise ``ContractError``.
+    ``MAX_ORDER`` raise ``ContractError``, and so does a ring built below
+    the arity the engine reads: n for the pass, max(n, 2) for the
+    perturbation engine's transfer (``_check_read``).
     """
     _check_order(n)
     if engine not in ("auto", "dense", "perturbation"):
@@ -664,16 +677,24 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
 
 def _check_lower_orders(ring: CohomologyRing, n: int) -> None:
     """Refuse what the perturbation engine's loop over the orders m < n
-    would refuse, with its message, before the order-n call builds the one
-    window: per order, ascending, the order (``MAX_ORDER``), the ring's
-    transfer to max(m, 2) with its own checks, then the window bits
-    (``MAX_WINDOW_BITS``) and relation terms (``MAX_RELATION_TERMS``) of
-    order m.  The order-n call then runs the checks of the loop's last
-    step, in its order.  The transfer is the ring's one kept transfer,
-    raised as the loop raised it; its tables up to arity m are those of a
-    transfer to max(m, 2), and so are the budgets read from them."""
+    would refuse, before the order-n call builds the one window, except that
+    the window bits (``MAX_WINDOW_BITS``) of every order m <= n below the
+    order budget are read first, ascending, before any transfer: the
+    window's letters are the minimal model's basis, the classes of
+    ``ring.cochain``, known before it is built.  Then, per order m < n,
+    ascending, the order (``MAX_ORDER``), the ring's transfer to max(m, 2)
+    with its own checks, and the relation terms (``MAX_RELATION_TERMS``) of
+    order m.  The order-n call then runs the checks of the loop's last step,
+    in its order.  So an input over the window budget at one order and
+    over another budget below it gets the window's refusal, where the loop
+    named the other; the order refusal still comes after the window bits
+    of every order below it, as in the loop.  The transfer is the ring's
+    one kept transfer, raised as the loop raised it; its tables up to arity
+    m are those of a transfer to max(m, 2), and so are the budgets read from
+    them."""
+    h = ring.cochain
+    for m in range(1, min(n, MAX_ORDER) + 1):
+        _check_window_bits(h.modulus, h.dims(), m)
     for m in range(1, n):
         _check_order(m)
-        s = ring.minimal(max(m, 2))[0]
-        _check_window_bits(s, m)
-        _check_relation_budget(s, m)
+        _check_relation_budget(ring.minimal(max(m, 2))[0], m)

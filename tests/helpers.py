@@ -1343,14 +1343,20 @@ def twist_firsts(dga: DGA) -> List[Augmentation]:
     return firsts
 
 
-def proved_rings():
-    """Rings of every twist of the bundled examples, both sides, and of the
-    suite's random draws: the rings whose relations and retracts
-    ``build_ring`` and ``linear._retract`` prove instead of checking."""
+def proved_twists() -> List[Tuple[DGA, Augmentation]]:
+    """Every twist of the bundled examples, both sides, and of the suite's
+    random draws, as (DGA, first augmentation of the twist)."""
     bundled = [dga for _, dga in bundled_examples()]
-    for dga in [side for d in bundled for side in (d, mirror_dga(d))] + random_dgas(20261018, 30):
-        for aug in twist_firsts(dga):
-            yield build_ring(dga, aug)
+    dgas = [side for d in bundled for side in (d, mirror_dga(d))] + random_dgas(20261018, 30)
+    return [(dga, aug) for dga in dgas for aug in twist_firsts(dga)]
+
+
+def proved_rings(arity=None):
+    """Rings of every ``proved_twists`` twist: the rings whose relations and
+    retracts ``build_ring`` and ``linear._retract`` prove instead of
+    checking, each built up to ``arity`` (``None``: the full ring)."""
+    for dga, aug in proved_twists():
+        yield build_ring(dga, aug, arity)
 
 
 def assert_retract_identities(h) -> None:

@@ -266,6 +266,15 @@ ROWS = [
     refusal("MAX_FREE_GENERATORS", (parity, 21), "augs"),
     # the twist would build 2^25 words
     refusal("MAX_TWIST_TERMS", (forced, 24), "linhom"),
+    # 2^20 predicted words, the largest forced(k) admitted; each ring is built only up
+    # to the arity its output reads (1 for linhom, 2 for report, 3 for compare-mirror),
+    # which keeps at most 1 + 20 + C(20, 2) + C(20, 3) words of d a
+    bound("MAX_TWIST_TERMS", (forced, 19), "linhom", "cohomology.total: 1", "homology.total: 1",
+          count=5, seconds=1, rss_mb=40),
+    bound("MAX_TWIST_TERMS", (forced, 19), "report", "aug.0.cohomology.dim.1: 1",
+          "aug.0.duality: certificate", count=6, seconds=1, rss_mb=40),
+    bound("MAX_TWIST_TERMS", (forced, 19), "compare-mirror", SAME, "knot.0.order2.dims: 1:1 2:1",
+          count=11, seconds=1, rss_mb=40),
     # propagation forces 3001 letters, reading only the equations of each
     row((forced, 3000), "augs", "augmentations: 1", count=2, seconds=2),
     # d(d e) sums 16,000 words into one set

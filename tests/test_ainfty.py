@@ -1043,8 +1043,8 @@ def test_compare_mirror_transfers_each_ring_once_and_checks_that_transfer_once(m
     rings, transfers, checks = [], [], []
     real_build, real_transfer, real_check = build_ring, transfer_minimal_model, check_an_relations
 
-    def built(dga, aug):
-        rings.append(real_build(dga, aug))
+    def built(dga, aug, arity=None):
+        rings.append(real_build(dga, aug, arity))
         return rings[-1]
 
     def transfer(h, s, up_to, products=None):

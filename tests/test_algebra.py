@@ -200,7 +200,15 @@ def test_substitute_equals_the_pmul_chain_on_twists_and_isomorphisms():
         cases.append((dga.d(iso.target) ^ diff_poly(dga, iso.shift), images))
     assert sum(1 for p, images in cases if p and images) > 100
     for p, images in cases:
-        assert substitute(p, images) == substitute_by_pmul(p, images)
+        full = substitute(p, images)
+        assert full == substitute_by_pmul(p, images)
+        # the arity cut agrees with the full image on its short words, and a
+        # twist, whose image words have at most one letter, keeps no other
+        lengthens = any(len(t) > 1 for image in images.values() for t in image)
+        for arity in range(6):
+            got, short = substitute(p, images, arity), {w for w in full if len(w) <= arity}
+            assert {w for w in got if len(w) <= arity} == short
+            assert lengthens or got == short
     # a repeated letter whose image repeats terms: b b -> (b + 1)(b + 1)
     twice = poly(("b", "b"), ("c", "b"))
     images = {"b": poly(("b",), ())}

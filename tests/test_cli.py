@@ -569,7 +569,7 @@ def test_arbitrary_text_raises_only_contract_errors(text):
 def test_internal_failures_exit_two(capsys, trefoil_file, monkeypatch):
     import legch.cli as cli
 
-    def explode(dga, aug):
+    def explode(dga, aug, arity=None):
         raise InternalConsistencyError("synthetic failure")
 
     monkeypatch.setattr(cli, "build_ring", explode)
@@ -687,10 +687,10 @@ def test_the_first_failing_augmentation_names_the_error_as_with_one_ring_each(
     path.write_text(serialize_dga(_stabilized(trefoil(), 2)), encoding="utf-8")
     real_twist = ainfty.twist
 
-    def failing(dga, aug):
+    def failing(dga, aug, arity=None):
         if aug("b2"):
             raise InternalConsistencyError("twist fails on %s" % aug.describe())
-        return real_twist(dga, aug)
+        return real_twist(dga, aug, arity)
 
     monkeypatch.setattr(ainfty, "twist", failing)
     got = run_cli(capsys, command, str(path))

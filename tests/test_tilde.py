@@ -371,9 +371,9 @@ def _count_twists(monkeypatch):
     calls = []
     real_twist = augment.twist
 
-    def counted(dga, aug):
+    def counted(dga, aug, arity=None):
         calls.append(aug)
-        return real_twist(dga, aug)
+        return real_twist(dga, aug, arity)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("legch") and getattr(module, "twist", None) is real_twist:
