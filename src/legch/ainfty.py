@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from . import ContractError, InternalConsistencyError, assemble, check_budget
 from .algebra import DGA, _undeclared, assert_valid, canon_degree
 from .augment import Augmentation, twist
-from .gf2 import apply_block, apply_cols, bits, in_span, span_basis
+from .gf2 import apply_cols, bits, in_span, span_basis
 from .linear import GradedMatrixMap, HomologyData, _retract, linearized_complexes, vector_label
 
 __all__ = [
@@ -681,8 +681,8 @@ class ProductTable:
     The paper (arXiv:0901.0490) defines the cup product as the class of m_2
     on representatives; i is linear and m_2 bilinear, so ``cup`` reads a
     product of arbitrary classes off the class rows by multilinearity
-    (``gf2.apply_block``), and is the one cup evaluator: ``cup_product`` is
-    ``cup`` on a new table.
+    (``gf2.apply_cols`` of y on each row, then of x on the results), and is
+    the one cup evaluator: ``cup_product`` is ``cup`` on a new table.
 
     The transfer.  ``minimal`` keeps one transfer, at the highest arity
     asked so far, and hands it out whole: the recursion builds arity k
@@ -846,7 +846,7 @@ class ProductTable:
     def cup(self, x: HClass, y: HClass) -> HClass:
         """x * y, bilinear in the pair block."""
         degree, coords = self.pair(x.degree, y.degree)
-        return HClass(degree, apply_block(coords, x.coords, y.coords))
+        return HClass(degree, apply_cols([apply_cols(row, y.coords) for row in coords], x.coords))
 
     def massey(self, x: HClass, y: HClass, z: HClass) -> MasseyResult:
         """<x, y, z> in the triple's own format: undefined with the first pair

@@ -32,6 +32,7 @@ from . import ContractError, InternalConsistencyError
 from .ainfty import (
     CohomologyRing,
     HClass,
+    _check_arity,
     build_ring,
     check_ainfty_morphism,
     check_massey_budget,
@@ -48,7 +49,7 @@ from .fingerprint import (
     compare_mirror,
 )
 from .linear import duality_search, vector_label
-from .tilde import order_n_cohomology
+from .tilde import MAX_ORDER, order_n_cohomology
 
 __all__ = ["main", "build_parser"]
 
@@ -111,15 +112,22 @@ def _ring_arity(args) -> int:
     ``ring``, ``duality`` and ``report`` the cup products, m_2; ``massey``
     a bracket of its classes, ``minimal`` a transfer to ``--arity`` and
     ``ordern`` the order-n pairs, each at least m_2 (``compare-mirror``'s is
-    worked out in ``fingerprint``)."""
+    worked out in ``fingerprint``).  It is read as the ring is built, and
+    refuses a ``minimal`` arity over the transfer's budget (``MAX_ARITY``)
+    before the twist, which costs as much at the budget as in full; one
+    below 2 is still the transfer's to refuse.  An order over ``MAX_ORDER``
+    builds the ring at that budget: ``order_n_cohomology`` refuses it
+    before reading any pair."""
     if args.command == "linhom":
         return 1
     if args.command == "massey":
         return max(2, len(args.classes.split(",")))
     if args.command == "minimal":
-        return max(2, args.arity)
+        arity = max(2, args.arity)
+        _check_arity(arity)
+        return arity
     if args.command == "ordern":
-        return max(2, args.n)
+        return max(2, min(args.n, MAX_ORDER))
     return 2
 
 

@@ -59,7 +59,7 @@ from .ainfty import check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
 from .gf2 import bits, rank
-from .tilde import _check_lower_orders, order_n_cohomology
+from .tilde import MAX_ORDER, _check_lower_orders, order_n_cohomology
 
 __all__ = [
     "AugmentationProfile",
@@ -389,10 +389,17 @@ def _fingerprint(dga: DGA, augs: Augmentations, massey_order: int, order_cap: in
     counted once per member.  Each ring is built up to the arity its profile
     reads: m_2 for the cups, m_r for r <= ``massey_order`` in the Massey
     table's transfer, and the pairs with |t| <= ``order_cap`` in the order-n
-    dims."""
-    options, arity = (massey_order, order_cap), max(massey_order, order_cap, 2)
-    profiles = per_twist(augs, lambda aug: profile_for(build_ring(dga, aug, arity), *options))
-    return Fingerprint(tuple(sorted(profiles)))
+    dims, at most ``MAX_ORDER`` of them, as an order above it is refused
+    before any of its pairs is read.  The Massey table's transfer arity
+    (``MAX_ARITY``) is refused before each ring's twist, which costs as
+    much at the budget as in full, and only where a ring is built."""
+    options, arity = (massey_order, order_cap), max(massey_order, min(order_cap, MAX_ORDER), 2)
+
+    def profile(aug):
+        _check_arity(max(massey_order, 2))
+        return profile_for(build_ring(dga, aug, arity), *options)
+
+    return Fingerprint(tuple(sorted(per_twist(augs, profile))))
 
 
 def _opposite(fp: Fingerprint) -> Fingerprint:

@@ -2,27 +2,25 @@
 
 Vectors are Python ints (bit i = coordinate i).  A linear map is a list of
 column vectors: ``cols[j]`` is the image of the j-th domain basis vector.
-``Eliminator``, and ``span_basis``, ``in_span`` and ``invert`` through it,
-reduce with the lowest set bit as pivot and track combos, so results are
-deterministic for a fixed basis order; ``rank`` and ``prefix_ranks`` pivot
-on the highest set bit and track none, so a stored row is its pivot's
-place plus places below it, which is what lets ``prefix_ranks`` clear at
-every prefix.
+Every elimination here reduces through one loop, ``_reduce``, with one
+pivot rule, the highest set bit: a stored row is its pivot's place plus
+places below it, which is what lets ``prefix_ranks`` clear at every prefix.
+Where combos are tracked (``echelon``, ``invert``), column j of n rides as
+the one int ``col << n | 1 << j``, so the low n bits of a row name the
+columns XORed into it, and a vector whose high part reduces to zero leaves
+in its low bits columns that sum to the high part it started with.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from sys import maxsize
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "bits",
     "apply_cols",
-    "apply_block",
-    "Eliminator",
     "rank",
     "prefix_ranks",
+    "echelon",
     "in_span",
     "invert",
     "transpose",
@@ -48,89 +46,40 @@ def apply_cols(cols: List[int], vec: int) -> int:
     return out
 
 
-def apply_block(block, first: int, *rest: int) -> int:
-    """Multilinear extension of a table of vectors on basis tuples.
-
-    ``block[i][j]..[k]`` is the image of the tuple of i-th, j-th, .., k-th
-    basis vectors; the result is the XOR of those images over the set bits
-    of one mask per tuple position.  With one mask this is ``apply_cols``.
-    """
-    if not rest:
-        return apply_cols(block, first)
-    out = 0
-    for i in bits(first):
-        out ^= apply_block(block[i], *rest)
-    return out
-
-
-class Eliminator:
-    """Incremental Gaussian elimination with preimage tracking.
-
-    Feed vectors one at a time; each either creates a new pivot or reduces
-    to zero against the existing ones.  ``combo`` records which of the fed
-    vectors were XORed together, so kernels and preimages come for free.
-    """
-
-    def __init__(self):
-        self.pivots = {}  # pivot bit index -> (reduced vector, combo)
-        self.count = 0  # vectors fed so far
-
-    def reduce(self, vec: int) -> Tuple[int, int]:
-        """Reduce vec against the current pivots; return (residue, combo)."""
-        combo = 0
-        while vec:
-            p = (vec & -vec).bit_length() - 1
-            hit = self.pivots.get(p)
-            if hit is None:
-                return vec, combo
-            vec ^= hit[0]
-            combo ^= hit[1]
-        return 0, combo
-
-    def add(self, vec: int) -> Tuple[bool, int]:
-        """Feed a vector.  Returns (created_new_pivot, combo).
-
-        combo is over *fed-vector indices*: bit t set means the t-th fed
-        vector participates.  When a new pivot is created the combo maps the
-        stored reduced vector back to a combination of fed vectors; when the
-        vector dies the combo is a kernel relation among the fed vectors.
-        """
-        tag = 1 << self.count
-        self.count += 1
-        residue, combo = self.reduce(vec)
-        combo ^= tag
-        if residue == 0:
-            return False, combo
-        p = (residue & -residue).bit_length() - 1
-        self.pivots[p] = (residue, combo)
-        return True, combo
-
-    def solve(self, target: int) -> Optional[int]:
-        """Combo of fed vectors XORing to target, or None if outside span."""
-        residue, combo = self.reduce(target)
-        return combo if residue == 0 else None
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+def _reduce(rows: dict, vectors: Iterable[int], floor: int = 0) -> List[int]:
+    """Reduce each vector in turn against ``rows``, the pivot rows keyed on
+    their highest set bit's place plus one, and list what is left of each.
+    What is left with a set bit at place ``floor`` or above is stored as a
+    new row; what is left below ``1 << floor`` is not."""
+    bound, left = 1 << floor, []
+    for v in vectors:
+        while v >= bound:
+            top = v.bit_length()
+            row = rows.get(top)
+            if row is None:
+                rows[top] = v
+                break
+            v ^= row
+        left.append(v)
+    return left
 
 
 def rank(vectors: Iterable[int]) -> int:
-    """Rank: ``prefix_ranks`` of one map, cut after its last vector."""
-    return next(prefix_ranks([(list(vectors), (maxsize,))]))[0]
+    """The number of vectors outside the span of those before them."""
+    return len(span_basis(vectors))
 
 
 def prefix_ranks(blocks: Iterable[Tuple[List[int], Sequence[int]]]) -> Iterator[List[int]]:
     """Yield, per map, the ranks of its first c columns for each c in its
-    cuts, the maps reduced in turn by a pivot dict keyed on the highest set
-    bit that tracks no combos, with clearing.
+    cuts, the maps reduced in turn, with clearing.
 
     ``blocks`` yields (cols, cuts) per map, cuts ascending counts.  Each map
     is cleared by the one before it, which must be zero or have this map's
     domain as its target and a zero composite with it: the place of each of
     its pivot rows, which set the row's highest bit, then names a column in
     the span of the columns before it, and skipping that column changes no
-    prefix rank (Clearing, in ``legch.tilde``).  ``cols`` is never written to.
+    prefix rank (Clearing, in ``legch.tilde``).  A zero column stores no
+    row, so only the nonzero ones are reduced.  ``cols`` is never written to.
     """
     pivots: dict = {}
     for cols, cuts in blocks:
@@ -142,49 +91,54 @@ def prefix_ranks(blocks: Iterable[Tuple[List[int], Sequence[int]]]) -> Iterator[
             cols = cols.copy()
             for length in pivots:
                 cols[length - 1] = 0
-        pivots, ranks, vectors, done = {}, [], iter(cols), 0
+        pivots, ranks, done = {}, [], 0
         for cut in cuts:
             if cut > done:
-                for v in islice(vectors, cut - done):
-                    while v:
-                        row = pivots.get(v.bit_length())
-                        if row is None:
-                            pivots[v.bit_length()] = v
-                            break
-                        v ^= row
+                _reduce(pivots, filter(None, cols[done:cut]))
                 done = cut
             ranks.append(len(pivots))
         yield ranks
 
 
+def echelon(cols: List[int]) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """(kernel, pairs) of one elimination of the columns in order.
+
+    ``kernel`` holds, per column j in the span of the columns before it,
+    e_j plus the unique sum of the earlier live columns equal to column j:
+    a basis of the kernel.  ``pairs`` holds, per live column j in order, its
+    stored row as (residue, combo): combo is e_j plus earlier live indices,
+    and ``apply_cols(cols, combo) == residue``.
+    """
+    n, rows = len(cols), {}
+    bound = 1 << n
+    tagged = (col << n | 1 << j for j, col in enumerate(cols))
+    kernel = [left for left in _reduce(rows, tagged, n) if left < bound]
+    return kernel, [(row >> n, row & bound - 1) for row in rows.values()]
+
+
 def span_basis(vectors: Iterable[int]) -> List[int]:
-    """Reduced spanning set (the stored pivot rows), deterministic order."""
-    e = Eliminator()
-    out = []
-    for v in vectors:
-        created, _ = e.add(v)
-        if created:
-            out.append(v)
-    return out
+    """The vectors outside the span of those before them, in order: a basis
+    of the span that does not depend on the pivot rule."""
+    vectors = list(vectors)
+    return [v for v, left in zip(vectors, _reduce({}, vectors)) if left]
 
 
 def in_span(vectors: Iterable[int], target: int) -> bool:
-    e = Eliminator()
-    for v in vectors:
-        e.add(v)
-    return e.solve(target) is not None
+    return not _reduce({}, [*vectors, target])[-1]
 
 
 def invert(cols: List[int], n: int) -> List[int]:
-    """Inverse of an n x n column-map.  Raises ValueError if singular."""
+    """Inverse of an n x n column-map.  Raises ValueError if singular.
+
+    Column i of the inverse is what is left of ``1 << n + i`` reduced
+    against the tagged columns: a combo of columns summing to e_i."""
     if len(cols) != n:
         raise ValueError("matrix is not square")
-    e = Eliminator()
-    for c in cols:
-        e.add(c)
-    if e.rank != n:
+    rows, bound = {}, 1 << n
+    tagged = (col << n | 1 << j for j, col in enumerate(cols))
+    if any(left < bound for left in _reduce(rows, tagged, n)):
         raise ValueError("matrix is singular")
-    return [e.solve(1 << i) for i in range(n)]
+    return _reduce(rows, (1 << n + i for i in range(n)), n)
 
 
 def transpose(cols: List[int], nrows: int) -> List[int]:

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import canon_degree
-from .gf2 import Eliminator, apply_cols, bits, invert, rank, transpose
+from .gf2 import apply_cols, bits, echelon, invert, rank, span_basis, transpose
 
 __all__ = [
     "GradedMatrixMap",
@@ -274,19 +274,27 @@ def _retract(m: GradedMatrixMap) -> HomologyData:
     p B_k[j] = 0; on W_k[l] it is h(d W_k[l]) = h(B_(k + shift)[l]) = W_k[l]
     (h W_k[l] = 0) and p W_k[l] = 0.  Both sides are linear, so the
     identity holds on all of degree k.
+
+    Why no pivot rule changes the result, though it changes the vectors
+    of B_k and W_k (``gf2.echelon`` pivots on the highest set bit).  Column
+    j is live when it lies outside the span of the columns before it,
+    which no rule decides.  A dead combo is e_j plus the unique expression
+    of column j in the earlier live columns, which are independent, so
+    ``dead`` is fixed.  The live combos are e_j plus earlier live indices,
+    unitriangular over the live indices, so W_k spans span{e_j : j live}
+    under any rule, and B_k spans the image of d.  The representatives
+    are ``span_basis(bnd + dead)`` past B_k: the kernel vectors outside the
+    span of B_k and of the kernel vectors kept before them, which reads
+    span B_k alone.  So R_k and the splitting R_k + span B_k + span W_k
+    are fixed by the columns and their order, and with them i and p; h is
+    0 on R_k and span W_k, and on span B_k it is d^-1 into span
+    W_(k - shift).
     """
     kernel: Dict[int, List[int]] = {}
     wvecs: Dict[int, List[int]] = {}  # complement of the kernel in degree k
     images: Dict[int, List[int]] = {}  # boundaries in degree k + shift, aligned
     for k in m.basis:
-        elim = Eliminator()
-        dead = []
-        for col in m.columns(k):
-            created, combo = elim.add(col)
-            if not created:
-                dead.append(combo)
-        pairs = sorted(elim.pivots.values(), key=lambda rc: rc[1].bit_length())
-        kernel[k] = dead
+        kernel[k], pairs = echelon(m.columns(k))
         wvecs[k] = [combo for _, combo in pairs]
         images[m.canon(k + m.shift)] = [residue for residue, _ in pairs]
 
@@ -298,15 +306,7 @@ def _retract(m: GradedMatrixMap) -> HomologyData:
         n = len(m.basis[k])
         bnd = images.get(k, [])
         boundaries[k] = bnd
-        elim = Eliminator()
-        for b in bnd:
-            elim.add(b)
-        chosen = []
-        for z in kernel[k]:
-            created, _ = elim.add(z)
-            if created:
-                chosen.append(z)
-        reps[k] = chosen
+        reps[k] = chosen = span_basis(bnd + kernel[k])[len(bnd):]
         decomposition = chosen + bnd + wvecs[k]
         if len(decomposition) != n:
             raise InternalConsistencyError(

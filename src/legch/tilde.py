@@ -172,9 +172,11 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   that empty degree, so it is zero and stores no row; so does every zero
   block, which ``_window_matrix`` lists no columns for and ``_order_dims``
   reduces as no columns, of rank 0 at every cut.  Columns run in
-  code order and a pivot sits on the highest set bit, the largest place,
-  so a row R stored while reducing d_(k-1), a combination of its
-  columns, is e_i plus places below i.  d_k R = 0 (d d = 0, which
+  code order and a pivot sits on the highest set bit, the largest place
+  (the one pivot rule of ``legch.gf2``, which the retract behind
+  ``OrderNCohomology.data`` reduces by too, with no clearing), so a row R
+  stored while reducing d_(k-1), a combination of its columns, is e_i
+  plus places below i.  d_k R = 0 (d d = 0, which
   ``_window_matrix`` asserts on both engines through
   ``check_an_relations(s, n)`` before it returns), so column i of d_k
   lies in the span of the columns before it, and dropping it changes no

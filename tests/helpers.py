@@ -21,8 +21,10 @@ multiset witness, the sorted-key-union witness and the two-sided mirror
 comparison, the five retract identities on every basis vector, the
 per-augmentation ``report`` and fingerprint loops, the brute force over
 every degree-0 letter with its grouping by twist and its check of one
-member at a time, the letter-by-letter ``pmul`` substitution and the
-duality search's Gram matrix per (kappa, c, complement) are kept here as
+member at a time, the letter-by-letter ``pmul`` substitution, the
+duality search's Gram matrix per (kappa, c, complement), the lowest-bit
+``Eliminator`` with its combos beside its rows, the retract built on it
+and the multilinear ``apply_block`` are kept here as
 the references that the library's product table, its minimal-model
 Massey walk with its outer layer summed as a coset, its transferred
 mu_3, its support-only Massey table enumerated from mu's entries and
@@ -35,11 +37,13 @@ minimal-model order-n engine, its lazily merged mirror witness, its
 one-sided mirror comparison, its proof that its own retracts are strong
 deformation retracts, its one ring per distinct twist, its one trial
 mask with its batched check of every member, its word-at-once
-substitution and its one form per degree and kappa, its one cup support
-and its opposite Massey field read at reversed keys are compared
-against.  The paper's theorem checks, which no command runs, live in
-``theorems`` beside their own references, and read the all-pairs cup
-rank table in a random basis from here.
+substitution and its one form per degree and kappa, its one cup support,
+its opposite Massey field read at reversed keys, its one highest-bit
+elimination with the combos in the low bits, its retract and its cup
+read by ``apply_cols`` are compared against.  The paper's theorem
+checks, which no command runs, live in ``theorems`` beside their own
+references, and read the all-pairs cup rank table in a random basis from
+here.
 """
 
 import random
@@ -100,7 +104,7 @@ from legch.fingerprint import (
     fingerprint_dga,
     profile_for,
 )
-from legch.gf2 import Eliminator, apply_block, bits, rank, span_basis
+from legch.gf2 import apply_cols, bits, rank, span_basis
 from legch.linear import (
     MAX_DUALITY_PAIRS,
     DualityCertificate,
@@ -1745,3 +1749,104 @@ def duality_search_oracle(ring):
         pairs_tried,
         complements_tried,
     )
+
+
+class Eliminator:
+    """Reference elimination for ``legch.gf2``: pivots on the lowest set bit,
+    with the combos XORed beside the rows, where the library pivots on the
+    highest set bit with the combos as the low bits of one int.
+
+    Feed vectors one at a time; each either creates a new pivot or reduces
+    to zero against the existing ones.  ``combo`` records which of the fed
+    vectors were XORed together, so kernels and preimages come for free.
+    """
+
+    def __init__(self):
+        self.pivots = {}  # pivot bit index -> (reduced vector, combo)
+        self.count = 0  # vectors fed so far
+
+    def reduce(self, vec: int) -> Tuple[int, int]:
+        """Reduce vec against the current pivots; return (residue, combo)."""
+        combo = 0
+        while vec:
+            p = (vec & -vec).bit_length() - 1
+            hit = self.pivots.get(p)
+            if hit is None:
+                return vec, combo
+            vec ^= hit[0]
+            combo ^= hit[1]
+        return 0, combo
+
+    def add(self, vec: int) -> Tuple[bool, int]:
+        """Feed a vector.  Returns (created_new_pivot, combo).
+
+        combo is over *fed-vector indices*: bit t set means the t-th fed
+        vector participates.  When a new pivot is created the combo maps the
+        stored reduced vector back to a combination of fed vectors; when the
+        vector dies the combo is a kernel relation among the fed vectors.
+        """
+        tag = 1 << self.count
+        self.count += 1
+        residue, combo = self.reduce(vec)
+        combo ^= tag
+        if residue == 0:
+            return False, combo
+        p = (residue & -residue).bit_length() - 1
+        self.pivots[p] = (residue, combo)
+        return True, combo
+
+    def solve(self, target: int) -> Optional[int]:
+        """Combo of fed vectors XORing to target, or None if outside span."""
+        residue, combo = self.reduce(target)
+        return combo if residue == 0 else None
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def apply_block(block, first: int, *rest: int) -> int:
+    """Multilinear extension of a table of vectors on basis tuples.
+
+    ``block[i][j]..[k]`` is the image of the tuple of i-th, j-th, .., k-th
+    basis vectors; the result is the XOR of those images over the set bits
+    of one mask per tuple position.  With one mask this is ``apply_cols``.
+    """
+    if not rest:
+        return apply_cols(block, first)
+    out = 0
+    for i in bits(first):
+        out ^= apply_block(block[i], *rest)
+    return out
+
+
+def lowest_bit_retract(m: GradedMatrixMap) -> HomologyData:
+    """Reference ``linear._retract``: the same splitting R_k + B_k + W_k of
+    each degree, every elimination by the lowest-bit ``Eliminator``, the
+    representatives picked by a second one fed B_k and then the kernel."""
+    kernel: Dict[int, List[int]] = {}
+    wvecs: Dict[int, List[int]] = {}
+    images: Dict[int, List[int]] = {}
+    for k in m.basis:
+        elim, dead = Eliminator(), []
+        for col in m.columns(k):
+            created, combo = elim.add(col)
+            if not created:
+                dead.append(combo)
+        pairs = sorted(elim.pivots.values(), key=lambda rc: rc[1].bit_length())
+        kernel[k] = dead
+        wvecs[k] = [combo for _, combo in pairs]
+        images[m.canon(k + m.shift)] = [residue for residue, _ in pairs]
+    reps, decomp, hvecs, boundaries = {}, {}, {}, {}
+    for k in m.basis:
+        bnd = boundaries[k] = images.get(k, [])
+        elim = Eliminator()
+        for b in bnd:
+            elim.add(b)
+        reps[k] = [z for z in kernel[k] if elim.add(z)[0]]
+        decomposition = reps[k] + bnd + wvecs[k]
+        assert len(decomposition) == len(m.basis[k])
+        if decomposition:
+            decomp[k] = decomposition
+            hvecs[k] = wvecs[m.canon(k - m.shift)] if bnd else []
+    return HomologyData(m, kernel, boundaries, reps, decomp, hvecs)

@@ -2,12 +2,13 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from legch.gf2 import (
-    Eliminator,
     apply_cols,
     bits,
+    echelon,
     in_span,
     invert,
     prefix_ranks,
@@ -15,6 +16,7 @@ from legch.gf2 import (
     span_basis,
     transpose,
 )
+from helpers import Eliminator
 
 
 def test_bits_yields_set_positions_ascending():
@@ -37,6 +39,15 @@ def test_rank_equals_the_eliminator_rank(vectors):
     for v in vectors:
         elim.add(v)
     assert rank(vectors) == rank(iter(vectors)) == elim.rank
+    assert 1 << rank(vectors) == _span_size(vectors)
+
+
+def _span_size(vectors):
+    """The number of sums of subsets of ``vectors``, 2^rank, by closure."""
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return len(span)
 
 
 @given(st.integers(1, 12).flatmap(
@@ -45,16 +56,20 @@ def test_rank_equals_the_eliminator_rank(vectors):
 def test_prefix_ranks_at_cuts_are_the_rank_of_each_prefix(vectors, cuts):
     cuts = sorted(cuts)
     want = [_fed(vectors[:c])[0].rank for c in cuts]
+    assert [1 << r for r in want] == [_span_size(vectors[:c]) for c in cuts]
     assert list(prefix_ranks([(vectors, cuts)])) == [want]
     assert list(prefix_ranks(iter([(vectors, cuts), ([0] * len(vectors), [])]))) == [want, []]
 
 
 def _chain(rng):
     """Random maps d: V1 -> V2 and e: V2 -> V3 with e d = 0, as columns: each
-    column of d is a random sum of the kernel basis of e that an Eliminator
-    reads off its dead combos."""
+    column of d is a random sum of the kernel basis of e that the reference
+    Eliminator reads off its dead combos, and that ``echelon`` returns too:
+    each is e_j plus the one sum of earlier live columns equal to column j,
+    whatever the pivot rule."""
     e = _random_cols(rng, rng.randint(1, 6), rng.randint(1, 10))
     kernel = _fed(e)[1]
+    assert echelon(e)[0] == kernel
     d = [0] * rng.randint(0, 8)
     for i in range(len(d)):
         for k in kernel:
@@ -73,6 +88,9 @@ def test_prefix_ranks_with_clearing_are_the_rank_of_each_prefix(seed):
     cuts = [sorted(rng.randint(0, len(cols)) for _ in range(3)) for cols in (d, e)]
     maps, cuts = [d, e, [0] * len(d), d], cuts + cuts[:1] * 2
     want = [[_fed(cols[:c])[0].rank for c in cut] for cols, cut in zip(maps, cuts)]
+    assert [[1 << r for r in w] for w in want] == [
+        [_span_size(cols[:c]) for c in cut] for cols, cut in zip(maps, cuts)
+    ]
     assert list(prefix_ranks(zip(maps, cuts))) == want
     assert (d, e) == before
 
@@ -114,11 +132,16 @@ def test_eliminator_tracks_combinations():
         acc ^= fed[t]
     assert acc == 0
     assert elim.rank == 2
+    kernel, pairs = echelon(fed)
+    assert kernel == [combo]
+    assert len(pairs) == elim.rank
+    for residue, tags in pairs:
+        assert apply_cols(fed, tags) == residue
 
 
 def _fed(cols):
-    """An Eliminator fed ``cols``, and the combos of the columns that died:
-    a basis of the kernel, over lowest-bit pivots."""
+    """The reference Eliminator fed ``cols``, and the combos of the columns
+    that died: a basis of the kernel, over lowest-bit pivots."""
     elim, dead = Eliminator(), []
     for c in cols:
         created, combo = elim.add(c)
@@ -134,9 +157,11 @@ def test_solve_and_kernel_describe_the_map():
     assert combo is not None
     assert apply_cols(cols, combo) == 0b11
     assert elim.solve(0b100) is None
+    assert in_span(cols, 0b11) and not in_span(cols, 0b100)
     assert dead
     for k in dead:
         assert k and apply_cols(cols, k) == 0
+    assert echelon(cols)[0] == dead
 
 
 def test_invert_round_trips():
@@ -147,10 +172,22 @@ def test_invert_round_trips():
 
 
 def test_invert_rejects_singular():
-    import pytest
-
     with pytest.raises(ValueError):
         invert([0b01, 0b01], 2)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None)
+def test_invert_is_the_reference_solve_of_each_unit_vector(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    cols = _random_cols(rng, n, n)
+    elim = _fed(cols)[0]
+    if elim.rank < n:
+        with pytest.raises(ValueError):
+            invert(cols, n)
+    else:
+        assert invert(cols, n) == [elim.solve(1 << i) for i in range(n)]
 
 
 def test_transpose_swaps_indices():
@@ -171,9 +208,12 @@ def test_rank_nullity_theorem(seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
     cols = _random_cols(rng, nrows, ncols)
-    # rank pivots on the highest set bit, the Eliminator on the lowest
+    # the library's rank beside the reference's kernel, and its own
+    kernel, pairs = echelon(cols)
     assert rank(cols) + len(_fed(cols)[1]) == ncols
-    assert rank(cols) == len(span_basis(cols))
+    assert rank(cols) == len(span_basis(cols)) == len(pairs) == ncols - len(kernel)
+    elim = Eliminator()
+    assert span_basis(cols) == [c for c in cols if elim.add(c)[0]]
 
 
 @given(st.integers(0, 10**6))
@@ -187,6 +227,7 @@ def test_solve_agrees_with_apply(seed):
     combo = _fed(cols)[0].solve(target)
     assert combo is not None
     assert apply_cols(cols, combo) == target
+    assert in_span(cols, target)
 
 
 @given(st.integers(0, 10**6))

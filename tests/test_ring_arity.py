@@ -146,10 +146,12 @@ COMMANDS = [
     ("minimal --arity 5", 5),
     ("ordern --n 1", 2),
     ("ordern --n 3 --engine dense", 3),
+    ("ordern --n 5", 4),
     ("compare-mirror", 3),
     ("compare-mirror --massey-order 0 --order-cap 0", 2),
     ("compare-mirror --massey-order 2 --order-cap 4", 4),
     ("compare-mirror --massey-order 5 --order-cap 1", 5),
+    ("compare-mirror --order-cap 7", 4),
 ]
 
 
@@ -170,6 +172,29 @@ def test_each_command_builds_its_ring_at_the_arity_its_output_reads(
     arities = _arities(monkeypatch)
     assert run_cli(capsys, command, str(path), *options) == want
     assert arities and set(arities) == {arity}
+
+
+@pytest.mark.parametrize("argv", ["minimal --arity 17", "compare-mirror --massey-order 17"])
+def test_an_arity_over_the_budget_is_refused_before_any_ring_is_built(
+    monkeypatch, capsys, tmp_path, argv
+):
+    arities = _arities(monkeypatch)
+    command, *options = argv.split()
+    path = tmp_path / "trefoil.dga"
+    path.write_text(serialize_dga(trefoil()), encoding="utf-8")
+    refused = (1, "", "error: transfer arity 17 exceeds the budget MAX_ARITY = 16\n")
+    assert run_cli(capsys, command, str(path), *options) == refused
+    assert arities == []
+
+
+def test_the_massey_arity_is_read_only_where_a_ring_is_built(capsys, tmp_path):
+    """A DGA with no augmentation builds no ring, so ``compare-mirror`` has
+    no transfer arity to refuse."""
+    path = tmp_path / "none.dga"
+    path.write_text("modulus 0\ngen a 1\nd a = 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare-mirror", str(path), "--massey-order", "17")
+    assert (code, err) == (0, "")
+    assert "augmentations: 0" in out.splitlines()
 
 
 def test_fingerprint_dga_builds_at_its_orders(monkeypatch):
