@@ -16,8 +16,9 @@ index (basis label -> table keys whose vector contains it): the insertion
 sum looks up which m_j entries hit each input label of the outer table, and
 the composition sum visits each m_r entry once, looks up the block arities
 at which table words hit each of its input labels, and enumerates only the
-compositions whose every block has hits, reading each hit word's degree
-sum once.  Neither builds a tuple whose terms all vanish.
+compositions whose every block has hits.  Neither builds a tuple whose terms
+all vanish, and neither reads a term's degree: the index has read each
+word in the degree sum of its labels, once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import ContractError, InternalConsistencyError, assemble, check_budget
-from .algebra import DGA, _undeclared, assert_valid, canon_degree
+from .algebra import DGA, _inhomogeneous, _undeclared, assert_valid, canon_degree
 from .augment import Augmentation, twist
 from .gf2 import apply_cols, bits, in_span, span_basis
 from .linear import GradedMatrixMap, HomologyData, _retract, linearized_complexes, vector_label
@@ -115,9 +116,12 @@ class AInftyStructure:
     degree +1: the output of m_k(x_1..x_k) lives in degree sum|x_i| + 1,
     which is enforced representationally (vectors are read in that degree).
     The constructor validates every caller's basis and every entry.  The
-    adjoint structure and the transferred mu are checked once, where they
-    are built, and assembled with only ``_derive``, which checks the basis,
-    not the entries.
+    adjoint structure and the transferred mu are assembled with only
+    ``_derive``, which checks the basis, not the entries.  Their entries
+    fit by facts established once, where the entries are made: the twist's
+    homogeneity (proved in ``build_ring``, checked in
+    ``adjoint_structure``) and the degree of each p_k term (proved in
+    ``_composition_sum``).
     """
 
     modulus: int
@@ -158,7 +162,7 @@ class AInftyStructure:
         set ``degree_of``, ``order`` (the label's position, degrees
         ascending) and the empty caches of ``hits`` and ``grouped``, and
         return the structure.  ``__post_init__`` then checks every entry; a
-        builder that has just checked its entries (``_dualize``,
+        builder whose entries fit by construction (``_dualize``,
         ``transfer_minimal_model``, proof beside each) assembles the
         structure and calls this alone."""
         degree_of: Dict[str, int] = {}
@@ -294,16 +298,22 @@ def adjoint_structure(twisted: DGA) -> AInftyStructure:
     contains the word x_1..x_k.  Every word must have degree |g| - 1, so
     that m_k has degree +1, and the relations must hold up to the arity
     bound (the longest word occurring); either failure is an internal
-    error.  A twisted DGA from a caller carries no proof of the relations,
-    so they are checked here; ``build_ring`` dualizes its own twist
-    unchecked (proof in its docstring).  Nor is a caller's twist known to
-    be a DGA's: a letter that is no generator is a ``ContractError`` before
-    any degree is read, in ``validate_dga``'s words, and the tables pass
-    the validating constructor, which refuses a constant term as a table
-    of arity 0.
+    error.  A twisted DGA from a caller carries no proof of either, so both
+    are checked here, the degrees by ``validate_dga``'s scan
+    (``_inhomogeneous``) before anything is dualized; ``build_ring``
+    dualizes its own twist unchecked (proofs in its docstring).  Nor is a
+    caller's twist known to be a DGA's: a letter that is no generator is a
+    ``ContractError`` before any degree is read, in ``validate_dga``'s
+    words, and the tables pass the validating constructor, which refuses a
+    constant term as a table of arity 0.
     """
     if problems := _undeclared(twisted):
         raise ContractError("; ".join(problems))
+    for g, w, got, want in _inhomogeneous(twisted):
+        raise InternalConsistencyError(
+            "twisted d %s is not degree-homogeneous: term %s has degree %d, expected %d"
+            % (g, "".join(w), got, want)
+        )
     s = _dualize(twisted)
     structure = AInftyStructure(s.modulus, s.basis, s.arity, s.tables)  # a caller's input
     check_an_relations(structure, structure.arity).require(InternalConsistencyError)
@@ -311,11 +321,12 @@ def adjoint_structure(twisted: DGA) -> AInftyStructure:
 
 
 def _dualize(twisted: DGA) -> AInftyStructure:
-    """The tables of ``adjoint_structure``, with each word's degree checked
-    and the relations not, assembled with no second pass over the entries
-    (``AInftyStructure._derive``).  Its letters are generators
-    (``build_ring`` validates the DGA, ``adjoint_structure`` checks them),
-    and on a twist with no constant term every entry the constructor would
+    """The tables of ``adjoint_structure``, with neither the words' degrees
+    nor the relations checked, assembled with no second pass over the
+    entries (``AInftyStructure._derive``).  Its letters are generators, and
+    each word w of d g has degree deg g - 1 (``build_ring`` validates the
+    DGA and proves it of the twist, ``adjoint_structure`` checks both), so
+    on a twist with no constant term every entry the constructor would
     check passes:
 
     * entry w -> bit of g (its position among the generators of its
@@ -326,24 +337,17 @@ def _dualize(twisted: DGA) -> AInftyStructure:
     * no vector is 0: the words of one d g are distinct, and the generators
       whose d holds w all have degree deg w + 1, so they set distinct bits.
     """
-    modulus, degree, diff = twisted.modulus, twisted.degrees.__getitem__, twisted.diff
     basis: Dict[int, List[str]] = {}
     tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     for g in twisted.generators:
-        names = basis.setdefault(degree(g), [])
-        want, bit = canon_degree(modulus, degree(g) - 1), 1 << len(names)
+        names = basis.setdefault(twisted.degrees[g], [])
+        bit = 1 << len(names)
         names.append(g)
-        for w in diff[g]:
-            got = sum(map(degree, w))
-            if got != want and canon_degree(modulus, got) != want:
-                raise InternalConsistencyError(
-                    "twisted d %s is not degree-homogeneous: term %s has degree %d,"
-                    " expected %d" % (g, "".join(w), canon_degree(modulus, got), want)
-                )
+        for w in twisted.diff[g]:
             table = tables.setdefault(len(w), {})
             table[w] = table.get(w, 0) ^ bit
     basis = {k: tuple(names) for k, names in basis.items()}
-    return assemble(AInftyStructure, modulus, basis, max([1, *tables]), tables)._derive()
+    return assemble(AInftyStructure, twisted.modulus, basis, max([1, *tables]), tables)._derive()
 
 
 def _toggle(total: Dict[Tuple[str, ...], int], args: Tuple[str, ...], vec: int) -> None:
@@ -407,10 +411,17 @@ def _compositions_in(options: Tuple[Tuple[int, ...], ...], n: int) -> Tuple[Tupl
     )
 
 
+def _word_degree(modulus: int, degree_of: Dict[str, int]) -> Callable[[Tuple[str, ...]], int]:
+    """The canonical degree sum of a word of labels: the degree of f_|w|(w)
+    for a degree-0 f, at which the transfer and ``check_ainfty_morphism``
+    read every word of their index (``_composition_sum``)."""
+    canon = partial(canon_degree, modulus)
+    return lambda w: canon(sum(map(degree_of.__getitem__, w)))
+
+
 def _composition_sum(
     m: AInftyStructure,
     index: Dict[int, Dict[str, List[Tuple[str, ...]]]],
-    degree_of: Dict[str, int],
     n: int,
     min_blocks: int,
     total: Dict[Tuple[str, ...], int],
@@ -420,13 +431,12 @@ def _composition_sum(
     of m_r(f_{c_1} x .. x f_{c_r}).
 
     ``f`` holds sparse tables by arity whose vectors live in the basis of
-    ``m``, and ``entry_degree(w)`` is the degree of f_{|w|}(w).  The sum
-    reads f only through ``index``: per block arity c,
-    ``index[c] = _inverted_index(m, f_c, entry_degree)`` maps each basis
-    label y of ``m`` to the words w whose f_c(w), read in degree
-    entry_degree(w), contains y.  Callers build each arity's index once per
-    transfer or morphism check, since f_c does not change under it.  Terms
-    accumulate on the concatenated n-tuple of inputs.
+    ``m``.  The sum reads f only through ``index``: per block arity c,
+    ``index[c] = _inverted_index(m, f_c, _word_degree(modulus, degree_of))``
+    maps each basis label y of ``m`` to the words w whose f_c(w), read in
+    the degree sum of w's labels, contains y.  Callers build each arity's
+    index once per transfer or morphism check, since f_c does not change
+    under it.  Terms accumulate on the concatenated n-tuple of inputs.
 
     The sparse m_r tables drive the sum, entry by entry.  ``arities[y]``
     lists the block arities c <= n at which some word hits the label y.  An
@@ -444,28 +454,20 @@ def _composition_sum(
     for one r run in the order composition (lexicographic), entry (table
     order), words (the product of the hit lists, first block slowest): the
     order of a scan of every entry at every composition, so ``total``
-    receives the same toggles in the same order, and the degree check
-    below names the same first tuple.
+    receives the same toggles in the same order.
 
-    Degree check.  An entry's vector v lives in degree sum|x_j| + 1 of
-    ``m``, where |x_j| = entry_degree(w_j) because the index read f(w_j)
-    there; the accumulated tuple is read in degree sum(degree_of) + 1.  The
-    two are compared on every contributing term, and a mismatch is an
-    internal error naming the first such tuple.  Each hit word's degree sum
-    is read once per call, and a term's sum adds up its words' sums.
-    Checking only contributing terms weakens nothing: both sides are
-    functions of the words alone, and a tuple on which every term vanishes
-    puts no vector into ``total``, so nothing is read there in a wrong
-    degree.  (In ``check_ainfty_morphism`` and in the transfer, whose
-    retract is a cochain retract, entry_degree sums degree_of, so the
-    sides agree on every tuple.)
+    Every term lies in the degree of its labels, so no term's degree is
+    read.  An m_r entry on (x_1..x_r) lives in degree sum|x_j| + 1, and
+    |x_j| is the degree at which the index read f(w_j), the degree sum of
+    w_j's labels; so v lives in the degree sum of w_1..w_r's labels, plus
+    1, the degree in which the tuple is read.  Both callers build the index
+    with ``_word_degree`` over the labels' own degrees, which is what makes
+    the index and the labels agree; an index built otherwise voids this.
     """
     arities: Dict[str, Tuple[int, ...]] = {}
     for c in sorted(c for c in index if c <= n):
         for x in index[c]:
             arities[x] = arities.get(x, ()) + (c,)
-    canon = partial(canon_degree, m.modulus)
-    hits: Dict[Tuple[int, str], List[Tuple[Tuple[str, ...], int]]] = {}
     for r in range(min_blocks, min(m.arity, n, max_blocks or n) + 1):
         found: Dict[Tuple[int, ...], list] = {}
         for xs, vec in m.tables.get(r, {}).items():
@@ -475,22 +477,10 @@ def _composition_sum(
                     found.setdefault(comp, []).append((xs, vec))
         for comp in sorted(found):
             for xs, vec in found[comp]:
-                terms = [((), 0)]
-                for key in zip(comp, xs):
-                    words = hits.get(key)
-                    if words is None:
-                        words = hits[key] = [
-                            (w, sum(map(degree_of.__getitem__, w))) for w in index[key[0]][key[1]]
-                        ]
-                    terms = [(a + w, d + e) for a, d in terms for w, e in words]
-                got = m.out_degree(xs)
-                for args, degree in terms:
-                    want = canon(degree + 1)
-                    if got != want:
-                        raise InternalConsistencyError(
-                            "composition sum in mixed degrees: m_%d on (%s) lands in"
-                            " degree %d, the labels give %d" % (r, ", ".join(args), got, want)
-                        )
+                terms = [()]
+                for c, x in zip(comp, xs):
+                    terms = [a + w for a in terms for w in index[c][x]]
+                for args in terms:
                     _toggle(total, args, vec)
 
 
@@ -556,18 +546,16 @@ def check_ainfty_morphism(
     inclusion ``transfer_minimal_model`` returned, ``src`` and ``dst`` are
     its mu and s, and the index equals the transfer's at every block arity
     below n: that part reads f only through those arities of the index,
-    and p_n is ``_composition_sum`` of the same s, labels, index and n, so
-    it is the same dict of terms, and the same degree check already passed
-    on it.  A copied or edited f (its index differs), or another src or
-    dst, has the whole sum computed here.  Structures are not edited in
-    place (their ``hits`` are cached).
+    and p_n is ``_composition_sum`` of the same s, index and n, so it is
+    the same dict of terms.  A copied or edited f (its index differs), or
+    another src or dst, has the whole sum computed here.  Structures are
+    not edited in place (their ``hits`` are cached).  The index reads each
+    word in the degree sum of its src labels (``_word_degree``), as the
+    transfer's does and ``validate_against`` has checked each vector to fit.
     """
     f.validate_against(src, dst)
-
-    def entry_degree(w: Tuple[str, ...]) -> int:
-        return canon_degree(src.modulus, sum(map(src.degree_of.__getitem__, w)))
-
-    index = {c: _inverted_index(dst, table, entry_degree) for c, table in f.tables.items()}
+    degree = _word_degree(src.modulus, src.degree_of)
+    index = {c: _inverted_index(dst, table, degree) for c, table in f.tables.items()}
     record = f._tree_sums
     same = record is not None and record[0] is src and record[1] is dst
     for n in range(1, up_to + 1):
@@ -575,11 +563,11 @@ def check_ainfty_morphism(
         _insertion_sum(f.tables, src, n, total)
         same = same and index.get(n - 1) == record[3].get(n - 1)
         if same and n in record[2]:
-            _composition_sum(dst, index, src.degree_of, n, 1, total, max_blocks=1)
+            _composition_sum(dst, index, n, 1, total, max_blocks=1)
             for args, vec in record[2][n].items():
                 _toggle(total, args, vec)
         else:
-            _composition_sum(dst, index, src.degree_of, n, 1, total)
+            _composition_sum(dst, index, n, 1, total)
         if total:
             return _failure(total, src, "morphism equation fails at arity %d on (%s)", n)
     return CheckReport(True, "morphism equation holds up to arity %d" % up_to)
@@ -1199,8 +1187,9 @@ def transfer_minimal_model(
     ``if tail``, and i_1 only where i is).  Each mu vector is the
     ``coords`` that ``split`` masks to the classes of its degree sum + 1.
     Each inclusion vector has passed ``_inverted_index`` into s in degree
-    ``entry_degree(w)``, which reads a label for every set bit; over a
-    cochain retract that is the degree sum ``validate_against`` reads.
+    ``entry_degree(w)``, which reads a label for every set bit; that is the
+    degree sum of w's labels (``_word_degree``), the degree
+    ``validate_against`` reads.
     ``check_ainfty_morphism`` validates its tables again, since a caller
     may change them.
     """
@@ -1217,12 +1206,8 @@ def transfer_minimal_model(
         for i, lbl in enumerate(names):
             class_list.append((k, i, lbl))
     degree_of = {lbl: k for k, _, lbl in class_list}
-
-    canon = partial(canon_degree, h.modulus)
-
-    def entry_degree(w: Tuple[str, ...]) -> int:
-        """Degree of i_j(w): i is degree 0, and h(p_j) lowers m_r's +1 by 1."""
-        return canon(sum(map(degree_of.__getitem__, w)))
+    # i_j(w) lies in the degree of w's labels: i has degree 0, and h lowers m_r's +1 by 1
+    entry_degree = _word_degree(h.modulus, degree_of)
 
     mu_tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     i_tables: Dict[int, Dict[Tuple[str, ...], int]] = {
@@ -1236,12 +1221,11 @@ def transfer_minimal_model(
     p_tables: Dict[int, Dict[Tuple[str, ...], int]] = {}
     for k in range(2, up_to + 1):
         p_k = p_tables[k] = {}
-        _composition_sum(s, index, degree_of, k, 2, p_k)
+        _composition_sum(s, index, k, 2, p_k)
         mu_k: Dict[Tuple[str, ...], int] = {}
         i_k: Dict[Tuple[str, ...], int] = {}
         for labels, total in p_k.items():
-            outdeg = canon(sum(map(degree_of.__getitem__, labels)) + 1)
-            coords, tail = h.split(outdeg, total)
+            coords, tail = h.split(h.canon(entry_degree(labels) + 1), total)
             if coords:
                 mu_k[labels] = coords
             if tail:
@@ -1363,12 +1347,19 @@ def build_ring(dga: DGA, aug: Augmentation, arity: Optional[int] = None) -> Coho
     ring's arity a nothing changes: the arity-l relation reads only m_j and
     m_(l+1-j) with 1 <= j <= l, the words of length <= l of d^eps, and for
     l <= a the twist keeps every one of them, so the relations of arity
-    <= a hold on the ring's structure as on the full one.  ``_dualize``
-    still checks each word's degree, and ``twist`` the constant terms.
-    Nothing the ring holds is checked twice: ``twist`` copies the validated
-    DGA without re-running the constructor (``DGA.replace_diff``), and
-    ``_dualize`` assembles the structure without the constructor's
-    per-entry pass (proofs beside each).
+    <= a hold on the ring's structure as on the full one.
+
+    Nor is any twisted word's degree checked, because every word of
+    d^eps(g) has degree deg g - 1.  ``assert_valid`` has run
+    ``validate_dga``'s homogeneity scan on d g.  ``twist`` replaces only
+    letters q with eps(q) = 1, which have degree 0 (``_checked_values``),
+    by q + 1, so each twisted word is a word of d g with some degree-0
+    letters deleted, and has its degree; the arity cut only drops words.
+    ``twist`` checks the constant terms.  Nothing the ring holds is checked
+    twice: ``twist`` copies the validated DGA without re-running the
+    constructor (``DGA.replace_diff``), and ``_dualize`` assembles the
+    structure without the constructor's per-entry pass (proofs beside
+    each).
     """
     if arity is not None and arity < 1:
         raise ContractError("ring arity must be at least 1")

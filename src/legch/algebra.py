@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import ContractError, assemble, check_budget
 
@@ -198,21 +198,29 @@ def _undeclared(dga: DGA) -> List[str]:
     return ["d %s uses undeclared generator %s" % gx for gx in where]
 
 
-def validate_dga(dga: DGA) -> List[str]:
-    """All structural and homological violations, empty list when valid."""
-    problems = _undeclared(dga)
-    if problems:
-        return problems  # degree/d^2 checks would crash on undeclared letters
+def _inhomogeneous(dga: DGA) -> Iterator[Tuple[str, Word, int, int]]:
+    """Each term w of a d g whose degree is not deg g - 1, as (g, w, its
+    degree, deg g - 1), canonical; every letter must be a generator.  The
+    one homogeneity scan, of ``validate_dga`` and ``adjoint_structure``."""
     degree = dga.degrees.__getitem__
     for g in dga.generators:
         want = canon_degree(dga.modulus, degree(g) - 1)
         for w in dga.d(g):
             got = canon_degree(dga.modulus, sum(map(degree, w)))
             if got != want:
-                problems.append(
-                    "d %s is not homogeneous: term %s has degree %d, expected %d"
-                    % (g, "".join(w) or "1", got, want)
-                )
+                yield g, w, got, want
+
+
+def validate_dga(dga: DGA) -> List[str]:
+    """All structural and homological violations, empty list when valid."""
+    problems = _undeclared(dga)
+    if problems:
+        return problems  # degree/d^2 checks would crash on undeclared letters
+    for g, w, got, want in _inhomogeneous(dga):
+        problems.append(
+            "d %s is not homogeneous: term %s has degree %d, expected %d"
+            % (g, "".join(w) or "1", got, want)
+        )
     for g in dga.generators:
         square = diff_poly(dga, dga.d(g))
         if square:

@@ -113,17 +113,17 @@ def _ring_arity(args) -> int:
     a bracket of its classes, ``minimal`` a transfer to ``--arity`` and
     ``ordern`` the order-n pairs, each at least m_2 (``compare-mirror``'s is
     worked out in ``fingerprint``).  It is read as the ring is built, and
-    refuses a ``minimal`` arity over the transfer's budget (``MAX_ARITY``)
-    before the twist, which costs as much at the budget as in full; one
-    below 2 is still the transfer's to refuse.  An order over ``MAX_ORDER``
+    refuses a ``minimal`` arity or a ``massey`` class count over the
+    transfer's budget (``MAX_ARITY``) before the twist, which costs as much
+    at the budget as in full, and before any class is read; an arity below
+    2 is still the transfer's to refuse.  An order over ``MAX_ORDER``
     builds the ring at that budget: ``order_n_cohomology`` refuses it
     before reading any pair."""
     if args.command == "linhom":
         return 1
-    if args.command == "massey":
-        return max(2, len(args.classes.split(",")))
-    if args.command == "minimal":
-        arity = max(2, args.arity)
+    if args.command in ("massey", "minimal"):
+        count = len(args.classes.split(",")) if args.command == "massey" else args.arity
+        arity = max(2, count)
         _check_arity(arity)
         return arity
     if args.command == "ordern":

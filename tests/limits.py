@@ -275,14 +275,16 @@ ROWS = [
           "aug.0.duality: certificate", count=6, seconds=1, rss_mb=40),
     bound("MAX_TWIST_TERMS", (forced, 19), "compare-mirror", SAME, "knot.0.order2.dims: 1:1 2:1",
           count=11, seconds=1, rss_mb=40),
-    # an order over MAX_ORDER builds the ring at most at MAX_ORDER, and an arity over
-    # MAX_ARITY is refused before the twist, which at arity 16 keeps nearly all 2^20 words
+    # an order over MAX_ORDER builds the ring at most at MAX_ORDER, and an arity (or a massey
+    # class count) over MAX_ARITY is refused before the twist, which at arity 16 keeps nearly
+    # all 2^20 words
     *(refusal("MAX_ORDER", (forced, 19), argv, ("exact", "error: order %d exceeds the budget"
               " MAX_ORDER = 4\n" % n), 1) for argv, n in (("ordern --n 40", 40),
               ("ordern --n 16", 16), ("compare-mirror --order-cap 17", 5))),
     *(refusal("MAX_ARITY", (forced, 19), argv, ("exact", "error: transfer arity %d exceeds the"
               " budget MAX_ARITY = 16\n" % n), 1) for argv, n in (("minimal --arity 17", 17),
-              ("minimal --arity 99", 99), ("compare-mirror --massey-order 17", 17))),
+              ("minimal --arity 99", 99), ("compare-mirror --massey-order 17", 17),
+              ("massey --classes " + ",".join(["0:1"] * 17), 17))),
     # propagation forces 3001 letters, reading only the equations of each
     row((forced, 3000), "augs", "augmentations: 1", count=2, seconds=2),
     # d(d e) sums 16,000 words into one set

@@ -38,8 +38,16 @@ from legch.ainfty import (
     _compositions_in,
     _inverted_index,
     _relation_terms,
+    _word_degree,
 )
-from legch.algebra import MAX_ISO_TERMS, DGA, apply_elementary_iso, iso_expansion_terms, mirror_dga
+from legch.algebra import (
+    MAX_ISO_TERMS,
+    DGA,
+    _inhomogeneous,
+    apply_elementary_iso,
+    iso_expansion_terms,
+    mirror_dga,
+)
 from legch.augment import Augmentation, enumerate_augmentations, twist
 from legch.cli import main
 from legch.fileio import parse_dga, serialize_dga
@@ -63,6 +71,7 @@ from helpers import (
     per_tuple_composition_sum,
     per_tuple_massey_systems,
     proved_rings,
+    proved_twists,
     random_augmented_dga,
     random_dga,
     random_dgas,
@@ -151,6 +160,15 @@ def test_structure_constructor_rejects_malformed_tables():
         AInftyStructure(0, {0: ("u", "u")}, 1, {})
 
 
+def test_structure_constructor_names_a_short_entry_and_a_non_canonical_degree():
+    with pytest.raises(ContractError) as raised:
+        AInftyStructure(0, {0: ("u",), 1: ("v",)}, 2, {2: {("a",): 1}})
+    assert str(raised.value) == "entry ('a',) in arity-2 table"
+    with pytest.raises(ContractError) as raised:
+        AInftyStructure(3, {5: ("u",)}, 1, {})
+    assert str(raised.value) == "basis degree 5 is not canonical"
+
+
 def test_relation_checker_reports_the_failing_input():
     # d(d u) = w != 0: the arity-1 relation must fail on (u,)
     s = AInftyStructure(
@@ -179,6 +197,26 @@ def test_the_relations_build_ring_proves_hold_at_every_arity():
         s = ring.structure
         report = check_an_relations(s, 2 * s.arity - 1)
         assert report.ok, report.detail
+
+
+def _assert_twists_are_homogeneous(dga, aug):
+    """Every word of every twisted d g has degree deg g - 1, at arities 1-4
+    and in full: the proof behind ``_dualize`` reading no word's degree."""
+    for arity in (1, 2, 3, 4, None):
+        twisted = build_ring(dga, aug, arity).twisted
+        assert list(_inhomogeneous(twisted)) == [], arity
+
+
+def test_the_twist_keeps_every_word_homogeneous_on_proved_twists():
+    for dga, aug in proved_twists():
+        _assert_twists_are_homogeneous(dga, aug)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=20)
+def test_the_twist_keeps_every_word_homogeneous_on_random_dgas(seed):
+    dga, aug, _ = random_augmented_dga(random.Random(seed), max_gens=8)
+    _assert_twists_are_homogeneous(dga, aug)
 
 
 def test_build_ring_refuses_a_value_assignment_that_is_not_an_augmentation():
@@ -809,8 +847,8 @@ def test_transfer_mu2_check_catches_a_flipped_p2_entry(monkeypatch):
     ring = trefoil_ring()
     real = ainfty._composition_sum
 
-    def flipped(m, index, degree_of, n, min_blocks, total):
-        real(m, index, degree_of, n, min_blocks, total)
+    def flipped(m, index, n, min_blocks, total):
+        real(m, index, n, min_blocks, total)
         if (n, min_blocks) == (2, 2):
             key = ("[b2]", "[b1+b3]")
             ainfty._toggle(total, key, total[key])
@@ -940,10 +978,10 @@ def _spied_check(monkeypatch, f, src, dst, up_to):
     read = []
     real = _composition_sum
 
-    def spy(m, index, degree_of, n, min_blocks, total, max_blocks=None):
+    def spy(m, index, n, min_blocks, total, max_blocks=None):
         if max_blocks == 1:
             read.append(n)
-        real(m, index, degree_of, n, min_blocks, total, max_blocks)
+        real(m, index, n, min_blocks, total, max_blocks)
 
     monkeypatch.setattr(ainfty, "_composition_sum", spy)
     try:
@@ -1123,15 +1161,12 @@ def _assert_composition_sums_match_the_oracle(ring, up_to):
     transfer's p_k (min_blocks 2) and the inclusion's morphism check (min_blocks 1)."""
     h, s = ring.cochain, ring.structure
     mu, f = transfer_minimal_model(h, s, up_to)
-
-    def entry_degree(w):  # degree of f_{|w|}(w) = i_{|w|}(w), a degree-0 morphism's
-        return h.canon(sum(mu.degree_of[x] for x in w))
-
+    entry_degree = _word_degree(h.modulus, mu.degree_of)  # f_{|w|}(w) = i_{|w|}(w), of degree 0
     index = {c: _inverted_index(s, table, entry_degree) for c, table in f.tables.items()}
     for min_blocks in (2, 1):
         for n in range(min_blocks, up_to + 1):
             got, want = {}, {}
-            _composition_sum(s, index, mu.degree_of, n, min_blocks, got)
+            _composition_sum(s, index, n, min_blocks, got)
             per_tuple_composition_sum(s, f.tables, mu.degree_of, entry_degree, n, min_blocks, want)
             assert got == want, (min_blocks, n)
 
@@ -1159,12 +1194,9 @@ def test_composition_sum_toggles_every_index_hit_at_the_top_arity():
     m = AInftyStructure(0, {0: ("a", "b"), 1: ("c",)}, 2, {2: {("a", "a"): 1}})
     f = {1: {("p",): 0b01, ("q",): 0b11}}
     degree_of = {"p": 0, "q": 0}
-
-    def entry_degree(w):
-        return sum(degree_of[x] for x in w)
-
+    entry_degree = _word_degree(0, degree_of)
     got, want = {}, {}
-    _composition_sum(m, {1: _inverted_index(m, f[1], entry_degree)}, degree_of, 2, 1, got)
+    _composition_sum(m, {1: _inverted_index(m, f[1], entry_degree)}, 2, 1, got)
     per_tuple_composition_sum(m, f, degree_of, entry_degree, 2, 1, want)
     assert got == want == {args: 1 for args in product("pq", repeat=2)}
 
@@ -1186,22 +1218,21 @@ def test_compositions_in_lists_the_compositions_with_every_part_in_its_options()
     {("p", "p"): 0b01, ("s", "t"): 0b01, ("q", "q"): 0b10},
     {("s", "t"): 0b01, ("q", "q"): 0b10},
 ])
-def test_composition_sum_names_the_first_tuple_in_mixed_degrees(f_2):
-    """The index reads every word in degree 0, but (s, t) has degree sum 1, so
-    two tuples fail: (q, s, t) at the composition (1, 2) from m_2's second
-    entry, and (s, t, q) at (2, 1) from its first.  The sum runs r, then the
-    compositions in order, then the entries in table order, then the words,
-    so it names (q, s, t), after passing (p, q, q) and, where f_2 has it,
-    (q, p, p)."""
+def test_the_index_reads_a_word_in_mixed_degrees_at_its_degree_sum(f_2):
+    """(s, t) has degree sum 1, so the shared index reads its bit 0 in degree
+    1, as the label c, not as a, which a degree-0 reading would give; then
+    no m_2 entry takes it, and the sum equals the per-tuple oracle, which
+    asserts that every tuple's m_2 lands in the degree of its labels."""
     m = AInftyStructure(0, {0: ("a", "b"), 1: ("c",)}, 2, {2: {("a", "b"): 1, ("b", "a"): 1}})
     f = {1: {("p",): 0b01, ("q",): 0b10}, 2: f_2}
-    index = {c: _inverted_index(m, table, lambda w: 0) for c, table in f.items()}
     degree_of = {"p": 0, "q": 0, "s": 0, "t": 1}
-    with pytest.raises(InternalConsistencyError) as raised:
-        _composition_sum(m, index, degree_of, 3, 2, {})
-    assert str(raised.value) == (
-        "composition sum in mixed degrees: m_2 on (q, s, t) lands in degree 1, the labels give 2"
-    )
+    entry_degree = _word_degree(0, degree_of)
+    index = {c: _inverted_index(m, table, entry_degree) for c, table in f.items()}
+    assert index[2]["c"] == [("s", "t")]
+    got, want = {}, {}
+    _composition_sum(m, index, 3, 2, got)
+    per_tuple_composition_sum(m, f, degree_of, entry_degree, 3, 2, want)
+    assert got == want
 
 
 def test_morphism_tables_are_checked_against_source_and_target():

@@ -95,6 +95,12 @@ def test_dga_rejects_duplicate_generators():
         DGA(0, ("a", "a"), {"a": 0}, {})
 
 
+def test_dga_rejects_a_negative_modulus():
+    with pytest.raises(ContractError) as raised:
+        DGA(-1, ("a",), {"a": 0}, {})
+    assert str(raised.value) == "grading modulus must be non-negative"
+
+
 def test_dga_rejects_missing_degree():
     with pytest.raises(ContractError):
         DGA(0, ("a",), {}, {})
@@ -172,6 +178,12 @@ def test_stabilize_rejects_name_collision():
     dga = trefoil_like()
     with pytest.raises(ContractError):
         stabilize(dga, 1, names=("b1", "fresh"))
+
+
+def test_stabilize_rejects_equal_names():
+    with pytest.raises(ContractError) as raised:
+        stabilize(trefoil_like(), 0, ("x", "x"))
+    assert str(raised.value) == "stabilization names must be distinct"
 
 
 def test_substitute_replaces_letters_multiplicatively():

@@ -199,6 +199,14 @@ def test_massey_rejects_bad_class_specs(capsys, trefoil_file, spec, fragment):
     assert fragment in err
 
 
+def test_massey_names_a_class_that_is_not_degree_and_mask(capsys, trefoil_file):
+    assert run_cli(capsys, "massey", trefoil_file, "--classes", "0") == (
+        1,
+        "",
+        "error: class '0' is not DEGREE:MASK (e.g. 0:1 for the first basis class)\n",
+    )
+
+
 def test_minimal_model_rows(capsys, trefoil_file):
     code, out, _ = run_cli(capsys, "minimal", trefoil_file)
     assert code == 0

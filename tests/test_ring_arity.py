@@ -174,7 +174,11 @@ def test_each_command_builds_its_ring_at_the_arity_its_output_reads(
     assert arities and set(arities) == {arity}
 
 
-@pytest.mark.parametrize("argv", ["minimal --arity 17", "compare-mirror --massey-order 17"])
+@pytest.mark.parametrize("argv", [
+    "minimal --arity 17",
+    "compare-mirror --massey-order 17",
+    "massey --classes " + ",".join(["0:1"] * 17),
+])
 def test_an_arity_over_the_budget_is_refused_before_any_ring_is_built(
     monkeypatch, capsys, tmp_path, argv
 ):
