@@ -1172,10 +1172,11 @@ def transfer_minimal_model(
     order read mu (``massey_higher``; on a defined triple p_3 is closed, so
     mu_3 is its class, as ``ProductTable`` proves).  mu_2 is checked
     against the cup product: the class rows of the pair blocks of
-    ``products``, a ``ProductTable`` over h and s (built here if none over
-    h is given), on the degree pairs where the two can differ
-    (``ProductTable``).  Arities above
-    ``MAX_ARITY`` are refused before any work.  Then the table checks h
+    ``products``, a ``ProductTable`` over h and s (built here unless the
+    one given is over this h and this s: a table over another structure
+    holds that structure's products), on the degree pairs where the two
+    can differ (``ProductTable``).  Arities above ``MAX_ARITY`` are
+    refused before any work.  Then the table checks h
     (``ProductTable._check_retract``): unless it is the ring's own table
     (``CohomologyRing.products``), whose retract ``linear._retract`` builds
     as one (proof there), h must be a retract of the structure's m_1, and
@@ -1194,7 +1195,7 @@ def transfer_minimal_model(
     may change them.
     """
     _check_arity(up_to)
-    if products is None or products.h is not h:
+    if products is None or products.h is not h or products.s is not s:
         products = ProductTable(h, s)
     products._check_retract()
 

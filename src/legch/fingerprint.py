@@ -59,7 +59,7 @@ from .ainfty import check_massey_budget
 from .algebra import DGA, assert_valid, mirror_dga
 from .augment import Augmentations, _verify_solutions, enumerate_augmentations, per_twist
 from .gf2 import bits, rank
-from .tilde import MAX_ORDER, _check_lower_orders, order_n_cohomology
+from .tilde import MAX_ORDER, order_n_cohomology
 
 __all__ = [
     "AugmentationProfile",
@@ -328,26 +328,24 @@ def order_dim_table(
     perturbation engine, the window complex of the ring's minimal model,
     and asks it once, at the cap: ``order_n_cohomology`` returns every
     lower order's dims from its one window matrix (``legch.tilde``,
-    Filtration).  Its refusals are those of a loop over n = 1..order_cap,
-    with their messages, except that every order's window bits are read
-    before the first transfer: the window-bit budget of each order up to
-    the cap (and below the order budget), ascending, then the order,
-    transfer and relation-term budgets of each order below the cap
-    (``tilde._check_lower_orders``), then the call at the cap runs the
-    checks of the loop's last step, the pair check among them.
+    Filtration), with its refusals and its messages, which name the cap's
+    order, as ``ordern --n`` does.  A loop over n = 1..order_cap refuses
+    exactly when this call does: the order budget is read at the cap, and
+    the window bits, the transfer's relation terms and its checks at the
+    cap are each at least those of every lower order; where only one
+    budget is exceeded, both name it.
     The adjoint structure's window d d = 0 it skips, its A-infinity
     relations up to arity n, holds at every arity on a ring from
     ``build_ring``, which proves it from ``assert_valid`` (once per
     content).  The checks it keeps: the pair check (one pass per
     ring, at every term length, serves every n), the transfer's mu_2 check
-    and mu's relations up to its arity (one transfer per ring, at the
-    highest arity asked, on the ring's own retract, which
-    ``linear._retract`` proves), and the window's relations up to the cap,
-    which cover every lower order's (Square zero).
+    and mu's relations up to one above its arity (one transfer per ring, at
+    the highest arity asked, on the ring's own retract, which
+    ``linear._retract`` proves), which cover the window's relations up to
+    the cap and so every lower order's (Square zero, Perturbation).
     """
     if order_cap < 1:
         return {}
-    _check_lower_orders(ring, order_cap)
     orders = order_n_cohomology(ring, order_cap, engine="perturbation").orders
     return {(n, k): dim for n, dims in orders.items() for k, dim in dims.items()}
 

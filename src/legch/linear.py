@@ -244,11 +244,11 @@ def _retract(m: GradedMatrixMap) -> HomologyData:
     * The chain map is its transpose, degree by degree, so each chain
       composite d_(k-1) d_k is the transpose of the cochain composite
       d_(k-1) d_(k-2), and (B A)^T = A^T B^T = 0 (``build_ring``).
-    * The window complexes of ``legch.tilde`` are built by ``_window_matrix``,
-      which asserts the relations up to arity n; the Square zero paragraph
-      of the ``legch.tilde`` docstring shows that this is d d = 0 on words
-      of length <= n (``OrderNCohomology.data``, and the test-side chain
-      maps between order-n complexes).
+    * The labelled window complexes of ``legch.tilde`` are built by
+      ``tilde_complex``, which asserts the relations up to arity n; the
+      Square zero paragraph of the ``legch.tilde`` docstring shows that
+      this is d d = 0 on words of length <= n (the test-side order-n
+      homology and chain maps between order-n complexes).
 
     Why the result is a strong deformation retract, so that no caller
     verifies the ring's own (``ainfty.transfer_minimal_model``).  In degree

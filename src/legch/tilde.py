@@ -14,11 +14,10 @@ matrix, applied to two structures: the perturbation engine, the default,
 builds it on the ring's transferred minimal model, over words of
 cohomology classes (Perturbation, below); the dense engine builds it on
 the adjoint structure itself, over words of generators.  Either way its
-d d = 0 is read from that structure's A-infinity relations up to arity n
-(Square zero), and the dimensions are dim_k = |basis_k| - rank d_k -
-rank d_(k-1), read off ranks with no word labels; the homology retract
-of the order-n complex, with labelled representatives, is built only on
-demand.
+d d = 0 is that structure's A-infinity relations up to arity n (Square
+zero), and the dimensions are dim_k = |basis_k| - rank d_k - rank
+d_(k-1), read off ranks with no word labels.  Only ``tilde_complex``
+spells the words, for readers outside the commands.
 
 The transpose check and the window matrix are built from (letter, term)
 triples instead of expanding word by word.  Index both matrices by a
@@ -125,10 +124,16 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   above n: a window of more than n letters fits no word of the order-n
   space, so the matrix keeps the terms with |t| <= n, those of a transfer
   to max(n, 2).  Its d d = 0 is the minimal model's A-infinity relations
-  up to arity n (Square zero).  The transfer's own check reads one arity
-  further, up to max(n, 2) + 1, the first relation that reads mu_n, so
-  the relations on every mu_r the window reads, mu_2's associativity
-  among them, hold before it is built.
+  up to arity n (Square zero), and nothing here checks them again:
+  ``ProductTable.minimal`` checks mu's relations up to a + 1 when it
+  builds the kept transfer, of arity a >= max(n, 2), and hands mu out
+  unedited.  a + 1 >= max(n, 2) + 1 > n, so the relations up to n are a
+  prefix of a check that passed, with a subset of its terms: a second
+  check could neither fail nor be refused.  The relation of arity
+  max(n, 2) + 1 is the first that reads mu_n, and mu_2's associativity is
+  among those checked.  The window's letters are the minimal model's
+  basis, the classes of ``ring.cochain``, so its window bits are read off
+  ``ring.cochain.dims()`` before the transfer is built.
   The transfer checks its mu_2 against the cup product; (i, p, h) is the
   ring's own retract, a strong deformation retract by construction
   (``linear._retract``).
@@ -142,13 +147,15 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   h.R(W).tl, R the arity-|W| relation sum m(1 x m x 1).  Only W = w gives
   a one-letter word, so the one-letter part of d d(w) is R(w), and d d =
   0 on words of length <= n exactly when R_l = 0 for every l <= n.
-  ``_window_matrix``, behind both engines and ``tilde_complex``, decides
-  that on the tables with ``check_an_relations(s, n)``.  The adjoint
+  ``_check_square_zero`` decides that on the tables with
+  ``check_an_relations(s, n)``, once per dense call and once per
+  ``tilde_complex``, whose structure a caller hands in.  The adjoint
   structure of a ring from ``build_ring`` satisfies the relations at every
-  arity (proof there); the check stays for every structure handed in, the
-  minimal model and a ring assembled by hand among them.  That is the
-  only d d = 0 check on a window matrix: ``linear._retract`` reduces it
-  without squaring it again.
+  arity (proof there); a ring assembled by hand carries no proof, so the
+  dense engine keeps the check.  The perturbation engine's relations were
+  checked with its transfer (Perturbation).  No window matrix is squared:
+  ``linear._retract`` reduces ``tilde_complex``'s without squaring it
+  again.
 * Filtration.  No window lengthens a word: the window image of v is a sum
   of words of length |v| - |t| + 1 <= |v|.  So for m <= n the words of
   length <= m span a subcomplex of the order-n complex, and it is the
@@ -173,12 +180,11 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
   block, which ``_window_matrix`` lists no columns for and ``_order_dims``
   reduces as no columns, of rank 0 at every cut.  Columns run in
   code order and a pivot sits on the highest set bit, the largest place
-  (the one pivot rule of ``legch.gf2``, which the retract behind
-  ``OrderNCohomology.data`` reduces by too, with no clearing), so a row R
-  stored while reducing d_(k-1), a combination of its columns, is e_i
-  plus places below i.  d_k R = 0 (d d = 0, which
-  ``_window_matrix`` asserts on both engines through
-  ``check_an_relations(s, n)`` before it returns), so column i of d_k
+  (the one pivot rule of ``legch.gf2``, which ``linear._retract``
+  reduces by too, with no clearing), so a row R stored while reducing
+  d_(k-1), a combination of its columns, is e_i plus places below i.
+  d_k R = 0 (d d = 0, checked before the matrix is built: Square zero,
+  Perturbation), so column i of d_k
   lies in the span of the columns before it, and dropping it changes no
   prefix rank; by induction neither does dropping several.  Every cut
   c_k(m) is a prefix, so column i lies inside every cut above i and
@@ -190,18 +196,16 @@ column word w and a row word v (Leibniz: w -> v, window: v -> w).  Then:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from itertools import accumulate, groupby, product as iproduct
 from operator import xor
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import ContractError, InternalConsistencyError, check_budget
 from .algebra import DGA, assert_valid, canon_degree
-from .ainfty import AInftyStructure, CohomologyRing, _check_read, _check_relation_budget
-from .ainfty import check_an_relations
+from .ainfty import AInftyStructure, CohomologyRing, _check_read, check_an_relations
 from .gf2 import prefix_ranks
-from .linear import GradedMatrixMap, HomologyData, _retract
+from .linear import GradedMatrixMap
 
 __all__ = [
     "MAX_ORDER",
@@ -261,7 +265,7 @@ def _window_bits(s: AInftyStructure, n: int) -> int:
 def _check_window_bits(modulus: int, sizes: Dict[int, int], n: int) -> List[Dict[int, int]]:
     """Refuse an order-n word space over the letters of ``sizes`` whose
     ``_window_bits`` exceed ``MAX_WINDOW_BITS``; else return its
-    ``_degree_counts``."""
+    ``_degree_counts``, which its ``_Words`` reuses."""
     counts = _degree_counts(modulus, sizes, n)
     bits = sum(size * size for size in counts[-1].values())
     what = "order-%d words over %d letters take %d window bits, over"
@@ -279,15 +283,16 @@ class _Words:
     order.  ``groups`` holds each degree's codes, ascending, degrees in
     order of their first word; ``bit``, indexed by code, is the word's bit
     1 << (its place in its degree's group).  Words are spelled in letter
-    labels only by ``spelled``.  ``counts[m - 1]`` holds, by degree, the
-    number of words of length <= m (``_degree_counts``): the group's codes
-    below ``off[m + 1]``.  A space whose ``_window_bits`` exceed the budget
-    ``MAX_WINDOW_BITS`` is refused before any word is built.
+    labels only by ``spelled``.  ``counts``, of length n, are the space's
+    ``_degree_counts`` as ``_check_window_bits`` returned them once they
+    passed the budget, before any word is built: ``counts[m - 1]`` holds,
+    by degree, the number of words of length <= m, the group's codes below
+    ``off[m + 1]``.
     """
 
-    def __init__(self, s: AInftyStructure, n: int):
-        self.counts = _check_window_bits(s.modulus, _sizes(s), n)
-        self.n = n
+    def __init__(self, s: AInftyStructure, counts: List[Dict[int, int]]):
+        self.counts = counts
+        n = self.n = len(counts)
         self.labels: List[str] = sorted(s.order, key=s.order.get)
         self.index: Dict[str, int] = {lbl: i for i, lbl in enumerate(self.labels)}
         self.size = len(self.labels)
@@ -497,18 +502,23 @@ class TildeComplex:
         return sum(len(v) for v in self.words.values())
 
 
+def _check_square_zero(s: AInftyStructure, n: int) -> None:
+    """d d = 0 on the order-n window of ``s``: its A-infinity relations up to
+    arity n (Square zero, in the module docstring)."""
+    prefix = "order-%d differential does not square to zero: " % n
+    check_an_relations(s, n).require(InternalConsistencyError, prefix)
+
+
 def _window_matrix(
     s: AInftyStructure, words: _Words, pairs, entries: Optional[int] = None
 ) -> GradedMatrixMap:
     """The order-n window differential on the codes of ``words``, the word
     space of ``s``, built from the (letter, term) pairs of ``s``, which the
-    caller has checked homogeneous.  Asserts d d = 0 through the A-infinity
-    relations of ``s`` up to arity n (Square zero, in the module docstring)
-    and, when given, the number of nonzero entries.  Only the nonzero degree
+    caller has checked homogeneous, and whose d d = 0 it has checked or
+    proved (Square zero, Perturbation, in the module docstring).  Asserts,
+    when given, the number of nonzero entries.  Only the nonzero degree
     blocks get a column list; a missing one is zero (``columns``)."""
     n = words.n
-    prefix = "order-%d differential does not square to zero: " % n
-    check_an_relations(s, n).require(InternalConsistencyError, prefix)
     code = words.index.__getitem__
     coded = [(code(g), tuple(map(code, t))) for g, t in pairs if len(t) <= n]
     flat = [0] * words.total  # by row word code: its column, over the target degree's places
@@ -559,7 +569,8 @@ def tilde_complex(s: AInftyStructure, n: int) -> TildeComplex:
     """
     _check_order(n)
     pairs = _window_pairs(s)
-    space = _Words(s, n)
+    space = _Words(s, _check_window_bits(s.modulus, _sizes(s), n))
+    _check_square_zero(s, n)
     window = _window_matrix(s, space, pairs)
     words = space.spelled()
     basis = {k: tuple("|".join(w) for w in ws) for k, ws in words.items()}
@@ -580,7 +591,8 @@ def check_order_n_transpose(ring: CohomologyRing, n: int) -> int:
     what it checked as ``ring.pairs``, which the dense engine builds its
     window matrix from; a discrepancy is an internal error naming the side
     and the smallest offending pair, and ``n`` names the order in it.
-    Orders above ``MAX_ORDER``, then above the ring's arity, are refused.
+    Orders above ``MAX_ORDER``, then above the ring's arity, are refused,
+    here only: ``order_n_cohomology`` reads the order through this call.
     Returns, on every call, the number of nonzero entries of the window
     matrix, in closed form from what the pass kept (Count): the work is
     over pairs and letters, never over words.
@@ -594,7 +606,7 @@ def check_order_n_transpose(ring: CohomologyRing, n: int) -> int:
 
 @dataclass
 class OrderNCohomology:
-    """Graded dimensions and representatives of order-n cohomology.
+    """Graded dimensions of order-n cohomology.
 
     ``orders`` holds the dims of every order m <= n, by m, read off the same
     window matrix (Filtration, in the module docstring); ``dims`` is
@@ -602,19 +614,16 @@ class OrderNCohomology:
 
     ``engine`` records which structure's window complex was reduced:
     "perturbation", the default, the transferred minimal model (words of
-    cohomology classes), "dense" the adjoint structure (representatives
-    are words of generators); ``structure`` is that structure.  The default
-    path ran the one pass of the transpose check over the twisted
-    differential, the transfer's mu_2 and relation checks, and the minimal
-    model's window relations up to arity n; the dense one ran the pass, the
-    adjoint structure's window relations and the entry count.  ``data``, the
-    homology of its complex, is rebuilt on first use through
-    ``tilde_complex``, which reads and checks the structure's pairs itself
-    and asserts d d = 0 through the relations (Square zero), and is reduced
-    by ``linear._retract`` without squaring the matrix again;
-    ``complex_dim`` is the dimension of the order-n word space of the
-    generators, and ``transpose_entries`` counts the nonzero entries of the
-    window matrix, which the transpose check proved equal to the Leibniz one.
+    cohomology classes), "dense" the adjoint structure (words of
+    generators).  The default path ran the one pass of the transpose check
+    over the twisted differential and the transfer's mu_2 and relation
+    checks, which cover the window's relations up to arity n; the dense one
+    ran the pass, the adjoint structure's window relations and the entry
+    count.  ``complex_dim`` is the dimension of the order-n word space of
+    the generators, and ``transpose_entries`` counts the nonzero entries of
+    the window matrix, which the transpose check proved equal to the
+    Leibniz one.  The labelled complex and its homology are
+    ``tilde_complex``'s, for readers outside the commands.
     """
 
     order: int
@@ -623,14 +632,6 @@ class OrderNCohomology:
     complex_dim: int
     transpose_entries: int
     orders: Dict[int, Dict[int, int]]
-    structure: AInftyStructure = field(repr=False, compare=False)
-
-    @cached_property
-    def data(self) -> HomologyData:
-        return _retract(tilde_complex(self.structure, self.order).differential)
-
-    def representatives(self, k: int) -> List[str]:
-        return [self.data.label(k, 1 << i) for i in range(self.data.dim(k))]
 
 
 def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> OrderNCohomology:
@@ -638,18 +639,22 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
 
     Always verifies the transpose equality between the window differential
     and the truncated Leibniz differential before reducing, through
-    ``check_order_n_transpose``: one pass per ring over the twisted
-    differential covers every order, and the window matrix's nonzero
-    entries are counted on every call from what that pass kept.  The
-    default "auto" is the perturbation engine: it reads and checks the
-    pairs of the ring's one transfer ``ring.minimal(max(n, 2))``, whose
-    mu_2 is checked against the cup product and whose relations are
-    checked up to arity max(n, 2) + 1 when it is built, and builds its
-    window matrix from those pairs with |t| <= n (Perturbation, in the
-    module docstring).  The dense engine builds that matrix on
-    ``ring.structure`` from the pairs the pass checked, ``ring.pairs``,
-    and asserts the count.  Either asserts d d = 0 through its structure's
-    A-infinity relations up to arity n (Square zero).
+    ``check_order_n_transpose``, which is also the call's one read of the
+    order: one pass per ring over the twisted differential covers every
+    order, and the window matrix's nonzero entries are counted on every
+    call from what that pass kept.  Each check below is then made once, in
+    this order.  The default "auto" is the perturbation engine: it reads
+    the window bits off ``ring.cochain.dims()``, the minimal model's
+    letters, then reads and checks the pairs of the ring's one transfer
+    ``ring.minimal(max(n, 2))``, whose mu_2 is checked against the cup
+    product and whose relations are checked up to arity max(n, 2) + 1 when
+    it is built, which covers the window's d d = 0, and builds its window
+    matrix from those pairs with |t| <= n (Perturbation, in the module
+    docstring).  The dense engine reads the window bits off
+    ``ring.structure``, asserts d d = 0 through its A-infinity relations
+    up to arity n (Square zero), builds the matrix from the pairs the pass
+    checked, ``ring.pairs``, and asserts the count.  Either reuses the
+    degree counts that passed the window budget for its word space.
     Dimensions come from ranks (``_order_dims``), with no retract and no
     word labels, and those of every order m <= n come with them, as
     ``orders``, from the one matrix and one elimination (Filtration): the
@@ -661,42 +666,19 @@ def order_n_cohomology(ring: CohomologyRing, n: int, engine: str = "auto") -> Or
     the arity the engine reads: n for the pass, max(n, 2) for the
     perturbation engine's transfer (``_check_read``).
     """
-    _check_order(n)
     if engine not in ("auto", "dense", "perturbation"):
         raise ContractError("engine must be 'auto', 'dense' or 'perturbation'")
     assert_valid(ring.dga)
     entries = check_order_n_transpose(ring, n)
     if engine == "dense":
         structure, pairs, count = ring.structure, ring.pairs, entries
+        counts = _check_window_bits(structure.modulus, _sizes(structure), n)
+        _check_square_zero(structure, n)
     else:
+        counts = _check_window_bits(ring.cochain.modulus, ring.cochain.dims(), n)
         engine, structure, count = "perturbation", ring.minimal(max(n, 2))[0], None
         pairs = _window_pairs(structure)
-    words = _Words(structure, n)
+    words = _Words(structure, counts)
     orders = _order_dims(_window_matrix(structure, words, pairs, count), words)
     total = _word_count(len(ring.dga.generators), n)
-    return OrderNCohomology(n, engine, orders[n], total, entries, orders, structure)
-
-
-def _check_lower_orders(ring: CohomologyRing, n: int) -> None:
-    """Refuse what the perturbation engine's loop over the orders m < n
-    would refuse, before the order-n call builds the one window, except that
-    the window bits (``MAX_WINDOW_BITS``) of every order m <= n below the
-    order budget are read first, ascending, before any transfer: the
-    window's letters are the minimal model's basis, the classes of
-    ``ring.cochain``, known before it is built.  Then, per order m < n,
-    ascending, the order (``MAX_ORDER``), the ring's transfer to max(m, 2)
-    with its own checks, and the relation terms (``MAX_RELATION_TERMS``) of
-    order m.  The order-n call then runs the checks of the loop's last step,
-    in its order.  So an input over the window budget at one order and
-    over another budget below it gets the window's refusal, where the loop
-    named the other; the order refusal still comes after the window bits
-    of every order below it, as in the loop.  The transfer is the ring's
-    one kept transfer, raised as the loop raised it; its tables up to arity
-    m are those of a transfer to max(m, 2), and so are the budgets read from
-    them."""
-    h = ring.cochain
-    for m in range(1, min(n, MAX_ORDER) + 1):
-        _check_window_bits(h.modulus, h.dims(), m)
-    for m in range(1, n):
-        _check_order(m)
-        _check_relation_budget(ring.minimal(max(m, 2))[0], m)
+    return OrderNCohomology(n, engine, orders[n], total, entries, orders)

@@ -115,7 +115,7 @@ from legch.linear import (
     pair_bit,
     vector_label,
 )
-from legch.tilde import order_n_cohomology
+from legch.tilde import _check_window_bits, _sizes, _Words, order_n_cohomology
 
 
 def trivial_bracket_dga() -> DGA:
@@ -679,6 +679,12 @@ def toggle_entry(ring, args: Tuple[str, ...], g: str):
     diff = {h: twisted.d(h) for h in twisted.generators}
     diff[g] = diff[g] ^ {args}
     return replace(ring, twisted=twisted.replace_diff(diff), structure=structure)
+
+
+def word_space(s, n: int):
+    """``tilde._Words`` of the order-n words of ``s``, its degree counts those
+    that pass the window budget, as the library builds it."""
+    return _Words(s, _check_window_bits(s.modulus, _sizes(s), n))
 
 
 def word_window_matrix(s, n: int) -> GradedMatrixMap:

@@ -237,8 +237,9 @@ ROWS = [
     # every order 1..4 from one window per ring
     bound("MAX_ORDER", MASSEYEX, "compare-mirror --order-cap 4", DISTINGUISHED,
           "knot.0.order1.dims: -20:1 -11:1 -6:1 -4:1 1:1 4:1 6:1 11:1 20:1", seconds=5),
+    # the order budget is read once, at the cap, as ordern --n reads it
     refusal("MAX_ORDER", MASSEYEX, "compare-mirror --order-cap 7",
-            ("exact", "error: order 5 exceeds the budget MAX_ORDER = 4\n")),
+            ("exact", "error: order 7 exceeds the budget MAX_ORDER = 4\n")),
     *sum(SEEDED, []),
     row(CUPEX, "compare-mirror", **dict(CLOSED, exit=None)),
     # about 1 MB of mirror output, far more than a pipe buffer
@@ -280,7 +281,7 @@ ROWS = [
     # all 2^20 words
     *(refusal("MAX_ORDER", (forced, 19), argv, ("exact", "error: order %d exceeds the budget"
               " MAX_ORDER = 4\n" % n), 1) for argv, n in (("ordern --n 40", 40),
-              ("ordern --n 16", 16), ("compare-mirror --order-cap 17", 5))),
+              ("ordern --n 16", 16), ("compare-mirror --order-cap 17", 17))),
     *(refusal("MAX_ARITY", (forced, 19), argv, ("exact", "error: transfer arity %d exceeds the"
               " budget MAX_ARITY = 16\n" % n), 1) for argv, n in (("minimal --arity 17", 17),
               ("minimal --arity 99", 99), ("compare-mirror --massey-order 17", 17),

@@ -76,6 +76,7 @@ from helpers import (
     random_dga,
     random_dgas,
     random_elementary_iso,
+    toggle_entry,
     trivial_bracket_dga,
     twist_firsts,
 )
@@ -925,6 +926,78 @@ def test_public_entry_points_verify_a_retract_from_a_caller():
         ProductTable(bad, s).minimal(3)
     with pytest.raises(ContractError, match="retract fails"):
         transfer_minimal_model(bad, s, 3, ring.products)  # the table is over another h
+
+
+class _Edited:
+    """A caller's retract: ``h`` with the maps given replaced."""
+
+    def __init__(self, h, **maps):
+        self._h = h
+        self.__dict__.update(maps)
+
+    def __getattr__(self, name):
+        return getattr(self._h, name)
+
+
+def _edited_retracts():
+    """(refusal, corrupted retract, structure) per identity ``_verify_retract``
+    checks, each the first to fail.  The last two edit a modulus-3 retract
+    on the one vector h x of degree 1, x the first basis vector of degree 2:
+    h (h x) gets a cycle of degree 0, and p (h x) a class, where the
+    homotopy identity reads neither."""
+    ring = trefoil_ring()
+    dga = parse_dga("modulus 3\ngen x 2\ngen y 1\ngen z 0\ngen w 2\nd x = y\nd z = w\n")
+    cyclic = build_ring(dga, enumerate_augmentations(dga)[0])
+    h, g = ring.cochain, cyclic.cochain
+    hx = g.homotopy(2, 1)
+
+    def at_hx(f):
+        return lambda k, v: f(k, v) ^ ((g.canon(k), v) == (1, hx))
+
+    trefoil_s, cyclic_s = ring.structure, cyclic.structure
+    return [
+        ("retract fails p(i(x)) = x in degree 1", _Edited(h, project=lambda k, v: 0), trefoil_s),
+        ("retract fails h(i(x)) = 0 in degree 1", _Edited(h, homotopy=lambda k, v: v), trefoil_s),
+        ("retract fails the homotopy identity in degree 1", _Edited(h, homotopy=lambda k, v: 0),
+         trefoil_s),
+        ("retract fails h(h(x)) = 0 in degree 2", _Edited(g, homotopy=at_hx(g.homotopy)), cyclic_s),
+        ("retract fails p(h(x)) = 0 in degree 2", _Edited(g, project=at_hx(g.project)), cyclic_s),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_each_retract_identity_refuses_a_callers_retract_by_name(case):
+    message, bad, s = _edited_retracts()[case]
+    for table in (None, ProductTable(bad, s)):
+        with pytest.raises(ContractError) as info:
+            transfer_minimal_model(bad, s, 3, table)
+        assert str(info.value) == message
+
+
+def test_a_callers_table_refuses_a_structure_off_its_relations():
+    # one flipped m_2 bit breaks associativity only (see test_tilde.py's
+    # arity test): the caller's structure is refused before its transfer's
+    good = parse_dga("modulus 0\ngen a 1\ngen b 1\ngen c 1\ngen u 3\ngen g 5\nd u = a b\n")
+    ring = toggle_entry(build_ring(good, enumerate_augmentations(good)[0]), ("u", "c"), "g")
+    with pytest.raises(ContractError) as info:
+        ProductTable(ring.cochain, ring.structure).minimal(3)
+    assert str(info.value) == "structure fails a relation: relation fails at arity 3 on (a, b, c)"
+
+
+def test_the_transfer_ignores_a_table_over_another_structure():
+    # The table's structure lacks one m_2 entry but has s's basis and m_1,
+    # so it passes the retract check; its products are not s's.
+    dga = masseyex(1, 4, 9, 20)
+    ring = build_ring(dga, enumerate_augmentations(dga)[0])
+    h, s = ring.cochain, ring.structure
+    tables = {j: dict(t) for j, t in s.tables.items()}
+    del tables[2][min(tables[2], key=lambda w: [s.order[x] for x in w])]  # (b1, b2)
+    other = ProductTable(h, AInftyStructure(s.modulus, s.basis, s.arity, tables))
+    mu, inclusion = transfer_minimal_model(h, s, 3, other)
+    want_mu, want_inclusion = transfer_minimal_model(h, s, 3)
+    assert mu.tables == want_mu.tables and inclusion.tables == want_inclusion.tables
+    degrees = tuple(map(mu.degree_of.get, ("[b1]", "[b2]")))
+    assert other.pair(*degrees).coords != ring.products.pair(*degrees).coords
 
 
 def test_the_rings_own_retract_is_not_verified_again(monkeypatch, tmp_path, capsys):

@@ -255,12 +255,16 @@ def test_substitute_cancels_a_repeated_letter_before_it_multiplies(capsys, tmp_p
 
 def test_elementary_iso_checks_degree_and_target():
     dga = trefoil_like()
-    with pytest.raises(ContractError):
-        ElementaryIso("b1", poly(("a1",))).check(dga)  # degree mismatch
-    with pytest.raises(ContractError):
-        ElementaryIso("b1", poly(("b1",))).check(dga)  # mentions target
-    with pytest.raises(ContractError):
-        ElementaryIso("b1", poly(())).check(dga)  # unit term
+    for target, word, message in [
+        ("b1", ("a1",), "shift term a1 has degree 1, expected 0"),
+        ("b1", ("b1",), "shift of elementary isomorphism mentions its own target b1"),
+        ("b1", (), "shift of elementary isomorphism may not contain the unit"),
+        ("q", ("a2",), "unknown generator q in elementary isomorphism"),
+        ("a1", ("a2", "q"), "unknown generator q in shift"),
+    ]:
+        with pytest.raises(ContractError) as info:
+            ElementaryIso(target, poly(word)).check(dga)
+        assert str(info.value) == message
     ElementaryIso("a1", poly(("a2",))).check(dga)  # fine
 
 

@@ -589,19 +589,30 @@ def _refusal(call, *args):
 
 
 def test_order_dim_table_refuses_as_the_per_order_loop(monkeypatch):
-    """Each budget refusal, and the first order over MAX_ORDER, is the one the
-    loop over n = 1..cap meets first, with its message."""
+    """``order_dim_table`` refuses exactly when the loop over n = 1..cap does,
+    with the text of the one ``order_n_cohomology`` call at the cap: each
+    budget is read at the cap, where it is at least every lower order's.
+    Within MAX_ORDER one budget is over at a time, and both name it; above
+    it the call names the cap's order, where the loop may meet another
+    budget below MAX_ORDER first."""
     dga = masseyex(1, 4, 9, 20)
     aug = enumerate_augmentations(dga)[0]
     mu = build_ring(dga, aug).minimal(4)[0]
 
     def both(cap):
         got = _refusal(order_dim_table, build_ring(dga, aug), cap)
-        assert got == _refusal(per_order_dim_table, build_ring(dga, aug), cap), cap
+        loop = _refusal(per_order_dim_table, build_ring(dga, aug), cap)
+        assert (got is None) == (loop is None), cap
+        if got is not None:
+            assert got == _refusal(order_n_cohomology, build_ring(dga, aug), cap), cap
+            if cap <= tilde.MAX_ORDER:
+                assert _budget(got) == _budget(loop), (cap, got, loop)
+            else:
+                assert got == "order %d exceeds the budget MAX_ORDER = 4" % cap
         return got
 
     for cap in (5, 7):
-        assert both(cap) == "order 5 exceeds the budget MAX_ORDER = 4"
+        assert both(cap) == "order %d exceeds the budget MAX_ORDER = 4" % cap
     seen = set()
     for name, module, count in (
         ("MAX_WINDOW_BITS", tilde, tilde._window_bits),
@@ -612,6 +623,11 @@ def test_order_dim_table_refuses_as_the_per_order_loop(monkeypatch):
                 patched.setattr(module, name, count(mu, n) - 1)
                 seen.update(both(cap) for cap in (n, 4, 7))
     assert None not in seen and len(seen) >= 6, seen
+
+
+def _budget(message):
+    """The budget a refusal names."""
+    return re.search(r"the budget (MAX_\w+)", message).group(1)
 
 
 def _assert_witness_matches_the_multiset_oracle(left, right):

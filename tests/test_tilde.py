@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from legch import ContractError, InternalConsistencyError, algebra, augment, tilde
+from legch import ContractError, InternalConsistencyError, ainfty, algebra, augment, tilde
 from legch.ainfty import (
     MAX_RELATION_TERMS,
     AInftyMorphism,
@@ -52,13 +52,16 @@ from helpers import (
     sliced_count,
     toggle_entry,
     twist_firsts,
+    word_space,
     word_window_matrix,
     words_by_degree,
 )
 from theorems import (
     _word_by_word_reflection,
+    order_n_homology,
     per_class_pair_splitting_check_n2,
     reflection_compare,
+    representatives,
     splitting_check_n2,
     tilde_of_morphism,
 )
@@ -77,7 +80,7 @@ def test_order_and_engine_validation(monkeypatch):
         order_n_cohomology(ring, 0)
     with pytest.raises(ContractError):
         order_n_cohomology(ring, 5)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^engine must be 'auto', 'dense' or 'perturbation'$"):
         order_n_cohomology(ring, 2, engine="fast")
     # the cap is the module's budget, read on every call
     monkeypatch.setattr(tilde, "MAX_ORDER", 5)
@@ -185,11 +188,13 @@ def _assert_rank_dims_are_homology_dims(ring, n, engine):
     """Dims read off ranks equal those of a full homology() of the engine's complex."""
     got = order_n_cohomology(ring, n, engine=engine)
     if engine == "dense":
-        built = tilde_complex(ring.structure, n).differential
+        structure, built = ring.structure, tilde_complex(ring.structure, n).differential
     else:
+        structure = ring.minimal(max(n, 2))[0]  # the one transfer the engine read
         built = _perturbed_complex(ring.structure, ring.cochain, n)
-    assert got.data.differential == built  # the retract, built on first use
-    assert got.dims == got.data.dims(), (n, engine)
+    data = order_n_homology(structure, n)
+    assert data.differential == built
+    assert got.dims == data.dims(), (n, engine)
 
 
 def test_rank_dims_are_homology_dims_on_the_examples_and_their_mirrors():
@@ -267,7 +272,7 @@ def test_clearing_skips_columns_of_a_cyclic_graded_complex(monkeypatch):
         1,
         {1: {("a",): 0b11, ("c",): 0b01, ("d",): 0b01, ("f",): 0b010}},
     )
-    words = tilde._Words(s, 1)
+    words = word_space(s, 1)
     window = tilde._window_matrix(s, words, tilde._window_pairs(s))
     cols = {0: [0b11, 0, 0], 1: [0b01, 0b01], 2: [0, 0b010]}
     assert window.cols == cols
@@ -281,7 +286,7 @@ def test_order_dims_leaves_the_window_unchanged(monkeypatch):
     calls = _spy_prefix_ranks(monkeypatch)
     ring = build_ring(trefoil(), enumerate_augmentations(trefoil())[0])
     tilde.check_order_n_transpose(ring, 3)
-    words = tilde._Words(ring.structure, 3)
+    words = word_space(ring.structure, 3)
     window = tilde._window_matrix(ring.structure, words, ring.pairs)
     before = {k: list(cols) for k, cols in window.cols.items()}
     assert tilde._order_dims(window, words) == TREFOIL_ORDER_DIMS
@@ -320,8 +325,8 @@ def test_representatives_label_words():
     dga = trefoil()
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
     got = order_n_cohomology(ring, 2, engine="dense")
-    reps = got.representatives(2)
-    assert len(reps) == 1
+    reps = representatives(order_n_homology(ring.structure, 2), 2)
+    assert len(reps) == got.dims[2] == 1
     assert all("|" in r or r.startswith("[") for r in reps)
 
 
@@ -810,7 +815,9 @@ def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(mo
         tilde, "_TwistedPairs", lambda *args: compared.append(args) or real_pairs(*args)
     )
     # each word space codes the letters of its structure
-    monkeypatch.setattr(tilde, "_Words", lambda s, n: letters.append(s) or real_words(s, n))
+    monkeypatch.setattr(
+        tilde, "_Words", lambda s, counts: letters.append(s) or real_words(s, counts)
+    )
     dga = trefoil()
     rings = [build_ring(dga, aug) for aug in enumerate_augmentations(dga)]
     for ring in rings:
@@ -823,6 +830,40 @@ def test_pairs_are_compared_once_per_ring_and_letters_built_per_window_matrix(mo
     assert all(t is r.twisted and s is r.structure and n == 1 for (t, s, n), r in zip(compared, rings))
     assert len(letters) == len(rings) * 4 * 2  # one per window matrix built
     assert all(s is rings[0].structure for s in letters[:8:2])  # dense, then the minimal model
+
+
+def test_each_order_n_check_is_made_once_per_call(monkeypatch):
+    """Per ``order_n_cohomology`` call: one ``_degree_counts``, on either
+    engine; on the dense engine one relation check, the structure's up to
+    n (Square zero); on the perturbation engine only its transfer's, up to
+    max(n, 2) + 1 when the call builds it, and none once it is kept
+    (Perturbation)."""
+    counted, checked = [], []
+    real_counts, real_check = tilde._degree_counts, ainfty.check_an_relations
+    monkeypatch.setattr(tilde, "_degree_counts", lambda *a: counted.append(a) or real_counts(*a))
+
+    def check(s, up_to):
+        checked.append((s, up_to))
+        return real_check(s, up_to)
+
+    monkeypatch.setattr(tilde, "check_an_relations", check)
+    monkeypatch.setattr(ainfty, "check_an_relations", check)
+    for dga in (trefoil(), cupex(1, 3, 7), masseyex(1, 4, 9, 20)):
+        aug, size = enumerate_augmentations(dga)[0], len(dga.generators)
+        for n in (1, 2, 3):
+            ring = build_ring(dga, aug)
+            for engine in ("perturbation", "perturbation", "dense"):
+                if engine == "dense" and tilde._word_count(size, n) > 50000:
+                    continue  # masseyex(1,4,9,20) at n = 3: over MAX_WINDOW_BITS
+                counted.clear(), checked.clear()
+                kept = ring.products._model
+                order_n_cohomology(ring, n, engine=engine)
+                assert len(counted) == 1, (n, engine)
+                if engine == "dense":
+                    want = [(ring.structure, n)]
+                else:
+                    want = [] if kept else [(ring.minimal(max(n, 2))[0], max(n, 2) + 1)]
+                assert checked == want and all(s is w for (s, _), (w, _) in zip(checked, want))
 
 
 def test_dense_engine_builds_on_the_pairs_the_ring_compared(monkeypatch):
@@ -862,8 +903,10 @@ def test_library_complexes_are_reduced_without_squaring_them_again(monkeypatch):
         for n in (1, 2):
             for engine in ("dense", "perturbation"):
                 result = order_n_cohomology(ring, n, engine=engine)
+                structure = ring.structure if engine == "dense" else ring.minimal(max(n, 2))[0]
+                data = order_n_homology(structure, n)
                 for k in result.dims:
-                    assert len(result.representatives(k)) == result.dims[k]
+                    assert len(representatives(data, k)) == result.dims[k]
             ranks = tilde_of_morphism(ring.minimal(2)[1], n).induced_ranks()
             assert all(a == b == r for a, b, r in ranks.values())
     assert calls == []
@@ -874,14 +917,16 @@ def test_library_complexes_are_reduced_without_squaring_them_again(monkeypatch):
             assert len(calls) == before + 1
 
 
-def test_minimal_model_is_kept_whole_until_a_higher_arity_rebuilds_it():
+def test_minimal_model_is_kept_whole_until_a_higher_arity_rebuilds_it(monkeypatch):
     dga = trefoil()
     ring = build_ring(dga, enumerate_augmentations(dga)[0])
     top = ring.minimal(3)
     assert top[0].arity == 3 and all(ring.minimal(k) == top for k in (2, 3))
     assert ring.minimal(2)[0] is top[0] and ring.minimal(2)[1] is top[1]
-    result = order_n_cohomology(ring, 2, engine="perturbation")
-    assert result.structure is top[0]  # read whole, its terms of length <= 2
+    read, real = [], tilde._window_matrix
+    monkeypatch.setattr(tilde, "_window_matrix", lambda s, *rest: read.append(s) or real(s, *rest))
+    order_n_cohomology(ring, 2, engine="perturbation")
+    assert len(read) == 1 and read[0] is top[0]  # read whole, its terms of length <= 2
     higher = ring.minimal(4)  # a higher arity rebuilds the transfer
     assert higher[0].arity == 4 and ring.minimal(2)[0] is higher[0] is not top[0]
     assert {k: higher[0].tables[k] for k in (2, 3)} == {k: top[0].tables[k] for k in (2, 3)}
@@ -1217,8 +1262,12 @@ def test_window_bits_count_the_blocks_of_the_built_word_space(n):
     for dga in dgas:
         for aug in enumerate_augmentations(dga)[:2]:
             ring = build_ring(dga, aug)
-            for s in (ring.structure, ring.minimal(max(n, 2))[0]):
-                words = tilde._Words(s, n)
+            mu = ring.minimal(max(n, 2))[0]
+            # the perturbation engine's counts, read off the cochain dims before the transfer
+            h = ring.cochain
+            assert tilde._degree_counts(h.modulus, h.dims(), n) == word_space(mu, n).counts
+            for s in (ring.structure, mu):
+                words = word_space(s, n)
                 groups = words.groups
                 assert tilde._window_bits(s, n) == sum(len(codes) ** 2 for codes in groups.values())
                 for m, counts in enumerate(words.counts, 1):  # each group's codes below off[m + 1]

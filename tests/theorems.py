@@ -50,6 +50,21 @@ from legch.tilde import (
 )
 
 
+def order_n_homology(s, n: int) -> HomologyData:
+    """The homology retract of the labelled order-n complex of a structure,
+    its representatives words of the structure's letters: the complex of
+    ``order_n_cohomology``'s dense engine on ``ring.structure``, and of its
+    perturbation engine on ``ring.minimal(max(n, 2))[0]``.  The window
+    relations checked by ``tilde_complex`` prove d d = 0, so it is reduced
+    by ``linear._retract`` without squaring the matrix again."""
+    return _retract(tilde_complex(s, n).differential)
+
+
+def representatives(data: HomologyData, k: int) -> List[str]:
+    """The labels of the basis classes of degree k."""
+    return [data.label(k, 1 << i) for i in range(data.dim(k))]
+
+
 def dense_order_n(ring: CohomologyRing, n: int):
     """``order_n_cohomology`` on the dense engine, the tests' reference,
     wherever ``MAX_WINDOW_BITS`` admits the window of the generators' words;
